@@ -13,26 +13,14 @@
 //! default 1.0 = the paper's sizes), `--dist-scale <f>` (DIST-N flows,
 //! default 1/16), `--runs <n>` (repetitions for timed experiments,
 //! default 1; the paper uses 5), `--fast` (smaller stand-ins for the most
-//! expensive experiments), `--json [path]` (skip the tables/figures and
-//! instead run the per-approach phase benchmark, writing TTS/TTR/storage
-//! phase breakdowns to `path`, default `BENCH_PR4.json`; exits nonzero if
-//! any instrumented phase reports zero samples), `--baseline <path>`
-//! (with `--json`: additionally gate the fresh document against a frozen
-//! baseline — PUA `hash` must be ≥2x faster, a BA save must issue at most
-//! 12/1.5 = 8 durability sync ops (the machine-invariant form of the ≥1.5x
-//! write win), and every baseline phase must still report samples),
-//! `--lineage-json [path]`
-//! (run the TTR-vs-chain-depth benchmark: a depth-64 delta chain before
-//! and after `lineage compact`, with a fresh depth-8 chain as control,
-//! default `BENCH_PR6.json`; exits nonzero if compacted recovery is not
-//! byte-identical or its TTR exceeds 1.5x the control).
+//! expensive experiments).
 
 use std::time::{Duration, Instant};
 
 use mmlib_bench::{dist_flow_kind, mb, run_flow_runs, standard_flow_config, HarnessConfig};
 use mmlib_core::meta::{ApproachKind, ModelRelation};
 use mmlib_core::merkle::MerkleTree;
-use mmlib_core::{RecoverOptions, SaveService};
+use mmlib_core::{RecoverOptions, SaveRequest, SaveService};
 use mmlib_data::loader::LoaderConfig;
 use mmlib_data::{DataLoader, Dataset, DatasetId};
 use mmlib_dist::flow::{FlowConfig, FlowKind};
@@ -47,50 +35,19 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut config = HarnessConfig::default();
     let mut experiments: Vec<String> = Vec::new();
-    let mut json_out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut lineage_json_out: Option<String> = None;
-    let mut iter = args.iter().peekable();
+    let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--scale" => config.scale = take_f64(&mut iter, "--scale"),
             "--dist-scale" => config.dist_scale = take_f64(&mut iter, "--dist-scale"),
             "--runs" => config.runs = take_f64(&mut iter, "--runs") as usize,
             "--fast" => config.fast = true,
-            "--json" => {
-                json_out = Some(match iter.peek() {
-                    Some(v) if !v.starts_with("--") => iter.next().unwrap().clone(),
-                    _ => "BENCH_PR4.json".to_string(),
-                });
-            }
-            "--baseline" => {
-                baseline = Some(iter.next().unwrap_or_else(|| {
-                    eprintln!("--baseline needs a path argument");
-                    std::process::exit(2);
-                }).clone());
-            }
-            "--lineage-json" => {
-                lineage_json_out = Some(match iter.peek() {
-                    Some(v) if !v.starts_with("--") => iter.next().unwrap().clone(),
-                    _ => "BENCH_PR6.json".to_string(),
-                });
-            }
             other if other.starts_with("--") => {
                 eprintln!("unknown flag {other}");
                 std::process::exit(2);
             }
             exp => experiments.push(exp.to_string()),
         }
-    }
-    if let Some(path) = lineage_json_out {
-        return lineage_json_bench(&config, &path);
-    }
-    if let Some(path) = json_out {
-        return json_bench(&config, &path, baseline.as_deref());
-    }
-    if baseline.is_some() {
-        eprintln!("--baseline only applies together with --json");
-        std::process::exit(2);
     }
     if experiments.is_empty() {
         experiments.push("all".into());
@@ -137,51 +94,7 @@ fn main() {
     }
 }
 
-/// `repro --json`: the per-approach phase benchmark. One standard flow per
-/// approach at the pinned seed, written as JSON; a phase that recorded zero
-/// samples fails the run (it means an instrumentation path went dark). With
-/// `--baseline`, the fresh document is additionally gated against the frozen
-/// baseline's phase timings via [`mmlib_bench::phase_gate`].
-fn json_bench(config: &HarnessConfig, path: &str, baseline: Option<&str>) {
-    let start = Instant::now();
-    let (doc, mut problems) = mmlib_bench::phase_benchmark(config, 42);
-    let rendered = serde_json::to_string_pretty(&doc).expect("render benchmark JSON");
-    std::fs::write(path, rendered + "\n").expect("write benchmark JSON");
-    println!("wrote {path} in {:.1?}", start.elapsed());
-    if let Some(baseline_path) = baseline {
-        let raw = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-        let frozen: serde_json::Value = serde_json::from_str(&raw)
-            .unwrap_or_else(|e| panic!("parse baseline {baseline_path}: {e}"));
-        let gate = mmlib_bench::phase_gate(&doc, &frozen);
-        if gate.is_empty() {
-            println!("phase gate vs {baseline_path}: pass");
-        }
-        problems.extend(gate);
-    }
-    if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("phase coverage regression: {p}");
-        }
-        std::process::exit(3);
-    }
-}
-
-fn lineage_json_bench(config: &HarnessConfig, path: &str) {
-    let start = Instant::now();
-    let (doc, problems) = mmlib_bench::lineage_depth_benchmark(config, 42);
-    let rendered = serde_json::to_string_pretty(&doc).expect("render lineage benchmark JSON");
-    std::fs::write(path, rendered + "\n").expect("write lineage benchmark JSON");
-    println!("wrote {path} in {:.1?}", start.elapsed());
-    if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("lineage benchmark regression: {p}");
-        }
-        std::process::exit(3);
-    }
-}
-
-fn take_f64(iter: &mut std::iter::Peekable<std::slice::Iter<'_, String>>, flag: &str) -> f64 {
+fn take_f64(iter: &mut std::slice::Iter<'_, String>, flag: &str) -> f64 {
     iter.next()
         .and_then(|v| v.parse().ok())
         .unwrap_or_else(|| panic!("{flag} needs a numeric argument"))
@@ -372,7 +285,7 @@ fn fig8() {
     for arch in ArchId::all() {
         let model = Model::new_initialized(arch, 0);
         let before = svc.storage().bytes_written();
-        svc.save_full(&model, None, "initial").unwrap();
+        svc.save(SaveRequest::full(&model)).unwrap();
         let bytes = svc.storage().bytes_written() - before;
         println!("{:<13} {:>12} {:>11.1} MB", arch.name(), model.param_count(), mb(bytes));
     }
@@ -479,31 +392,29 @@ fn fig12(config: &HarnessConfig) {
         "architecture", "load", "recover", "verify", "(check env)", "total*"
     );
     for arch in ArchId::all() {
-        let mut samples: Vec<mmlib_core::RecoverBreakdown> = Vec::new();
+        let mut samples: Vec<mmlib_obs::PhaseBreakdown> = Vec::new();
         for run in 0..config.runs.max(1) {
             let dir = tempfile::tempdir().unwrap();
             let svc = SaveService::new(ModelStorage::open(dir.path()).unwrap());
             let mut model = Model::new_initialized(arch, 20 + run as u64);
             model.set_fully_trainable();
-            let mut base = svc.save_full(&model, None, "initial").unwrap();
+            let mut base = svc.save(SaveRequest::full(&model)).unwrap().id;
             // Three partial-update iterations of U3 (saved as BA snapshots).
             let mut target = base.clone();
             for n in 0..3u64 {
                 model.set_classifier_only_trainable();
                 perturb_classifier(&mut model, n);
-                target = svc.save_full(&model, Some(&base), "partially_updated").unwrap();
+                target = svc.save(SaveRequest::full(&model).base(&base)).unwrap().id;
                 base = target.clone();
             }
-            let rec = svc.recover(&target, RecoverOptions::default()).unwrap();
-            samples.push(rec.breakdown);
+            let rec = svc.recover_report(&target, RecoverOptions::default()).unwrap();
+            samples.push(rec.phases);
         }
-        let med = |f: &dyn Fn(&mmlib_core::RecoverBreakdown) -> Duration| {
-            metrics::median_duration(samples.iter().map(f).collect())
+        let med = |phase: &str| {
+            metrics::median_duration(samples.iter().map(|b| b.get(phase)).collect())
         };
-        let load = med(&|b| b.load);
-        let recover = med(&|b| b.recover);
-        let verify = med(&|b| b.verify);
-        let check_env = med(&|b| b.check_env);
+        let (load, recover, verify, check_env) =
+            (med("fetch"), med("rebuild"), med("verify"), med("check_env"));
         println!(
             "{:<13} {:>9.1} {:>9.1} {:>9.1} {:>11.1} {:>9.1}",
             arch.name(),

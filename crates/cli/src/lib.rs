@@ -282,19 +282,17 @@ fn chain(svc: &SaveService, id: SavedModelId) -> Result<String, CliError> {
 }
 
 fn verify(svc: &SaveService, id: SavedModelId) -> Result<String, CliError> {
-    let rec = svc.recover(&id, RecoverOptions::default()).map_err(fail)?;
-    let b = rec.breakdown;
-    Ok(format!(
-        "{id}: verified OK (arch {}, chain depth {})\n\
-         load {:?}, recover {:?}, check-env {:?}, verify {:?}, total {:?}\n",
+    let rec = svc.recover_report(&id, RecoverOptions::default()).map_err(fail)?;
+    let mut out = format!(
+        "{id}: verified OK (arch {}, chain depth {})\n",
         rec.model.arch.name(),
-        b.recovered_bases,
-        b.load,
-        b.recover,
-        b.check_env,
-        b.verify,
-        b.total()
-    ))
+        rec.recovered_bases
+    );
+    for (phase, d) in rec.phases.entries() {
+        write!(out, "{phase} {d:?}, ").unwrap();
+    }
+    writeln!(out, "total {:?}", rec.ttr).unwrap();
+    Ok(out)
 }
 
 fn recover(svc: &SaveService, tail: &[&str]) -> Result<String, CliError> {
@@ -304,7 +302,7 @@ fn recover(svc: &SaveService, tail: &[&str]) -> Result<String, CliError> {
         }
         _ => return Err(CliError::Usage(USAGE.into())),
     };
-    let rec = svc.recover(&id, RecoverOptions::default()).map_err(fail)?;
+    let rec = svc.recover_report(&id, RecoverOptions::default()).map_err(fail)?;
     let entries = rec.model.state_entries();
     let bytes = mmlib_tensor::ser::state_to_bytes(
         entries.iter().map(|(p, t, _, _)| (p.as_str(), *t)).collect::<Vec<_>>(),
@@ -359,7 +357,7 @@ fn probe(svc: &SaveService, tail: &[&str]) -> Result<String, CliError> {
         "par" => mmlib_tensor::ExecMode::Parallel,
         other => return Err(CliError::Usage(format!("unknown mode {other:?} (det|par)"))),
     };
-    let mut rec = svc.recover(&id, RecoverOptions::default()).map_err(fail)?;
+    let mut rec = svc.recover_report(&id, RecoverOptions::default()).map_err(fail)?;
     rec.model.set_fully_trainable();
     let res = rec.model.arch.min_resolution();
     let loader = mmlib_data::DataLoader::new(

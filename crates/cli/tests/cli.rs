@@ -1,7 +1,7 @@
 //! End-to-end tests of the `mmlib` CLI command layer.
 
 use mmlib_cli::{run, CliError};
-use mmlib_core::SaveService;
+use mmlib_core::{SaveRequest, SaveService};
 use mmlib_model::{ArchId, Model};
 use mmlib_store::ModelStorage;
 
@@ -15,14 +15,14 @@ fn seed_store(dir: &std::path::Path) -> (String, String) {
     let svc = SaveService::new(ModelStorage::open(dir).unwrap());
     let mut model = Model::new_initialized(ArchId::TinyCnn, 1);
     model.set_fully_trainable();
-    let initial = svc.save_full(&model, None, "initial").unwrap();
+    let initial = svc.save(SaveRequest::full(&model)).unwrap().id;
     // Nudge the classifier and save an update.
     model.visit_trainable_mut(&mut |path, param, _| {
         if path.starts_with("fc") {
             param.data_mut()[0] += 1.0;
         }
     });
-    let (update, _) = svc.save_update(&model, &initial, "partially_updated").unwrap();
+    let update = svc.save(SaveRequest::update(&model, &initial)).unwrap().id;
     (initial.to_string(), update.to_string())
 }
 

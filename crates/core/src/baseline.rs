@@ -6,16 +6,13 @@
 //! routine — the step that makes GoogLeNet's recovery anomalously slow,
 //! Fig. 12), overwrites the parameters, and verifies.
 
-use std::time::Instant;
-
 use mmlib_model::Model;
-use mmlib_obs::PhaseClock;
+use mmlib_obs::{PhaseBreakdown, PhaseClock};
 use mmlib_tensor::ser::{state_from_bytes, state_to_bytes};
 
 use crate::error::CoreError;
 use crate::meta::{ModelInfoDoc, ModelRelation, SavedModelId};
-use crate::recovery::{RecoverBreakdown, SaveService};
-use crate::report::SaveRequest;
+use crate::recovery::SaveService;
 
 impl SaveService {
     /// Saves a complete snapshot of `model` (the baseline approach).
@@ -23,30 +20,14 @@ impl SaveService {
     /// `base` is recorded as metadata only — the baseline "explicitly
     /// excludes loading documents holding base model information" at
     /// recovery. `relation` documents how this model relates to its base.
-    ///
-    /// Thin wrapper over [`SaveService::save`] with a
-    /// [`SaveRequest::full`] request.
-    pub fn save_full(
-        &self,
-        model: &Model,
-        base: Option<&SavedModelId>,
-        relation: &str,
-    ) -> Result<SavedModelId, CoreError> {
-        let mut req = SaveRequest::full(model).relation(relation);
-        if let Some(base) = base {
-            req = req.base(base);
-        }
-        Ok(self.save(req)?.id)
-    }
-
     pub(crate) fn save_full_phased(
         &self,
         model: &Model,
         base: Option<&SavedModelId>,
-        relation: &str,
+        relation: ModelRelation,
         clock: &mut PhaseClock<'_>,
     ) -> Result<SavedModelId, CoreError> {
-        let relation = parse_relation(relation, base)?;
+        check_relation(relation, base)?;
 
         // Full state dict file.
         let entries = model.state_entries();
@@ -146,7 +127,7 @@ impl SaveService {
         &self,
         info: &ModelInfoDoc,
         id: &SavedModelId,
-        breakdown: &mut RecoverBreakdown,
+        phases: &mut PhaseBreakdown,
     ) -> Result<Model, CoreError> {
         let arch = self.arch_of(info, id)?;
         let weights_id = info.weights_file.as_ref().ok_or_else(|| CoreError::BadModelDocument {
@@ -154,55 +135,41 @@ impl SaveService {
             reason: "baseline document lacks a weights file".into(),
         })?;
 
-        let start = Instant::now();
-        let bytes = self.read_file(weights_id)?;
-        // The code file is loaded too (it is part of the exact
-        // representation), although the Rust build resolves the
-        // architecture from its identifier.
-        if let Some(code_id) = &info.code_file {
-            let _ = self.read_file(code_id)?;
-        }
-        breakdown.load += start.elapsed();
+        let bytes = self.timed(phases, "fetch", || {
+            let bytes = self.read_file(weights_id)?;
+            // The code file is loaded too (it is part of the exact
+            // representation), although the Rust build resolves the
+            // architecture from its identifier.
+            if let Some(code_id) = &info.code_file {
+                self.read_file(code_id)?;
+            }
+            Ok::<_, CoreError>(bytes)
+        })?;
 
-        let start = Instant::now();
         // Rebuild the architecture object. This runs the architecture's
         // init routine before the parameters are overwritten — exactly what
         // `torchvision.models.X()` + `load_state_dict` does, and the origin
         // of the GoogLeNet recovery anomaly (paper Fig. 12).
-        let mut model = Model::new_initialized(arch, 0);
-        let entries = state_from_bytes(&bytes)?;
-        model.load_state_dict(&entries)?;
-        breakdown.recover += start.elapsed();
-        Ok(model)
+        self.timed(phases, "rebuild", || {
+            let mut model = Model::new_initialized(arch, 0);
+            let entries = state_from_bytes(&bytes)?;
+            model.load_state_dict(&entries)?;
+            Ok(model)
+        })
     }
 }
 
-pub(crate) fn parse_relation(
-    relation: &str,
+/// Rejects relation/base combinations that cannot be recorded: an initial
+/// model has no base, a derived one needs it.
+pub(crate) fn check_relation(
+    relation: ModelRelation,
     base: Option<&SavedModelId>,
-) -> Result<ModelRelation, CoreError> {
-    let parsed = match relation {
-        "initial" => ModelRelation::Initial,
-        "fully_updated" => ModelRelation::FullyUpdated,
-        "partially_updated" => ModelRelation::PartiallyUpdated,
-        other => {
-            return Err(CoreError::BadModelDocument {
-                id: SavedModelId(mmlib_store::DocId::from_string("unsaved".into())),
-                reason: format!("unknown relation {other:?}"),
-            })
-        }
-    };
-    if parsed == ModelRelation::Initial && base.is_some() {
-        return Err(CoreError::BadModelDocument {
-            id: SavedModelId(mmlib_store::DocId::from_string("unsaved".into())),
-            reason: "initial models cannot have a base".into(),
-        });
+) -> Result<(), CoreError> {
+    if relation == ModelRelation::Initial && base.is_some() {
+        return Err(crate::report::missing_field("initial models cannot have a base"));
     }
-    if parsed != ModelRelation::Initial && base.is_none() {
-        return Err(CoreError::BadModelDocument {
-            id: SavedModelId(mmlib_store::DocId::from_string("unsaved".into())),
-            reason: format!("{relation} requires a base model"),
-        });
+    if relation != ModelRelation::Initial && base.is_none() {
+        return Err(crate::report::missing_field("derived models require a base model"));
     }
-    Ok(parsed)
+    Ok(())
 }

@@ -674,6 +674,7 @@ impl Checker<'_> {
 mod tests {
     use super::*;
     use crate::recovery::SaveService;
+    use crate::report::SaveRequest;
     use mmlib_model::{ArchId, Model};
 
     fn service(dir: &std::path::Path) -> SaveService {
@@ -690,7 +691,7 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let svc = service(dir.path());
         let model = Model::new_initialized(ArchId::TinyCnn, 7);
-        svc.save_full(&model, None, "initial").unwrap();
+        svc.save(SaveRequest::full(&model)).unwrap();
         let report = fsck(svc.storage(), &FsckOptions::default()).unwrap();
         assert!(report.is_clean(), "unexpected issues: {:?}", report.issues);
         assert_eq!(report.models_checked, 1);
@@ -702,7 +703,7 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let svc = service(dir.path());
         let model = Model::new_initialized(ArchId::TinyCnn, 7);
-        let id = svc.save_full(&model, None, "initial").unwrap();
+        let id = svc.save(SaveRequest::full(&model)).unwrap().id;
         let weights = saved_info(&svc, &id).weights_file.unwrap();
 
         let path = dir.path().join("files").join(format!("{weights}.bin"));
@@ -727,7 +728,7 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let svc = service(dir.path());
         let model = Model::new_initialized(ArchId::TinyCnn, 7);
-        let id = svc.save_full(&model, None, "initial").unwrap();
+        let id = svc.save(SaveRequest::full(&model)).unwrap().id;
         let weights = saved_info(&svc, &id).weights_file.unwrap();
 
         let path = dir.path().join("files").join(format!("{weights}.bin"));
@@ -752,7 +753,7 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let svc = service(dir.path());
         let model = Model::new_initialized(ArchId::TinyCnn, 7);
-        let id = svc.save_full(&model, None, "initial").unwrap();
+        let id = svc.save(SaveRequest::full(&model)).unwrap().id;
 
         let mut info = saved_info(&svc, &id);
         let mut root = info.root_hash.into_bytes();
@@ -774,7 +775,7 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let svc = service(dir.path());
         let model = Model::new_initialized(ArchId::TinyCnn, 7);
-        let id = svc.save_full(&model, None, "initial").unwrap();
+        let id = svc.save(SaveRequest::full(&model)).unwrap().id;
 
         // An orphan blob and an orphan document nothing references.
         let orphan_file = svc.storage().put_file(b"stray bytes").unwrap();
@@ -828,7 +829,7 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let svc = service(dir.path());
         let model = Model::new_initialized(ArchId::TinyCnn, 7);
-        let id = svc.save_full(&model, None, "initial").unwrap();
+        let id = svc.save(SaveRequest::full(&model)).unwrap().id;
 
         // Remove the model doc but leave its lineage record behind.
         let lineage = lineage_doc_of(&svc, &id);
@@ -859,7 +860,7 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let svc = service(dir.path());
         let model = Model::new_initialized(ArchId::TinyCnn, 7);
-        let id = svc.save_full(&model, None, "initial").unwrap();
+        let id = svc.save(SaveRequest::full(&model)).unwrap().id;
 
         // Rewrite the lineage record to claim a parent that was never saved.
         let lineage = lineage_doc_of(&svc, &id);
@@ -886,11 +887,11 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let svc = service(dir.path());
         let base = Model::new_initialized(ArchId::TinyCnn, 7);
-        let base_id = svc.save_full(&base, None, "initial").unwrap();
+        let base_id = svc.save(SaveRequest::full(&base)).unwrap().id;
         let mut derived = base.duplicate();
         derived.set_classifier_only_trainable();
         derived.visit_trainable_mut(&mut |_, param, _| param.data_mut()[0] += 0.5);
-        svc.save_update(&derived, &base_id, "partially_updated").unwrap();
+        svc.save(SaveRequest::update(&derived, &base_id)).unwrap();
 
         let report = fsck(svc.storage(), &FsckOptions::default()).unwrap();
         assert!(report.is_clean(), "unexpected issues: {:?}", report.issues);

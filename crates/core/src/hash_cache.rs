@@ -1,7 +1,7 @@
 //! Save-path hash cache: fingerprint-gated incremental Merkle rebuilds.
 //!
-//! BENCH_PR4.json shows the `hash` phase as a flat ~0.68s/10-saves floor
-//! under every approach: each save re-SHA-256s every parameter byte even
+//! Without it the `hash` phase is a flat ~68 ms per MobileNetV2 save under
+//! every approach: each save re-SHA-256s every parameter byte even
 //! though consecutive saves of a training run change only a few layers. The
 //! cache closes that gap without weakening any integrity property:
 //!
@@ -23,10 +23,9 @@
 //! surface as a loud verification failure, never silent corruption.
 
 use std::sync::Mutex;
-use std::time::Instant;
 
 use mmlib_model::Model;
-use mmlib_obs::Recorder;
+use mmlib_obs::{Recorder, SpanGuard};
 use mmlib_tensor::hash::Digest;
 use mmlib_tensor::{hash_par, Tensor};
 
@@ -34,8 +33,8 @@ use crate::merkle::{layer_hashes_from_entries, MerkleTree};
 
 /// Sub-phase labels recorded into `mmlib_save_phase_seconds` alongside the
 /// coarse `hash` phase, so expositions show where hash time goes. These are
-/// histogram labels, not breakdown phases: the bench phase taxonomy and its
-/// zero-sample gate are unaffected.
+/// histogram labels, not breakdown phases: [`crate::SAVE_PHASES`] and
+/// `SaveReport.phases` are unaffected.
 pub const HASH_SUBPHASES: [&str; 3] = ["hash_fingerprint", "hash_rehash", "hash_splice"];
 
 /// A 128-bit non-cryptographic fingerprint of a tensor: multiply-mix lanes
@@ -124,13 +123,13 @@ impl HashCache {
     /// histogram (`mmlib_save_phase_seconds`); callers charge the whole call
     /// to the coarse `hash` phase as before.
     pub fn tree_for_model(&self, model: &Model, obs: &Recorder) -> MerkleTree {
-        const PHASE: &str = "mmlib_save_phase_seconds";
+        let span = |phase| SpanGuard::new(obs, crate::report::SAVE_PHASE, ("phase", phase));
         let entries = model.state_entries();
         let tensors: Vec<&Tensor> = entries.iter().map(|(_, t, _, _)| *t).collect();
 
-        let fp_start = Instant::now();
+        let fingerprinting = span("hash_fingerprint");
         let prints: Vec<(u64, u64)> = tensors.iter().map(|t| fingerprint(t)).collect();
-        obs.observe_duration(PHASE, ("phase", "hash_fingerprint"), fp_start.elapsed());
+        drop(fingerprinting);
 
         let mut guard = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(state) = guard.as_mut() {
@@ -141,7 +140,7 @@ impl HashCache {
                 // entries and splice their layers into the cached tree.
                 let changed: Vec<usize> =
                     (0..prints.len()).filter(|&i| state.prints[i] != prints[i]).collect();
-                let rh_start = Instant::now();
+                let rehashing = span("hash_rehash");
                 let changed_tensors: Vec<&Tensor> =
                     changed.iter().map(|&i| tensors[i]).collect();
                 let new_digests = hash_par::hash_tensors(&changed_tensors);
@@ -149,9 +148,9 @@ impl HashCache {
                     state.digests[i] = *d;
                     state.prints[i] = prints[i];
                 }
-                obs.observe_duration(PHASE, ("phase", "hash_rehash"), rh_start.elapsed());
+                drop(rehashing);
 
-                let sp_start = Instant::now();
+                let _splicing = span("hash_splice");
                 let layer_hashes = layer_hashes_from_entries(&state.paths, &state.digests);
                 let updates: Vec<(String, Digest)> = layer_hashes
                     .into_iter()
@@ -159,7 +158,6 @@ impl HashCache {
                     .collect();
                 if let Some(tree) = state.tree.update_leaves(&updates) {
                     state.tree = tree.clone();
-                    obs.observe_duration(PHASE, ("phase", "hash_splice"), sp_start.elapsed());
                     return tree;
                 }
                 // A layer appeared that the cached tree does not know —
@@ -168,9 +166,9 @@ impl HashCache {
             }
         }
 
-        let rh_start = Instant::now();
+        let rehashing = span("hash_rehash");
         let digests = hash_par::hash_tensors(&tensors);
-        obs.observe_duration(PHASE, ("phase", "hash_rehash"), rh_start.elapsed());
+        drop(rehashing);
         let paths: Vec<String> = entries.into_iter().map(|(p, _, _, _)| p).collect();
         let tree = MerkleTree::from_leaves(layer_hashes_from_entries(&paths, &digests));
         *guard = Some(CacheState { paths, prints, digests, tree: tree.clone() });

@@ -30,7 +30,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use mmlib_core::{SaveService, RecoverOptions};
+//! use mmlib_core::{RecoverOptions, SaveRequest, SaveService};
 //! use mmlib_model::{ArchId, Model};
 //! use mmlib_store::ModelStorage;
 //!
@@ -39,8 +39,8 @@
 //! let svc = SaveService::new(storage);
 //!
 //! let model = Model::new_initialized(ArchId::ResNet18, 42);
-//! let id = svc.save_full(&model, None, "initial").unwrap();
-//! let recovered = svc.recover(&id, RecoverOptions::default()).unwrap();
+//! let saved = svc.save(SaveRequest::full(&model)).unwrap();
+//! let recovered = svc.recover_report(&saved.id, RecoverOptions::default()).unwrap();
 //! assert!(recovered.model.models_equal(&model));
 //! ```
 
@@ -71,7 +71,7 @@ pub use merkle::MerkleTree;
 pub use meta::{ApproachKind, LineageRecordDoc, ModelRelation, SavedModelId};
 pub use probe::{ProbeRecord, ProbeReport};
 pub use provenance::TrainProvenance;
-pub use recovery::{RecoverBreakdown, RecoverOptions, RecoveredModel, SaveService};
+pub use recovery::{RecoverOptions, SaveService};
 pub use report::{
     register_metrics, RecoverReport, SaveReport, SaveRequest, VerifyOutcome, RECOVER_PHASES,
     SAVE_PHASES,

@@ -9,47 +9,28 @@
 //! Recovery is recursive: recover B (which may itself be an update), then
 //! merge M's parameter update with M's values winning conflicts.
 
-use std::time::Instant;
-
 use mmlib_model::Model;
-use mmlib_obs::PhaseClock;
+use mmlib_obs::{PhaseBreakdown, PhaseClock};
 use mmlib_tensor::ser::{state_from_bytes, state_to_bytes};
 
 use crate::error::CoreError;
 use crate::merkle::MerkleDiff;
-use crate::meta::{ApproachKind, ModelInfoDoc, SavedModelId};
-use crate::recovery::{RecoverBreakdown, RecoverOptions, SaveService};
-use crate::report::{missing_field, SaveRequest};
+use crate::meta::{ApproachKind, ModelInfoDoc, ModelRelation, SavedModelId};
+use crate::recovery::SaveService;
 
 impl SaveService {
     /// Saves `model` as a parameter update against `base`.
     ///
     /// Returns the saved id and the Merkle diff that determined the update
     /// (exposed for the Fig. 4 comparison-count experiments).
-    ///
-    /// Thin wrapper over [`SaveService::save`] with a
-    /// [`SaveRequest::update`] request.
-    pub fn save_update(
-        &self,
-        model: &Model,
-        base: &SavedModelId,
-        relation: &str,
-    ) -> Result<(SavedModelId, MerkleDiff), CoreError> {
-        let report = self.save(SaveRequest::update(model, base).relation(relation))?;
-        let diff = report
-            .diff
-            .ok_or_else(|| missing_field("update reports carry a diff"))?;
-        Ok((report.id, diff))
-    }
-
     pub(crate) fn save_update_phased(
         &self,
         model: &Model,
         base: &SavedModelId,
-        relation: &str,
+        relation: ModelRelation,
         clock: &mut PhaseClock<'_>,
     ) -> Result<(SavedModelId, MerkleDiff), CoreError> {
-        let relation = crate::baseline::parse_relation(relation, Some(base))?;
+        crate::baseline::check_relation(relation, Some(base))?;
 
         // Load only the base's hash document — not its parameters.
         let base_info = clock.time("diff", || self.load_model_info(base))?;
@@ -117,40 +98,20 @@ impl SaveService {
     /// Saves `model` as a **delta-compressed** parameter update against
     /// `base` — the storage extension of the §4.7 trade-off discussion.
     ///
-    /// Unlike [`SaveService::save_update`], this needs the base model's
+    /// Unlike the plain parameter update, this needs the base model's
     /// parameters *in memory* (`base_model`) to form XOR deltas. That is the
     /// common U3 situation: the node just derived `model` from `base_model`
     /// and still holds both. The base's integrity is checked against the
     /// stored root hash before any delta is formed.
-    /// Thin wrapper over [`SaveService::save`] with a
-    /// [`SaveRequest::compressed_update`] request.
-    pub fn save_update_compressed(
-        &self,
-        model: &Model,
-        base_model: &Model,
-        base: &SavedModelId,
-        relation: &str,
-    ) -> Result<(SavedModelId, MerkleDiff, mmlib_compress::EncodedUpdate), CoreError> {
-        let report =
-            self.save(SaveRequest::compressed_update(model, base_model, base).relation(relation))?;
-        let diff = report
-            .diff
-            .ok_or_else(|| missing_field("compressed-update reports carry a diff"))?;
-        let encoded = report
-            .encoded
-            .ok_or_else(|| missing_field("compressed-update reports carry the encoding"))?;
-        Ok((report.id, diff, encoded))
-    }
-
     pub(crate) fn save_update_compressed_phased(
         &self,
         model: &Model,
         base_model: &Model,
         base: &SavedModelId,
-        relation: &str,
+        relation: ModelRelation,
         clock: &mut PhaseClock<'_>,
     ) -> Result<(SavedModelId, MerkleDiff, mmlib_compress::EncodedUpdate), CoreError> {
-        let relation = crate::baseline::parse_relation(relation, Some(base))?;
+        crate::baseline::check_relation(relation, Some(base))?;
         let base_info = clock.time("diff", || self.load_model_info(base))?;
         if base_info.arch != model.arch.name() || base_model.arch != model.arch {
             return Err(CoreError::BadModelDocument {
@@ -214,70 +175,50 @@ impl SaveService {
         Ok((id, diff, encoded))
     }
 
-    /// Recovers a parameter-update model: recover the base, merge the update.
-    pub(crate) fn recover_update(
-        &self,
-        info: &ModelInfoDoc,
-        id: &SavedModelId,
-        opts: &RecoverOptions,
-        depth: usize,
-        breakdown: &mut RecoverBreakdown,
-    ) -> Result<Model, CoreError> {
-        let base_id = info.base_model.as_ref().ok_or_else(|| CoreError::BadModelDocument {
-            id: id.clone(),
-            reason: "parameter-update document lacks a base model".into(),
-        })?;
-        let base_id = SavedModelId(mmlib_store::DocId::from_string(base_id.clone()));
-        let model = self.recover_inner(&base_id, opts, depth + 1, breakdown)?;
-        self.apply_update_onto(info, id, model, breakdown)
-    }
-
-    /// Applies a parameter-update document onto its already-recovered base
-    /// (the non-recursive half of [`SaveService::recover_update`]).
+    /// Recovers a parameter-update model from its already-recovered base:
+    /// merges the update onto it.
     pub(crate) fn apply_update_onto(
         &self,
         info: &ModelInfoDoc,
         id: &SavedModelId,
         mut model: Model,
-        breakdown: &mut RecoverBreakdown,
+        phases: &mut PhaseBreakdown,
     ) -> Result<Model, CoreError> {
         let weights_id = info.weights_file.as_ref().ok_or_else(|| CoreError::BadModelDocument {
             id: id.clone(),
             reason: "parameter-update document lacks an update file".into(),
         })?;
-        let start = Instant::now();
-        let bytes = self.read_file(weights_id)?;
-        breakdown.load += start.elapsed();
+        let bytes = self.timed(phases, "fetch", || self.read_file(weights_id))?;
 
-        let start = Instant::now();
-        let entries = match info.update_encoding.as_deref() {
-            None | Some("state_dict") => state_from_bytes(&bytes)?,
-            Some("delta_v1") => {
-                // Decode XOR deltas against the just-recovered base.
-                let base_entries = model.state_entries();
-                let base_map: std::collections::BTreeMap<&str, &mmlib_tensor::Tensor> =
-                    base_entries.iter().map(|(p, t, _, _)| (p.as_str(), *t)).collect();
-                let base_fn = |name: &str| base_map.get(name).copied();
-                let decoded = mmlib_compress::decode_update(&bytes, &base_fn).map_err(|e| {
-                    CoreError::BadModelDocument {
+        self.timed(phases, "rebuild", || {
+            let entries = match info.update_encoding.as_deref() {
+                None | Some("state_dict") => state_from_bytes(&bytes)?,
+                Some("delta_v1") => {
+                    // Decode XOR deltas against the just-recovered base.
+                    let base_entries = model.state_entries();
+                    let base_map: std::collections::BTreeMap<&str, &mmlib_tensor::Tensor> =
+                        base_entries.iter().map(|(p, t, _, _)| (p.as_str(), *t)).collect();
+                    let base_fn = |name: &str| base_map.get(name).copied();
+                    let decoded = mmlib_compress::decode_update(&bytes, &base_fn).map_err(|e| {
+                        CoreError::BadModelDocument {
+                            id: id.clone(),
+                            reason: format!("undecodable delta update: {e}"),
+                        }
+                    })?;
+                    drop(base_map);
+                    drop(base_entries);
+                    decoded
+                }
+                Some(other) => {
+                    return Err(CoreError::BadModelDocument {
                         id: id.clone(),
-                        reason: format!("undecodable delta update: {e}"),
-                    }
-                })?;
-                drop(base_map);
-                drop(base_entries);
-                decoded
-            }
-            Some(other) => {
-                return Err(CoreError::BadModelDocument {
-                    id: id.clone(),
-                    reason: format!("unknown update encoding {other:?}"),
-                })
-            }
-        };
-        // Merge policy (§3.2): prioritize M's information on conflicts.
-        model.apply_update(&entries)?;
-        breakdown.recover += start.elapsed();
-        Ok(model)
+                        reason: format!("unknown update encoding {other:?}"),
+                    })
+                }
+            };
+            // Merge policy (§3.2): prioritize M's information on conflicts.
+            model.apply_update(&entries)?;
+            Ok(model)
+        })
     }
 }

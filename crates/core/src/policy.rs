@@ -14,13 +14,11 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
-use crate::merkle::MerkleDiff;
 use crate::meta::{ApproachKind, SavedModelId};
-use crate::provenance::TrainProvenance;
-use crate::report::missing_field;
 use crate::recovery::SaveService;
 
-/// A depth-bounded save policy.
+/// A depth-bounded save policy, applied by a
+/// [`SaveRequest::with_policy`](crate::report::SaveRequest::with_policy) save.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChainPolicy {
     /// The approach used while the chain is short.
@@ -42,19 +40,6 @@ impl ChainPolicy {
     pub fn provenance(max_depth: usize) -> ChainPolicy {
         ChainPolicy { cheap: ApproachKind::Provenance, max_depth }
     }
-}
-
-/// What a policy-driven save did.
-#[derive(Debug, Clone)]
-pub struct PolicySaveOutcome {
-    /// The saved model id.
-    pub id: SavedModelId,
-    /// The approach that was actually used.
-    pub used: ApproachKind,
-    /// The new model's recovery-chain depth (0 for a snapshot).
-    pub chain_depth: usize,
-    /// The Merkle diff, when a parameter update was saved.
-    pub diff: Option<MerkleDiff>,
 }
 
 impl SaveService {
@@ -81,38 +66,6 @@ impl SaveService {
             }
         }
     }
-
-    /// Saves `model` under a [`ChainPolicy`]: with the policy's cheap
-    /// approach while the resulting chain stays within `max_depth`,
-    /// otherwise as a full snapshot (resetting the chain).
-    ///
-    /// `provenance` must be supplied when the cheap approach is
-    /// [`ApproachKind::Provenance`].
-    ///
-    /// Thin wrapper over [`SaveService::save`] with a
-    /// [`crate::report::SaveRequest::with_policy`] request.
-    pub fn save_with_policy(
-        &self,
-        model: &mmlib_model::Model,
-        base: &SavedModelId,
-        relation: &str,
-        policy: ChainPolicy,
-        provenance: Option<&TrainProvenance>,
-    ) -> Result<PolicySaveOutcome, CoreError> {
-        let mut req = crate::report::SaveRequest::with_policy(model, base, policy).relation(relation);
-        if let Some(prov) = provenance {
-            req = req.provenance_data(prov);
-        }
-        let report = self.save(req)?;
-        Ok(PolicySaveOutcome {
-            id: report.id,
-            used: report.approach,
-            chain_depth: report
-                .chain_depth
-                .ok_or_else(|| missing_field("policy saves report a chain depth"))?,
-            diff: report.diff,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -121,6 +74,7 @@ mod tests {
     use mmlib_model::{ArchId, Model};
     use mmlib_store::ModelStorage;
     use crate::recovery::RecoverOptions;
+    use crate::report::SaveRequest;
 
     fn bump_classifier(model: &mut Model, salt: f32) {
         let prefix = model.arch.classifier_prefix();
@@ -137,11 +91,11 @@ mod tests {
         let svc = SaveService::new(ModelStorage::open(dir.path()).unwrap());
         let mut model = Model::new_initialized(ArchId::TinyCnn, 1);
         model.set_fully_trainable();
-        let mut id = svc.save_full(&model, None, "initial").unwrap();
+        let mut id = svc.save(SaveRequest::full(&model)).unwrap().id;
         assert_eq!(svc.chain_depth(&id).unwrap(), 0);
         for expected in 1..=3usize {
             bump_classifier(&mut model, expected as f32);
-            let (next, _) = svc.save_update(&model, &id, "partially_updated").unwrap();
+            let next = svc.save(SaveRequest::update(&model, &id)).unwrap().id;
             assert_eq!(svc.chain_depth(&next).unwrap(), expected);
             id = next;
         }
@@ -153,20 +107,18 @@ mod tests {
         let svc = SaveService::new(ModelStorage::open(dir.path()).unwrap());
         let mut model = Model::new_initialized(ArchId::TinyCnn, 2);
         model.set_fully_trainable();
-        let mut base = svc.save_full(&model, None, "initial").unwrap();
+        let mut base = svc.save(SaveRequest::full(&model)).unwrap().id;
         let policy = ChainPolicy::updates(2);
 
         let mut used = Vec::new();
         for i in 0..7 {
             bump_classifier(&mut model, (i + 1) as f32);
-            let outcome = svc
-                .save_with_policy(&model, &base, "partially_updated", policy, None)
-                .unwrap();
+            let outcome = svc.save(SaveRequest::with_policy(&model, &base, policy)).unwrap();
             // Recover every saved model exactly.
-            let rec = svc.recover(&outcome.id, RecoverOptions::default()).unwrap();
+            let rec = svc.recover_report(&outcome.id, RecoverOptions::default()).unwrap();
             assert!(rec.model.models_equal(&model), "save {i}");
-            assert!(outcome.chain_depth <= 2);
-            used.push(outcome.used);
+            assert!(outcome.chain_depth.unwrap() <= 2);
+            used.push(outcome.approach);
             base = outcome.id;
         }
         // Pattern: two cheap saves, then a promotion, repeating.
@@ -190,13 +142,12 @@ mod tests {
         let svc = SaveService::new(ModelStorage::open(dir.path()).unwrap());
         let mut model = Model::new_initialized(ArchId::TinyCnn, 3);
         model.set_fully_trainable();
-        let base = svc.save_full(&model, None, "initial").unwrap();
+        let base = svc.save(SaveRequest::full(&model)).unwrap().id;
         bump_classifier(&mut model, 1.0);
-        let outcome = svc
-            .save_with_policy(&model, &base, "partially_updated", ChainPolicy::updates(0), None)
-            .unwrap();
-        assert_eq!(outcome.used, ApproachKind::Baseline);
-        assert_eq!(outcome.chain_depth, 0);
+        let outcome =
+            svc.save(SaveRequest::with_policy(&model, &base, ChainPolicy::updates(0))).unwrap();
+        assert_eq!(outcome.approach, ApproachKind::Baseline);
+        assert_eq!(outcome.chain_depth, Some(0));
     }
 
     #[test]
@@ -205,10 +156,10 @@ mod tests {
         let svc = SaveService::new(ModelStorage::open(dir.path()).unwrap());
         let mut model = Model::new_initialized(ArchId::TinyCnn, 4);
         model.set_fully_trainable();
-        let base = svc.save_full(&model, None, "initial").unwrap();
+        let base = svc.save(SaveRequest::full(&model)).unwrap().id;
         bump_classifier(&mut model, 1.0);
         let err = svc
-            .save_with_policy(&model, &base, "partially_updated", ChainPolicy::provenance(3), None)
+            .save(SaveRequest::with_policy(&model, &base, ChainPolicy::provenance(3)))
             .unwrap_err();
         assert!(matches!(err, CoreError::BadModelDocument { .. }));
     }

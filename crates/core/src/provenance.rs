@@ -10,25 +10,23 @@
 //! deterministically, then verifies the replayed model against the stored
 //! Merkle root.
 
-use std::time::Instant;
-
 use mmlib_data::loader::LoaderConfig;
 use mmlib_data::{container, Dataset, DatasetId};
 use mmlib_model::Model;
-use mmlib_obs::PhaseClock;
+use mmlib_obs::{PhaseBreakdown, PhaseClock};
 use mmlib_train::{ImageNetTrainService, OptimizerConfig, TrainConfig, TrainService};
 
 use crate::error::CoreError;
 use crate::meta::{ApproachKind, DatasetRef, ModelInfoDoc, ModelRelation, SavedModelId};
-use crate::recovery::{RecoverBreakdown, RecoverOptions, SaveService};
-use crate::report::SaveRequest;
+use crate::recovery::SaveService;
 use crate::wrapper;
 
 /// Everything the provenance approach must capture about one training run.
 ///
 /// Build this *before* training (the optimizer state must be the
 /// pre-training state so the replay starts from the same point), train, and
-/// then call [`SaveService::save_provenance`] with the trained model.
+/// then save the trained model with a
+/// [`SaveRequest::provenance`](crate::report::SaveRequest::provenance) request.
 #[derive(Debug, Clone)]
 pub struct TrainProvenance {
     /// Which Table 1 dataset was trained on.
@@ -57,18 +55,6 @@ impl SaveService {
     ///
     /// The model's parameters are **not** stored — only its Merkle root (to
     /// verify the replay) and the provenance needed to reproduce it.
-    ///
-    /// Thin wrapper over [`SaveService::save`] with a
-    /// [`SaveRequest::provenance`] request.
-    pub fn save_provenance(
-        &self,
-        model_after_training: &Model,
-        base: &SavedModelId,
-        prov: &TrainProvenance,
-    ) -> Result<SavedModelId, CoreError> {
-        Ok(self.save(SaveRequest::provenance(model_after_training, base, prov))?.id)
-    }
-
     pub(crate) fn save_provenance_phased(
         &self,
         model_after_training: &Model,
@@ -153,33 +139,14 @@ impl SaveService {
         Ok(SavedModelId(crate::recovery::batch_doc_id(ids.into_iter().nth(2))?))
     }
 
-    /// Recovers a provenance model: recover the base, replay the training.
-    pub(crate) fn recover_provenance(
-        &self,
-        info: &ModelInfoDoc,
-        id: &SavedModelId,
-        opts: &RecoverOptions,
-        depth: usize,
-        breakdown: &mut RecoverBreakdown,
-    ) -> Result<Model, CoreError> {
-        let base_id = info.base_model.as_ref().ok_or_else(|| CoreError::BadModelDocument {
-            id: id.clone(),
-            reason: "provenance document lacks a base model".into(),
-        })?;
-        let base_id = SavedModelId(mmlib_store::DocId::from_string(base_id.clone()));
-        let model = self.recover_inner(&base_id, opts, depth + 1, breakdown)?;
-        self.replay_onto(info, id, model, breakdown)
-    }
-
-    /// Replays a provenance document's training onto its already-recovered
-    /// base (the non-recursive half of
-    /// [`SaveService::recover_provenance`]).
+    /// Recovers a provenance model from its already-recovered base: replays
+    /// the training onto it.
     pub(crate) fn replay_onto(
         &self,
         info: &ModelInfoDoc,
         id: &SavedModelId,
         mut model: Model,
-        breakdown: &mut RecoverBreakdown,
+        phases: &mut PhaseBreakdown,
     ) -> Result<Model, CoreError> {
         // Load provenance pieces.
         let dataset_ref = info.dataset.as_ref().ok_or_else(|| CoreError::BadModelDocument {
@@ -191,44 +158,44 @@ impl SaveService {
             reason: "provenance document lacks a train-service reference".into(),
         })?;
 
-        let start = Instant::now();
-        let dataset_id = DatasetId::from_short_name(&dataset_ref.name).ok_or_else(|| {
-            CoreError::BadModelDocument {
-                id: id.clone(),
-                reason: format!("unknown dataset {:?}", dataset_ref.name),
+        let mut svc: ImageNetTrainService = self.timed(phases, "fetch", || {
+            let dataset_id = DatasetId::from_short_name(&dataset_ref.name).ok_or_else(|| {
+                CoreError::BadModelDocument {
+                    id: id.clone(),
+                    reason: format!("unknown dataset {:?}", dataset_ref.name),
+                }
+            })?;
+            let dataset = Dataset::new(dataset_id, dataset_ref.scale);
+            // Verify the stored container (when present) round-trips and matches
+            // the declared content digest.
+            if let Some(file_id) = &dataset_ref.container_file {
+                let packed = self.read_file(file_id)?;
+                let unpacked = container::unpack(&packed)?;
+                if unpacked.id != dataset_id || unpacked.blobs.len() as u64 != dataset.len() {
+                    return Err(CoreError::VerificationFailed {
+                        id: id.clone(),
+                        reason: "dataset container does not match its reference".into(),
+                    });
+                }
             }
-        })?;
-        let dataset = Dataset::new(dataset_id, dataset_ref.scale);
-        // Verify the stored container (when present) round-trips and matches
-        // the declared content digest.
-        if let Some(file_id) = &dataset_ref.container_file {
-            let packed = self.read_file(file_id)?;
-            let unpacked = container::unpack(&packed)?;
-            if unpacked.id != dataset_id || unpacked.blobs.len() as u64 != dataset.len() {
+            if dataset.content_digest().to_hex() != dataset_ref.content_digest {
                 return Err(CoreError::VerificationFailed {
                     id: id.clone(),
-                    reason: "dataset container does not match its reference".into(),
+                    reason: "dataset content digest mismatch".into(),
                 });
             }
-        }
-        if dataset.content_digest().to_hex() != dataset_ref.content_digest {
-            return Err(CoreError::VerificationFailed {
-                id: id.clone(),
-                reason: "dataset content digest mismatch".into(),
-            });
-        }
-        let mut svc: ImageNetTrainService = wrapper::reconstruct_train_service(
-            self.storage(),
-            &mmlib_store::DocId::from_string(train_doc.clone()),
-            dataset,
-        )?;
-        breakdown.load += start.elapsed();
+            wrapper::reconstruct_train_service(
+                self.storage(),
+                &mmlib_store::DocId::from_string(train_doc.clone()),
+                dataset,
+            )
+        })?;
 
         // Replay the training (the dominant recover cost, §4.4).
-        let start = Instant::now();
-        info.relation.apply_trainability(&mut model);
-        svc.train(&mut model);
-        breakdown.recover += start.elapsed();
+        self.timed(phases, "rebuild", || {
+            info.relation.apply_trainability(&mut model);
+            svc.train(&mut model);
+        });
         Ok(model)
     }
 }

@@ -1,16 +1,14 @@
-//! The save/recover service: shared plumbing and the recursive recovery
-//! dispatcher.
+//! The save/recover service: shared plumbing and the recovery chain walk.
 //!
 //! One [`SaveService`] exposes all three approaches (the approach used is
 //! recorded per model document, so a store may mix them) and one
-//! [`SaveService::recover`] entry point that resolves base-model chains
-//! recursively — the paper's recursive recovery of §3.2/§3.3.
+//! [`SaveService::recover_report`] entry point that resolves base-model
+//! chains — the paper's recursive recovery of §3.2/§3.3.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use mmlib_model::{ArchId, Model};
-use mmlib_obs::Recorder;
+use mmlib_obs::{PhaseBreakdown, PhaseClock, Recorder};
 use mmlib_store::{BatchId, DocId, FileId, ModelStorage, StoreError};
 
 use crate::env::EnvironmentInfo;
@@ -69,46 +67,6 @@ impl RecoverOptions {
     pub fn max_chain_depth(mut self, depth: usize) -> RecoverOptions {
         self.max_chain_depth = depth;
         self
-    }
-}
-
-/// Wall-time breakdown of one recovery (paper Fig. 12's categories).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RecoverBreakdown {
-    /// Reading documents and files.
-    pub load: Duration,
-    /// Building the model object and applying state / updates / replayed
-    /// training.
-    pub recover: Duration,
-    /// Environment verification.
-    pub check_env: Duration,
-    /// Parameter verification against the stored Merkle root.
-    pub verify: Duration,
-    /// Number of base models recovered along the chain (0 for a snapshot).
-    pub recovered_bases: u32,
-}
-
-impl RecoverBreakdown {
-    /// Total recovery wall time.
-    pub fn total(&self) -> Duration {
-        self.load + self.recover + self.check_env + self.verify
-    }
-}
-
-/// A recovered model plus its recovery-time breakdown.
-pub struct RecoveredModel {
-    /// The recovered model (bit-exact to the saved one when `verify` is on).
-    pub model: Model,
-    /// How the recovery time was spent.
-    pub breakdown: RecoverBreakdown,
-}
-
-impl std::fmt::Debug for RecoveredModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RecoveredModel")
-            .field("arch", &self.model.arch)
-            .field("breakdown", &self.breakdown)
-            .finish_non_exhaustive()
     }
 }
 
@@ -297,53 +255,64 @@ impl SaveService {
 
     // ---- recovery dispatch ------------------------------------------------
 
-    /// Recovers a saved model, resolving its base chain recursively.
-    ///
-    /// Returns the model together with a wall-time breakdown accumulated
-    /// over the whole chain. Verification (when enabled) runs once, on the
-    /// final model, against the stored Merkle root of the *requested* id —
-    /// intermediate chain steps only feed parameters forward.
-    ///
-    /// Thin wrapper over [`SaveService::recover_report`], which adds phase
-    /// and verification reporting.
-    pub fn recover(&self, id: &SavedModelId, opts: RecoverOptions) -> Result<RecoveredModel, CoreError> {
-        let report = self.recover_report(id, opts)?;
-        Ok(RecoveredModel { model: report.model, breakdown: report.breakdown })
+    /// Runs `f`, adding its wall time to `phase` of `phases`. Recovery steps
+    /// accumulate here rather than in the recovery's own [`PhaseClock`]
+    /// because a chain hits each phase once per node, while the phase
+    /// histogram takes one observation per phase per recovery.
+    pub(crate) fn timed<T>(
+        &self,
+        phases: &mut PhaseBreakdown,
+        phase: &'static str,
+        f: impl FnOnce() -> T,
+    ) -> T {
+        let stopwatch = PhaseClock::new(self.obs(), crate::report::RECOVER_PHASE, "phase");
+        let out = f();
+        phases.add(phase, stopwatch.elapsed());
+        out
     }
 
-    pub(crate) fn recover_inner(
+    /// Loads the recovery chain of `id`, tip first: the model-info documents
+    /// along `base_model` references down to the first snapshot (whose own
+    /// base is lineage metadata, not a recovery dependency), each checked
+    /// against the current environment when `opts.check_env` is on. Only
+    /// documents are read. The chain is walked in a loop, not by recursion,
+    /// so a chain at the depth bound costs heap rather than ~2 KB of stack
+    /// per link.
+    pub(crate) fn load_chain(
         &self,
         id: &SavedModelId,
         opts: &RecoverOptions,
-        depth: usize,
-        breakdown: &mut RecoverBreakdown,
-    ) -> Result<Model, CoreError> {
-        if depth > opts.max_chain_depth {
-            return Err(CoreError::BaseChainTooDeep { id: id.clone(), limit: opts.max_chain_depth });
+        phases: &mut PhaseBreakdown,
+    ) -> Result<Vec<(SavedModelId, ModelInfoDoc)>, CoreError> {
+        let mut chain = Vec::new();
+        let mut next = Some(id.clone());
+        while let Some(id) = next {
+            if chain.len() > opts.max_chain_depth {
+                return Err(CoreError::BaseChainTooDeep { id, limit: opts.max_chain_depth });
+            }
+            let info = self.timed(phases, "fetch", || self.load_model_info(&id))?;
+            if opts.check_env {
+                self.timed(phases, "check_env", || self.check_environment(&info))?;
+            }
+            next = match (info.approach, &info.base_model) {
+                (ApproachKind::Baseline, _) => None,
+                (_, Some(base)) => Some(SavedModelId(DocId::from_string(base.clone()))),
+                (approach, None) => {
+                    return Err(CoreError::BadModelDocument {
+                        id,
+                        reason: format!("{approach} document lacks a base model"),
+                    })
+                }
+            };
+            chain.push((id, info));
         }
-        let start = Instant::now();
-        let info = self.load_model_info(id)?;
-        breakdown.load += start.elapsed();
-        if depth > 0 {
-            breakdown.recovered_bases += 1;
-        }
-
-        if opts.check_env {
-            let start = Instant::now();
-            self.check_environment(&info)?;
-            breakdown.check_env += start.elapsed();
-        }
-
-        match info.approach {
-            ApproachKind::Baseline => self.recover_full(&info, id, breakdown),
-            ApproachKind::ParamUpdate => self.recover_update(&info, id, opts, depth, breakdown),
-            ApproachKind::Provenance => self.recover_provenance(&info, id, opts, depth, breakdown),
-        }
+        Ok(chain)
     }
 
     /// Recovers exactly one saved model given its recovery base already in
     /// memory, without walking the base chain: snapshots ignore `base`,
     /// parameter updates and provenance saves apply themselves onto it.
+    /// The step's `fetch` and `rebuild` time is added to `phases`.
     ///
     /// This is the single-step building block behind the batch family
     /// recovery in `mmlib-lineage`, which memoizes shared ancestors so each
@@ -355,23 +324,30 @@ impl SaveService {
         &self,
         id: &SavedModelId,
         base: Option<Model>,
-        breakdown: &mut RecoverBreakdown,
+        phases: &mut PhaseBreakdown,
     ) -> Result<Model, CoreError> {
-        let start = Instant::now();
-        let info = self.load_model_info(id)?;
-        breakdown.load += start.elapsed();
+        let info = self.timed(phases, "fetch", || self.load_model_info(id))?;
+        self.recover_step(&info, id, base, phases)
+    }
+
+    /// [`SaveService::recover_onto`] for an already-loaded model-info.
+    pub(crate) fn recover_step(
+        &self,
+        info: &ModelInfoDoc,
+        id: &SavedModelId,
+        base: Option<Model>,
+        phases: &mut PhaseBreakdown,
+    ) -> Result<Model, CoreError> {
         let need_base = |base: Option<Model>| {
             base.ok_or_else(|| CoreError::BadModelDocument {
                 id: id.clone(),
-                reason: "recover_onto needs the recovered base model for a derived save".into(),
+                reason: "a derived save needs its recovered base model".into(),
             })
         };
         match info.approach {
-            ApproachKind::Baseline => self.recover_full(&info, id, breakdown),
-            ApproachKind::ParamUpdate => {
-                self.apply_update_onto(&info, id, need_base(base)?, breakdown)
-            }
-            ApproachKind::Provenance => self.replay_onto(&info, id, need_base(base)?, breakdown),
+            ApproachKind::Baseline => self.recover_full(info, id, phases),
+            ApproachKind::ParamUpdate => self.apply_update_onto(info, id, need_base(base)?, phases),
+            ApproachKind::Provenance => self.replay_onto(info, id, need_base(base)?, phases),
         }
     }
 

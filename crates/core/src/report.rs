@@ -1,24 +1,22 @@
 //! The unified save/recover API surface: [`SaveRequest`] in,
 //! [`SaveReport`]/[`RecoverReport`] out.
 //!
-//! The five historical entry points (`save_full`, `save_update`,
-//! `save_update_compressed`, `save_provenance`, `save_with_policy`) remain
-//! as thin delegates, but they all funnel into [`SaveService::save`], which
-//! times every phase through `mmlib-obs` and returns a uniform report: the
-//! saved id, the approach actually used, the bytes it cost, and where the
-//! time went. Recovery mirrors this with [`SaveService::recover_report`].
+//! Every save goes through [`SaveService::save`], which times every phase
+//! through `mmlib-obs` and returns a uniform report: the saved id, the
+//! approach actually used, the bytes it cost, and where the time went.
+//! Recovery mirrors this with [`SaveService::recover_report`].
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mmlib_model::Model;
 use mmlib_obs::{PhaseBreakdown, PhaseClock, Recorder, DURATION_BUCKETS};
 
 use crate::error::CoreError;
 use crate::merkle::MerkleDiff;
-use crate::meta::{ApproachKind, SavedModelId};
+use crate::meta::{ApproachKind, ModelRelation, SavedModelId};
 use crate::policy::ChainPolicy;
 use crate::provenance::TrainProvenance;
-use crate::recovery::{RecoverBreakdown, RecoverOptions, SaveService};
+use crate::recovery::{RecoverOptions, SaveService};
 
 /// Histogram of per-phase save wall time, labeled `phase="..."`.
 pub(crate) const SAVE_PHASE: &str = "mmlib_save_phase_seconds";
@@ -36,7 +34,9 @@ pub(crate) const RECOVER_SECONDS: &str = "mmlib_recover_seconds";
 pub const SAVE_PHASES: [&str; 7] =
     ["plan", "hash", "diff", "serialize", "compress", "pack", "write"];
 
-/// The recover phase taxonomy, derived from [`RecoverBreakdown`].
+/// The recover phase taxonomy (paper Fig. 12's categories): reading
+/// documents and files, building the model and applying state / updates /
+/// replayed training, the environment check, and Merkle-root verification.
 pub const RECOVER_PHASES: [&str; 4] = ["fetch", "rebuild", "check_env", "verify"];
 
 /// Pre-registers every core metric on `recorder`, so expositions list the
@@ -76,7 +76,7 @@ pub struct SaveRequest<'a> {
     model: &'a Model,
     base: Option<&'a SavedModelId>,
     base_model: Option<&'a Model>,
-    relation: Option<&'a str>,
+    relation: Option<ModelRelation>,
     provenance: Option<&'a TrainProvenance>,
     policy: Option<ChainPolicy>,
 }
@@ -146,10 +146,10 @@ impl<'a> SaveRequest<'a> {
         self
     }
 
-    /// Sets the model's relation to its base (`"initial"`,
-    /// `"fully_updated"`, `"partially_updated"`). Defaults to `"initial"`
-    /// without a base and `"partially_updated"` with one.
-    pub fn relation(mut self, relation: &'a str) -> SaveRequest<'a> {
+    /// Sets the model's relation to its base. Defaults to
+    /// [`ModelRelation::Initial`] without a base and
+    /// [`ModelRelation::PartiallyUpdated`] with one.
+    pub fn relation(mut self, relation: ModelRelation) -> SaveRequest<'a> {
         self.relation = Some(relation);
         self
     }
@@ -161,9 +161,12 @@ impl<'a> SaveRequest<'a> {
         self
     }
 
-    fn resolved_relation(&self) -> &str {
-        self.relation
-            .unwrap_or(if self.base.is_none() { "initial" } else { "partially_updated" })
+    fn resolved_relation(&self) -> ModelRelation {
+        self.relation.unwrap_or(if self.base.is_none() {
+            ModelRelation::Initial
+        } else {
+            ModelRelation::PartiallyUpdated
+        })
     }
 
     fn require_base(&self) -> Result<&'a SavedModelId, CoreError> {
@@ -215,11 +218,11 @@ pub enum VerifyOutcome {
 pub struct RecoverReport {
     /// The recovered model.
     pub model: Model,
-    /// The recovery-time breakdown accumulated over the whole base chain.
-    pub breakdown: RecoverBreakdown,
-    /// The breakdown re-expressed in the phase taxonomy
-    /// ([`RECOVER_PHASES`]).
+    /// Where the recovery time went, accumulated over the whole base chain
+    /// (always all four [`RECOVER_PHASES`], in that order).
     pub phases: PhaseBreakdown,
+    /// Number of base models recovered along the chain (0 for a snapshot).
+    pub recovered_bases: u32,
     /// Whether the result was verified against the stored Merkle root.
     pub verification: VerifyOutcome,
     /// Total time-to-recover wall time.
@@ -230,7 +233,8 @@ impl std::fmt::Debug for RecoverReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RecoverReport")
             .field("arch", &self.model.arch)
-            .field("breakdown", &self.breakdown)
+            .field("phases", &self.phases)
+            .field("recovered_bases", &self.recovered_bases)
             .field("verification", &self.verification)
             .field("ttr", &self.ttr)
             .finish_non_exhaustive()
@@ -240,14 +244,12 @@ impl std::fmt::Debug for RecoverReport {
 impl SaveService {
     /// Saves a model as described by `req`, timing every phase.
     ///
-    /// This is the single entry point behind `save_full`, `save_update`,
-    /// `save_update_compressed`, `save_provenance`, and `save_with_policy`;
-    /// the report carries everything those methods used to return, plus
-    /// byte and phase accounting.
+    /// This is the only way to save: the request names the approach, the
+    /// report carries the id, the approach actually used, and byte and
+    /// phase accounting.
     pub fn save(&self, req: SaveRequest<'_>) -> Result<SaveReport, CoreError> {
         let obs = self.obs();
         let bytes_before = self.storage().bytes_written();
-        let start = Instant::now();
         let mut clock = PhaseClock::new(obs, SAVE_PHASE, "phase");
         let relation = req.resolved_relation();
 
@@ -285,36 +287,28 @@ impl SaveService {
                     req.policy.ok_or_else(|| missing_field("policy requests carry a policy"))?;
                 let base_depth = clock.time("plan", || self.chain_depth(base))?;
                 let would_be = base_depth + 1;
-                if would_be > policy.max_depth || policy.cheap == ApproachKind::Baseline {
-                    let id = self.save_full_phased(req.model, Some(base), relation, &mut clock)?;
-                    (id, ApproachKind::Baseline, Some(0), None, None)
+                let cheap = if would_be > policy.max_depth {
+                    ApproachKind::Baseline // promotion: the chain is at its bound
                 } else {
-                    match policy.cheap {
-                        // Handled by the promotion branch above; saving a
-                        // baseline here keeps the arm panic-free and correct
-                        // even if that branch's condition drifts.
-                        ApproachKind::Baseline => {
-                            let id = self.save_full_phased(
-                                req.model,
-                                Some(base),
-                                relation,
-                                &mut clock,
-                            )?;
-                            (id, ApproachKind::Baseline, Some(0), None, None)
-                        }
-                        ApproachKind::ParamUpdate => {
-                            let (id, diff) =
-                                self.save_update_phased(req.model, base, relation, &mut clock)?;
-                            (id, ApproachKind::ParamUpdate, Some(would_be), Some(diff), None)
-                        }
-                        ApproachKind::Provenance => {
-                            let prov = req.provenance.ok_or_else(|| {
-                                missing_field("provenance chain policy requires TrainProvenance")
-                            })?;
-                            let id =
-                                self.save_provenance_phased(req.model, base, prov, &mut clock)?;
-                            (id, ApproachKind::Provenance, Some(would_be), None, None)
-                        }
+                    policy.cheap
+                };
+                match cheap {
+                    ApproachKind::Baseline => {
+                        let id =
+                            self.save_full_phased(req.model, Some(base), relation, &mut clock)?;
+                        (id, ApproachKind::Baseline, Some(0), None, None)
+                    }
+                    ApproachKind::ParamUpdate => {
+                        let (id, diff) =
+                            self.save_update_phased(req.model, base, relation, &mut clock)?;
+                        (id, ApproachKind::ParamUpdate, Some(would_be), Some(diff), None)
+                    }
+                    ApproachKind::Provenance => {
+                        let prov = req.provenance.ok_or_else(|| {
+                            missing_field("provenance chain policy requires TrainProvenance")
+                        })?;
+                        let id = self.save_provenance_phased(req.model, base, prov, &mut clock)?;
+                        (id, ApproachKind::Provenance, Some(would_be), None, None)
                     }
                 }
             }
@@ -324,7 +318,7 @@ impl SaveService {
         // lineage DAG (`mmlib-lineage`) is built from — is committed by the
         // per-approach save batch itself (ordered after model-info), so no
         // separate write happens here.
-        let tts = start.elapsed();
+        let tts = clock.elapsed();
         let storage_bytes = self.storage().bytes_written().saturating_sub(bytes_before);
         obs.observe_duration(SAVE_SECONDS, ("approach", approach.abbrev()), tts);
         obs.inc_labeled(SAVE_BYTES, ("approach", approach.abbrev()), storage_bytes);
@@ -340,44 +334,57 @@ impl SaveService {
         })
     }
 
-    /// Recovers a saved model like [`SaveService::recover`], but returns
-    /// the full report: phase breakdown in the shared taxonomy, the
+    /// Recovers a saved model, resolving its base chain (the paper's
+    /// recursive recovery, §3.2/§3.3), and returns it with its cost
+    /// accounting: the phase breakdown accumulated over the whole chain, the
     /// verification outcome, and the total TTR.
+    ///
+    /// Verification (when enabled) runs once, on the final model, against
+    /// the stored Merkle root of the *requested* id — intermediate chain
+    /// steps only feed parameters forward.
     pub fn recover_report(
         &self,
         id: &SavedModelId,
         opts: RecoverOptions,
     ) -> Result<RecoverReport, CoreError> {
         let obs = self.obs();
-        let start = Instant::now();
-        let mut breakdown = RecoverBreakdown::default();
-        let model = self.recover_inner(id, &opts, 0, &mut breakdown)?;
+        let mut clock = PhaseClock::new(obs, RECOVER_PHASE, "phase");
+        let mut phases = PhaseBreakdown::new();
+        // The chain's documents tip first, then its models snapshot first.
+        let chain = self.load_chain(id, &opts, &mut phases)?;
+        let mut model = None;
+        for (node, info) in chain.iter().rev() {
+            model = Some(self.recover_step(info, node, model, &mut phases)?);
+        }
+        let (Some(model), Some((_, info))) = (model, chain.first()) else {
+            return Err(CoreError::BadModelDocument {
+                id: id.clone(),
+                reason: "empty recovery chain".into(),
+            });
+        };
 
-        // Verification of the final model, against the *requested* id's
-        // stored Merkle root (intermediate chain steps only feed parameters
-        // forward).
         let verification = if opts.verify {
-            let vstart = Instant::now();
-            let info = self.load_model_info(id)?;
-            crate::verify::verify_against_root(&model, &info.root_hash, id)?;
-            breakdown.verify += vstart.elapsed();
+            self.timed(&mut phases, "verify", || {
+                crate::verify::verify_against_root(&model, &info.root_hash, id)
+            })?;
             VerifyOutcome::Verified
         } else {
             VerifyOutcome::Skipped
         };
-        let ttr = start.elapsed();
+        let ttr = clock.elapsed();
 
-        let mut phases = PhaseBreakdown::new();
-        for (phase, d) in [
-            ("fetch", breakdown.load),
-            ("rebuild", breakdown.recover),
-            ("check_env", breakdown.check_env),
-            ("verify", breakdown.verify),
-        ] {
-            phases.add(phase, d);
-            obs.observe_duration(RECOVER_PHASE, ("phase", phase), d);
+        // A chain hits each phase once per node; the histogram takes one
+        // observation per phase per recovery, so the sums go in here.
+        for phase in RECOVER_PHASES {
+            clock.record(phase, phases.get(phase));
         }
         obs.observe(RECOVER_SECONDS, ttr.as_secs_f64());
-        Ok(RecoverReport { model, breakdown, phases, verification, ttr })
+        Ok(RecoverReport {
+            model,
+            phases: clock.finish(),
+            recovered_bases: (chain.len() - 1) as u32,
+            verification,
+            ttr,
+        })
     }
 }

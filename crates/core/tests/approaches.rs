@@ -1,51 +1,20 @@
 //! Integration tests: the three approaches' save/recover round trips,
 //! recursive chains, cross-store recovery, and failure injection.
 
-use mmlib_core::{RecoverOptions, SaveService, TrainProvenance};
+use mmlib_core::{RecoverOptions, SaveRequest, SaveService, TrainProvenance};
 use mmlib_core::meta::ModelRelation;
 use mmlib_data::loader::LoaderConfig;
 use mmlib_data::{DataLoader, Dataset, DatasetId};
 use mmlib_model::{ArchId, Model};
 use mmlib_store::ModelStorage;
 use mmlib_tensor::ExecMode;
-use mmlib_train::{ImageNetTrainService, Sgd, SgdConfig, TrainConfig, TrainService};
+use mmlib_train::{ImageNetTrainService, TrainConfig, TrainService};
 
-const SCALE: f64 = 0.0002;
+mod common;
+use common::{train_spec, SCALE};
 
 fn service(dir: &std::path::Path) -> SaveService {
     SaveService::new(ModelStorage::open(dir).unwrap())
-}
-
-fn train_spec(relation: ModelRelation, seed: u64) -> (TrainProvenance, ImageNetTrainService) {
-    let loader_config = LoaderConfig {
-        batch_size: 2,
-        resolution: 16,
-        shuffle: true,
-        augment: true,
-        seed,
-        max_images: Some(4),
-    };
-    let sgd_config = SgdConfig { lr: 0.01, momentum: 0.9, weight_decay: 0.0, max_grad_norm: None };
-    let train_config = TrainConfig {
-        epochs: 1,
-        max_batches_per_epoch: Some(2),
-        seed,
-        mode: ExecMode::Deterministic,
-    };
-    let dataset = Dataset::new(DatasetId::CocoOutdoor512, SCALE);
-    let loader = DataLoader::new(dataset, loader_config);
-    let sgd = Sgd::new(sgd_config);
-    let prov = TrainProvenance {
-        dataset_id: DatasetId::CocoOutdoor512,
-        dataset_scale: SCALE,
-        dataset_external: false,
-        loader_config,
-        optimizer: sgd_config.into(),
-        optimizer_state_before: sgd.state_bytes(),
-        train_config,
-        relation,
-    };
-    (prov, ImageNetTrainService::new(loader, sgd, train_config))
 }
 
 #[test]
@@ -53,11 +22,11 @@ fn baseline_round_trip_is_bit_exact() {
     let dir = tempfile::tempdir().unwrap();
     let svc = service(dir.path());
     let model = Model::new_initialized(ArchId::ResNet18, 1);
-    let id = svc.save_full(&model, None, "initial").unwrap();
-    let rec = svc.recover(&id, RecoverOptions::default()).unwrap();
+    let id = svc.save(SaveRequest::full(&model)).unwrap().id;
+    let rec = svc.recover_report(&id, RecoverOptions::default()).unwrap();
     assert!(rec.model.models_equal(&model));
-    assert_eq!(rec.breakdown.recovered_bases, 0);
-    assert!(rec.breakdown.verify > std::time::Duration::ZERO);
+    assert_eq!(rec.recovered_bases, 0);
+    assert!(rec.phases.get("verify") > std::time::Duration::ZERO);
 }
 
 #[test]
@@ -69,10 +38,10 @@ fn baseline_recover_on_second_machine() {
     let model = Model::new_initialized(ArchId::MobileNetV2, 2);
     let id = {
         let svc = service(dir.path());
-        svc.save_full(&model, None, "initial").unwrap()
+        svc.save(SaveRequest::full(&model)).unwrap().id
     };
     let svc2 = service(dir.path());
-    let rec = svc2.recover(&id, RecoverOptions::default()).unwrap();
+    let rec = svc2.recover_report(&id, RecoverOptions::default()).unwrap();
     assert!(rec.model.models_equal(&model));
 }
 
@@ -84,7 +53,7 @@ fn param_update_chain_recovers_exactly() {
     // Initial model saved fully.
     let mut model = Model::new_initialized(ArchId::ResNet18, 3);
     model.set_fully_trainable();
-    let base_id = svc.save_full(&model, None, "initial").unwrap();
+    let base_id = svc.save(SaveRequest::full(&model)).unwrap().id;
 
     // Chain of partially updated versions.
     let mut prev = base_id.clone();
@@ -93,22 +62,23 @@ fn param_update_chain_recovers_exactly() {
         model.set_classifier_only_trainable();
         let (_, mut trainer) = train_spec(ModelRelation::PartiallyUpdated, 100 + step);
         trainer.train(&mut model);
-        let (id, diff) = svc.save_update(&model, &prev, "partially_updated").unwrap();
+        let saved = svc.save(SaveRequest::update(&model, &prev)).unwrap();
+        let id = saved.id;
         // Only the classifier layer should have changed.
-        assert_eq!(diff.changed, vec!["fc".to_string()], "step {step}");
+        assert_eq!(saved.diff.unwrap().changed, vec!["fc".to_string()], "step {step}");
         snapshots.push((id.clone(), model.state_dict()));
         prev = id;
     }
 
     // Recover every chain member and check exactness + staircase depth.
     for (i, (id, expected)) in snapshots.iter().enumerate() {
-        let rec = svc.recover(id, RecoverOptions::default()).unwrap();
+        let rec = svc.recover_report(id, RecoverOptions::default()).unwrap();
         let sd = rec.model.state_dict();
         assert_eq!(sd.len(), expected.len());
         for ((p, a), (_, b)) in sd.iter().zip(expected) {
             assert!(a.bit_eq(b), "chain {i}: {p} differs");
         }
-        assert_eq!(rec.breakdown.recovered_bases as usize, i + 1);
+        assert_eq!(rec.recovered_bases as usize, i + 1);
     }
 }
 
@@ -118,11 +88,15 @@ fn param_update_of_fully_updated_model_stores_everything() {
     let svc = service(dir.path());
     let mut model = Model::new_initialized(ArchId::ResNet18, 4);
     model.set_fully_trainable();
-    let base_id = svc.save_full(&model, None, "initial").unwrap();
+    let base_id = svc.save(SaveRequest::full(&model)).unwrap().id;
 
     let (_, mut trainer) = train_spec(ModelRelation::FullyUpdated, 40);
     trainer.train(&mut model);
-    let (_, diff) = svc.save_update(&model, &base_id, "fully_updated").unwrap();
+    let diff = svc
+        .save(SaveRequest::update(&model, &base_id).relation(ModelRelation::FullyUpdated))
+        .unwrap()
+        .diff
+        .unwrap();
     // Every layer retrains under full updates (BN buffers also shift).
     assert_eq!(diff.changed.len(), model.layers().len());
 }
@@ -133,15 +107,15 @@ fn provenance_replay_recovers_exactly() {
     let svc = service(dir.path());
     let mut model = Model::new_initialized(ArchId::ResNet18, 5);
     model.set_fully_trainable();
-    let base_id = svc.save_full(&model, None, "initial").unwrap();
+    let base_id = svc.save(SaveRequest::full(&model)).unwrap().id;
 
     let (prov, mut trainer) = train_spec(ModelRelation::FullyUpdated, 50);
     trainer.train(&mut model);
-    let id = svc.save_provenance(&model, &base_id, &prov).unwrap();
+    let id = svc.save(SaveRequest::provenance(&model, &base_id, &prov)).unwrap().id;
 
-    let rec = svc.recover(&id, RecoverOptions::default()).unwrap();
+    let rec = svc.recover_report(&id, RecoverOptions::default()).unwrap();
     assert!(rec.model.models_equal(&model), "training replay must reproduce bit-exactly");
-    assert_eq!(rec.breakdown.recovered_bases, 1);
+    assert_eq!(rec.recovered_bases, 1);
 }
 
 #[test]
@@ -150,23 +124,23 @@ fn provenance_chain_replays_transitively() {
     let svc = service(dir.path());
     let mut model = Model::new_initialized(ArchId::ResNet18, 6);
     model.set_fully_trainable();
-    let mut prev = svc.save_full(&model, None, "initial").unwrap();
+    let mut prev = svc.save(SaveRequest::full(&model)).unwrap().id;
 
     let mut finals = Vec::new();
     for step in 0..2u64 {
         model.set_classifier_only_trainable();
         let (prov, mut trainer) = train_spec(ModelRelation::PartiallyUpdated, 60 + step);
         trainer.train(&mut model);
-        let id = svc.save_provenance(&model, &prev, &prov).unwrap();
+        let id = svc.save(SaveRequest::provenance(&model, &prev, &prov)).unwrap().id;
         finals.push((id.clone(), model.state_dict()));
         prev = id;
     }
     let (last_id, expected) = finals.last().unwrap();
-    let rec = svc.recover(last_id, RecoverOptions::default()).unwrap();
+    let rec = svc.recover_report(last_id, RecoverOptions::default()).unwrap();
     for ((p, a), (_, b)) in rec.model.state_dict().iter().zip(expected) {
         assert!(a.bit_eq(b), "{p} differs after transitive replay");
     }
-    assert_eq!(rec.breakdown.recovered_bases, 2);
+    assert_eq!(rec.recovered_bases, 2);
 }
 
 #[test]
@@ -206,7 +180,7 @@ fn provenance_replay_with_adam_recovers_exactly() {
     assert_eq!(adam.steps(), 1);
 
     // The captured run derives from the post-warm-up model state.
-    let base_id = svc.save_full(&model, None, "initial").unwrap();
+    let base_id = svc.save(SaveRequest::full(&model)).unwrap().id;
 
     // The provenance-captured training run, starting from the warmed state.
     let train_config = TrainConfig {
@@ -227,9 +201,9 @@ fn provenance_replay_with_adam_recovers_exactly() {
     };
     let mut trainer = ImageNetTrainService::new(loader, adam, train_config);
     trainer.train(&mut model);
-    let id = svc.save_provenance(&model, &base_id, &prov).unwrap();
+    let id = svc.save(SaveRequest::provenance(&model, &base_id, &prov)).unwrap().id;
 
-    let rec = svc.recover(&id, RecoverOptions::default()).unwrap();
+    let rec = svc.recover_report(&id, RecoverOptions::default()).unwrap();
     assert!(rec.model.models_equal(&model), "Adam replay must restore moments AND step count");
 }
 
@@ -239,18 +213,18 @@ fn provenance_storage_is_dominated_by_dataset_unless_external() {
     let svc = service(dir.path());
     let mut model = Model::new_initialized(ArchId::ResNet18, 7);
     model.set_fully_trainable();
-    let base_id = svc.save_full(&model, None, "initial").unwrap();
+    let base_id = svc.save(SaveRequest::full(&model)).unwrap().id;
 
     let (mut prov, mut trainer) = train_spec(ModelRelation::FullyUpdated, 70);
     trainer.train(&mut model);
 
     let before = svc.storage().bytes_written();
-    svc.save_provenance(&model, &base_id, &prov).unwrap();
+    svc.save(SaveRequest::provenance(&model, &base_id, &prov)).unwrap();
     let with_dataset = svc.storage().bytes_written() - before;
 
     prov.dataset_external = true;
     let before = svc.storage().bytes_written();
-    svc.save_provenance(&model, &base_id, &prov).unwrap();
+    svc.save(SaveRequest::provenance(&model, &base_id, &prov)).unwrap();
     let external = svc.storage().bytes_written() - before;
 
     let dataset_bytes = Dataset::new(DatasetId::CocoOutdoor512, SCALE).total_bytes();
@@ -264,7 +238,7 @@ fn compressed_update_round_trips_and_shrinks() {
     let svc = service(dir.path());
     let mut model = Model::new_initialized(ArchId::ResNet18, 55);
     model.set_fully_trainable();
-    let base_id = svc.save_full(&model, None, "initial").unwrap();
+    let base_id = svc.save(SaveRequest::full(&model)).unwrap().id;
     let base_model = model.duplicate();
 
     model.set_classifier_only_trainable();
@@ -273,21 +247,22 @@ fn compressed_update_round_trips_and_shrinks() {
 
     // Plain update for comparison.
     let before = svc.storage().bytes_written();
-    svc.save_update(&model, &base_id, "partially_updated").unwrap();
+    svc.save(SaveRequest::update(&model, &base_id)).unwrap();
     let plain = svc.storage().bytes_written() - before;
 
     // Delta-compressed update.
     let before = svc.storage().bytes_written();
-    let (id, diff, encoded) = svc
-        .save_update_compressed(&model, &base_model, &base_id, "partially_updated")
+    let saved = svc
+        .save(SaveRequest::compressed_update(&model, &base_model, &base_id))
         .unwrap();
     let compressed = svc.storage().bytes_written() - before;
 
-    assert_eq!(diff.changed, vec!["fc".to_string()]);
+    assert_eq!(saved.diff.unwrap().changed, vec!["fc".to_string()]);
+    let encoded = saved.encoded.unwrap();
     assert!(encoded.ratio() > 1.0, "ratio {}", encoded.ratio());
     assert!(compressed < plain, "compressed {compressed} >= plain {plain}");
 
-    let rec = svc.recover(&id, RecoverOptions::default()).unwrap();
+    let rec = svc.recover_report(&saved.id, RecoverOptions::default()).unwrap();
     assert!(rec.model.models_equal(&model), "delta recovery must be bit-exact");
 }
 
@@ -297,13 +272,16 @@ fn compressed_update_rejects_wrong_in_memory_base() {
     let svc = service(dir.path());
     let mut model = Model::new_initialized(ArchId::TinyCnn, 57);
     model.set_fully_trainable();
-    let base_id = svc.save_full(&model, None, "initial").unwrap();
+    let base_id = svc.save(SaveRequest::full(&model)).unwrap().id;
     // An imposter base: same arch, different parameters.
     let imposter = Model::new_initialized(ArchId::TinyCnn, 58);
     let (_, mut trainer) = train_spec(ModelRelation::FullyUpdated, 59);
     trainer.train(&mut model);
     let err = svc
-        .save_update_compressed(&model, &imposter, &base_id, "fully_updated")
+        .save(
+            SaveRequest::compressed_update(&model, &imposter, &base_id)
+                .relation(ModelRelation::FullyUpdated),
+        )
         .unwrap_err();
     assert!(matches!(err, mmlib_core::CoreError::VerificationFailed { .. }));
 }
@@ -313,7 +291,7 @@ fn corrupted_weights_fail_verification() {
     let dir = tempfile::tempdir().unwrap();
     let svc = service(dir.path());
     let model = Model::new_initialized(ArchId::ResNet18, 8);
-    let id = svc.save_full(&model, None, "initial").unwrap();
+    let id = svc.save(SaveRequest::full(&model)).unwrap().id;
 
     // Corrupt one byte of the stored weights file, past the header, inside
     // the f32 payload (so deserialization still succeeds).
@@ -333,13 +311,13 @@ fn corrupted_weights_fail_verification() {
     bytes[mid] ^= 0x01;
     std::fs::write(victim, &bytes).unwrap();
 
-    let err = svc.recover(&id, RecoverOptions::default()).unwrap_err();
+    let err = svc.recover_report(&id, RecoverOptions::default()).unwrap_err();
     assert!(matches!(err, mmlib_core::CoreError::VerificationFailed { .. }), "{err}");
 
     // Without verification the corruption goes unnoticed — the exact reason
     // the paper saves checksums.
     let opts = RecoverOptions { verify: false, ..Default::default() };
-    let rec = svc.recover(&id, opts).unwrap();
+    let rec = svc.recover_report(&id, opts).unwrap();
     assert!(!rec.model.models_equal(&model));
 }
 
@@ -348,7 +326,7 @@ fn environment_mismatch_blocks_recovery_unless_skipped() {
     let dir = tempfile::tempdir().unwrap();
     let svc = service(dir.path());
     let model = Model::new_initialized(ArchId::ResNet18, 9);
-    let id = svc.save_full(&model, None, "initial").unwrap();
+    let id = svc.save(SaveRequest::full(&model)).unwrap().id;
 
     // Tamper with the stored environment document to simulate drift.
     let info = {
@@ -360,11 +338,11 @@ fn environment_mismatch_blocks_recovery_unless_skipped() {
     env_doc.body["mmlib_version"] = serde_json::json!("0.0.0-other");
     svc.storage().docs().update(&env_id, env_doc.body).unwrap();
 
-    let err = svc.recover(&id, RecoverOptions::default()).unwrap_err();
+    let err = svc.recover_report(&id, RecoverOptions::default()).unwrap_err();
     assert!(matches!(err, mmlib_core::CoreError::EnvironmentMismatch { .. }));
 
     let opts = RecoverOptions { check_env: false, ..Default::default() };
-    let rec = svc.recover(&id, opts).unwrap();
+    let rec = svc.recover_report(&id, opts).unwrap();
     assert!(rec.model.models_equal(&model));
 }
 
@@ -373,9 +351,11 @@ fn update_against_mismatched_architecture_is_rejected() {
     let dir = tempfile::tempdir().unwrap();
     let svc = service(dir.path());
     let resnet = Model::new_initialized(ArchId::ResNet18, 10);
-    let base_id = svc.save_full(&resnet, None, "initial").unwrap();
+    let base_id = svc.save(SaveRequest::full(&resnet)).unwrap().id;
     let mobilenet = Model::new_initialized(ArchId::MobileNetV2, 10);
-    let err = svc.save_update(&mobilenet, &base_id, "fully_updated").unwrap_err();
+    let err = svc
+        .save(SaveRequest::update(&mobilenet, &base_id).relation(ModelRelation::FullyUpdated))
+        .unwrap_err();
     assert!(matches!(err, mmlib_core::CoreError::BadModelDocument { .. }));
 }
 
@@ -384,10 +364,9 @@ fn initial_relation_validation() {
     let dir = tempfile::tempdir().unwrap();
     let svc = service(dir.path());
     let model = Model::new_initialized(ArchId::ResNet18, 11);
-    assert!(svc.save_full(&model, None, "fully_updated").is_err());
-    let id = svc.save_full(&model, None, "initial").unwrap();
-    assert!(svc.save_full(&model, Some(&id), "initial").is_err());
-    assert!(svc.save_full(&model, Some(&id), "nonsense").is_err());
+    assert!(svc.save(SaveRequest::full(&model).relation(ModelRelation::FullyUpdated)).is_err());
+    let id = svc.save(SaveRequest::full(&model)).unwrap().id;
+    assert!(svc.save(SaveRequest::full(&model).base(&id).relation(ModelRelation::Initial)).is_err());
 }
 
 #[test]
@@ -395,10 +374,10 @@ fn provenance_requires_deterministic_mode() {
     let dir = tempfile::tempdir().unwrap();
     let svc = service(dir.path());
     let model = Model::new_initialized(ArchId::ResNet18, 12);
-    let base_id = svc.save_full(&model, None, "initial").unwrap();
+    let base_id = svc.save(SaveRequest::full(&model)).unwrap().id;
     let (mut prov, _) = train_spec(ModelRelation::FullyUpdated, 90);
     prov.train_config.mode = ExecMode::Parallel;
-    assert!(svc.save_provenance(&model, &base_id, &prov).is_err());
+    assert!(svc.save(SaveRequest::provenance(&model, &base_id, &prov)).is_err());
 }
 
 #[test]
@@ -406,7 +385,7 @@ fn missing_document_reports_cleanly() {
     let dir = tempfile::tempdir().unwrap();
     let svc = service(dir.path());
     let bogus = mmlib_core::meta::SavedModelId(mmlib_store::DocId::from_string("nope-1".into()));
-    let err = svc.recover(&bogus, RecoverOptions::default()).unwrap_err();
+    let err = svc.recover_report(&bogus, RecoverOptions::default()).unwrap_err();
     assert!(matches!(err, mmlib_core::CoreError::Store(_)));
 }
 
@@ -419,22 +398,22 @@ fn storage_consumption_ordering_matches_paper_fig7() {
     let svc = service(dir.path());
     let mut model = Model::new_initialized(ArchId::ResNet18, 13);
     model.set_fully_trainable();
-    let base_id = svc.save_full(&model, None, "initial").unwrap();
+    let base_id = svc.save(SaveRequest::full(&model)).unwrap().id;
 
     model.set_classifier_only_trainable();
     let (prov, mut trainer) = train_spec(ModelRelation::PartiallyUpdated, 95);
     trainer.train(&mut model);
 
     let before = svc.storage().bytes_written();
-    svc.save_full(&model, Some(&base_id), "partially_updated").unwrap();
+    svc.save(SaveRequest::full(&model).base(&base_id)).unwrap();
     let ba = svc.storage().bytes_written() - before;
 
     let before = svc.storage().bytes_written();
-    svc.save_update(&model, &base_id, "partially_updated").unwrap();
+    svc.save(SaveRequest::update(&model, &base_id)).unwrap();
     let pua = svc.storage().bytes_written() - before;
 
     let before = svc.storage().bytes_written();
-    svc.save_provenance(&model, &base_id, &prov).unwrap();
+    svc.save(SaveRequest::provenance(&model, &base_id, &prov)).unwrap();
     let mpa = svc.storage().bytes_written() - before;
 
     // ResNet-18: full snapshot ~46.8 MB vs classifier-only update ~2 MB.

@@ -2,7 +2,7 @@
 
 use mmlib_core::gc::{collect_garbage, delete_model, dependency_graph};
 use mmlib_core::meta::{ModelRelation, SavedModelId};
-use mmlib_core::{CoreError, RecoverOptions, SaveService, TrainProvenance};
+use mmlib_core::{CoreError, RecoverOptions, SaveRequest, SaveService, TrainProvenance};
 use mmlib_data::loader::LoaderConfig;
 use mmlib_data::{DataLoader, Dataset, DatasetId};
 use mmlib_model::{ArchId, Model};
@@ -55,18 +55,18 @@ fn build_store(dir: &std::path::Path) -> (SaveService, Vec<SavedModelId>, Model)
     let s = svc(dir);
     let mut model = Model::new_initialized(ArchId::TinyCnn, 1);
     model.set_fully_trainable();
-    let initial = s.save_full(&model, None, "initial").unwrap();
+    let initial = s.save(SaveRequest::full(&model)).unwrap().id;
 
     train_step(&mut model, 10);
-    let (u1, _) = s.save_update(&model, &initial, "partially_updated").unwrap();
+    let u1 = s.save(SaveRequest::update(&model, &initial)).unwrap().id;
 
     // Side branch from u1 (provenance).
     let mut side_model = model.duplicate();
     let prov = train_step(&mut side_model, 20);
-    let side = s.save_provenance(&side_model, &u1, &prov).unwrap();
+    let side = s.save(SaveRequest::provenance(&side_model, &u1, &prov)).unwrap().id;
 
     train_step(&mut model, 11);
-    let (u2, _) = s.save_update(&model, &u1, "partially_updated").unwrap();
+    let u2 = s.save(SaveRequest::update(&model, &u1)).unwrap().id;
 
     (s, vec![initial, u1, u2, side], model)
 }
@@ -95,7 +95,7 @@ fn deleting_a_base_with_dependents_is_refused() {
     let err = delete_model(&s, &ids[1]).unwrap_err();
     assert!(matches!(err, CoreError::BadModelDocument { .. }));
     // Still recoverable afterwards.
-    assert!(s.recover(&ids[2], RecoverOptions::default()).is_ok());
+    assert!(s.recover_report(&ids[2], RecoverOptions::default()).is_ok());
 }
 
 #[test]
@@ -106,8 +106,8 @@ fn deleting_a_leaf_works_and_frees_bytes() {
     assert_eq!(report.removed_models, vec![ids[3].clone()]);
     assert!(report.reclaimed_bytes > 0, "provenance models own a dataset container");
     // The deleted model is gone; the rest of the chain still recovers.
-    assert!(s.recover(&ids[3], RecoverOptions::default()).is_err());
-    assert!(s.recover(&ids[2], RecoverOptions::default()).is_ok());
+    assert!(s.recover_report(&ids[3], RecoverOptions::default()).is_err());
+    assert!(s.recover_report(&ids[2], RecoverOptions::default()).is_ok());
 }
 
 #[test]
@@ -117,7 +117,7 @@ fn gc_keeps_live_chains_and_sweeps_the_rest() {
     // Keep only u2: its chain (u2, u1, initial) must survive; side is swept.
     let report = collect_garbage(&s, &[ids[2].clone()]).unwrap();
     assert_eq!(report.removed_models, vec![ids[3].clone()]);
-    let rec = s.recover(&ids[2], RecoverOptions::default()).unwrap();
+    let rec = s.recover_report(&ids[2], RecoverOptions::default()).unwrap();
     assert!(rec.model.models_equal(&model));
     // The swept provenance model's wrapper docs are gone too.
     let graph = dependency_graph(&s).unwrap();
@@ -141,18 +141,18 @@ fn gc_keeps_a_snapshots_lineage_base_alive() {
     let s = svc(dir.path());
     let mut model = Model::new_initialized(ArchId::TinyCnn, 2);
     model.set_fully_trainable();
-    let base = s.save_full(&model, None, "initial").unwrap();
+    let base = s.save(SaveRequest::full(&model)).unwrap().id;
     train_step(&mut model, 30);
     // A snapshot saved *against* a base: recovery is self-contained, but
     // the base reference is live lineage that ancestry queries and fsck's
     // semantic pass still resolve.
-    let derived = s.save_full(&model, Some(&base), "partially_updated").unwrap();
+    let derived = s.save(SaveRequest::full(&model).base(&base)).unwrap().id;
 
     let report = collect_garbage(&s, std::slice::from_ref(&derived)).unwrap();
     // Regression: marking only the recovery chain collected `base` here,
     // leaving `derived` with a dangling base reference.
     assert!(report.removed_models.is_empty(), "base is referenced lineage: {report:?}");
-    assert!(s.recover(&base, RecoverOptions::default()).is_ok());
+    assert!(s.recover_report(&base, RecoverOptions::default()).is_ok());
     let check =
         mmlib_core::fsck::fsck(s.storage(), &mmlib_core::fsck::FsckOptions::default()).unwrap();
     assert!(check.is_clean(), "store dirty after gc: {:?}", check.issues);

@@ -9,7 +9,7 @@
 
 use mmlib_core::merkle::MerkleTree;
 use mmlib_core::meta::ModelRelation;
-use mmlib_core::{RecoverOptions, SaveService, TrainProvenance};
+use mmlib_core::{RecoverOptions, SaveRequest, SaveService, TrainProvenance};
 use mmlib_data::loader::LoaderConfig;
 use mmlib_data::{DataLoader, Dataset, DatasetId};
 use mmlib_model::{ArchId, Model};
@@ -86,12 +86,12 @@ fn apply_step(
     let mut trainer = ImageNetTrainService::new(loader, sgd, train_config);
     trainer.train(model);
 
-    let relation_str = if step.partial { "partially_updated" } else { "fully_updated" };
-    match step.approach {
-        0 => svc.save_full(model, Some(base), relation_str).unwrap(),
-        1 => svc.save_update(model, base, relation_str).unwrap().0,
-        _ => svc.save_provenance(model, base, &prov).unwrap(),
-    }
+    let request = match step.approach {
+        0 => SaveRequest::full(model).base(base).relation(relation),
+        1 => SaveRequest::update(model, base).relation(relation),
+        _ => SaveRequest::provenance(model, base, &prov),
+    };
+    svc.save(request).unwrap().id
 }
 
 proptest! {
@@ -103,16 +103,16 @@ proptest! {
         let svc = SaveService::new(ModelStorage::open(dir.path()).unwrap());
         let mut model = Model::new_initialized(ArchId::TinyCnn, init_seed);
         model.set_fully_trainable();
-        let mut base = svc.save_full(&model, None, "initial").unwrap();
+        let mut base = svc.save(SaveRequest::full(&model)).unwrap().id;
         for step in &steps {
             base = apply_step(&svc, &mut model, &base, step);
         }
-        let recovered = svc.recover(&base, RecoverOptions::default()).unwrap();
+        let recovered = svc.recover_report(&base, RecoverOptions::default()).unwrap();
         prop_assert!(recovered.model.models_equal(&model));
         // A baseline link is an independent snapshot: recovery stops there.
         // Expected chain depth = consecutive non-baseline links at the tail.
         let expected_depth = steps.iter().rev().take_while(|s| s.approach != 0).count();
-        prop_assert_eq!(recovered.breakdown.recovered_bases as usize, expected_depth);
+        prop_assert_eq!(recovered.recovered_bases as usize, expected_depth);
     }
 
     #[test]
@@ -208,13 +208,13 @@ proptest! {
         let svc = SaveService::new(ModelStorage::open(dir.path()).unwrap());
         let mut model = Model::new_initialized(ArchId::TinyCnn, init_seed);
         model.set_fully_trainable();
-        let base = svc.save_full(&model, None, "initial").unwrap();
+        let base = svc.save(SaveRequest::full(&model)).unwrap().id;
         let mut step = step.clone();
         step.approach = 2; // force provenance
         let id = apply_step(&svc, &mut model, &base, &step);
         // Two independent recoveries replay to the same bits.
-        let a = svc.recover(&id, RecoverOptions::default()).unwrap();
-        let b = svc.recover(&id, RecoverOptions::default()).unwrap();
+        let a = svc.recover_report(&id, RecoverOptions::default()).unwrap();
+        let b = svc.recover_report(&id, RecoverOptions::default()).unwrap();
         prop_assert!(a.model.models_equal(&b.model));
         prop_assert!(a.model.models_equal(&model));
     }

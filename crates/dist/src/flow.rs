@@ -220,10 +220,8 @@ pub struct RecoverRecord {
     pub node: usize,
     /// Time-to-recover (total).
     pub ttr: Duration,
-    /// Per-step breakdown (load / recover / check-env / verify).
-    pub breakdown: mmlib_core::RecoverBreakdown,
-    /// The same steps as named recovery phases (fetch / rebuild / check_env
-    /// / verify), straight from the [`mmlib_core::RecoverReport`].
+    /// Per-phase breakdown (fetch / rebuild / check_env / verify), straight
+    /// from the [`mmlib_core::RecoverReport`].
     pub phases: PhaseBreakdown,
     /// Chain length resolved during recovery.
     pub recovered_bases: u32,
@@ -371,7 +369,7 @@ fn run_flow_inner(
     initial.set_fully_trainable();
     let syncs_before = server.storage().sync_ops();
     // mmlib-lint: allow(P1, a failed save invalidates the whole experiment; the harness aborts)
-    let u1 = server.save(SaveRequest::full(&initial).relation("initial")).expect("U1 save");
+    let u1 = server.save(SaveRequest::full(&initial)).expect("U1 save");
     let sync_ops = server.storage().sync_ops() - syncs_before;
     // Distribute the initial model to every node over the cluster link.
     let network_time = (0..config.kind.nodes())
@@ -441,8 +439,7 @@ fn run_flow_inner(
                 use_case: save.use_case.clone(),
                 node: save.node,
                 ttr: report.ttr,
-                recovered_bases: report.breakdown.recovered_bases,
-                breakdown: report.breakdown,
+                recovered_bases: report.recovered_bases,
                 phases: report.phases,
             });
         }
@@ -582,19 +579,12 @@ fn train_and_save(
     let mut svc = ImageNetTrainService::new(loader, optimizer, train_config);
     svc.train(model);
 
-    let relation_str = match config.relation {
-        // mmlib-lint: allow(P1, flow configs never train the initial relation; harness invariant)
-        ModelRelation::Initial => unreachable!("U2/U3 models always have a base"),
-        ModelRelation::FullyUpdated => "fully_updated",
-        ModelRelation::PartiallyUpdated => "partially_updated",
-    };
-
     // The timed save: one SaveRequest per approach, and the report carries
     // TTS, bytes, and the per-phase breakdown — no external stopwatch.
     let prov;
     let request = match config.approach {
-        ApproachKind::Baseline => SaveRequest::full(model).base(base).relation(relation_str),
-        ApproachKind::ParamUpdate => SaveRequest::update(model, base).relation(relation_str),
+        ApproachKind::Baseline => SaveRequest::full(model).base(base).relation(config.relation),
+        ApproachKind::ParamUpdate => SaveRequest::update(model, base).relation(config.relation),
         ApproachKind::Provenance => {
             prov = TrainProvenance {
                 dataset_id,

@@ -155,7 +155,7 @@ fn family_recovery_restores_a_whole_flow_without_repeating_ancestors() {
 
     // Byte-identical to what per-model recovery returns.
     for (id, model) in &family.models {
-        let solo = service.recover(id, RecoverOptions::default()).unwrap();
+        let solo = service.recover_report(id, RecoverOptions::default()).unwrap();
         assert!(solo.model.models_equal(model), "family recovery of {id} differs");
     }
 }
@@ -243,7 +243,7 @@ fn dist5_flow_runs_end_to_end_over_tcp() {
 
 #[test]
 fn recovered_model_is_byte_identical_across_the_socket() {
-    use mmlib_core::{RecoverOptions, SaveService};
+    use mmlib_core::{RecoverOptions, SaveRequest, SaveService};
     use mmlib_model::Model;
     use mmlib_net::{RegistryServer, RemoteStore};
     use mmlib_store::ModelStorage;
@@ -251,13 +251,13 @@ fn recovered_model_is_byte_identical_across_the_socket() {
     let dir = tempfile::tempdir().unwrap();
     let backing = ModelStorage::open(dir.path()).unwrap();
     let server = RegistryServer::bind(backing, "127.0.0.1:0").unwrap();
-    let storage = RemoteStore::connect(server.addr()).unwrap().into_storage();
+    let storage = RemoteStore::builder(server.addr()).build().unwrap().into_storage();
     let service = SaveService::new(storage);
 
     let mut model = Model::new_initialized(ArchId::ResNet18, 7);
     model.set_fully_trainable();
-    let id = service.save_full(&model, None, "initial").unwrap();
-    let recovered = service.recover(&id, RecoverOptions::default()).unwrap();
+    let id = service.save(SaveRequest::full(&model)).unwrap().id;
+    let recovered = service.recover_report(&id, RecoverOptions::default()).unwrap();
     assert!(recovered.model.models_equal(&model), "recover(save(m)) != m over TCP");
 }
 

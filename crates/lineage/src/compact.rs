@@ -19,7 +19,8 @@
 use std::collections::BTreeSet;
 
 use mmlib_core::meta::{kinds, ApproachKind, SavedModelId};
-use mmlib_core::{CoreError, RecoverBreakdown, SaveService};
+use mmlib_core::{CoreError, SaveService};
+use mmlib_obs::PhaseBreakdown;
 use mmlib_store::DocId;
 
 use crate::{Lineage, COMPACTIONS, PROMOTED};
@@ -60,13 +61,12 @@ impl Lineage<'_> {
         let bytes_before = svc.storage().bytes_written();
         let chain = recovery_chain(svc, tip)?;
 
-        let mut breakdown = RecoverBreakdown::default();
         let mut current = None;
         let mut promoted = Vec::new();
         let mut depth = 0usize;
         for id in &chain {
             let info = svc.load_model_info(id)?;
-            let model = svc.recover_onto(id, current.take(), &mut breakdown)?;
+            let model = svc.recover_onto(id, current.take(), &mut PhaseBreakdown::new())?;
             depth = if info.approach == ApproachKind::Baseline { 0 } else { depth + 1 };
             if depth >= max_depth {
                 svc.promote_to_snapshot(id, &model)?;

@@ -10,11 +10,11 @@
 //! many targets share it.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 use mmlib_core::meta::SavedModelId;
-use mmlib_core::{CoreError, RecoverBreakdown, SaveService};
+use mmlib_core::{CoreError, SaveService};
 use mmlib_model::Model;
+use mmlib_obs::{PhaseBreakdown, PhaseClock};
 
 use crate::compact::recovery_chain;
 use crate::{Lineage, FAMILY_MODELS, FAMILY_RECOVERS, FAMILY_SECONDS};
@@ -25,8 +25,8 @@ pub struct FamilyRecovery {
     pub models: Vec<(SavedModelId, Model)>,
     /// Distinct chain nodes rebuilt (targets plus shared ancestors).
     pub unique_nodes: usize,
-    /// Aggregate phase breakdown over every rebuild in the batch.
-    pub breakdown: RecoverBreakdown,
+    /// Aggregate `fetch` / `rebuild` time over every rebuild in the batch.
+    pub breakdown: PhaseBreakdown,
 }
 
 impl Lineage<'_> {
@@ -40,10 +40,12 @@ impl Lineage<'_> {
         ids: &[SavedModelId],
         verify: bool,
     ) -> Result<FamilyRecovery, CoreError> {
-        let start = Instant::now();
+        let obs = self.obs();
+        // Read for its total only: the family histogram has no phase label.
+        let clock = PhaseClock::new(obs, FAMILY_SECONDS, "phase");
         let svc = self.svc();
         let mut cache: BTreeMap<String, Model> = BTreeMap::new();
-        let mut breakdown = RecoverBreakdown::default();
+        let mut breakdown = PhaseBreakdown::new();
         let mut models = Vec::with_capacity(ids.len());
 
         for target in ids {
@@ -70,10 +72,9 @@ impl Lineage<'_> {
             models.push((target.clone(), model));
         }
 
-        let obs = self.obs();
         obs.inc(FAMILY_RECOVERS, 1);
         obs.inc(FAMILY_MODELS, ids.len() as u64);
-        obs.observe(FAMILY_SECONDS, start.elapsed().as_secs_f64());
+        obs.observe(FAMILY_SECONDS, clock.elapsed().as_secs_f64());
         Ok(FamilyRecovery { models, unique_nodes: cache.len(), breakdown })
     }
 }

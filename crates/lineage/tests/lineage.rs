@@ -7,7 +7,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use mmlib_core::meta::SavedModelId;
-use mmlib_core::{RecoverOptions, SaveService};
+use mmlib_core::{RecoverOptions, SaveRequest, SaveService};
 use mmlib_lineage::Lineage;
 use mmlib_model::{ArchId, Model};
 use mmlib_store::{DocId, Document, FileId, ModelStorage, StorageBackend, StoreError};
@@ -43,10 +43,10 @@ fn state_bits(model: &Model) -> Vec<(String, Vec<u32>)> {
 fn build_chain(s: &SaveService, seed: u64, depth: usize) -> (Vec<SavedModelId>, Model) {
     let mut model = Model::new_initialized(ArchId::TinyCnn, seed);
     model.set_fully_trainable();
-    let mut ids = vec![s.save_full(&model, None, "initial").unwrap()];
+    let mut ids = vec![s.save(SaveRequest::full(&model)).unwrap().id];
     for step in 0..depth {
         bump(&mut model, step);
-        let (id, _) = s.save_update(&model, ids.last().unwrap(), "partially_updated").unwrap();
+        let id = s.save(SaveRequest::update(&model, ids.last().unwrap())).unwrap().id;
         ids.push(id);
     }
     (ids, model)
@@ -60,7 +60,7 @@ fn graph_queries_tags_and_diff() {
     // Side branch off the middle node.
     let mut side_model = model.duplicate();
     bump(&mut side_model, 99);
-    let (side, _) = s.save_update(&side_model, &ids[1], "partially_updated").unwrap();
+    let side = s.save(SaveRequest::update(&side_model, &ids[1])).unwrap().id;
 
     let lineage = Lineage::new(&s);
     let graph = lineage.graph().unwrap();
@@ -120,9 +120,9 @@ fn depth64_compaction_is_byte_identical_and_keeps_ttr_flat() {
     let (ids, trained) = build_chain(&s, 11, 64);
     let tip = ids.last().unwrap().clone();
 
-    let before = s.recover(&tip, RecoverOptions::default()).unwrap();
+    let before = s.recover_report(&tip, RecoverOptions::default()).unwrap();
     assert!(before.model.models_equal(&trained));
-    assert_eq!(before.breakdown.recovered_bases, 64);
+    assert_eq!(before.recovered_bases, 64);
     let want_bits = state_bits(&before.model);
 
     let lineage = Lineage::new(&s);
@@ -134,14 +134,14 @@ fn depth64_compaction_is_byte_identical_and_keeps_ttr_flat() {
     assert_eq!(report.promoted.last(), Some(&tip));
 
     // Byte-identical recovery, now without any base chain.
-    let after = s.recover(&tip, RecoverOptions::default()).unwrap();
+    let after = s.recover_report(&tip, RecoverOptions::default()).unwrap();
     assert_eq!(state_bits(&after.model), want_bits);
-    assert_eq!(after.breakdown.recovered_bases, 0);
+    assert_eq!(after.recovered_bases, 0);
     // Every chain node still recovers, and none is more than 7 rebuilds
     // from a snapshot.
     for id in &ids {
-        let r = s.recover(&id.clone(), RecoverOptions::default()).unwrap();
-        assert!(r.breakdown.recovered_bases < 8, "{id} too deep after compaction");
+        let r = s.recover_report(&id.clone(), RecoverOptions::default()).unwrap();
+        assert!(r.recovered_bases < 8, "{id} too deep after compaction");
     }
     // Compaction is idempotent: a second run promotes nothing.
     assert!(lineage.compact(&tip, 8).unwrap().promoted.is_empty());
@@ -158,7 +158,7 @@ fn depth64_compaction_is_byte_identical_and_keeps_ttr_flat() {
         (0..5)
             .map(|_| {
                 let t = Instant::now();
-                svc.recover(id, RecoverOptions::default()).unwrap();
+                svc.recover_report(id, RecoverOptions::default()).unwrap();
                 t.elapsed()
             })
             .min()
@@ -198,8 +198,8 @@ fn compaction_rebases_records_and_unblocks_gc() {
     // retired prefix.
     let report = mmlib_core::gc::collect_garbage(&s, std::slice::from_ref(&tip)).unwrap();
     assert_eq!(report.removed_models.len(), ids.len() - 1);
-    let back = s.recover(&tip, RecoverOptions::default()).unwrap();
-    assert_eq!(back.breakdown.recovered_bases, 0);
+    let back = s.recover_report(&tip, RecoverOptions::default()).unwrap();
+    assert_eq!(back.recovered_bases, 0);
     let fsck = mmlib_core::fsck::fsck(s.storage(), &mmlib_core::FsckOptions::default()).unwrap();
     assert!(fsck.is_clean(), "fsck after gc: {fsck:?}");
 }
@@ -280,14 +280,14 @@ fn family_recovery_fetches_each_shared_blob_exactly_once() {
     // One root, one shared mid node, three sibling tips off the mid node.
     let mut model = Model::new_initialized(ArchId::TinyCnn, 5);
     model.set_fully_trainable();
-    let root = s.save_full(&model, None, "initial").unwrap();
+    let root = s.save(SaveRequest::full(&model)).unwrap().id;
     bump(&mut model, 0);
-    let (mid, _) = s.save_update(&model, &root, "partially_updated").unwrap();
+    let mid = s.save(SaveRequest::update(&model, &root)).unwrap().id;
     let mut tips = Vec::new();
     for i in 0..3 {
         let mut m = model.duplicate();
         bump(&mut m, 10 + i);
-        let (tip, _) = s.save_update(&m, &mid, "partially_updated").unwrap();
+        let tip = s.save(SaveRequest::update(&m, &mid)).unwrap().id;
         tips.push((tip, m));
     }
 
@@ -318,7 +318,7 @@ fn family_recovery_fetches_each_shared_blob_exactly_once() {
     // eliminates.
     counting.file_gets.lock().unwrap().clear();
     for (tip, _) in &tips {
-        s.recover(tip, RecoverOptions::default()).unwrap();
+        s.recover_report(tip, RecoverOptions::default()).unwrap();
     }
     assert!(
         counting.gets().values().any(|&c| c >= 3),

@@ -5,7 +5,9 @@
 //! on the tensor/train/model path reads ambient state. This rule bans
 //! wall-clock reads and OS entropy in those crates' library code. Dedicated
 //! timing modules (the Fig. 13 instrumentation) opt out with a file-level
-//! `// mmlib-lint: allow-file(D1, reason)` pragma.
+//! `// mmlib-lint: allow-file(D1, reason)` pragma. The same ban covers
+//! core/lineage/dist, where every duration comes from an `mmlib-obs`
+//! `PhaseClock` or `SpanGuard` instead of a bare stopwatch.
 
 use crate::rules::{Violation, D1_CRATES};
 use crate::source::SourceFile;

@@ -28,8 +28,11 @@ pub mod x1;
 use crate::source::SourceFile;
 
 /// Crates whose hashing/replay paths must be deterministic (PAPER.md §4.3:
-/// recovery re-executes training and must reproduce bit-identical weights).
-pub const D1_CRATES: &[&str] = &["tensor", "train", "model"];
+/// recovery re-executes training and must reproduce bit-identical weights),
+/// plus the save/recover stack above them (`core`, `lineage`, `dist`), which
+/// reads time only through `mmlib-obs` (`PhaseClock` / `SpanGuard`) so there
+/// is one timing mechanism from a save phase up to a flow record.
+pub const D1_CRATES: &[&str] = &["tensor", "train", "model", "core", "lineage", "dist"];
 
 /// Crates whose library code must not panic: a panic in these kills worker
 /// threads mid-connection (net), poisons locks (obs), or aborts a recovery

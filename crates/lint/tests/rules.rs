@@ -21,10 +21,13 @@ fn rules(report: &Report) -> Vec<&str> {
 
 #[test]
 fn d1_fires_on_wall_clock_and_entropy_in_tensor() {
-    let r = check_one("crates/tensor/src/seed.rs", include_str!("fixtures/d1_bad.rs"));
-    assert_eq!(rules(&r), vec!["D1", "D1"], "{:#?}", r.violations);
-    assert!(r.violations[0].message.contains("SystemTime::now"));
-    assert!(r.violations[1].message.contains("thread_rng"));
+    // `core` stands for the save/recover stack that shares the ban.
+    for path in ["crates/tensor/src/seed.rs", "crates/core/src/seed.rs"] {
+        let r = check_one(path, include_str!("fixtures/d1_bad.rs"));
+        assert_eq!(rules(&r), vec!["D1", "D1"], "{:#?}", r.violations);
+        assert!(r.violations[0].message.contains("SystemTime::now"));
+        assert!(r.violations[1].message.contains("thread_rng"));
+    }
 }
 
 #[test]

@@ -37,9 +37,9 @@ use crate::protocol::{
 /// Gauge of currently open pooled client connections (process-wide).
 pub const NET_POOL_CONNECTIONS: &str = "mmlib_net_pool_connections";
 
-/// Client tuning knobs. Usually set through [`RemoteStore::builder`].
+/// Client tuning knobs, set through [`RemoteStore::builder`].
 #[derive(Debug, Clone)]
-pub struct ClientConfig {
+pub(crate) struct ClientConfig {
     /// Attempts per request beyond the first (0 = fail fast).
     pub max_retries: u32,
     /// Backoff before retry `n` is `base_backoff * 2^n` plus jitter.
@@ -170,7 +170,7 @@ impl RemoteStoreBuilder {
 /// A pooled, pipelined client for a registry server, usable as a storage
 /// backend.
 ///
-/// One `RemoteStore` holds [`ClientConfig::pool_size`] TCP connections and
+/// One `RemoteStore` holds [`RemoteStoreBuilder::pool_size`] TCP connections and
 /// is safe to share across any number of threads — callers round-robin
 /// over the pool and concurrent requests on one socket are correlated by
 /// frame id. Wrap it in an `Arc` directly, or hand the whole stack a
@@ -207,27 +207,6 @@ impl RemoteStore {
         RemoteStoreBuilder { addr, config: ClientConfig::default() }
     }
 
-    /// Connects with default settings.
-    ///
-    /// Deprecated: use [`RemoteStore::builder`] — `builder(addr).build()`
-    /// is the direct equivalent.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<RemoteStore, StoreError> {
-        RemoteStore::builder(addr).build()
-    }
-
-    /// Connects with explicit tuning knobs.
-    ///
-    /// Deprecated: use [`RemoteStore::builder`], which exposes every field
-    /// of [`ClientConfig`] as a named setter.
-    pub fn connect_with_config(
-        addr: impl ToSocketAddrs,
-        config: ClientConfig,
-    ) -> Result<RemoteStore, StoreError> {
-        let mut builder = RemoteStore::builder(addr);
-        builder.config = config;
-        builder.build()
-    }
-
     /// The server address this client talks to.
     pub fn addr(&self) -> SocketAddr {
         self.addr
@@ -249,22 +228,26 @@ impl RemoteStore {
     /// Fetches one model's lineage record, typed (the `LineageGet`
     /// opcode).
     pub fn lineage_node(&self, id: &str) -> Result<LineageNode, StoreError> {
-        self.lineage_get(id).map(LineageNode::from_value)
+        let reply = self.request(Frame::new(Opcode::LineageGet, json!({"id": id})))?;
+        let header = expect_ok(reply)?;
+        header
+            .get("record")
+            .cloned()
+            .map(LineageNode::from_value)
+            .ok_or_else(|| StoreError::Remote("lineage_get reply missing `record`".to_string()))
     }
 
     /// Fetches a model's ancestry, tip first, typed (the `LineageAncestry`
     /// opcode).
     pub fn lineage_chain(&self, id: &str) -> Result<Vec<LineageNode>, StoreError> {
-        Ok(self.lineage_ancestry(id)?.into_iter().map(LineageNode::from_value).collect())
-    }
-
-    /// Fetches the server's metrics snapshot as raw JSON.
-    ///
-    /// Deprecated: use [`RemoteStore::stats`], which returns the typed
-    /// [`ServerStats`] (the raw JSON stays available as
-    /// [`ServerStats::raw`]).
-    pub fn server_stats(&self) -> Result<Value, StoreError> {
-        Ok(self.request(Frame::new(Opcode::Stats, json!({})))?.header)
+        let reply = self.request(Frame::new(Opcode::LineageAncestry, json!({"id": id})))?;
+        let header = expect_ok(reply)?;
+        match header.get("ancestry").and_then(Value::as_array) {
+            Some(list) => Ok(list.iter().cloned().map(LineageNode::from_value).collect()),
+            None => {
+                Err(StoreError::Remote("lineage_ancestry reply missing `ancestry`".to_string()))
+            }
+        }
     }
 
     /// Fetches the server's full metrics registry rendered in Prometheus
@@ -274,34 +257,6 @@ impl RemoteStore {
         match header.get("text").and_then(Value::as_str) {
             Some(text) => Ok(text.to_string()),
             None => Err(StoreError::Remote("stats_text reply missing `text`".to_string())),
-        }
-    }
-
-    /// Fetches one model's lineage record as raw JSON.
-    ///
-    /// Deprecated: use [`RemoteStore::lineage_node`], which returns the
-    /// typed [`LineageNode`] (raw JSON in [`LineageNode::raw`]).
-    pub fn lineage_get(&self, id: &str) -> Result<Value, StoreError> {
-        let reply = self.request(Frame::new(Opcode::LineageGet, json!({"id": id})))?;
-        let header = expect_ok(reply)?;
-        header
-            .get("record")
-            .cloned()
-            .ok_or_else(|| StoreError::Remote("lineage_get reply missing `record`".to_string()))
-    }
-
-    /// Fetches a model's ancestry as raw JSON records, tip first.
-    ///
-    /// Deprecated: use [`RemoteStore::lineage_chain`], which returns typed
-    /// [`LineageNode`]s.
-    pub fn lineage_ancestry(&self, id: &str) -> Result<Vec<Value>, StoreError> {
-        let reply = self.request(Frame::new(Opcode::LineageAncestry, json!({"id": id})))?;
-        let header = expect_ok(reply)?;
-        match header.get("ancestry").and_then(Value::as_array) {
-            Some(list) => Ok(list.clone()),
-            None => {
-                Err(StoreError::Remote("lineage_ancestry reply missing `ancestry`".to_string()))
-            }
         }
     }
 

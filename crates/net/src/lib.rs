@@ -32,9 +32,7 @@ pub mod fault;
 pub mod protocol;
 pub mod server;
 
-pub use client::{
-    ClientConfig, LineageNode, RemoteStore, RemoteStoreBuilder, ServerStats,
-};
+pub use client::{LineageNode, RemoteStore, RemoteStoreBuilder, ServerStats};
 pub use fault::NetFaults;
 pub use protocol::{
     Frame, Opcode, WireError, WireVersion, CHUNK_SIZE, MAX_FRAME_LEN, PROTOCOL_V1, PROTOCOL_V2,

@@ -182,7 +182,7 @@ fn remote_file_ids_lists_stored_blobs() {
     let dir = tempfile::tempdir().unwrap();
     let storage = ModelStorage::open(dir.path()).unwrap();
     let server = RegistryServer::bind(storage, "127.0.0.1:0").unwrap();
-    let client = RemoteStore::connect(server.addr()).unwrap();
+    let client = RemoteStore::builder(server.addr()).build().unwrap();
 
     assert!(client.file_ids().unwrap().is_empty());
     let a = client.put_file(b"a").unwrap();

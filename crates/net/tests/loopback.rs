@@ -15,7 +15,7 @@ fn server(dir: &std::path::Path) -> RegistryServer {
 fn documents_round_trip_over_the_socket() {
     let dir = tempfile::tempdir().unwrap();
     let server = server(dir.path());
-    let client = RemoteStore::connect(server.addr()).unwrap();
+    let client = RemoteStore::builder(server.addr()).build().unwrap();
 
     let id = client.insert_doc("model_info", json!({"arch": "resnet18", "n": 42})).unwrap();
     assert!(client.contains_doc(&id));
@@ -36,7 +36,7 @@ fn documents_round_trip_over_the_socket() {
 fn files_stream_chunked_and_byte_exact() {
     let dir = tempfile::tempdir().unwrap();
     let server = server(dir.path());
-    let client = RemoteStore::connect(server.addr()).unwrap();
+    let client = RemoteStore::builder(server.addr()).build().unwrap();
 
     // Larger than several chunks, not chunk-aligned.
     let blob: Vec<u8> = (0..300_000u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
@@ -57,7 +57,7 @@ fn files_stream_chunked_and_byte_exact() {
 fn missing_ids_map_back_to_typed_errors() {
     let dir = tempfile::tempdir().unwrap();
     let server = server(dir.path());
-    let client = RemoteStore::connect(server.addr()).unwrap();
+    let client = RemoteStore::builder(server.addr()).build().unwrap();
 
     let doc = DocId::from_string("nope-1".into());
     assert!(matches!(client.get_doc(&doc), Err(StoreError::MissingDocument(id)) if id == doc));
@@ -70,7 +70,7 @@ fn missing_ids_map_back_to_typed_errors() {
 fn server_metrics_count_requests_and_bytes() {
     let dir = tempfile::tempdir().unwrap();
     let server = server(dir.path());
-    let client = RemoteStore::connect(server.addr()).unwrap();
+    let client = RemoteStore::builder(server.addr()).build().unwrap();
 
     let blob = vec![7u8; 100_000];
     let id = client.put_file(&blob).unwrap();
@@ -85,16 +85,16 @@ fn server_metrics_count_requests_and_bytes() {
     assert!(metrics.connections() >= 1);
 
     // The Stats opcode serves the same numbers over the wire.
-    let stats = client.server_stats().unwrap();
-    assert_eq!(stats["requests"]["file_put"], 1u64);
-    assert!(stats["bytes_in"].as_u64().unwrap() >= blob.len() as u64);
+    let stats = client.stats().unwrap();
+    assert!(stats.requests_by_opcode.contains(&("file_put".to_string(), 1)));
+    assert!(stats.bytes_in >= blob.len() as u64);
 }
 
 #[test]
 fn stats_text_serves_prometheus_exposition() {
     let dir = tempfile::tempdir().unwrap();
     let server1 = server(dir.path());
-    let client = RemoteStore::connect(server1.addr()).unwrap();
+    let client = RemoteStore::builder(server1.addr()).build().unwrap();
     let id = client.put_file(b"observable").unwrap();
     let _ = client.get_file(&id).unwrap();
 
@@ -110,7 +110,7 @@ fn stats_text_serves_prometheus_exposition() {
     // Each server owns an isolated registry: a second server starts at zero.
     let dir2 = tempfile::tempdir().unwrap();
     let server2 = server(dir2.path());
-    let client2 = RemoteStore::connect(server2.addr()).unwrap();
+    let client2 = RemoteStore::builder(server2.addr()).build().unwrap();
     let text2 = client2.server_stats_text().unwrap();
     assert!(text2.contains("mmlib_net_requests_total{opcode=\"file_put\"} 0"), "{text2}");
 }
@@ -130,7 +130,7 @@ fn client_reconnects_after_connection_loss() {
         },
     )
     .unwrap();
-    let client = RemoteStore::connect(server.addr()).unwrap();
+    let client = RemoteStore::builder(server.addr()).build().unwrap();
     let id = client.put_file(b"before").unwrap();
 
     // Let the server time the connection out, then use the client again:
@@ -161,7 +161,7 @@ fn stress_eight_concurrent_clients_round_trip_byte_exact() {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|c| {
                 s.spawn(move |_| {
-                    let client = RemoteStore::connect(addr).unwrap();
+                    let client = RemoteStore::builder(addr).build().unwrap();
                     let mut stored = Vec::new();
                     for op in 0..OPS {
                         // Distinct, deterministic per-client/op content with
@@ -201,7 +201,7 @@ fn stress_eight_concurrent_clients_round_trip_byte_exact() {
 fn remote_backed_model_storage_serves_the_full_surface() {
     let dir = tempfile::tempdir().unwrap();
     let server = server(dir.path());
-    let storage: ModelStorage = RemoteStore::connect(server.addr()).unwrap().into_storage();
+    let storage: ModelStorage = RemoteStore::builder(server.addr()).build().unwrap().into_storage();
 
     assert!(storage.root().to_string_lossy().starts_with("tcp://"));
     let id = storage.insert_doc("k", json!({"v": 1})).unwrap();

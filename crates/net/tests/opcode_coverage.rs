@@ -13,7 +13,7 @@ fn every_request_opcode_round_trips_and_is_counted_once() {
     let dir = tempfile::tempdir().unwrap();
     let storage = ModelStorage::open(dir.path()).unwrap();
     let server = RegistryServer::bind(storage, "127.0.0.1:0").unwrap();
-    let client = RemoteStore::connect(server.addr()).unwrap();
+    let client = RemoteStore::builder(server.addr()).build().unwrap();
 
     // Documents: one request per doc opcode.
     let doc = client.insert_doc("coverage", json!({"v": 1})).unwrap();
@@ -48,12 +48,12 @@ fn every_request_opcode_round_trips_and_is_counted_once() {
             }),
         )
         .unwrap();
-    let record = client.lineage_get("m-child").unwrap();
-    assert_eq!(record["parent"].as_str(), Some("m-root"));
-    let ancestry = client.lineage_ancestry("m-child").unwrap();
+    let record = client.lineage_node("m-child").unwrap();
+    assert_eq!(record.parent.as_deref(), Some("m-root"));
+    let ancestry = client.lineage_chain("m-child").unwrap();
     assert_eq!(ancestry.len(), 2);
-    assert_eq!(ancestry[0]["model"].as_str(), Some("m-child"));
-    assert_eq!(ancestry[1]["model"].as_str(), Some("m-root"));
+    assert_eq!(ancestry[0].model, "m-child");
+    assert_eq!(ancestry[1].model, "m-root");
     client.remove_doc(&child).unwrap();
     client.remove_doc(&root).unwrap();
 
@@ -66,8 +66,8 @@ fn every_request_opcode_round_trips_and_is_counted_once() {
     client.remove_file(&file).unwrap();
 
     // Introspection.
-    let stats = client.server_stats().unwrap();
-    assert!(stats["requests"].as_object().is_some());
+    let stats = client.stats().unwrap();
+    assert!(stats.raw["requests"].as_object().is_some());
     let text = client.server_stats_text().unwrap();
     assert!(text.contains("mmlib_net_requests_total"));
 

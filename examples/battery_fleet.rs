@@ -16,9 +16,7 @@
 //! touch only the adaptation head (partial updates), so each save ships a
 //! tiny fraction of the full model over the vehicle uplink.
 
-use std::time::Instant;
-
-use mmlib::core::{RecoverOptions, SaveService};
+use mmlib::core::{RecoverOptions, SaveRequest, SaveService};
 use mmlib::data::loader::LoaderConfig;
 use mmlib::data::{DataLoader, Dataset, DatasetId};
 use mmlib::model::{ArchId, Model};
@@ -42,7 +40,7 @@ fn main() {
     // battery simulation network.
     let mut factory = Model::new_initialized(ArchId::MobileNetV2, 2024);
     factory.set_fully_trainable();
-    let factory_id = svc.save_full(&factory, None, "initial").expect("save factory model");
+    let factory_id = svc.save(SaveRequest::full(&factory)).expect("save factory model").id;
     println!(
         "factory model registered: {} ({:.1} MB)\n",
         factory_id,
@@ -84,21 +82,17 @@ fn main() {
             std::mem::swap(trainer.optimizer_mut(), sgd);
 
             // Inform the central storage (U3): parameter update only.
-            let before = svc.storage().bytes_written();
-            let start = Instant::now();
-            let (id, diff) = svc
-                .save_update(model, base, "partially_updated")
-                .expect("vehicle update save");
-            let tts = start.elapsed();
-            let bytes = svc.storage().bytes_written() - before;
-            let airtime = uplink.transfer_time(bytes);
+            let saved =
+                svc.save(SaveRequest::update(model, base)).expect("vehicle update save");
+            let airtime = uplink.transfer_time(saved.storage_bytes);
             println!(
-                "  vehicle {vehicle}: {:>7.3} MB uplink ({:>6.1?} airtime, {} changed layers, save {tts:.1?})",
-                bytes as f64 / 1e6,
+                "  vehicle {vehicle}: {:>7.3} MB uplink ({:>6.1?} airtime, {} changed layers, save {:.1?})",
+                saved.storage_bytes as f64 / 1e6,
                 airtime,
-                diff.changed.len(),
+                saved.diff.map_or(0, |d| d.changed.len()),
+                saved.tts,
             );
-            *base = id;
+            *base = saved.id;
         }
     }
 
@@ -113,14 +107,13 @@ fn main() {
     // --- Incident: recover vehicle 2's exact current model centrally. ----
     let (expected, incident_id, _) = &fleet[2];
     println!("\nincident on vehicle 2 — recovering its exact model ({incident_id}) centrally ...");
-    let start = Instant::now();
     let recovered = svc
-        .recover(incident_id, RecoverOptions::default())
+        .recover_report(incident_id, RecoverOptions::default())
         .expect("incident recovery");
     println!(
         "recovered in {:?} through a chain of {} base models; bit-exact: {}",
-        start.elapsed(),
-        recovered.breakdown.recovered_bases,
+        recovered.ttr,
+        recovered.recovered_bases,
         recovered.model.models_equal(expected),
     );
     assert!(recovered.model.models_equal(expected));

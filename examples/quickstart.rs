@@ -9,10 +9,8 @@
 //! baseline, parameter-update, and provenance approaches, printing what each
 //! costs in storage, time-to-save, and time-to-recover.
 
-use std::time::Instant;
-
 use mmlib::core::meta::ModelRelation;
-use mmlib::core::{RecoverOptions, SaveService, TrainProvenance};
+use mmlib::core::{RecoverOptions, SaveRequest, SaveService, TrainProvenance};
 use mmlib::data::loader::LoaderConfig;
 use mmlib::data::{DataLoader, Dataset, DatasetId};
 use mmlib::model::{ArchId, Model};
@@ -30,7 +28,7 @@ fn main() {
     model.set_fully_trainable();
     println!("initial ResNet-18: {} parameters, {:.1} MB state", model.param_count(),
         model.state_nbytes() as f64 / 1e6);
-    let base_id = svc.save_full(&model, None, "initial").expect("save U1");
+    let base_id = svc.save(SaveRequest::full(&model)).expect("save U1").id;
     println!("saved initial model as {base_id}\n");
 
     // --- Derive a partially-updated version (use case U3). ---------------
@@ -71,40 +69,40 @@ fn main() {
 
     // --- Save the derived model with each approach. ----------------------
     let mut ids = Vec::new();
-    for approach in ["baseline", "param_update", "provenance"] {
-        let before = svc.storage().bytes_written();
-        let start = Instant::now();
-        let id = match approach {
-            "baseline" => svc.save_full(&model, Some(&base_id), "partially_updated").unwrap(),
-            "param_update" => {
-                let (id, diff) = svc.save_update(&model, &base_id, "partially_updated").unwrap();
-                println!(
-                    "  (param-update diff: {} of {} layers changed, {} hash comparisons)",
-                    diff.changed.len(),
-                    model.layers().len(),
-                    diff.comparisons
-                );
-                id
-            }
-            _ => svc.save_provenance(&model, &base_id, &provenance).unwrap(),
-        };
-        let tts = start.elapsed();
-        let bytes = svc.storage().bytes_written() - before;
-        println!("{approach:>13}: saved {:>10.3} MB in {:>8.1?}  -> {id}", bytes as f64 / 1e6, tts);
-        ids.push((approach, id));
+    for (approach, request) in [
+        ("baseline", SaveRequest::full(&model).base(&base_id)),
+        ("param_update", SaveRequest::update(&model, &base_id)),
+        ("provenance", SaveRequest::provenance(&model, &base_id, &provenance)),
+    ] {
+        let saved = svc.save(request).unwrap();
+        if let Some(diff) = &saved.diff {
+            println!(
+                "  (param-update diff: {} of {} layers changed, {} hash comparisons)",
+                diff.changed.len(),
+                model.layers().len(),
+                diff.comparisons
+            );
+        }
+        println!(
+            "{approach:>13}: saved {:>10.3} MB in {:>8.1?}  -> {}",
+            saved.storage_bytes as f64 / 1e6,
+            saved.tts,
+            saved.id
+        );
+        ids.push((approach, saved.id));
     }
 
     // --- Recover each one and verify bit-exactness (use case U4). --------
     println!();
     for (approach, id) in &ids {
-        let start = Instant::now();
-        let recovered = svc.recover(id, RecoverOptions::default()).expect("recover");
-        let ttr = start.elapsed();
+        let recovered = svc.recover_report(id, RecoverOptions::default()).expect("recover");
         assert!(recovered.model.models_equal(&model), "recovery must be exact");
         println!(
-            "{approach:>13}: recovered bit-exactly in {ttr:>8.1?} \
+            "{approach:>13}: recovered bit-exactly in {:>8.1?} \
              (chain depth {}, verify {:?})",
-            recovered.breakdown.recovered_bases, recovered.breakdown.verify
+            recovered.ttr,
+            recovered.recovered_bases,
+            recovered.phases.get("verify")
         );
     }
     println!("\nAll three approaches recovered the exact same model. ✓");

@@ -12,7 +12,7 @@
 
 use mmlib::core::gc::{collect_garbage, delete_model, dependency_graph};
 use mmlib::core::meta::ModelRelation;
-use mmlib::core::{SaveService, TrainProvenance};
+use mmlib::core::{SaveRequest, SaveService, TrainProvenance};
 use mmlib::data::loader::LoaderConfig;
 use mmlib::data::{DataLoader, Dataset, DatasetId};
 use mmlib::model::{ArchId, Model};
@@ -63,17 +63,17 @@ fn main() {
     // experiment branched off v1.
     let mut model = Model::new_initialized(ArchId::ResNet18, 1);
     model.set_fully_trainable();
-    let initial = svc.save_full(&model, None, "initial").unwrap();
+    let initial = svc.save(SaveRequest::full(&model)).unwrap().id;
 
     retrain(&mut model, 10);
-    let (v1, _) = svc.save_update(&model, &initial, "partially_updated").unwrap();
+    let v1 = svc.save(SaveRequest::update(&model, &initial)).unwrap().id;
 
     let mut experiment = model.duplicate();
     let prov = retrain(&mut experiment, 99);
-    let abandoned = svc.save_provenance(&experiment, &v1, &prov).unwrap();
+    let abandoned = svc.save(SaveRequest::provenance(&experiment, &v1, &prov)).unwrap().id;
 
     retrain(&mut model, 11);
-    let (v2, _) = svc.save_update(&model, &v1, "partially_updated").unwrap();
+    let v2 = svc.save(SaveRequest::update(&model, &v1)).unwrap().id;
 
     let graph = dependency_graph(&svc).unwrap();
     println!("store holds {} models:", graph.models.len());
@@ -111,10 +111,10 @@ fn main() {
     assert_eq!(report.removed_models, vec![abandoned]);
 
     // v2 still recovers bit-exactly through its kept chain.
-    let recovered = svc.recover(&v2, mmlib::core::RecoverOptions::default()).unwrap();
+    let recovered = svc.recover_report(&v2, mmlib::core::RecoverOptions::default()).unwrap();
     assert!(recovered.model.models_equal(&model));
     println!(
         "\n{v2} still recovers bit-exactly (chain depth {}). ✓",
-        recovered.breakdown.recovered_bases
+        recovered.recovered_bases
     );
 }

@@ -22,15 +22,15 @@
 //! re-exported here under its short name.
 //!
 //! ```
-//! use mmlib::core::{SaveService, RecoverOptions};
+//! use mmlib::core::{RecoverOptions, SaveRequest, SaveService};
 //! use mmlib::model::{ArchId, Model};
 //! use mmlib::store::ModelStorage;
 //!
 //! let dir = tempfile::tempdir().unwrap();
 //! let svc = SaveService::new(ModelStorage::open(dir.path()).unwrap());
 //! let model = Model::new_initialized(ArchId::MobileNetV2, 7);
-//! let id = svc.save_full(&model, None, "initial").unwrap();
-//! let back = svc.recover(&id, RecoverOptions::default()).unwrap();
+//! let id = svc.save(SaveRequest::full(&model)).unwrap().id;
+//! let back = svc.recover_report(&id, RecoverOptions::default()).unwrap();
 //! assert!(back.model.models_equal(&model));
 //! ```
 

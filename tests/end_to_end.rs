@@ -3,7 +3,7 @@
 
 use mmlib::core::adaptive::{choose_approach, Policy, SaveScenario};
 use mmlib::core::meta::{ApproachKind, ModelRelation};
-use mmlib::core::{RecoverOptions, SaveService, TrainProvenance};
+use mmlib::core::{RecoverOptions, SaveRequest, SaveService, TrainProvenance};
 use mmlib::data::loader::LoaderConfig;
 use mmlib::data::{DataLoader, Dataset, DatasetId};
 use mmlib::dist::flow::{run_flow, FlowConfig};
@@ -59,21 +59,21 @@ fn mixed_approach_chain_recovers_exactly() {
 
     let mut model = Model::new_initialized(ArchId::ResNet18, 1);
     model.set_fully_trainable();
-    let id0 = svc.save_full(&model, None, "initial").unwrap();
+    let id0 = svc.save(SaveRequest::full(&model)).unwrap().id;
 
     model.set_classifier_only_trainable();
     train_once(&mut model, 10);
-    let (id1, _) = svc.save_update(&model, &id0, "partially_updated").unwrap();
+    let id1 = svc.save(SaveRequest::update(&model, &id0)).unwrap().id;
 
     let (prov, _, _) = train_once(&mut model, 11);
-    let id2 = svc.save_provenance(&model, &id1, &prov).unwrap();
+    let id2 = svc.save(SaveRequest::provenance(&model, &id1, &prov)).unwrap().id;
 
     train_once(&mut model, 12);
-    let (id3, _) = svc.save_update(&model, &id2, "partially_updated").unwrap();
+    let id3 = svc.save(SaveRequest::update(&model, &id2)).unwrap().id;
 
-    let recovered = svc.recover(&id3, RecoverOptions::default()).unwrap();
+    let recovered = svc.recover_report(&id3, RecoverOptions::default()).unwrap();
     assert!(recovered.model.models_equal(&model), "mixed chain must recover bit-exactly");
-    assert_eq!(recovered.breakdown.recovered_bases, 3);
+    assert_eq!(recovered.recovered_bases, 3);
 }
 
 #[test]
@@ -84,7 +84,7 @@ fn adaptive_choice_saves_and_recovers() {
     let svc = SaveService::new(ModelStorage::open(dir.path()).unwrap());
     let mut model = Model::new_initialized(ArchId::ResNet18, 2);
     model.set_fully_trainable();
-    let base = svc.save_full(&model, None, "initial").unwrap();
+    let base = svc.save(SaveRequest::full(&model)).unwrap().id;
 
     model.set_classifier_only_trainable();
     let (prov, _, _) = train_once(&mut model, 20);
@@ -98,14 +98,13 @@ fn adaptive_choice_saves_and_recovers() {
         0,
     );
     let decision = choose_approach(&scenario, &Policy::default());
-    let id = match decision.approach {
-        ApproachKind::Baseline => svc.save_full(&model, Some(&base), "partially_updated").unwrap(),
-        ApproachKind::ParamUpdate => {
-            svc.save_update(&model, &base, "partially_updated").unwrap().0
-        }
-        ApproachKind::Provenance => svc.save_provenance(&model, &base, &prov).unwrap(),
+    let request = match decision.approach {
+        ApproachKind::Baseline => SaveRequest::full(&model).base(&base),
+        ApproachKind::ParamUpdate => SaveRequest::update(&model, &base),
+        ApproachKind::Provenance => SaveRequest::provenance(&model, &base, &prov),
     };
-    let recovered = svc.recover(&id, RecoverOptions::default()).unwrap();
+    let id = svc.save(request).unwrap().id;
+    let recovered = svc.recover_report(&id, RecoverOptions::default()).unwrap();
     assert!(recovered.model.models_equal(&model));
 }
 
@@ -130,13 +129,13 @@ fn recover_options_depth_limit_guards_chains() {
     let svc = SaveService::new(ModelStorage::open(dir.path()).unwrap());
     let mut model = Model::new_initialized(ArchId::ResNet18, 3);
     model.set_fully_trainable();
-    let mut base = svc.save_full(&model, None, "initial").unwrap();
+    let mut base = svc.save(SaveRequest::full(&model)).unwrap().id;
     for seed in 0..3 {
         model.set_classifier_only_trainable();
         train_once(&mut model, 30 + seed);
-        base = svc.save_update(&model, &base, "partially_updated").unwrap().0;
+        base = svc.save(SaveRequest::update(&model, &base)).unwrap().id;
     }
     let opts = RecoverOptions { max_chain_depth: 1, ..Default::default() };
-    let err = svc.recover(&base, opts).unwrap_err();
+    let err = svc.recover_report(&base, opts).unwrap_err();
     assert!(matches!(err, mmlib::core::CoreError::BaseChainTooDeep { .. }));
 }

@@ -15,7 +15,7 @@
 
 use mmlib::core::fsck::{fsck, FsckOptions};
 use mmlib::core::meta::{ApproachKind, ModelRelation, SavedModelId};
-use mmlib::core::{RecoverOptions, SaveService, TrainProvenance};
+use mmlib::core::{RecoverOptions, SaveRequest, SaveService, TrainProvenance};
 use mmlib::data::loader::LoaderConfig;
 use mmlib::data::{DataLoader, Dataset, DatasetId};
 use mmlib::model::{ArchId, Model};
@@ -83,8 +83,8 @@ fn save_sequence(
 
     let mut model = Model::new_initialized(ArchId::TinyCnn, 1);
     model.set_fully_trainable();
-    let base_id = match svc.save_full(&model, None, "initial") {
-        Ok(id) => id,
+    let base_id = match svc.save(SaveRequest::full(&model)) {
+        Ok(saved) => saved.id,
         Err(_) => return committed, // typed failure; nothing committed
     };
     committed.push((base_id.clone(), model.duplicate()));
@@ -93,19 +93,19 @@ fn save_sequence(
     let result = match approach {
         ApproachKind::Baseline => {
             model.visit_trainable_mut(&mut |_, param, _| param.data_mut()[0] += 0.25);
-            svc.save_full(&model, Some(&base_id), "partially_updated")
+            svc.save(SaveRequest::full(&model).base(&base_id))
         }
         ApproachKind::ParamUpdate => {
             model.visit_trainable_mut(&mut |_, param, _| param.data_mut()[0] += 0.25);
-            svc.save_update(&model, &base_id, "partially_updated").map(|(id, _)| id)
+            svc.save(SaveRequest::update(&model, &base_id))
         }
         ApproachKind::Provenance => {
             let prov = train_once(&mut model, seed);
-            svc.save_provenance(&model, &base_id, &prov)
+            svc.save(SaveRequest::provenance(&model, &base_id, &prov))
         }
     };
-    if let Ok(id) = result {
-        committed.push((id, model.duplicate()));
+    if let Ok(saved) = result {
+        committed.push((saved.id, model.duplicate()));
     }
     committed
 }
@@ -146,7 +146,7 @@ fn run_cell_with_plan(approach: ApproachKind, seed: u64, plan: FaultPlan) -> (u6
     let svc = SaveService::new(clean);
     for (id, expected) in &committed {
         let recovered = svc
-            .recover(id, RecoverOptions::default())
+            .recover_report(id, RecoverOptions::default())
             .unwrap_or_else(|e| panic!("{approach} {plan}: committed save {id} lost: {e}"));
         assert!(
             recovered.model.models_equal(expected),
