@@ -14,7 +14,7 @@ use crate::rules::Violation;
 use crate::source::SourceFile;
 
 pub const PROTOCOL: &str = "crates/net/src/protocol.rs";
-pub const SERVER: &str = "crates/net/src/server.rs";
+pub const SERVER: &str = "crates/net/src/server/handlers.rs";
 pub const CLIENT: &str = "crates/net/src/client.rs";
 pub const NET_TESTS_DIR: &str = "crates/net/tests/";
 
@@ -84,7 +84,7 @@ pub fn check(files: &[SourceFile], out: &mut Vec<Violation>) {
                 0,
                 format!(
                     "opcode `{variant}` has no dispatch arm (`Opcode::{variant} =>`) \
-                     in server.rs — requests with this opcode fall through"
+                     in server/handlers.rs — requests with this opcode fall through"
                 ),
             ));
         }

@@ -200,7 +200,7 @@ mod tests {
 
     #[test]
     fn classify_paths() {
-        assert_eq!(classify("crates/net/src/server.rs"), ("net".to_string(), FileKind::Lib));
+        assert_eq!(classify("crates/net/src/server/io.rs"), ("net".to_string(), FileKind::Lib));
         assert_eq!(classify("crates/net/tests/loopback.rs"), ("net".to_string(), FileKind::Test));
         assert_eq!(
             classify("crates/bench/src/bin/repro.rs"),

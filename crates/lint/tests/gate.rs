@@ -50,13 +50,13 @@ fn reintroducing_wall_clock_in_tensor_fails_d1() {
 /// `DocRemove`'s arm so the opcode no longer dispatches) fails the gate.
 #[test]
 fn deleting_a_server_dispatch_arm_fails_x1() {
-    let server = read("crates/net/src/server.rs");
-    assert!(server.contains("Opcode::DocRemove =>"), "dispatch arm moved; update this test");
+    let handlers = read("crates/net/src/server/handlers.rs");
+    assert!(handlers.contains("Opcode::DocRemove =>"), "dispatch arm moved; update this test");
     let files = vec![
         ("crates/net/src/protocol.rs".to_string(), read("crates/net/src/protocol.rs")),
         (
-            "crates/net/src/server.rs".to_string(),
-            server.replace("Opcode::DocRemove =>", "Opcode::DocGet =>"),
+            "crates/net/src/server/handlers.rs".to_string(),
+            handlers.replace("Opcode::DocRemove =>", "Opcode::DocGet =>"),
         ),
         ("crates/net/src/client.rs".to_string(), read("crates/net/src/client.rs")),
         (
@@ -80,17 +80,17 @@ fn deleting_a_server_dispatch_arm_fails_x1() {
 /// must catch the reordering. The unmutated file is L1-clean.
 #[test]
 fn holding_the_out_guard_across_flush_out_fails_l1() {
-    let server = read("crates/net/src/server.rs");
+    let server = read("crates/net/src/server/io.rs");
     let anchor = "    active |= flush_out(state, conn)?;\n\n    {\n        let out = conn.shared.out.lock();";
     assert!(server.contains(anchor), "service_conn flush/guard sequence moved; update this test");
 
     let l1_of = |text: String| {
-        let ws = Workspace::from_memory(vec![("crates/net/src/server.rs".to_string(), text)]);
+        let ws = Workspace::from_memory(vec![("crates/net/src/server/io.rs".to_string(), text)]);
         let r = ws.check(&Budget::zero());
         r.violations.iter().filter(|v| v.rule == "L1").count()
     };
 
-    assert_eq!(l1_of(server.clone()), 0, "unmutated server.rs must be L1-clean");
+    assert_eq!(l1_of(server.clone()), 0, "unmutated server/io.rs must be L1-clean");
 
     let mutated = server.replace(
         anchor,
@@ -109,13 +109,13 @@ fn holding_the_out_guard_across_flush_out_fails_l1() {
 #[test]
 fn removing_release_pending_from_the_reap_path_fails_g1() {
     let root = root();
-    let server = read("crates/net/src/server.rs");
+    let server = read("crates/net/src/server/io.rs");
     let anchor = "let dead = conns.swap_remove(i);\n                    release_pending(state, &dead);";
     assert!(server.contains(anchor), "reap path moved; update this test");
 
     let pairs = Pairs::load(&root.join("lint-pairs.txt")).unwrap();
     let g1_of = |text: String| {
-        let ws = Workspace::from_memory(vec![("crates/net/src/server.rs".to_string(), text)]);
+        let ws = Workspace::from_memory(vec![("crates/net/src/server/io.rs".to_string(), text)]);
         let r = ws.check_full(&Budget::zero(), &pairs);
         r.violations
             .iter()
@@ -124,7 +124,7 @@ fn removing_release_pending_from_the_reap_path_fails_g1() {
             .collect::<Vec<_>>()
     };
 
-    assert!(g1_of(server.clone()).is_empty(), "unmutated server.rs must be G1-clean");
+    assert!(g1_of(server.clone()).is_empty(), "unmutated server/io.rs must be G1-clean");
 
     let mutated = server.replace(anchor, "let dead = conns.swap_remove(i);");
     let findings = g1_of(mutated);

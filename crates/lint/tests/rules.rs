@@ -193,7 +193,7 @@ fn wire() { assert_eq!(count(Opcode::Ping), count(Opcode::Get)); }
 fn x1_workspace(server: &str, client: &str, test: &str) -> Report {
     Workspace::from_memory(vec![
         ("crates/net/src/protocol.rs".to_string(), MINI_PROTOCOL.to_string()),
-        ("crates/net/src/server.rs".to_string(), server.to_string()),
+        ("crates/net/src/server/handlers.rs".to_string(), server.to_string()),
         ("crates/net/src/client.rs".to_string(), client.to_string()),
         ("crates/net/tests/wire.rs".to_string(), test.to_string()),
     ])
@@ -275,7 +275,7 @@ fn error_paths() {
 fn x1_reply_workspace(test: &str) -> Report {
     Workspace::from_memory(vec![
         ("crates/net/src/protocol.rs".to_string(), REPLY_PROTOCOL.to_string()),
-        ("crates/net/src/server.rs".to_string(), REPLY_SERVER.to_string()),
+        ("crates/net/src/server/handlers.rs".to_string(), REPLY_SERVER.to_string()),
         ("crates/net/src/client.rs".to_string(), REPLY_CLIENT.to_string()),
         ("crates/net/tests/wire.rs".to_string(), test.to_string()),
     ])

@@ -7,14 +7,13 @@
 //! (§4.1).
 //!
 //! Connections come from a small **pool** with **request pipelining**: each
-//! pooled socket negotiates protocol v2 at open, a dedicated reader thread
-//! demultiplexes responses by frame id, and any number of caller threads
-//! share the pool concurrently — `recover_flow_family` and the dist flows
-//! no longer pay per-request connection latency. Requests are retried with
-//! exponential backoff plus jitter on connection failure, and a server
-//! `Busy` load-shed answer is just another retryable outcome (the
-//! connection stays up). Pinning [`RemoteStoreBuilder::protocol_version`]
-//! to 1 keeps the legacy serial framing for old servers.
+//! pooled socket opens with the `Hello` handshake, a dedicated reader
+//! thread demultiplexes responses by frame id, and any number of caller
+//! threads share the pool concurrently — `recover_flow_family` and the
+//! dist flows no longer pay per-request connection latency. Requests are
+//! retried with exponential backoff plus jitter on connection failure, and
+//! a server `Busy` load-shed answer is just another retryable outcome (the
+//! connection stays up).
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -30,8 +29,8 @@ use parking_lot::Mutex;
 use serde_json::{json, Value};
 
 use crate::protocol::{
-    chunk_frames, encode_frame_prefix, header_str, header_u64, read_frame_counted,
-    try_decode_frame, Frame, Opcode, WireError, WireVersion, PROTOCOL_V1, PROTOCOL_V2,
+    chunk_frames, encode_frame_prefix, header_str, header_u64, read_frame_counted, BlobAssembler,
+    Frame, Opcode, RecvBuf, WireError, WireVersion, PROTOCOL_V2,
 };
 
 /// Gauge of currently open pooled client connections (process-wide).
@@ -42,32 +41,15 @@ pub const NET_POOL_CONNECTIONS: &str = "mmlib_net_pool_connections";
 pub(crate) struct ClientConfig {
     /// Attempts per request beyond the first (0 = fail fast).
     pub max_retries: u32,
-    /// Backoff before retry `n` is `base_backoff * 2^n` plus jitter.
-    pub base_backoff: Duration,
     /// How long a caller waits for its pipelined reply (None = forever).
     pub read_timeout: Option<Duration>,
-    /// Socket write timeout.
-    pub write_timeout: Option<Duration>,
-    /// TCP connect timeout per attempt.
-    pub connect_timeout: Duration,
     /// Pooled connections; callers round-robin across them.
     pub pool_size: usize,
-    /// Wire protocol to negotiate ([`PROTOCOL_V2`] multiplexes; pin to
-    /// [`PROTOCOL_V1`] for the legacy one-request-at-a-time framing).
-    pub protocol_version: u32,
 }
 
 impl Default for ClientConfig {
     fn default() -> Self {
-        ClientConfig {
-            max_retries: 3,
-            base_backoff: Duration::from_millis(20),
-            read_timeout: Some(Duration::from_secs(30)),
-            write_timeout: Some(Duration::from_secs(30)),
-            connect_timeout: Duration::from_secs(5),
-            pool_size: 2,
-            protocol_version: PROTOCOL_V2,
-        }
+        ClientConfig { max_retries: 3, read_timeout: Some(Duration::from_secs(30)), pool_size: 2 }
     }
 }
 
@@ -92,51 +74,22 @@ impl RemoteStoreBuilder {
         self
     }
 
-    /// Base of the exponential retry backoff.
-    pub fn base_backoff(mut self, d: Duration) -> RemoteStoreBuilder {
-        self.config.base_backoff = d;
-        self
-    }
-
     /// How long a caller waits for its reply (None = forever).
     pub fn read_timeout(mut self, d: Option<Duration>) -> RemoteStoreBuilder {
         self.config.read_timeout = d;
         self
     }
 
-    /// Socket write timeout.
-    pub fn write_timeout(mut self, d: Option<Duration>) -> RemoteStoreBuilder {
-        self.config.write_timeout = d;
-        self
-    }
-
-    /// TCP connect timeout per attempt.
-    pub fn connect_timeout(mut self, d: Duration) -> RemoteStoreBuilder {
-        self.config.connect_timeout = d;
-        self
-    }
-
-    /// Pins the wire protocol version ([`PROTOCOL_V1`] or [`PROTOCOL_V2`]).
-    pub fn protocol_version(mut self, v: u32) -> RemoteStoreBuilder {
-        self.config.protocol_version = v;
-        self
-    }
-
-    /// Opens the store and verifies the server speaks the pinned protocol
-    /// version, so misconfiguration fails here rather than at first use.
+    /// Opens the store and verifies the server answers in this build's
+    /// protocol version, so misconfiguration fails here rather than at
+    /// first use.
     pub fn build(self) -> Result<RemoteStore, StoreError> {
         let addr = self.addr?;
         let config = self.config;
         if config.pool_size == 0 {
             return Err(StoreError::Remote("pool_size must be at least 1".to_string()));
         }
-        if config.protocol_version != PROTOCOL_V1 && config.protocol_version != PROTOCOL_V2 {
-            return Err(StoreError::Remote(format!(
-                "unsupported protocol version pin {} (client speaks {PROTOCOL_V1} and {PROTOCOL_V2})",
-                config.protocol_version
-            )));
-        }
-        let pool = (0..config.pool_size).map(|_| PoolSlot::new()).collect();
+        let pool = (0..config.pool_size).map(|_| Mutex::new(None)).collect();
         let store = RemoteStore {
             addr,
             config,
@@ -151,16 +104,11 @@ impl RemoteStoreBuilder {
             pool_gauge: mmlib_obs::recorder().gauge(NET_POOL_CONNECTIONS, None),
         };
         // Handshake one connection now; the rest open lazily on demand.
-        let reply = store.request(Frame::new(
-            Opcode::Ping,
-            json!({"version": store.config.protocol_version}),
-        ))?;
-        let version =
-            header_u64(&reply.header, "version").map_err(|e| StoreError::Remote(e.to_string()))?;
-        if version != u64::from(store.config.protocol_version) {
+        let reply = store.request(Frame::new(Opcode::Ping, json!({"version": PROTOCOL_V2})))?;
+        let version = header_u64(&expect_ok(reply)?, "version").map_err(remote)?;
+        if version != u64::from(PROTOCOL_V2) {
             return Err(StoreError::Remote(format!(
-                "server speaks protocol version {version}, client pinned {}",
-                store.config.protocol_version
+                "server speaks protocol version {version}, client speaks {PROTOCOL_V2}"
             )));
         }
         Ok(store)
@@ -178,7 +126,8 @@ impl RemoteStoreBuilder {
 pub struct RemoteStore {
     addr: SocketAddr,
     config: ClientConfig,
-    pool: Vec<PoolSlot>,
+    /// One slot per pooled connection; each opens on first use.
+    pool: Vec<Mutex<Option<Arc<Conn>>>>,
     next_slot: AtomicUsize,
     next_request_id: AtomicU64,
     jitter: Jitter,
@@ -318,18 +267,16 @@ impl RemoteStore {
     }
 
     /// One exchange on a pooled connection (round-robin pick, lazily
-    /// opened). All errors out of here are retryable: wire failures have
-    /// already torn the connection down, and `Busy` left it healthy.
+    /// opened). All errors out of here are retryable: a wire failure has
+    /// already marked its connection dead (the slot reopens on next use);
+    /// `Busy` and a refused reply blob left it healthy.
     fn try_exchange(
         &self,
         frame: &Frame,
         blob: Option<&Bytes>,
     ) -> Result<(Frame, Option<Vec<u8>>), WireError> {
         let slot = &self.pool[self.next_slot.fetch_add(1, Ordering::Relaxed) % self.pool.len()];
-        let (reply, reply_blob) = match self.config.protocol_version {
-            PROTOCOL_V1 => self.exchange_v1(slot, frame, blob)?,
-            _ => self.exchange_v2(slot, frame, blob)?,
-        };
+        let (reply, reply_blob) = self.exchange(slot, frame, blob)?;
         if reply.opcode == Opcode::Busy {
             let hint = reply.header.get("retry_after_ms").and_then(Value::as_u64).unwrap_or(0);
             return Err(WireError::Busy(hint));
@@ -344,24 +291,22 @@ impl RemoteStore {
         Ok((reply, reply_blob))
     }
 
-    /// Pipelined v2 exchange: register the frame id, write, wait for the
+    /// Pipelined exchange: register the frame id, write, wait for the
     /// reader thread to hand back the correlated reply.
-    fn exchange_v2(
+    fn exchange(
         &self,
-        slot: &PoolSlot,
+        slot: &Mutex<Option<Arc<Conn>>>,
         frame: &Frame,
         blob: Option<&Bytes>,
     ) -> Result<(Frame, Option<Vec<u8>>), WireError> {
         let conn = {
-            let mut guard = slot.conn.lock();
+            let mut guard = slot.lock();
             match &*guard {
-                Some(PooledConn::V2(conn)) if conn.alive.load(Ordering::Acquire) => {
-                    Arc::clone(conn)
-                }
+                Some(conn) if conn.alive.load(Ordering::Acquire) => Arc::clone(conn),
                 _ => {
                     // mmlib-lint: allow(H1, reconnect under the slot lock is deliberate - it serializes handshakes so racing callers share one connection instead of opening N)
-                    let conn = self.open_v2()?;
-                    *guard = Some(PooledConn::V2(Arc::clone(&conn)));
+                    let conn = self.open_conn()?;
+                    *guard = Some(Arc::clone(&conn));
                     conn
                 }
             }
@@ -369,19 +314,20 @@ impl RemoteStore {
 
         let id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
-        conn.pending
-            .lock()
-            .insert(id, PendingEntry { tx, wants_blob: wants_blob(frame.opcode) });
+        let wants_blob = frame.opcode == Opcode::FileGet;
+        conn.pending.lock().insert(id, PendingEntry { tx, wants_blob });
 
         let sent = frame.clone().with_request_id(id);
         let wrote = {
             let mut writer = conn.writer.lock();
-            // mmlib-lint: allow(H1, the writer lock exists to serialize whole-frame writes on the shared v2 socket - I/O under it is the point)
+            // mmlib-lint: allow(H1, the writer lock exists to serialize whole-frame writes on the shared socket - I/O under it is the point)
             self.write_request(&mut *writer, &sent, blob, WireVersion::V2)
         };
         if let Err(e) = wrote {
-            conn.pending.lock().remove(&id);
-            self.teardown_v2(slot, &conn, &format!("write failed: {e}"));
+            // The socket's framing state is unknown after a failed write:
+            // fail every waiter; the slot reopens on its next use.
+            conn.fail_all(&format!("write failed: {e}"));
+            let _ = conn.writer.lock().shutdown(Shutdown::Both);
             return Err(e);
         }
 
@@ -405,74 +351,8 @@ impl RemoteStore {
         };
         match event? {
             ConnEvent::Reply(reply, reply_blob) => Ok((reply, reply_blob)),
-            ConnEvent::Failed(reason) => {
-                self.clear_slot_if(slot, &conn);
-                Err(WireError::Protocol(reason))
-            }
+            ConnEvent::Failed(reason) => Err(WireError::Protocol(reason)),
         }
-    }
-
-    /// Legacy serial v1 exchange, one request at a time under the slot
-    /// lock (the seed client's behaviour, kept for old servers).
-    fn exchange_v1(
-        &self,
-        slot: &PoolSlot,
-        frame: &Frame,
-        blob: Option<&Bytes>,
-    ) -> Result<(Frame, Option<Vec<u8>>), WireError> {
-        let mut guard = slot.conn.lock();
-        if !matches!(&*guard, Some(PooledConn::V1(_))) {
-            *guard = Some(PooledConn::V1(self.open_v1()?));
-        }
-        let Some(PooledConn::V1(conn)) = guard.as_mut() else {
-            return Err(WireError::Protocol("connection cache unexpectedly empty".to_string()));
-        };
-        // mmlib-lint: allow(H1, v1 is one blocking exchange per connection - the slot lock is the per-connection serialization and nothing else contends it meanwhile)
-        let result = self.exchange_v1_on(conn, frame, blob);
-        if result.is_err() {
-            // The socket's framing state is unknown after any failure.
-            *guard = None;
-        }
-        result
-    }
-
-    fn exchange_v1_on(
-        &self,
-        conn: &mut V1Conn,
-        frame: &Frame,
-        blob: Option<&Bytes>,
-    ) -> Result<(Frame, Option<Vec<u8>>), WireError> {
-        self.write_request(&mut conn.stream, frame, blob, WireVersion::V1)?;
-        let (reply, n) = read_frame_counted(&mut conn.stream, WireVersion::V1)?;
-        self.wire_in.fetch_add(n, Ordering::Relaxed);
-        let reply_blob = if reply.opcode == Opcode::Ok && wants_blob(frame.opcode) {
-            match reply.header.get("len").and_then(Value::as_u64) {
-                Some(len) => Some(self.read_chunks_v1(conn, len)?),
-                None => None,
-            }
-        } else {
-            None
-        };
-        Ok((reply, reply_blob))
-    }
-
-    fn read_chunks_v1(&self, conn: &mut V1Conn, len: u64) -> Result<Vec<u8>, WireError> {
-        let mut out = Vec::new();
-        while (out.len() as u64) < len {
-            let (chunk, n) = read_frame_counted(&mut conn.stream, WireVersion::V1)?;
-            self.wire_in.fetch_add(n, Ordering::Relaxed);
-            if chunk.opcode != Opcode::Chunk {
-                return Err(WireError::Protocol(format!(
-                    "expected chunk frame, got {}",
-                    chunk.opcode.name()
-                )));
-            }
-            if chunk.payload.is_empty() || out.len() as u64 + chunk.payload.len() as u64 > len {
-                return Err(WireError::Protocol("chunk overruns announced length".to_string()));
-            }
-            out.extend_from_slice(&chunk.payload);
-        }
-        Ok(out)
     }
 
     /// Writes one request frame (and its blob as chunk frames) to `w`,
@@ -508,10 +388,18 @@ impl RemoteStore {
         Ok((prefix.len() + frame.payload.len()) as u64)
     }
 
-    /// Opens a socket and negotiates v2 with a `Hello` handshake, then
-    /// spawns the demultiplexing reader thread.
-    fn open_v2(&self) -> Result<Arc<V2Conn>, WireError> {
-        let stream = self.open_socket()?;
+    /// Opens a socket, performs the `Hello` handshake (the one id-less
+    /// frame pair of a session), then spawns the demultiplexing reader
+    /// thread.
+    fn open_conn(&self) -> Result<Arc<Conn>, WireError> {
+        /// TCP connect timeout per attempt.
+        const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+        /// Socket write timeout.
+        const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+        let stream = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT)?;
+        stream.set_read_timeout(self.config.read_timeout)?;
+        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+        stream.set_nodelay(true)?;
         let hello = Frame::new(Opcode::Hello, json!({"version": u64::from(PROTOCOL_V2)}));
         self.write_request(&mut &stream, &hello, None, WireVersion::V1)?;
         let (reply, n) = read_frame_counted(&mut &stream, WireVersion::V1)?;
@@ -539,7 +427,7 @@ impl RemoteStore {
         // The reader polls so it can notice a locally-initiated close even
         // when the wire is silent.
         reader_stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-        let conn = Arc::new(V2Conn {
+        let conn = Arc::new(Conn {
             writer: Mutex::new(stream),
             pending: Mutex::new(HashMap::new()),
             alive: AtomicBool::new(true),
@@ -561,39 +449,36 @@ impl RemoteStore {
         Ok(conn)
     }
 
-    fn open_v1(&self) -> Result<V1Conn, WireError> {
-        let stream = self.open_socket()?;
-        self.pool_gauge.add(1.0);
-        Ok(V1Conn { stream, gauge: Arc::clone(&self.pool_gauge) })
+    /// An existence check (`DocContains` / `FileContains`); any failure
+    /// reads as absent, as the backend trait has no error to return.
+    fn contains(&self, op: Opcode, id: &str) -> bool {
+        self.request(Frame::new(op, json!({"id": id})))
+            .ok()
+            .and_then(|reply| expect_ok(reply).ok())
+            .and_then(|h| h.get("present").and_then(Value::as_bool))
+            .unwrap_or(false)
     }
 
-    fn open_socket(&self) -> Result<TcpStream, WireError> {
-        let stream = TcpStream::connect_timeout(&self.addr, self.config.connect_timeout)?;
-        stream.set_read_timeout(self.config.read_timeout)?;
-        stream.set_write_timeout(self.config.write_timeout)?;
-        stream.set_nodelay(true)?;
-        Ok(stream)
-    }
-
-    /// Tears a failed v2 connection down: fail every waiter, free the pool
-    /// slot for a fresh connection.
-    fn teardown_v2(&self, slot: &PoolSlot, conn: &Arc<V2Conn>, reason: &str) {
-        conn.fail_all(reason);
-        let _ = conn.writer.lock().shutdown(Shutdown::Both);
-        self.clear_slot_if(slot, conn);
-    }
-
-    fn clear_slot_if(&self, slot: &PoolSlot, conn: &Arc<V2Conn>) {
-        let mut guard = slot.conn.lock();
-        if let Some(PooledConn::V2(current)) = &*guard {
-            if Arc::ptr_eq(current, conn) {
-                *guard = None;
-            }
-        }
+    /// An id listing (`DocIds` / `FileIds`), each entry wrapped by `wrap`.
+    fn ids<T>(&self, op: Opcode, wrap: fn(String) -> T) -> Result<Vec<T>, StoreError> {
+        let header = expect_ok(self.request(Frame::new(op, json!({})))?)?;
+        let ids = header
+            .get("ids")
+            .and_then(Value::as_array)
+            .ok_or_else(|| StoreError::Remote("ids reply missing list".to_string()))?;
+        ids.iter()
+            .map(|v| {
+                v.as_str()
+                    .map(|s| wrap(s.to_string()))
+                    .ok_or_else(|| StoreError::Remote("non-string id in list".to_string()))
+            })
+            .collect()
     }
 
     fn backoff(&self, attempt: u32) -> Duration {
-        let base = self.config.base_backoff * 2u32.saturating_pow(attempt);
+        /// Backoff before retry `n` is `BASE_BACKOFF * 2^n` plus jitter.
+        const BASE_BACKOFF: Duration = Duration::from_millis(20);
+        let base = BASE_BACKOFF * 2u32.saturating_pow(attempt);
         // Up to +50% jitter so clients retrying together spread out.
         base + base.mul_f64(self.jitter.next_fraction() * 0.5)
     }
@@ -602,7 +487,7 @@ impl RemoteStore {
 impl Drop for RemoteStore {
     fn drop(&mut self) {
         for slot in &self.pool {
-            if let Some(PooledConn::V2(conn)) = &*slot.conn.lock() {
+            if let Some(conn) = &*slot.lock() {
                 conn.fail_all("client shut down");
                 let _ = conn.writer.lock().shutdown(Shutdown::Both);
             }
@@ -610,36 +495,9 @@ impl Drop for RemoteStore {
     }
 }
 
-/// One pool entry; its connection opens on first use.
-struct PoolSlot {
-    conn: Mutex<Option<PooledConn>>,
-}
-
-impl PoolSlot {
-    fn new() -> PoolSlot {
-        PoolSlot { conn: Mutex::new(None) }
-    }
-}
-
-enum PooledConn {
-    V1(V1Conn),
-    V2(Arc<V2Conn>),
-}
-
-struct V1Conn {
-    stream: TcpStream,
-    gauge: Arc<Gauge>,
-}
-
-impl Drop for V1Conn {
-    fn drop(&mut self) {
-        self.gauge.add(-1.0);
-    }
-}
-
-/// A multiplexed v2 connection: writers interleave under the lock, one
+/// A multiplexed connection: writers interleave under the lock, one
 /// reader thread demultiplexes replies by frame id.
-struct V2Conn {
+struct Conn {
     writer: Mutex<TcpStream>,
     pending: Mutex<HashMap<u64, PendingEntry>>,
     alive: AtomicBool,
@@ -647,6 +505,7 @@ struct V2Conn {
 
 struct PendingEntry {
     tx: mpsc::Sender<ConnEvent>,
+    /// The request's `Ok` reply announces a streamed blob (`FileGet`).
     wants_blob: bool,
 }
 
@@ -655,7 +514,7 @@ enum ConnEvent {
     Failed(String),
 }
 
-impl V2Conn {
+impl Conn {
     fn fail_all(&self, reason: &str) {
         self.alive.store(false, Ordering::Release);
         for (_, entry) in self.pending.lock().drain() {
@@ -667,17 +526,15 @@ impl V2Conn {
 /// A reply blob mid-assembly on the reader thread.
 struct Partial {
     frame: Frame,
-    want: u64,
-    data: Vec<u8>,
+    blob: BlobAssembler,
     tx: mpsc::Sender<ConnEvent>,
 }
 
-/// The per-connection reader: accumulate bytes, decode v2 frames, route
-/// each to the caller waiting on its frame id. Replies to ids nobody waits
-/// for (a timed-out attempt's late answer) are discarded.
-fn reader_loop(conn: &V2Conn, mut stream: TcpStream, wire_in: &AtomicU64, gauge: &Gauge) {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut start = 0usize;
+/// The per-connection reader: accumulate bytes, decode frames, route each
+/// to the caller waiting on its frame id. Replies to ids nobody waits for
+/// (a timed-out attempt's late answer) are discarded.
+fn reader_loop(conn: &Conn, mut stream: TcpStream, wire_in: &AtomicU64, gauge: &Gauge) {
+    let mut recv = RecvBuf::new();
     let mut partials: HashMap<u64, Partial> = HashMap::new();
     let mut scratch = vec![0u8; 64 * 1024];
     let reason = 'conn: loop {
@@ -688,20 +545,13 @@ fn reader_loop(conn: &V2Conn, mut stream: TcpStream, wire_in: &AtomicU64, gauge:
             Ok(0) => break "server closed the connection".to_string(),
             Ok(n) => {
                 wire_in.fetch_add(n as u64, Ordering::Relaxed);
-                buf.extend_from_slice(&scratch[..n]);
+                recv.extend(&scratch[..n]);
                 loop {
-                    match try_decode_frame(&buf[start..], WireVersion::V2) {
+                    match recv.next_frame(WireVersion::V2) {
                         Ok(None) => break,
-                        Ok(Some((frame, used))) => {
-                            start += used;
-                            route_reply(conn, frame, &mut partials);
-                        }
+                        Ok(Some(frame)) => route_reply(conn, frame, &mut partials),
                         Err(e) => break 'conn format!("protocol error: {e}"),
                     }
-                }
-                if start > 4096 && start * 2 >= buf.len() {
-                    buf.drain(..start);
-                    start = 0;
                 }
             }
             Err(e)
@@ -719,41 +569,38 @@ fn reader_loop(conn: &V2Conn, mut stream: TcpStream, wire_in: &AtomicU64, gauge:
 }
 
 /// Routes one decoded response frame on the reader thread.
-fn route_reply(conn: &V2Conn, frame: Frame, partials: &mut HashMap<u64, Partial>) {
+fn route_reply(conn: &Conn, frame: Frame, partials: &mut HashMap<u64, Partial>) {
     let id = frame.request_id;
     match frame.opcode {
         Opcode::Chunk => {
             let Some(partial) = partials.get_mut(&id) else { return };
-            if frame.payload.is_empty()
-                || partial.data.len() as u64 + frame.payload.len() as u64 > partial.want
-            {
-                if let Some(partial) = partials.remove(&id) {
-                    let _ = partial
-                        .tx
-                        .send(ConnEvent::Failed("chunk overruns announced length".to_string()));
-                }
+            let pushed = partial.blob.push(&frame.payload);
+            if pushed.is_ok() && !partial.blob.is_complete() {
                 return;
             }
-            partial.data.extend_from_slice(&frame.payload);
-            if partial.data.len() as u64 == partial.want {
-                let Some(done) = partials.remove(&id) else { return };
-                let _ = done.tx.send(ConnEvent::Reply(done.frame, Some(done.data)));
-            }
+            let Some(done) = partials.remove(&id) else { return };
+            let _ = done.tx.send(match pushed {
+                Ok(()) => ConnEvent::Reply(done.frame, Some(done.blob.into_blob())),
+                Err(e) => ConnEvent::Failed(e.to_string()),
+            });
         }
         Opcode::Ok => {
             let Some(entry) = conn.pending.lock().remove(&id) else { return };
             let announced = frame.header.get("len").and_then(Value::as_u64);
-            match announced {
-                Some(len) if entry.wants_blob && len > 0 => {
-                    partials.insert(id, Partial { frame, want: len, data: Vec::new(), tx: entry.tx });
+            let event = match announced.filter(|_| entry.wants_blob).map(BlobAssembler::new) {
+                None => ConnEvent::Reply(frame, None),
+                // The server is trusted no further than any peer: an
+                // over-long announcement fails this request, and only it.
+                Some(Err(e)) => ConnEvent::Failed(e.to_string()),
+                Some(Ok(blob)) if blob.is_complete() => {
+                    ConnEvent::Reply(frame, Some(blob.into_blob()))
                 }
-                Some(_) if entry.wants_blob => {
-                    let _ = entry.tx.send(ConnEvent::Reply(frame, Some(Vec::new())));
+                Some(Ok(blob)) => {
+                    partials.insert(id, Partial { frame, blob, tx: entry.tx });
+                    return;
                 }
-                _ => {
-                    let _ = entry.tx.send(ConnEvent::Reply(frame, None));
-                }
-            }
+            };
+            let _ = entry.tx.send(event);
         }
         Opcode::Err | Opcode::Busy => {
             partials.remove(&id);
@@ -874,11 +721,6 @@ fn expect_ok(reply: Frame) -> Result<Value, StoreError> {
     }
 }
 
-/// Whether a request opcode's `Ok` reply announces a streamed blob.
-fn wants_blob(request: Opcode) -> bool {
-    request == Opcode::FileGet
-}
-
 /// Bytes a document occupies in the registry's store. The server persists
 /// `to_vec_pretty(&doc)`, so serializing the same document client-side gives
 /// the identical size — keeping the paper's storage-consumption metric
@@ -940,11 +782,7 @@ impl StorageBackend for RemoteStore {
     }
 
     fn contains_doc(&self, id: &DocId) -> bool {
-        self.request(Frame::new(Opcode::DocContains, json!({"id": id.as_str()})))
-            .ok()
-            .and_then(|reply| expect_ok(reply).ok())
-            .and_then(|h| h.get("present").and_then(Value::as_bool))
-            .unwrap_or(false)
+        self.contains(Opcode::DocContains, id.as_str())
     }
 
     fn remove_doc(&self, id: &DocId) -> Result<(), StoreError> {
@@ -953,19 +791,7 @@ impl StorageBackend for RemoteStore {
     }
 
     fn doc_ids(&self) -> Result<Vec<DocId>, StoreError> {
-        let reply = self.request(Frame::new(Opcode::DocIds, json!({})))?;
-        let header = expect_ok(reply)?;
-        let ids = header
-            .get("ids")
-            .and_then(Value::as_array)
-            .ok_or_else(|| StoreError::Remote("ids reply missing list".to_string()))?;
-        ids.iter()
-            .map(|v| {
-                v.as_str()
-                    .map(|s| DocId::from_string(s.to_string()))
-                    .ok_or_else(|| StoreError::Remote("non-string id in list".to_string()))
-            })
-            .collect()
+        self.ids(Opcode::DocIds, DocId::from_string)
     }
 
     fn put_file(&self, bytes: &[u8]) -> Result<FileId, StoreError> {
@@ -1001,11 +827,7 @@ impl StorageBackend for RemoteStore {
     }
 
     fn contains_file(&self, id: &FileId) -> bool {
-        self.request(Frame::new(Opcode::FileContains, json!({"id": id.as_str()})))
-            .ok()
-            .and_then(|reply| expect_ok(reply).ok())
-            .and_then(|h| h.get("present").and_then(Value::as_bool))
-            .unwrap_or(false)
+        self.contains(Opcode::FileContains, id.as_str())
     }
 
     fn remove_file(&self, id: &FileId) -> Result<(), StoreError> {
@@ -1014,19 +836,7 @@ impl StorageBackend for RemoteStore {
     }
 
     fn file_ids(&self) -> Result<Vec<FileId>, StoreError> {
-        let reply = self.request(Frame::new(Opcode::FileIds, json!({})))?;
-        let header = expect_ok(reply)?;
-        let ids = header
-            .get("ids")
-            .and_then(Value::as_array)
-            .ok_or_else(|| StoreError::Remote("ids reply missing list".to_string()))?;
-        ids.iter()
-            .map(|v| {
-                v.as_str()
-                    .map(|s| FileId::from_string(s.to_string()))
-                    .ok_or_else(|| StoreError::Remote("non-string id in list".to_string()))
-            })
-            .collect()
+        self.ids(Opcode::FileIds, FileId::from_string)
     }
 
     fn bytes_written(&self) -> u64 {

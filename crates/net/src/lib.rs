@@ -8,9 +8,9 @@
 //! * [`protocol`] — length-prefixed binary frames (u32 length + opcode +
 //!   frame id + JSON header + raw payload) with 64 KiB chunked blob
 //!   streaming, so a 242 MB ResNet-152 snapshot never sits in one
-//!   allocation twice. Protocol **v2** multiplexes many in-flight requests
-//!   per connection, correlated by a `u64` frame id; the `Hello` handshake
-//!   negotiates the version, so v1 peers keep working.
+//!   allocation twice. One connection carries many in-flight requests,
+//!   correlated by the `u64` frame id; a connection opens with the `Hello`
+//!   handshake and there is no other way in.
 //! * [`RegistryServer`] — a TCP server over a [`mmlib_store::ModelStorage`]
 //!   with nonblocking I/O threads, sharded worker pools keyed by model id
 //!   (per-model request ordering), admission control with `Busy` load
@@ -35,8 +35,7 @@ pub mod server;
 pub use client::{LineageNode, RemoteStore, RemoteStoreBuilder, ServerStats};
 pub use fault::NetFaults;
 pub use protocol::{
-    Frame, Opcode, WireError, WireVersion, CHUNK_SIZE, MAX_FRAME_LEN, PROTOCOL_V1, PROTOCOL_V2,
-    PROTOCOL_VERSION,
+    Frame, Opcode, WireError, WireVersion, CHUNK_SIZE, MAX_FRAME_LEN, PROTOCOL_V2,
 };
 pub use server::{
     AdmissionConfig, ConfigError, RegistryServer, ServerConfig, ServerMetrics, ShardConfig,

@@ -1,18 +1,8 @@
-//! The mmlib wire protocol: length-prefixed binary frames, in two
-//! negotiated framings.
+//! The mmlib wire protocol: length-prefixed binary frames.
 //!
-//! **v1** (legacy, still spoken for old clients) is one message per frame:
-//!
-//! ```text
-//! ┌─────────────┬─────────┬───────────────┬──────────────┬─────────────┐
-//! │ u32 LE len  │ u8 op   │ u32 LE hlen   │ hlen bytes   │ rest        │
-//! │ (of body)   │ opcode  │ header length │ JSON header  │ raw payload │
-//! └─────────────┴─────────┴───────────────┴──────────────┴─────────────┘
-//! ```
-//!
-//! **v2** (current) adds a `u64` request id right after the opcode, so one
-//! connection can carry many in-flight requests and every response frame
-//! names the request it answers:
+//! Every frame of a session carries a `u64` request id right after the
+//! opcode, so one connection can hold many in-flight requests and every
+//! response frame names the request it answers ([`WireVersion::V2`]):
 //!
 //! ```text
 //! ┌─────────────┬─────────┬────────────────┬───────────────┬────────┬─────────┐
@@ -25,47 +15,40 @@
 //! the payload carries raw blob bytes. Large blobs never travel in one
 //! frame: a transfer is announced by its request/response frame (header
 //! `{"len": n}`) and the bytes follow in [`CHUNK_SIZE`]-bounded
-//! [`Opcode::Chunk`] frames. Under v2 each chunk carries the request id of
-//! its transfer, so chunks of different transfers may interleave freely on
-//! one multiplexed connection.
+//! [`Opcode::Chunk`] frames. Each chunk carries the request id of its
+//! transfer, so chunks of different transfers may interleave freely on one
+//! connection; `BlobAssembler` is the one place either side checks a
+//! transfer's chunk accounting, and `RecvBuf` the one inbound buffer.
 //!
-//! # Version negotiation
+//! # Handshake
 //!
-//! The first frame on a connection is always **v1-framed**, so both sides
-//! can parse it before any version is agreed:
+//! Only the handshake pair is framed differently ([`WireVersion::V1`]: the
+//! same layout without the request-id word), so that a peer of any version
+//! can parse it:
 //!
-//! * a v1 client opens with [`Opcode::Ping`] `{"version": 1}` and the
-//!   whole connection stays v1 — exactly the historical protocol;
-//! * a v2 client opens with [`Opcode::Hello`] `{"version": 2}`; the server
-//!   answers with a v1-framed `Ok {"version": 2, "max_inflight": n}` and
-//!   *every frame after that handshake pair*, in both directions, is
-//!   v2-framed;
-//! * any other requested version is rejected cleanly with a v1-framed
-//!   `Err {"code": "version_mismatch"}` — the unknown-version handshake
-//!   never desynchronizes the stream.
+//! * a client opens with [`Opcode::Hello`] `{"version": 2}`; the server
+//!   answers `Ok {"version": 2, "max_inflight": n}`, and every later frame,
+//!   in both directions, carries a request id;
+//! * any other first frame — another version, another opcode — is refused
+//!   with an `Err {"code": "version_mismatch"}` in the same id-less framing
+//!   and the connection is closed, before anything reaches admission,
+//!   a worker or the store.
 //!
 //! # Load shedding
 //!
-//! A v2 server enforcing its admission budget answers an over-budget
+//! A server enforcing its admission budget answers an over-budget
 //! request with [`Opcode::Busy`] (`{"code": "busy", "retry_after_ms": n}`)
 //! instead of queueing it. `Busy` is a per-request response: the
 //! connection stays healthy and other in-flight requests are unaffected.
 
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::Read;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde_json::Value;
 
-/// The legacy framing version (no request ids, one request in flight).
-pub const PROTOCOL_V1: u32 = 1;
-
-/// The multiplexed framing version (request ids, pipelining, `Busy`).
+/// The protocol version this build speaks, as exchanged in `Hello`.
 pub const PROTOCOL_V2: u32 = 2;
-
-/// Highest protocol version this build speaks; servers negotiate down to a
-/// client's version when they can.
-pub const PROTOCOL_VERSION: u32 = PROTOCOL_V2;
 
 /// Hard upper bound on one frame's body; oversized length prefixes are
 /// rejected before any allocation happens.
@@ -77,33 +60,17 @@ pub const CHUNK_SIZE: usize = 64 * 1024;
 /// Hard upper bound on one streamed blob (sum of its chunks).
 pub const MAX_BLOB_LEN: u64 = 8 * 1024 * 1024 * 1024;
 
-/// Negotiated framing for one connection.
+/// Which of the two frame layouts the codec reads or writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireVersion {
-    /// Legacy framing: no request id on the wire (decoded as id 0).
+    /// No request id on the wire (decoded as id 0): the `Hello` pair and
+    /// refusals sent before a handshake, nothing else.
     V1,
-    /// Multiplexed framing: a u64 request id after the opcode byte.
+    /// A u64 request id after the opcode byte: every other frame.
     V2,
 }
 
 impl WireVersion {
-    /// The version number exchanged in handshakes.
-    pub fn number(self) -> u32 {
-        match self {
-            WireVersion::V1 => PROTOCOL_V1,
-            WireVersion::V2 => PROTOCOL_V2,
-        }
-    }
-
-    /// Maps a handshake version number to a framing, if supported.
-    pub fn from_number(n: u64) -> Option<WireVersion> {
-        match n {
-            n if n == u64::from(PROTOCOL_V1) => Some(WireVersion::V1),
-            n if n == u64::from(PROTOCOL_V2) => Some(WireVersion::V2),
-            _ => None,
-        }
-    }
-
     /// Bytes between the opcode byte and the header-length field: the
     /// request id under v2, nothing under v1.
     fn id_bytes(self) -> usize {
@@ -123,12 +90,11 @@ impl WireVersion {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Opcode {
-    /// Liveness + legacy (v1) version handshake. Header: `{"version": n}`.
+    /// Liveness and version check. Header: `{"version": n}`.
     Ping = 0x01,
-    /// v2 version-negotiation handshake, sent v1-framed as a connection's
-    /// first frame. Header: `{"version": n}`; the `Ok` reply carries
-    /// `{"version": n, "max_inflight": n}` and flips the connection to the
-    /// agreed framing.
+    /// The handshake, sent id-less as a connection's first frame. Header:
+    /// `{"version": 2}`; the `Ok` reply carries `{"version": 2,
+    /// "max_inflight": n}` and every frame after it carries a request id.
     Hello = 0x02,
     /// Insert a document. Header: `{"kind": s, "body": v}`.
     DocInsert = 0x10,
@@ -174,8 +140,8 @@ pub enum Opcode {
     /// Header: `{"code": "busy", "retry_after_ms": n}`. Retryable; the
     /// connection stays healthy.
     Busy = 0x42,
-    /// Blob payload continuation for an announced transfer. Under v2 the
-    /// frame's request id names the transfer it belongs to.
+    /// Blob payload continuation for an announced transfer, named by the
+    /// frame's request id.
     Chunk = 0x50,
 }
 
@@ -281,8 +247,8 @@ impl TryFrom<u8> for Opcode {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     pub opcode: Opcode,
-    /// Correlates a response (or chunk) with its request on a multiplexed
-    /// connection. Not on the wire under v1 framing (always decodes as 0).
+    /// Correlates a response (or chunk) with its request. Not on the wire
+    /// in the handshake pair (decodes as 0).
     pub request_id: u64,
     pub header: Value,
     pub payload: Bytes,
@@ -297,7 +263,7 @@ impl Frame {
         Frame { opcode, request_id: 0, header, payload }
     }
 
-    /// Tags the frame with a request id (v2 correlation).
+    /// Tags the frame with a request id.
     pub fn with_request_id(mut self, id: u64) -> Frame {
         self.request_id = id;
         self
@@ -393,12 +359,6 @@ pub fn encode_frame_v(frame: &Frame, version: WireVersion) -> Result<Bytes, Wire
     Ok(out.freeze())
 }
 
-/// Encodes a frame under the legacy v1 framing (the request id is not
-/// written). Kept as the stable name the original protocol exposed.
-pub fn encode_frame(frame: &Frame) -> Result<Bytes, WireError> {
-    encode_frame_v(frame, WireVersion::V1)
-}
-
 /// Decodes one frame's *body* (everything after the u32 length prefix).
 /// `body` must hold exactly the declared body bytes.
 fn decode_body(mut body: Bytes, version: WireVersion) -> Result<Frame, WireError> {
@@ -420,32 +380,6 @@ fn decode_body(mut body: Bytes, version: WireVersion) -> Result<Frame, WireError
     let header =
         Value::parse(header_text).map_err(|e| WireError::BadHeader(e.to_string()))?;
     Ok(Frame { opcode, request_id, header, payload: body })
-}
-
-/// Decodes one frame from a buffer under the given framing, consuming
-/// exactly its bytes. The payload is a zero-copy slice of the input.
-///
-/// Fails with [`WireError::Truncated`] when the buffer holds less than the
-/// declared length and [`WireError::Oversized`] when the declared length
-/// exceeds [`MAX_FRAME_LEN`] (without consuming past the prefix).
-pub fn decode_frame_v(buf: &mut Bytes, version: WireVersion) -> Result<Frame, WireError> {
-    if buf.remaining() < 4 {
-        return Err(WireError::Truncated);
-    }
-    let body_len = usize::try_from(buf.get_u32_le()).unwrap_or(usize::MAX);
-    if body_len > MAX_FRAME_LEN {
-        return Err(WireError::Oversized(body_len));
-    }
-    if body_len < version.min_body() || buf.remaining() < body_len {
-        return Err(WireError::Truncated);
-    }
-    let body = buf.split_to(body_len);
-    decode_body(body, version)
-}
-
-/// Decodes one v1 frame (the stable legacy entry point).
-pub fn decode_frame(buf: &mut Bytes) -> Result<Frame, WireError> {
-    decode_frame_v(buf, WireVersion::V1)
 }
 
 /// Incremental decode for event-loop readers: examines `buf` (the start of
@@ -473,26 +407,6 @@ pub fn try_decode_frame(
     }
     let body = Bytes::copy_from_slice(&buf[4..total]);
     Ok(Some((decode_body(body, version)?, total)))
-}
-
-/// Writes one frame to a stream under the given framing. The payload is
-/// written straight from the frame's shared buffer — no copy.
-pub fn write_frame_v(
-    w: &mut impl Write,
-    frame: &Frame,
-    version: WireVersion,
-) -> Result<(), WireError> {
-    let prefix = encode_frame_prefix(frame, version)?;
-    w.write_all(&prefix)?;
-    if !frame.payload.is_empty() {
-        w.write_all(&frame.payload)?;
-    }
-    Ok(())
-}
-
-/// Writes one v1 frame (the stable legacy entry point).
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), WireError> {
-    write_frame_v(w, frame, WireVersion::V1)
 }
 
 /// Reads one frame from a stream under the given framing, also returning
@@ -531,16 +445,6 @@ pub fn read_frame_counted(
     Ok((decode_body(Bytes::from(body), version)?, wire_len))
 }
 
-/// Reads one frame from a stream under the given framing.
-pub fn read_frame_v(r: &mut impl Read, version: WireVersion) -> Result<Frame, WireError> {
-    read_frame_counted(r, version).map(|(frame, _)| frame)
-}
-
-/// Reads one v1 frame (the stable legacy entry point).
-pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
-    read_frame_v(r, WireVersion::V1)
-}
-
 /// Splits `blob` into the `Chunk` frames of its transfer, each at most
 /// [`CHUNK_SIZE`] bytes, tagged with `request_id`. Every chunk's payload is
 /// a zero-copy slice of `blob` — the bytes are shared, never duplicated.
@@ -559,57 +463,97 @@ pub fn chunk_frames(request_id: u64, blob: &Bytes) -> Vec<Frame> {
     out
 }
 
-/// Streams `blob` to `w` as `Chunk` frames of at most [`CHUNK_SIZE`] bytes
-/// under the given framing, tagging each with `request_id` (ignored by v1
-/// framing). Payload bytes are written straight from `blob` — no copy.
-pub fn write_chunks_v(
-    w: &mut impl Write,
-    request_id: u64,
-    blob: &Bytes,
-    version: WireVersion,
-) -> Result<(), WireError> {
-    for frame in chunk_frames(request_id, blob) {
-        write_frame_v(w, &frame, version)?;
-    }
-    Ok(())
+/// Reassembles one announced blob from its `Chunk` frames. Both directions
+/// account their transfers here and nowhere else: the server's inbound
+/// `FilePut` uploads, the client's `FileGet` replies.
+pub(crate) struct BlobAssembler {
+    /// Announced bytes not yet received.
+    remaining: u64,
+    /// `None` counts without buffering: a shed upload's chunks are already
+    /// on the wire and must be consumed, but nothing will read the bytes.
+    data: Option<Vec<u8>>,
 }
 
-/// Streams `blob` to `w` as v1 `Chunk` frames (the stable legacy entry
-/// point; copies each chunk into its frame).
-pub fn write_chunks(w: &mut impl Write, blob: &[u8]) -> Result<(), WireError> {
-    write_chunks_v(w, 0, &Bytes::copy_from_slice(blob), WireVersion::V1)
-}
-
-/// Reads an announced `len`-byte blob as consecutive `Chunk` frames into
-/// one allocation (v1 streams only — under v2, chunks may interleave with
-/// other responses and are assembled per request id by the demultiplexer).
-pub fn read_chunks(r: &mut impl Read, len: u64) -> Result<Vec<u8>, WireError> {
-    if len > MAX_BLOB_LEN {
-        return Err(WireError::Protocol(format!(
-            "announced blob of {len} bytes exceeds maximum {MAX_BLOB_LEN}"
-        )));
-    }
-    let cap = usize::try_from(len).map_err(|_| {
-        WireError::Protocol(format!("blob of {len} bytes exceeds addressable memory"))
-    })?;
-    let mut blob = Vec::with_capacity(cap);
-    while (blob.len() as u64) < len {
-        let frame = read_frame(r)?;
-        if frame.opcode != Opcode::Chunk {
+impl BlobAssembler {
+    /// Starts a transfer of `len` announced bytes. The announcement comes
+    /// from the peer, so it is bounded here and never sizes an allocation.
+    pub(crate) fn new(len: u64) -> Result<BlobAssembler, WireError> {
+        if len > MAX_BLOB_LEN {
             return Err(WireError::Protocol(format!(
-                "expected chunk frame, got {}",
-                frame.opcode.name()
+                "announced blob of {len} bytes exceeds maximum {MAX_BLOB_LEN}"
             )));
         }
-        if frame.payload.is_empty() {
+        Ok(BlobAssembler { remaining: len, data: Some(Vec::new()) })
+    }
+
+    /// Switches to counting without buffering (the upload was shed).
+    pub(crate) fn count_only(&mut self) {
+        self.data = None;
+    }
+
+    /// Accounts one chunk payload. After an error the transfer is dead.
+    pub(crate) fn push(&mut self, chunk: &[u8]) -> Result<(), WireError> {
+        if chunk.is_empty() {
             return Err(WireError::Protocol("empty chunk frame".to_string()));
         }
-        if blob.len() as u64 + frame.payload.len() as u64 > len {
+        if chunk.len() as u64 > self.remaining {
             return Err(WireError::Protocol("chunk overruns announced length".to_string()));
         }
-        blob.extend_from_slice(&frame.payload);
+        self.remaining -= chunk.len() as u64;
+        if let Some(data) = &mut self.data {
+            data.extend_from_slice(chunk);
+        }
+        Ok(())
     }
-    Ok(blob)
+
+    /// Whether every announced byte has arrived (at once for `len == 0`).
+    pub(crate) fn is_complete(&self) -> bool {
+        self.remaining == 0
+    }
+
+    /// The assembled bytes (empty in count-only mode).
+    pub(crate) fn into_blob(self) -> Vec<u8> {
+        self.data.unwrap_or_default()
+    }
+}
+
+/// Inbound byte accumulator with a consumed-prefix cursor: socket reads go
+/// in at the back, whole frames come out at the front.
+pub(crate) struct RecvBuf {
+    buf: Vec<u8>,
+    start: usize,
+}
+
+impl RecvBuf {
+    pub(crate) fn new() -> RecvBuf {
+        RecvBuf { buf: Vec::new(), start: 0 }
+    }
+
+    pub(crate) fn extend(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Decodes and consumes the next frame, or `Ok(None)` until one is
+    /// complete. An error means framing is lost for good.
+    pub(crate) fn next_frame(&mut self, version: WireVersion) -> Result<Option<Frame>, WireError> {
+        let Some((frame, used)) = try_decode_frame(&self.buf[self.start..], version)? else {
+            return Ok(None);
+        };
+        self.start += used;
+        // Reclaim the consumed prefix once it dominates the buffer,
+        // keeping amortized cost linear.
+        if self.start > 4096 && self.start * 2 >= self.buf.len() {
+            self.buf.drain(..self.start);
+            self.start = 0;
+        }
+        Ok(Some(frame))
+    }
+
+    /// Forgets everything buffered (the bytes after a framing error).
+    pub(crate) fn clear(&mut self) {
+        self.buf.clear();
+        self.start = 0;
+    }
 }
 
 /// Reads the string field `key` from a frame header.
@@ -631,7 +575,15 @@ pub fn header_u64(header: &Value, key: &str) -> Result<u64, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use serde_json::json;
+
+    /// Decodes a buffer that must hold exactly one whole frame.
+    fn decode_whole(wire: &[u8], version: WireVersion) -> Frame {
+        let (frame, used) = try_decode_frame(wire, version).unwrap().unwrap();
+        assert_eq!(used, wire.len());
+        frame
+    }
 
     #[test]
     fn frame_round_trips() {
@@ -640,10 +592,8 @@ mod tests {
             json!({"len": 3, "meta": {"k": [1, 2]}}),
             Bytes::copy_from_slice(b"abc"),
         );
-        let mut encoded = encode_frame(&frame).unwrap();
-        let decoded = decode_frame(&mut encoded).unwrap();
-        assert_eq!(decoded, frame);
-        assert!(!encoded.has_remaining());
+        let encoded = encode_frame_v(&frame, WireVersion::V1).unwrap();
+        assert_eq!(decode_whole(&encoded, WireVersion::V1), frame);
     }
 
     #[test]
@@ -654,33 +604,35 @@ mod tests {
             Bytes::copy_from_slice(b"xyz"),
         )
         .with_request_id(0xDEAD_BEEF_F00D_u64);
-        let mut encoded = encode_frame_v(&frame, WireVersion::V2).unwrap();
-        let decoded = decode_frame_v(&mut encoded, WireVersion::V2).unwrap();
+        let encoded = encode_frame_v(&frame, WireVersion::V2).unwrap();
+        let decoded = decode_whole(&encoded, WireVersion::V2);
         assert_eq!(decoded, frame);
         assert_eq!(decoded.request_id, 0xDEAD_BEEF_F00D_u64);
-        assert!(!encoded.has_remaining());
     }
 
     #[test]
     fn v1_encoding_does_not_carry_the_request_id() {
-        let frame = Frame::new(Opcode::Ping, json!({"version": 1})).with_request_id(42);
-        let mut encoded = encode_frame_v(&frame, WireVersion::V1).unwrap();
-        let decoded = decode_frame_v(&mut encoded, WireVersion::V1).unwrap();
+        let frame = Frame::new(Opcode::Hello, json!({"version": 2})).with_request_id(42);
+        let encoded = encode_frame_v(&frame, WireVersion::V1).unwrap();
+        assert_eq!(encoded.len() + 8, encode_frame_v(&frame, WireVersion::V2).unwrap().len());
+        let decoded = decode_whole(&encoded, WireVersion::V1);
         assert_eq!(decoded.request_id, 0, "v1 framing has no id field");
     }
 
     #[test]
     fn truncated_frames_are_rejected() {
-        let frame = Frame::new(Opcode::Ping, json!({"version": 1}));
+        let frame = Frame::new(Opcode::Ping, json!({"version": 2}));
         for version in [WireVersion::V1, WireVersion::V2] {
             let encoded = encode_frame_v(&frame, version).unwrap();
             for cut in 0..encoded.len() {
-                let mut partial = encoded.slice(0..cut);
+                // Buffered: not yet a frame. From a stream that ends
+                // there: an error, never a frame.
                 assert!(
-                    decode_frame_v(&mut partial, version).is_err(),
+                    matches!(try_decode_frame(&encoded[..cut], version), Ok(None)),
                     "{version:?} cut at {cut} of {} decoded anyway",
                     encoded.len()
                 );
+                assert!(read_frame_counted(&mut &encoded[..cut], version).is_err());
             }
         }
     }
@@ -690,19 +642,22 @@ mod tests {
         let mut buf = BytesMut::new();
         buf.put_u32_le(u32::MAX);
         buf.put_slice(&[0u8; 16]);
-        match decode_frame(&mut buf.freeze()) {
+        match try_decode_frame(&buf, WireVersion::V2) {
             Err(WireError::Oversized(n)) => assert_eq!(n, u32::MAX as usize),
             other => panic!("expected Oversized, got {other:?}"),
         }
+        assert!(matches!(
+            read_frame_counted(&mut &buf[..], WireVersion::V2),
+            Err(WireError::Oversized(_))
+        ));
     }
 
     #[test]
     fn unknown_opcode_is_rejected() {
         let frame = Frame::new(Opcode::Ping, json!({}));
-        let encoded = encode_frame(&frame).unwrap();
-        let mut bytes = encoded.to_vec();
+        let mut bytes = encode_frame_v(&frame, WireVersion::V2).unwrap().to_vec();
         bytes[4] = 0xEE; // the opcode byte, after the u32 length prefix
-        match decode_frame(&mut Bytes::from(bytes)) {
+        match try_decode_frame(&bytes, WireVersion::V2) {
             Err(WireError::BadOpcode(0xEE)) => {}
             other => panic!("expected BadOpcode, got {other:?}"),
         }
@@ -731,7 +686,7 @@ mod tests {
             json!({}),
             Bytes::from(vec![0u8; MAX_FRAME_LEN + 1]),
         );
-        match encode_frame(&frame) {
+        match encode_frame_v(&frame, WireVersion::V2) {
             Err(WireError::Oversized(_)) => {}
             other => panic!("expected Oversized, got {:?}", other.map(|b| b.len())),
         }
@@ -739,22 +694,84 @@ mod tests {
 
     #[test]
     fn chunked_blob_round_trips_over_a_stream() {
-        let blob: Vec<u8> = (0..200_000u32).map(|i| (i * 31 % 251) as u8).collect();
+        let blob = Bytes::from((0..200_000u32).map(|i| (i * 31 % 251) as u8).collect::<Vec<u8>>());
         let mut wire = Vec::new();
-        write_chunks(&mut wire, &blob).unwrap();
-        // 200_000 bytes = 3 chunks of ≤ 64 KiB.
-        let mut reader = wire.as_slice();
-        let back = read_chunks(&mut reader, blob.len() as u64).unwrap();
-        assert_eq!(back, blob);
-        assert!(reader.is_empty());
+        for frame in chunk_frames(9, &blob) {
+            wire.extend_from_slice(&encode_frame_v(&frame, WireVersion::V2).unwrap());
+        }
+        // 200_000 bytes = 4 chunks of ≤ 64 KiB, fed to the receive buffer
+        // in socket-sized reads that ignore frame boundaries.
+        let mut recv = RecvBuf::new();
+        let mut blob_in = BlobAssembler::new(blob.len() as u64).unwrap();
+        let mut chunks = 0;
+        for read in wire.chunks(50_000) {
+            recv.extend(read);
+            while let Some(frame) = recv.next_frame(WireVersion::V2).unwrap() {
+                assert_eq!((frame.opcode, frame.request_id), (Opcode::Chunk, 9));
+                assert!(frame.payload.len() <= CHUNK_SIZE);
+                blob_in.push(&frame.payload).unwrap();
+                chunks += 1;
+            }
+        }
+        assert_eq!(chunks, 4);
+        assert!(blob_in.is_complete());
+        assert_eq!(blob_in.into_blob(), blob.to_vec());
+        assert!(recv.buf.len() - recv.start == 0, "every wire byte was consumed");
     }
 
     #[test]
-    fn chunk_overrun_is_rejected() {
-        let mut wire = Vec::new();
-        write_chunks(&mut wire, &[7u8; 100]).unwrap();
-        let mut reader = wire.as_slice();
-        assert!(matches!(read_chunks(&mut reader, 50), Err(WireError::Protocol(_))));
+    fn assembler_rejects_bad_chunk_accounting() {
+        let protocol = |r: Result<(), WireError>| matches!(r, Err(WireError::Protocol(_)));
+        // A chunk one byte past the announcement, alone or after others.
+        assert!(protocol(BlobAssembler::new(50).unwrap().push(&[7u8; 51])));
+        let mut blob = BlobAssembler::new(50).unwrap();
+        blob.push(&[7u8; 30]).unwrap();
+        assert!(protocol(blob.push(&[7u8; 21])));
+        // An empty chunk makes no progress and would never terminate.
+        assert!(protocol(BlobAssembler::new(50).unwrap().push(&[])));
+        // Nothing may follow a completed (or empty) transfer.
+        let mut empty = BlobAssembler::new(0).unwrap();
+        assert!(empty.is_complete());
+        assert!(protocol(empty.push(&[1])));
+        // The announcement itself is bounded.
+        assert!(BlobAssembler::new(MAX_BLOB_LEN).is_ok());
+        assert!(matches!(BlobAssembler::new(MAX_BLOB_LEN + 1), Err(WireError::Protocol(_))));
+    }
+
+    #[test]
+    fn count_only_assembly_never_allocates() {
+        let mut shed = BlobAssembler::new(3 * CHUNK_SIZE as u64).unwrap();
+        shed.count_only();
+        for _ in 0..3 {
+            assert!(!shed.is_complete());
+            shed.push(&[0xAB; CHUNK_SIZE]).unwrap();
+            assert!(shed.data.is_none());
+        }
+        assert!(shed.is_complete());
+        assert!(matches!(shed.push(&[1]), Err(WireError::Protocol(_))));
+        assert_eq!(shed.into_blob().capacity(), 0);
+    }
+
+    proptest! {
+        #[test]
+        fn any_split_into_chunks_reassembles_byte_identical(
+            blob in prop::collection::vec(0u8..=255, 0..200_000),
+            cuts in prop::collection::vec(1usize..=CHUNK_SIZE, 1..16),
+        ) {
+            let mut assembler = BlobAssembler::new(blob.len() as u64).unwrap();
+            let mut rest = blob.as_slice();
+            for len in cuts.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                prop_assert!(!assembler.is_complete());
+                let (chunk, tail) = rest.split_at((*len).min(rest.len()));
+                assembler.push(chunk).unwrap();
+                rest = tail;
+            }
+            prop_assert!(assembler.is_complete());
+            prop_assert_eq!(assembler.into_blob(), blob);
+        }
     }
 
     #[test]
@@ -797,13 +814,5 @@ mod tests {
         let (frame2, used2) = try_decode_frame(&wire[used..], WireVersion::V2).unwrap().unwrap();
         assert_eq!(frame2, b);
         assert_eq!(used + used2, wire.len());
-    }
-
-    #[test]
-    fn wire_version_maps_handshake_numbers() {
-        assert_eq!(WireVersion::from_number(1), Some(WireVersion::V1));
-        assert_eq!(WireVersion::from_number(2), Some(WireVersion::V2));
-        assert_eq!(WireVersion::from_number(3), None);
-        assert_eq!(WireVersion::V2.number(), PROTOCOL_V2);
     }
 }

@@ -1,0 +1,244 @@
+//! The shard workers' side: execute one admitted request against storage
+//! and build its response. Every request opcode has its arm in [`respond`].
+
+use bytes::Bytes;
+use mmlib_store::{DocId, FileId, ModelStorage, StoreError};
+use serde_json::{json, Value};
+
+use super::admission::{finish_inflight, Job};
+use super::metrics::ServerMetrics;
+use super::ServerState;
+use crate::protocol::{
+    chunk_frames, header_str, header_u64, Frame, Opcode, WireError, PROTOCOL_V2,
+};
+
+/// Executes one admitted request on its shard worker and enqueues the
+/// response frames.
+pub(super) fn run_job(state: &ServerState, job: Job) {
+    let reply = respond(&job.frame, job.blob.as_deref(), &state.storage, &state.metrics)
+        .unwrap_or_else(Reply::frame);
+    let mut frames = vec![reply.frame.with_request_id(job.frame.request_id)];
+    if let Some(blob) = reply.blob {
+        frames.extend(chunk_frames(job.frame.request_id, &blob));
+    }
+    let _ = job.conn.send_frames(&frames, state.faults.as_deref());
+    state.metrics.observe_latency(job.frame.opcode, job.started.elapsed());
+    finish_inflight(state, &job.conn);
+}
+
+/// A request's response: one reply frame, plus an outbound blob to stream
+/// as chunks after it.
+struct Reply {
+    frame: Frame,
+    blob: Option<Bytes>,
+}
+
+impl Reply {
+    fn frame(frame: Frame) -> Reply {
+        Reply { frame, blob: None }
+    }
+}
+
+/// The reply that refuses a request whose header lacks a field.
+fn bad_header(e: WireError) -> Frame {
+    err_frame("bad_header", &e.to_string())
+}
+
+/// The id a request names in its header, or its `bad_header` refusal.
+fn header_id(frame: &Frame) -> Result<&str, Frame> {
+    header_str(&frame.header, "id").map_err(bad_header)
+}
+
+/// The document body a request carries, or its `bad_header` refusal.
+fn header_body(frame: &Frame) -> Result<Value, Frame> {
+    frame.header.get("body").cloned().ok_or_else(|| err_frame("bad_header", "missing `body`"))
+}
+
+/// Maps a storage result onto the wire: `Ok` header or store `Err` frame.
+fn store_reply<T>(result: Result<T, StoreError>, ok: impl FnOnce(T) -> Value) -> Frame {
+    match result {
+        Ok(value) => ok_frame(ok(value)),
+        Err(e) => store_err_frame(&e),
+    }
+}
+
+/// The `{"ids": [...]}` header of a listing reply.
+fn id_list<T>(ids: Vec<T>, as_str: impl Fn(&T) -> &str) -> Value {
+    json!({"ids": ids.iter().map(|id| Value::String(as_str(id).to_string())).collect::<Vec<_>>()})
+}
+
+/// Handles one request frame against storage, building (not sending) the
+/// response. `Err` is a malformed request's refusal; it and every storage
+/// error come back as `Err` frames that poison only their own request id,
+/// never the connection.
+fn respond(
+    frame: &Frame,
+    blob: Option<&[u8]>,
+    storage: &ModelStorage,
+    metrics: &ServerMetrics,
+) -> Result<Reply, Frame> {
+    let doc_id = || header_id(frame).map(|id| DocId::from_string(id.to_string()));
+    let file_id = || header_id(frame).map(|id| FileId::from_string(id.to_string()));
+    let reply = match frame.opcode {
+        Opcode::Ping => match header_u64(&frame.header, "version").map_err(bad_header)? {
+            v if v == u64::from(PROTOCOL_V2) => ok_frame(json!({"version": PROTOCOL_V2})),
+            v => err_frame(
+                "version_mismatch",
+                &format!("connection speaks version {PROTOCOL_V2}, ping sent {v}"),
+            ),
+        },
+        Opcode::DocInsert => {
+            let kind = header_str(&frame.header, "kind").map_err(bad_header)?;
+            store_reply(storage.insert_doc(kind, header_body(frame)?), |id| {
+                json!({"id": id.as_str()})
+            })
+        }
+        Opcode::DocGet => store_reply(storage.get_doc(&doc_id()?), |doc| {
+            json!({"id": doc.id.as_str(), "kind": doc.kind, "body": doc.body})
+        }),
+        Opcode::DocUpdate => {
+            let (id, body) = (doc_id()?, header_body(frame)?);
+            // Reply with the document's kind so clients can account the new
+            // stored size without an extra round trip.
+            let updated = storage
+                .get_doc(&id)
+                .and_then(|doc| storage.docs().update(&id, body).map(|()| doc.kind));
+            store_reply(updated, |kind| json!({"kind": kind}))
+        }
+        Opcode::DocContains => ok_frame(json!({"present": storage.docs().contains(&doc_id()?)})),
+        Opcode::DocRemove => store_reply(storage.docs().remove(&doc_id()?), |()| json!({})),
+        Opcode::DocIds => store_reply(storage.docs().ids(), |ids| id_list(ids, DocId::as_str)),
+        Opcode::FilePut => {
+            store_reply(storage.put_file(blob.unwrap_or(&[])), |id| json!({"id": id.as_str()}))
+        }
+        Opcode::FileGet => match storage.get_file(&file_id()?) {
+            Ok(blob) => {
+                let blob = Bytes::from(blob);
+                let frame = ok_frame(json!({"len": blob.len() as u64}));
+                return Ok(Reply { frame, blob: Some(blob) });
+            }
+            Err(e) => store_err_frame(&e),
+        },
+        Opcode::FileSize => {
+            store_reply(storage.files().size(&file_id()?), |size| json!({"len": size}))
+        }
+        Opcode::FileContains => {
+            ok_frame(json!({"present": storage.files().contains(&file_id()?)}))
+        }
+        Opcode::FileRemove => store_reply(storage.files().remove(&file_id()?), |()| json!({})),
+        Opcode::FileIds => store_reply(storage.files().ids(), |ids| id_list(ids, FileId::as_str)),
+        Opcode::Stats => ok_frame(metrics.snapshot()),
+        Opcode::StatsText => ok_frame(json!({"text": metrics.render_text()})),
+        Opcode::LineageGet => {
+            let id = header_id(frame)?;
+            let found = lineage_record(storage, id).and_then(|record| known(record, id));
+            store_reply(found, |record| json!({"id": id, "record": record}))
+        }
+        Opcode::LineageAncestry => {
+            let id = header_id(frame)?;
+            let found = lineage_ancestry(storage, id).and_then(|chain| known(chain, id));
+            store_reply(found, |ancestry| json!({"id": id, "ancestry": ancestry}))
+        }
+        Opcode::Hello | Opcode::Ok | Opcode::Err | Opcode::Busy | Opcode::Chunk => {
+            // Handled (or rejected) on the I/O thread before dispatch;
+            // reaching a worker would be a routing bug.
+            err_frame(
+                "protocol",
+                &format!("{} is not a dispatchable request", frame.opcode.name()),
+            )
+        }
+    };
+    Ok(Reply::frame(reply))
+}
+
+/// A lineage answer, or `MissingDocument` when the model is unknown.
+fn known<T>(found: Option<T>, model: &str) -> Result<T, StoreError> {
+    found.ok_or_else(|| StoreError::MissingDocument(DocId::from_string(model.to_string())))
+}
+
+/// One model's lineage record, as stored by `mmlib-core` saves (doc kind
+/// `lineage`), or synthesized from its `model_info` base reference for
+/// models saved before lineage records existed. `Ok(None)` when the model
+/// is unknown.
+///
+/// The server reads the documents structurally (`mmlib-net` does not link
+/// the model library), so the registry can answer lineage queries for any
+/// store it fronts.
+fn lineage_record(storage: &ModelStorage, model: &str) -> Result<Option<Value>, StoreError> {
+    let mut info: Option<Value> = None;
+    for doc_id in storage.docs().ids()? {
+        let doc = storage.get_doc(&doc_id)?;
+        match doc.kind.as_str() {
+            "lineage" if doc.body.get("model").and_then(Value::as_str) == Some(model) => {
+                return Ok(Some(doc.body));
+            }
+            "model_info" if doc_id.as_str() == model => info = Some(doc.body),
+            _ => {}
+        }
+    }
+    Ok(info.map(|body| {
+        json!({
+            "model": model,
+            "parent": body.get("base_model").cloned().unwrap_or(Value::Null),
+            "approach": body.get("approach").cloned().unwrap_or(Value::Null),
+            "relation": body.get("relation").cloned().unwrap_or(Value::Null),
+            "root_hash": body.get("root_hash").cloned().unwrap_or(Value::Null),
+        })
+    }))
+}
+
+/// A model's ancestry over live lineage `parent` edges, tip first. The
+/// walk is cycle-guarded and stops at a missing parent (fsck territory)
+/// instead of failing the whole query.
+fn lineage_ancestry(storage: &ModelStorage, model: &str) -> Result<Option<Vec<Value>>, StoreError> {
+    let mut out = Vec::new();
+    let mut seen = std::collections::BTreeSet::new();
+    let mut cur = model.to_string();
+    loop {
+        if !seen.insert(cur.clone()) {
+            break; // cyclic parent chain: return what we have
+        }
+        let record = match lineage_record(storage, &cur)? {
+            Some(record) => record,
+            None if out.is_empty() => return Ok(None), // unknown root query
+            None => break,                             // dangling parent edge
+        };
+        let parent = record.get("parent").and_then(Value::as_str).map(str::to_string);
+        out.push(record);
+        match parent {
+            Some(p) => cur = p,
+            None => break,
+        }
+    }
+    Ok(Some(out))
+}
+
+pub(super) fn ok_frame(result: Value) -> Frame {
+    Frame::new(Opcode::Ok, result)
+}
+
+pub(super) fn err_frame(code: &str, message: &str) -> Frame {
+    Frame::new(Opcode::Err, json!({"code": code, "message": message}))
+}
+
+pub(super) fn busy_frame(retry_after_ms: u64) -> Frame {
+    Frame::new(Opcode::Busy, json!({"code": "busy", "retry_after_ms": retry_after_ms}))
+}
+
+/// Maps a [`StoreError`] onto the wire so clients can reconstruct it.
+fn store_err_frame(e: &StoreError) -> Frame {
+    match e {
+        StoreError::MissingDocument(id) => Frame::new(
+            Opcode::Err,
+            json!({"code": "missing_document", "message": e.to_string(), "id": id.as_str()}),
+        ),
+        StoreError::MissingFile(id) => Frame::new(
+            Opcode::Err,
+            json!({"code": "missing_file", "message": e.to_string(), "id": id.as_str()}),
+        ),
+        StoreError::Io(_) => err_frame("io", &e.to_string()),
+        StoreError::Json(_) => err_frame("json", &e.to_string()),
+        StoreError::Malformed(_) => err_frame("malformed", &e.to_string()),
+        StoreError::Remote(_) => err_frame("remote", &e.to_string()),
+    }
+}

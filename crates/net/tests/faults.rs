@@ -13,10 +13,10 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use mmlib_net::protocol::{encode_frame_v, WireVersion};
+use mmlib_net::protocol::{encode_frame_v, read_frame_counted, WireVersion, MAX_BLOB_LEN};
 use mmlib_net::{Frame, NetFaults, Opcode, RegistryServer, RemoteStore, ServerConfig};
 use mmlib_store::fault::{Fault, FaultPlan};
-use mmlib_store::{ModelStorage, StorageBackend};
+use mmlib_store::{DocId, FileId, ModelStorage, StorageBackend};
 use serde_json::json;
 
 fn faulty_server(dir: &std::path::Path, faults: NetFaults) -> RegistryServer {
@@ -190,4 +190,46 @@ fn remote_file_ids_lists_stored_blobs() {
     let mut expect = vec![a, b];
     expect.sort();
     assert_eq!(client.file_ids().unwrap(), expect);
+}
+
+#[test]
+fn oversized_blob_announcement_fails_only_its_own_request() {
+    use std::io::Write;
+
+    // A scripted peer in place of a registry: it completes the handshake,
+    // answers pings and existence checks honestly, and answers every
+    // `FileGet` by announcing one byte more than a blob may ever hold. It
+    // serves exactly one connection.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut version = WireVersion::V1;
+        while let Ok((frame, _)) = read_frame_counted(&mut stream, version) {
+            let header = match frame.opcode {
+                Opcode::Hello => json!({"version": mmlib_net::PROTOCOL_V2, "max_inflight": 64}),
+                Opcode::Ping => json!({"version": mmlib_net::PROTOCOL_V2}),
+                Opcode::FileGet => json!({"len": MAX_BLOB_LEN + 1}),
+                Opcode::DocContains => json!({"present": true}),
+                other => panic!("unscripted request {}", other.name()),
+            };
+            let reply = Frame::new(Opcode::Ok, header).with_request_id(frame.request_id);
+            stream.write_all(&encode_frame_v(&reply, version).unwrap()).unwrap();
+            version = WireVersion::V2;
+        }
+    });
+
+    let client = RemoteStore::builder(addr).pool_size(1).max_retries(0).build().unwrap();
+    let asked = std::time::Instant::now();
+    let err = client.get_file(&FileId::from_string("f-1".into())).unwrap_err();
+    // Refused when the announcement arrives — not by waiting out the 30 s
+    // read timeout for chunks that cannot all come.
+    assert!(asked.elapsed() < std::time::Duration::from_secs(5), "{err}");
+    assert!(err.to_string().contains("exceeds maximum"), "{err}");
+
+    // Only that request failed: the same connection keeps serving (the
+    // peer would never answer a second one's handshake).
+    assert!(client.contains_doc(&DocId::from_string("d-1".into())));
+    drop(client);
+    peer.join().unwrap();
 }

@@ -5,12 +5,14 @@
 //! yields exactly the complete frames before the cut — the loss is scoped
 //! to the unfinished request id, never to earlier frames.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use mmlib_net::protocol::{
-    decode_frame, encode_frame, encode_frame_v, try_decode_frame, Frame, Opcode, WireError,
-    WireVersion, MAX_FRAME_LEN,
+    encode_frame_v, read_frame_counted, try_decode_frame, Frame, Opcode, WireError, WireVersion,
+    MAX_FRAME_LEN,
 };
 use proptest::prelude::*;
+
+const BOTH: [WireVersion; 2] = [WireVersion::V1, WireVersion::V2];
 
 /// Builds an arbitrary JSON header from a shape seed (objects of strings,
 /// integers, bools, nested arrays — the kinds the protocol sends).
@@ -46,10 +48,12 @@ proptest! {
             header_from_seed(&fields),
             Bytes::from(payload),
         );
-        let mut encoded = encode_frame(&frame).unwrap();
-        let decoded = decode_frame(&mut encoded).unwrap();
-        prop_assert_eq!(decoded, frame);
-        prop_assert!(!encoded.has_remaining());
+        for version in BOTH {
+            let encoded = encode_frame_v(&frame, version).unwrap();
+            let (decoded, used) = try_decode_frame(&encoded, version).unwrap().unwrap();
+            prop_assert_eq!(&decoded, &frame);
+            prop_assert_eq!(used, encoded.len());
+        }
     }
 
     #[test]
@@ -63,10 +67,14 @@ proptest! {
             header_from_seed(&fields),
             Bytes::from(payload),
         );
-        let encoded = encode_frame(&frame).unwrap();
-        let cut = (cut_seed as usize) % encoded.len();
-        let mut partial = encoded.slice(0..cut);
-        prop_assert!(decode_frame(&mut partial).is_err());
+        for version in BOTH {
+            let encoded = encode_frame_v(&frame, version).unwrap();
+            let cut = (cut_seed as usize) % encoded.len();
+            // Buffered, the prefix is "not yet a frame"; read from a stream
+            // that ends there, it is an error. Neither ever yields a frame.
+            prop_assert!(matches!(try_decode_frame(&encoded[..cut], version), Ok(None)));
+            prop_assert!(read_frame_counted(&mut &encoded[..cut], version).is_err());
+        }
     }
 
     #[test]
@@ -76,9 +84,11 @@ proptest! {
         buf.put_u32_le(declared as u32);
         // A few body bytes; the length check must fire before any read.
         buf.put_slice(&[1, 2, 3, 4, 5, 6, 7, 8]);
-        match decode_frame(&mut buf.freeze()) {
-            Err(WireError::Oversized(n)) => prop_assert_eq!(n, declared as usize),
-            other => prop_assert!(false, "expected Oversized, got {:?}", other),
+        for version in BOTH {
+            match try_decode_frame(&buf, version) {
+                Err(WireError::Oversized(n)) => prop_assert_eq!(n, declared as usize),
+                other => prop_assert!(false, "expected Oversized, got {:?}", other),
+            }
         }
     }
 
@@ -174,9 +184,11 @@ proptest! {
             serde_json::json!({"version": 1}),
             Bytes::from(payload),
         );
-        let mut bytes = encode_frame(&frame).unwrap().to_vec();
-        bytes[4] = byte; // opcode position
-        // Must decode to the same kind of frame or fail cleanly — no panic.
-        let _ = decode_frame(&mut Bytes::from(bytes));
+        for version in BOTH {
+            let mut bytes = encode_frame_v(&frame, version).unwrap().to_vec();
+            bytes[4] = byte; // opcode position
+            // Must decode to the same kind of frame or fail cleanly — no panic.
+            let _ = try_decode_frame(&bytes, version);
+        }
     }
 }
