@@ -189,7 +189,7 @@ fn fig4() {
         }
         let ta = MerkleTree::from_leaves(base);
         let tb = MerkleTree::from_leaves(changed);
-        let diff = ta.diff(&tb);
+        let diff = ta.diff(&tb).unwrap();
         let naive = ta.diff_naive(&tb);
         println!("{n:>7} {:>14} {:>12}  {paper}", diff.comparisons, naive.comparisons);
         assert_eq!(diff.comparisons, paper);
@@ -207,7 +207,7 @@ fn fig4() {
             }
         });
         let after = MerkleTree::from_model(&model);
-        let diff = before.diff(&after);
+        let diff = before.diff(&after).unwrap();
         println!(
             "  {:<13} {:>4} layers: merkle {:>3} cmps vs naive {:>4}, changed: {:?}",
             arch.name(),

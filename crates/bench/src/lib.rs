@@ -5,8 +5,6 @@
 //! numbers (end to end and per layer) come from `benchmark/`, not from this
 //! crate.
 
-#![forbid(unsafe_code)]
-
 use mmlib_core::meta::{ApproachKind, ModelRelation};
 use mmlib_dist::flow::{run_flow, FlowConfig, FlowKind, FlowResult};
 use mmlib_model::ArchId;

@@ -3,8 +3,6 @@
 //! The binary (`src/main.rs`) is a thin argv wrapper around [`run`], which
 //! returns the rendered output so commands are directly testable.
 
-#![forbid(unsafe_code)]
-
 use std::fmt::Write as _;
 use std::path::Path;
 

@@ -23,8 +23,6 @@
 //! decoding reproduces the original tensor to the bit, including NaN
 //! payloads and signed zeros. Property tests enforce this.
 
-#![forbid(unsafe_code)]
-
 pub mod byteplane;
 pub mod codec;
 pub mod delta;

@@ -44,7 +44,8 @@
 //! assert!(recovered.model.models_equal(&model));
 //! ```
 
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod adaptive;
 pub mod baseline;

@@ -17,13 +17,64 @@ use serde::{Deserialize, Serialize};
 /// Interior levels pair adjacent nodes; an odd trailing node is carried up
 /// unchanged. The root commits to every layer's parameters *and* the layer
 /// order, so equal roots ⇒ equal models (up to hash collision).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Every value of this type has at least one leaf, one path per leaf, and
+/// interior levels that are the fold of the level below: [`from_leaves`]
+/// builds it that way and the `Deserialize` impl rejects a stored document
+/// that is not — so the accessors and [`diff`] may index freely.
+///
+/// [`from_leaves`]: MerkleTree::from_leaves
+/// [`diff`]: MerkleTree::diff
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct MerkleTree {
     /// `levels[0]` = leaves (layer order), last level = `[root]`.
     levels: Vec<Vec<Digest>>,
     /// Layer paths, parallel to `levels[0]`.
     paths: Vec<String>,
 }
+
+/// A layer-hash document as stored, before it is checked.
+#[derive(Deserialize)]
+struct StoredTree {
+    levels: Vec<Vec<Digest>>,
+    paths: Vec<String>,
+}
+
+/// The one decode of a stored tree. The document comes from the store —
+/// over `RemoteStore`, from the peer — so it is rebuilt from its own leaves
+/// and must match level for level.
+impl Deserialize for MerkleTree {
+    fn from_value(v: &serde::Value) -> Result<MerkleTree, serde::de::Error> {
+        let StoredTree { levels, paths } = StoredTree::from_value(v)?;
+        let leaves = levels.first().filter(|l| !l.is_empty());
+        let leaves = leaves.ok_or_else(|| serde::de::Error::custom("merkle tree without leaves"))?;
+        if paths.len() != leaves.len() {
+            return Err(serde::de::Error::custom(format!(
+                "merkle tree with {} leaves but {} layer paths",
+                leaves.len(),
+                paths.len()
+            )));
+        }
+        let tree = MerkleTree::from_leaves(paths.into_iter().zip(leaves.iter().copied()).collect());
+        if tree.levels != levels {
+            return Err(serde::de::Error::custom("merkle tree levels do not fold from its leaves"));
+        }
+        Ok(tree)
+    }
+}
+
+/// Two trees over different layer lists cannot be diffed: an architecture
+/// change is not a parameter update.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LayerMismatch;
+
+impl std::fmt::Display for LayerMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("merkle diff requires identical layer structure")
+    }
+}
+
+impl std::error::Error for LayerMismatch {}
 
 /// Result of diffing two Merkle trees.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -198,12 +249,10 @@ impl MerkleTree {
     ///
     /// Top-down walk: compare roots; recurse only into differing subtrees.
     /// This is the comparison-count saving of Fig. 4.
-    ///
-    /// # Panics
-    /// Panics if the trees have different layer structures (an architecture
-    /// change is not a parameter update).
-    pub fn diff(&self, other: &MerkleTree) -> MerkleDiff {
-        assert_eq!(self.paths, other.paths, "merkle diff requires identical layer structure");
+    pub fn diff(&self, other: &MerkleTree) -> Result<MerkleDiff, LayerMismatch> {
+        if self.paths != other.paths {
+            return Err(LayerMismatch);
+        }
         let mut comparisons = 0u64;
         let mut changed = Vec::new();
         let top = self.levels.len() - 1;
@@ -238,11 +287,14 @@ impl MerkleTree {
             }
         }
         walk(self, other, top, 0, &mut comparisons, &mut changed);
-        MerkleDiff { changed, comparisons }
+        Ok(MerkleDiff { changed, comparisons })
     }
 
-    /// The naive layer-by-layer diff used as the ablation baseline: always
-    /// performs exactly `leaf_count` comparisons.
+    /// The naive layer-by-layer diff used as the ablation baseline and the
+    /// tests' oracle: always performs exactly `leaf_count` comparisons.
+    ///
+    /// # Panics
+    /// Panics if the trees have different layer structures.
     pub fn diff_naive(&self, other: &MerkleTree) -> MerkleDiff {
         assert_eq!(self.paths, other.paths, "diff requires identical layer structure");
         let mut changed = Vec::new();
@@ -282,7 +334,7 @@ mod tests {
         let a = MerkleTree::from_leaves(leaves(8));
         let b = MerkleTree::from_leaves(leaves(8));
         assert_eq!(a.root(), b.root());
-        let diff = a.diff(&b);
+        let diff = a.diff(&b).unwrap();
         assert!(diff.changed.is_empty());
         assert_eq!(diff.comparisons, 1, "equal models need only the root comparison");
     }
@@ -291,7 +343,7 @@ mod tests {
     fn paper_figure4_eight_layers_last_two_changed_needs_seven() {
         let a = MerkleTree::from_leaves(leaves(8));
         let b = MerkleTree::from_leaves(with_changed(8, &[6, 7]));
-        let diff = a.diff(&b);
+        let diff = a.diff(&b).unwrap();
         assert_eq!(diff.changed, vec!["layer6", "layer7"]);
         assert_eq!(diff.comparisons, 7, "paper Fig. 4: 7 instead of 8 comparisons");
     }
@@ -300,7 +352,7 @@ mod tests {
     fn paper_sixty_four_layers_needs_thirteen() {
         let a = MerkleTree::from_leaves(leaves(64));
         let b = MerkleTree::from_leaves(with_changed(64, &[62, 63]));
-        let diff = a.diff(&b);
+        let diff = a.diff(&b).unwrap();
         assert_eq!(diff.comparisons, 13, "paper §3.2: 64 layers → 13 comparisons");
         assert_eq!(diff.changed.len(), 2);
     }
@@ -309,7 +361,7 @@ mod tests {
     fn paper_one_hundred_twenty_eight_layers_needs_fifteen() {
         let a = MerkleTree::from_leaves(leaves(128));
         let b = MerkleTree::from_leaves(with_changed(128, &[126, 127]));
-        let diff = a.diff(&b);
+        let diff = a.diff(&b).unwrap();
         assert_eq!(diff.comparisons, 15, "paper §3.2: 128 layers → 15 comparisons");
     }
 
@@ -319,7 +371,7 @@ mod tests {
         let b = MerkleTree::from_leaves(with_changed(64, &[62, 63]));
         let diff = a.diff_naive(&b);
         assert_eq!(diff.comparisons, 64);
-        assert_eq!(diff.changed, a.diff(&b).changed);
+        assert_eq!(diff.changed, a.diff(&b).unwrap().changed);
     }
 
     #[test]
@@ -327,11 +379,11 @@ mod tests {
         for n in [1usize, 3, 5, 7, 41, 127] {
             let a = MerkleTree::from_leaves(leaves(n));
             let b = MerkleTree::from_leaves(with_changed(n, &[n - 1]));
-            let diff = a.diff(&b);
+            let diff = a.diff(&b).unwrap();
             assert_eq!(diff.changed, vec![format!("layer{}", n - 1)], "n={n}");
             assert_ne!(a.root(), b.root());
             // And self-diff stays clean.
-            assert!(a.diff(&a.clone()).changed.is_empty());
+            assert!(a.diff(&a.clone()).unwrap().changed.is_empty());
         }
     }
 
@@ -340,18 +392,17 @@ mod tests {
         let n = 16;
         let a = MerkleTree::from_leaves(leaves(n));
         let b = MerkleTree::from_leaves(with_changed(n, &(0..n).collect::<Vec<_>>()));
-        let diff = a.diff(&b);
+        let diff = a.diff(&b).unwrap();
         assert_eq!(diff.changed.len(), n);
         // Full walk: every node compared once = 2n-1 for a perfect tree.
         assert_eq!(diff.comparisons, (2 * n - 1) as u64);
     }
 
     #[test]
-    #[should_panic(expected = "identical layer structure")]
-    fn structure_mismatch_panics() {
+    fn structure_mismatch_is_an_error() {
         let a = MerkleTree::from_leaves(leaves(4));
         let b = MerkleTree::from_leaves(leaves(5));
-        a.diff(&b);
+        assert_eq!(a.diff(&b), Err(LayerMismatch));
     }
 
     #[test]

@@ -14,9 +14,21 @@ use mmlib_obs::{PhaseBreakdown, PhaseClock};
 use mmlib_tensor::ser::{state_from_bytes, state_to_bytes};
 
 use crate::error::CoreError;
-use crate::merkle::MerkleDiff;
+use crate::merkle::{MerkleDiff, MerkleTree};
 use crate::meta::{ApproachKind, ModelInfoDoc, ModelRelation, SavedModelId};
 use crate::recovery::SaveService;
+
+/// Diffs the stored base tree against the model's. A base whose layer list
+/// differs from this architecture's is a bad document, not an update.
+fn diff_against_base(
+    base_tree: &MerkleTree,
+    tree: &MerkleTree,
+    base: &SavedModelId,
+) -> Result<MerkleDiff, CoreError> {
+    base_tree
+        .diff(tree)
+        .map_err(|e| CoreError::BadModelDocument { id: base.clone(), reason: e.to_string() })
+}
 
 impl SaveService {
     /// Saves `model` as a parameter update against `base`.
@@ -46,7 +58,7 @@ impl SaveService {
         }
         let base_tree = clock.time("diff", || self.load_layer_hashes(&base_info, base))?;
         let tree = clock.time("hash", || self.save_tree(model));
-        let diff = clock.time("diff", || base_tree.diff(&tree));
+        let diff = clock.time("diff", || diff_against_base(&base_tree, &tree, base))?;
 
         // Serialize only the changed layers' state entries (parameters and
         // buffers — both are part of the exact representation).
@@ -128,7 +140,7 @@ impl SaveService {
 
         let base_tree = clock.time("diff", || self.load_layer_hashes(&base_info, base))?;
         let tree = clock.time("hash", || self.save_tree(model));
-        let diff = clock.time("diff", || base_tree.diff(&tree));
+        let diff = clock.time("diff", || diff_against_base(&base_tree, &tree, base))?;
         let changed: std::collections::BTreeSet<&str> =
             diff.changed.iter().map(|s| s.as_str()).collect();
 

@@ -90,7 +90,10 @@ impl ProbeReport {
         });
 
         model.zero_grad();
-        // mmlib-lint: allow(P1, restoring a state dict captured from this same model cannot mismatch)
+        #[expect(
+            clippy::expect_used,
+            reason = "restoring a state dict captured from this same model cannot mismatch"
+        )]
         model.load_state_dict(&saved_state).expect("restoring the probed model's own state");
         ProbeReport { arch: model.arch.name().to_string(), mode, records }
     }
@@ -117,7 +120,10 @@ impl ProbeReport {
 
     /// Serializes the report (to ship across machines).
     pub fn to_bytes(&self) -> Vec<u8> {
-        // mmlib-lint: allow(P1, ProbeReport is strings and vecs; serialization is infallible and the API is fixed)
+        #[expect(
+            clippy::expect_used,
+            reason = "ProbeReport is strings and vecs; serialization is infallible and the API is fixed"
+        )]
         serde_json::to_vec_pretty(self).expect("ProbeReport serializes")
     }
 

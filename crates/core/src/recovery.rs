@@ -215,8 +215,8 @@ impl SaveService {
         })
     }
 
-    /// Loads the stored Merkle tree of a saved model.
-    pub(crate) fn load_layer_hashes(&self, info: &ModelInfoDoc, id: &SavedModelId) -> Result<MerkleTree, CoreError> {
+    /// Loads and validates the stored Merkle tree of a saved model.
+    pub fn load_layer_hashes(&self, info: &ModelInfoDoc, id: &SavedModelId) -> Result<MerkleTree, CoreError> {
         let doc = self.storage.get_doc(&DocId::from_string(info.layer_hash_doc.clone()))?;
         serde_json::from_value(doc.body).map_err(|e| CoreError::BadModelDocument {
             id: id.clone(),

@@ -128,7 +128,7 @@ proptest! {
         }
         let ta = MerkleTree::from_leaves(base);
         let tb = MerkleTree::from_leaves(other);
-        let merkle = ta.diff(&tb);
+        let merkle = ta.diff(&tb).unwrap();
         let naive = ta.diff_naive(&tb);
         prop_assert_eq!(&merkle.changed, &naive.changed);
         prop_assert!(merkle.comparisons <= (2 * n - 1) as u64 + 1, "comparisons {} for {} leaves", merkle.comparisons, n);
@@ -162,7 +162,7 @@ proptest! {
             prop_assert_eq!(spliced.leaf(path), Some(digest));
         }
         // And the spliced tree diffs like the rebuilt one.
-        prop_assert_eq!(cached.diff(&spliced).changed, cached.diff(&rebuilt).changed);
+        prop_assert_eq!(cached.diff(&spliced).unwrap().changed, cached.diff(&rebuilt).unwrap().changed);
         // Unknown paths are rejected, never silently dropped.
         let bogus = vec![("not_a_layer".to_string(), sha256(b"x"))];
         prop_assert!(cached.update_leaves(&bogus).is_none());

@@ -28,8 +28,6 @@
 //!   stores ("we compress [the dataset] to a single file", §3.3).
 //! * [`loader`] — a deterministic, shuffling, augmenting batch loader.
 
-#![forbid(unsafe_code)]
-
 pub mod catalog;
 pub mod container;
 pub mod dataset;

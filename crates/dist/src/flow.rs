@@ -290,7 +290,10 @@ pub fn run_flow_with_transport(
         Transport::Sim => {
             let net = NetModel::Sim(SimNetwork::infiniband_100g());
             let make_storage = || {
-                // mmlib-lint: allow(P1, flow harness aborts on unusable experiment storage by design)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "flow harness aborts on unusable experiment storage by design"
+                )]
                 ModelStorage::open(storage_root).expect("storage root must be writable")
             };
             run_flow_inner(config, &make_storage, &net)
@@ -324,24 +327,33 @@ fn run_flow_tcp(
     workers: usize,
     faults: Option<std::sync::Arc<mmlib_net::NetFaults>>,
 ) -> FlowResult {
-    // mmlib-lint: allow(P1, flow harness aborts on unusable experiment storage by design)
+    #[expect(
+        clippy::expect_used,
+        reason = "flow harness aborts on unusable experiment storage by design"
+    )]
     let backing = ModelStorage::open(storage_root).expect("storage root must be writable");
     // Workers are execution shards, not a connection cap — the v2 server
     // multiplexes any number of connections over its I/O threads. Still
     // honour the caller's figure as the shard count floor.
     let shards = mmlib_net::ShardConfig { workers: workers.max(1) };
+    #[expect(
+        clippy::expect_used,
+        reason = "flow harness aborts when the loopback server cannot bind"
+    )]
     let mut server = mmlib_net::RegistryServer::bind_with_config(
         backing,
         "127.0.0.1:0",
         mmlib_net::ServerConfig { shards, faults, ..Default::default() },
     )
-    // mmlib-lint: allow(P1, flow harness aborts when the loopback server cannot bind)
     .expect("bind loopback registry server");
     let addr = server.addr();
     let make_storage = move || {
+        #[expect(
+            clippy::expect_used,
+            reason = "flow harness aborts when the loopback server is unreachable"
+        )]
         mmlib_net::RemoteStore::builder(addr)
             .build()
-            // mmlib-lint: allow(P1, flow harness aborts when the loopback server is unreachable)
             .expect("connect to loopback registry")
             .into_storage()
     };
@@ -368,7 +380,10 @@ fn run_flow_inner(
     let mut initial = Model::new_initialized(config.arch, config.seed);
     initial.set_fully_trainable();
     let syncs_before = server.storage().sync_ops();
-    // mmlib-lint: allow(P1, a failed save invalidates the whole experiment; the harness aborts)
+    #[expect(
+        clippy::expect_used,
+        reason = "a failed save invalidates the whole experiment; the harness aborts"
+    )]
     let u1 = server.save(SaveRequest::full(&initial)).expect("U1 save");
     let sync_ops = server.storage().sync_ops() - syncs_before;
     // Distribute the initial model to every node over the cluster link.
@@ -431,9 +446,12 @@ fn run_flow_inner(
     // ---- U4: recover every saved model from the server.
     if config.recover_all {
         for save in &result.saves {
+            #[expect(
+                clippy::expect_used,
+                reason = "a failed recovery invalidates the whole experiment; the harness aborts"
+            )]
             let report = server
                 .recover_report(&save.id, RecoverOptions::default())
-                // mmlib-lint: allow(P1, a failed recovery invalidates the whole experiment; the harness aborts)
                 .expect("U4 recovery must succeed");
             result.recovers.push(RecoverRecord {
                 use_case: save.use_case.clone(),
@@ -492,7 +510,7 @@ fn run_u3_phase_with_states(
     network: &NetModel,
 ) -> Vec<(Vec<SaveRecord>, NodeState)> {
     let iterations = config.kind.u3_iterations();
-    crossbeam::scope(|scope| {
+    let joined = crossbeam::scope(|scope| {
         let handles: Vec<_> = states
             .into_iter()
             .enumerate()
@@ -526,12 +544,20 @@ fn run_u3_phase_with_states(
             .collect();
         handles
             .into_iter()
-            // mmlib-lint: allow(P1, a panicked node thread invalidates the experiment; propagate it)
-            .map(|h| h.join().expect("node thread panicked"))
+            .map(|h| {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a panicked node thread invalidates the experiment; propagate it"
+                )]
+                h.join().expect("node thread panicked")
+            })
             .collect()
-    })
-    // mmlib-lint: allow(P1, a panicked node scope invalidates the experiment; propagate it)
-    .expect("node scope panicked")
+    });
+    #[expect(
+        clippy::expect_used,
+        reason = "a panicked node scope invalidates the experiment; propagate it"
+    )]
+    joined.expect("node scope panicked")
 }
 
 /// Trains the node/server model on `dataset` and saves it with the
@@ -600,7 +626,10 @@ fn train_and_save(
         }
     };
     let syncs_before = service.storage().sync_ops();
-    // mmlib-lint: allow(P1, a failed save invalidates the whole experiment; the harness aborts)
+    #[expect(
+        clippy::expect_used,
+        reason = "a failed save invalidates the whole experiment; the harness aborts"
+    )]
     let report = service.save(request).expect("flow save");
     let sync_ops = service.storage().sync_ops() - syncs_before;
     // The node informs the server / ships the update over the cluster link.

@@ -19,7 +19,8 @@
 //!   per-recover records (storage bytes, TTS, TTR with breakdown).
 //! * [`metrics`] — aggregation helpers (medians per use case, per node).
 
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod flow;
 pub mod metrics;

@@ -24,7 +24,8 @@
 //! All operations report through the service's `mmlib-obs` recorder under
 //! the `mmlib_lineage_*` metrics declared in the central taxonomy.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 mod compact;
 mod family;
@@ -37,7 +38,6 @@ pub use graph::{LineageGraph, LineageNode};
 use mmlib_core::meta::SavedModelId;
 use mmlib_core::{CoreError, SaveService};
 use mmlib_obs::Recorder;
-use mmlib_store::DocId;
 
 /// Counter of lineage queries served, labeled by query kind.
 pub(crate) const QUERIES: &str = "mmlib_lineage_queries_total";
@@ -183,15 +183,7 @@ impl<'a> Lineage<'a> {
         id: &SavedModelId,
     ) -> Result<std::collections::BTreeMap<String, String>, CoreError> {
         let info = self.svc.load_model_info(id)?;
-        let doc = self
-            .svc
-            .storage()
-            .get_doc(&DocId::from_string(info.layer_hash_doc.clone()))?;
-        let tree: mmlib_core::MerkleTree =
-            serde_json::from_value(doc.body).map_err(|e| CoreError::BadModelDocument {
-                id: id.clone(),
-                reason: format!("undecodable layer-hash doc: {e}"),
-            })?;
+        let tree = self.svc.load_layer_hashes(&info, id)?;
         Ok(tree
             .leaves()
             .map(|(path, digest)| (path.to_string(), digest.to_hex()))

@@ -110,6 +110,47 @@ fn graph_queries_tags_and_diff() {
     assert!(shows >= 2);
 }
 
+/// A layer-hash document is read back from the store — over `RemoteStore`,
+/// from the peer — so a malformed one must come back as `Err` from both
+/// entry points that decode it, never as a panic.
+#[test]
+fn corrupt_layer_hash_documents_are_errors_not_panics() {
+    let dir = tempfile::tempdir().unwrap();
+    let s = svc(dir.path());
+    let (ids, mut model) = build_chain(&s, 11, 1);
+    let base = &ids[1];
+    let doc_id = DocId::from_string(s.load_model_info(base).unwrap().layer_hash_doc);
+    let good = s.storage().get_doc(&doc_id).unwrap().body;
+    bump(&mut model, 5);
+    let lineage = Lineage::new(&s);
+
+    type Corruption = fn(&mut serde_json::Value);
+    let corruptions: [(&str, Corruption); 4] = [
+        ("empty levels", |t| t["levels"] = serde_json::json!([])),
+        ("dropped leaf", |t| drop(t["levels"][0].as_array_mut().unwrap().pop())),
+        ("truncated interior level", |t| drop(t["levels"][1].as_array_mut().unwrap().pop())),
+        ("swapped path", |t| t["paths"].as_array_mut().unwrap().swap(0, 1)),
+    ];
+    for (what, corrupt) in corruptions {
+        let mut body = good.clone();
+        corrupt(&mut body);
+        s.storage().docs().update(&doc_id, body).unwrap();
+        assert!(s.save(SaveRequest::update(&model, base)).is_err(), "{what}: save");
+        match lineage.diff(&ids[0], base) {
+            // Paths are not hashed into the tree, so a swapped pair decodes:
+            // the save refuses the differing layer list, the by-name diff
+            // reports both layers (the bumped one is one of them).
+            Ok(diff) => assert_eq!((what, diff.changed_layers.len()), ("swapped path", 2)),
+            Err(_) => assert_ne!(what, "swapped path"),
+        }
+    }
+
+    s.storage().docs().update(&doc_id, good).unwrap();
+    let saved = s.save(SaveRequest::update(&model, base)).unwrap();
+    assert_eq!(saved.diff.unwrap().changed.len(), 1);
+    assert_eq!(lineage.diff(&ids[0], base).unwrap().changed_layers.len(), 1);
+}
+
 /// The acceptance gate: a depth-64 PUA chain recovers byte-identically
 /// after `compact(max_depth = 8)`, with TTR within 1.5x of a fresh
 /// depth-8 chain.

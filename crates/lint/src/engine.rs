@@ -5,8 +5,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use crate::pairs::Pairs;
-use crate::pragma::PragmaScope;
-use crate::rules::{c1, d1, f1, g1, h1, l1, m1, p1, x1, Violation};
+use crate::rules::{g1, h1, l1, m1, x1, Violation};
 use crate::source::{FileKind, SourceFile};
 
 /// Crate directories never scanned: vendored dependency shims mirror
@@ -62,16 +61,6 @@ impl Workspace {
     /// Runs every rule and applies pragmas. Returns the full report.
     pub fn check_full(&self, budget: &Budget, pairs: &Pairs) -> Report {
         let mut raw = Vec::new();
-        for f in &self.files {
-            if f.kind == FileKind::Lib {
-                d1::check(f, &mut raw);
-                p1::check(f, &mut raw);
-                c1::check(f, &mut raw);
-                if f.path.ends_with("/src/lib.rs") || f.path == "src/lib.rs" {
-                    f1::check(f, &mut raw);
-                }
-            }
-        }
         x1::check(&self.files, &mut raw);
         m1::check(&self.files, &mut raw);
         self.check_structural(pairs, &mut raw);
@@ -119,14 +108,11 @@ impl Workspace {
             let file = self.files.iter().find(|f| f.path == v.path);
             let suppressor = file.and_then(|f| {
                 f.pragmas.iter().enumerate().find(|(_, p)| {
+                    // A trailing comment suppresses its own line; a
+                    // standalone comment suppresses the next line.
                     p.error.is_none()
                         && p.rule == v.rule
-                        && match p.scope {
-                            PragmaScope::File => true,
-                            // A trailing comment suppresses its own line; a
-                            // standalone comment suppresses the next line.
-                            PragmaScope::Line => p.line == v.line || p.line + 1 == v.line,
-                        }
+                        && (p.line == v.line || p.line + 1 == v.line)
                 })
             });
             match suppressor {

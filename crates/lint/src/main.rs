@@ -7,8 +7,6 @@
 //!
 //! Exit codes: 0 = clean, 1 = violations found, 2 = usage/IO error.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -75,6 +73,10 @@ fn run() -> Result<bool, String> {
     }
     if !workspace {
         return Err("nothing to do (pass --workspace)".to_string());
+    }
+    if let Some(rule @ ("P1" | "D1" | "C1" | "F1")) = rule.as_deref() {
+        println!("mmlib-lint: {rule} moved to the toolchain: run `cargo clippy --workspace`");
+        return Ok(true);
     }
 
     let root = match root {

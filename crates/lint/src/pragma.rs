@@ -1,37 +1,27 @@
 //! `mmlib-lint:` pragma parsing.
 //!
-//! Two forms, both inside `//` comments:
+//! One form, inside a `//` comment:
 //!
-//! * `// mmlib-lint: allow(P1, reason text)` — suppresses rule `P1` on the
+//! * `// mmlib-lint: allow(H1, reason text)` — suppresses rule `H1` on the
 //!   same line, or (for a comment-only line) on the next code line.
-//! * `// mmlib-lint: allow-file(D1, reason text)` — suppresses rule `D1`
-//!   for the whole file (e.g. a dedicated timing module).
 //!
 //! The reason is mandatory: an allow without a stated reason is itself a
 //! violation, and every suppression is counted against the committed
-//! ratchet budget (`lint-budget.txt`), which may only decrease.
+//! ratchet budget (`lint-budget.txt`), which may only decrease. Only the
+//! rules this crate owns take pragmas; the toolchain's (P1, D1, C1, F1)
+//! are suppressed with `#[expect(lint, reason = "...")]` attributes.
 
 use crate::lexer::{Token, TokenKind};
-
-/// Scope of one pragma.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PragmaScope {
-    /// Applies to the pragma's line (or the next line for a standalone
-    /// comment).
-    Line,
-    /// Applies to the whole file.
-    File,
-}
 
 /// One parsed (or malformed) pragma.
 #[derive(Debug, Clone)]
 pub struct Pragma {
-    /// The rule id the pragma names (`"P1"`, `"D1"`, ...), uppercased.
+    /// The rule id the pragma names (`"H1"`, ...), uppercased.
     pub rule: String,
-    pub scope: PragmaScope,
     /// The stated reason (may be empty — which is reported as malformed).
     pub reason: String,
-    /// 1-based line the comment sits on.
+    /// 1-based line the comment sits on: the pragma applies to this line,
+    /// or to the next one when the comment stands alone.
     pub line: usize,
     /// Parse problem, if any (`None` = well-formed).
     pub error: Option<String>,
@@ -54,21 +44,15 @@ pub fn parse_pragmas(tokens: &[Token]) -> Vec<Pragma> {
 fn parse_one(body: &str, line: usize) -> Pragma {
     let malformed = |msg: &str| Pragma {
         rule: String::new(),
-        scope: PragmaScope::Line,
         reason: String::new(),
         line,
         error: Some(msg.to_string()),
     };
 
-    let (scope, rest) = if let Some(rest) = body.strip_prefix("allow-file") {
-        (PragmaScope::File, rest)
-    } else if let Some(rest) = body.strip_prefix("allow") {
-        (PragmaScope::Line, rest)
-    } else {
-        return malformed("expected `allow(...)` or `allow-file(...)`");
+    let Some(rest) = body.strip_prefix("allow") else {
+        return malformed("expected `allow(...)`");
     };
-    let rest = rest.trim();
-    let Some(inner) = rest.strip_prefix('(').and_then(|r| r.strip_suffix(')')) else {
+    let Some(inner) = rest.trim().strip_prefix('(').and_then(|r| r.strip_suffix(')')) else {
         return malformed("expected `(RULE, reason)` after allow");
     };
     let Some((rule, reason)) = inner.split_once(',') else {
@@ -77,12 +61,12 @@ fn parse_one(body: &str, line: usize) -> Pragma {
     let rule = rule.trim().to_uppercase();
     let reason = reason.trim().to_string();
     if rule.is_empty() || !rule.chars().all(|c| c.is_ascii_alphanumeric()) {
-        return malformed("rule id must be alphanumeric (e.g. P1)");
+        return malformed("rule id must be alphanumeric (e.g. H1)");
     }
     if reason.is_empty() {
         return malformed("empty reason — every allow must state why");
     }
-    Pragma { rule, scope, reason, line, error: None }
+    Pragma { rule, reason, line, error: None }
 }
 
 #[cfg(test)]
@@ -96,30 +80,22 @@ mod tests {
 
     #[test]
     fn line_allow_parses() {
-        let p = parse("x.unwrap(); // mmlib-lint: allow(P1, invariant: set above)");
+        let p = parse("s.write_all(b); // mmlib-lint: allow(H1, invariant: set above)");
         assert_eq!(p.len(), 1);
-        assert_eq!(p[0].rule, "P1");
-        assert_eq!(p[0].scope, PragmaScope::Line);
+        assert_eq!(p[0].rule, "H1");
         assert_eq!(p[0].reason, "invariant: set above");
         assert!(p[0].error.is_none());
     }
 
     #[test]
-    fn file_allow_parses() {
-        let p = parse("// mmlib-lint: allow-file(D1, timing module by design)");
-        assert_eq!(p[0].scope, PragmaScope::File);
-        assert_eq!(p[0].rule, "D1");
-    }
-
-    #[test]
     fn missing_reason_is_malformed() {
-        assert!(parse("// mmlib-lint: allow(P1)")[0].error.is_some());
-        assert!(parse("// mmlib-lint: allow(P1, )")[0].error.is_some());
+        assert!(parse("// mmlib-lint: allow(H1)")[0].error.is_some());
+        assert!(parse("// mmlib-lint: allow(H1, )")[0].error.is_some());
     }
 
     #[test]
     fn unknown_shape_is_malformed() {
-        assert!(parse("// mmlib-lint: suppress(P1, x)")[0].error.is_some());
+        assert!(parse("// mmlib-lint: suppress(H1, x)")[0].error.is_some());
     }
 
     #[test]
@@ -129,7 +105,7 @@ mod tests {
 
     #[test]
     fn reasons_may_contain_commas() {
-        let p = parse("// mmlib-lint: allow(C1, bounded above, see check)");
+        let p = parse("// mmlib-lint: allow(H1, bounded above, see check)");
         assert!(p[0].error.is_none());
         assert_eq!(p[0].reason, "bounded above, see check");
     }

@@ -9,17 +9,16 @@
 //!   "clean": false,
 //!   "files_scanned": 97,
 //!   "violations": [
-//!     {"rule": "P1", "path": "crates/net/src/client.rs", "line": 192,
+//!     {"rule": "H1", "path": "crates/net/src/client.rs", "line": 192,
 //!      "col": 31, "message": "...", "snippet": "..."}
 //!   ],
-//!   "allowed": 15,
-//!   "allow_counts": {"P1": 13, "C1": 2}
+//!   "allowed": 4,
+//!   "allow_counts": {"H1": 4}
 //! }
 //! ```
 //!
 //! `allowed` counts the violations suppressed by pragmas; `allow_counts`
-//! counts the *pragmas* per rule (the ratchet's unit — one `allow-file`
-//! pragma may suppress several violations).
+//! counts the *pragmas* per rule (the ratchet's unit).
 
 use std::fmt::Write as _;
 
@@ -144,15 +143,15 @@ mod tests {
     fn sample() -> Report {
         Report {
             violations: vec![Violation {
-                rule: "P1",
+                rule: "H1",
                 path: "crates/net/src/client.rs".to_string(),
                 line: 7,
                 col: 3,
-                message: "unwrap in library code: \"bad\"".to_string(),
-                snippet: "x.unwrap()".to_string(),
+                message: "I/O under a held lock: \"bad\"".to_string(),
+                snippet: "s.write_all(b)".to_string(),
             }],
             allowed: vec![],
-            allow_counts: BTreeMap::from([("C1".to_string(), 2)]),
+            allow_counts: BTreeMap::from([("H1".to_string(), 2)]),
             files_scanned: 4,
         }
     }
@@ -161,16 +160,16 @@ mod tests {
     fn json_is_well_formed_and_escaped() {
         let json = render_json(&sample());
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"rule\":\"P1\""));
-        assert!(json.contains("unwrap in library code: \\\"bad\\\""));
-        assert!(json.contains("\"allow_counts\":{\"C1\":2}"));
+        assert!(json.contains("\"rule\":\"H1\""));
+        assert!(json.contains("I/O under a held lock: \\\"bad\\\""));
+        assert!(json.contains("\"allow_counts\":{\"H1\":2}"));
         assert!(json.contains("\"clean\":false"));
     }
 
     #[test]
     fn text_includes_location_and_summary() {
         let text = render_text(&sample());
-        assert!(text.contains("P1: crates/net/src/client.rs:7:3:"));
+        assert!(text.contains("H1: crates/net/src/client.rs:7:3:"));
         assert!(text.contains("4 file(s) scanned, 1 violation(s)"));
     }
 
@@ -182,7 +181,7 @@ mod tests {
     #[test]
     fn self_metrics_render_per_rule_counts() {
         let text = render_self_metrics(&sample(), 0.25);
-        assert!(text.contains("mmlib_lint_findings_total{rule=\"P1\"} 1"));
+        assert!(text.contains("mmlib_lint_findings_total{rule=\"H1\"} 1"));
         assert!(text.contains("mmlib_lint_analysis_seconds_sum 0.250000"));
         assert!(text.contains("mmlib_lint_analysis_seconds_count 1"));
     }

@@ -28,7 +28,7 @@ pub struct SourceFile {
     pub tokens: Vec<Token>,
     /// Source lines, for snippets in findings.
     pub lines: Vec<String>,
-    /// Line-level and file-level pragmas found in comments.
+    /// `mmlib-lint:` pragmas found in comments.
     pub pragmas: Vec<Pragma>,
     /// Half-open 1-based line ranges that are `#[cfg(test)]`/`#[test]`-gated.
     test_ranges: Vec<(usize, usize)>,

@@ -1,11 +1,11 @@
-//! D1 bad fixture: wall-clock reads and OS entropy in a deterministic
-//! crate's library code. Scanned as `crates/tensor/src/<name>.rs`.
+//! D1 bad fixture: a wall-clock read and a randomly seeded map in a
+//! deterministic crate's library code.
 
 pub fn stamp() -> u64 {
     let t = std::time::SystemTime::now();
     t.elapsed().map(|d| d.as_secs()).unwrap_or(0)
 }
 
-pub fn seed() -> u64 {
-    thread_rng()
+pub fn seen() -> usize {
+    std::collections::HashMap::<u64, u64>::new().len()
 }

@@ -1,6 +1,5 @@
-//! F1 bad fixture: a crate root without the unsafe-code forbid.
-//! Scanned as `crates/<name>/src/lib.rs`.
+//! F1 bad fixture: an `unsafe` block in a non-shim crate.
 
 pub fn answer() -> u32 {
-    42
+    unsafe { 42 }
 }

@@ -1,5 +1,4 @@
 //! P1 bad fixture: panicking calls in a panic-free crate's library code.
-//! Scanned as `crates/net/src/<name>.rs`.
 
 pub fn parse_port(s: &str) -> u16 {
     s.parse().unwrap()

@@ -1,7 +1,8 @@
 //! Per-rule self-tests: each rule fires on its bad fixture and stays
-//! silent on the good one. File-scoped rules (D1/P1/C1/F1) use on-disk
+//! silent on the good one. The structural rules (L1/H1/G1) use on-disk
 //! fixtures under `tests/fixtures/`; the workspace-level rules (X1/M1)
-//! use small in-memory workspaces.
+//! use small in-memory workspaces. The toolchain-owned rules (P1/D1/C1/F1)
+//! are exercised by `tests/toolchain.rs`.
 
 use mmlib_lint::{Budget, Pairs, Report, Workspace};
 
@@ -17,81 +18,6 @@ fn check_one_with_pairs(path: &str, text: &str, manifest: &str) -> Report {
 
 fn rules(report: &Report) -> Vec<&str> {
     report.violations.iter().map(|v| v.rule).collect()
-}
-
-#[test]
-fn d1_fires_on_wall_clock_and_entropy_in_tensor() {
-    // `core` stands for the save/recover stack that shares the ban.
-    for path in ["crates/tensor/src/seed.rs", "crates/core/src/seed.rs"] {
-        let r = check_one(path, include_str!("fixtures/d1_bad.rs"));
-        assert_eq!(rules(&r), vec!["D1", "D1"], "{:#?}", r.violations);
-        assert!(r.violations[0].message.contains("SystemTime::now"));
-        assert!(r.violations[1].message.contains("thread_rng"));
-    }
-}
-
-#[test]
-fn d1_silent_on_explicit_seeding_and_test_code() {
-    let r = check_one("crates/tensor/src/seed.rs", include_str!("fixtures/d1_good.rs"));
-    assert!(r.clean(), "{:#?}", r.violations);
-}
-
-#[test]
-fn d1_ignores_non_deterministic_crates() {
-    // The same wall-clock read in `obs` (not a D1 crate) is legal.
-    let r = check_one("crates/bench/src/seed.rs", include_str!("fixtures/d1_bad.rs"));
-    assert!(!rules(&r).contains(&"D1"), "{:#?}", r.violations);
-}
-
-#[test]
-fn p1_fires_on_unwrap_and_todo_in_net() {
-    let r = check_one("crates/net/src/handler.rs", include_str!("fixtures/p1_bad.rs"));
-    assert_eq!(rules(&r), vec!["P1", "P1"], "{:#?}", r.violations);
-    assert!(r.violations[0].message.contains(".unwrap()"));
-    assert!(r.violations[1].message.contains("todo!"));
-}
-
-#[test]
-fn p1_silent_on_propagated_errors_and_unwrap_or() {
-    let r = check_one("crates/net/src/handler.rs", include_str!("fixtures/p1_good.rs"));
-    assert!(r.clean(), "{:#?}", r.violations);
-}
-
-#[test]
-fn p1_exempts_integration_test_files_entirely() {
-    let r = check_one("crates/net/tests/handler.rs", include_str!("fixtures/p1_bad.rs"));
-    assert!(r.clean(), "{:#?}", r.violations);
-}
-
-#[test]
-fn c1_fires_on_truncating_length_cast_in_net() {
-    let r = check_one("crates/net/src/framing.rs", include_str!("fixtures/c1_bad.rs"));
-    assert_eq!(rules(&r), vec!["C1"], "{:#?}", r.violations);
-    assert!(r.violations[0].message.contains("try_from"));
-}
-
-#[test]
-fn c1_silent_on_checked_conversion_and_non_length_casts() {
-    let r = check_one("crates/net/src/framing.rs", include_str!("fixtures/c1_good.rs"));
-    assert!(r.clean(), "{:#?}", r.violations);
-}
-
-#[test]
-fn f1_fires_on_crate_root_missing_the_forbid() {
-    let r = check_one("crates/data/src/lib.rs", include_str!("fixtures/f1_bad.rs"));
-    assert_eq!(rules(&r), vec!["F1"], "{:#?}", r.violations);
-}
-
-#[test]
-fn f1_silent_when_the_forbid_is_present() {
-    let r = check_one("crates/data/src/lib.rs", include_str!("fixtures/f1_good.rs"));
-    assert!(r.clean(), "{:#?}", r.violations);
-}
-
-#[test]
-fn f1_only_applies_to_crate_roots() {
-    let r = check_one("crates/data/src/other.rs", include_str!("fixtures/f1_bad.rs"));
-    assert!(r.clean(), "{:#?}", r.violations);
 }
 
 // ---------------------------------------------------------- L1/H1/G1 ----

@@ -29,7 +29,7 @@
 //! and buffer tensors. [`module::Module::layer_paths`] enumerates them in
 //! canonical order — the order the Merkle tree in `mmlib-core` is built over.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod arch;
 pub mod common;

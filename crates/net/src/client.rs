@@ -856,6 +856,10 @@ struct Jitter {
 
 impl Jitter {
     fn new() -> Jitter {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a jitter seed wants the fast-moving low bits; the high ones may go"
+        )]
         let seed = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_nanos() as u64)

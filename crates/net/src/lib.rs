@@ -25,7 +25,8 @@
 //! bytes (real loopback/LAN behaviour). `mmlib-dist` exposes the choice as
 //! its `Transport` setting.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod client;
 pub mod fault;

@@ -120,6 +120,11 @@ impl ServerMetrics {
                 by_opcode.insert(op.name().to_string(), json!(n));
             }
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the gauge counts whole admitted requests; a float-to-int `as` saturates"
+        )]
+        let inflight = self.inflight() as u64;
         json!({
             "requests": Value::Object(by_opcode),
             "total_requests": self.total_requests(),
@@ -127,7 +132,7 @@ impl ServerMetrics {
             "bytes_out": self.bytes_out(),
             "connections": self.connections(),
             "load_shed": self.load_shed(),
-            "inflight": self.inflight() as u64,
+            "inflight": inflight,
         })
     }
 

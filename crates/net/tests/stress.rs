@@ -8,7 +8,7 @@
 //! `cargo test` is fast.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mmlib_net::{
     AdmissionConfig, NetFaults, Opcode, RegistryServer, RemoteStore, ServerConfig, ShardConfig,
@@ -87,6 +87,19 @@ fn hundreds_of_concurrent_clients_lose_and_misroute_nothing() {
     let text = store.server_stats_text().unwrap();
     assert!(text.contains(&format!("mmlib_net_request_seconds_count{{opcode=\"file_put\"}} {n}")));
     assert!(text.contains(&format!("mmlib_net_request_seconds_count{{opcode=\"file_get\"}} {n}")));
+
+    // The server releases a request's admission after queueing its reply
+    // and books a reply's bytes after `write()` returns, so the client can
+    // hold the last reply a moment before the books close: poll (bounded),
+    // then assert.
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while (metrics.inflight() != 0.0
+        || metrics.bytes_in() != store.wire_bytes_out()
+        || metrics.bytes_out() != store.wire_bytes_in())
+        && Instant::now() < deadline
+    {
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     // Quiescence: nothing admitted is still in flight.
     assert_eq!(metrics.inflight(), 0.0);

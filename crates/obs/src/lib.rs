@@ -29,7 +29,7 @@
 //! assert!(r.render_text().contains("# TYPE mmlib_save_phase_seconds histogram"));
 //! ```
 
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable))]
 
 mod metrics;
 mod phase;

@@ -292,7 +292,7 @@ impl Value {
 
     /// Parses a JSON text.
     pub fn parse(text: &str) -> Result<Value, Error> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -622,7 +622,13 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
+
+/// Nesting limit, as in serde_json: the parser recurses once per open
+/// array or object, and its input arrives over a socket.
+const MAX_DEPTH: usize = 128;
 
 impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
@@ -666,8 +672,15 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::custom(format!("recursion limit exceeded at byte {}", self.pos)));
+                }
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(Error::custom(format!(
                 "unexpected character {:?} at byte {}",

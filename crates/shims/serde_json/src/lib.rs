@@ -176,6 +176,18 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // A frame header of `[[[[...` is well inside the wire's frame limit;
+        // the server parses it on an I/O thread with an ordinary stack.
+        let parse = |depth: usize| from_str::<Value>(&("[".repeat(depth) + &"]".repeat(depth)));
+        let small_stack = std::thread::Builder::new().stack_size(256 * 1024);
+        let hostile = small_stack.spawn(move || parse(100_000)).unwrap().join().unwrap();
+        assert!(hostile.unwrap_err().to_string().contains("recursion limit"));
+        assert!(parse(128).is_ok());
+        assert!(parse(129).is_err());
+    }
+
+    #[test]
     fn round_trip_via_text() {
         let v = json!({"x": [1, 2.5, -3], "y": {"z": "hi"}});
         let text = to_string(&v).unwrap();

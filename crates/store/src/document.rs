@@ -107,7 +107,7 @@ impl DocStore {
         // so skip ids whose file already exists instead of overwriting.
         loop {
             let seq = self.counter.fetch_add(1, Ordering::Relaxed);
-            let candidate = DocId(format!("{:08x}-{:x}", self.nonce as u32, seq));
+            let candidate = DocId(format!("{:08x}-{:x}", self.nonce & 0xffff_ffff, seq));
             if !self.path_of(&candidate).exists() {
                 break candidate;
             }

@@ -81,7 +81,7 @@ impl FileStore {
         // blob.
         loop {
             let seq = self.counter.fetch_add(1, Ordering::Relaxed);
-            let candidate = FileId(format!("{:08x}-{:x}", self.nonce as u32, seq));
+            let candidate = FileId(format!("{:08x}-{:x}", self.nonce & 0xffff_ffff, seq));
             if !self.path_of(&candidate).exists() {
                 break candidate;
             }

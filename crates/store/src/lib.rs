@@ -23,7 +23,8 @@
 //! * [`fsck`] — physical consistency scan of a local root (leftover tmp
 //!   files, unparsable documents) with quarantine-based repair.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 mod atomic;
 pub mod document;

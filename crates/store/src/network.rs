@@ -62,7 +62,7 @@ impl SimNetwork {
     pub fn record_transfer(&self, bytes: u64) -> Duration {
         let d = self.transfer_time(bytes);
         self.ledger.inc(BYTES_TOTAL, bytes);
-        self.ledger.inc(NANOS_TOTAL, d.as_nanos() as u64);
+        self.ledger.inc(NANOS_TOTAL, u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
         mmlib_obs::recorder().inc(BYTES_TOTAL, bytes);
         d
     }
@@ -82,7 +82,7 @@ impl SimNetwork {
 /// nanoseconds; split into whole seconds first so arbitrarily large modeled
 /// transfers stay exact.
 fn duration_from_nanos_u128(nanos: u128) -> Duration {
-    let secs = (nanos / 1_000_000_000) as u64;
+    let secs = u64::try_from(nanos / 1_000_000_000).unwrap_or(u64::MAX);
     let subsec = (nanos % 1_000_000_000) as u32;
     Duration::new(secs, subsec)
 }

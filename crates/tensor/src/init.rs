@@ -155,7 +155,10 @@ impl Init {
                 let data = (0..n)
                     .map(|_| rng.truncated_normal(0.0, std, -2.0, 2.0))
                     .collect();
-                // mmlib-lint: allow(P1, data has exactly shape.numel() elements by construction)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "data has exactly shape.numel() elements by construction"
+                )]
                 Tensor::from_vec(shape, data).expect("length matches by construction")
             }
             Init::TruncatedNormalPpf { std } => {
@@ -164,7 +167,10 @@ impl Init {
                 let data = (0..n)
                     .map(|_| (std as f64 * truncnorm_ppf_sample(rng, cdf_lo, cdf_hi)) as f32)
                     .collect();
-                // mmlib-lint: allow(P1, data has exactly shape.numel() elements by construction)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "data has exactly shape.numel() elements by construction"
+                )]
                 Tensor::from_vec(shape, data).expect("length matches by construction")
             }
         }

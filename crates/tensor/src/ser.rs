@@ -73,24 +73,25 @@ pub fn read_tensor(buf: &mut Bytes) -> Result<Tensor, TensorError> {
         return Err(TensorError::Corrupt("truncated dims".into()));
     }
     let mut dims = Vec::with_capacity(rank);
+    // The product is folded checked: dims like `[1 << 32, 1 << 32]` would
+    // otherwise wrap to a plausible count (0) for an impossible shape.
+    let mut numel = Some(1usize);
     for _ in 0..rank {
-        let d = buf.get_u64_le();
-        if d > usize::MAX as u64 {
-            return Err(TensorError::Corrupt("dim overflows usize".into()));
-        }
-        dims.push(d as usize);
+        let d = usize::try_from(buf.get_u64_le())
+            .map_err(|_| TensorError::Corrupt("dim overflows usize".into()))?;
+        numel = numel.and_then(|n| n.checked_mul(d));
+        dims.push(d);
     }
+    // Defensive cap (~8G elements): a corrupt header must not trigger an
+    // allocation-of-doom before the length check below can fire.
+    let sizes = numel.filter(|&n| n <= 1 << 33).and_then(|n| Some((n, n.checked_mul(4)?)));
+    let Some((numel, nbytes)) = sizes else {
+        return Err(TensorError::Corrupt(format!("implausible element count for dims {dims:?}")));
+    };
     let shape = Shape::new(dims);
-    let numel = shape.numel();
-    if numel > (1 << 33) {
-        // Defensive cap (~8G elements): a corrupt header must not trigger an
-        // allocation-of-doom before the length check below can fire.
-        return Err(TensorError::Corrupt(format!("implausible element count {numel}")));
-    }
-    if buf.remaining() < numel * 4 {
+    if buf.remaining() < nbytes {
         return Err(TensorError::Corrupt(format!(
-            "truncated data: need {} bytes, have {}",
-            numel * 4,
+            "truncated data: need {nbytes} bytes, have {}",
             buf.remaining()
         )));
     }
@@ -236,6 +237,17 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(tensor_from_bytes(&bytes[..cut]).is_err(), "cut at {cut} accepted");
         }
+    }
+
+    #[test]
+    fn rejects_dims_whose_product_wraps() {
+        // [2^32, 2^32] has 2^64 elements: an unchecked product wraps to 0,
+        // a valid empty tensor in release and a panic in debug.
+        let mut bytes = tensor_to_bytes(&Tensor::zeros([1, 1])).to_vec();
+        bytes.truncate(8);
+        bytes.extend_from_slice(&(1u64 << 32).to_le_bytes());
+        bytes.extend_from_slice(&(1u64 << 32).to_le_bytes());
+        assert!(matches!(tensor_from_bytes(&bytes), Err(TensorError::Corrupt(_))));
     }
 
     #[test]

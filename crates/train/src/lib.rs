@@ -17,7 +17,7 @@
 //!   data-load / forward / backward, used by the deterministic-training
 //!   study (paper Fig. 13).
 
-#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod adam;
 pub mod loss;

@@ -10,7 +10,6 @@
 //! This is the one module in the deterministic crates allowed to read the
 //! wall clock: it *measures* training, it never feeds timing back into
 //! parameters, hashes, or replayable state.
-// mmlib-lint: allow-file(D1, dedicated timing module; wall-clock reads never influence deterministic state)
 
 use std::time::{Duration, Instant};
 
@@ -43,6 +42,10 @@ impl TrainTimings {
 
 /// Trains `model` for `epochs` epochs (optionally capping batches per epoch)
 /// and returns the per-phase timings.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "dedicated timing module; wall-clock reads never influence deterministic state"
+)]
 pub fn timed_train(
     model: &mut Model,
     loader: &DataLoader,

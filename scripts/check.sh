@@ -9,11 +9,50 @@ cargo build --release
 cargo test --workspace -q
 
 # Static-analysis gate, run before the expensive stress/bench gates so a
-# lint violation fails fast: determinism hygiene, panic-freedom, cast
-# audit, unsafe-code forbid, protocol/metric cross-checks, and the
-# concurrency passes (L1 lock order, H1 lock-held I/O, G1 guard balance
-# from lint-pairs.txt). Pragma use is bounded by the committed ratchet in
-# lint-budget.txt (decrease-only).
+# violation fails fast. Each of the nine rules has one owner (DESIGN.md
+# "Static analysis"):
+#   rustc       F1 unsafe-code forbid         [workspace.lints.rust]
+#   clippy      P1 panic-freedom, D1 determinism hygiene (clippy.toml),
+#               C1 truncating casts           deny line in each lib.rs
+#   mmlib-lint  X1 protocol / M1 metric cross-checks, L1 lock order, H1
+#               lock-held I/O, G1 guard balance (lint-pairs.txt); its
+#               pragmas are bounded by the ratchet in lint-budget.txt
+#
+# The toolchain rules' scopes live in the crates they guard, so pin them
+# here: the exact deny line in each listed lib.rs, the workspace lint table
+# in every manifest (shims too: clippy.toml is found from any member, so a
+# crate outside the table would have D1 on by default), and a cap on
+# `#[expect]` suppressions (13 P1 + 1 D1 + 2 C1; it only goes down).
+P1='#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable))]'
+D1='#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]'
+C1='#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]'
+pin() { # pin RULE LINE CRATE...
+    local rule=$1 line=$2 c
+    shift 2
+    for c in "$@"; do
+        if ! grep -qxF -- "$line" "crates/$c/src/lib.rs"; then
+            echo "check.sh: crates/$c/src/lib.rs lost its $rule line: $line" >&2
+            exit 1
+        fi
+    done
+}
+pin P1 "$P1" core net store tensor dist obs lineage
+pin D1 "$D1" tensor train model core lineage dist
+pin C1 "$C1" net store
+for m in Cargo.toml crates/*/Cargo.toml crates/shims/*/Cargo.toml; do
+    if ! grep -A1 -xF '[lints]' "$m" | grep -qxF 'workspace = true'; then
+        echo "check.sh: $m lost '[lints] workspace = true' (F1 and the D1 default)" >&2
+        exit 1
+    fi
+done
+EXPECT_CAP=16
+expects=$(grep -rE '^\s*#\[expect\(' --include='*.rs' crates/*/src src | wc -l)
+if [ "$expects" -gt "$EXPECT_CAP" ]; then
+    echo "check.sh: $expects #[expect] suppressions under crates/*/src, cap is $EXPECT_CAP — fix the site instead" >&2
+    exit 1
+fi
+
+cargo clippy --workspace --all-targets -- -D warnings
 if ! cargo run --release --quiet -p mmlib-lint -- --workspace; then
     echo "check.sh: mmlib-lint FAILED (see violations above)" >&2
     echo "reproduce one rule: cargo run --release -q -p mmlib-lint -- --workspace --rule <ID>" >&2
@@ -58,5 +97,4 @@ if ! cargo test --release --locked --offline -q \
     exit 1
 fi
 
-cargo clippy --workspace --all-targets -- -D warnings
 echo "check.sh: all gates passed"

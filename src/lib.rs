@@ -34,8 +34,6 @@
 //! assert!(back.model.models_equal(&model));
 //! ```
 
-#![forbid(unsafe_code)]
-
 /// Update compression: varints, zero-RLE, byte planes, XOR-delta codec.
 pub use mmlib_compress as compress;
 /// The model management library: the three approaches, Merkle trees,
