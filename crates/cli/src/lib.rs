@@ -258,6 +258,9 @@ fn show(svc: &SaveService, id: SavedModelId) -> Result<String, CliError> {
     serde_json::to_string_pretty(&doc.body).map_err(fail)
 }
 
+/// Prints the recovery chain. On a corrupt cyclic base reference the chain
+/// is cut at the store's model count (`DependencyGraph::chain_of`): the
+/// repeated ids show the cycle, and `verify` reports it as an error.
 fn chain(svc: &SaveService, id: SavedModelId) -> Result<String, CliError> {
     let graph = dependency_graph(svc).map_err(fail)?;
     if !graph.models.contains_key(&id) {

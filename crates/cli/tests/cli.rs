@@ -57,6 +57,25 @@ fn chain_prints_the_recovery_path() {
     assert!(lines[1].contains(&initial));
 }
 
+/// Regression: on a forged cyclic base reference `chain` never returned.
+/// It now prints the chain truncated at the store's model count (the
+/// repeated id shows the cycle; `verify` reports it as an error) and exits 0.
+#[test]
+fn chain_returns_on_a_cyclic_base_reference() {
+    let dir = tempfile::tempdir().unwrap();
+    let (_, update) = seed_store(dir.path());
+    let storage = ModelStorage::open(dir.path()).unwrap();
+    let doc_id = mmlib_store::DocId::from_string(update.clone());
+    let mut body = storage.get_doc(&doc_id).unwrap().body;
+    body["base_model"] = serde_json::json!(update.as_str());
+    storage.docs().update(&doc_id, body).unwrap();
+
+    let out = run(&args(dir.path(), &["chain", &update])).unwrap();
+    assert_eq!(out.lines().count(), 2, "{out}");
+    assert!(out.lines().all(|line| line.contains(&update)), "{out}");
+    assert!(matches!(run(&args(dir.path(), &["verify", &update])), Err(CliError::Failed(_))));
+}
+
 #[test]
 fn verify_recovers_and_reports() {
     let dir = tempfile::tempdir().unwrap();

@@ -42,24 +42,20 @@ impl DependencyGraph {
             .collect()
     }
 
-    /// The recovery chain of `id`, from the model itself down to its root.
+    /// The recovery chain of `id`, from the model itself down to its root,
+    /// following [`ModelInfoDoc::recovery_parent`]. A chain that repeats no
+    /// model cannot be longer than the store, so the walk stops there: on a
+    /// corrupt cyclic reference it returns the cycle unrolled to
+    /// `models.len()` entries instead of never returning.
     pub fn chain_of(&self, id: &SavedModelId) -> Vec<SavedModelId> {
         let mut out = Vec::new();
         let mut cur = Some(id.clone());
         while let Some(c) = cur {
-            let next = self.models.get(&c).and_then(|info| {
-                // Baseline models are self-contained: the chain ends even if
-                // a base is recorded as lineage metadata.
-                if info.approach == crate::meta::ApproachKind::Baseline {
-                    None
-                } else {
-                    info.base_model
-                        .as_ref()
-                        .map(|b| SavedModelId(DocId::from_string(b.clone())))
-                }
-            });
+            if out.len() == self.models.len() {
+                break;
+            }
+            cur = self.models.get(&c).and_then(ModelInfoDoc::recovery_parent);
             out.push(c);
-            cur = next;
         }
         out
     }

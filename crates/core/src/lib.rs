@@ -22,8 +22,10 @@
 //!   training deterministically.
 //!
 //! All three share one storage layout ([`meta`]) over `mmlib-store`'s
-//! document + file stores, and one recursive [`recovery`] service that
-//! dispatches on the saved approach per model. Every save records a
+//! document + file stores, and one [`recovery`] service: one rule for what
+//! a model is rebuilt on ([`meta::ModelInfoDoc::recovery_parent`]), one walk
+//! that follows it through the store ([`SaveService::recovery_chain`]), and
+//! one step that dispatches on the saved approach per model. Every save records a
 //! Merkle root over the model's layer hashes, so every recovery can verify
 //! bit-exactness ([`verify`]).
 //!
@@ -57,7 +59,6 @@ pub mod hash_cache;
 pub mod merkle;
 pub mod meta;
 pub mod param_update;
-pub mod policy;
 pub mod probe;
 pub mod provenance;
 pub mod recovery;

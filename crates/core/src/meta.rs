@@ -3,7 +3,9 @@
 //! Paper §3.1: metadata lives in JSON documents organized hierarchically —
 //! a model-info document references an environment document, a layer-hash
 //! document, stored files, its base model, and (for the provenance
-//! approach) the wrapped training objects.
+//! approach) the wrapped training objects. Whether that base is what the
+//! model is *recovered from* is [`ModelInfoDoc::recovery_parent`]'s call,
+//! and only its.
 
 use mmlib_store::DocId;
 use serde::{Deserialize, Serialize};
@@ -134,6 +136,24 @@ pub struct ModelInfoDoc {
     pub dataset: Option<DatasetRef>,
 }
 
+impl ModelInfoDoc {
+    /// The model this one is rebuilt on, if any — the one rule every chain
+    /// walk follows. A snapshot is self-contained: the base it may record
+    /// is lineage metadata only, never a recovery dependency. A parameter
+    /// update or provenance save is rebuilt on its `base_model`; `None` for
+    /// one of those means the document is malformed, which
+    /// [`SaveService::recovery_chain`](crate::SaveService::recovery_chain)
+    /// reports.
+    pub fn recovery_parent(&self) -> Option<SavedModelId> {
+        match self.approach {
+            ApproachKind::Baseline => None,
+            ApproachKind::ParamUpdate | ApproachKind::Provenance => {
+                self.base_model.as_ref().map(|b| SavedModelId(DocId::from_string(b.clone())))
+            }
+        }
+    }
+}
+
 /// The body of a `lineage` document — one per saved model, written by
 /// [`SaveService::save`](crate::SaveService::save) in the same save. It
 /// records the *derivation* edge (which model this version was trained
@@ -192,13 +212,12 @@ mod tests {
         assert_eq!(ApproachKind::Provenance.abbrev(), "MPA");
     }
 
-    #[test]
-    fn model_info_doc_serde_round_trip() {
-        let doc = ModelInfoDoc {
-            approach: ApproachKind::ParamUpdate,
+    fn info_doc(approach: ApproachKind, base_model: Option<&str>) -> ModelInfoDoc {
+        ModelInfoDoc {
+            approach,
             arch: "resnet152".into(),
             relation: ModelRelation::PartiallyUpdated,
-            base_model: Some("abc-1".into()),
+            base_model: base_model.map(String::from),
             environment_doc: "abc-2".into(),
             code_file: None,
             weights_file: Some("f-1".into()),
@@ -207,7 +226,25 @@ mod tests {
             root_hash: "00".repeat(32),
             train_doc: None,
             dataset: None,
-        };
+        }
+    }
+
+    #[test]
+    fn recovery_parent_is_the_base_unless_the_model_is_a_snapshot() {
+        let base = SavedModelId(DocId::from_string("abc-1".into()));
+        // A snapshot's recorded base is lineage metadata, not a dependency.
+        assert_eq!(info_doc(ApproachKind::Baseline, Some("abc-1")).recovery_parent(), None);
+        assert_eq!(info_doc(ApproachKind::Baseline, None).recovery_parent(), None);
+        for derived in [ApproachKind::ParamUpdate, ApproachKind::Provenance] {
+            assert_eq!(info_doc(derived, Some("abc-1")).recovery_parent(), Some(base.clone()));
+            // Malformed; `recovery_chain` reports it (recovery_errors.rs).
+            assert_eq!(info_doc(derived, None).recovery_parent(), None);
+        }
+    }
+
+    #[test]
+    fn model_info_doc_serde_round_trip() {
+        let doc = info_doc(ApproachKind::ParamUpdate, Some("abc-1"));
         let json = serde_json::to_value(&doc).unwrap();
         assert_eq!(json["approach"], "param_update");
         assert_eq!(json["relation"], "partially_updated");

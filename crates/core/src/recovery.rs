@@ -3,7 +3,13 @@
 //! One [`SaveService`] exposes all three approaches (the approach used is
 //! recorded per model document, so a store may mix them) and one
 //! [`SaveService::recover_report`] entry point that resolves base-model
-//! chains — the paper's recursive recovery of §3.2/§3.3.
+//! chains — the paper's recursive recovery of §3.2/§3.3. The chain is
+//! listed by [`SaveService::recovery_chain`], the only loop that follows
+//! base references through the store (its rule is
+//! [`ModelInfoDoc::recovery_parent`], its one bound
+//! [`RecoverOptions::max_chain_depth`]), and rebuilt node by node with
+//! [`SaveService::recover_step`]; `mmlib-lineage`'s compaction and family
+//! recovery are built from the same two.
 
 use std::sync::Arc;
 
@@ -271,67 +277,58 @@ impl SaveService {
         out
     }
 
-    /// Loads the recovery chain of `id`, tip first: the model-info documents
-    /// along `base_model` references down to the first snapshot (whose own
-    /// base is lineage metadata, not a recovery dependency), each checked
-    /// against the current environment when `opts.check_env` is on. Only
-    /// documents are read. The chain is walked in a loop, not by recursion,
-    /// so a chain at the depth bound costs heap rather than ~2 KB of stack
-    /// per link.
-    pub(crate) fn load_chain(
+    /// The recovery chain of `tip`, tip first: each model with its decoded
+    /// model-info document, following [`ModelInfoDoc::recovery_parent`] down
+    /// to the first snapshot — or ending before the first id `have`
+    /// accepts, for a caller that already holds that model. Only model-info
+    /// documents are read, each once.
+    ///
+    /// This is the only loop that follows base references through the
+    /// store, and `limit` is its only guard: a chain with more than `limit`
+    /// bases (a cycle, or corruption) is [`CoreError::BaseChainTooDeep`]
+    /// after `limit + 1` reads. [`SaveService::recover_report`] passes
+    /// [`RecoverOptions::max_chain_depth`]; everything else passes that
+    /// option's default. A loop, not recursion, so a chain at the bound
+    /// costs heap rather than ~2 KB of stack per link.
+    pub fn recovery_chain(
         &self,
-        id: &SavedModelId,
-        opts: &RecoverOptions,
-        phases: &mut PhaseBreakdown,
+        tip: &SavedModelId,
+        limit: usize,
+        have: impl Fn(&SavedModelId) -> bool,
     ) -> Result<Vec<(SavedModelId, ModelInfoDoc)>, CoreError> {
         let mut chain = Vec::new();
-        let mut next = Some(id.clone());
-        while let Some(id) = next {
-            if chain.len() > opts.max_chain_depth {
-                return Err(CoreError::BaseChainTooDeep { id, limit: opts.max_chain_depth });
+        let mut next = Some(tip.clone());
+        while let Some(id) = next.filter(|id| !have(id)) {
+            if chain.len() > limit {
+                return Err(CoreError::BaseChainTooDeep { id, limit });
             }
-            let info = self.timed(phases, "fetch", || self.load_model_info(&id))?;
-            if opts.check_env {
-                self.timed(phases, "check_env", || self.check_environment(&info))?;
+            let info = self.load_model_info(&id)?;
+            next = info.recovery_parent();
+            if next.is_none() && info.approach != ApproachKind::Baseline {
+                return Err(CoreError::BadModelDocument {
+                    id,
+                    reason: format!("{} document lacks a base model", info.approach),
+                });
             }
-            next = match (info.approach, &info.base_model) {
-                (ApproachKind::Baseline, _) => None,
-                (_, Some(base)) => Some(SavedModelId(DocId::from_string(base.clone()))),
-                (approach, None) => {
-                    return Err(CoreError::BadModelDocument {
-                        id,
-                        reason: format!("{approach} document lacks a base model"),
-                    })
-                }
-            };
             chain.push((id, info));
         }
         Ok(chain)
     }
 
-    /// Recovers exactly one saved model given its recovery base already in
-    /// memory, without walking the base chain: snapshots ignore `base`,
-    /// parameter updates and provenance saves apply themselves onto it.
-    /// The step's `fetch` and `rebuild` time is added to `phases`.
+    /// Recovers exactly one saved model from its already-decoded document
+    /// (as [`SaveService::recovery_chain`] returns it) and its recovery base
+    /// already in memory: snapshots ignore `base`, parameter updates and
+    /// provenance saves apply themselves onto it. The step's `fetch` and
+    /// `rebuild` time is added to `phases`.
     ///
-    /// This is the single-step building block behind the batch family
-    /// recovery in `mmlib-lineage`, which memoizes shared ancestors so each
-    /// chain node is fetched and rebuilt exactly once. The caller is
-    /// responsible for passing the model the document's `base_model` refers
-    /// to; the result is **not** verified — verify against the stored root
-    /// with [`SaveService::verify_recovered`] when bit-exactness matters.
-    pub fn recover_onto(
-        &self,
-        id: &SavedModelId,
-        base: Option<Model>,
-        phases: &mut PhaseBreakdown,
-    ) -> Result<Model, CoreError> {
-        let info = self.timed(phases, "fetch", || self.load_model_info(id))?;
-        self.recover_step(&info, id, base, phases)
-    }
-
-    /// [`SaveService::recover_onto`] for an already-loaded model-info.
-    pub(crate) fn recover_step(
+    /// This is the building block behind [`SaveService::recover_report`]
+    /// and behind compaction and batch family recovery in `mmlib-lineage`,
+    /// which keep rebuilt models in memory so each chain node is fetched
+    /// and rebuilt exactly once. The caller is responsible for passing the
+    /// model `info.recovery_parent()` names; the result is **not** verified
+    /// — check it with [`crate::verify::verify_against_root`] against
+    /// `info.root_hash` when bit-exactness matters.
+    pub fn recover_step(
         &self,
         info: &ModelInfoDoc,
         id: &SavedModelId,
@@ -349,11 +346,5 @@ impl SaveService {
             ApproachKind::ParamUpdate => self.apply_update_onto(info, id, need_base(base)?, phases),
             ApproachKind::Provenance => self.replay_onto(info, id, need_base(base)?, phases),
         }
-    }
-
-    /// Verifies a recovered model against the stored Merkle root of `id`.
-    pub fn verify_recovered(&self, model: &Model, id: &SavedModelId) -> Result<(), CoreError> {
-        let info = self.load_model_info(id)?;
-        crate::verify::verify_against_root(model, &info.root_hash, id)
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! Every save goes through [`SaveService::save`], which times every phase
 //! through `mmlib-obs` and returns a uniform report: the saved id, the
-//! approach actually used, the bytes it cost, and where the time went.
+//! approach, the bytes it cost, and where the time went.
 //! Recovery mirrors this with [`SaveService::recover_report`].
 
 use std::time::Duration;
@@ -14,7 +14,6 @@ use mmlib_obs::{PhaseBreakdown, PhaseClock, Recorder, DURATION_BUCKETS};
 use crate::error::CoreError;
 use crate::merkle::MerkleDiff;
 use crate::meta::{ApproachKind, ModelRelation, SavedModelId};
-use crate::policy::ChainPolicy;
 use crate::provenance::TrainProvenance;
 use crate::recovery::{RecoverOptions, SaveService};
 
@@ -31,8 +30,7 @@ pub(crate) const RECOVER_SECONDS: &str = "mmlib_recover_seconds";
 
 /// The save phase taxonomy (see DESIGN.md): every second of a save is
 /// charged to exactly one of these labels.
-pub const SAVE_PHASES: [&str; 7] =
-    ["plan", "hash", "diff", "serialize", "compress", "pack", "write"];
+pub const SAVE_PHASES: [&str; 6] = ["hash", "diff", "serialize", "compress", "pack", "write"];
 
 /// The recover phase taxonomy (paper Fig. 12's categories): reading
 /// documents and files, building the model and applying state / updates /
@@ -61,15 +59,13 @@ enum RequestKind {
     Update,
     CompressedUpdate,
     Provenance,
-    Policy,
 }
 
 /// One save, described declaratively: which model, against which base, with
 /// which approach. Build with the constructors
 /// ([`SaveRequest::full`], [`SaveRequest::update`],
-/// [`SaveRequest::compressed_update`], [`SaveRequest::provenance`],
-/// [`SaveRequest::with_policy`]) and refine with the builder methods, then
-/// pass to [`SaveService::save`].
+/// [`SaveRequest::compressed_update`], [`SaveRequest::provenance`]) and
+/// refine with the builder methods, then pass to [`SaveService::save`].
 #[derive(Clone)]
 pub struct SaveRequest<'a> {
     kind: RequestKind,
@@ -78,7 +74,6 @@ pub struct SaveRequest<'a> {
     base_model: Option<&'a Model>,
     relation: Option<ModelRelation>,
     provenance: Option<&'a TrainProvenance>,
-    policy: Option<ChainPolicy>,
 }
 
 impl<'a> SaveRequest<'a> {
@@ -90,7 +85,6 @@ impl<'a> SaveRequest<'a> {
             base_model: None,
             relation: None,
             provenance: None,
-            policy: None,
         }
     }
 
@@ -127,18 +121,6 @@ impl<'a> SaveRequest<'a> {
             .provenance_data(prov)
     }
 
-    /// A chain-policy save: cheap while the base chain is short, promoted
-    /// to a snapshot at the policy's depth bound.
-    pub fn with_policy(
-        model: &'a Model,
-        base: &'a SavedModelId,
-        policy: ChainPolicy,
-    ) -> SaveRequest<'a> {
-        let mut req = SaveRequest::new(RequestKind::Policy, model).base(base);
-        req.policy = Some(policy);
-        req
-    }
-
     /// Sets the base model id (recorded as lineage; required by every kind
     /// except [`SaveRequest::full`]).
     pub fn base(mut self, base: &'a SavedModelId) -> SaveRequest<'a> {
@@ -154,8 +136,7 @@ impl<'a> SaveRequest<'a> {
         self
     }
 
-    /// Attaches training provenance (required for provenance saves and for
-    /// policies whose cheap approach is provenance).
+    /// Attaches training provenance (required for provenance saves).
     pub fn provenance_data(mut self, prov: &'a TrainProvenance) -> SaveRequest<'a> {
         self.provenance = Some(prov);
         self
@@ -187,7 +168,7 @@ pub(crate) fn missing_field(reason: &str) -> CoreError {
 pub struct SaveReport {
     /// The saved model id.
     pub id: SavedModelId,
-    /// The approach actually used (a policy may promote to baseline).
+    /// The approach the save used.
     pub approach: ApproachKind,
     /// Bytes written to storage by this save (the paper's storage-
     /// consumption metric).
@@ -196,8 +177,6 @@ pub struct SaveReport {
     pub tts: Duration,
     /// Where the save time went, by phase (see [`SAVE_PHASES`]).
     pub phases: PhaseBreakdown,
-    /// The resulting recovery-chain depth, for policy saves.
-    pub chain_depth: Option<usize>,
     /// The Merkle diff, when a parameter update was saved.
     pub diff: Option<MerkleDiff>,
     /// The compressed encoding's statistics, for compressed updates.
@@ -245,23 +224,22 @@ impl SaveService {
     /// Saves a model as described by `req`, timing every phase.
     ///
     /// This is the only way to save: the request names the approach, the
-    /// report carries the id, the approach actually used, and byte and
-    /// phase accounting.
+    /// report carries the id, the approach, and byte and phase accounting.
     pub fn save(&self, req: SaveRequest<'_>) -> Result<SaveReport, CoreError> {
         let obs = self.obs();
         let bytes_before = self.storage().bytes_written();
         let mut clock = PhaseClock::new(obs, SAVE_PHASE, "phase");
         let relation = req.resolved_relation();
 
-        let (id, approach, chain_depth, diff, encoded) = match req.kind {
+        let (id, approach, diff, encoded) = match req.kind {
             RequestKind::Full => {
                 let id = self.save_full_phased(req.model, req.base, relation, &mut clock)?;
-                (id, ApproachKind::Baseline, None, None, None)
+                (id, ApproachKind::Baseline, None, None)
             }
             RequestKind::Update => {
                 let base = req.require_base()?;
                 let (id, diff) = self.save_update_phased(req.model, base, relation, &mut clock)?;
-                (id, ApproachKind::ParamUpdate, None, Some(diff), None)
+                (id, ApproachKind::ParamUpdate, Some(diff), None)
             }
             RequestKind::CompressedUpdate => {
                 let base = req.require_base()?;
@@ -271,7 +249,7 @@ impl SaveService {
                 let (id, diff, encoded) = self.save_update_compressed_phased(
                     req.model, base_model, base, relation, &mut clock,
                 )?;
-                (id, ApproachKind::ParamUpdate, None, Some(diff), Some(encoded))
+                (id, ApproachKind::ParamUpdate, Some(diff), Some(encoded))
             }
             RequestKind::Provenance => {
                 let base = req.require_base()?;
@@ -279,38 +257,7 @@ impl SaveService {
                     .provenance
                     .ok_or_else(|| missing_field("provenance saves need TrainProvenance"))?;
                 let id = self.save_provenance_phased(req.model, base, prov, &mut clock)?;
-                (id, ApproachKind::Provenance, None, None, None)
-            }
-            RequestKind::Policy => {
-                let base = req.require_base()?;
-                let policy =
-                    req.policy.ok_or_else(|| missing_field("policy requests carry a policy"))?;
-                let base_depth = clock.time("plan", || self.chain_depth(base))?;
-                let would_be = base_depth + 1;
-                let cheap = if would_be > policy.max_depth {
-                    ApproachKind::Baseline // promotion: the chain is at its bound
-                } else {
-                    policy.cheap
-                };
-                match cheap {
-                    ApproachKind::Baseline => {
-                        let id =
-                            self.save_full_phased(req.model, Some(base), relation, &mut clock)?;
-                        (id, ApproachKind::Baseline, Some(0), None, None)
-                    }
-                    ApproachKind::ParamUpdate => {
-                        let (id, diff) =
-                            self.save_update_phased(req.model, base, relation, &mut clock)?;
-                        (id, ApproachKind::ParamUpdate, Some(would_be), Some(diff), None)
-                    }
-                    ApproachKind::Provenance => {
-                        let prov = req.provenance.ok_or_else(|| {
-                            missing_field("provenance chain policy requires TrainProvenance")
-                        })?;
-                        let id = self.save_provenance_phased(req.model, base, prov, &mut clock)?;
-                        (id, ApproachKind::Provenance, Some(would_be), None, None)
-                    }
-                }
+                (id, ApproachKind::Provenance, None, None)
             }
         };
 
@@ -328,7 +275,6 @@ impl SaveService {
             storage_bytes,
             tts,
             phases: clock.finish(),
-            chain_depth,
             diff,
             encoded,
         })
@@ -351,7 +297,14 @@ impl SaveService {
         let mut clock = PhaseClock::new(obs, RECOVER_PHASE, "phase");
         let mut phases = PhaseBreakdown::new();
         // The chain's documents tip first, then its models snapshot first.
-        let chain = self.load_chain(id, &opts, &mut phases)?;
+        let chain = self.timed(&mut phases, "fetch", || {
+            self.recovery_chain(id, opts.max_chain_depth, |_| false)
+        })?;
+        if opts.check_env {
+            for (_, info) in &chain {
+                self.timed(&mut phases, "check_env", || self.check_environment(info))?;
+            }
+        }
         let mut model = None;
         for (node, info) in chain.iter().rev() {
             model = Some(self.recover_step(info, node, model, &mut phases)?);

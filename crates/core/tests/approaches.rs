@@ -79,6 +79,11 @@ fn param_update_chain_recovers_exactly() {
             assert!(a.bit_eq(b), "chain {i}: {p} differs");
         }
         assert_eq!(rec.recovered_bases as usize, i + 1);
+        // The walk alone (documents only) counts the same links, tip first.
+        let limit = RecoverOptions::default().max_chain_depth;
+        let chain = svc.recovery_chain(id, limit, |_| false).unwrap();
+        assert_eq!(chain.len(), i + 2);
+        assert_eq!((&chain[0].0, &chain[i + 1].0), (id, &base_id));
     }
 }
 

@@ -88,6 +88,27 @@ fn dependency_graph_sees_the_structure() {
     assert_eq!(graph.chain_of(&ids[2]).len(), 3);
 }
 
+/// Regression: `chain_of` followed base references with no bound, so one
+/// forged document that names itself (or two that name each other) spun
+/// `mmlib chain` forever while the vector grew. It stops once the chain is as
+/// long as the store.
+#[test]
+fn chain_of_returns_on_cyclic_base_references() {
+    // u1's base becomes u1 itself, then its own dependent u2.
+    for new_base in [1, 2] {
+        let dir = tempfile::tempdir().unwrap();
+        let (s, ids, _) = build_store(dir.path());
+        let mut doc = s.storage().get_doc(ids[1].doc_id()).unwrap();
+        doc.body["base_model"] = serde_json::json!(ids[new_base].doc_id().as_str());
+        s.storage().docs().update(ids[1].doc_id(), doc.body).unwrap();
+
+        let graph = dependency_graph(&s).unwrap();
+        let chain = graph.chain_of(&ids[2]);
+        assert!(chain.len() <= graph.models.len(), "{} links", chain.len());
+        assert_eq!(chain[..2], [ids[2].clone(), ids[1].clone()]);
+    }
+}
+
 #[test]
 fn deleting_a_base_with_dependents_is_refused() {
     let dir = tempfile::tempdir().unwrap();

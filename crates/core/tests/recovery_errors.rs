@@ -80,25 +80,55 @@ fn dangling_base_reference_is_reported() {
     assert!(matches!(err, CoreError::Store(mmlib_store::StoreError::MissingDocument(_))), "{err}");
 }
 
+/// The two hostile chains: an update whose base is itself, and two updates
+/// that name each other. One loop follows base references and the depth
+/// limit is its one guard, so both end there (`mmlib-lineage`'s
+/// `hostile_chains_end_at_the_depth_guard` runs compaction and family
+/// recovery over the same forgeries).
 #[test]
 fn cyclic_base_chain_hits_the_depth_guard() {
+    for two_cycle in [false, true] {
+        let dir = tempfile::tempdir().unwrap();
+        let s = svc(dir.path());
+        let mut model = Model::new_initialized(ArchId::TinyCnn, 4);
+        model.set_fully_trainable();
+        let base = s.save(SaveRequest::full(&model)).unwrap().id;
+        let bump = |model: &mut Model| {
+            model.visit_trainable_mut(&mut |p, t, _| {
+                if p.starts_with("fc") {
+                    t.data_mut()[0] += 1.0;
+                }
+            })
+        };
+        bump(&mut model);
+        let mid = s.save(SaveRequest::update(&model, &base)).unwrap().id;
+        bump(&mut model);
+        let tip = s.save(SaveRequest::update(&model, &mid)).unwrap().id;
+        // Create the cycle: tip -> tip, or tip -> mid -> tip.
+        let forged = if two_cycle { &mid } else { &tip };
+        let mut doc = s.storage().get_doc(forged.doc_id()).unwrap();
+        doc.body["base_model"] = json!(tip.doc_id().as_str());
+        s.storage().docs().update(forged.doc_id(), doc.body).unwrap();
+        let err = s.recover_report(&tip, RecoverOptions::default()).unwrap_err();
+        assert!(matches!(err, CoreError::BaseChainTooDeep { .. }), "{err}");
+    }
+}
+
+/// A derived document that names no base is malformed; the chain walk says
+/// so instead of treating it as a root.
+#[test]
+fn derived_document_without_a_base_is_rejected() {
     let dir = tempfile::tempdir().unwrap();
     let s = svc(dir.path());
-    let mut model = Model::new_initialized(ArchId::TinyCnn, 4);
+    let mut model = Model::new_initialized(ArchId::TinyCnn, 6);
     model.set_fully_trainable();
     let base = s.save(SaveRequest::full(&model)).unwrap().id;
-    model.visit_trainable_mut(&mut |p, t, _| {
-        if p.starts_with("fc") {
-            t.data_mut()[0] += 1.0;
-        }
-    });
     let update = s.save(SaveRequest::update(&model, &base)).unwrap().id;
-    // Create a cycle: the update's base points at itself.
     let mut doc = s.storage().get_doc(update.doc_id()).unwrap();
-    doc.body["base_model"] = json!(update.doc_id().as_str());
+    doc.body["base_model"] = json!(null);
     s.storage().docs().update(update.doc_id(), doc.body).unwrap();
     let err = s.recover_report(&update, RecoverOptions::default()).unwrap_err();
-    assert!(matches!(err, CoreError::BaseChainTooDeep { .. }), "{err}");
+    assert!(matches!(err, CoreError::BadModelDocument { .. }), "{err}");
 }
 
 #[test]

@@ -214,23 +214,6 @@ fn builder_options_skip_verification() {
 }
 
 #[test]
-fn policy_requests_report_chain_depth() {
-    let dir = tempfile::tempdir().unwrap();
-    let (svc, _) = service(dir.path());
-    let mut model = Model::new_initialized(ArchId::TinyCnn, 10);
-    model.set_fully_trainable();
-    let base = svc.save(SaveRequest::full(&model)).unwrap();
-    assert_eq!(base.chain_depth, None); // plain saves don't walk the chain
-
-    bump_classifier(&mut model, 1.0);
-    let policy = mmlib_core::policy::ChainPolicy::updates(2);
-    let first = svc.save(SaveRequest::with_policy(&model, &base.id, policy)).unwrap();
-    assert_eq!(first.chain_depth, Some(1));
-    assert_eq!(first.approach, mmlib_core::ApproachKind::ParamUpdate);
-    assert!(first.phases.get("plan") <= first.tts);
-}
-
-#[test]
 fn service_recorder_override_isolates_and_records() {
     let dir = tempfile::tempdir().unwrap();
     let (svc, recorder) = service(dir.path());

@@ -1,4 +1,10 @@
 //! Evaluation-flow execution (paper §4.1 and §4.6).
+//!
+//! Two entry points run the same flow body: [`run_flow`], where server and
+//! nodes open one shared storage directory (the paper's MongoDB + shared
+//! file system), and [`run_flow_tcp`], where they reach it through a
+//! loopback registry server. All reported times are measured; nothing is
+//! modelled.
 
 use std::time::Duration;
 
@@ -8,7 +14,7 @@ use mmlib_obs::PhaseBreakdown;
 use mmlib_data::loader::LoaderConfig;
 use mmlib_data::{DataLoader, Dataset, DatasetId};
 use mmlib_model::{ArchId, Model};
-use mmlib_store::{ModelStorage, SimNetwork};
+use mmlib_store::ModelStorage;
 use mmlib_tensor::ExecMode;
 use mmlib_train::{ImageNetTrainService, Sgd, SgdConfig, TrainConfig, TrainService};
 
@@ -23,27 +29,6 @@ pub enum FlowKind {
     Dist10,
     /// 20 nodes → 402 models.
     Dist20,
-}
-
-/// How model bytes travel between nodes and the registry during a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Transport {
-    /// Modeled network: storage is a shared directory and transfer times
-    /// come from [`SimNetwork`] accounting. No bytes move over sockets, so
-    /// results are reproducible — this is the default and what the paper
-    /// figures use.
-    #[default]
-    Sim,
-    /// Real loopback TCP: a `mmlib-net` registry server fronts the storage
-    /// root and every node talks to it through a remote store client. Real
-    /// bytes move and network time is *real* — folded into each save's TTS
-    /// rather than reported as modeled [`SaveRecord::network_time`] (which
-    /// is zero under this transport). Measured wire traffic lands in
-    /// [`FlowResult::transport_stats`].
-    Tcp {
-        /// Server worker threads (and thus max concurrent connections).
-        workers: usize,
-    },
 }
 
 impl FlowKind {
@@ -206,9 +191,6 @@ pub struct SaveRecord {
     /// of device throughput, so the bench gate reads it to hold the
     /// batch-commit coalescing win.
     pub sync_ops: u64,
-    /// Simulated network transfer time for shipping this model's data over
-    /// the cluster link (reported separately; never slept).
-    pub network_time: Duration,
 }
 
 /// One recovery's record (U4).
@@ -235,8 +217,8 @@ pub struct FlowResult {
     /// Every recovery (empty if `recover_all` was off).
     pub recovers: Vec<RecoverRecord>,
     /// Registry-server metrics snapshot (per-opcode request counts, wire
-    /// bytes) when the flow ran over [`Transport::Tcp`]; `None` under
-    /// [`Transport::Sim`].
+    /// bytes) when the flow ran over [`run_flow_tcp`]; `None` from
+    /// [`run_flow`].
     pub transport_stats: Option<serde_json::Value>,
 }
 
@@ -247,81 +229,38 @@ struct NodeState {
     base: SavedModelId,
 }
 
-/// The flow's internal network-time source: modeled under
-/// [`Transport::Sim`], nothing under [`Transport::Tcp`] (real transfer time
-/// is already inside each measured TTS).
-enum NetModel {
-    Sim(SimNetwork),
-    Real,
-}
-
-impl NetModel {
-    fn record_transfer(&self, bytes: u64) -> Duration {
-        match self {
-            NetModel::Sim(network) => network.record_transfer(bytes),
-            NetModel::Real => Duration::ZERO,
-        }
-    }
-}
-
-/// Executes one evaluation flow over the default [`Transport::Sim`] and
-/// returns its records.
+/// Executes one evaluation flow and returns its records.
 ///
 /// Storage is a shared directory (the paper's MongoDB + shared FS); every
 /// node opens its own handle so per-save byte accounting stays per-node.
 /// Distributed flows run their nodes on concurrent OS threads.
 pub fn run_flow(config: &FlowConfig, storage_root: &std::path::Path) -> FlowResult {
-    run_flow_with_transport(config, storage_root, Transport::Sim)
+    let make_storage = || {
+        #[expect(
+            clippy::expect_used,
+            reason = "flow harness aborts on unusable experiment storage by design"
+        )]
+        ModelStorage::open(storage_root).expect("storage root must be writable")
+    };
+    run_flow_inner(config, &make_storage)
 }
 
-/// Executes one evaluation flow over an explicit transport.
+/// Executes one evaluation flow over real loopback TCP: a `mmlib-net`
+/// registry server is spun up over `storage_root` and the server plus every
+/// node talk to it through remote store clients — real bytes on real
+/// sockets, their time inside each measured TTS. The server is shut down
+/// (and its metrics snapshotted into [`FlowResult::transport_stats`])
+/// before returning.
 ///
-/// Under [`Transport::Tcp`] a `mmlib-net` registry server is spun up on
-/// loopback over `storage_root` and the server plus every node talk to it
-/// through remote store clients — real bytes on real sockets. The server is
-/// shut down (and its metrics snapshotted into
-/// [`FlowResult::transport_stats`]) before returning.
-pub fn run_flow_with_transport(
-    config: &FlowConfig,
-    storage_root: &std::path::Path,
-    transport: Transport,
-) -> FlowResult {
-    match transport {
-        Transport::Sim => {
-            let net = NetModel::Sim(SimNetwork::infiniband_100g());
-            let make_storage = || {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "flow harness aborts on unusable experiment storage by design"
-                )]
-                ModelStorage::open(storage_root).expect("storage root must be writable")
-            };
-            run_flow_inner(config, &make_storage, &net)
-        }
-        Transport::Tcp { workers } => run_flow_tcp(config, storage_root, workers, None),
-    }
-}
-
-/// Executes one flow over loopback TCP against a registry server that
-/// injects the given network faults (dropped replies, truncated frames,
-/// connection resets) — the distributed half of the fault-injection rig.
-/// The nodes' retry loops must absorb every fault, so the flow's records
-/// come out exactly as they would against a healthy server; what faults
-/// *do* leave behind are at-least-once duplicates in the backing store,
-/// which `mmlib fsck` finds as orphans.
-///
-/// Takes the faults as an [`Arc`] so callers keep a handle for inspecting
+/// With `faults`, the server injects them (dropped replies, truncated
+/// frames, connection resets) — the distributed half of the
+/// fault-injection rig. The nodes' retry loops must absorb every fault, so
+/// the flow's records come out exactly as they would against a healthy
+/// server; what faults *do* leave behind are at-least-once duplicates in
+/// the backing store, which `mmlib fsck` finds as orphans. They are taken
+/// as an [`Arc`](std::sync::Arc) so callers keep a handle for inspecting
 /// the injectors after the flow.
-pub fn run_flow_with_faulty_tcp(
-    config: &FlowConfig,
-    storage_root: &std::path::Path,
-    workers: usize,
-    faults: std::sync::Arc<mmlib_net::NetFaults>,
-) -> FlowResult {
-    run_flow_tcp(config, storage_root, workers, Some(faults))
-}
-
-fn run_flow_tcp(
+pub fn run_flow_tcp(
     config: &FlowConfig,
     storage_root: &std::path::Path,
     workers: usize,
@@ -357,18 +296,17 @@ fn run_flow_tcp(
             .expect("connect to loopback registry")
             .into_storage()
     };
-    let mut result = run_flow_inner(config, &make_storage, &NetModel::Real);
+    let mut result = run_flow_inner(config, &make_storage);
     result.transport_stats = Some(server.metrics().snapshot());
     server.shutdown();
     result
 }
 
-/// Transport-agnostic flow body; `make_storage` yields one storage handle
-/// per participant (server or node).
+/// The flow body behind both entry points; `make_storage` yields one
+/// storage handle per participant (server or node).
 fn run_flow_inner(
     config: &FlowConfig,
     make_storage: &dyn Fn() -> ModelStorage,
-    network: &NetModel,
 ) -> FlowResult {
     let server = SaveService::new(make_storage());
 
@@ -386,10 +324,6 @@ fn run_flow_inner(
     )]
     let u1 = server.save(SaveRequest::full(&initial)).expect("U1 save");
     let sync_ops = server.storage().sync_ops() - syncs_before;
-    // Distribute the initial model to every node over the cluster link.
-    let network_time = (0..config.kind.nodes())
-        .map(|_| network.record_transfer(u1.storage_bytes))
-        .sum();
     let u1_id = u1.id.clone();
     result.saves.push(SaveRecord {
         use_case: "U1".into(),
@@ -399,12 +333,11 @@ fn run_flow_inner(
         tts: u1.tts,
         phases: u1.phases,
         sync_ops,
-        network_time,
     });
 
     // ---- Phase 1: U3 iterations on every node, starting from U1.
     let states = make_node_states(config, make_storage, &initial, &u1_id);
-    let phase1 = run_u3_phase_with_states(config, states, 1, network);
+    let phase1 = run_u3_phase_with_states(config, states, 1);
     let mut node_states = Vec::new();
     for (records, state) in phase1 {
         result.saves.extend(records);
@@ -426,7 +359,6 @@ fn run_flow_inner(
             u2_seed,
             "U2",
             0,
-            network,
         );
         (model, record)
     };
@@ -438,7 +370,7 @@ fn run_flow_inner(
         state.model = clone_model(&u2_model);
         state.base = u2_id.clone();
     }
-    let phase2 = run_u3_phase_with_states(config, node_states, 2, network);
+    let phase2 = run_u3_phase_with_states(config, node_states, 2);
     for (records, _) in phase2 {
         result.saves.extend(records);
     }
@@ -466,23 +398,6 @@ fn run_flow_inner(
     result
 }
 
-/// Recovers every model a finished flow saved as one lineage *family*.
-///
-/// All of a flow's chains hang off the U1 snapshot (phase 1) or the U2
-/// model (phase 2), so per-model U4 recovery rebuilds those shared
-/// ancestors once per chain. Batch family recovery over the same save set
-/// materializes each distinct ancestor exactly once — the win the lineage
-/// DAG buys the distributed flows, where a server restores a whole
-/// fleet's models in one pass.
-pub fn recover_flow_family(
-    service: &SaveService,
-    result: &FlowResult,
-    verify: bool,
-) -> Result<mmlib_lineage::FamilyRecovery, mmlib_core::CoreError> {
-    let ids: Vec<SavedModelId> = result.saves.iter().map(|s| s.id.clone()).collect();
-    mmlib_lineage::Lineage::new(service).recover_family(&ids, verify)
-}
-
 /// Builds fresh node states all starting from `start_model`/`base`.
 fn make_node_states(
     config: &FlowConfig,
@@ -507,7 +422,6 @@ fn run_u3_phase_with_states(
     config: &FlowConfig,
     states: Vec<NodeState>,
     phase: usize,
-    network: &NetModel,
 ) -> Vec<(Vec<SaveRecord>, NodeState)> {
     let iterations = config.kind.u3_iterations();
     let joined = crossbeam::scope(|scope| {
@@ -533,7 +447,6 @@ fn run_u3_phase_with_states(
                             seed,
                             &label,
                             node_idx + 1,
-                            network,
                         );
                         state.base = record.id.clone();
                         records.push(record);
@@ -573,7 +486,6 @@ fn train_and_save(
     seed: u64,
     label: &str,
     node: usize,
-    network: &NetModel,
 ) -> SaveRecord {
     let loader_config = LoaderConfig {
         batch_size: config.train.batch_size,
@@ -632,8 +544,6 @@ fn train_and_save(
     )]
     let report = service.save(request).expect("flow save");
     let sync_ops = service.storage().sync_ops() - syncs_before;
-    // The node informs the server / ships the update over the cluster link.
-    let network_time = network.record_transfer(report.storage_bytes);
 
     SaveRecord {
         use_case: label.to_string(),
@@ -643,7 +553,6 @@ fn train_and_save(
         tts: report.tts,
         phases: report.phases,
         sync_ops,
-        network_time,
     }
 }
 

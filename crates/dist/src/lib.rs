@@ -16,7 +16,9 @@
 //!
 //! Modules:
 //! * [`flow`] — flow configuration and execution, producing per-save and
-//!   per-recover records (storage bytes, TTS, TTR with breakdown).
+//!   per-recover records (storage bytes, TTS, TTR with breakdown):
+//!   [`flow::run_flow`] over the shared storage directory, [`run_flow_tcp`]
+//!   through a loopback `mmlib-net` registry.
 //! * [`metrics`] — aggregation helpers (medians per use case, per node).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable))]
@@ -26,7 +28,6 @@ pub mod flow;
 pub mod metrics;
 
 pub use flow::{
-    recover_flow_family, run_flow_with_faulty_tcp, FlowConfig, FlowKind, FlowResult,
-    RecoverRecord, SaveRecord, TrainParams, Transport,
+    run_flow_tcp, FlowConfig, FlowKind, FlowResult, RecoverRecord, SaveRecord, TrainParams,
 };
 pub use metrics::{median_duration, MedianSeries};

@@ -128,8 +128,9 @@ fn fully_updated_flow_updates_every_layer() {
 
 #[test]
 fn family_recovery_restores_a_whole_flow_without_repeating_ancestors() {
+    use mmlib_core::meta::SavedModelId;
     use mmlib_core::{RecoverOptions, SaveService};
-    use mmlib_dist::flow::recover_flow_family;
+    use mmlib_lineage::Lineage;
     use mmlib_store::ModelStorage;
 
     let dir = tempfile::tempdir().unwrap();
@@ -138,7 +139,8 @@ fn family_recovery_restores_a_whole_flow_without_repeating_ancestors() {
     assert_eq!(result.saves.len(), 10);
 
     let service = SaveService::new(ModelStorage::open(dir.path()).unwrap());
-    let family = recover_flow_family(&service, &result, true).unwrap();
+    let ids: Vec<SavedModelId> = result.saves.iter().map(|s| s.id.clone()).collect();
+    let family = Lineage::new(&service).recover_family(&ids, true).unwrap();
 
     // Every save comes back, and since every ancestor in the flow is itself
     // a saved model, the family materializes exactly the 10 saved models —
@@ -198,21 +200,12 @@ fn median_series_orders_use_cases() {
 }
 
 #[test]
-fn network_ledger_sees_every_save() {
-    let dir = tempfile::tempdir().unwrap();
-    let config = fast_config(ApproachKind::Baseline, ModelRelation::FullyUpdated);
-    let result = run_flow(&config, dir.path());
-    assert!(result.saves.iter().all(|s| s.network_time > std::time::Duration::ZERO));
-}
-
-#[test]
 fn dist5_flow_runs_end_to_end_over_tcp() {
-    use mmlib_dist::flow::{run_flow_with_transport, Transport};
+    use mmlib_dist::flow::run_flow_tcp;
     let dir = tempfile::tempdir().unwrap();
     let mut config = fast_config(ApproachKind::ParamUpdate, ModelRelation::PartiallyUpdated);
     config.kind = FlowKind::Dist5;
-    let result =
-        run_flow_with_transport(&config, dir.path(), Transport::Tcp { workers: 8 });
+    let result = run_flow_tcp(&config, dir.path(), 8, None);
 
     // Full Table-3 geometry, with every model recovered (bit-exactness is
     // verified inside recovery) — all of it across real loopback sockets.
@@ -236,9 +229,6 @@ fn dist5_flow_runs_end_to_end_over_tcp() {
     assert!(stats["requests"]["doc_insert"].as_u64().unwrap() > 0);
     // Server + 5 nodes each held a connection.
     assert!(stats["connections"].as_u64().unwrap() >= 6);
-
-    // Under Tcp, network time is real (inside TTS), not modeled.
-    assert!(result.saves.iter().all(|s| s.network_time == std::time::Duration::ZERO));
 }
 
 #[test]
@@ -263,20 +253,21 @@ fn recovered_model_is_byte_identical_across_the_socket() {
 
 #[test]
 fn sim_and_tcp_transports_store_identical_model_bytes() {
-    use mmlib_dist::flow::{run_flow_with_transport, Transport};
-    // The same flow config over both transports must persist the same
-    // per-save storage footprint — the transport only changes how bytes
-    // travel, never what is stored.
+    use mmlib_dist::flow::run_flow_tcp;
+    // The same flow config through the shared directory and through the
+    // loopback registry must persist the same per-save storage footprint —
+    // the entry point only changes how bytes travel, never what is stored.
     let config = fast_config(ApproachKind::Baseline, ModelRelation::FullyUpdated);
 
     let sim_dir = tempfile::tempdir().unwrap();
-    let sim = run_flow_with_transport(&config, sim_dir.path(), Transport::Sim);
+    let sim = run_flow(&config, sim_dir.path());
     let tcp_dir = tempfile::tempdir().unwrap();
-    let tcp = run_flow_with_transport(&config, tcp_dir.path(), Transport::Tcp { workers: 4 });
+    let tcp = run_flow_tcp(&config, tcp_dir.path(), 4, None);
 
     // Generated document ids gain a hex digit at different points (one id
-    // counter per node handle under Sim, one shared server counter under
-    // Tcp), so stored sizes may differ by single bytes — nothing more.
+    // counter per node handle in the shared directory, one shared server
+    // counter over TCP), so stored sizes may differ by single bytes —
+    // nothing more.
     assert_eq!(sim.saves.len(), tcp.saves.len());
     for (s, t) in sim.saves.iter().zip(&tcp.saves) {
         assert_eq!(s.use_case, t.use_case);
@@ -295,7 +286,7 @@ fn sim_and_tcp_transports_store_identical_model_bytes() {
 #[test]
 fn flow_over_faulty_tcp_survives_and_fsck_finds_only_duplicates() {
     use mmlib_core::fsck::{fsck, FsckIssue, FsckOptions};
-    use mmlib_dist::flow::run_flow_with_faulty_tcp;
+    use mmlib_dist::flow::run_flow_tcp;
     use mmlib_net::NetFaults;
     use mmlib_store::fault::{Fault, FaultPlan};
     use mmlib_store::ModelStorage;
@@ -316,7 +307,7 @@ fn flow_over_faulty_tcp_survives_and_fsck_finds_only_duplicates() {
     let accept_plan = FaultPlan::new(23).with(0, Fault::ConnReset);
     let faults = Arc::new(NetFaults::new(accept_plan, response_plan));
 
-    let result = run_flow_with_faulty_tcp(&config, dir.path(), 4, Arc::clone(&faults));
+    let result = run_flow_tcp(&config, dir.path(), 4, Some(Arc::clone(&faults)));
 
     // The flow's own verification ran inside recovery: full Table-3 shape,
     // every model recovered bit-exactly despite the injected faults.

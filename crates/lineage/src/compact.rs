@@ -2,10 +2,11 @@
 //!
 //! A parameter-update (or provenance) chain of depth *n* costs *n*
 //! sequential rebuilds to recover its tip — the linear TTR growth of the
-//! paper's recursive recovery. Compaction walks the chain once from its
-//! root, keeping the running model in memory, and promotes every node
-//! whose depth-since-last-snapshot reaches `max_depth` to a full snapshot
-//! (ModelHub's bounded version-graph storage, applied in place):
+//! paper's recursive recovery. Compaction lists the chain with the one
+//! walk (`SaveService::recovery_chain`, which also bounds it), then rebuilds
+//! it once from its root, keeping the running model in memory, and promotes
+//! every node whose depth-since-last-snapshot reaches `max_depth` to a full
+//! snapshot (ModelHub's bounded version-graph storage, applied in place):
 //!
 //! * recovery stays **byte-identical** — a promotion writes the exact
 //!   parameters recovery would have produced, verified against the stored
@@ -16,14 +17,11 @@
 //!   the old edge is preserved as `rebased_from`), which is what lets
 //!   `gc` collect a retired chain prefix.
 
-use std::collections::BTreeSet;
-
 use mmlib_core::meta::{kinds, ApproachKind, SavedModelId};
-use mmlib_core::{CoreError, SaveService};
+use mmlib_core::{CoreError, RecoverOptions};
 use mmlib_obs::PhaseBreakdown;
-use mmlib_store::DocId;
 
-use crate::{Lineage, COMPACTIONS, PROMOTED};
+use crate::{Lineage, LineageNode, COMPACTIONS, PROMOTED};
 
 /// What one compaction run did.
 #[derive(Debug, Clone)]
@@ -43,9 +41,9 @@ impl Lineage<'_> {
     /// than `max_depth - 1` rebuilds away from a snapshot.
     ///
     /// The chain is recovered in a single forward pass (each node exactly
-    /// once); nodes at the depth bound are promoted in place via
-    /// `SaveService::promote_to_snapshot`. Idempotent: a chain already
-    /// within the bound reports zero promotions.
+    /// once, from the document the walk decoded); nodes at the depth bound
+    /// are promoted in place via `SaveService::promote_to_snapshot`.
+    /// Idempotent: a chain already within the bound reports zero promotions.
     pub fn compact(
         &self,
         tip: &SavedModelId,
@@ -59,18 +57,22 @@ impl Lineage<'_> {
         }
         let svc = self.svc();
         let bytes_before = svc.storage().bytes_written();
-        let chain = recovery_chain(svc, tip)?;
+        // Listed tip first, rebuilt root first.
+        let chain =
+            svc.recovery_chain(tip, RecoverOptions::default().max_chain_depth, |_| false)?;
+        // One scan for the whole run: promoting a node rewrites only that
+        // node's own record.
+        let graph = self.graph()?;
 
         let mut current = None;
         let mut promoted = Vec::new();
         let mut depth = 0usize;
-        for id in &chain {
-            let info = svc.load_model_info(id)?;
-            let model = svc.recover_onto(id, current.take(), &mut PhaseBreakdown::new())?;
+        for (id, info) in chain.iter().rev() {
+            let model = svc.recover_step(info, id, current.take(), &mut PhaseBreakdown::new())?;
             depth = if info.approach == ApproachKind::Baseline { 0 } else { depth + 1 };
             if depth >= max_depth {
                 svc.promote_to_snapshot(id, &model)?;
-                self.rebase_record(id, &info.base_model)?;
+                self.rebase_record(graph.require(id)?, info.recovery_parent())?;
                 promoted.push(id.clone());
                 depth = 0;
             }
@@ -80,7 +82,7 @@ impl Lineage<'_> {
         self.obs().inc(COMPACTIONS, 1);
         self.obs().inc(PROMOTED, promoted.len() as u64);
         Ok(CompactReport {
-            chain,
+            chain: chain.into_iter().rev().map(|(id, _)| id).collect(),
             promoted,
             max_depth,
             bytes_written: svc.storage().bytes_written().saturating_sub(bytes_before),
@@ -92,15 +94,13 @@ impl Lineage<'_> {
     /// get one inserted, so compaction upgrades old stores as it goes.
     fn rebase_record(
         &self,
-        id: &SavedModelId,
-        old_parent: &Option<String>,
+        node: &LineageNode,
+        old_parent: Option<SavedModelId>,
     ) -> Result<(), CoreError> {
-        let graph = self.graph()?;
-        let node = graph.require(id)?;
         let mut record = node.record.clone();
-        record.rebased_from = record.parent.take().or_else(|| old_parent.clone());
+        record.rebased_from = record.parent.take().or(old_parent.map(|p| p.to_string()));
         let body = serde_json::to_value(&record).map_err(|e| CoreError::BadModelDocument {
-            id: id.clone(),
+            id: node.id.clone(),
             reason: format!("unencodable lineage record: {e}"),
         })?;
         match &node.doc {
@@ -111,37 +111,4 @@ impl Lineage<'_> {
         }
         Ok(())
     }
-}
-
-/// The recovery chain of `tip`, root first: `base_model` edges followed
-/// until a snapshot (whose base is lineage metadata, not a recovery
-/// dependency). Fails on cycles instead of looping.
-pub(crate) fn recovery_chain(
-    svc: &SaveService,
-    tip: &SavedModelId,
-) -> Result<Vec<SavedModelId>, CoreError> {
-    let mut chain = Vec::new();
-    let mut seen = BTreeSet::new();
-    let mut cur = tip.clone();
-    loop {
-        if !seen.insert(cur.to_string()) {
-            return Err(CoreError::BadModelDocument {
-                id: tip.clone(),
-                reason: format!("cyclic base chain at {cur}"),
-            });
-        }
-        let info = svc.load_model_info(&cur)?;
-        let base = if info.approach == ApproachKind::Baseline {
-            None
-        } else {
-            info.base_model.clone()
-        };
-        chain.push(cur);
-        match base {
-            Some(b) => cur = SavedModelId(DocId::from_string(b)),
-            None => break,
-        }
-    }
-    chain.reverse();
-    Ok(chain)
 }

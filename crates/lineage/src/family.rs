@@ -5,18 +5,20 @@
 //! re-deserializes the base *n* times — the recursive-recovery cost the
 //! paper measures, multiplied across the family. `recover_family`
 //! memoizes rebuilt models by id: the first target to need an ancestor
-//! rebuilds it, every later target copies the in-memory result. Each
-//! stored blob is therefore read exactly once per call, no matter how
-//! many targets share it.
+//! rebuilds it, every later target copies the in-memory result, and a
+//! target's chain walk (`SaveService::recovery_chain`) ends at the first
+//! ancestor already rebuilt. Each stored blob and each model-info document
+//! is therefore read exactly once per call, no matter how many targets
+//! share it.
 
 use std::collections::BTreeMap;
 
 use mmlib_core::meta::SavedModelId;
-use mmlib_core::{CoreError, SaveService};
+use mmlib_core::verify::verify_against_root;
+use mmlib_core::{CoreError, RecoverOptions};
 use mmlib_model::Model;
 use mmlib_obs::{PhaseBreakdown, PhaseClock};
 
-use crate::compact::recovery_chain;
 use crate::{Lineage, FAMILY_MODELS, FAMILY_RECOVERS, FAMILY_SECONDS};
 
 /// The result of one batch family recovery.
@@ -44,30 +46,33 @@ impl Lineage<'_> {
         // Read for its total only: the family histogram has no phase label.
         let clock = PhaseClock::new(obs, FAMILY_SECONDS, "phase");
         let svc = self.svc();
-        let mut cache: BTreeMap<String, Model> = BTreeMap::new();
+        // Every node rebuilt so far, with the Merkle root its document stores.
+        let mut cache: BTreeMap<SavedModelId, (String, Model)> = BTreeMap::new();
         let mut breakdown = PhaseBreakdown::new();
         let mut models = Vec::with_capacity(ids.len());
+        let limit = RecoverOptions::default().max_chain_depth;
 
         for target in ids {
-            for id in recovery_chain(svc, target)? {
-                if cache.contains_key(id.doc_id().as_str()) {
-                    continue;
-                }
-                let base = parent_of(svc, &id)?
-                    .and_then(|p| cache.get(p.as_str()))
-                    .map(Model::duplicate);
-                let model = svc.recover_onto(&id, base, &mut breakdown)?;
-                cache.insert(id.doc_id().as_str().to_string(), model);
+            // The walk ends at the first ancestor an earlier target rebuilt,
+            // so each model-info document is read once per call.
+            let missing = svc.recovery_chain(target, limit, |id| cache.contains_key(id))?;
+            for (id, info) in missing.into_iter().rev() {
+                let base = info
+                    .recovery_parent()
+                    .and_then(|p| cache.get(&p))
+                    .map(|(_, model)| model.duplicate());
+                let model = svc.recover_step(&info, &id, base, &mut breakdown)?;
+                cache.insert(id, (info.root_hash, model));
             }
-            let model = cache
-                .get(target.doc_id().as_str())
-                .map(Model::duplicate)
+            let (root_hash, model) = cache
+                .get(target)
+                .map(|(root_hash, model)| (root_hash, model.duplicate()))
                 .ok_or_else(|| CoreError::BadModelDocument {
                     id: target.clone(),
                     reason: "recovery chain did not produce the target".into(),
                 })?;
             if verify {
-                svc.verify_recovered(&model, target)?;
+                verify_against_root(&model, root_hash, target)?;
             }
             models.push((target.clone(), model));
         }
@@ -77,15 +82,4 @@ impl Lineage<'_> {
         obs.observe(FAMILY_SECONDS, clock.elapsed().as_secs_f64());
         Ok(FamilyRecovery { models, unique_nodes: cache.len(), breakdown })
     }
-}
-
-/// The recovery parent of `id`: its base model, unless `id` is a snapshot
-/// (a snapshot's base reference is lineage metadata, not a dependency).
-fn parent_of(svc: &SaveService, id: &SavedModelId) -> Result<Option<String>, CoreError> {
-    let info = svc.load_model_info(id)?;
-    Ok(if info.approach == mmlib_core::ApproachKind::Baseline {
-        None
-    } else {
-        info.base_model
-    })
 }

@@ -21,6 +21,10 @@
 //! * [`Lineage::recover_family`] — batch recovery of models sharing
 //!   ancestry, fetching and rebuilding each shared ancestor exactly once.
 //!
+//! Neither of the last two walks base references itself: both list a chain
+//! with `SaveService::recovery_chain` (one rule, one loop, one depth bound,
+//! all in `mmlib-core`) and rebuild it with `SaveService::recover_step`.
+//!
 //! All operations report through the service's `mmlib-obs` recorder under
 //! the `mmlib_lineage_*` metrics declared in the central taxonomy.
 

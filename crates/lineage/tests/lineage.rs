@@ -7,7 +7,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use mmlib_core::meta::SavedModelId;
-use mmlib_core::{RecoverOptions, SaveRequest, SaveService};
+use mmlib_core::{CoreError, RecoverOptions, SaveRequest, SaveService};
 use mmlib_lineage::Lineage;
 use mmlib_model::{ArchId, Model};
 use mmlib_store::{DocId, Document, FileId, ModelStorage, StorageBackend, StoreError};
@@ -245,15 +245,36 @@ fn compaction_rebases_records_and_unblocks_gc() {
     assert!(fsck.is_clean(), "fsck after gc: {fsck:?}");
 }
 
-/// A pass-through backend that counts `get_file` calls per file id.
+/// A pass-through backend that counts `get_file` calls per file id and
+/// `get_doc` calls per document id.
 struct CountingBackend {
     inner: Arc<dyn StorageBackend>,
     file_gets: Mutex<BTreeMap<String, u32>>,
+    doc_gets: Mutex<BTreeMap<String, u32>>,
 }
 
 impl CountingBackend {
+    /// A service over a fresh local store at `dir`, seen through the counter,
+    /// with a recorder of its own (sibling tests share the global one).
+    fn service(dir: &std::path::Path) -> (SaveService, Arc<CountingBackend>) {
+        let counting = Arc::new(CountingBackend {
+            inner: ModelStorage::open(dir).unwrap().backend(),
+            file_gets: Mutex::new(BTreeMap::new()),
+            doc_gets: Mutex::new(BTreeMap::new()),
+        });
+        let backend = Arc::clone(&counting) as Arc<dyn StorageBackend>;
+        let svc = SaveService::new(ModelStorage::from_backend(backend, dir))
+            .with_recorder(Arc::new(mmlib_obs::Recorder::new()));
+        (svc, counting)
+    }
+
     fn gets(&self) -> BTreeMap<String, u32> {
         self.file_gets.lock().unwrap().clone()
+    }
+
+    /// The per-document read counts since the last call.
+    fn take_doc_gets(&self) -> BTreeMap<String, u32> {
+        std::mem::take(&mut *self.doc_gets.lock().unwrap())
     }
 }
 
@@ -262,6 +283,7 @@ impl StorageBackend for CountingBackend {
         self.inner.insert_doc(kind, body)
     }
     fn get_doc(&self, id: &DocId) -> Result<Document, StoreError> {
+        *self.doc_gets.lock().unwrap().entry(id.as_str().to_string()).or_insert(0) += 1;
         self.inner.get_doc(id)
     }
     fn update_doc(&self, id: &DocId, body: serde_json::Value) -> Result<(), StoreError> {
@@ -308,15 +330,7 @@ impl StorageBackend for CountingBackend {
 #[test]
 fn family_recovery_fetches_each_shared_blob_exactly_once() {
     let dir = tempfile::tempdir().unwrap();
-    let local = ModelStorage::open(dir.path()).unwrap();
-    let counting = Arc::new(CountingBackend {
-        inner: local.backend(),
-        file_gets: Mutex::new(BTreeMap::new()),
-    });
-    let s = SaveService::new(ModelStorage::from_backend(
-        Arc::clone(&counting) as Arc<dyn StorageBackend>,
-        dir.path(),
-    ));
+    let (s, counting) = CountingBackend::service(dir.path());
 
     // One root, one shared mid node, three sibling tips off the mid node.
     let mut model = Model::new_initialized(ArchId::TinyCnn, 5);
@@ -369,4 +383,87 @@ fn family_recovery_fetches_each_shared_blob_exactly_once() {
     assert_eq!(s.recorder().counter_value("mmlib_lineage_family_recovers_total", None), 1);
     assert_eq!(s.recorder().counter_value("mmlib_lineage_family_models_total", None), 3);
     assert_eq!(s.recorder().histogram_count("mmlib_lineage_family_recover_seconds", None), 1);
+}
+
+/// The count gates of the one chain walk, on a depth-32 update chain: a
+/// model-info document is decoded once and handed on, not re-read by each
+/// layer that needs the next base. Counts, so the gate holds on any machine.
+#[test]
+fn chain_operations_read_each_model_info_once() {
+    let dir = tempfile::tempdir().unwrap();
+    let (s, counting) = CountingBackend::service(dir.path());
+    let (ids, _) = build_chain(&s, 13, 32);
+    let tip = ids.last().unwrap().clone();
+    let lineage = Lineage::new(&s);
+    let reads_of = |gets: &BTreeMap<String, u32>, id: &SavedModelId| {
+        gets.get(id.doc_id().as_str()).copied().unwrap_or(0)
+    };
+
+    // Plain recovery: every document of the chain exactly once.
+    counting.take_doc_gets();
+    s.recover_report(&tip, RecoverOptions::default()).unwrap();
+    let gets = counting.take_doc_gets();
+    for id in &ids {
+        assert_eq!(reads_of(&gets, id), 1, "recover_report: {id}");
+    }
+
+    // Family recovery of the eight deepest versions, verified: the first
+    // target walks to the root, every later one stops at the ancestor the
+    // one before it rebuilt, and verification uses the root hash the walk
+    // decoded. Blobs are still fetched once each.
+    counting.file_gets.lock().unwrap().clear();
+    let family = lineage.recover_family(&ids[25..], true).unwrap();
+    assert_eq!((family.models.len(), family.unique_nodes), (8, 33));
+    for (file, count) in counting.gets() {
+        assert_eq!(count, 1, "recover_family: file {file} fetched {count} times");
+    }
+    let gets = counting.take_doc_gets();
+    for id in &ids {
+        assert_eq!(reads_of(&gets, id), 1, "recover_family: {id}");
+    }
+
+    // Compaction: the walk, one graph scan for the whole run, and
+    // `promote_to_snapshot`'s own load on the four promoted nodes.
+    let report = lineage.compact(&tip, 8).unwrap();
+    assert_eq!(report.promoted.len(), 4);
+    let gets = counting.take_doc_gets();
+    for id in &ids {
+        let limit = if report.promoted.contains(id) { 3 } else { 2 };
+        assert!(reads_of(&gets, id) <= limit, "compact: {id} read {} times", reads_of(&gets, id));
+    }
+}
+
+/// The two hostile chains of `recovery_errors.rs` (an update that names
+/// itself; two that name each other) under the lineage operations: both walk
+/// with the one loop, so both end at its depth guard after a bounded number
+/// of document reads — no hang, no panic, no seen-set of their own.
+#[test]
+fn hostile_chains_end_at_the_depth_guard() {
+    for two_cycle in [false, true] {
+        let dir = tempfile::tempdir().unwrap();
+        let (s, counting) = CountingBackend::service(dir.path());
+        let (ids, _) = build_chain(&s, 17, 2);
+        let (mid, tip) = (&ids[1], &ids[2]);
+        let forged = if two_cycle { mid } else { tip };
+        let mut doc = s.storage().get_doc(forged.doc_id()).unwrap();
+        doc.body["base_model"] = serde_json::json!(tip.doc_id().as_str());
+        s.storage().docs().update(forged.doc_id(), doc.body).unwrap();
+
+        let lineage = Lineage::new(&s);
+        let limit = RecoverOptions::default().max_chain_depth;
+        let ends_at_the_guard = |what: &str, op: &dyn Fn() -> Result<(), CoreError>| {
+            counting.take_doc_gets();
+            let outcome = op();
+            assert!(
+                matches!(outcome, Err(CoreError::BaseChainTooDeep { .. })),
+                "{what} (two_cycle={two_cycle}): {outcome:?}"
+            );
+            let reads: u32 = counting.take_doc_gets().values().sum();
+            assert!(reads as usize <= limit + 1, "{what}: {reads} document reads");
+        };
+        ends_at_the_guard("compact", &|| lineage.compact(tip, 8).map(drop));
+        ends_at_the_guard("recover_family", &|| {
+            lineage.recover_family(std::slice::from_ref(tip), true).map(drop)
+        });
+    }
 }

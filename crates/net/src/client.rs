@@ -9,8 +9,8 @@
 //! Connections come from a small **pool** with **request pipelining**: each
 //! pooled socket opens with the `Hello` handshake, a dedicated reader
 //! thread demultiplexes responses by frame id, and any number of caller
-//! threads share the pool concurrently — `recover_flow_family` and the
-//! dist flows no longer pay per-request connection latency. Requests are
+//! threads share the pool concurrently — family recovery and the dist
+//! flows no longer pay per-request connection latency. Requests are
 //! retried with exponential backoff plus jitter on connection failure, and
 //! a server `Busy` load-shed answer is just another retryable outcome (the
 //! connection stays up).

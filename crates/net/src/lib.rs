@@ -20,10 +20,9 @@
 //!   unmodified against a remote registry; retries with exponential backoff
 //!   plus jitter, configurable through [`RemoteStore::builder`].
 //!
-//! [`SimNetwork`](mmlib_store::SimNetwork) models transfer time without
-//! moving bytes (reproducible evaluation numbers); this crate moves the
-//! bytes (real loopback/LAN behaviour). `mmlib-dist` exposes the choice as
-//! its `Transport` setting.
+//! This is the only network layer: `mmlib-dist`'s `run_flow_tcp` runs an
+//! evaluation flow through it, while `run_flow` opens the storage root
+//! directly (the paper's shared file system, no network at all).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]

@@ -148,16 +148,6 @@ pub const TAXONOMY: &[MetricDef] = &[
         help: "End-to-end model save latency, labeled by approach.",
     },
     MetricDef {
-        name: "mmlib_simnet_bytes_total",
-        kind: MetricKind::Counter,
-        help: "Bytes pushed through the simulated network model.",
-    },
-    MetricDef {
-        name: "mmlib_simnet_nanos_total",
-        kind: MetricKind::Counter,
-        help: "Simulated transfer time accumulated by the network model, in nanoseconds.",
-    },
-    MetricDef {
         name: "mmlib_store_bytes_read_total",
         kind: MetricKind::Counter,
         help: "Bytes read from the model store's backing storage.",

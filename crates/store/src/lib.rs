@@ -4,8 +4,8 @@
 //! "in a document database like MongoDB", and *files* (model code,
 //! serialized parameters, dataset containers) on a shared file system, with
 //! generated identifiers cross-referencing the two. This crate provides both
-//! halves as embedded, directory-backed stores plus the accounting and
-//! network models the evaluation needs:
+//! halves as embedded, directory-backed stores plus the accounting the
+//! evaluation needs:
 //!
 //! * [`document`] — a JSON document store with generated ids and recursive
 //!   reference resolution (the paper's "recursively load all associated
@@ -14,9 +14,6 @@
 //! * [`storage`] — [`storage::ModelStorage`], bundling one document store
 //!   and one file store behind shared byte accounting; every save's storage
 //!   consumption is measured here.
-//! * [`network`] — [`network::SimNetwork`], a bandwidth/latency transfer
-//!   model for the distributed experiments (the paper's machines share a
-//!   100 Gb/s InfiniBand link). Transfer times are *accounted*, never slept.
 //! * [`fault`] — seeded deterministic fault injection ([`FaultPlan`],
 //!   [`FaultInjector`], [`FaultyBackend`]) driving the crash-consistency
 //!   test matrix.
@@ -31,13 +28,11 @@ pub mod document;
 pub mod fault;
 pub mod files;
 pub mod fsck;
-pub mod network;
 pub mod storage;
 
 pub use document::{DocId, DocStore, Document};
 pub use fault::{Fault, FaultInjector, FaultPlan, FaultyBackend};
 pub use files::{FileId, FileStore};
-pub use network::SimNetwork;
 pub use storage::{
     batch_ref, BatchId, BatchItem, ModelStorage, StorageBackend, StoreError, BATCH_REF_PREFIX,
 };

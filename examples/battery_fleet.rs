@@ -20,20 +20,24 @@ use mmlib::core::{RecoverOptions, SaveRequest, SaveService};
 use mmlib::data::loader::LoaderConfig;
 use mmlib::data::{DataLoader, Dataset, DatasetId};
 use mmlib::model::{ArchId, Model};
-use mmlib::store::{ModelStorage, SimNetwork};
+use mmlib::store::ModelStorage;
 use mmlib::tensor::ExecMode;
 use mmlib::train::{AnyOptimizer, ImageNetTrainService, Sgd, SgdConfig, TrainConfig, TrainService};
 
 const VEHICLES: usize = 4;
 const UPDATE_ROUNDS: usize = 3;
 
+/// Vehicles upload over a constrained cellular-class link (10 ms, 1 Gb/s =
+/// 8 ns per byte), not the paper's datacenter InfiniBand — storage savings
+/// become airtime.
+fn airtime(bytes: u64) -> std::time::Duration {
+    std::time::Duration::from_millis(10) + std::time::Duration::from_nanos(bytes * 8)
+}
+
 fn main() {
     let dir = tempfile::tempdir().expect("temp dir");
     let storage = ModelStorage::open(dir.path()).expect("open storage");
     let svc = SaveService::new(storage);
-    // Vehicles upload over a constrained cellular-class link, not the
-    // paper's datacenter InfiniBand — storage savings become airtime.
-    let uplink = SimNetwork::edge_1g();
 
     // The factory battery model, "initialized from laboratory measurements
     // of other cells of the same type". MobileNetV2 stands in for the
@@ -84,11 +88,10 @@ fn main() {
             // Inform the central storage (U3): parameter update only.
             let saved =
                 svc.save(SaveRequest::update(model, base)).expect("vehicle update save");
-            let airtime = uplink.transfer_time(saved.storage_bytes);
             println!(
                 "  vehicle {vehicle}: {:>7.3} MB uplink ({:>6.1?} airtime, {} changed layers, save {:.1?})",
                 saved.storage_bytes as f64 / 1e6,
-                airtime,
+                airtime(saved.storage_bytes),
                 saved.diff.map_or(0, |d| d.changed.len()),
                 saved.tts,
             );
@@ -101,7 +104,7 @@ fn main() {
     println!(
         "\n(a full snapshot per update would cost {:.1} MB and {:?} airtime per vehicle)",
         full,
-        uplink.transfer_time(factory.state_nbytes()),
+        airtime(factory.state_nbytes()),
     );
 
     // --- Incident: recover vehicle 2's exact current model centrally. ----

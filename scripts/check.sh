@@ -51,6 +51,15 @@ if [ "$expects" -gt "$EXPECT_CAP" ]; then
     echo "check.sh: $expects #[expect] suppressions under crates/*/src, cap is $EXPECT_CAP — fix the site instead" >&2
     exit 1
 fi
+# Deleted, not parked: save-time chain policies and the modelled network are
+# gone (chain depth is bounded by `mmlib lineage compact`; mmlib-net is the
+# one network layer). Fail, naming the file, if one of their names returns.
+for gone in ChainPolicy with_policy SimNetwork network_time run_flow_with_transport recover_flow_family; do
+    if hits=$(grep -rl -- "$gone" crates/*/src src examples tests); then
+        echo "check.sh: deleted name '$gone' reappeared in:" $hits >&2
+        exit 1
+    fi
+done
 
 cargo clippy --workspace --all-targets -- -D warnings
 if ! cargo run --release --quiet -p mmlib-lint -- --workspace; then

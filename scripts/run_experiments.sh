@@ -9,8 +9,15 @@ mkdir -p results
 BIN=target/release/repro
 [ -x "$BIN" ] || cargo build --release -p mmlib-bench
 
+failed=()
 for exp in "$@"; do
     echo "=== running $exp ==="
     "$BIN" "$exp" ${REPRO_FLAGS:-} > "results/$exp.txt" 2>&1
-    echo "=== $exp exit=$? ==="
+    status=$?
+    echo "=== $exp exit=$status ==="
+    [ "$status" -eq 0 ] || failed+=("$exp")
 done
+if [ "${#failed[@]}" -gt 0 ]; then
+    echo "run_experiments.sh: FAILED: ${failed[*]} (see results/<exp>.txt)" >&2
+    exit 1
+fi

@@ -52,7 +52,7 @@ pub use mmlib_net as net;
 /// Metrics registry (counters/gauges/histograms), phase clocks and spans,
 /// and the Prometheus text exposition.
 pub use mmlib_obs as obs;
-/// Document store, file store, and the simulated cluster network.
+/// Document store, file store, fault injection and physical fsck.
 pub use mmlib_store as store;
 /// Tensors, deterministic/parallel kernels, PRNG, SHA-256, serialization.
 pub use mmlib_tensor as tensor;
