@@ -166,11 +166,14 @@ pub fn decode_update<'a>(
         Ok(v)
     };
 
+    // The trailer is a checksum, not a MAC: anyone can re-seal a hostile
+    // frame, so every length is checked against the bytes remaining and
+    // every product is checked, never trusted to fit.
     let count = read_varint(&mut pos)? as usize;
     let mut out = Vec::with_capacity(count.min(1 << 20));
     for _ in 0..count {
         let name_len = read_varint(&mut pos)? as usize;
-        if pos + name_len > payload.len() {
+        if name_len > payload.len() - pos {
             return Err(CodecError::Corrupt("truncated name".into()));
         }
         let name = std::str::from_utf8(&payload[pos..pos + name_len])
@@ -191,12 +194,11 @@ pub fn decode_update<'a>(
             dims.push(read_varint(&mut pos)? as usize);
         }
         let shape = Shape::new(dims);
-        let numel = shape.numel();
-        if numel > (1 << 33) {
-            return Err(CodecError::Corrupt(format!("implausible element count {numel}")));
-        }
+        let Some(numel) = shape.checked_numel().filter(|&n| n <= 1 << 33) else {
+            return Err(CodecError::Corrupt(format!("implausible element count for dims {shape}")));
+        };
         let payload_len = read_varint(&mut pos)? as usize;
-        if pos + payload_len > payload.len() {
+        if payload_len > payload.len() - pos {
             return Err(CodecError::Corrupt("truncated payload".into()));
         }
         let body = &payload[pos..pos + payload_len];

@@ -52,21 +52,23 @@ pub fn encode(input: &[u8]) -> Vec<u8> {
 
 /// Decodes a zero-RLE stream produced by [`encode`].
 ///
-/// `expected_len` bounds the output (corrupt streams cannot balloon).
+/// `expected_len` bounds the output (corrupt streams cannot balloon). Run
+/// lengths are untrusted: each is compared against the room left, never
+/// added to a position first.
 pub fn decode(input: &[u8], expected_len: usize) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(expected_len);
+    // A frame's `expected_len` is as untrusted as its runs, so it only
+    // sizes the first allocation up to a bound; past it, the output grows.
+    let mut out = Vec::with_capacity(expected_len.min(1 << 26));
     let mut pos = 0usize;
     while pos < input.len() {
         let (zeros, used) = varint::read_u64(&input[pos..])?;
         pos += used;
-        if out.len() + zeros as usize > expected_len {
-            return None;
-        }
-        out.resize(out.len() + zeros as usize, 0);
+        let zeros = usize::try_from(zeros).ok().filter(|&z| z <= expected_len - out.len())?;
+        out.resize(out.len() + zeros, 0);
         let (lits, used) = varint::read_u64(&input[pos..])?;
         pos += used;
-        let lits = lits as usize;
-        if pos + lits > input.len() || out.len() + lits > expected_len {
+        let lits = usize::try_from(lits).ok()?;
+        if lits > input.len() - pos || lits > expected_len - out.len() {
             return None;
         }
         out.extend_from_slice(&input[pos..pos + lits]);

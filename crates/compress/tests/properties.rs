@@ -1,9 +1,48 @@
 //! Property tests: the update codec is lossless and bit-exact on arbitrary
-//! tensors (including special values), and every corruption is detected.
+//! tensors (including special values), every corruption is detected, and a
+//! hostile frame re-sealed with a valid trailer is an error, never a panic.
 
-use mmlib_compress::{decode_update, encode_update};
+use mmlib_compress::varint::write_u64;
+use mmlib_compress::{decode_update, encode_update, CodecError};
+use mmlib_tensor::hash::Sha256;
 use mmlib_tensor::{Pcg32, Shape, Tensor};
 use proptest::prelude::*;
+
+/// Appends the SHA-256 trailer, as any peer can: it is a checksum, not a MAC.
+fn seal(mut frame: Vec<u8>) -> Vec<u8> {
+    let mut h = Sha256::new();
+    h.update(&frame);
+    frame.extend_from_slice(&h.finalize().0);
+    frame
+}
+
+/// A frame header announcing one entry, then `rest`, re-sealed.
+fn one_entry_frame(rest: &[u64]) -> Vec<u8> {
+    let mut frame = b"MMCU".to_vec();
+    frame.extend_from_slice(&1u16.to_le_bytes());
+    for &v in [1].iter().chain(rest) {
+        write_u64(v, &mut frame);
+    }
+    seal(frame)
+}
+
+/// The three hostile lengths that panicked the decoder: each is a varint
+/// field holding a value whose arithmetic overflowed.
+#[test]
+fn resealed_hostile_lengths_are_errors() {
+    let huge = 1u64 << 40;
+    let frames = [
+        ("name_len = u64::MAX", one_entry_frame(&[u64::MAX])),
+        // name "a", raw mode, rank 1, dim 4, then the payload length.
+        ("payload_len = u64::MAX", one_entry_frame(&[1, 0x61, 0, 1, 4, u64::MAX])),
+        ("three dims of 2^40", one_entry_frame(&[1, 0x61, 0, 3, huge, huge, huge, 0])),
+    ];
+    let none = |_: &str| None;
+    for (what, frame) in frames {
+        let got = decode_update(&frame, &none);
+        assert!(matches!(got, Err(CodecError::Corrupt(_))), "{what}: {got:?}");
+    }
+}
 
 fn arb_tensor() -> impl Strategy<Value = Tensor> {
     (prop::collection::vec(1usize..8, 1..4), any::<u64>(), 0u8..3).prop_map(
@@ -77,5 +116,23 @@ proptest! {
             prop_assert!(enc.bytes.len() < t.nbytes() / 4 + 96,
                 "encoded {} of raw {}", enc.bytes.len(), t.nbytes());
         }
+    }
+
+    #[test]
+    fn resealed_single_byte_mutations_never_panic(
+        t in arb_tensor(),
+        pos_frac in 0.0f64..1.0,
+        byte in any::<u8>(),
+    ) {
+        // Delta mode against the tensor itself plus a raw entry, so the
+        // mutation can land in either kind of entry.
+        let entries = vec![("t", &t), ("r", &t)];
+        let base_fn = |name: &str| (name == "t").then_some(&t);
+        let mut frame = encode_update(&entries, &base_fn).bytes;
+        frame.truncate(frame.len() - 32);
+        let pos = ((frame.len() - 1) as f64 * pos_frac) as usize;
+        frame[pos] = byte;
+        // Any outcome but a panic: a byte can still re-seal a valid frame.
+        let _ = decode_update(&seal(frame), &base_fn);
     }
 }

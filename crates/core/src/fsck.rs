@@ -8,11 +8,13 @@
 //! metadata schema (paper §3.1):
 //!
 //! * **physical scan** (local roots only) — leftover `*.tmp` files from
-//!   interrupted atomic writes, unparsable documents, id mismatches
-//!   (delegated to [`mmlib_store::fsck::scan_local`]);
-//! * **reference resolution** — every document and file a `model_info`
-//!   document references (environment, layer hashes, base model, wrapper
-//!   closure via `ref_args`, code/weights/dataset files) must exist;
+//!   interrupted atomic writes ([`mmlib_store::fsck::scan_local`]);
+//! * **document integrity** — every document is read once, by
+//!   [`read_store`]; one that does not parse, whose embedded id is not its
+//!   filename, or that cannot be read at all is a corrupt document;
+//! * **reference resolution** — everything a `model_info` document
+//!   references ([`ModelInfoDoc::references`], the rule deletion and GC
+//!   share) must exist;
 //! * **hash re-verification** — weights blobs are re-parsed and re-hashed
 //!   layer by layer against the stored Merkle tree, and the tree's root
 //!   against the recorded `root_hash`, detecting truncations and bit
@@ -25,19 +27,20 @@
 //! entries are moved into `root/quarantine/` — out of every scan's way but
 //! recoverable by hand.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use mmlib_store::fsck as store_fsck;
-use mmlib_store::fsck::ScanIssue;
-use mmlib_store::{DocId, Document, FileId, ModelStorage};
-use mmlib_tensor::hash::{hash_tensor, Digest, Sha256};
+use mmlib_store::{DocId, FileId, ModelStorage};
+use mmlib_tensor::hash::Digest;
+use mmlib_tensor::hash_par::hash_tensors;
 use mmlib_tensor::ser::state_from_bytes;
 use mmlib_tensor::Tensor;
 
 use crate::error::CoreError;
-use crate::merkle::MerkleTree;
-use crate::meta::{kinds, ApproachKind, ModelInfoDoc, SavedModelId};
+use crate::gc::{read_store, DependencyGraph};
+use crate::merkle::{layer_hashes_from_entries, MerkleTree};
+use crate::meta::{ApproachKind, ModelInfoDoc, Ref, SavedModelId};
 
 /// What [`fsck`] should do.
 #[derive(Debug, Clone)]
@@ -237,107 +240,61 @@ impl std::fmt::Display for FsckReport {
     }
 }
 
-/// Per-layer digests of a parsed state dict, grouped exactly like
-/// [`crate::merkle::model_layer_hashes`] groups a live model's entries —
-/// so a weights blob can be verified against its Merkle tree without
-/// constructing a [`mmlib_model::Model`].
-fn entry_layer_hashes(entries: &[(String, Tensor)]) -> Vec<(String, Digest)> {
-    let mut out: Vec<(String, Digest)> = Vec::new();
-    let mut current: Option<(String, Sha256)> = None;
-    for (path, tensor) in entries {
-        let (layer, name) = path.rsplit_once('.').unwrap_or(("", path.as_str()));
-        match &mut current {
-            Some((cur_layer, h)) if cur_layer.as_str() == layer => {
-                h.update(name.as_bytes());
-                h.update(&hash_tensor(tensor).0);
-            }
-            _ => {
-                if let Some((l, h)) = current.take() {
-                    out.push((l, h.finalize()));
-                }
-                let mut h = Sha256::new();
-                h.update(name.as_bytes());
-                h.update(&hash_tensor(tensor).0);
-                current = Some((layer.to_string(), h));
-            }
-        }
-    }
-    if let Some((l, h)) = current.take() {
-        out.push((l, h.finalize()));
-    }
-    out
-}
-
 struct Checker<'a> {
     storage: &'a ModelStorage,
     opts: &'a FsckOptions,
     local: bool,
+    /// The one read of the store every check works from.
+    graph: &'a DependencyGraph,
     report: FsckReport,
-    /// Documents by id (only those that read and parsed).
-    docs: BTreeMap<String, Document>,
-    /// Ids of documents already reported as corrupt (skip orphan pass).
-    corrupt_docs: BTreeSet<String>,
-    file_set: BTreeSet<String>,
-    reachable_docs: BTreeSet<String>,
-    reachable_files: BTreeSet<String>,
+    file_set: BTreeSet<FileId>,
+    reachable_docs: BTreeSet<DocId>,
+    reachable_files: BTreeSet<FileId>,
 }
 
 /// Checks a store's documents and blobs for semantic consistency; see the
 /// module docs for the checks performed.
 pub fn fsck(storage: &ModelStorage, opts: &FsckOptions) -> Result<FsckReport, CoreError> {
+    let graph = read_store(storage)?;
     let mut c = Checker {
         storage,
         opts,
         local: store_fsck::is_local_root(storage.root()),
+        graph: &graph,
         report: FsckReport::default(),
-        docs: BTreeMap::new(),
-        corrupt_docs: BTreeSet::new(),
-        file_set: BTreeSet::new(),
+        file_set: storage.files().ids()?.into_iter().collect(),
         reachable_docs: BTreeSet::new(),
         reachable_files: BTreeSet::new(),
     };
-    c.physical_scan()?;
-    c.load_documents()?;
-    let models = c.decode_model_infos();
-    for (id, info) in &models {
+    c.report.docs_seen = graph.models.len()
+        + graph.lineage.values().map(Vec::len).sum::<usize>()
+        + graph.others.len()
+        + graph.unreadable.len();
+    c.report.files_seen = c.file_set.len();
+    c.leftover_tmps()?;
+    c.unreadable_docs()?;
+    for (id, info) in &graph.models {
         c.check_model(id, info)?;
     }
-    c.report.models_checked = models.len();
-    c.lineage_pass(&models)?;
+    c.report.models_checked = graph.models.len();
+    c.lineage_pass()?;
     c.orphan_pass()?;
     Ok(c.report)
 }
 
 impl Checker<'_> {
-    /// Physical filesystem scan (local roots only): tmp leftovers and
-    /// damaged document files, quarantined straight away in repair mode.
-    fn physical_scan(&mut self) -> Result<(), CoreError> {
+    /// Leftover `*.tmp` files of interrupted atomic writes (local roots
+    /// only), quarantined straight away in repair mode.
+    fn leftover_tmps(&mut self) -> Result<(), CoreError> {
         if !self.local {
             return Ok(());
         }
         let root = self.storage.root();
-        for issue in store_fsck::scan_local(root)?.issues {
-            match issue {
-                ScanIssue::LeftoverTmp { path } => {
-                    if self.opts.repair {
-                        self.report.quarantined.push(store_fsck::quarantine(root, &path)?);
-                    }
-                    self.report.issues.push(FsckIssue::LeftoverTmp { path });
-                }
-                ScanIssue::UnparsableDoc { id, error } => {
-                    self.quarantine_doc(&id)?;
-                    self.corrupt_docs.insert(id.as_str().to_string());
-                    self.report.issues.push(FsckIssue::CorruptDoc { id, detail: error });
-                }
-                ScanIssue::DocIdMismatch { id, embedded } => {
-                    self.quarantine_doc(&id)?;
-                    self.corrupt_docs.insert(id.as_str().to_string());
-                    self.report.issues.push(FsckIssue::CorruptDoc {
-                        id,
-                        detail: format!("embedded id {embedded:?} does not match filename"),
-                    });
-                }
+        for path in store_fsck::scan_local(root)? {
+            if self.opts.repair {
+                self.report.quarantined.push(store_fsck::quarantine(root, &path)?);
             }
+            self.report.issues.push(FsckIssue::LeftoverTmp { path });
         }
         Ok(())
     }
@@ -356,145 +313,69 @@ impl Checker<'_> {
         Ok(())
     }
 
-    /// Reads every document and lists every blob. Read failures (the only
-    /// corruption signal available through a remote backend) are recorded
-    /// as [`FsckIssue::CorruptDoc`].
-    fn load_documents(&mut self) -> Result<(), CoreError> {
-        for id in self.storage.docs().ids()? {
-            self.report.docs_seen += 1;
-            if self.corrupt_docs.contains(id.as_str()) {
-                continue;
-            }
-            match self.storage.get_doc(&id) {
-                Ok(doc) => {
-                    self.docs.insert(id.as_str().to_string(), doc);
+    /// The documents the one read rejected: a model-info body that does not
+    /// decode is a [`FsckIssue::BadModelDoc`]; any other failure (unparsable,
+    /// mislabeled, unreadable) is a [`FsckIssue::CorruptDoc`], quarantined
+    /// in repair mode.
+    fn unreadable_docs(&mut self) -> Result<(), CoreError> {
+        let graph = self.graph;
+        for (id, err) in &graph.unreadable {
+            let issue = match err {
+                CoreError::BadModelDocument { id, reason } => {
+                    FsckIssue::BadModelDoc { id: id.clone(), reason: reason.clone() }
                 }
-                Err(e) => {
-                    self.corrupt_docs.insert(id.as_str().to_string());
-                    self.report
-                        .issues
-                        .push(FsckIssue::CorruptDoc { id, detail: e.to_string() });
+                err => {
+                    self.quarantine_doc(id)?;
+                    FsckIssue::CorruptDoc { id: id.clone(), detail: err.to_string() }
                 }
-            }
-        }
-        for id in self.storage.files().ids()? {
-            self.report.files_seen += 1;
-            self.file_set.insert(id.as_str().to_string());
+            };
+            self.report.issues.push(issue);
         }
         Ok(())
     }
 
-    fn decode_model_infos(&mut self) -> Vec<(SavedModelId, ModelInfoDoc)> {
-        let mut models = Vec::new();
-        for (id, doc) in &self.docs {
-            if doc.kind != kinds::MODEL_INFO {
-                continue;
-            }
-            self.reachable_docs.insert(id.clone());
-            let sid = SavedModelId(DocId::from_string(id.clone()));
-            match serde_json::from_value::<ModelInfoDoc>(doc.body.clone()) {
-                Ok(info) => models.push((sid, info)),
-                Err(e) => self.report.issues.push(FsckIssue::BadModelDoc {
-                    id: sid,
-                    reason: format!("undecodable body: {e}"),
-                }),
-            }
-        }
-        models
-    }
-
-    /// Resolves every reference of one saved model, then re-verifies its
-    /// hashes if requested.
+    /// Resolves every reference of one saved model — the rule of
+    /// [`ModelInfoDoc::references`] — then re-verifies its hashes if
+    /// requested.
     fn check_model(&mut self, sid: &SavedModelId, info: &ModelInfoDoc) -> Result<(), CoreError> {
-        let mut need_docs: Vec<(String, &str)> = vec![
-            (info.environment_doc.clone(), "environment"),
-            (info.layer_hash_doc.clone(), "layer-hash"),
-        ];
-        if let Some(base) = &info.base_model {
-            need_docs.push((base.clone(), "base-model"));
-        }
-        for (id, role) in need_docs {
-            self.require_doc(sid, &id, role);
-        }
-        if let Some(train) = &info.train_doc {
-            self.walk_wrapper_closure(sid, train);
-        }
-
-        let mut need_files: Vec<(String, &str)> = Vec::new();
-        if let Some(f) = &info.code_file {
-            need_files.push((f.clone(), "architecture-code"));
-        }
-        if let Some(f) = &info.weights_file {
-            need_files.push((f.clone(), "weights"));
-        }
-        if let Some(ds) = &info.dataset {
-            if let Some(f) = &ds.container_file {
-                need_files.push((f.clone(), "dataset-container"));
+        let graph = self.graph;
+        for (target, role) in info.references(&graph.others) {
+            match target {
+                Ref::Doc(id) => {
+                    let model_doc = SavedModelId(id.clone());
+                    if !graph.others.contains_key(&id) && !graph.models.contains_key(&model_doc) {
+                        self.report.issues.push(FsckIssue::MissingDoc {
+                            model: sid.clone(),
+                            id: id.clone(),
+                            role: role.to_string(),
+                        });
+                    }
+                    self.reachable_docs.insert(id);
+                }
+                Ref::File(id) => {
+                    if !self.file_set.contains(&id) {
+                        self.report.issues.push(FsckIssue::MissingFile {
+                            model: sid.clone(),
+                            id: id.clone(),
+                            role: role.to_string(),
+                        });
+                    }
+                    self.reachable_files.insert(id);
+                }
             }
         }
-        for (id, role) in need_files {
-            self.require_file(sid, &id, role);
-        }
-
         if self.opts.verify_hashes {
             self.verify_hashes(sid, info)?;
         }
         Ok(())
     }
 
-    fn require_doc(&mut self, sid: &SavedModelId, id: &str, role: &str) {
-        self.reachable_docs.insert(id.to_string());
-        if !self.docs.contains_key(id) {
-            self.report.issues.push(FsckIssue::MissingDoc {
-                model: sid.clone(),
-                id: DocId::from_string(id.to_string()),
-                role: role.to_string(),
-            });
-        }
-    }
-
-    fn require_file(&mut self, sid: &SavedModelId, id: &str, role: &str) {
-        self.reachable_files.insert(id.to_string());
-        if !self.file_set.contains(id) {
-            self.report.issues.push(FsckIssue::MissingFile {
-                model: sid.clone(),
-                id: FileId::from_string(id.to_string()),
-                role: role.to_string(),
-            });
-        }
-    }
-
-    /// Marks the wrapper tree of a provenance save reachable: the train
-    /// wrapper, everything its `ref_args` reach transitively, and every
-    /// wrapper's captured `state_file` blob.
-    fn walk_wrapper_closure(&mut self, sid: &SavedModelId, train_doc: &str) {
-        let mut queue = vec![train_doc.to_string()];
-        while let Some(wid) = queue.pop() {
-            if !self.reachable_docs.insert(wid.clone()) {
-                continue; // already visited
-            }
-            let Some(doc) = self.docs.get(&wid) else {
-                self.report.issues.push(FsckIssue::MissingDoc {
-                    model: sid.clone(),
-                    id: DocId::from_string(wid),
-                    role: "wrapper".to_string(),
-                });
-                continue;
-            };
-            if let Some(refs) = doc.body["ref_args"].as_object() {
-                queue.extend(refs.values().filter_map(|v| v.as_str().map(str::to_string)));
-            }
-            if let Some(state) = doc.body["state_file"].as_str().map(str::to_string) {
-                self.require_file(sid, &state, "wrapper-state");
-            }
-        }
-    }
-
     /// Re-verifies one model's Merkle tree: stored root vs recorded
     /// `root_hash`, and (for state-dict weights) re-parsed, re-hashed
     /// layers vs the stored leaves.
     fn verify_hashes(&mut self, sid: &SavedModelId, info: &ModelInfoDoc) -> Result<(), CoreError> {
-        let Some(tree_doc) = self.docs.get(&info.layer_hash_doc) else {
+        let tree_id = DocId::from_string(info.layer_hash_doc.clone());
+        let Some(tree_doc) = self.graph.others.get(&tree_id) else {
             return Ok(()); // dangling reference already reported
         };
         let tree: MerkleTree = match serde_json::from_value(tree_doc.body.clone()) {
@@ -512,7 +393,8 @@ impl Checker<'_> {
         }
 
         let Some(weights) = &info.weights_file else { return Ok(()) };
-        if !self.file_set.contains(weights) {
+        let fid = FileId::from_string(weights.clone());
+        if !self.file_set.contains(&fid) {
             return Ok(()); // missing file already reported
         }
         match info.update_encoding.as_deref() {
@@ -521,7 +403,6 @@ impl Checker<'_> {
             // readability was established by the file listing.
             Some(_) => return Ok(()),
         }
-        let fid = FileId::from_string(weights.clone());
         let bytes = match self.storage.get_file(&fid) {
             Ok(b) => b,
             Err(e) => {
@@ -547,7 +428,11 @@ impl Checker<'_> {
             }
         };
 
-        let computed = entry_layer_hashes(&entries);
+        // Grouped exactly like a live model's layers, so the blob verifies
+        // against its Merkle tree without constructing a model.
+        let (paths, tensors): (Vec<String>, Vec<Tensor>) = entries.into_iter().unzip();
+        let digests = hash_tensors(&tensors.iter().collect::<Vec<_>>());
+        let computed = layer_hashes_from_entries(&paths, &digests);
         match info.approach {
             // A baseline snapshot is the whole model: its layer hashes must
             // reproduce the stored leaves exactly, paths and order included.
@@ -603,38 +488,26 @@ impl Checker<'_> {
     /// affects recoverability. `rebased_from` is historical provenance of
     /// compaction and is deliberately *not* treated as an edge: compaction
     /// exists precisely so the old base can be collected.
-    fn lineage_pass(
-        &mut self,
-        models: &[(SavedModelId, ModelInfoDoc)],
-    ) -> Result<(), CoreError> {
-        let model_ids: BTreeSet<&str> =
-            models.iter().map(|(id, _)| id.doc_id().as_str()).collect();
-        let lineage: Vec<(String, serde_json::Value)> = self
-            .docs
-            .iter()
-            .filter(|(_, doc)| doc.kind == kinds::LINEAGE)
-            .map(|(id, doc)| (id.clone(), doc.body.clone()))
-            .collect();
-        for (id, body) in lineage {
-            // Marked reachable either way: the issues below are more
-            // specific than a generic orphan report.
-            self.reachable_docs.insert(id.clone());
-            let doc_id = DocId::from_string(id);
-            let model = body["model"].as_str().unwrap_or("").to_string();
-            if !model_ids.contains(model.as_str()) {
-                self.quarantine_doc(&doc_id)?;
-                self.report.issues.push(FsckIssue::OrphanLineage { id: doc_id, model });
-                continue;
-            }
-            if let Some(parent) = body["parent"].as_str() {
-                if !model_ids.contains(parent) {
-                    self.quarantine_doc(&doc_id)?;
-                    self.report.issues.push(FsckIssue::DanglingLineageParent {
-                        id: doc_id,
-                        model,
-                        parent: parent.to_string(),
-                    });
-                }
+    fn lineage_pass(&mut self) -> Result<(), CoreError> {
+        let graph = self.graph;
+        let is_model = |m: &str| {
+            graph.models.contains_key(&SavedModelId(DocId::from_string(m.to_string())))
+        };
+        for (model, records) in &graph.lineage {
+            for (id, record) in records {
+                let issue = if !graph.models.contains_key(model) {
+                    FsckIssue::OrphanLineage { id: id.clone(), model: record.model.clone() }
+                } else if let Some(parent) = record.parent.as_ref().filter(|p| !is_model(p)) {
+                    FsckIssue::DanglingLineageParent {
+                        id: id.clone(),
+                        model: record.model.clone(),
+                        parent: parent.clone(),
+                    }
+                } else {
+                    continue;
+                };
+                self.quarantine_doc(id)?;
+                self.report.issues.push(issue);
             }
         }
         Ok(())
@@ -643,28 +516,19 @@ impl Checker<'_> {
     /// Reports (and in repair mode quarantines) every document and blob no
     /// saved model reaches.
     fn orphan_pass(&mut self) -> Result<(), CoreError> {
-        let orphan_docs: Vec<String> = self
-            .docs
-            .keys()
-            .filter(|id| !self.reachable_docs.contains(*id))
-            .cloned()
-            .collect();
-        for id in orphan_docs {
-            let kind = self.docs[&id].kind.clone();
-            let doc_id = DocId::from_string(id);
-            self.quarantine_doc(&doc_id)?;
-            self.report.issues.push(FsckIssue::OrphanDoc { id: doc_id, kind });
+        let graph = self.graph;
+        for (id, doc) in &graph.others {
+            if !self.reachable_docs.contains(id) {
+                self.quarantine_doc(id)?;
+                let kind = doc.kind.clone();
+                self.report.issues.push(FsckIssue::OrphanDoc { id: id.clone(), kind });
+            }
         }
-        let orphan_files: Vec<String> = self
-            .file_set
-            .iter()
-            .filter(|id| !self.reachable_files.contains(*id))
-            .cloned()
-            .collect();
+        let orphan_files: Vec<FileId> =
+            self.file_set.difference(&self.reachable_files).cloned().collect();
         for id in orphan_files {
-            let file_id = FileId::from_string(id);
-            self.quarantine_file(&file_id)?;
-            self.report.issues.push(FsckIssue::OrphanFile { id: file_id });
+            self.quarantine_file(&id)?;
+            self.report.issues.push(FsckIssue::OrphanFile { id });
         }
         Ok(())
     }
@@ -673,6 +537,7 @@ impl Checker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::meta::kinds;
     use crate::recovery::SaveService;
     use crate::report::SaveRequest;
     use mmlib_model::{ArchId, Model};
@@ -810,18 +675,9 @@ mod tests {
         assert!(after.issues.iter().all(|i| matches!(i, FsckIssue::MissingDoc { .. })));
     }
 
-    /// The lineage document describing `id`, found by scan.
+    /// The lineage document describing `id`.
     fn lineage_doc_of(svc: &SaveService, id: &SavedModelId) -> DocId {
-        svc.storage()
-            .docs()
-            .ids()
-            .unwrap()
-            .into_iter()
-            .find(|d| {
-                let doc = svc.storage().get_doc(d).unwrap();
-                doc.kind == kinds::LINEAGE && doc.body["model"] == id.doc_id().as_str()
-            })
-            .unwrap()
+        read_store(svc.storage()).unwrap().lineage[id][0].0.clone()
     }
 
     #[test]

@@ -7,32 +7,57 @@
 //! base chain: deleting a base silently breaks every descendant. This
 //! module makes the dependency structure explicit:
 //!
-//! * [`dependency_graph`] — scans the store and builds the base/derived
-//!   graph over all saved models.
+//! * [`read_store`] — the one read of a store: every document, read once,
+//!   into the [`DependencyGraph`] that deletion, GC, fsck and the lineage
+//!   graph are all built on.
 //! * [`delete_model`] — deletes one model's documents and files, refusing
 //!   while other saved models still depend on it.
 //! * [`collect_garbage`] — mark-and-sweep: given a set of *live* roots,
 //!   removes every model (and its documents/files) that no live model's
 //!   recovery chain can reach.
+//!
+//! Both remove what [`ModelInfoDoc::references`] lists as owned by a garbage
+//! model, minus anything a kept model lists, so "GC, then fsck is clean"
+//! holds: fsck checks references with the same rule.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use mmlib_store::{DocId, FileId};
+use mmlib_store::{DocId, Document, ModelStorage, StoreError};
 
 use crate::error::CoreError;
-use crate::meta::{kinds, ModelInfoDoc, SavedModelId};
+use crate::meta::{kinds, LineageRecordDoc, ModelInfoDoc, Ref, SavedModelId, BASE_MODEL};
 use crate::recovery::SaveService;
 
-/// The base/derived dependency graph over a store's saved models.
-#[derive(Debug, Clone, Default)]
+/// One read of a store, sorted by document kind, with the base/derived
+/// dependency graph over its saved models.
+#[derive(Debug, Default)]
 pub struct DependencyGraph {
     /// Model id → its decoded info document.
     pub models: BTreeMap<SavedModelId, ModelInfoDoc>,
     /// Model id → ids of models directly derived from it.
     pub dependents: BTreeMap<SavedModelId, Vec<SavedModelId>>,
+    /// Model id → the lineage records describing it (normally one), in
+    /// document-id order. A key need not be a saved model: a record can
+    /// outlive its model.
+    pub lineage: BTreeMap<SavedModelId, Vec<(DocId, LineageRecordDoc)>>,
+    /// Every other document (environments, layer hashes, wrappers, ...).
+    pub others: BTreeMap<DocId, Document>,
+    /// Documents that could not be read, or whose body does not decode to
+    /// its kind's schema, with the error.
+    pub unreadable: Vec<(DocId, CoreError)>,
 }
 
 impl DependencyGraph {
+    /// `self`, or the error of the first document it could not read — for
+    /// callers that must not act on a partial view of the store.
+    pub fn complete(mut self) -> Result<DependencyGraph, CoreError> {
+        if self.unreadable.is_empty() {
+            Ok(self)
+        } else {
+            Err(self.unreadable.swap_remove(0).1)
+        }
+    }
+
     /// Models no other model derives from (safe deletion candidates).
     pub fn leaves(&self) -> Vec<SavedModelId> {
         self.models
@@ -86,32 +111,70 @@ impl DependencyGraph {
         }
         out
     }
+
+    /// What model `id` owns: its [`ModelInfoDoc::references`] minus the
+    /// base model.
+    fn owned(&self, id: &SavedModelId) -> impl Iterator<Item = Ref> + '_ {
+        let refs = self.models.get(id).map(|info| info.references(&self.others));
+        refs.into_iter().flatten().filter(|(_, role)| *role != BASE_MODEL).map(|(r, _)| r)
+    }
 }
 
-/// Scans the store and builds the dependency graph.
-pub fn dependency_graph(svc: &SaveService) -> Result<DependencyGraph, CoreError> {
+/// Reads every document of the store once (`doc_ids` + one `get_doc` each)
+/// and sorts it by kind. A document that cannot be read or decoded is
+/// recorded in [`DependencyGraph::unreadable`], not returned as an error;
+/// only a failure to list the store is.
+pub fn read_store(storage: &ModelStorage) -> Result<DependencyGraph, CoreError> {
     let mut graph = DependencyGraph::default();
-    for doc_id in svc.storage().docs().ids()? {
-        let doc = svc.storage().get_doc(&doc_id)?;
-        if doc.kind != kinds::MODEL_INFO {
-            continue;
+    for id in storage.docs().ids()? {
+        let doc = match storage.get_doc(&id) {
+            Ok(doc) => doc,
+            Err(e) => {
+                graph.unreadable.push((id, e.into()));
+                continue;
+            }
+        };
+        match doc.kind.as_str() {
+            kinds::MODEL_INFO => match serde_json::from_value::<ModelInfoDoc>(doc.body) {
+                Ok(info) => {
+                    let model = SavedModelId(id);
+                    if let Some(base) = &info.base_model {
+                        graph
+                            .dependents
+                            .entry(SavedModelId(DocId::from_string(base.clone())))
+                            .or_default()
+                            .push(model.clone());
+                    }
+                    graph.models.insert(model, info);
+                }
+                Err(e) => {
+                    let reason = format!("undecodable body: {e}");
+                    let err = CoreError::BadModelDocument { id: SavedModelId(id.clone()), reason };
+                    graph.unreadable.push((id, err));
+                }
+            },
+            kinds::LINEAGE => match serde_json::from_value::<LineageRecordDoc>(doc.body) {
+                Ok(record) => {
+                    let model = SavedModelId(DocId::from_string(record.model.clone()));
+                    graph.lineage.entry(model).or_default().push((id, record));
+                }
+                Err(e) => {
+                    let err = StoreError::Malformed(format!("undecodable lineage record: {e}"));
+                    graph.unreadable.push((id, err.into()));
+                }
+            },
+            _ => {
+                graph.others.insert(id, doc);
+            }
         }
-        let id = SavedModelId(doc_id);
-        let info: ModelInfoDoc =
-            serde_json::from_value(doc.body).map_err(|e| CoreError::BadModelDocument {
-                id: id.clone(),
-                reason: format!("undecodable body: {e}"),
-            })?;
-        if let Some(base) = &info.base_model {
-            graph
-                .dependents
-                .entry(SavedModelId(DocId::from_string(base.clone())))
-                .or_default()
-                .push(id.clone());
-        }
-        graph.models.insert(id, info);
     }
     Ok(graph)
+}
+
+/// [`read_store`] over `svc`'s store, failing on the first document it could
+/// not read or decode.
+pub fn dependency_graph(svc: &SaveService) -> Result<DependencyGraph, CoreError> {
+    read_store(svc.storage())?.complete()
 }
 
 /// Summary of a deletion or garbage collection.
@@ -144,93 +207,56 @@ pub fn delete_model(svc: &SaveService, id: &SavedModelId) -> Result<GcReport, Co
             });
         }
     }
-    let info = graph.models.get(id).ok_or_else(|| CoreError::BadModelDocument {
-        id: id.clone(),
-        reason: "not a saved model".into(),
-    })?;
-    let lineage = lineage_index(svc)?;
-    remove_model(svc, id, info, lineage.get(id.doc_id().as_str()).map_or(&[], |v| v))
-}
-
-/// Maps each model id to the lineage documents describing it (normally one,
-/// written by `SaveService::save`; zero for stores predating lineage).
-fn lineage_index(svc: &SaveService) -> Result<BTreeMap<String, Vec<DocId>>, CoreError> {
-    let mut index: BTreeMap<String, Vec<DocId>> = BTreeMap::new();
-    for doc_id in svc.storage().docs().ids()? {
-        let doc = svc.storage().get_doc(&doc_id)?;
-        if doc.kind != kinds::LINEAGE {
-            continue;
-        }
-        if let Some(model) = doc.body["model"].as_str() {
-            index.entry(model.to_string()).or_default().push(doc_id);
-        }
+    if !graph.models.contains_key(id) {
+        return Err(CoreError::BadModelDocument {
+            id: id.clone(),
+            reason: "not a saved model".into(),
+        });
     }
-    Ok(index)
+    let kept = graph.models.keys().filter(|m| *m != id);
+    sweep(svc, &graph, &[id], kept)
 }
 
-fn remove_model(
+/// Removes the `garbage` models: each one's document, its lineage records,
+/// and every artifact it owns that no `kept` model owns too.
+fn sweep<'a>(
     svc: &SaveService,
-    id: &SavedModelId,
-    info: &ModelInfoDoc,
-    lineage_docs: &[DocId],
+    graph: &DependencyGraph,
+    garbage: &[&SavedModelId],
+    kept: impl Iterator<Item = &'a SavedModelId>,
 ) -> Result<GcReport, CoreError> {
+    let kept: BTreeSet<Ref> = kept.flat_map(|id| graph.owned(id)).collect();
+    let (docs, files) = (svc.storage().docs(), svc.storage().files());
     let mut report = GcReport::default();
-    let (docs, files) = artifacts_of(info);
-    for f in files {
-        if svc.storage().files().contains(&f) {
-            report.reclaimed_bytes += svc.storage().files().size(&f)?;
-            svc.storage().files().remove(&f)?;
-            report.removed_files += 1;
+    for id in garbage {
+        for artifact in graph.owned(id).filter(|r| !kept.contains(r)) {
+            match artifact {
+                Ref::Doc(d) if docs.contains(&d) => {
+                    docs.remove(&d)?;
+                    report.removed_docs += 1;
+                }
+                Ref::File(f) if files.contains(&f) => {
+                    report.reclaimed_bytes += files.size(&f)?;
+                    files.remove(&f)?;
+                    report.removed_files += 1;
+                }
+                _ => {} // missing, or shared with a garbage model swept before
+            }
         }
-    }
-    for d in docs {
-        if svc.storage().docs().contains(&d) {
-            svc.storage().docs().remove(&d)?;
+        for (d, _) in graph.lineage.get(*id).into_iter().flatten() {
+            docs.remove(d)?;
             report.removed_docs += 1;
         }
+        docs.remove(id.doc_id())?;
+        report.removed_docs += 1;
+        report.removed_models.push((*id).clone());
     }
-    // The model's lineage record(s) go with it.
-    for d in lineage_docs {
-        if svc.storage().docs().contains(d) {
-            svc.storage().docs().remove(d)?;
-            report.removed_docs += 1;
-        }
-    }
-    svc.storage().docs().remove(id.doc_id())?;
-    report.removed_docs += 1;
-    report.removed_models.push(id.clone());
     Ok(report)
 }
 
-/// Documents and files owned by one saved model (including the wrapper tree
-/// of a provenance save).
-fn artifacts_of(info: &ModelInfoDoc) -> (Vec<DocId>, Vec<FileId>) {
-    let mut docs = vec![
-        DocId::from_string(info.environment_doc.clone()),
-        DocId::from_string(info.layer_hash_doc.clone()),
-    ];
-    let mut files = Vec::new();
-    if let Some(f) = &info.code_file {
-        files.push(FileId::from_string(f.clone()));
-    }
-    if let Some(f) = &info.weights_file {
-        files.push(FileId::from_string(f.clone()));
-    }
-    if let Some(t) = &info.train_doc {
-        docs.push(DocId::from_string(t.clone()));
-    }
-    if let Some(d) = &info.dataset {
-        if let Some(f) = &d.container_file {
-            files.push(FileId::from_string(f.clone()));
-        }
-    }
-    (docs, files)
-}
-
 /// Mark-and-sweep garbage collection: keeps `live` models and everything
-/// their recovery chains reach; removes all other saved models and their
-/// artifacts. Wrapper documents of removed provenance models are swept by
-/// a final orphan pass.
+/// their base closures reach; removes all other saved models with what they
+/// own, and lineage records whose model does not exist.
 pub fn collect_garbage(
     svc: &SaveService,
     live: &[SavedModelId],
@@ -249,63 +275,20 @@ pub fn collect_garbage(
         // snapshot's base is recovery-irrelevant but still referenced as
         // lineage, and collecting it would leave live models with dangling
         // ancestry (fsck reports exactly that as a missing base-model doc).
-        for link in graph.base_closure_of(root) {
-            marked.insert(link);
-        }
+        marked.extend(graph.base_closure_of(root));
     }
-    // Sweep models in reverse-dependency order (leaves first) so the
-    // "dependents" safety check never trips on another garbage model.
-    let mut report = GcReport::default();
-    let lineage = lineage_index(svc)?;
+    // Sweep leaves first (descending closure length), so a crash mid-sweep
+    // never leaves a surviving model without its base.
     let mut garbage: Vec<&SavedModelId> =
         graph.models.keys().filter(|id| !marked.contains(id)).collect();
-    // Leaves first: sort by descending closure length.
     garbage.sort_by_key(|id| std::cmp::Reverse(graph.base_closure_of(id).len()));
-    for id in garbage {
-        let info = &graph.models[id];
-        let sub =
-            remove_model(svc, id, info, lineage.get(id.doc_id().as_str()).map_or(&[], |v| v))?;
-        report.removed_models.extend(sub.removed_models);
-        report.removed_docs += sub.removed_docs;
-        report.removed_files += sub.removed_files;
-        report.reclaimed_bytes += sub.reclaimed_bytes;
-    }
-    // Orphan pass: wrapper documents referenced only by removed models.
-    let kept_wrapper_docs: BTreeSet<String> = marked
-        .iter()
-        .filter_map(|id| graph.models.get(id))
-        .flat_map(|info| info.train_doc.iter().cloned())
-        .collect();
-    for doc_id in svc.storage().docs().ids()? {
-        let doc = svc.storage().get_doc(&doc_id)?;
-        if doc.kind == kinds::WRAPPER && !kept_wrapper_docs.contains(doc_id.as_str()) {
-            // A wrapper is live only if some kept train-service doc
-            // references it (directly or as its ref_args target).
-            let referenced = kept_wrapper_docs.iter().any(|w| {
-                svc.storage()
-                    .get_doc(&DocId::from_string(w.clone()))
-                    .ok()
-                    .map(|d| {
-                        d.body["ref_args"]
-                            .as_object()
-                            .is_some_and(|o| o.values().any(|v| v.as_str() == Some(doc_id.as_str())))
-                    })
-                    .unwrap_or(false)
-            });
-            if !referenced {
-                svc.storage().docs().remove(&doc_id)?;
-                report.removed_docs += 1;
-            }
-        }
-        // Lineage records whose model no longer exists (crash remnants of
-        // interrupted saves, or records of models removed above whose doc
-        // id never made it into the index) are garbage too.
-        if doc.kind == kinds::LINEAGE {
-            let model_alive = doc.body["model"]
-                .as_str()
-                .is_some_and(|m| marked.contains(&SavedModelId(DocId::from_string(m.into()))));
-            if !model_alive && svc.storage().docs().contains(&doc_id) {
-                svc.storage().docs().remove(&doc_id)?;
+    let mut report = sweep(svc, &graph, &garbage, marked.iter())?;
+    // Lineage records whose model does not exist (crash remnants of
+    // interrupted saves, or models removed without their records).
+    for (model, records) in &graph.lineage {
+        if !graph.models.contains_key(model) {
+            for (d, _) in records {
+                svc.storage().docs().remove(d)?;
                 report.removed_docs += 1;
             }
         }

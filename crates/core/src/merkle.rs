@@ -109,14 +109,21 @@ pub fn model_entry_digests(model: &Model) -> (Vec<String>, Vec<Digest>) {
     (entries.into_iter().map(|(path, _, _, _)| path).collect(), digests)
 }
 
+/// Splits a state-entry path into its layer (the path minus its final
+/// `.name` component; `""` for a bare name) and that name — the one
+/// grouping rule for layer hashes and parameter updates.
+pub(crate) fn split_layer(path: &str) -> (&str, &str) {
+    path.rsplit_once('.').unwrap_or(("", path))
+}
+
 /// Folds per-entry digests into `(layer_path, digest)` leaves: consecutive
-/// entries sharing a layer prefix (the path minus its final `.name`
-/// component) chain into one [`Sha256`], exactly as [`layer_digest`] does.
+/// entries sharing a layer ([`split_layer`]) chain into one [`Sha256`],
+/// exactly as [`layer_digest`] does.
 pub fn layer_hashes_from_entries(paths: &[String], digests: &[Digest]) -> Vec<(String, Digest)> {
     let mut out: Vec<(String, Digest)> = Vec::new();
     let mut current: Option<(String, Sha256)> = None;
     for (path, digest) in paths.iter().zip(digests) {
-        let (layer, name) = path.rsplit_once('.').unwrap_or(("", path.as_str()));
+        let (layer, name) = split_layer(path);
         match &mut current {
             Some((cur_layer, h)) if cur_layer.as_str() == layer => {
                 h.update(name.as_bytes());

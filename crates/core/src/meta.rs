@@ -5,10 +5,12 @@
 //! document, stored files, its base model, and (for the provenance
 //! approach) the wrapped training objects. Whether that base is what the
 //! model is *recovered from* is [`ModelInfoDoc::recovery_parent`]'s call,
-//! and only its.
+//! and only its; what the model *references* is
+//! [`ModelInfoDoc::references`]'s.
 
-use mmlib_store::DocId;
+use mmlib_store::{DocId, Document, FileId};
 use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Identifier of a saved model — the id of its model-info document.
@@ -152,6 +154,66 @@ impl ModelInfoDoc {
             }
         }
     }
+
+    /// Everything this model document references, each with its role — the
+    /// one ownership rule fsck, deletion and GC share: environment, layer
+    /// hashes and base model; for a provenance save the wrapper tree (the
+    /// train-service wrapper and every wrapper its `ref_args` reach,
+    /// transitively, each with its `state_file`); then architecture code,
+    /// weights and dataset container. The model owns all of it except the
+    /// [`BASE_MODEL`], a saved model of its own.
+    ///
+    /// `docs` supplies the wrapper bodies; a wrapper it lacks is still
+    /// listed, but what that wrapper references cannot be.
+    pub fn references(&self, docs: &BTreeMap<DocId, Document>) -> Vec<(Ref, &'static str)> {
+        let doc = |id: &str, role| (Ref::Doc(DocId::from_string(id.to_string())), role);
+        let file = |id: &str, role| (Ref::File(FileId::from_string(id.to_string())), role);
+        let mut out = vec![
+            doc(&self.environment_doc, "environment"),
+            doc(&self.layer_hash_doc, "layer-hash"),
+        ];
+        if let Some(base) = &self.base_model {
+            out.push(doc(base, BASE_MODEL));
+        }
+        let mut queue: Vec<&str> = self.train_doc.iter().map(String::as_str).collect();
+        let mut seen = BTreeSet::new();
+        while let Some(wid) = queue.pop() {
+            if !seen.insert(wid) {
+                continue;
+            }
+            out.push(doc(wid, "wrapper"));
+            let Some(wrapper) = docs.get(&DocId::from_string(wid.to_string())) else { continue };
+            if let Some(refs) = wrapper.body["ref_args"].as_object() {
+                queue.extend(refs.values().filter_map(|v| v.as_str()));
+            }
+            if let Some(state) = wrapper.body["state_file"].as_str() {
+                out.push(file(state, "wrapper-state"));
+            }
+        }
+        if let Some(f) = &self.code_file {
+            out.push(file(f, "architecture-code"));
+        }
+        if let Some(f) = &self.weights_file {
+            out.push(file(f, "weights"));
+        }
+        if let Some(f) = self.dataset.as_ref().and_then(|d| d.container_file.as_ref()) {
+            out.push(file(f, "dataset-container"));
+        }
+        out
+    }
+}
+
+/// The role [`ModelInfoDoc::references`] gives a model's base: the one
+/// reference the model does not own.
+pub const BASE_MODEL: &str = "base-model";
+
+/// The target of one [`ModelInfoDoc::references`] entry.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Ref {
+    /// A document.
+    Doc(DocId),
+    /// A blob.
+    File(FileId),
 }
 
 /// The body of a `lineage` document — one per saved model, written by

@@ -14,7 +14,7 @@ use mmlib_obs::{PhaseBreakdown, PhaseClock};
 use mmlib_tensor::ser::{state_from_bytes, state_to_bytes};
 
 use crate::error::CoreError;
-use crate::merkle::{MerkleDiff, MerkleTree};
+use crate::merkle::{split_layer, MerkleDiff, MerkleTree};
 use crate::meta::{ApproachKind, ModelInfoDoc, ModelRelation, SavedModelId};
 use crate::recovery::SaveService;
 
@@ -68,10 +68,7 @@ impl SaveService {
         let bytes = clock.time("serialize", || {
             let update: Vec<(&str, &mmlib_tensor::Tensor)> = entries
                 .iter()
-                .filter(|(path, _, _, _)| {
-                    let layer = path.rsplit_once('.').map_or("", |(l, _)| l);
-                    changed.contains(layer)
-                })
+                .filter(|(path, _, _, _)| changed.contains(split_layer(path).0))
                 .map(|(p, t, _, _)| (p.as_str(), *t))
                 .collect();
             state_to_bytes(update)
@@ -147,10 +144,7 @@ impl SaveService {
         let entries = model.state_entries();
         let update: Vec<(&str, &mmlib_tensor::Tensor)> = entries
             .iter()
-            .filter(|(path, _, _, _)| {
-                let layer = path.rsplit_once('.').map_or("", |(l, _)| l);
-                changed.contains(layer)
-            })
+            .filter(|(path, _, _, _)| changed.contains(split_layer(path).0))
             .map(|(p, t, _, _)| (p.as_str(), *t))
             .collect();
 

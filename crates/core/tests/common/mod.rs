@@ -2,10 +2,14 @@
 //! own copy, so not every binary uses every item).
 #![allow(dead_code)]
 
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
+
 use mmlib_core::meta::ModelRelation;
-use mmlib_core::TrainProvenance;
+use mmlib_core::{SaveService, TrainProvenance};
 use mmlib_data::loader::LoaderConfig;
 use mmlib_data::{DataLoader, Dataset, DatasetId};
+use mmlib_store::{DocId, Document, FileId, ModelStorage, StorageBackend, StoreError};
 use mmlib_tensor::ExecMode;
 use mmlib_train::{ImageNetTrainService, Sgd, SgdConfig, TrainConfig};
 
@@ -45,4 +49,74 @@ pub fn train_spec(relation: ModelRelation, seed: u64) -> (TrainProvenance, Image
         relation,
     };
     (prov, ImageNetTrainService::new(loader, sgd, train_config))
+}
+
+/// A pass-through backend that counts `get_doc` calls per document id.
+pub struct DocCountingBackend {
+    inner: Arc<dyn StorageBackend>,
+    doc_gets: Mutex<BTreeMap<String, u32>>,
+}
+
+impl DocCountingBackend {
+    /// A service over a fresh local store at `dir`, seen through the counter
+    /// (the descriptor is `dir`, so fsck still treats the store as local).
+    pub fn service(dir: &std::path::Path) -> (SaveService, Arc<DocCountingBackend>) {
+        let counting = Arc::new(DocCountingBackend {
+            inner: ModelStorage::open(dir).unwrap().backend(),
+            doc_gets: Mutex::new(BTreeMap::new()),
+        });
+        let backend = Arc::clone(&counting) as Arc<dyn StorageBackend>;
+        (SaveService::new(ModelStorage::from_backend(backend, dir)), counting)
+    }
+
+    /// The per-document read counts since the last call.
+    pub fn take_doc_gets(&self) -> BTreeMap<String, u32> {
+        std::mem::take(&mut *self.doc_gets.lock().unwrap())
+    }
+}
+
+impl StorageBackend for DocCountingBackend {
+    fn insert_doc(&self, kind: &str, body: serde_json::Value) -> Result<DocId, StoreError> {
+        self.inner.insert_doc(kind, body)
+    }
+    fn get_doc(&self, id: &DocId) -> Result<Document, StoreError> {
+        *self.doc_gets.lock().unwrap().entry(id.as_str().to_string()).or_insert(0) += 1;
+        self.inner.get_doc(id)
+    }
+    fn update_doc(&self, id: &DocId, body: serde_json::Value) -> Result<(), StoreError> {
+        self.inner.update_doc(id, body)
+    }
+    fn contains_doc(&self, id: &DocId) -> bool {
+        self.inner.contains_doc(id)
+    }
+    fn remove_doc(&self, id: &DocId) -> Result<(), StoreError> {
+        self.inner.remove_doc(id)
+    }
+    fn doc_ids(&self) -> Result<Vec<DocId>, StoreError> {
+        self.inner.doc_ids()
+    }
+    fn put_file(&self, bytes: &[u8]) -> Result<FileId, StoreError> {
+        self.inner.put_file(bytes)
+    }
+    fn get_file(&self, id: &FileId) -> Result<Vec<u8>, StoreError> {
+        self.inner.get_file(id)
+    }
+    fn file_size(&self, id: &FileId) -> Result<u64, StoreError> {
+        self.inner.file_size(id)
+    }
+    fn contains_file(&self, id: &FileId) -> bool {
+        self.inner.contains_file(id)
+    }
+    fn remove_file(&self, id: &FileId) -> Result<(), StoreError> {
+        self.inner.remove_file(id)
+    }
+    fn file_ids(&self) -> Result<Vec<FileId>, StoreError> {
+        self.inner.file_ids()
+    }
+    fn bytes_written(&self) -> u64 {
+        self.inner.bytes_written()
+    }
+    fn bytes_read(&self) -> u64 {
+        self.inner.bytes_read()
+    }
 }

@@ -1,5 +1,9 @@
 //! Tests of deletion and garbage collection over dependency chains.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use mmlib_core::fsck::{fsck, FsckOptions};
 use mmlib_core::gc::{collect_garbage, delete_model, dependency_graph};
 use mmlib_core::meta::{ModelRelation, SavedModelId};
 use mmlib_core::{CoreError, RecoverOptions, SaveRequest, SaveService, TrainProvenance};
@@ -9,6 +13,9 @@ use mmlib_model::{ArchId, Model};
 use mmlib_store::ModelStorage;
 use mmlib_tensor::ExecMode;
 use mmlib_train::{ImageNetTrainService, Sgd, SgdConfig, TrainConfig, TrainService};
+
+mod common;
+use common::DocCountingBackend;
 
 const SCALE: f64 = 0.0001;
 
@@ -52,7 +59,15 @@ fn train_step(model: &mut Model, seed: u64) -> TrainProvenance {
 /// Builds: initial -> u1 -> u2 (PUA chain), plus one provenance side-branch
 /// from u1. Returns (service, [initial, u1, u2, side], final model).
 fn build_store(dir: &std::path::Path) -> (SaveService, Vec<SavedModelId>, Model) {
-    let s = svc(dir);
+    let (s, ids, model, _) = build_counted(dir);
+    (s, ids, model)
+}
+
+/// [`build_store`] seen through a backend that counts document reads.
+fn build_counted(
+    dir: &std::path::Path,
+) -> (SaveService, Vec<SavedModelId>, Model, Arc<DocCountingBackend>) {
+    let (s, counting) = DocCountingBackend::service(dir);
     let mut model = Model::new_initialized(ArchId::TinyCnn, 1);
     model.set_fully_trainable();
     let initial = s.save(SaveRequest::full(&model)).unwrap().id;
@@ -68,7 +83,25 @@ fn build_store(dir: &std::path::Path) -> (SaveService, Vec<SavedModelId>, Model)
     train_step(&mut model, 11);
     let u2 = s.save(SaveRequest::update(&model, &u1)).unwrap().id;
 
-    (s, vec![initial, u1, u2, side], model)
+    (s, vec![initial, u1, u2, side], model, counting)
+}
+
+/// The store is read once per maintenance pass: no document twice (at the
+/// parent, GC made 52 reads and one deletion 38, for 19 documents).
+fn assert_read_once(what: &str, gets: BTreeMap<String, u32>) {
+    assert!(!gets.is_empty(), "{what} read nothing");
+    assert!(gets.values().all(|&n| n == 1), "{what} re-read documents: {gets:?}");
+}
+
+/// Every artifact a removed model owned went with it: fsck finds nothing.
+fn assert_fsck_clean(s: &SaveService) {
+    let report = fsck(s.storage(), &FsckOptions::default()).unwrap();
+    assert!(report.is_clean(), "store dirty after maintenance: {:?}", report.issues);
+}
+
+fn stored_file_bytes(s: &SaveService) -> u64 {
+    let files = s.storage().files();
+    files.ids().unwrap().iter().map(|f| files.size(f).unwrap()).sum()
 }
 
 #[test]
@@ -122,10 +155,17 @@ fn deleting_a_base_with_dependents_is_refused() {
 #[test]
 fn deleting_a_leaf_works_and_frees_bytes() {
     let dir = tempfile::tempdir().unwrap();
-    let (s, ids, _) = build_store(dir.path());
+    let (s, ids, _, counting) = build_counted(dir.path());
+    let before = stored_file_bytes(&s);
+    counting.take_doc_gets();
     let report = delete_model(&s, &ids[3]).unwrap();
+    assert_read_once("delete_model", counting.take_doc_gets());
     assert_eq!(report.removed_models, vec![ids[3].clone()]);
-    assert!(report.reclaimed_bytes > 0, "provenance models own a dataset container");
+    // A provenance model owns its dataset container and its optimizer's
+    // state blob; both are gone and counted.
+    assert_eq!(report.removed_files, 2);
+    assert_eq!(report.reclaimed_bytes, before - stored_file_bytes(&s));
+    assert_fsck_clean(&s);
     // The deleted model is gone; the rest of the chain still recovers.
     assert!(s.recover_report(&ids[3], RecoverOptions::default()).is_err());
     assert!(s.recover_report(&ids[2], RecoverOptions::default()).is_ok());
@@ -134,10 +174,13 @@ fn deleting_a_leaf_works_and_frees_bytes() {
 #[test]
 fn gc_keeps_live_chains_and_sweeps_the_rest() {
     let dir = tempfile::tempdir().unwrap();
-    let (s, ids, model) = build_store(dir.path());
+    let (s, ids, model, counting) = build_counted(dir.path());
     // Keep only u2: its chain (u2, u1, initial) must survive; side is swept.
+    counting.take_doc_gets();
     let report = collect_garbage(&s, &[ids[2].clone()]).unwrap();
+    assert_read_once("collect_garbage", counting.take_doc_gets());
     assert_eq!(report.removed_models, vec![ids[3].clone()]);
+    assert_fsck_clean(&s);
     let rec = s.recover_report(&ids[2], RecoverOptions::default()).unwrap();
     assert!(rec.model.models_equal(&model));
     // The swept provenance model's wrapper docs are gone too.
@@ -152,8 +195,10 @@ fn gc_with_no_live_roots_sweeps_everything() {
     let report = collect_garbage(&s, &[]).unwrap();
     assert_eq!(report.removed_models.len(), 4);
     assert!(dependency_graph(&s).unwrap().models.is_empty());
-    // All wrapper docs swept as orphans.
+    // Wrapper docs and every blob, optimizer state included, went with
+    // the models that owned them.
     assert!(s.storage().docs().ids().unwrap().is_empty());
+    assert!(s.storage().files().ids().unwrap().is_empty());
 }
 
 #[test]
@@ -174,9 +219,7 @@ fn gc_keeps_a_snapshots_lineage_base_alive() {
     // leaving `derived` with a dangling base reference.
     assert!(report.removed_models.is_empty(), "base is referenced lineage: {report:?}");
     assert!(s.recover_report(&base, RecoverOptions::default()).is_ok());
-    let check =
-        mmlib_core::fsck::fsck(s.storage(), &mmlib_core::fsck::FsckOptions::default()).unwrap();
-    assert!(check.is_clean(), "store dirty after gc: {:?}", check.issues);
+    assert_fsck_clean(&s);
 }
 
 #[test]

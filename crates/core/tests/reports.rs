@@ -2,8 +2,8 @@
 //! invariant cost counts (durability syncs, document fetches), and recorder
 //! routing.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::Duration;
 
 use mmlib_core::meta::ModelRelation;
@@ -12,7 +12,7 @@ use mmlib_core::{
 };
 use mmlib_model::{ArchId, Model};
 use mmlib_obs::{PhaseBreakdown, Recorder};
-use mmlib_store::{DocId, Document, FileId, ModelStorage, StorageBackend, StoreError};
+use mmlib_store::ModelStorage;
 use mmlib_train::TrainService;
 
 mod common;
@@ -120,79 +120,20 @@ fn each_approach_reports_its_phases_and_sync_budget() {
     }
 }
 
-/// A pass-through backend that counts `get_doc` calls per document id.
-struct DocCountingBackend {
-    inner: Arc<dyn StorageBackend>,
-    doc_gets: Mutex<BTreeMap<String, u32>>,
-}
-
-impl StorageBackend for DocCountingBackend {
-    fn insert_doc(&self, kind: &str, body: serde_json::Value) -> Result<DocId, StoreError> {
-        self.inner.insert_doc(kind, body)
-    }
-    fn get_doc(&self, id: &DocId) -> Result<Document, StoreError> {
-        *self.doc_gets.lock().unwrap().entry(id.as_str().to_string()).or_insert(0) += 1;
-        self.inner.get_doc(id)
-    }
-    fn update_doc(&self, id: &DocId, body: serde_json::Value) -> Result<(), StoreError> {
-        self.inner.update_doc(id, body)
-    }
-    fn contains_doc(&self, id: &DocId) -> bool {
-        self.inner.contains_doc(id)
-    }
-    fn remove_doc(&self, id: &DocId) -> Result<(), StoreError> {
-        self.inner.remove_doc(id)
-    }
-    fn doc_ids(&self) -> Result<Vec<DocId>, StoreError> {
-        self.inner.doc_ids()
-    }
-    fn put_file(&self, bytes: &[u8]) -> Result<FileId, StoreError> {
-        self.inner.put_file(bytes)
-    }
-    fn get_file(&self, id: &FileId) -> Result<Vec<u8>, StoreError> {
-        self.inner.get_file(id)
-    }
-    fn file_size(&self, id: &FileId) -> Result<u64, StoreError> {
-        self.inner.file_size(id)
-    }
-    fn contains_file(&self, id: &FileId) -> bool {
-        self.inner.contains_file(id)
-    }
-    fn remove_file(&self, id: &FileId) -> Result<(), StoreError> {
-        self.inner.remove_file(id)
-    }
-    fn file_ids(&self) -> Result<Vec<FileId>, StoreError> {
-        self.inner.file_ids()
-    }
-    fn bytes_written(&self) -> u64 {
-        self.inner.bytes_written()
-    }
-    fn bytes_read(&self) -> u64 {
-        self.inner.bytes_read()
-    }
-}
-
 /// A verified recovery reads the requested id's model-info once: the root
 /// hash it verifies against is the one the chain walk already decoded.
 #[test]
 fn verified_recovery_fetches_model_info_exactly_once() {
     let dir = tempfile::tempdir().unwrap();
-    let counting = Arc::new(DocCountingBackend {
-        inner: ModelStorage::open(dir.path()).unwrap().backend(),
-        doc_gets: Mutex::new(BTreeMap::new()),
-    });
-    let svc = SaveService::new(ModelStorage::from_backend(
-        Arc::clone(&counting) as Arc<dyn StorageBackend>,
-        "counting".to_string(),
-    ));
+    let (svc, counting) = common::DocCountingBackend::service(dir.path());
     let model = Model::new_initialized(ArchId::TinyCnn, 14);
     let saved = svc.save(SaveRequest::full(&model)).unwrap();
-    counting.doc_gets.lock().unwrap().clear();
+    counting.take_doc_gets();
 
     let report = svc.recover_report(&saved.id, RecoverOptions::default()).unwrap();
     assert_eq!(report.verification, VerifyOutcome::Verified);
     assert!(report.model.models_equal(&model));
-    let gets = counting.doc_gets.lock().unwrap();
+    let gets = counting.take_doc_gets();
     assert_eq!(gets.get(saved.id.doc_id().as_str()), Some(&1), "doc fetches: {gets:?}");
 }
 

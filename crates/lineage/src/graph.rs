@@ -3,7 +3,8 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use mmlib_core::meta::{kinds, LineageRecordDoc, ModelInfoDoc, SavedModelId};
+use mmlib_core::gc::read_store;
+use mmlib_core::meta::{LineageRecordDoc, SavedModelId};
 use mmlib_core::{CoreError, SaveService};
 use mmlib_store::DocId;
 
@@ -42,46 +43,22 @@ pub struct LineageGraph {
 }
 
 impl LineageGraph {
-    /// Scans the store and builds the DAG.
+    /// Reads the store ([`read_store`]) and builds the DAG.
     pub fn load(svc: &SaveService) -> Result<LineageGraph, CoreError> {
-        let mut infos: BTreeMap<String, ModelInfoDoc> = BTreeMap::new();
-        let mut records: BTreeMap<String, (DocId, LineageRecordDoc)> = BTreeMap::new();
-        for doc_id in svc.storage().docs().ids()? {
-            let doc = svc.storage().get_doc(&doc_id)?;
-            match doc.kind.as_str() {
-                k if k == kinds::MODEL_INFO => {
-                    let info: ModelInfoDoc = serde_json::from_value(doc.body).map_err(|e| {
-                        CoreError::BadModelDocument {
-                            id: SavedModelId(doc_id.clone()),
-                            reason: format!("undecodable body: {e}"),
-                        }
-                    })?;
-                    infos.insert(doc_id.as_str().to_string(), info);
-                }
-                k if k == kinds::LINEAGE => {
-                    if let Ok(record) =
-                        serde_json::from_value::<LineageRecordDoc>(doc.body)
-                    {
-                        records.insert(record.model.clone(), (doc_id, record));
-                    }
-                    // Undecodable lineage records are ignored here and
-                    // reported by fsck's lineage pass.
-                }
-                _ => {}
-            }
-        }
-
+        let store = read_store(svc.storage())?.complete()?;
         let mut graph = LineageGraph::default();
-        for (model, info) in &infos {
-            let node = match records.remove(model) {
+        for (id, info) in &store.models {
+            let model = id.doc_id().as_str().to_string();
+            // The last record in document-id order describes the model.
+            let node = match store.lineage.get(id).and_then(|records| records.last()) {
                 Some((doc_id, record)) => LineageNode {
-                    id: SavedModelId(DocId::from_string(model.clone())),
-                    record,
-                    doc: Some(doc_id),
+                    id: id.clone(),
+                    record: record.clone(),
+                    doc: Some(doc_id.clone()),
                 },
                 // Legacy model: synthesize the record from its info doc.
                 None => LineageNode {
-                    id: SavedModelId(DocId::from_string(model.clone())),
+                    id: id.clone(),
                     record: LineageRecordDoc {
                         model: model.clone(),
                         parent: info.base_model.clone(),
@@ -95,14 +72,15 @@ impl LineageGraph {
                     doc: None,
                 },
             };
-            if let Some(parent) = &node.record.parent {
+            if let Some(parent) = node.parent_id() {
                 // Edges into missing models are dropped (fsck reports the
                 // dangling reference); edges between live models are kept.
-                if infos.contains_key(parent) {
-                    graph.children.entry(parent.clone()).or_default().push(model.clone());
+                if store.models.contains_key(&parent) {
+                    let children = graph.children.entry(parent.doc_id().to_string()).or_default();
+                    children.push(model.clone());
                 }
             }
-            graph.nodes.insert(model.clone(), node);
+            graph.nodes.insert(model, node);
         }
         Ok(graph)
     }

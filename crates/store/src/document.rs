@@ -146,7 +146,10 @@ impl DocStore {
         self.faults.as_deref()
     }
 
-    /// Loads a document by id.
+    /// Loads a document by id. This is where document integrity is
+    /// checked, once for every reader: a file that does not parse is
+    /// [`StoreError::Json`], one whose embedded id is not its filename's is
+    /// [`StoreError::Malformed`].
     pub fn get(&self, id: &DocId) -> Result<Document, StoreError> {
         let path = self.path_of(id);
         let bytes = std::fs::read(&path).map_err(|e| {
@@ -157,7 +160,14 @@ impl DocStore {
             }
         })?;
         self.accounting.add_read(bytes.len() as u64);
-        Ok(serde_json::from_slice(&bytes)?)
+        let doc: Document = serde_json::from_slice(&bytes)?;
+        if doc.id != *id {
+            return Err(StoreError::Malformed(format!(
+                "embedded id {:?} does not match filename {id}",
+                doc.id.as_str()
+            )));
+        }
+        Ok(doc)
     }
 
     /// Overwrites an existing document's body (used by append-style indices).
@@ -308,11 +318,22 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_document_is_a_json_error() {
+    fn corrupted_and_mislabeled_docs_are_rejected_on_read() {
         let dir = tempfile::tempdir().unwrap();
         let s = store(dir.path());
-        let id = s.insert("k", json!({})).unwrap();
-        std::fs::write(dir.path().join("docs").join(format!("{id}.json")), b"{not json").unwrap();
-        assert!(matches!(s.get(&id), Err(StoreError::Json(_))));
+        let a = s.insert("k", json!({"x": 1})).unwrap();
+        let b = s.insert("k", json!({"x": 2})).unwrap();
+
+        let docs = dir.path().join("docs");
+        std::fs::write(docs.join(format!("{a}.json")), b"{truncated").unwrap();
+        let copy = DocId::from_string("00000000-ff".into());
+        std::fs::copy(docs.join(format!("{b}.json")), docs.join(format!("{copy}.json"))).unwrap();
+
+        assert!(matches!(s.get(&a), Err(StoreError::Json(_))));
+        assert!(matches!(s.get(&copy), Err(StoreError::Malformed(_))));
+        assert_eq!(s.get(&b).unwrap().body["x"], 2, "the original still reads");
+        // The physical scan does not parse documents: it reports nothing.
+        std::fs::create_dir_all(dir.path().join("files")).unwrap();
+        assert!(crate::fsck::scan_local(dir.path()).unwrap().is_empty());
     }
 }

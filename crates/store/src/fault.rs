@@ -13,8 +13,6 @@
 //! * [`FaultInjector`] — the runtime counterpart: an operation cursor that
 //!   hands out the scheduled fault (if any) each time the instrumented code
 //!   reaches an injection point.
-//! * [`FaultyBackend`] — a [`StorageBackend`] wrapper injecting op-level
-//!   faults (errors, latency) in front of any backend, local or remote.
 //!
 //! Byte-level torn writes are injected *inside* the local store's atomic
 //! write path (see [`ModelStorage::open_with_faults`]); network faults are
@@ -26,12 +24,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use serde_json::Value;
-
-use crate::document::{DocId, Document};
-use crate::files::FileId;
-use crate::storage::{StorageBackend, StoreError};
 
 /// One injectable failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,110 +230,6 @@ pub(crate) fn injected_io_error(fault: &Fault) -> std::io::Error {
     std::io::Error::other(format!("injected fault: {fault}"))
 }
 
-/// A [`StorageBackend`] wrapper that injects op-level faults in front of
-/// any backend. Every backend call consumes one injector op; a scheduled
-/// fault makes the call fail with a typed [`StoreError::Io`] (the wrapped
-/// backend is not invoked), latency delays it, and unscheduled ops pass
-/// through untouched.
-///
-/// Torn writes cannot be expressed at this level (the wrapper cannot cut a
-/// write the backend performs internally); they map to a plain injected
-/// error here and are injected for real by
-/// [`ModelStorage::open_with_faults`](crate::ModelStorage::open_with_faults).
-pub struct FaultyBackend {
-    inner: std::sync::Arc<dyn StorageBackend>,
-    injector: std::sync::Arc<FaultInjector>,
-}
-
-impl FaultyBackend {
-    /// Wraps `inner`, consulting `injector` before every operation.
-    pub fn wrap(
-        inner: std::sync::Arc<dyn StorageBackend>,
-        injector: std::sync::Arc<FaultInjector>,
-    ) -> FaultyBackend {
-        FaultyBackend { inner, injector }
-    }
-
-    fn gate(&self) -> Result<(), StoreError> {
-        match self.injector.next() {
-            Some(fault) => Err(StoreError::Io(injected_io_error(&fault))),
-            None => Ok(()),
-        }
-    }
-}
-
-impl StorageBackend for FaultyBackend {
-    fn insert_doc(&self, kind: &str, body: Value) -> Result<DocId, StoreError> {
-        self.gate()?;
-        self.inner.insert_doc(kind, body)
-    }
-
-    fn get_doc(&self, id: &DocId) -> Result<Document, StoreError> {
-        self.gate()?;
-        self.inner.get_doc(id)
-    }
-
-    fn update_doc(&self, id: &DocId, body: Value) -> Result<(), StoreError> {
-        self.gate()?;
-        self.inner.update_doc(id, body)
-    }
-
-    fn contains_doc(&self, id: &DocId) -> bool {
-        self.gate().is_ok() && self.inner.contains_doc(id)
-    }
-
-    fn remove_doc(&self, id: &DocId) -> Result<(), StoreError> {
-        self.gate()?;
-        self.inner.remove_doc(id)
-    }
-
-    fn doc_ids(&self) -> Result<Vec<DocId>, StoreError> {
-        self.gate()?;
-        self.inner.doc_ids()
-    }
-
-    fn put_file(&self, bytes: &[u8]) -> Result<FileId, StoreError> {
-        self.gate()?;
-        self.inner.put_file(bytes)
-    }
-
-    fn get_file(&self, id: &FileId) -> Result<Vec<u8>, StoreError> {
-        self.gate()?;
-        self.inner.get_file(id)
-    }
-
-    fn file_size(&self, id: &FileId) -> Result<u64, StoreError> {
-        self.gate()?;
-        self.inner.file_size(id)
-    }
-
-    fn contains_file(&self, id: &FileId) -> bool {
-        self.gate().is_ok() && self.inner.contains_file(id)
-    }
-
-    fn remove_file(&self, id: &FileId) -> Result<(), StoreError> {
-        self.gate()?;
-        self.inner.remove_file(id)
-    }
-
-    fn file_ids(&self) -> Result<Vec<FileId>, StoreError> {
-        self.gate()?;
-        self.inner.file_ids()
-    }
-
-    fn bytes_written(&self) -> u64 {
-        self.inner.bytes_written()
-    }
-
-    fn bytes_read(&self) -> u64 {
-        self.inner.bytes_read()
-    }
-
-    fn sync_ops(&self) -> u64 {
-        self.inner.sync_ops()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,24 +275,5 @@ mod tests {
     fn plan_display_lists_schedule_for_reproduction() {
         let plan = FaultPlan::new(42).with(2, Fault::TruncateFrame { after_bytes: 9 });
         assert_eq!(plan.to_string(), "seed 42: [op 2 truncate-frame@9]");
-    }
-
-    #[test]
-    fn faulty_backend_injects_typed_errors_and_passes_through() {
-        let dir = tempfile::tempdir().unwrap();
-        let local = crate::ModelStorage::open(dir.path()).unwrap();
-        let fid = local.put_file(b"existing").unwrap();
-
-        let injector =
-            std::sync::Arc::new(FaultInjector::new(FaultPlan::new(1).with(1, Fault::IoError)));
-        let faulty = crate::ModelStorage::from_backend(
-            std::sync::Arc::new(FaultyBackend::wrap(local.backend(), injector.clone())),
-            "faulty://test",
-        );
-        // Op 0 passes through, op 1 fails typed, op 2 passes again.
-        assert_eq!(faulty.get_file(&fid).unwrap(), b"existing");
-        assert!(matches!(faulty.get_file(&fid), Err(StoreError::Io(_))));
-        assert_eq!(faulty.get_file(&fid).unwrap(), b"existing");
-        assert_eq!(injector.injected(), 1);
     }
 }

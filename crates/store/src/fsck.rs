@@ -1,69 +1,18 @@
 //! Physical consistency scan of a local storage root.
 //!
-//! This is the filesystem half of `fsck`: it checks the on-disk shape of a
-//! `docs/` + `files/` root without interpreting model semantics — leftover
-//! temporary files from interrupted atomic writes, documents that fail to
-//! parse, and documents whose embedded id disagrees with their filename.
-//! The model-aware half (reference resolution, Merkle re-verification,
-//! orphan detection) lives in `mmlib-core::fsck` and builds on this scan.
+//! This is the filesystem half of `fsck`: it lists the leftover temporary
+//! files of interrupted atomic writes under `docs/` + `files/` without
+//! reading any document. Document integrity (parse, embedded id) is checked
+//! by [`DocStore::get`](crate::DocStore::get) on every read; the model-aware
+//! half (reference resolution, Merkle re-verification, orphan detection)
+//! lives in `mmlib-core::fsck` and builds on this scan.
 
 use std::path::{Path, PathBuf};
 
 use crate::atomic::is_tmp_name;
-use crate::document::{DocId, Document};
+use crate::document::DocId;
 use crate::files::FileId;
 use crate::storage::StoreError;
-
-/// One physical inconsistency found by [`scan_local`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScanIssue {
-    /// A `*.tmp` file left behind by an interrupted atomic write.
-    LeftoverTmp {
-        /// Absolute path of the temporary file.
-        path: PathBuf,
-    },
-    /// A document file whose contents are not a valid `Document`.
-    UnparsableDoc {
-        /// Id derived from the filename.
-        id: DocId,
-        /// Parse error text.
-        error: String,
-    },
-    /// A document whose embedded `id` field disagrees with its filename.
-    DocIdMismatch {
-        /// Id derived from the filename.
-        id: DocId,
-        /// Id stored inside the document.
-        embedded: String,
-    },
-}
-
-impl std::fmt::Display for ScanIssue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ScanIssue::LeftoverTmp { path } => {
-                write!(f, "leftover tmp file {}", path.display())
-            }
-            ScanIssue::UnparsableDoc { id, error } => {
-                write!(f, "unparsable document {id}: {error}")
-            }
-            ScanIssue::DocIdMismatch { id, embedded } => {
-                write!(f, "document {id} embeds mismatched id {embedded:?}")
-            }
-        }
-    }
-}
-
-/// Result of a [`scan_local`] pass.
-#[derive(Debug, Default)]
-pub struct ScanReport {
-    /// Inconsistencies found, in scan order.
-    pub issues: Vec<ScanIssue>,
-    /// Documents visited (parsable or not).
-    pub docs_scanned: usize,
-    /// Blobs visited.
-    pub files_scanned: usize,
-}
 
 /// True if `root` looks like a local storage root this module can scan
 /// (remote descriptors like `tcp://…` are not walkable directories).
@@ -71,49 +20,19 @@ pub fn is_local_root(root: &Path) -> bool {
     root.join("docs").is_dir() && root.join("files").is_dir()
 }
 
-/// Walks `root`'s `docs/` and `files/` directories, reporting physical
-/// inconsistencies. Read-only; pair with [`quarantine`] to repair.
-pub fn scan_local(root: &Path) -> Result<ScanReport, StoreError> {
-    let mut report = ScanReport::default();
-
-    let docs_dir = root.join("docs");
-    for entry in std::fs::read_dir(&docs_dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if is_tmp_name(name) {
-            report.issues.push(ScanIssue::LeftoverTmp { path: entry.path() });
-            continue;
-        }
-        let Some(stem) = name.strip_suffix(".json") else { continue };
-        report.docs_scanned += 1;
-        let id = DocId::from_string(stem.to_string());
-        let bytes = std::fs::read(entry.path())?;
-        match serde_json::from_slice::<Document>(&bytes) {
-            Ok(doc) if doc.id == id => {}
-            Ok(doc) => report.issues.push(ScanIssue::DocIdMismatch {
-                id,
-                embedded: doc.id.as_str().to_string(),
-            }),
-            Err(e) => {
-                report.issues.push(ScanIssue::UnparsableDoc { id, error: e.to_string() })
+/// Lists the `*.tmp` files left in `root`'s `docs/` and `files/` by
+/// interrupted atomic writes. Read-only; pair with [`quarantine`] to repair.
+pub fn scan_local(root: &Path) -> Result<Vec<PathBuf>, StoreError> {
+    let mut leftovers = Vec::new();
+    for sub in ["docs", "files"] {
+        for entry in std::fs::read_dir(root.join(sub))? {
+            let entry = entry?;
+            if entry.file_name().to_str().is_some_and(is_tmp_name) {
+                leftovers.push(entry.path());
             }
         }
     }
-
-    let files_dir = root.join("files");
-    for entry in std::fs::read_dir(&files_dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if is_tmp_name(name) {
-            report.issues.push(ScanIssue::LeftoverTmp { path: entry.path() });
-        } else if name.ends_with(".bin") {
-            report.files_scanned += 1;
-        }
-    }
-
-    Ok(report)
+    Ok(leftovers)
 }
 
 /// Moves `path` (which must live under `root`) into `root/quarantine/`,
@@ -153,10 +72,7 @@ mod tests {
         let storage = ModelStorage::open(dir.path()).unwrap();
         storage.insert_doc("k", json!({"a": 1})).unwrap();
         storage.put_file(b"blob").unwrap();
-        let report = scan_local(dir.path()).unwrap();
-        assert!(report.issues.is_empty());
-        assert_eq!(report.docs_scanned, 1);
-        assert_eq!(report.files_scanned, 1);
+        assert!(scan_local(dir.path()).unwrap().is_empty());
     }
 
     #[test]
@@ -170,39 +86,10 @@ mod tests {
         assert!(storage.insert_doc("k", json!({"a": 1})).is_err());
         assert!(storage.docs().ids().unwrap().is_empty(), "torn doc never became visible");
 
-        let report = scan_local(dir.path()).unwrap();
-        assert_eq!(report.issues.len(), 1);
-        let ScanIssue::LeftoverTmp { path } = &report.issues[0] else {
-            panic!("expected LeftoverTmp, got {:?}", report.issues[0]);
-        };
-        let dest = quarantine(dir.path(), path).unwrap();
+        let leftovers = scan_local(dir.path()).unwrap();
+        assert_eq!(leftovers.len(), 1);
+        let dest = quarantine(dir.path(), &leftovers[0]).unwrap();
         assert!(dest.exists());
-        assert!(scan_local(dir.path()).unwrap().issues.is_empty());
-    }
-
-    #[test]
-    fn corrupted_and_mislabeled_docs_are_reported() {
-        let dir = tempfile::tempdir().unwrap();
-        let storage = ModelStorage::open(dir.path()).unwrap();
-        let a = storage.insert_doc("k", json!({"x": 1})).unwrap();
-        let b = storage.insert_doc("k", json!({"x": 2})).unwrap();
-
-        let docs = dir.path().join("docs");
-        std::fs::write(docs.join(format!("{a}.json")), b"{truncated").unwrap();
-        let b_bytes = std::fs::read(docs.join(format!("{b}.json"))).unwrap();
-        std::fs::write(docs.join("00000000-ff.json"), &b_bytes).unwrap();
-
-        let report = scan_local(dir.path()).unwrap();
-        assert!(report
-            .issues
-            .iter()
-            .any(|i| matches!(i, ScanIssue::UnparsableDoc { id, .. } if *id == a)));
-        assert!(report.issues.iter().any(
-            |i| matches!(i, ScanIssue::DocIdMismatch { embedded, .. } if *embedded == b.to_string())
-        ));
-
-        quarantine_doc(dir.path(), &a).unwrap();
-        quarantine_doc(dir.path(), &DocId::from_string("00000000-ff".into())).unwrap();
-        assert!(scan_local(dir.path()).unwrap().issues.is_empty());
+        assert!(scan_local(dir.path()).unwrap().is_empty());
     }
 }

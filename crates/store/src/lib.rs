@@ -15,10 +15,9 @@
 //!   and one file store behind shared byte accounting; every save's storage
 //!   consumption is measured here.
 //! * [`fault`] — seeded deterministic fault injection ([`FaultPlan`],
-//!   [`FaultInjector`], [`FaultyBackend`]) driving the crash-consistency
-//!   test matrix.
+//!   [`FaultInjector`]) driving the crash-consistency test matrix.
 //! * [`fsck`] — physical consistency scan of a local root (leftover tmp
-//!   files, unparsable documents) with quarantine-based repair.
+//!   files) with quarantine-based repair.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
@@ -31,7 +30,7 @@ pub mod fsck;
 pub mod storage;
 
 pub use document::{DocId, DocStore, Document};
-pub use fault::{Fault, FaultInjector, FaultPlan, FaultyBackend};
+pub use fault::{Fault, FaultInjector, FaultPlan};
 pub use files::{FileId, FileStore};
 pub use storage::{
     batch_ref, BatchId, BatchItem, ModelStorage, StorageBackend, StoreError, BATCH_REF_PREFIX,

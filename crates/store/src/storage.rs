@@ -444,8 +444,8 @@ impl ModelStorage {
         &self.root
     }
 
-    /// The underlying backend handle (for wrapping, e.g. by
-    /// [`FaultyBackend`](crate::fault::FaultyBackend)).
+    /// The underlying backend handle (for wrapping, e.g. by a counting
+    /// backend in tests).
     pub fn backend(&self) -> Arc<dyn StorageBackend> {
         Arc::clone(&self.backend)
     }

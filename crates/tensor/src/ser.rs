@@ -73,22 +73,19 @@ pub fn read_tensor(buf: &mut Bytes) -> Result<Tensor, TensorError> {
         return Err(TensorError::Corrupt("truncated dims".into()));
     }
     let mut dims = Vec::with_capacity(rank);
-    // The product is folded checked: dims like `[1 << 32, 1 << 32]` would
-    // otherwise wrap to a plausible count (0) for an impossible shape.
-    let mut numel = Some(1usize);
     for _ in 0..rank {
         let d = usize::try_from(buf.get_u64_le())
             .map_err(|_| TensorError::Corrupt("dim overflows usize".into()))?;
-        numel = numel.and_then(|n| n.checked_mul(d));
         dims.push(d);
     }
+    let shape = Shape::new(dims);
     // Defensive cap (~8G elements): a corrupt header must not trigger an
     // allocation-of-doom before the length check below can fire.
-    let sizes = numel.filter(|&n| n <= 1 << 33).and_then(|n| Some((n, n.checked_mul(4)?)));
+    let sizes =
+        shape.checked_numel().filter(|&n| n <= 1 << 33).and_then(|n| Some((n, n.checked_mul(4)?)));
     let Some((numel, nbytes)) = sizes else {
-        return Err(TensorError::Corrupt(format!("implausible element count for dims {dims:?}")));
+        return Err(TensorError::Corrupt(format!("implausible element count for dims {shape}")));
     };
-    let shape = Shape::new(dims);
     if buf.remaining() < nbytes {
         return Err(TensorError::Corrupt(format!(
             "truncated data: need {nbytes} bytes, have {}",

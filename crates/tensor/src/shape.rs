@@ -37,6 +37,13 @@ impl Shape {
         self.0.iter().product()
     }
 
+    /// [`Shape::numel`] for shapes read from untrusted bytes: `None` when
+    /// the product overflows `usize`, instead of wrapping to a plausible
+    /// count (dims `[1 << 32, 1 << 32]` would wrap to 0).
+    pub fn checked_numel(&self) -> Option<usize> {
+        self.0.iter().try_fold(1usize, |n, &d| n.checked_mul(d))
+    }
+
     /// Size of dimension `d`.
     ///
     /// # Panics
@@ -118,6 +125,9 @@ mod tests {
     fn numel_is_product_of_dims() {
         assert_eq!(Shape::from([2, 3, 4]).numel(), 24);
         assert_eq!(Shape::from([7]).numel(), 7);
+        assert_eq!(Shape::from([2, 3, 4]).checked_numel(), Some(24));
+        assert_eq!(Shape::scalar().checked_numel(), Some(1));
+        assert_eq!(Shape::from([1 << 40, 1 << 40, 1 << 40]).checked_numel(), None);
     }
 
     #[test]

@@ -53,8 +53,13 @@ if [ "$expects" -gt "$EXPECT_CAP" ]; then
 fi
 # Deleted, not parked: save-time chain policies and the modelled network are
 # gone (chain depth is bounded by `mmlib lineage compact`; mmlib-net is the
-# one network layer). Fail, naming the file, if one of their names returns.
-for gone in ChainPolicy with_policy SimNetwork network_time run_flow_with_transport recover_flow_family; do
+# one network layer), and so are the second ownership rule, the extra store
+# scans and the physical document parse (`ModelInfoDoc::references`,
+# `gc::read_store` and `DocStore::get` are the one place each). Fail, naming
+# the file, if one of their names returns.
+for gone in ChainPolicy with_policy SimNetwork network_time run_flow_with_transport \
+    recover_flow_family FaultyBackend artifacts_of walk_wrapper_closure entry_layer_hashes \
+    lineage_index UnparsableDoc DocIdMismatch; do
     if hits=$(grep -rl -- "$gone" crates/*/src src examples tests); then
         echo "check.sh: deleted name '$gone' reappeared in:" $hits >&2
         exit 1
