@@ -28,13 +28,12 @@
 //!
 //! ## Call edges
 //!
-//! Calls are keyed by bare function name. Lock/I-O summaries propagate
-//! only through calls the analysis can plausibly resolve inside the
-//! crate: free calls (`release_pending(...)`, `atomic::stage_write(...)`)
-//! and `self.method(...)`. Method calls on other receivers
-//! (`conn.writer.lock().shutdown(..)`) are recorded for G1's pair
-//! accounting but excluded from propagation — resolving them by bare
-//! name across unrelated types would fabricate edges.
+//! Calls are keyed by bare function name, and only calls the analysis can
+//! plausibly resolve inside the crate are recorded: free calls
+//! (`flush_out(...)`, `atomic::stage_write(...)`) and `self.method(...)`.
+//! Method calls on other receivers (`conn.writer.lock().shutdown(..)`)
+//! are skipped — resolving them by bare name across unrelated types would
+//! fabricate edges.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -62,17 +61,6 @@ const GUARD_ADAPTERS: &[&str] = &["unwrap", "expect", "unwrap_or_else"];
 const NON_CALL_KEYWORDS: &[&str] =
     &["if", "while", "for", "match", "return", "loop", "in", "else", "move", "as", "await"];
 
-/// How a call site's receiver resolves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Receiver {
-    /// `name(...)` or `path::name(...)` — resolvable in-crate.
-    Free,
-    /// `self.name(...)` — resolvable in-crate.
-    SelfMethod,
-    /// `expr.name(...)` on any other receiver — recorded, not propagated.
-    Other,
-}
-
 /// One lock acquisition site.
 #[derive(Debug, Clone)]
 pub struct Acq {
@@ -83,15 +71,12 @@ pub struct Acq {
     pub held: Vec<String>,
 }
 
-/// One call site.
+/// One call site: a free call or a `self.` method call.
 #[derive(Debug, Clone)]
 pub struct CallSite {
     pub name: String,
-    /// Token index in the owning file, for G1's block scoping.
-    pub idx: usize,
     pub line: usize,
     pub col: usize,
-    pub receiver: Receiver,
     /// The path segment before the call (`Sha256` in `Sha256::new()`,
     /// `atomic` in `atomic::stage_write(...)`), when there is one.
     pub qualifier: Option<String>,
@@ -115,8 +100,6 @@ pub struct FnFacts {
     pub qualname: String,
     /// Index into the file list the model was built from.
     pub file: usize,
-    pub line: usize,
-    pub body: Option<(usize, usize)>,
     pub acquires: Vec<Acq>,
     pub calls: Vec<CallSite>,
     pub io: Vec<IoSite>,
@@ -125,9 +108,6 @@ pub struct FnFacts {
 /// The concurrency model for one crate's library code.
 pub struct CrateModel {
     pub krate: String,
-    /// Paths of the files the model was built from, index-aligned with
-    /// `FnFacts::file`.
-    pub paths: Vec<String>,
     pub fns: Vec<FnFacts>,
     /// Lock names declared anywhere in the crate.
     pub locks: BTreeSet<String>,
@@ -158,7 +138,6 @@ pub fn build(krate: &str, files: &[(usize, &SourceFile)]) -> CrateModel {
     let (trans_acquires, trans_io) = fixpoint(&fns);
     CrateModel {
         krate: krate.to_string(),
-        paths: files.iter().map(|(_, f)| f.path.clone()).collect(),
         fns,
         locks,
         trans_acquires,
@@ -221,8 +200,6 @@ fn extract_facts(
         name: item.name.clone(),
         qualname: item.qualname.clone(),
         file: file_idx,
-        line: item.line,
-        body: item.body,
         acquires: Vec::new(),
         calls: Vec::new(),
         io: Vec::new(),
@@ -296,16 +273,15 @@ fn extract_facts(
             if toks.get(i + 1).is_some_and(|n| n.is_punct('('))
                 && !NON_CALL_KEYWORDS.contains(&t.text.as_str())
             {
-                let (receiver, qualifier) = receiver_kind(toks, i);
-                facts.calls.push(CallSite {
-                    name: t.text.clone(),
-                    idx: i,
-                    line: t.line,
-                    col: t.col,
-                    receiver,
-                    qualifier,
-                    held: held_of(&guards),
-                });
+                if let Some(qualifier) = resolvable_call(toks, i) {
+                    facts.calls.push(CallSite {
+                        name: t.text.clone(),
+                        line: t.line,
+                        col: t.col,
+                        qualifier,
+                        held: held_of(&guards),
+                    });
+                }
             }
         }
         i += 1;
@@ -463,32 +439,29 @@ fn binding_name(toks: &[Token], stmt_start: usize, i: usize) -> Option<String> {
     Some(name.text.clone())
 }
 
-/// Classifies the receiver of a call at `i` (an ident followed by `(`),
-/// and captures the path qualifier for `Path::name(...)` calls.
-fn receiver_kind(toks: &[Token], i: usize) -> (Receiver, Option<String>) {
-    let Some(p) = prev_code(toks, i) else { return (Receiver::Free, None) };
+/// For a call at `i` (an ident followed by `(`): `None` when it is a
+/// method call on a receiver other than `self`, which is never resolved;
+/// otherwise the path qualifier of a `Path::name(...)` call, if any.
+fn resolvable_call(toks: &[Token], i: usize) -> Option<Option<String>> {
+    let Some(p) = prev_code(toks, i) else { return Some(None) };
     if toks[p].is_punct('.') {
-        if let Some(r) = prev_code(toks, p) {
-            let self_recv = toks[r].is_ident("self")
-                && prev_code(toks, r).is_none_or(|q| !toks[q].is_punct('.'));
-            if self_recv {
-                return (Receiver::SelfMethod, None);
-            }
-        }
-        return (Receiver::Other, None);
+        let r = prev_code(toks, p)?;
+        let self_recv = toks[r].is_ident("self")
+            && prev_code(toks, r).is_none_or(|q| !toks[q].is_punct('.'));
+        return self_recv.then_some(None);
     }
     if toks[p].is_punct(':') {
         if let Some(p2) = prev_code(toks, p) {
             if toks[p2].is_punct(':') {
                 if let Some(p3) = prev_code(toks, p2) {
                     if toks[p3].kind == TokenKind::Ident {
-                        return (Receiver::Free, Some(toks[p3].text.clone()));
+                        return Some(Some(toks[p3].text.clone()));
                     }
                 }
             }
         }
     }
-    (Receiver::Free, None)
+    Some(None)
 }
 
 /// Whether a call site plausibly resolves to a same-crate function, given
@@ -497,9 +470,6 @@ fn receiver_kind(toks: &[Token], i: usize) -> (Receiver, Option<String>) {
 /// the crate has a `name` whose impl context is `Type` — `Sha256::new()`
 /// must not inherit the summary of every `fn new` in the crate.
 pub fn call_resolves(fns: &[FnFacts], c: &CallSite) -> bool {
-    if c.receiver == Receiver::Other {
-        return false;
-    }
     match &c.qualifier {
         Some(q) if q != "Self" && q.chars().next().is_some_and(|ch| ch.is_uppercase()) => {
             fns.iter().any(|f| {
@@ -720,10 +690,7 @@ mod tests {
         );
         let m = model(&src);
         assert!(!m.trans_io["f"]);
-        // ... but the site is still recorded, for G1.
-        assert!(m.fns.iter().any(|f| {
-            f.name == "f" && f.calls.iter().any(|c| c.name == "shutdown" && c.receiver == Receiver::Other)
-        }));
+        assert!(m.fns.iter().all(|f| f.calls.iter().all(|c| c.name != "shutdown")));
     }
 
     #[test]

@@ -4,14 +4,11 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use crate::pairs::Pairs;
-use crate::rules::{g1, h1, l1, m1, x1, Violation};
+use crate::rules::{h1, l1, Violation};
 use crate::source::{FileKind, SourceFile};
 
 /// Crate directories never scanned: vendored dependency shims mirror
-/// external APIs. The lint *does* scan itself (its self-metrics must stay
-/// inside the M1 taxonomy); only its deliberately-bad rule fixtures are
-/// excluded, by the `fixtures` directory skip in [`collect_rs`].
+/// external APIs.
 const EXCLUDED_CRATES: &[&str] = &["shims"];
 
 /// A loaded workspace: every scannable file, lexed once.
@@ -21,8 +18,8 @@ pub struct Workspace {
 
 impl Workspace {
     /// Loads the real workspace under `root` (the directory holding the
-    /// workspace `Cargo.toml`). Scans `crates/*/src/**` and
-    /// `crates/*/tests/**` plus the facade `src/`.
+    /// workspace `Cargo.toml`). Scans the library code both rules read:
+    /// `crates/*/src/**` plus the facade `src/`.
     pub fn load(root: &Path) -> std::io::Result<Workspace> {
         let mut files = Vec::new();
         let crates_dir = root.join("crates");
@@ -37,9 +34,7 @@ impl Workspace {
             if EXCLUDED_CRATES.contains(&name) {
                 continue;
             }
-            for sub in ["src", "tests"] {
-                collect_rs(&dir.join(sub), root, &mut files)?;
-            }
+            collect_rs(&dir.join("src"), root, &mut files)?;
         }
         collect_rs(&root.join("src"), root, &mut files)?;
         files.sort_by(|a, b| a.path.cmp(&b.path));
@@ -53,30 +48,11 @@ impl Workspace {
         Workspace { files }
     }
 
-    /// Runs every rule with an empty pair manifest (G1 checks nothing).
+    /// Runs both rules over one concurrency model per concurrent crate,
+    /// then applies pragmas. Returns the full report.
     pub fn check(&self, budget: &Budget) -> Report {
-        self.check_full(budget, &Pairs::empty())
-    }
-
-    /// Runs every rule and applies pragmas. Returns the full report.
-    pub fn check_full(&self, budget: &Budget, pairs: &Pairs) -> Report {
         let mut raw = Vec::new();
-        x1::check(&self.files, &mut raw);
-        m1::check(&self.files, &mut raw);
-        self.check_structural(pairs, &mut raw);
-        self.apply_pragmas(raw, budget)
-    }
-
-    /// The structural rules (L1/H1/G1): builds one concurrency model per
-    /// relevant crate and runs each rule family over it.
-    fn check_structural(&self, pairs: &Pairs, raw: &mut Vec<Violation>) {
-        let mut crates: Vec<&str> = l1::CONCURRENT_CRATES.to_vec();
-        for p in &pairs.pairs {
-            if !crates.contains(&p.krate.as_str()) {
-                crates.push(&p.krate);
-            }
-        }
-        for krate in crates {
+        for &krate in l1::CONCURRENT_CRATES {
             let files: Vec<(usize, &SourceFile)> = self
                 .files
                 .iter()
@@ -87,12 +63,10 @@ impl Workspace {
                 continue;
             }
             let model = crate::callgraph::build(krate, &files);
-            if l1::CONCURRENT_CRATES.contains(&krate) {
-                l1::check(&model, &files, raw);
-                h1::check(&model, &files, raw);
-            }
-            g1::check(&model, &files, pairs, raw);
+            l1::check(&model, &files, &mut raw);
+            h1::check(&model, &files, &mut raw);
         }
+        self.apply_pragmas(raw, budget)
     }
 
     /// Splits raw findings into active violations and pragma-suppressed
@@ -180,8 +154,8 @@ impl Workspace {
         }
 
         // Byte-stable output: findings are sorted, not in rule-emission
-        // order, so `--json` and the ratchet do not depend on which rule
-        // family ran first (or on filesystem enumeration order).
+        // order, so the report does not depend on which rule family ran
+        // first (or on filesystem enumeration order).
         let sort_key = |v: &Violation| {
             (v.path.clone(), v.line, v.col, v.rule, v.message.clone())
         };
@@ -202,11 +176,6 @@ fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<SourceFile>) -> std::io::Re
     entries.sort();
     for path in entries {
         if path.is_dir() {
-            // Rule fixtures are deliberately-bad code; scanning them would
-            // report their planted violations against the real tree.
-            if path.file_name().is_some_and(|n| n == "fixtures") {
-                continue;
-            }
             collect_rs(&path, root, out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
             let text = std::fs::read_to_string(&path)?;
@@ -269,20 +238,6 @@ impl Budget {
 
     pub fn limit(&self, rule: &str) -> usize {
         self.limits.get(rule).copied().unwrap_or(0)
-    }
-
-    /// Renders the budget file content for `--update-budget`.
-    pub fn render(counts: &BTreeMap<String, usize>) -> String {
-        let mut out = String::from(
-            "# mmlib-lint ratchet budget: allow-pragma count per rule.\n\
-             # This file may only go DOWN. check.sh fails if the tree needs more\n\
-             # allows than budgeted here; when you fix an annotated site, lower\n\
-             # the number (or run `mmlib-lint --workspace --update-budget`).\n",
-        );
-        for (rule, count) in counts {
-            out.push_str(&format!("{rule} {count}\n"));
-        }
-        out
     }
 }
 

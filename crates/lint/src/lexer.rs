@@ -3,11 +3,10 @@
 //! This is deliberately not a full Rust grammar. The rules in this crate
 //! need four things a plain `grep` cannot give them:
 //!
-//! 1. **Comment/string awareness** — `Opcode::Get` inside a doc example
-//!    or a string literal is not a dispatch arm; a metric name inside a
-//!    string literal *is* a metric registration.
-//! 2. **Exact identifier tokens** — `release_pending_all` must not match
-//!    the G1 release `release_pending`, `flush_out` must not match `flush`.
+//! 1. **Comment/string awareness** — `x.lock()` inside a doc example or a
+//!    string literal is not an acquisition, and pragmas live in comments.
+//! 2. **Exact identifier tokens** — `flush_out` must not match the I/O
+//!    method `flush`.
 //! 3. **Brace structure** — `#[cfg(test)] mod tests { ... }` regions are
 //!    exempt from library-code rules, which requires matching delimiters.
 //! 4. **Line/column spans** — findings must point at the offending token.

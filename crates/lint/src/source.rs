@@ -10,10 +10,7 @@ use crate::pragma::{parse_pragmas, Pragma};
 pub enum FileKind {
     /// `crates/<name>/src/**` or the facade `src/lib.rs` — library code.
     Lib,
-    /// `crates/<name>/tests/**` — integration tests (exempt from most rules,
-    /// scanned only for cross-reference rules like X1).
-    Test,
-    /// `crates/<name>/benches/**`, `examples/**`, `src/bin/**` — exempt.
+    /// Tests, benches, examples, `src/bin/**` — exempt.
     Other,
 }
 
@@ -62,11 +59,6 @@ impl SourceFile {
     pub fn snippet(&self, line: usize) -> String {
         self.lines.get(line.wrapping_sub(1)).map(|l| l.trim().to_string()).unwrap_or_default()
     }
-
-    /// The code tokens (comments stripped), with their original indices.
-    pub fn code_tokens(&self) -> impl Iterator<Item = (usize, &Token)> {
-        self.tokens.iter().enumerate().filter(|(_, t)| !t.is_comment())
-    }
 }
 
 /// Derives (crate name, file kind) from a workspace-relative path.
@@ -77,7 +69,6 @@ fn classify(path: &str) -> (String, FileKind) {
         let kind = match parts[2] {
             "src" if parts.get(3) == Some(&"bin") => FileKind::Other,
             "src" => FileKind::Lib,
-            "tests" => FileKind::Test,
             _ => FileKind::Other,
         };
         return (crate_name, kind);
@@ -85,9 +76,6 @@ fn classify(path: &str) -> (String, FileKind) {
     if parts.first() == Some(&"src") {
         let kind = if parts.get(1) == Some(&"bin") { FileKind::Other } else { FileKind::Lib };
         return ("mmlib".to_string(), kind);
-    }
-    if parts.first() == Some(&"tests") {
-        return ("mmlib".to_string(), FileKind::Test);
     }
     ("mmlib".to_string(), FileKind::Other)
 }
@@ -201,7 +189,7 @@ mod tests {
     #[test]
     fn classify_paths() {
         assert_eq!(classify("crates/net/src/server/io.rs"), ("net".to_string(), FileKind::Lib));
-        assert_eq!(classify("crates/net/tests/loopback.rs"), ("net".to_string(), FileKind::Test));
+        assert_eq!(classify("crates/net/tests/loopback.rs"), ("net".to_string(), FileKind::Other));
         assert_eq!(
             classify("crates/bench/src/bin/repro.rs"),
             ("bench".to_string(), FileKind::Other)

@@ -1,16 +1,15 @@
 //! Structural pass: recovers the item tree (fn/impl/mod boundaries) from
 //! the token stream by brace matching.
 //!
-//! This is deliberately not a parser. The concurrency rules (L1/H1/G1)
-//! need three structural facts a flat token scan cannot give them:
+//! This is deliberately not a parser. The concurrency rules (L1/H1) need
+//! three structural facts a flat token scan cannot give them:
 //!
 //! 1. **Function extents** — which tokens belong to which function body,
 //!    so held-lock state never leaks across function boundaries.
 //! 2. **Qualified names** — `DocStore::stage` vs `FileStore::stage`, so
 //!    findings read well (call *edges* are still keyed by bare name).
-//! 3. **Block nesting** — the innermost `{...}` enclosing a token, which
-//!    is the guard-drop scope for L1/H1 and the balance scope for G1's
-//!    `scope=block` pairs.
+//! 3. **Block nesting** — the `{...}` block a guard is bound in, which is
+//!    its drop scope.
 //!
 //! The recovery is resilient by construction: braces inside strings and
 //! comments are already hidden by the lexer, and an unbalanced file
@@ -32,13 +31,6 @@ pub struct FnItem {
     /// Token indices of the body's `{` and `}` (`None` for trait-method
     /// declarations that end in `;`).
     pub body: Option<(usize, usize)>,
-}
-
-impl FnItem {
-    /// Whether `idx` falls inside this function's body braces.
-    pub fn contains(&self, idx: usize) -> bool {
-        self.body.is_some_and(|(open, close)| idx > open && idx < close)
-    }
 }
 
 /// Extracts every function in the file, in source order, with its
@@ -106,30 +98,6 @@ pub fn matching(tokens: &[Token], open: usize, open_c: char, close_c: char) -> O
         }
     }
     None
-}
-
-/// The innermost `{...}` pair within `(lo, hi)` that strictly contains
-/// `idx`, or `None` if `idx` sits directly in the outer range.
-pub fn enclosing_block(
-    tokens: &[Token],
-    lo: usize,
-    hi: usize,
-    idx: usize,
-) -> Option<(usize, usize)> {
-    let mut stack: Vec<usize> = Vec::new();
-    let mut best: Option<(usize, usize)> = None;
-    for (j, t) in tokens.iter().enumerate().take(hi.min(tokens.len())).skip(lo + 1) {
-        if t.is_punct('{') {
-            stack.push(j);
-        } else if t.is_punct('}') {
-            if let Some(open) = stack.pop() {
-                if open < idx && idx < j && best.is_none_or(|(o, _)| open > o) {
-                    best = Some((open, j));
-                }
-            }
-        }
-    }
-    best
 }
 
 /// Scans an `impl`/`mod`/`trait` header starting at its keyword. Returns
@@ -315,18 +283,5 @@ mod tests {
         let fns = functions(&lex(src));
         assert_eq!(fns.len(), 1);
         assert!(fns[0].body.is_some());
-    }
-
-    #[test]
-    fn enclosing_block_finds_innermost() {
-        let toks = lex("fn f() { a(); { b(); { c(); } } }");
-        let fns = functions(&toks);
-        let (open, close) = fns[0].body.unwrap();
-        let c_idx = toks.iter().position(|t| t.is_ident("c")).unwrap();
-        let (blo, bhi) = enclosing_block(&toks, open, close, c_idx).unwrap();
-        // Innermost block holds only `c();`.
-        assert!(blo < c_idx && c_idx < bhi);
-        let b_idx = toks.iter().position(|t| t.is_ident("b")).unwrap();
-        assert!(!(blo < b_idx && b_idx < bhi));
     }
 }

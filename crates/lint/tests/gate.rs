@@ -1,12 +1,13 @@
 //! Gate tests: the lint holds the line on the *real* workspace.
 //!
 //! These load actual source files from the repository, mutate them in
-//! memory, and assert the gate catches the regression — the acceptance
-//! criteria for the lint as a CI gate.
+//! memory, and assert the gate catches the regression. Two of the
+//! mutations — a reversed lock order and a lock held across an I/O pass —
+//! get past every test suite, which is why L1 and H1 exist at all.
 
 use std::path::PathBuf;
 
-use mmlib_lint::{report, Budget, Pairs, Workspace};
+use mmlib_lint::{report, Budget, Workspace};
 
 fn root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().unwrap()
@@ -16,106 +17,86 @@ fn read(rel: &str) -> String {
     std::fs::read_to_string(root().join(rel)).unwrap()
 }
 
-/// The committed tree passes its own gate with the committed budget and
-/// the committed G1 pair manifest.
+/// The committed tree passes its own gate with the committed budget.
 #[test]
 fn real_workspace_is_clean_under_the_committed_budget() {
     let root = root();
     let ws = Workspace::load(&root).unwrap();
     let budget = Budget::load(&root.join("lint-budget.txt")).unwrap();
-    let pairs = Pairs::load(&root.join("lint-pairs.txt")).unwrap();
-    let r = ws.check_full(&budget, &pairs);
+    let r = ws.check(&budget);
     assert!(r.clean(), "workspace lint violations:\n{}", report::render_text(&r));
     assert!(r.files_scanned > 50, "workspace scan looks truncated: {}", r.files_scanned);
 }
 
-/// Acceptance check: deleting a server dispatch arm (here: retargeting
-/// `DocRemove`'s arm so the opcode no longer dispatches) fails the gate.
-#[test]
-fn deleting_a_server_dispatch_arm_fails_x1() {
-    let handlers = read("crates/net/src/server/handlers.rs");
-    assert!(handlers.contains("Opcode::DocRemove =>"), "dispatch arm moved; update this test");
-    let files = vec![
-        ("crates/net/src/protocol.rs".to_string(), read("crates/net/src/protocol.rs")),
-        (
-            "crates/net/src/server/handlers.rs".to_string(),
-            handlers.replace("Opcode::DocRemove =>", "Opcode::DocGet =>"),
-        ),
-        ("crates/net/src/client.rs".to_string(), read("crates/net/src/client.rs")),
-        (
-            "crates/net/tests/opcode_coverage.rs".to_string(),
-            read("crates/net/tests/opcode_coverage.rs"),
-        ),
-    ];
-    let r = Workspace::from_memory(files).check(&Budget::zero());
-    assert!(
-        r.violations
-            .iter()
-            .any(|v| v.rule == "X1" && v.message.contains("`DocRemove` has no dispatch arm")),
-        "{}",
-        report::render_text(&r)
-    );
+/// Findings of `rule` when `path` alone is checked with `text` as its
+/// content.
+fn findings(rule: &str, path: &str, text: String) -> Vec<String> {
+    let ws = Workspace::from_memory(vec![(path.to_string(), text)]);
+    let r = ws.check(&Budget::zero());
+    r.violations.into_iter().filter(|v| v.rule == rule).map(|v| v.message).collect()
 }
 
-/// Acceptance check (issue seeded mutation): moving the post-dispatch
-/// `flush_out` call inside the out-guard block in `service_conn` makes the
-/// server call a function that re-acquires the lock it is holding — L1
-/// must catch the reordering. The unmutated file is L1-clean.
+/// Seeded mutation: moving the post-dispatch `flush_out` call inside the
+/// out-guard block in `service_conn` makes the server call a function that
+/// re-acquires the lock it is holding. This text is also a borrow error,
+/// and a compiling variant deadlocks the loopback suites; L1 names it
+/// before either runs.
 #[test]
 fn holding_the_out_guard_across_flush_out_fails_l1() {
-    let server = read("crates/net/src/server/io.rs");
+    let path = "crates/net/src/server/io.rs";
+    let server = read(path);
     let anchor = "    active |= flush_out(state, conn)?;\n\n    {\n        let out = conn.shared.out.lock();";
     assert!(server.contains(anchor), "service_conn flush/guard sequence moved; update this test");
-
-    let l1_of = |text: String| {
-        let ws = Workspace::from_memory(vec![("crates/net/src/server/io.rs".to_string(), text)]);
-        let r = ws.check(&Budget::zero());
-        r.violations.iter().filter(|v| v.rule == "L1").count()
-    };
-
-    assert_eq!(l1_of(server.clone()), 0, "unmutated server/io.rs must be L1-clean");
+    assert!(findings("L1", path, server.clone()).is_empty(), "unmutated server/io.rs must be L1-clean");
 
     let mutated = server.replace(
         anchor,
         "    {\n        let out = conn.shared.out.lock();\n        active |= flush_out(state, conn)?;",
     );
     assert!(
-        l1_of(mutated) > 0,
+        !findings("L1", path, mutated).is_empty(),
         "reordering flush_out under the out guard must fail L1 (call-edge double-acquisition)"
     );
 }
 
-/// Acceptance check (issue seeded mutation): deleting the
-/// `release_pending` call from the dead-connection reap path re-opens the
-/// PR-9 admission-budget leak — the `swap_remove`/`release_pending`
-/// scope=block pair in lint-pairs.txt must catch it.
+/// Seeded mutation that every test suite passes: clearing the pool slot
+/// while still holding the connection's writer takes `writer -> slot`,
+/// the reverse of `Drop for RemoteStore`'s `slot -> writer`. No caller can
+/// interleave the two today (drop has the store to itself), so only L1
+/// sees the inversion before a new caller makes it a deadlock.
 #[test]
-fn removing_release_pending_from_the_reap_path_fails_g1() {
-    let root = root();
-    let server = read("crates/net/src/server/io.rs");
-    let anchor = "let dead = conns.swap_remove(i);\n                    release_pending(state, &dead);";
-    assert!(server.contains(anchor), "reap path moved; update this test");
+fn clearing_the_slot_under_the_writer_fails_l1() {
+    let path = "crates/net/src/client.rs";
+    let client = read(path);
+    let anchor = "            let _ = conn.writer.lock().shutdown(Shutdown::Both);\n            return Err(e);";
+    assert!(client.contains(anchor), "write-failure branch moved; update this test");
+    assert!(findings("L1", path, client.clone()).is_empty(), "unmutated client.rs must be L1-clean");
 
-    let pairs = Pairs::load(&root.join("lint-pairs.txt")).unwrap();
-    let g1_of = |text: String| {
-        let ws = Workspace::from_memory(vec![("crates/net/src/server/io.rs".to_string(), text)]);
-        let r = ws.check_full(&Budget::zero(), &pairs);
-        r.violations
-            .iter()
-            .filter(|v| v.rule == "G1")
-            .map(|v| v.message.clone())
-            .collect::<Vec<_>>()
-    };
-
-    assert!(g1_of(server.clone()).is_empty(), "unmutated server/io.rs must be G1-clean");
-
-    let mutated = server.replace(anchor, "let dead = conns.swap_remove(i);");
-    let findings = g1_of(mutated);
-    assert!(
-        findings.iter().any(|m| m.contains("`swap_remove`")
-            && m.contains("without `release_pending` in the same block")),
-        "removing release_pending must fail G1: {findings:#?}"
+    let mutated = client.replace(
+        anchor,
+        "            let writer = conn.writer.lock();\n            *slot.lock() = None;\n            \
+         let _ = writer.shutdown(Shutdown::Both);\n            return Err(e);",
     );
+    let l1 = findings("L1", path, mutated);
+    assert!(l1.iter().any(|m| m.contains("slot -> writer -> slot")), "{l1:#?}");
+}
+
+/// Seeded mutation that every test suite passes: an I/O thread holding
+/// its `intake` lock across the whole service pass stalls the accept loop
+/// behind socket I/O but breaks no exchange — only H1 sees it.
+#[test]
+fn holding_intake_across_the_service_pass_fails_h1() {
+    let path = "crates/net/src/server/io.rs";
+    let server = read(path);
+    let (start, end) = ("        let mut i = 0;\n", "        if stopping {\n            let drained");
+    assert!(server.contains(start) && server.contains(end), "io_loop moved; update this test");
+    assert!(findings("H1", path, server.clone()).is_empty(), "unmutated io.rs must be H1-clean");
+
+    let mutated = server
+        .replace(start, &format!("        let held_intake = intake.lock();\n{start}"))
+        .replace(end, &format!("        drop(held_intake);\n{end}"));
+    let h1 = findings("H1", path, mutated);
+    assert!(h1.iter().any(|m| m.contains("calls `service_conn` while holding lock `intake`")), "{h1:#?}");
 }
 
 /// A pragma suppresses its violation but counts against the ratchet; the

@@ -41,3 +41,24 @@ pub use server::{
     AdmissionConfig, ConfigError, RegistryServer, ServerConfig, ServerMetrics, ShardConfig,
     WireConfig,
 };
+
+/// Pre-registers every net metric on `recorder`: the server's request
+/// counters and latency histograms under every opcode label, its byte,
+/// connection, load-shed and in-flight series, and the client pool gauge.
+pub fn register_metrics(recorder: &mmlib_obs::Recorder) {
+    use server::{
+        NET_BYTES_IN_TOTAL, NET_BYTES_OUT_TOTAL, NET_CONNECTIONS_TOTAL, NET_INFLIGHT_REQUESTS,
+        NET_LOAD_SHED_TOTAL, NET_REQUESTS_TOTAL, NET_REQUEST_SECONDS,
+    };
+    for op in Opcode::ALL {
+        let label = Some(("opcode", op.name()));
+        recorder.counter(NET_REQUESTS_TOTAL, label);
+        recorder.histogram(NET_REQUEST_SECONDS, label, &mmlib_obs::DURATION_BUCKETS);
+    }
+    for name in [NET_BYTES_IN_TOTAL, NET_BYTES_OUT_TOTAL, NET_CONNECTIONS_TOTAL, NET_LOAD_SHED_TOTAL]
+    {
+        recorder.counter(name, None);
+    }
+    recorder.gauge(NET_INFLIGHT_REQUESTS, None);
+    recorder.gauge(client::NET_POOL_CONNECTIONS, None);
+}

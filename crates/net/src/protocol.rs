@@ -41,6 +41,8 @@
 //! instead of queueing it. `Busy` is a per-request response: the
 //! connection stays healthy and other in-flight requests are unaffected.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::arithmetic_side_effects))]
+
 use std::fmt;
 use std::io::Read;
 
@@ -71,18 +73,13 @@ pub enum WireVersion {
 }
 
 impl WireVersion {
-    /// Bytes between the opcode byte and the header-length field: the
-    /// request id under v2, nothing under v1.
-    fn id_bytes(self) -> usize {
-        match self {
-            WireVersion::V1 => 0,
-            WireVersion::V2 => 8,
-        }
-    }
-
-    /// Minimum legal body length (opcode + id + header length field).
+    /// Minimum legal body length: the opcode byte, the request id (v2
+    /// only), and the header-length field.
     fn min_body(self) -> usize {
-        1 + self.id_bytes() + 4
+        match self {
+            WireVersion::V1 => 1 + 4,
+            WireVersion::V2 => 1 + 8 + 4,
+        }
     }
 }
 
@@ -328,14 +325,15 @@ impl From<std::io::Error> for WireError {
 /// would only waste bandwidth before a guaranteed peer error.
 pub fn encode_frame_prefix(frame: &Frame, version: WireVersion) -> Result<Bytes, WireError> {
     let header = frame.header.to_json_string();
-    let body_len = version.min_body() + header.len() + frame.payload.len();
+    let prefix_len = version.min_body().saturating_add(header.len());
+    let body_len = prefix_len.saturating_add(frame.payload.len());
     if body_len > MAX_FRAME_LEN {
         return Err(WireError::Oversized(body_len));
     }
     let body_len_u32 = u32::try_from(body_len).map_err(|_| WireError::Oversized(body_len))?;
     let header_len_u32 =
         u32::try_from(header.len()).map_err(|_| WireError::Oversized(header.len()))?;
-    let mut out = BytesMut::with_capacity(4 + version.min_body() + header.len());
+    let mut out = BytesMut::with_capacity(prefix_len.saturating_add(4));
     out.put_u32_le(body_len_u32);
     out.put_u8(frame.opcode as u8);
     if version == WireVersion::V2 {
@@ -353,7 +351,7 @@ pub fn encode_frame_v(frame: &Frame, version: WireVersion) -> Result<Bytes, Wire
     if frame.payload.is_empty() {
         return Ok(prefix);
     }
-    let mut out = BytesMut::with_capacity(prefix.len() + frame.payload.len());
+    let mut out = BytesMut::with_capacity(prefix.len().saturating_add(frame.payload.len()));
     out.put_slice(&prefix);
     out.put_slice(&frame.payload);
     Ok(out.freeze())
@@ -390,23 +388,18 @@ pub fn try_decode_frame(
     buf: &[u8],
     version: WireVersion,
 ) -> Result<Option<(Frame, usize)>, WireError> {
-    if buf.len() < 4 {
-        return Ok(None);
-    }
-    let declared = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-    let body_len = usize::try_from(declared).unwrap_or(usize::MAX);
+    let Some(&declared) = buf.first_chunk::<4>() else { return Ok(None) };
+    let body_len = usize::try_from(u32::from_le_bytes(declared)).unwrap_or(usize::MAX);
     if body_len > MAX_FRAME_LEN {
         return Err(WireError::Oversized(body_len));
     }
     if body_len < version.min_body() {
         return Err(WireError::Truncated);
     }
-    let total = 4 + body_len;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let body = Bytes::copy_from_slice(&buf[4..total]);
-    Ok(Some((decode_body(body, version)?, total)))
+    // Cannot saturate: `body_len` is at most `MAX_FRAME_LEN` here.
+    let total = body_len.saturating_add(4);
+    let Some(body) = buf.get(4..total) else { return Ok(None) };
+    Ok(Some((decode_body(Bytes::copy_from_slice(body), version)?, total)))
 }
 
 /// Reads one frame from a stream under the given framing, also returning
@@ -441,7 +434,7 @@ pub fn read_frame_counted(
             WireError::Io(e)
         }
     })?;
-    let wire_len = 4 + body_len as u64;
+    let wire_len = (body_len as u64).saturating_add(4);
     Ok((decode_body(Bytes::from(body), version)?, wire_len))
 }
 
@@ -453,7 +446,7 @@ pub fn chunk_frames(request_id: u64, blob: &Bytes) -> Vec<Frame> {
     let mut out = Vec::with_capacity(blob.len().div_ceil(CHUNK_SIZE));
     let mut start = 0usize;
     while start < blob.len() {
-        let end = (start + CHUNK_SIZE).min(blob.len());
+        let end = start.saturating_add(CHUNK_SIZE).min(blob.len());
         out.push(
             Frame::with_payload(Opcode::Chunk, serde_json::json!({}), blob.slice(start..end))
                 .with_request_id(request_id),
@@ -466,7 +459,7 @@ pub fn chunk_frames(request_id: u64, blob: &Bytes) -> Vec<Frame> {
 /// Reassembles one announced blob from its `Chunk` frames. Both directions
 /// account their transfers here and nowhere else: the server's inbound
 /// `FilePut` uploads, the client's `FileGet` replies.
-pub(crate) struct BlobAssembler {
+pub struct BlobAssembler {
     /// Announced bytes not yet received.
     remaining: u64,
     /// `None` counts without buffering: a shed upload's chunks are already
@@ -477,7 +470,7 @@ pub(crate) struct BlobAssembler {
 impl BlobAssembler {
     /// Starts a transfer of `len` announced bytes. The announcement comes
     /// from the peer, so it is bounded here and never sizes an allocation.
-    pub(crate) fn new(len: u64) -> Result<BlobAssembler, WireError> {
+    pub fn new(len: u64) -> Result<BlobAssembler, WireError> {
         if len > MAX_BLOB_LEN {
             return Err(WireError::Protocol(format!(
                 "announced blob of {len} bytes exceeds maximum {MAX_BLOB_LEN}"
@@ -487,19 +480,19 @@ impl BlobAssembler {
     }
 
     /// Switches to counting without buffering (the upload was shed).
-    pub(crate) fn count_only(&mut self) {
+    pub fn count_only(&mut self) {
         self.data = None;
     }
 
     /// Accounts one chunk payload. After an error the transfer is dead.
-    pub(crate) fn push(&mut self, chunk: &[u8]) -> Result<(), WireError> {
+    pub fn push(&mut self, chunk: &[u8]) -> Result<(), WireError> {
         if chunk.is_empty() {
             return Err(WireError::Protocol("empty chunk frame".to_string()));
         }
-        if chunk.len() as u64 > self.remaining {
+        let Some(remaining) = self.remaining.checked_sub(chunk.len() as u64) else {
             return Err(WireError::Protocol("chunk overruns announced length".to_string()));
-        }
-        self.remaining -= chunk.len() as u64;
+        };
+        self.remaining = remaining;
         if let Some(data) = &mut self.data {
             data.extend_from_slice(chunk);
         }
@@ -507,42 +500,45 @@ impl BlobAssembler {
     }
 
     /// Whether every announced byte has arrived (at once for `len == 0`).
-    pub(crate) fn is_complete(&self) -> bool {
+    pub fn is_complete(&self) -> bool {
         self.remaining == 0
     }
 
     /// The assembled bytes (empty in count-only mode).
-    pub(crate) fn into_blob(self) -> Vec<u8> {
+    pub fn into_blob(self) -> Vec<u8> {
         self.data.unwrap_or_default()
     }
 }
 
 /// Inbound byte accumulator with a consumed-prefix cursor: socket reads go
 /// in at the back, whole frames come out at the front.
-pub(crate) struct RecvBuf {
+#[derive(Default)]
+pub struct RecvBuf {
     buf: Vec<u8>,
     start: usize,
 }
 
 impl RecvBuf {
-    pub(crate) fn new() -> RecvBuf {
-        RecvBuf { buf: Vec::new(), start: 0 }
+    pub fn new() -> RecvBuf {
+        RecvBuf::default()
     }
 
-    pub(crate) fn extend(&mut self, bytes: &[u8]) {
+    pub fn extend(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
     /// Decodes and consumes the next frame, or `Ok(None)` until one is
     /// complete. An error means framing is lost for good.
-    pub(crate) fn next_frame(&mut self, version: WireVersion) -> Result<Option<Frame>, WireError> {
-        let Some((frame, used)) = try_decode_frame(&self.buf[self.start..], version)? else {
+    pub fn next_frame(&mut self, version: WireVersion) -> Result<Option<Frame>, WireError> {
+        let unread = self.buf.get(self.start..).unwrap_or_default();
+        let Some((frame, used)) = try_decode_frame(unread, version)? else {
             return Ok(None);
         };
-        self.start += used;
+        // Neither can saturate: `used` is at most the unread length.
+        self.start = self.start.saturating_add(used);
         // Reclaim the consumed prefix once it dominates the buffer,
         // keeping amortized cost linear.
-        if self.start > 4096 && self.start * 2 >= self.buf.len() {
+        if self.start > 4096 && self.start.saturating_mul(2) >= self.buf.len() {
             self.buf.drain(..self.start);
             self.start = 0;
         }
@@ -550,7 +546,7 @@ impl RecvBuf {
     }
 
     /// Forgets everything buffered (the bytes after a framing error).
-    pub(crate) fn clear(&mut self) {
+    pub fn clear(&mut self) {
         self.buf.clear();
         self.start = 0;
     }

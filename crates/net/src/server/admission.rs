@@ -14,9 +14,29 @@ use crate::protocol::{header_str, header_u64, BlobAssembler, Frame, Opcode};
 /// Backoff hint carried in `Busy` responses, in milliseconds.
 const RETRY_AFTER_MS: u64 = 25;
 
+/// One admitted request's share of the in-flight budgets: a unit of its
+/// connection's budget, a unit of the global budget, and one on the
+/// `mmlib_net_inflight_requests` gauge. Only [`admit`] makes one, and
+/// dropping it gives all three back, so a request releases its budget
+/// however it ends: answered, cut short mid-upload, refused by a shard that
+/// is shutting down, or dropped with its connection.
+pub(super) struct Admission {
+    state: Arc<ServerState>,
+    /// The connection the request arrived on, which its reply goes to.
+    pub(super) conn: Arc<ConnShared>,
+}
+
+impl Drop for Admission {
+    fn drop(&mut self) {
+        self.state.global_inflight.fetch_sub(1, Ordering::AcqRel);
+        self.conn.inflight.fetch_sub(1, Ordering::AcqRel);
+        self.state.metrics.inflight.add(-1.0);
+    }
+}
+
 /// One request handed from an I/O thread to a shard worker.
 pub(super) struct Job {
-    pub(super) conn: Arc<ConnShared>,
+    pub(super) admission: Admission,
     pub(super) frame: Frame,
     /// Assembled `FilePut` payload, when the request announced one.
     pub(super) blob: Option<Vec<u8>>,
@@ -28,15 +48,15 @@ pub(super) struct PendingBlob {
     announce: Frame,
     blob: BlobAssembler,
     started: Instant,
-    /// The request was shed at announce time: consume its chunks (the
-    /// client already sent them) but execute nothing.
-    pub(super) discard: bool,
+    /// `None` when the request was shed at announce time: its chunks (the
+    /// client already sent them) are consumed, but nothing executes.
+    admission: Option<Admission>,
 }
 
 /// Routes one decoded frame: chunk assembly runs on the I/O thread;
 /// admitted requests dispatch to their shard.
 pub(super) fn handle_frame(
-    state: &ServerState,
+    state: &Arc<ServerState>,
     conn: &mut IoConn,
     frame: Frame,
     shard_txs: &[crossbeam::channel::Sender<Job>],
@@ -48,7 +68,7 @@ pub(super) fn handle_frame(
             conn.shared
                 .protocol_error(request_id, "hello must be the first frame on a connection");
         }
-        Opcode::Chunk => handle_chunk(state, conn, &frame, shard_txs),
+        Opcode::Chunk => handle_chunk(conn, &frame, shard_txs),
         Opcode::Ok | Opcode::Err | Opcode::Busy => {
             conn.shared.protocol_error(
                 request_id,
@@ -77,20 +97,20 @@ pub(super) fn handle_frame(
             // The admission decision happens at announce time: a shed
             // upload still has its (already sent) chunks consumed, but
             // buffers and executes nothing.
-            let discard = !admit(state, conn, &frame);
-            if discard {
+            let admission = admit(state, conn, &frame);
+            if admission.is_none() {
                 blob.count_only();
             }
-            let pending = PendingBlob { announce: frame, blob, started, discard };
+            let pending = PendingBlob { announce: frame, blob, started, admission };
             if pending.blob.is_complete() {
-                finish_upload(state, conn, pending, shard_txs);
+                finish_upload(pending, shard_txs);
             } else {
                 conn.pending_blobs.insert(request_id, pending);
             }
         }
         _ => {
-            if admit(state, conn, &frame) {
-                dispatch(state, conn, frame, None, started, shard_txs);
+            if let Some(admission) = admit(state, conn, &frame) {
+                dispatch(admission, frame, None, started, shard_txs);
             }
         }
     }
@@ -99,7 +119,6 @@ pub(super) fn handle_frame(
 /// Accounts a chunk to its pending blob; a completed blob dispatches its
 /// announced request (or evaporates, if the request was shed).
 fn handle_chunk(
-    state: &ServerState,
     conn: &mut IoConn,
     frame: &Frame,
     shard_txs: &[crossbeam::channel::Sender<Job>],
@@ -111,41 +130,33 @@ fn handle_chunk(
     };
     if let Err(e) = pending.blob.push(&frame.payload) {
         conn.shared.protocol_error(request_id, &e.to_string());
-        // The transfer dies without ever dispatching, so the admission
-        // budget it reserved at announce time must be released here.
-        if let Some(dead) = conn.pending_blobs.remove(&request_id) {
-            if !dead.discard {
-                finish_inflight(state, &conn.shared);
-            }
-        }
+        // The transfer dies without ever dispatching; dropping it gives
+        // back the admission it took at announce time.
+        conn.pending_blobs.remove(&request_id);
         return;
     }
     if pending.blob.is_complete() {
         let Some(done) = conn.pending_blobs.remove(&request_id) else { return };
-        finish_upload(state, conn, done, shard_txs);
+        finish_upload(done, shard_txs);
     }
 }
 
 /// Hands a fully received upload to its shard, unless it was shed.
-fn finish_upload(
-    state: &ServerState,
-    conn: &IoConn,
-    done: PendingBlob,
-    shard_txs: &[crossbeam::channel::Sender<Job>],
-) {
-    if !done.discard {
+fn finish_upload(done: PendingBlob, shard_txs: &[crossbeam::channel::Sender<Job>]) {
+    if let Some(admission) = done.admission {
         let blob = Some(done.blob.into_blob());
-        dispatch(state, conn, done.announce, blob, done.started, shard_txs);
+        dispatch(admission, done.announce, blob, done.started, shard_txs);
     }
 }
 
-/// Admission control: admits the request (incrementing the in-flight
-/// accounting) or sheds it with a `Busy` response.
-fn admit(state: &ServerState, conn: &IoConn, frame: &Frame) -> bool {
+/// Admission control: admits the request, charging the in-flight
+/// accounting to the returned token, or sheds it with a `Busy` response.
+fn admit(state: &Arc<ServerState>, conn: &IoConn, frame: &Frame) -> Option<Admission> {
     // Per-connection budget: only this I/O thread increments it, so a
     // plain load cannot race another admission.
     if conn.shared.inflight.load(Ordering::Acquire) >= state.admission.per_conn_inflight {
-        return shed(state, conn, frame);
+        shed(state, conn, frame);
+        return None;
     }
     // Global budget: I/O threads race here, so reserve first and undo
     // on overshoot — check-then-increment could exceed the cap by up
@@ -153,28 +164,27 @@ fn admit(state: &ServerState, conn: &IoConn, frame: &Frame) -> bool {
     let prev = state.global_inflight.fetch_add(1, Ordering::AcqRel);
     if prev >= state.admission.global_inflight {
         state.global_inflight.fetch_sub(1, Ordering::AcqRel);
-        return shed(state, conn, frame);
+        shed(state, conn, frame);
+        return None;
     }
     conn.shared.inflight.fetch_add(1, Ordering::AcqRel);
     state.metrics.inflight.add(1.0);
     state.metrics.count(frame.opcode);
-    true
+    Some(Admission { state: Arc::clone(state), conn: Arc::clone(&conn.shared) })
 }
 
 /// Sheds one request with a `Busy` reply carrying the retry hint.
-fn shed(state: &ServerState, conn: &IoConn, frame: &Frame) -> bool {
+fn shed(state: &ServerState, conn: &IoConn, frame: &Frame) {
     state.metrics.load_shed.add(1);
     let reply = busy_frame(RETRY_AFTER_MS).with_request_id(frame.request_id);
     let _ = conn.shared.send_frames(&[reply], state.faults.as_deref());
-    false
 }
 
 /// Hands an admitted request to its shard. Routing hashes the id named in
 /// the header, so every request about one model/document/file serializes
 /// on one worker; requests without an id spread by request id.
 fn dispatch(
-    state: &ServerState,
-    conn: &IoConn,
+    admission: Admission,
     frame: Frame,
     blob: Option<Vec<u8>>,
     started: Instant,
@@ -185,19 +195,9 @@ fn dispatch(
         Err(_) => frame.request_id,
     };
     let shard = usize::try_from(key % shard_txs.len() as u64).unwrap_or(0);
-    let job = Job { conn: Arc::clone(&conn.shared), frame, blob, started };
-    if shard_txs[shard].send(job).is_err() {
-        // Shutdown race: workers are gone; the connection is about to be
-        // torn down with them.
-        finish_inflight(state, &conn.shared);
-    }
-}
-
-/// Gives one admitted request's share of the budgets back.
-pub(super) fn finish_inflight(state: &ServerState, conn: &ConnShared) {
-    state.global_inflight.fetch_sub(1, Ordering::AcqRel);
-    conn.inflight.fetch_sub(1, Ordering::AcqRel);
-    state.metrics.inflight.add(-1.0);
+    // A failed send is the shutdown race (the workers are gone): the job,
+    // and its admission with it, drops here.
+    let _ = shard_txs[shard].send(Job { admission, frame, blob, started });
 }
 
 /// FNV-1a: the shard router's stable, dependency-free string hash.

@@ -5,7 +5,7 @@ use bytes::Bytes;
 use mmlib_store::{DocId, FileId, ModelStorage, StoreError};
 use serde_json::{json, Value};
 
-use super::admission::{finish_inflight, Job};
+use super::admission::Job;
 use super::metrics::ServerMetrics;
 use super::ServerState;
 use crate::protocol::{
@@ -13,7 +13,8 @@ use crate::protocol::{
 };
 
 /// Executes one admitted request on its shard worker and enqueues the
-/// response frames.
+/// response frames. The job's admission is given back when it drops, after
+/// the reply is queued.
 pub(super) fn run_job(state: &ServerState, job: Job) {
     let reply = respond(&job.frame, job.blob.as_deref(), &state.storage, &state.metrics)
         .unwrap_or_else(Reply::frame);
@@ -21,9 +22,8 @@ pub(super) fn run_job(state: &ServerState, job: Job) {
     if let Some(blob) = reply.blob {
         frames.extend(chunk_frames(job.frame.request_id, &blob));
     }
-    let _ = job.conn.send_frames(&frames, state.faults.as_deref());
+    let _ = job.admission.conn.send_frames(&frames, state.faults.as_deref());
     state.metrics.observe_latency(job.frame.opcode, job.started.elapsed());
-    finish_inflight(state, &job.conn);
 }
 
 /// A request's response: one reply frame, plus an outbound blob to stream

@@ -14,7 +14,7 @@ use mmlib_store::fault::Fault;
 use parking_lot::Mutex;
 use serde_json::json;
 
-use super::admission::{finish_inflight, handle_frame, Job, PendingBlob};
+use super::admission::{handle_frame, Job, PendingBlob};
 use super::handlers::{err_frame, ok_frame};
 use super::ServerState;
 use crate::fault::NetFaults;
@@ -156,7 +156,7 @@ const SHUTDOWN_DRAIN_GRACE: Duration = Duration::from_secs(2);
 /// On stop, drains in-flight requests and queued responses (bounded by
 /// [`SHUTDOWN_DRAIN_GRACE`]) before exiting.
 pub(super) fn io_loop(
-    state: &ServerState,
+    state: &Arc<ServerState>,
     intake: &Mutex<Vec<TcpStream>>,
     shard_txs: &[crossbeam::channel::Sender<Job>],
     idle_timeout: Option<Duration>,
@@ -200,9 +200,8 @@ pub(super) fn io_loop(
                     // Fatal for this connection only: drop the socket. Any
                     // in-flight jobs keep their Arc and finish harmlessly;
                     // announced-but-incomplete blob transfers never will,
-                    // so their admission budget is released here.
-                    let dead = conns.swap_remove(i);
-                    release_pending(state, &dead);
+                    // and drop here with the admissions they hold.
+                    conns.swap_remove(i);
                     progressed = true;
                 }
             }
@@ -219,27 +218,12 @@ pub(super) fn io_loop(
             std::thread::sleep(Duration::from_micros(200));
         }
     }
-    for conn in &conns {
-        release_pending(state, conn);
-    }
-}
-
-/// Releases the admission budget held by blob transfers that were admitted
-/// at announce time but will never complete — the connection carrying them
-/// is going away. Requests already dispatched to a shard are untouched:
-/// they hold their own `Arc` and release through `run_job`.
-fn release_pending(state: &ServerState, conn: &IoConn) {
-    for pending in conn.pending_blobs.values() {
-        if !pending.discard {
-            finish_inflight(state, &conn.shared);
-        }
-    }
 }
 
 /// Services one connection once: flush, read, decode, dispatch, flush.
 /// `Ok(true)` when any bytes moved; `Err(())` when the connection is done.
 fn service_conn(
-    state: &ServerState,
+    state: &Arc<ServerState>,
     conn: &mut IoConn,
     shard_txs: &[crossbeam::channel::Sender<Job>],
     idle_timeout: Option<Duration>,

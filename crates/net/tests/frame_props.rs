@@ -3,12 +3,14 @@
 //! The v2 properties cover multiplexing: interleaved frames with distinct
 //! request ids decode in order with ids intact, and a truncated stream
 //! yields exactly the complete frames before the cut — the loss is scoped
-//! to the unfinished request id, never to earlier frames.
+//! to the unfinished request id, never to earlier frames. Hostile bytes —
+//! arbitrary, or a valid frame with one byte changed or its tail cut off —
+//! never panic a decoder: they decode, wait for more, or fail cleanly.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use mmlib_net::protocol::{
-    encode_frame_v, read_frame_counted, try_decode_frame, Frame, Opcode, WireError, WireVersion,
-    MAX_FRAME_LEN,
+    encode_frame_v, read_frame_counted, try_decode_frame, BlobAssembler, Frame, Opcode, RecvBuf,
+    WireError, WireVersion, MAX_FRAME_LEN,
 };
 use proptest::prelude::*;
 
@@ -34,6 +36,37 @@ fn header_from_seed(fields: &[(u8, u64)]) -> serde_json::Value {
 
 fn opcode_from_seed(seed: u64) -> Opcode {
     Opcode::ALL[(seed as usize) % Opcode::ALL.len()]
+}
+
+/// Hands `bytes` to every inbound decoder: the frame decoder under both
+/// framings, the receive buffer (drained until it stops yielding frames),
+/// and chunk assembly under announcements of several sizes, buffering and
+/// count-only. Each must return; none may panic.
+fn feed_every_decoder(bytes: &[u8]) {
+    for version in BOTH {
+        let _ = try_decode_frame(bytes, version);
+        let mut recv = RecvBuf::new();
+        recv.extend(bytes);
+        while let Ok(Some(_)) = recv.next_frame(version) {}
+    }
+    let mut word = [0u8; 8];
+    for (w, b) in word.iter_mut().zip(bytes) {
+        *w = *b;
+    }
+    let len = bytes.len() as u64;
+    for announced in [u64::from_le_bytes(word), len, len / 2, len.saturating_mul(2)] {
+        for count_only in [false, true] {
+            let Ok(mut blob) = BlobAssembler::new(announced) else { continue };
+            if count_only {
+                blob.count_only();
+            }
+            for chunk in [bytes, bytes] {
+                let _ = blob.push(chunk);
+            }
+            let _ = blob.is_complete();
+            let _ = blob.into_blob();
+        }
+    }
 }
 
 proptest! {
@@ -189,6 +222,39 @@ proptest! {
             bytes[4] = byte; // opcode position
             // Must decode to the same kind of frame or fail cleanly — no panic.
             let _ = try_decode_frame(&bytes, version);
+        }
+    }
+}
+
+proptest! {
+    // Cheap cases, so many of them.
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    #[test]
+    fn arbitrary_bytes_never_panic_a_decoder(bytes in prop::collection::vec(0u8..=255, 0..600)) {
+        feed_every_decoder(&bytes);
+    }
+
+    #[test]
+    fn mutated_and_truncated_frames_never_panic_a_decoder(
+        op_seed in 0u64..1000,
+        fields in prop::collection::vec((0u8..=255, 0u64..1000), 0..4),
+        payload in prop::collection::vec(0u8..=255, 0..300),
+        at_seed in 0u64..1_000_000,
+        byte in 0u8..=255,
+        cut_seed in 0u64..1_000_000,
+    ) {
+        let frame = Frame::with_payload(
+            opcode_from_seed(op_seed),
+            header_from_seed(&fields),
+            Bytes::from(payload),
+        );
+        for version in BOTH {
+            let encoded = encode_frame_v(&frame, version).unwrap().to_vec();
+            let mut mutated = encoded.clone();
+            mutated[(at_seed as usize) % encoded.len()] = byte;
+            feed_every_decoder(&mutated);
+            feed_every_decoder(&encoded[..(cut_seed as usize) % encoded.len()]);
         }
     }
 }

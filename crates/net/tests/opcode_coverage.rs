@@ -1,8 +1,10 @@
 //! One loopback exchange per request opcode, asserting the server's
-//! per-opcode request counters. This is the wire-coverage companion to the
-//! X1 lint rule: every `Opcode` variant a client can send is exercised here
-//! exactly once, so adding an opcode without coverage fails the lint and
-//! breaking an opcode's round trip fails this test.
+//! per-opcode request counters. The test walks `Opcode::ALL`: every
+//! request opcode must be round-tripped and counted here, and the four
+//! response opcodes must never be counted as requests. An opcode added
+//! without coverage therefore fails this test, a dispatch arm that goes
+//! missing fails to compile (`respond` matches every opcode, with no
+//! wildcard), and so does a wire byte used twice.
 
 use mmlib_net::{Opcode, RegistryServer, RemoteStore};
 use mmlib_store::{DocId, ModelStorage, StorageBackend, StoreError};
@@ -75,8 +77,11 @@ fn every_request_opcode_round_trips_and_is_counted_once() {
     // Connecting performed the version handshake.
     assert_eq!(m.requests(Opcode::Ping), 1);
     // The lineage setup/teardown above adds two extra inserts and removes;
-    // every other request opcode is exercised exactly once.
-    for (op, expect) in [
+    // every other request opcode is exercised exactly once, and every
+    // pooled connection opened with one `Hello`.
+    let covered = [
+        (Opcode::Hello, m.connections()),
+        (Opcode::Ping, 1),
         (Opcode::DocInsert, 3),
         (Opcode::DocGet, 1),
         (Opcode::DocUpdate, 1),
@@ -93,14 +98,22 @@ fn every_request_opcode_round_trips_and_is_counted_once() {
         (Opcode::StatsText, 1),
         (Opcode::LineageGet, 1),
         (Opcode::LineageAncestry, 1),
-    ] {
+    ];
+    let responses = [Opcode::Ok, Opcode::Err, Opcode::Busy, Opcode::Chunk];
+    for op in Opcode::ALL {
+        let expect = if responses.contains(&op) {
+            0
+        } else {
+            let found = covered.iter().find(|(c, _)| *c == op);
+            found.unwrap_or_else(|| panic!("request opcode {} has no round trip here", op.name())).1
+        };
         assert_eq!(m.requests(op), expect, "opcode {} miscounted", op.name());
     }
     // Responses are never counted as requests: even after an error reply
     // (`Opcode::Err` on the wire), the request table has no entry for it.
     let missing = DocId::from_string("coverage-missing".into());
     assert!(matches!(client.get_doc(&missing), Err(StoreError::MissingDocument(_))));
-    assert_eq!(m.requests(Opcode::Err), 0);
-    assert_eq!(m.requests(Opcode::Ok), 0);
-    assert_eq!(m.requests(Opcode::Chunk), 0);
+    for op in responses {
+        assert_eq!(m.requests(op), 0, "response {} counted as a request", op.name());
+    }
 }

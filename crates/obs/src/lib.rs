@@ -38,4 +38,4 @@ pub mod taxonomy;
 
 pub use metrics::{Counter, Gauge, Histogram, DURATION_BUCKETS, SIZE_BUCKETS};
 pub use phase::{PhaseBreakdown, PhaseClock, SpanGuard};
-pub use recorder::{recorder, MetricSnapshot, Recorder, SnapshotValue};
+pub use recorder::{recorder, register_metrics, MetricSnapshot, Recorder, SnapshotValue};

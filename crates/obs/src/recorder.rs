@@ -19,6 +19,12 @@ use crate::metrics::{Counter, Gauge, Histogram, DURATION_BUCKETS};
 /// detached handle instead of a panic, and the conflict shows up here.
 pub(crate) const REGISTRATION_CONFLICTS: &str = "mmlib_obs_registration_conflicts_total";
 
+/// Pre-registers obs's own metric on `recorder`, so a conflict-free
+/// exposition still shows the conflict counter at zero.
+pub fn register_metrics(recorder: &Recorder) {
+    recorder.counter(REGISTRATION_CONFLICTS, None);
+}
+
 /// A metric's identity: base name plus an optional single `key="value"`
 /// label pair. `BTreeMap` ordering makes exposition output deterministic.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]

@@ -1,12 +1,14 @@
 //! The metric taxonomy: the complete dictionary of every metric name this
 //! workspace can expose.
 //!
-//! Instrumented crates keep their own `const` for each name they register;
-//! this table is the central cross-reference. `mmlib-lint` rule **M1**
-//! enforces the contract in both directions: a `mmlib_*` metric registered
-//! anywhere must be declared here (exactly once, snake_case), and every
-//! entry here must be registered by live library code. A scrape of any
-//! mmlib deployment therefore never shows a name this file cannot explain.
+//! Instrumented crates keep their own `const` for each name they emit, use
+//! it at every emit site, and register every one of them in the crate's
+//! single `register_metrics(&Recorder)`. The facade test
+//! `tests/metric_taxonomy.rs` calls all of those on one fresh recorder and
+//! holds the contract in both directions: every registered name is
+//! declared here (snake_case), and every entry here is registered. A
+//! scrape of any mmlib deployment therefore never shows a name this file
+//! cannot explain.
 //!
 //! Naming follows Prometheus conventions: `mmlib_` prefix, snake_case,
 //! and a unit suffix — `_total` (counters), `_seconds` (histograms),
@@ -65,16 +67,6 @@ pub const TAXONOMY: &[MetricDef] = &[
         name: "mmlib_lineage_queries_total",
         kind: MetricKind::Counter,
         help: "Lineage queries served, labeled by query kind.",
-    },
-    MetricDef {
-        name: "mmlib_lint_analysis_seconds",
-        kind: MetricKind::Histogram,
-        help: "Wall-clock duration of one full mmlib-lint workspace analysis.",
-    },
-    MetricDef {
-        name: "mmlib_lint_findings_total",
-        kind: MetricKind::Counter,
-        help: "mmlib-lint findings per rule (active violations plus pragma-allowed).",
     },
     MetricDef {
         name: "mmlib_net_bytes_in_total",

@@ -51,15 +51,50 @@ fn write_payload(f: &mut std::fs::File, bytes: &[u8]) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Writes `bytes` to `path` atomically; consults `injector` (one operation
-/// per call) for scheduled faults. A [`Fault::TornWrite`] persists only a
-/// prefix of the temporary file and fails without renaming — the simulated
-/// mid-write crash; any other scheduled fault fails before writing.
+/// Writes `bytes` to `path` atomically: [`stage_write`] (which consults
+/// `injector`, one operation per call), then a one-item commit that
+/// consults nothing. A [`Fault::TornWrite`] persists only a prefix of the
+/// temporary file and fails without renaming — the simulated mid-write
+/// crash; any other scheduled fault fails before writing.
 pub(crate) fn atomic_write(
     path: &Path,
     bytes: &[u8],
     injector: Option<&FaultInjector>,
 ) -> std::io::Result<()> {
+    let staged = stage_write(path, bytes, injector)?;
+    if let Err(e) = std::fs::rename(&staged.tmp, &staged.dest) {
+        let _ = std::fs::remove_file(&staged.tmp);
+        return Err(e);
+    }
+    // fsync point 2: the rename itself.
+    if let Some(parent) = path.parent() {
+        sync_dir(parent);
+    }
+    Ok(())
+}
+
+/// A payload made durable under its temporary name but not yet renamed to
+/// its destination. [`commit_staged`] consumes it, so a stage is committed
+/// at most once; one that is never committed (an error path, a crash)
+/// leaves its tmp file for `fsck`.
+#[derive(Debug)]
+#[must_use = "a staged write is invisible until `commit_staged` renames it"]
+pub(crate) struct StagedWrite {
+    tmp: PathBuf,
+    dest: PathBuf,
+}
+
+/// Stages `bytes` for `path`: writes and fsyncs the temporary sibling
+/// without renaming it. Consults `injector` for one operation per call: a
+/// [`Fault::TornWrite`] persists a prefix of the tmp file and fails, any
+/// other scheduled fault fails before writing. On failure the tmp file (if
+/// any) is left behind, as a crash would leave it — `fsck` sweeps
+/// temporaries.
+pub(crate) fn stage_write(
+    path: &Path,
+    bytes: &[u8],
+    injector: Option<&FaultInjector>,
+) -> std::io::Result<StagedWrite> {
     let fault = injector.and_then(|i| i.next());
     let tmp = tmp_sibling(path);
     match fault {
@@ -77,63 +112,19 @@ pub(crate) fn atomic_write(
         }
         Some(other) => return Err(injected_io_error(&other)),
     }
-
     let mut f = std::fs::File::create(&tmp)?;
     write_payload(&mut f, bytes)?;
     // sync point 1: payload (data + size) durable under its temporary name.
     f.sync_data()?;
-    drop(f);
-    if let Err(e) = std::fs::rename(&tmp, path) {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-    // fsync point 2: the rename itself. Directory fsync is best-effort —
-    // not every filesystem supports opening a directory for sync.
-    if let Some(parent) = path.parent() {
-        if let Ok(dir) = std::fs::File::open(parent) {
-            let _ = dir.sync_all();
-        }
-    }
-    Ok(())
-}
-
-/// A payload made durable under its temporary name but not yet renamed to
-/// its destination — the first half of [`atomic_write`], split out so a
-/// batch can pay the rename + directory-fsync tail once for many writes.
-#[derive(Debug)]
-pub(crate) struct StagedWrite {
-    tmp: PathBuf,
-    dest: PathBuf,
-}
-
-/// Stages `bytes` for `path`: writes and fsyncs the temporary sibling
-/// without renaming it. Consults `injector` exactly like [`atomic_write`]
-/// (one operation per call): a [`Fault::TornWrite`] persists a prefix of
-/// the tmp file and fails, any other scheduled fault fails before writing.
-/// On failure the tmp file (if any) is left behind, as a crash would leave
-/// it — `fsck` sweeps temporaries.
-pub(crate) fn stage_write(
-    path: &Path,
-    bytes: &[u8],
-    injector: Option<&FaultInjector>,
-) -> std::io::Result<StagedWrite> {
-    let fault = injector.and_then(|i| i.next());
-    let tmp = tmp_sibling(path);
-    match fault {
-        None => {}
-        Some(Fault::TornWrite { after_bytes }) => {
-            let cut = usize::try_from(after_bytes).unwrap_or(usize::MAX).min(bytes.len());
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&bytes[..cut])?;
-            f.sync_all()?;
-            return Err(injected_io_error(&Fault::TornWrite { after_bytes }));
-        }
-        Some(other) => return Err(injected_io_error(&other)),
-    }
-    let mut f = std::fs::File::create(&tmp)?;
-    write_payload(&mut f, bytes)?;
-    f.sync_data()?;
     Ok(StagedWrite { tmp, dest: path.to_path_buf() })
+}
+
+/// Best-effort directory fsync, making renames into `dir` durable — not
+/// every filesystem supports opening a directory for sync.
+fn sync_dir(dir: &Path) {
+    if let Ok(dir) = std::fs::File::open(dir) {
+        let _ = dir.sync_all();
+    }
 }
 
 /// Commits staged writes: renames each tmp over its destination *in item
@@ -152,7 +143,7 @@ pub(crate) fn stage_write(
 /// Returns the number of directory fsyncs the commit issued (one per
 /// distinct destination directory), for the caller's sync-op accounting.
 pub(crate) fn commit_staged(
-    staged: &[StagedWrite],
+    staged: Vec<StagedWrite>,
     injector: Option<&FaultInjector>,
 ) -> std::io::Result<usize> {
     let fault = injector.and_then(|i| i.next());
@@ -176,9 +167,7 @@ pub(crate) fn commit_staged(
     parents.dedup();
     let dir_syncs = parents.len();
     for parent in parents {
-        if let Ok(dir) = std::fs::File::open(parent) {
-            let _ = dir.sync_all();
-        }
+        sync_dir(parent);
     }
     Ok(dir_syncs)
 }
@@ -272,7 +261,7 @@ mod tests {
         // Staged but uncommitted: nothing visible yet.
         assert!(!dir.path().join("f0.json").exists());
         assert_eq!(tmp_count(dir.path()), 3);
-        commit_staged(&staged, None).unwrap();
+        commit_staged(staged, None).unwrap();
         for i in 0..3 {
             let bytes = std::fs::read(dir.path().join(format!("f{i}.json"))).unwrap();
             assert_eq!(bytes, format!("v{i}").as_bytes());
@@ -285,7 +274,7 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let staged = stage_three(dir.path());
         let inj = FaultInjector::new(FaultPlan::new(0).with(0, Fault::TornWrite { after_bytes: 1 }));
-        assert!(commit_staged(&staged, Some(&inj)).is_err());
+        assert!(commit_staged(staged, Some(&inj)).is_err());
         assert!(dir.path().join("f0.json").exists(), "first item renamed");
         assert!(!dir.path().join("f1.json").exists(), "later items never renamed");
         assert!(!dir.path().join("f2.json").exists());
@@ -297,7 +286,7 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let staged = stage_three(dir.path());
         let inj = FaultInjector::new(FaultPlan::new(0).with(0, Fault::IoError));
-        assert!(commit_staged(&staged, Some(&inj)).is_err());
+        assert!(commit_staged(staged, Some(&inj)).is_err());
         for i in 0..3 {
             assert!(!dir.path().join(format!("f{i}.json")).exists());
         }

@@ -11,7 +11,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::atomic::{atomic_write, stage_write, StagedWrite};
@@ -59,8 +58,6 @@ pub struct DocStore {
     counter: Arc<AtomicU64>,
     nonce: u64,
     accounting: Arc<Accounting>,
-    // Serializes id generation scans on reopen.
-    init_lock: Arc<Mutex<()>>,
     faults: Option<Arc<FaultInjector>>,
 }
 
@@ -87,7 +84,6 @@ impl DocStore {
             counter: Arc::new(AtomicU64::new(max_seq + 1)),
             nonce,
             accounting,
-            init_lock: Arc::new(Mutex::new(())),
             faults: None,
         })
     }
@@ -199,9 +195,7 @@ impl DocStore {
 
     /// Ids of all stored documents (diagnostics/tests).
     pub fn ids(&self) -> Result<Vec<DocId>, StoreError> {
-        let _g = self.init_lock.lock();
         let mut out = Vec::new();
-        // mmlib-lint: allow(H1, diagnostics-only path - the directory scan is serialized against init/compaction by design)
         for entry in std::fs::read_dir(&self.dir)? {
             let name = entry?.file_name();
             if let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(".json")) {

@@ -33,5 +33,6 @@ pub use document::{DocId, DocStore, Document};
 pub use fault::{Fault, FaultInjector, FaultPlan};
 pub use files::{FileId, FileStore};
 pub use storage::{
-    batch_ref, BatchId, BatchItem, ModelStorage, StorageBackend, StoreError, BATCH_REF_PREFIX,
+    batch_ref, register_metrics, BatchId, BatchItem, ModelStorage, StorageBackend, StoreError,
+    BATCH_REF_PREFIX,
 };

@@ -4,6 +4,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use mmlib_obs::Recorder;
+
 use crate::document::{DocId, DocStore, Document};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::files::{FileId, FileStore};
@@ -53,6 +55,38 @@ impl From<serde_json::Error> for StoreError {
     }
 }
 
+/// Counter of bytes written to the store's backing storage.
+const STORE_BYTES_WRITTEN_TOTAL: &str = "mmlib_store_bytes_written_total";
+/// Counter of bytes read from the store's backing storage.
+const STORE_BYTES_READ_TOTAL: &str = "mmlib_store_bytes_read_total";
+/// Counter of durability syncs (payload `fdatasync`, directory `fsync`).
+const STORE_SYNC_OPS_TOTAL: &str = "mmlib_store_sync_ops_total";
+/// Counter of storage operations, labeled `op="..."`.
+const STORE_OPS_TOTAL: &str = "mmlib_store_ops_total";
+
+/// The `op` labels [`STORE_OPS_TOTAL`] is counted under.
+const STORE_OPS: [&str; 8] = [
+    "batch_commit",
+    "doc_insert",
+    "doc_get",
+    "doc_update",
+    "doc_remove",
+    "file_put",
+    "file_get",
+    "file_remove",
+];
+
+/// Pre-registers every store metric on `recorder`, so expositions list
+/// them (with zero counts) before any storage traffic.
+pub fn register_metrics(recorder: &Recorder) {
+    recorder.counter(STORE_BYTES_WRITTEN_TOTAL, None);
+    recorder.counter(STORE_BYTES_READ_TOTAL, None);
+    recorder.counter(STORE_SYNC_OPS_TOTAL, None);
+    for op in STORE_OPS {
+        recorder.counter(STORE_OPS_TOTAL, Some(("op", op)));
+    }
+}
+
 /// Shared byte counters for a storage backend.
 ///
 /// The paper's *storage consumption* metric is "the amount of storage that
@@ -71,12 +105,12 @@ pub struct Accounting {
 impl Accounting {
     pub(crate) fn add_written(&self, n: u64) {
         self.written.fetch_add(n, Ordering::Relaxed);
-        mmlib_obs::recorder().inc("mmlib_store_bytes_written_total", n);
+        mmlib_obs::recorder().inc(STORE_BYTES_WRITTEN_TOTAL, n);
     }
 
     pub(crate) fn add_read(&self, n: u64) {
         self.read.fetch_add(n, Ordering::Relaxed);
-        mmlib_obs::recorder().inc("mmlib_store_bytes_read_total", n);
+        mmlib_obs::recorder().inc(STORE_BYTES_READ_TOTAL, n);
     }
 
     /// Records durability sync operations (payload `fdatasync` / directory
@@ -85,14 +119,15 @@ impl Accounting {
     /// this counter rather than wall time (which tracks device load).
     pub(crate) fn add_syncs(&self, n: u64) {
         self.syncs.fetch_add(n, Ordering::Relaxed);
-        mmlib_obs::recorder().inc("mmlib_store_sync_ops_total", n);
+        mmlib_obs::recorder().inc(STORE_SYNC_OPS_TOTAL, n);
     }
 }
 
-/// Records one storage operation in the global ops counter.
+/// Records one storage operation (one of [`STORE_OPS`]) in the global ops
+/// counter.
 #[inline]
 fn count_op(op: &'static str) {
-    mmlib_obs::recorder().inc_labeled("mmlib_store_ops_total", ("op", op), 1);
+    mmlib_obs::recorder().inc_labeled(STORE_OPS_TOTAL, ("op", op), 1);
 }
 
 /// One write in a [`StorageBackend::commit_batch`] call.
@@ -375,7 +410,7 @@ impl StorageBackend for LocalBackend {
         // can target the rename/dir-fsync step specifically. Both stores
         // share one injector when faults are enabled.
         let injector = self.docs.faults().or_else(|| self.files.faults());
-        let dir_syncs = crate::atomic::commit_staged(&staged, injector)?;
+        let dir_syncs = crate::atomic::commit_staged(staged, injector)?;
         self.accounting.add_syncs(dir_syncs as u64);
         for n in written {
             self.accounting.add_written(n);

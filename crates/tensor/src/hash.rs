@@ -12,6 +12,11 @@ use std::fmt;
 
 use crate::tensor::Tensor;
 
+/// Counter of tensor hash operations.
+pub(crate) const TENSOR_HASH_OPS_TOTAL: &str = "mmlib_tensor_hash_ops_total";
+/// Counter of tensor bytes hashed.
+pub(crate) const TENSOR_HASH_BYTES_TOTAL: &str = "mmlib_tensor_hash_bytes_total";
+
 /// A 256-bit digest.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Digest(pub [u8; 32]);
@@ -262,8 +267,8 @@ pub fn sha256(data: &[u8]) -> Digest {
 /// shapes hash differently, which the Merkle layer relies on.
 pub fn hash_tensor(t: &Tensor) -> Digest {
     let obs = mmlib_obs::recorder();
-    obs.inc("mmlib_tensor_hash_ops_total", 1);
-    obs.inc("mmlib_tensor_hash_bytes_total", t.data().len() as u64 * 4);
+    obs.inc(TENSOR_HASH_OPS_TOTAL, 1);
+    obs.inc(TENSOR_HASH_BYTES_TOTAL, t.data().len() as u64 * 4);
     let mut h = Sha256::new();
     h.update(&(t.shape().rank() as u64).to_le_bytes());
     for &d in t.shape().dims() {

@@ -31,6 +31,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use crate::hash::{hash_tensor, Digest};
 use crate::tensor::Tensor;
 
+/// Counter of digests computed on the parallel path.
+pub(crate) const TENSOR_HASH_PARALLEL_OPS_TOTAL: &str = "mmlib_tensor_hash_parallel_ops_total";
+/// Counter of parallel digest maps recomputed serially after a worker panic.
+pub(crate) const TENSOR_HASH_PARALLEL_FALLBACK_TOTAL: &str =
+    "mmlib_tensor_hash_parallel_fallback_total";
+
 /// Environment override for the hashing worker count.
 pub const HASH_THREADS_ENV: &str = "MMLIB_HASH_THREADS";
 
@@ -104,14 +110,14 @@ where
     });
     match parallel {
         Ok(Some(parts)) => {
-            obs.inc("mmlib_tensor_hash_parallel_ops_total", jobs.len() as u64);
+            obs.inc(TENSOR_HASH_PARALLEL_OPS_TOTAL, jobs.len() as u64);
             in_input_order(parts.into_iter().flatten())
         }
         // A worker panicked (or the scope shim reported one): recompute the
         // whole map serially. Digests are pure functions of the input, so
         // the result is identical to a clean parallel run.
         _ => {
-            obs.inc("mmlib_tensor_hash_parallel_fallback_total", 1);
+            obs.inc(TENSOR_HASH_PARALLEL_FALLBACK_TOTAL, 1);
             jobs.iter().map(&hash).collect()
         }
     }

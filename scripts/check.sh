@@ -9,36 +9,50 @@ cargo build --release
 cargo test --workspace -q
 
 # Static-analysis gate, run before the expensive stress/bench gates so a
-# violation fails fast. Each of the nine rules has one owner (DESIGN.md
-# "Static analysis"):
-#   rustc       F1 unsafe-code forbid         [workspace.lints.rust]
+# violation fails fast. Every invariant has one owner (DESIGN.md "Static
+# analysis"):
+#   rustc       F1 unsafe-code forbid ([workspace.lints.rust]); opcode
+#               dispatch (`respond` matches every Opcode, no wildcard) and
+#               unique wire bytes (explicit #[repr(u8)] discriminants)
 #   clippy      P1 panic-freedom, D1 determinism hygiene (clippy.toml),
-#               C1 truncating casts           deny line in each lib.rs
-#   mmlib-lint  X1 protocol / M1 metric cross-checks, L1 lock order, H1
-#               lock-held I/O, G1 guard balance (lint-pairs.txt); its
-#               pragmas are bounded by the ratchet in lint-budget.txt
+#               C1 truncating casts (deny line in each lib.rs); checked
+#               indexing and arithmetic in the wire decoder (protocol.rs);
+#               a discarded StagedWrite (#[must_use])
+#   types       admission budgets given back by `Drop for Admission`; a
+#               staged write committed at most once (`commit_staged` takes
+#               it by value)
+#   tests       opcode coverage (opcode_coverage.rs walks Opcode::ALL), the
+#               metric taxonomy (tests/metric_taxonomy.rs), the clippy
+#               owners still biting (tests/toolchain.rs)
+#   mmlib-lint  L1 lock order, H1 lock-held I/O — each catches a seeded
+#               mutation that every suite passes; its pragmas are bounded
+#               by the ratchet in lint-budget.txt
 #
-# The toolchain rules' scopes live in the crates they guard, so pin them
-# here: the exact deny line in each listed lib.rs, the workspace lint table
-# in every manifest (shims too: clippy.toml is found from any member, so a
-# crate outside the table would have D1 on by default), and a cap on
-# `#[expect]` suppressions (13 P1 + 1 D1 + 2 C1; it only goes down).
+# The clippy rules' scopes live in the files they guard, so pin them here:
+# the exact deny line in each listed lib.rs (and in the wire decoder), the
+# workspace lint table in every manifest (shims too: clippy.toml is found
+# from any member, so a crate outside the table would have D1 on by
+# default), and a cap on `#[expect]` suppressions (13 P1 + 1 D1 + 2 C1; it
+# only goes down).
 P1='#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable))]'
 D1='#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]'
 C1='#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]'
-pin() { # pin RULE LINE CRATE...
-    local rule=$1 line=$2 c
+DECODE='#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::arithmetic_side_effects))]'
+pin() { # pin RULE LINE FILE...
+    local rule=$1 line=$2 f
     shift 2
-    for c in "$@"; do
-        if ! grep -qxF -- "$line" "crates/$c/src/lib.rs"; then
-            echo "check.sh: crates/$c/src/lib.rs lost its $rule line: $line" >&2
+    for f in "$@"; do
+        if ! grep -qxF -- "$line" "$f"; then
+            echo "check.sh: $f lost its $rule line: $line" >&2
             exit 1
         fi
     done
 }
-pin P1 "$P1" core net store tensor dist obs lineage
-pin D1 "$D1" tensor train model core lineage dist
-pin C1 "$C1" net store
+libs() { local c; for c in "$@"; do echo "crates/$c/src/lib.rs"; done; }
+pin P1 "$P1" $(libs core net store tensor dist obs lineage)
+pin D1 "$D1" $(libs tensor train model core lineage dist)
+pin C1 "$C1" $(libs net store)
+pin decoder "$DECODE" crates/net/src/protocol.rs
 for m in Cargo.toml crates/*/Cargo.toml crates/shims/*/Cargo.toml; do
     if ! grep -A1 -xF '[lints]' "$m" | grep -qxF 'workspace = true'; then
         echo "check.sh: $m lost '[lints] workspace = true' (F1 and the D1 default)" >&2
@@ -55,11 +69,13 @@ fi
 # gone (chain depth is bounded by `mmlib lineage compact`; mmlib-net is the
 # one network layer), and so are the second ownership rule, the extra store
 # scans and the physical document parse (`ModelInfoDoc::references`,
-# `gc::read_store` and `DocStore::get` are the one place each). Fail, naming
-# the file, if one of their names returns.
+# `gc::read_store` and `DocStore::get` are the one place each), the
+# hand-written admission releases (`Drop for Admission` is the one) and the
+# lock that only serialized directory listings. Fail, naming the file, if
+# one of their names returns.
 for gone in ChainPolicy with_policy SimNetwork network_time run_flow_with_transport \
     recover_flow_family FaultyBackend artifacts_of walk_wrapper_closure entry_layer_hashes \
-    lineage_index UnparsableDoc DocIdMismatch; do
+    lineage_index UnparsableDoc DocIdMismatch finish_inflight release_pending init_lock; do
     if hits=$(grep -rl -- "$gone" crates/*/src src examples tests); then
         echo "check.sh: deleted name '$gone' reappeared in:" $hits >&2
         exit 1
@@ -79,7 +95,6 @@ done
 cargo clippy --workspace --all-targets -- -D warnings
 if ! cargo run --release --quiet -p mmlib-lint -- --workspace; then
     echo "check.sh: mmlib-lint FAILED (see violations above)" >&2
-    echo "reproduce one rule: cargo run --release -q -p mmlib-lint -- --workspace --rule <ID>" >&2
     echo "rules and pragma syntax: DESIGN.md 'Static analysis'" >&2
     exit 1
 fi
