@@ -304,7 +304,9 @@ impl RemoteStore {
             match &*guard {
                 Some(conn) if conn.alive.load(Ordering::Acquire) => Arc::clone(conn),
                 _ => {
-                    // mmlib-lint: allow(H1, reconnect under the slot lock is deliberate - it serializes handshakes so racing callers share one connection instead of opening N)
+                    // Reconnecting under the slot lock is deliberate: it
+                    // serializes handshakes, so racing callers share one
+                    // connection instead of opening N.
                     let conn = self.open_conn()?;
                     *guard = Some(Arc::clone(&conn));
                     conn
@@ -320,7 +322,8 @@ impl RemoteStore {
         let sent = frame.clone().with_request_id(id);
         let wrote = {
             let mut writer = conn.writer.lock();
-            // mmlib-lint: allow(H1, the writer lock exists to serialize whole-frame writes on the shared socket - I/O under it is the point)
+            // The writer lock exists to serialize whole-frame writes on
+            // the shared socket; I/O under it is the point.
             self.write_request(&mut *writer, &sent, blob, WireVersion::V2)
         };
         if let Err(e) = wrote {
@@ -487,7 +490,10 @@ impl RemoteStore {
 impl Drop for RemoteStore {
     fn drop(&mut self) {
         for slot in &self.pool {
-            if let Some(conn) = &*slot.lock() {
+            // Take the connection out first: failing the waiters and
+            // closing the socket each take a lock of their own.
+            let taken = slot.lock().take();
+            if let Some(conn) = taken {
                 conn.fail_all("client shut down");
                 let _ = conn.writer.lock().shutdown(Shutdown::Both);
             }

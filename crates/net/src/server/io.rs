@@ -6,7 +6,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -157,7 +157,7 @@ const SHUTDOWN_DRAIN_GRACE: Duration = Duration::from_secs(2);
 /// [`SHUTDOWN_DRAIN_GRACE`]) before exiting.
 pub(super) fn io_loop(
     state: &Arc<ServerState>,
-    intake: &Mutex<Vec<TcpStream>>,
+    intake: &mpsc::Receiver<TcpStream>,
     shard_txs: &[crossbeam::channel::Sender<Job>],
     idle_timeout: Option<Duration>,
     stop: &AtomicBool,
@@ -171,7 +171,7 @@ pub(super) fn io_loop(
         if stopping {
             drain_deadline.get_or_insert_with(|| Instant::now() + SHUTDOWN_DRAIN_GRACE);
         } else {
-            for stream in intake.lock().drain(..) {
+            for stream in intake.try_iter() {
                 if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                     continue;
                 }
@@ -315,7 +315,9 @@ fn flush_out(state: &ServerState, conn: &mut IoConn) -> Result<bool, ()> {
     let mut active = false;
     while let Some(front) = out.queue.front() {
         let from = out.front_written;
-        // mmlib-lint: allow(H1, nonblocking socket - write returns WouldBlock instead of stalling and the out queue must stay consistent with what reached the kernel)
+        // Written under the out lock on purpose: the socket is
+        // nonblocking, so `write` returns WouldBlock instead of stalling,
+        // and the queue must stay consistent with what reached the kernel.
         match conn.stream.write(&front[from..]) {
             Ok(0) => return Err(()),
             Ok(n) => {

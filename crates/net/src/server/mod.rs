@@ -37,12 +37,11 @@ mod metrics;
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use mmlib_obs::Recorder;
 use mmlib_store::ModelStorage;
-use parking_lot::Mutex;
 
 pub use config::{AdmissionConfig, ConfigError, ServerConfig, ShardConfig, WireConfig};
 pub use metrics::{
@@ -164,12 +163,12 @@ fn serve(
             });
         }
 
-        // I/O threads: each adopts connections from its intake and
-        // multiplexes them with a nonblocking event loop.
+        // I/O threads: each adopts connections from its intake channel
+        // and multiplexes them with a nonblocking event loop.
         let mut intakes = Vec::with_capacity(config.wire.io_threads);
         for _ in 0..config.wire.io_threads {
-            let intake: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-            intakes.push(Arc::clone(&intake));
+            let (intake_tx, intake) = mpsc::channel::<TcpStream>();
+            intakes.push(intake_tx);
             let state = Arc::clone(&state);
             let stop = Arc::clone(&stop);
             let shard_txs = shard_txs.clone();
@@ -195,7 +194,9 @@ fn serve(
                             continue;
                         }
                     }
-                    intakes[next_io % intakes.len()].lock().push(stream);
+                    // A send fails only once that I/O thread has exited,
+                    // and then the connection just closes.
+                    let _ = intakes[next_io % intakes.len()].send(stream);
                     next_io = next_io.wrapping_add(1);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {

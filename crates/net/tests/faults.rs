@@ -233,3 +233,49 @@ fn oversized_blob_announcement_fails_only_its_own_request() {
     drop(client);
     peer.join().unwrap();
 }
+
+#[test]
+fn failed_request_write_fails_fast_and_the_next_request_reconnects() {
+    use std::io::Write;
+
+    // A scripted peer: on its first connection it answers the handshake
+    // and the ping, reads one `FilePut` announcement and closes with the
+    // blob unread, so the client's write fails mid-blob. Its second
+    // connection answers the handshake and existence checks.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        for _ in 0..2 {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut version = WireVersion::V1;
+            while let Ok((frame, _)) = read_frame_counted(&mut stream, version) {
+                let header = match frame.opcode {
+                    Opcode::Hello => {
+                        json!({"version": mmlib_net::PROTOCOL_V2, "max_inflight": 64})
+                    }
+                    Opcode::Ping => json!({"version": mmlib_net::PROTOCOL_V2}),
+                    Opcode::FilePut => break,
+                    Opcode::DocContains => json!({"present": true}),
+                    other => panic!("unscripted request {}", other.name()),
+                };
+                let reply = Frame::new(Opcode::Ok, header).with_request_id(frame.request_id);
+                stream.write_all(&encode_frame_v(&reply, version).unwrap()).unwrap();
+                version = WireVersion::V2;
+            }
+        }
+    });
+
+    let client = RemoteStore::builder(addr).pool_size(1).max_retries(0).build().unwrap();
+    // Far more than loopback socket buffers absorb, so the write is still
+    // going when the peer hangs up.
+    let blob = vec![7u8; 32 << 20];
+    let asked = std::time::Instant::now();
+    let err = client.put_file(&blob).unwrap_err();
+    assert!(asked.elapsed() < std::time::Duration::from_secs(10), "{err}");
+
+    // The dead connection left the pool: this request opens a fresh one,
+    // which the peer accepts as its second.
+    assert!(client.contains_doc(&DocId::from_string("d-1".into())));
+    drop(client);
+    peer.join().unwrap();
+}
