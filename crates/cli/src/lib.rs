@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use mmlib_core::gc::{collect_garbage, delete_model, dependency_graph};
-use mmlib_core::meta::SavedModelId;
+use mmlib_core::meta::{LineageRecordDoc, SavedModelId};
 use mmlib_core::{RecoverOptions, SaveService};
 use mmlib_store::{DocId, ModelStorage};
 
@@ -411,28 +411,10 @@ fn lineage_cmd(svc: &SaveService, tail: &[&str]) -> Result<String, CliError> {
     let lineage = mmlib_lineage::Lineage::new(svc);
     let id_of = |s: &str| SavedModelId(DocId::from_string(s.to_string()));
     match tail {
-        ["show", id] => {
-            let node = lineage.show(&id_of(id)).map_err(fail)?;
-            Ok(render_lineage_node(&node))
-        }
+        ["show", id] => Ok(render_record(&lineage.show(&id_of(id)).map_err(fail)?.record)),
         ["ancestry", id] => {
-            let mut out = String::new();
-            for (depth, node) in lineage.ancestry(&id_of(id)).map_err(fail)?.iter().enumerate() {
-                writeln!(
-                    out,
-                    "{}{} ({} {:?}){}",
-                    "  ".repeat(depth),
-                    node.id,
-                    node.record.approach.abbrev(),
-                    node.record.relation,
-                    match &node.record.rebased_from {
-                        Some(old) => format!(" [rebased from {old}]"),
-                        None => String::new(),
-                    }
-                )
-                .unwrap();
-            }
-            Ok(out)
+            let chain = lineage.ancestry(&id_of(id)).map_err(fail)?;
+            Ok(render_ancestry(chain.iter().map(|node| &node.record)))
         }
         ["diff", a, b] => {
             let diff = lineage.diff(&id_of(a), &id_of(b)).map_err(fail)?;
@@ -487,53 +469,57 @@ fn lineage_cmd(svc: &SaveService, tail: &[&str]) -> Result<String, CliError> {
     }
 }
 
-fn render_lineage_node(node: &mmlib_lineage::LineageNode) -> String {
+/// One lineage record, as `lineage show` prints it.
+fn render_record(record: &LineageRecordDoc) -> String {
     let mut out = String::new();
-    writeln!(out, "model:    {}", node.id).unwrap();
-    writeln!(out, "approach: {}", node.record.approach.abbrev()).unwrap();
-    writeln!(out, "relation: {:?}", node.record.relation).unwrap();
-    writeln!(out, "parent:   {}", node.record.parent.as_deref().unwrap_or("-")).unwrap();
-    if let Some(old) = &node.record.rebased_from {
+    writeln!(out, "model:    {}", record.model).unwrap();
+    writeln!(out, "approach: {}", record.approach.abbrev()).unwrap();
+    writeln!(out, "relation: {:?}", record.relation).unwrap();
+    writeln!(out, "parent:   {}", record.parent.as_deref().unwrap_or("-")).unwrap();
+    if let Some(old) = &record.rebased_from {
         writeln!(out, "rebased:  from {old}").unwrap();
     }
-    if let Some(n) = node.record.changed_layers {
+    if let Some(n) = record.changed_layers {
         writeln!(out, "changed:  {n} layer(s) vs parent").unwrap();
     }
-    writeln!(out, "root:     {}", node.record.root_hash).unwrap();
-    if !node.record.tags.is_empty() {
-        writeln!(out, "tags:     [{}]", node.record.tags.join(", ")).unwrap();
+    writeln!(out, "root:     {}", record.root_hash).unwrap();
+    if !record.tags.is_empty() {
+        writeln!(out, "tags:     [{}]", record.tags.join(", ")).unwrap();
     }
     out
 }
 
-/// `lineage show/ancestry` against a remote registry, via the dedicated
-/// wire opcodes. Returns `None` for subcommands that have no dedicated
-/// opcode (they run through the generic remote storage path instead).
-fn lineage_remote(addr: &str, tail: &[&str]) -> Result<Option<String>, CliError> {
-    let node_line = |node: &mmlib_net::LineageNode| {
-        let or_dash = |v: &Option<String>| v.clone().unwrap_or_else(|| "-".to_string());
-        format!(
-            "{} ({} {}) parent {}",
-            node.model,
-            or_dash(&node.approach),
-            or_dash(&node.relation),
-            or_dash(&node.parent)
-        )
-    };
-    match tail {
-        ["show", id] => {
-            let client = mmlib_net::RemoteStore::builder(addr).build().map_err(fail)?;
-            let node = client.lineage_node(id).map_err(fail)?;
-            serde_json::to_string_pretty(&node.raw).map(Some).map_err(fail)
-        }
-        ["ancestry", id] => {
-            let client = mmlib_net::RemoteStore::builder(addr).build().map_err(fail)?;
-            let chain = client.lineage_chain(id).map_err(fail)?;
-            let mut out = String::new();
-            for (depth, node) in chain.iter().enumerate() {
-                writeln!(out, "{}{}", "  ".repeat(depth), node_line(node)).unwrap();
+/// An ancestry, tip first, as `lineage ancestry` prints it.
+fn render_ancestry<'a>(chain: impl Iterator<Item = &'a LineageRecordDoc>) -> String {
+    let mut out = String::new();
+    for (depth, record) in chain.enumerate() {
+        writeln!(
+            out,
+            "{}{} ({} {:?}){}",
+            "  ".repeat(depth),
+            record.model,
+            record.approach.abbrev(),
+            record.relation,
+            match &record.rebased_from {
+                Some(old) => format!(" [rebased from {old}]"),
+                None => String::new(),
             }
-            Ok(Some(out))
+        )
+        .unwrap();
+    }
+    out
+}
+
+/// `lineage show/ancestry` against a remote registry: one request on the
+/// dedicated wire opcode, printed by the same renderer as the local
+/// command. Returns `None` for subcommands that have no dedicated opcode
+/// (they run through the generic remote storage path instead).
+fn lineage_remote(addr: &str, tail: &[&str]) -> Result<Option<String>, CliError> {
+    let client = || mmlib_net::RemoteStore::builder(addr).build().map_err(fail);
+    match tail {
+        ["show", id] => Ok(Some(render_record(&client()?.lineage_node(id).map_err(fail)?))),
+        ["ancestry", id] => {
+            Ok(Some(render_ancestry(client()?.lineage_chain(id).map_err(fail)?.iter())))
         }
         _ => Ok(None),
     }

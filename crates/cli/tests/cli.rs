@@ -202,10 +202,17 @@ fn lineage_remote_uses_the_dedicated_opcodes() {
         v.extend(rest.iter().map(|s| s.to_string()));
         v
     };
+    // Over the wire, a lineage query prints byte for byte what it prints
+    // against the store directory.
+    let same_both_ways = |rest: &[&str]| {
+        let there = run(&remote(rest)).unwrap();
+        assert_eq!(there, run(&args(dir.path(), rest)).unwrap(), "{rest:?}");
+        there
+    };
 
-    let out = run(&remote(&["lineage", "show", &update])).unwrap();
+    let out = same_both_ways(&["lineage", "show", &update]);
     assert!(out.contains(&initial), "{out}");
-    let out = run(&remote(&["lineage", "ancestry", &update])).unwrap();
+    let out = same_both_ways(&["lineage", "ancestry", &update]);
     let lines: Vec<&str> = out.lines().collect();
     assert_eq!(lines.len(), 2, "{out}");
     assert!(lines[0].contains(&update) && lines[1].contains(&initial));
@@ -218,6 +225,16 @@ fn lineage_remote_uses_the_dedicated_opcodes() {
     // through the generic storage backend.
     let out = run(&remote(&["lineage", "diff", &initial, &update])).unwrap();
     assert!(out.contains("layer(s) changed"), "{out}");
+
+    // Tags and a compaction's rebased edge read the same both ways too.
+    run(&remote(&["lineage", "tag", &update, "best"])).unwrap();
+    run(&remote(&["lineage", "compact", &update, "--max-depth", "1"])).unwrap();
+    let out = same_both_ways(&["lineage", "show", &update]);
+    assert!(out.contains("tags:     [best]") && out.contains("rebased:  from"), "{out}");
+    let out = same_both_ways(&["lineage", "ancestry", &update]);
+    assert!(out.contains("[rebased from"), "{out}");
+    assert_eq!(server.metrics().requests(mmlib_net::Opcode::LineageGet), 2);
+    assert_eq!(server.metrics().requests(mmlib_net::Opcode::LineageAncestry), 2);
 }
 
 #[test]

@@ -7,9 +7,11 @@
 //! base chain: deleting a base silently breaks every descendant. This
 //! module makes the dependency structure explicit:
 //!
-//! * [`read_store`] — the one read of a store: every document, read once,
-//!   into the [`DependencyGraph`] that deletion, GC, fsck and the lineage
-//!   graph are all built on.
+//! * [`read_store`] — the one read of a store for maintenance: every
+//!   document, read once, into the [`DependencyGraph`] that deletion, GC
+//!   and fsck are all built on. (The lineage graph has its own read,
+//!   `mmlib_store::schema::LineageGraph::read`, which keeps no bodies but
+//!   the two kinds it decodes.)
 //! * [`delete_model`] — deletes one model's documents and files, refusing
 //!   while other saved models still depend on it.
 //! * [`collect_garbage`] — mark-and-sweep: given a set of *live* roots,

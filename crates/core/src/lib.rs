@@ -21,8 +21,10 @@
 //!   training dataset, and the base reference. Recovery replays the
 //!   training deterministically.
 //!
-//! All three share one storage layout ([`meta`]) over `mmlib-store`'s
-//! document + file stores, and one [`recovery`] service: one rule for what
+//! All three share one storage layout ([`meta`], re-exporting the document
+//! schema `mmlib_store::schema` defines below both this library and the
+//! registry server) over `mmlib-store`'s document + file stores, and one
+//! [`recovery`] service: one rule for what
 //! a model is rebuilt on ([`meta::ModelInfoDoc::recovery_parent`]), one walk
 //! that follows it through the store ([`SaveService::recovery_chain`]), and
 //! one step that dispatches on the saved approach per model. Every save records a

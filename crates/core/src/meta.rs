@@ -3,264 +3,26 @@
 //! Paper §3.1: metadata lives in JSON documents organized hierarchically —
 //! a model-info document references an environment document, a layer-hash
 //! document, stored files, its base model, and (for the provenance
-//! approach) the wrapped training objects. Whether that base is what the
-//! model is *recovered from* is [`ModelInfoDoc::recovery_parent`]'s call,
-//! and only its; what the model *references* is
-//! [`ModelInfoDoc::references`]'s.
+//! approach) the wrapped training objects. The types themselves live in
+//! [`mmlib_store::schema`], below both the library and the registry server,
+//! and are re-exported here under their long-standing paths. Whether a base
+//! is what the model is *recovered from* is
+//! [`ModelInfoDoc::recovery_parent`]'s call, and only its; what the model
+//! *references* is [`ModelInfoDoc::references`]'s.
 
-use mmlib_store::{DocId, Document, FileId};
-use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+pub use mmlib_store::schema::{
+    kinds, ApproachKind, DatasetRef, LineageRecordDoc, ModelInfoDoc, ModelRelation, Ref,
+    SavedModelId, BASE_MODEL,
+};
 
-/// Identifier of a saved model — the id of its model-info document.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct SavedModelId(pub DocId);
-
-impl SavedModelId {
-    /// The underlying document id.
-    pub fn doc_id(&self) -> &DocId {
-        &self.0
+/// Applies a relation's trainability to a model (the paper trains all
+/// parameters for fully updated versions and "only the last fully connected
+/// layers" for partially updated ones).
+pub fn apply_trainability(relation: ModelRelation, model: &mut mmlib_model::Model) {
+    match relation {
+        ModelRelation::Initial | ModelRelation::FullyUpdated => model.set_fully_trainable(),
+        ModelRelation::PartiallyUpdated => model.set_classifier_only_trainable(),
     }
-}
-
-impl fmt::Display for SavedModelId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-/// Which save approach produced a model document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum ApproachKind {
-    /// Baseline: complete independent snapshot (§3.1).
-    Baseline,
-    /// Parameter update: base reference + changed layers (§3.2).
-    ParamUpdate,
-    /// Model provenance: base reference + training provenance (§3.3).
-    Provenance,
-}
-
-impl ApproachKind {
-    /// All approaches in paper order.
-    pub fn all() -> [ApproachKind; 3] {
-        [ApproachKind::Baseline, ApproachKind::ParamUpdate, ApproachKind::Provenance]
-    }
-
-    /// The paper's abbreviation (BA / PUA / MPA).
-    pub fn abbrev(self) -> &'static str {
-        match self {
-            ApproachKind::Baseline => "BA",
-            ApproachKind::ParamUpdate => "PUA",
-            ApproachKind::Provenance => "MPA",
-        }
-    }
-}
-
-impl fmt::Display for ApproachKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.abbrev())
-    }
-}
-
-/// How a model relates to its base (paper §2.1 / Fig. 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum ModelRelation {
-    /// No base model (the U1 initial model).
-    Initial,
-    /// Same architecture, all parameters retrained.
-    FullyUpdated,
-    /// Same architecture, only a trainable subset (the classifier) retrained.
-    PartiallyUpdated,
-}
-
-impl ModelRelation {
-    /// Applies the relation's trainability to a model (the paper trains all
-    /// parameters for fully updated versions and "only the last fully
-    /// connected layers" for partially updated ones).
-    pub fn apply_trainability(self, model: &mut mmlib_model::Model) {
-        match self {
-            ModelRelation::Initial | ModelRelation::FullyUpdated => model.set_fully_trainable(),
-            ModelRelation::PartiallyUpdated => model.set_classifier_only_trainable(),
-        }
-    }
-}
-
-/// Reference to a training dataset inside a provenance document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DatasetRef {
-    /// Table 1 short name (`"CF-512"` ...).
-    pub name: String,
-    /// Byte-size scale factor the dataset was materialized with.
-    pub scale: f64,
-    /// The stored single-file container, or `None` when the dataset is
-    /// managed externally (paper §3.3, "Managing Data sets": then only the
-    /// reference is saved).
-    pub container_file: Option<String>,
-    /// SHA-256 over the dataset content (identity + all blobs).
-    pub content_digest: String,
-}
-
-/// The body of a `model_info` document — one per saved model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ModelInfoDoc {
-    /// The approach that saved this model.
-    pub approach: ApproachKind,
-    /// Architecture name ([`mmlib_model::ArchId::name`]).
-    pub arch: String,
-    /// Relation to the base model.
-    pub relation: ModelRelation,
-    /// Base model-info document id, absent for initial models.
-    pub base_model: Option<String>,
-    /// Environment document id.
-    pub environment_doc: String,
-    /// Architecture-code file id (full snapshots only; derived models
-    /// reference the base's code through the chain).
-    pub code_file: Option<String>,
-    /// Serialized parameters: the full state dict (baseline) or the pruned
-    /// parameter update (param-update). Absent for provenance saves.
-    pub weights_file: Option<String>,
-    /// Encoding of the weights file: `None`/`"state_dict"` for the plain
-    /// binary state dict, `"delta_v1"` for the XOR-delta compressed update
-    /// (the storage-extension codec in `mmlib-compress`).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub update_encoding: Option<String>,
-    /// Layer-hash (Merkle) document id.
-    pub layer_hash_doc: String,
-    /// Merkle root over the model's layer hashes (hex) — the recovery
-    /// checksum of §3.1.
-    pub root_hash: String,
-    /// Train-service wrapper document id (provenance saves only).
-    pub train_doc: Option<String>,
-    /// Training dataset reference (provenance saves only).
-    pub dataset: Option<DatasetRef>,
-}
-
-impl ModelInfoDoc {
-    /// The model this one is rebuilt on, if any — the one rule every chain
-    /// walk follows. A snapshot is self-contained: the base it may record
-    /// is lineage metadata only, never a recovery dependency. A parameter
-    /// update or provenance save is rebuilt on its `base_model`; `None` for
-    /// one of those means the document is malformed, which
-    /// [`SaveService::recovery_chain`](crate::SaveService::recovery_chain)
-    /// reports.
-    pub fn recovery_parent(&self) -> Option<SavedModelId> {
-        match self.approach {
-            ApproachKind::Baseline => None,
-            ApproachKind::ParamUpdate | ApproachKind::Provenance => {
-                self.base_model.as_ref().map(|b| SavedModelId(DocId::from_string(b.clone())))
-            }
-        }
-    }
-
-    /// Everything this model document references, each with its role — the
-    /// one ownership rule fsck, deletion and GC share: environment, layer
-    /// hashes and base model; for a provenance save the wrapper tree (the
-    /// train-service wrapper and every wrapper its `ref_args` reach,
-    /// transitively, each with its `state_file`); then architecture code,
-    /// weights and dataset container. The model owns all of it except the
-    /// [`BASE_MODEL`], a saved model of its own.
-    ///
-    /// `docs` supplies the wrapper bodies; a wrapper it lacks is still
-    /// listed, but what that wrapper references cannot be.
-    pub fn references(&self, docs: &BTreeMap<DocId, Document>) -> Vec<(Ref, &'static str)> {
-        let doc = |id: &str, role| (Ref::Doc(DocId::from_string(id.to_string())), role);
-        let file = |id: &str, role| (Ref::File(FileId::from_string(id.to_string())), role);
-        let mut out = vec![
-            doc(&self.environment_doc, "environment"),
-            doc(&self.layer_hash_doc, "layer-hash"),
-        ];
-        if let Some(base) = &self.base_model {
-            out.push(doc(base, BASE_MODEL));
-        }
-        let mut queue: Vec<&str> = self.train_doc.iter().map(String::as_str).collect();
-        let mut seen = BTreeSet::new();
-        while let Some(wid) = queue.pop() {
-            if !seen.insert(wid) {
-                continue;
-            }
-            out.push(doc(wid, "wrapper"));
-            let Some(wrapper) = docs.get(&DocId::from_string(wid.to_string())) else { continue };
-            if let Some(refs) = wrapper.body["ref_args"].as_object() {
-                queue.extend(refs.values().filter_map(|v| v.as_str()));
-            }
-            if let Some(state) = wrapper.body["state_file"].as_str() {
-                out.push(file(state, "wrapper-state"));
-            }
-        }
-        if let Some(f) = &self.code_file {
-            out.push(file(f, "architecture-code"));
-        }
-        if let Some(f) = &self.weights_file {
-            out.push(file(f, "weights"));
-        }
-        if let Some(f) = self.dataset.as_ref().and_then(|d| d.container_file.as_ref()) {
-            out.push(file(f, "dataset-container"));
-        }
-        out
-    }
-}
-
-/// The role [`ModelInfoDoc::references`] gives a model's base: the one
-/// reference the model does not own.
-pub const BASE_MODEL: &str = "base-model";
-
-/// The target of one [`ModelInfoDoc::references`] entry.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Ref {
-    /// A document.
-    Doc(DocId),
-    /// A blob.
-    File(FileId),
-}
-
-/// The body of a `lineage` document — one per saved model, written by
-/// [`SaveService::save`](crate::SaveService::save) in the same save. It
-/// records the *derivation* edge (which model this version was trained
-/// from) independently of the *recovery* edge in the model-info document:
-/// compaction re-bases recovery onto a snapshot without losing where a
-/// version historically came from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LineageRecordDoc {
-    /// The model-info document id this record describes.
-    pub model: String,
-    /// Parent model-info id for recovery purposes; `None` for roots and for
-    /// versions re-based onto their own snapshot by compaction.
-    pub parent: Option<String>,
-    /// The approach that saved this version.
-    pub approach: ApproachKind,
-    /// Relation to the parent.
-    pub relation: ModelRelation,
-    /// Merkle root of this version (hex) — joins the lineage node to the
-    /// model's content identity.
-    pub root_hash: String,
-    /// Number of layers that differed from the parent at save time
-    /// (param-update saves only).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub changed_layers: Option<usize>,
-    /// Free-form labels attached via `mmlib lineage tag`.
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    pub tags: Vec<String>,
-    /// The original parent id, kept for provenance after compaction cut the
-    /// recovery edge (`parent` was cleared or redirected).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub rebased_from: Option<String>,
-}
-
-/// Document kinds used by mmlib.
-pub mod kinds {
-    /// Model-info documents.
-    pub const MODEL_INFO: &str = "model_info";
-    /// Environment captures.
-    pub const ENVIRONMENT: &str = "environment";
-    /// Layer-hash (Merkle) documents.
-    pub const LAYER_HASHES: &str = "layer_hashes";
-    /// Wrapper objects (train service, dataloader, optimizer).
-    pub const WRAPPER: &str = "wrapper";
-    /// Lineage records (one per saved model, see [`super::LineageRecordDoc`]).
-    pub const LINEAGE: &str = "lineage";
 }
 
 #[cfg(test)]
@@ -268,86 +30,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn approach_abbrevs_match_paper() {
-        assert_eq!(ApproachKind::Baseline.abbrev(), "BA");
-        assert_eq!(ApproachKind::ParamUpdate.abbrev(), "PUA");
-        assert_eq!(ApproachKind::Provenance.abbrev(), "MPA");
-    }
-
-    fn info_doc(approach: ApproachKind, base_model: Option<&str>) -> ModelInfoDoc {
-        ModelInfoDoc {
-            approach,
-            arch: "resnet152".into(),
-            relation: ModelRelation::PartiallyUpdated,
-            base_model: base_model.map(String::from),
-            environment_doc: "abc-2".into(),
-            code_file: None,
-            weights_file: Some("f-1".into()),
-            update_encoding: None,
-            layer_hash_doc: "abc-3".into(),
-            root_hash: "00".repeat(32),
-            train_doc: None,
-            dataset: None,
-        }
-    }
-
-    #[test]
-    fn recovery_parent_is_the_base_unless_the_model_is_a_snapshot() {
-        let base = SavedModelId(DocId::from_string("abc-1".into()));
-        // A snapshot's recorded base is lineage metadata, not a dependency.
-        assert_eq!(info_doc(ApproachKind::Baseline, Some("abc-1")).recovery_parent(), None);
-        assert_eq!(info_doc(ApproachKind::Baseline, None).recovery_parent(), None);
-        for derived in [ApproachKind::ParamUpdate, ApproachKind::Provenance] {
-            assert_eq!(info_doc(derived, Some("abc-1")).recovery_parent(), Some(base.clone()));
-            // Malformed; `recovery_chain` reports it (recovery_errors.rs).
-            assert_eq!(info_doc(derived, None).recovery_parent(), None);
-        }
-    }
-
-    #[test]
-    fn model_info_doc_serde_round_trip() {
-        let doc = info_doc(ApproachKind::ParamUpdate, Some("abc-1"));
-        let json = serde_json::to_value(&doc).unwrap();
-        assert_eq!(json["approach"], "param_update");
-        assert_eq!(json["relation"], "partially_updated");
-        let back: ModelInfoDoc = serde_json::from_value(json).unwrap();
-        assert_eq!(doc, back);
-    }
-
-    #[test]
-    fn lineage_record_doc_serde_round_trip() {
-        let doc = LineageRecordDoc {
-            model: "m-2".into(),
-            parent: Some("m-1".into()),
-            approach: ApproachKind::ParamUpdate,
-            relation: ModelRelation::PartiallyUpdated,
-            root_hash: "ab".repeat(32),
-            changed_layers: Some(3),
-            tags: vec!["v2".into()],
-            rebased_from: None,
-        };
-        let json = serde_json::to_value(&doc).unwrap();
-        assert_eq!(json["parent"], "m-1");
-        assert!(json.get("rebased_from").is_none(), "None fields stay absent");
-        let back: LineageRecordDoc = serde_json::from_value(json).unwrap();
-        assert_eq!(doc, back);
-
-        // Optional fields default when absent (old stores have no tags).
-        let minimal: LineageRecordDoc = serde_json::from_value(serde_json::json!({
-            "model": "m-1", "parent": null, "approach": "baseline",
-            "relation": "initial", "root_hash": "00",
-        }))
-        .unwrap();
-        assert!(minimal.tags.is_empty());
-        assert!(minimal.changed_layers.is_none());
-    }
-
-    #[test]
     fn relation_trainability_application() {
         let mut m = mmlib_model::Model::new_initialized(mmlib_model::ArchId::ResNet18, 0);
-        ModelRelation::PartiallyUpdated.apply_trainability(&mut m);
+        apply_trainability(ModelRelation::PartiallyUpdated, &mut m);
         assert_eq!(m.trainable_param_count(), 513_000);
-        ModelRelation::FullyUpdated.apply_trainability(&mut m);
+        apply_trainability(ModelRelation::FullyUpdated, &mut m);
         assert_eq!(m.trainable_param_count(), m.param_count());
     }
 }

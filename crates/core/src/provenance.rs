@@ -17,7 +17,9 @@ use mmlib_obs::{PhaseBreakdown, PhaseClock};
 use mmlib_train::{ImageNetTrainService, OptimizerConfig, TrainConfig, TrainService};
 
 use crate::error::CoreError;
-use crate::meta::{ApproachKind, DatasetRef, ModelInfoDoc, ModelRelation, SavedModelId};
+use crate::meta::{
+    apply_trainability, ApproachKind, DatasetRef, ModelInfoDoc, ModelRelation, SavedModelId,
+};
 use crate::recovery::SaveService;
 use crate::wrapper;
 
@@ -193,7 +195,7 @@ impl SaveService {
 
         // Replay the training (the dominant recover cost, §4.4).
         self.timed(phases, "rebuild", || {
-            info.relation.apply_trainability(&mut model);
+            apply_trainability(info.relation, &mut model);
             svc.train(&mut model);
         });
         Ok(model)

@@ -56,7 +56,7 @@ fn apply_step(
     } else {
         ModelRelation::FullyUpdated
     };
-    relation.apply_trainability(model);
+    mmlib_core::meta::apply_trainability(relation, model);
     let loader_config = LoaderConfig {
         batch_size: 2,
         resolution: 8,

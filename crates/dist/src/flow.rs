@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use mmlib_core::meta::{ApproachKind, ModelRelation, SavedModelId};
+use mmlib_core::meta::{apply_trainability, ApproachKind, ModelRelation, SavedModelId};
 use mmlib_core::{RecoverOptions, SaveRequest, SaveService, TrainProvenance};
 use mmlib_obs::PhaseBreakdown;
 use mmlib_data::loader::LoaderConfig;
@@ -349,7 +349,7 @@ fn run_flow_inner(
     let (u2_model, u2_record) = {
         let mut model = clone_model(&initial);
         model.arch = config.arch;
-        config.relation.apply_trainability(&mut model);
+        apply_trainability(config.relation, &mut model);
         let record = train_and_save(
             config,
             &server,
@@ -409,7 +409,7 @@ fn make_node_states(
         .map(|_| {
             let storage = make_storage();
             let mut model = clone_model(start_model);
-            config.relation.apply_trainability(&mut model);
+            apply_trainability(config.relation, &mut model);
             NodeState { service: SaveService::new(storage), model, base: base.clone() }
         })
         .collect()
@@ -436,7 +436,7 @@ fn run_u3_phase_with_states(
                             ^ ((phase as u64) << 32)
                             ^ ((node_idx as u64) << 16)
                             ^ n as u64;
-                        config.relation.apply_trainability(&mut state.model);
+                        apply_trainability(config.relation, &mut state.model);
                         let label = format!("U3-{phase}-{n}");
                         let record = train_and_save(
                             config,

@@ -10,7 +10,9 @@
 //!
 //! * [`LineageGraph`] — the persistent DAG built from the `lineage`
 //!   records `SaveService::save` emits (one per save), with synthesized
-//!   nodes for models saved before lineage records existed;
+//!   nodes for models saved before lineage records existed. It lives in
+//!   `mmlib_store::schema` (re-exported here), so the registry server
+//!   answers remote lineage queries from the same graph;
 //! * [`Lineage`] — the query/maintenance service: `show`, `ancestry`,
 //!   `descendants`, `diff`, and `tag` queries;
 //! * [`Lineage::compact`] — depth-bounded re-basing: rewrite a deep delta
@@ -33,11 +35,10 @@
 
 mod compact;
 mod family;
-mod graph;
 
 pub use compact::CompactReport;
 pub use family::FamilyRecovery;
-pub use graph::{LineageGraph, LineageNode};
+pub use mmlib_store::schema::{LineageGraph, LineageNode};
 
 use mmlib_core::meta::SavedModelId;
 use mmlib_core::{CoreError, SaveService};
@@ -93,9 +94,9 @@ impl<'a> Lineage<'a> {
         self.svc.recorder()
     }
 
-    /// Loads the store's lineage DAG.
+    /// Reads the store's lineage DAG ([`LineageGraph::read`]).
     pub fn graph(&self) -> Result<LineageGraph, CoreError> {
-        LineageGraph::load(self.svc)
+        Ok(LineageGraph::read(self.svc.storage())?)
     }
 
     /// One model's lineage node.

@@ -24,6 +24,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use mmlib_obs::Gauge;
+use mmlib_store::schema::LineageRecordDoc;
 use mmlib_store::{DocId, Document, FileId, ModelStorage, StorageBackend, StoreError};
 use parking_lot::Mutex;
 use serde_json::{json, Value};
@@ -174,29 +175,18 @@ impl RemoteStore {
         Ok(ServerStats::from_value(expect_ok(reply)?))
     }
 
-    /// Fetches one model's lineage record, typed (the `LineageGet`
-    /// opcode).
-    pub fn lineage_node(&self, id: &str) -> Result<LineageNode, StoreError> {
+    /// Fetches one model's lineage record (the `LineageGet` opcode): the
+    /// record `LineageGraph::read` gives the model on the server.
+    pub fn lineage_node(&self, id: &str) -> Result<LineageRecordDoc, StoreError> {
         let reply = self.request(Frame::new(Opcode::LineageGet, json!({"id": id})))?;
-        let header = expect_ok(reply)?;
-        header
-            .get("record")
-            .cloned()
-            .map(LineageNode::from_value)
-            .ok_or_else(|| StoreError::Remote("lineage_get reply missing `record`".to_string()))
+        reply_field(expect_ok(reply)?, "record", Opcode::LineageGet)
     }
 
-    /// Fetches a model's ancestry, tip first, typed (the `LineageAncestry`
+    /// Fetches a model's ancestry, tip first (the `LineageAncestry`
     /// opcode).
-    pub fn lineage_chain(&self, id: &str) -> Result<Vec<LineageNode>, StoreError> {
+    pub fn lineage_chain(&self, id: &str) -> Result<Vec<LineageRecordDoc>, StoreError> {
         let reply = self.request(Frame::new(Opcode::LineageAncestry, json!({"id": id})))?;
-        let header = expect_ok(reply)?;
-        match header.get("ancestry").and_then(Value::as_array) {
-            Some(list) => Ok(list.iter().cloned().map(LineageNode::from_value).collect()),
-            None => {
-                Err(StoreError::Remote("lineage_ancestry reply missing `ancestry`".to_string()))
-            }
-        }
+        reply_field(expect_ok(reply)?, "ancestry", Opcode::LineageAncestry)
     }
 
     /// Fetches the server's full metrics registry rendered in Prometheus
@@ -663,40 +653,6 @@ impl ServerStats {
     }
 }
 
-/// One model's lineage record, decoded from a `LineageGet` /
-/// `LineageAncestry` reply.
-#[derive(Debug, Clone)]
-pub struct LineageNode {
-    /// The model this record describes.
-    pub model: String,
-    /// Parent model id, if the model was derived from one.
-    pub parent: Option<String>,
-    /// Save approach recorded at derivation (`param_update`, ...).
-    pub approach: Option<String>,
-    /// Relation to the parent (`fine_tuned`, `distilled`, ...).
-    pub relation: Option<String>,
-    /// Content root hash recorded for the version, when present.
-    pub root_hash: Option<String>,
-    /// The undecoded record, for fields this struct predates.
-    pub raw: Value,
-}
-
-impl LineageNode {
-    fn from_value(raw: Value) -> LineageNode {
-        let get = |key: &str| {
-            raw.get(key).and_then(Value::as_str).map(str::to_string)
-        };
-        LineageNode {
-            model: get("model").unwrap_or_default(),
-            parent: get("parent"),
-            approach: get("approach"),
-            relation: get("relation"),
-            root_hash: get("root_hash"),
-            raw,
-        }
-    }
-}
-
 /// Unwraps an `Ok` reply or maps an `Err` reply back to a [`StoreError`].
 fn expect_ok(reply: Frame) -> Result<Value, StoreError> {
     match reply.opcode {
@@ -734,6 +690,22 @@ fn expect_ok(reply: Frame) -> Result<Value, StoreError> {
 /// local directory or through the wire).
 fn doc_stored_bytes(doc: &Document) -> u64 {
     serde_json::to_vec_pretty(doc).map(|b| b.len() as u64).unwrap_or(0)
+}
+
+/// Decodes field `key` of an `Ok` reply's header. A reply that lacks it, or
+/// whose value does not decode, is the peer's fault: [`StoreError::Remote`].
+fn reply_field<T: serde::Deserialize>(
+    header: Value,
+    key: &str,
+    op: Opcode,
+) -> Result<T, StoreError> {
+    let value = header
+        .get(key)
+        .cloned()
+        .ok_or_else(|| StoreError::Remote(format!("{} reply missing `{key}`", op.name())))?;
+    serde_json::from_value(value).map_err(|e| {
+        StoreError::Remote(format!("{} reply has an undecodable `{key}`: {e}", op.name()))
+    })
 }
 
 fn remote(e: WireError) -> StoreError {

@@ -32,7 +32,7 @@ pub mod fault;
 pub mod protocol;
 pub mod server;
 
-pub use client::{LineageNode, RemoteStore, RemoteStoreBuilder, ServerStats};
+pub use client::{RemoteStore, RemoteStoreBuilder, ServerStats};
 pub use fault::NetFaults;
 pub use protocol::{
     Frame, Opcode, WireError, WireVersion, CHUNK_SIZE, MAX_FRAME_LEN, PROTOCOL_V2,

@@ -123,11 +123,15 @@ pub enum Opcode {
     /// the response carries the rendered text in its header (`{"text": s}`).
     StatsText = 0x31,
     /// Fetch one model's lineage record. Header: `{"id": s}`; the response
-    /// header carries `{"id": s, "record": v}` with the stored (or
-    /// synthesized) lineage record body.
+    /// header carries `{"id": s, "record": v}`, the model's node in
+    /// `mmlib_store::schema::LineageGraph::read` (its stored or synthesized
+    /// `LineageRecordDoc`). A model the store does not hold is refused with
+    /// `missing_document`.
     LineageGet = 0x32,
     /// Fetch a model's ancestry, tip first. Header: `{"id": s}`; the
-    /// response header carries `{"id": s, "ancestry": [v, ...]}`.
+    /// response header carries `{"id": s, "ancestry": [v, ...]}`, the
+    /// records `LineageGraph::ancestry_of` walks. An unknown model is
+    /// `missing_document`, a cyclic parent chain `malformed`.
     LineageAncestry = 0x33,
     /// Success response. Header: operation-specific result.
     Ok = 0x40,

@@ -2,6 +2,7 @@
 //! and build its response. Every request opcode has its arm in [`respond`].
 
 use bytes::Bytes;
+use mmlib_store::schema::{LineageGraph, SavedModelId};
 use mmlib_store::{DocId, FileId, ModelStorage, StoreError};
 use serde_json::{json, Value};
 
@@ -129,14 +130,23 @@ fn respond(
         Opcode::FileIds => store_reply(storage.files().ids(), |ids| id_list(ids, FileId::as_str)),
         Opcode::Stats => ok_frame(metrics.snapshot()),
         Opcode::StatsText => ok_frame(json!({"text": metrics.render_text()})),
+        // Lineage is answered from the graph `mmlib lineage` builds locally,
+        // read the same way: an unknown model is `MissingDocument`, a
+        // cyclic chain `Malformed`.
         Opcode::LineageGet => {
-            let id = header_id(frame)?;
-            let found = lineage_record(storage, id).and_then(|record| known(record, id));
+            let id = SavedModelId(doc_id()?);
+            let found = LineageGraph::read(storage)
+                .and_then(|graph| Ok(serde_json::to_value(&graph.require(&id)?.record)?));
+            let id = id.doc_id().as_str();
             store_reply(found, |record| json!({"id": id, "record": record}))
         }
         Opcode::LineageAncestry => {
-            let id = header_id(frame)?;
-            let found = lineage_ancestry(storage, id).and_then(|chain| known(chain, id));
+            let id = SavedModelId(doc_id()?);
+            let found = LineageGraph::read(storage).and_then(|graph| {
+                let records = graph.ancestry_of(&id)?.into_iter().map(|node| &node.record);
+                Ok(records.map(serde_json::to_value).collect::<Result<Vec<_>, _>>()?)
+            });
+            let id = id.doc_id().as_str();
             store_reply(found, |ancestry| json!({"id": id, "ancestry": ancestry}))
         }
         Opcode::Hello | Opcode::Ok | Opcode::Err | Opcode::Busy | Opcode::Chunk => {
@@ -149,68 +159,6 @@ fn respond(
         }
     };
     Ok(Reply::frame(reply))
-}
-
-/// A lineage answer, or `MissingDocument` when the model is unknown.
-fn known<T>(found: Option<T>, model: &str) -> Result<T, StoreError> {
-    found.ok_or_else(|| StoreError::MissingDocument(DocId::from_string(model.to_string())))
-}
-
-/// One model's lineage record, as stored by `mmlib-core` saves (doc kind
-/// `lineage`), or synthesized from its `model_info` base reference for
-/// models saved before lineage records existed. `Ok(None)` when the model
-/// is unknown.
-///
-/// The server reads the documents structurally (`mmlib-net` does not link
-/// the model library), so the registry can answer lineage queries for any
-/// store it fronts.
-fn lineage_record(storage: &ModelStorage, model: &str) -> Result<Option<Value>, StoreError> {
-    let mut info: Option<Value> = None;
-    for doc_id in storage.docs().ids()? {
-        let doc = storage.get_doc(&doc_id)?;
-        match doc.kind.as_str() {
-            "lineage" if doc.body.get("model").and_then(Value::as_str) == Some(model) => {
-                return Ok(Some(doc.body));
-            }
-            "model_info" if doc_id.as_str() == model => info = Some(doc.body),
-            _ => {}
-        }
-    }
-    Ok(info.map(|body| {
-        json!({
-            "model": model,
-            "parent": body.get("base_model").cloned().unwrap_or(Value::Null),
-            "approach": body.get("approach").cloned().unwrap_or(Value::Null),
-            "relation": body.get("relation").cloned().unwrap_or(Value::Null),
-            "root_hash": body.get("root_hash").cloned().unwrap_or(Value::Null),
-        })
-    }))
-}
-
-/// A model's ancestry over live lineage `parent` edges, tip first. The
-/// walk is cycle-guarded and stops at a missing parent (fsck territory)
-/// instead of failing the whole query.
-fn lineage_ancestry(storage: &ModelStorage, model: &str) -> Result<Option<Vec<Value>>, StoreError> {
-    let mut out = Vec::new();
-    let mut seen = std::collections::BTreeSet::new();
-    let mut cur = model.to_string();
-    loop {
-        if !seen.insert(cur.clone()) {
-            break; // cyclic parent chain: return what we have
-        }
-        let record = match lineage_record(storage, &cur)? {
-            Some(record) => record,
-            None if out.is_empty() => return Ok(None), // unknown root query
-            None => break,                             // dangling parent edge
-        };
-        let parent = record.get("parent").and_then(Value::as_str).map(str::to_string);
-        out.push(record);
-        match parent {
-            Some(p) => cur = p,
-            None => break,
-        }
-    }
-    Ok(Some(out))
 }
 
 pub(super) fn ok_frame(result: Value) -> Frame {

@@ -16,7 +16,7 @@ use bytes::Bytes;
 use mmlib_net::protocol::{encode_frame_v, read_frame_counted, WireVersion, MAX_BLOB_LEN};
 use mmlib_net::{Frame, NetFaults, Opcode, RegistryServer, RemoteStore, ServerConfig};
 use mmlib_store::fault::{Fault, FaultPlan};
-use mmlib_store::{DocId, FileId, ModelStorage, StorageBackend};
+use mmlib_store::{DocId, FileId, ModelStorage, StorageBackend, StoreError};
 use serde_json::json;
 
 fn faulty_server(dir: &std::path::Path, faults: NetFaults) -> RegistryServer {
@@ -229,6 +229,64 @@ fn oversized_blob_announcement_fails_only_its_own_request() {
 
     // Only that request failed: the same connection keeps serving (the
     // peer would never answer a second one's handshake).
+    assert!(client.contains_doc(&DocId::from_string("d-1".into())));
+    drop(client);
+    peer.join().unwrap();
+}
+
+#[test]
+fn undecodable_lineage_replies_are_remote_errors() {
+    use std::io::Write;
+
+    // A scripted peer: it completes the handshake, answers existence checks
+    // honestly, and answers each lineage request with the hostile reply its
+    // requested id names. It serves exactly one connection.
+    let good = json!({
+        "model": "m-1", "parent": null, "approach": "baseline",
+        "relation": "initial", "root_hash": "00",
+    });
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut version = WireVersion::V1;
+        while let Ok((frame, _)) = read_frame_counted(&mut stream, version) {
+            let asked = frame.header["id"].clone();
+            let header = match (frame.opcode, asked.as_str().unwrap_or("")) {
+                (Opcode::Hello, _) => {
+                    json!({"version": mmlib_net::PROTOCOL_V2, "max_inflight": 64})
+                }
+                (Opcode::Ping, _) => json!({"version": mmlib_net::PROTOCOL_V2}),
+                (Opcode::DocContains, _) => json!({"present": true}),
+                (Opcode::LineageGet, "numeric-model") => {
+                    json!({"id": asked, "record": {"model": 5}})
+                }
+                (Opcode::LineageGet, "no-record") => json!({"id": asked}),
+                (Opcode::LineageAncestry, "bad-entry") => {
+                    json!({"id": asked, "ancestry": [good.clone(), {"model": 5}]})
+                }
+                (Opcode::LineageAncestry, "not-a-list") => json!({"id": asked, "ancestry": "m-1"}),
+                (other, id) => panic!("unscripted request {} {id}", other.name()),
+            };
+            let reply = Frame::new(Opcode::Ok, header).with_request_id(frame.request_id);
+            stream.write_all(&encode_frame_v(&reply, version).unwrap()).unwrap();
+            version = WireVersion::V2;
+        }
+    });
+
+    let client = RemoteStore::builder(addr).pool_size(1).max_retries(0).build().unwrap();
+    // Never a default record, never a panic: each reply fails its own
+    // request as the peer's fault.
+    let outcomes = [
+        ("numeric-model", client.lineage_node("numeric-model").map(drop)),
+        ("no-record", client.lineage_node("no-record").map(drop)),
+        ("bad-entry", client.lineage_chain("bad-entry").map(drop)),
+        ("not-a-list", client.lineage_chain("not-a-list").map(drop)),
+    ];
+    for (what, outcome) in outcomes {
+        assert!(matches!(outcome, Err(StoreError::Remote(_))), "{what}: {outcome:?}");
+    }
+    // The connection is still healthy.
     assert!(client.contains_doc(&DocId::from_string("d-1".into())));
     drop(client);
     peer.join().unwrap();

@@ -1,0 +1,230 @@
+//! Remote lineage means local lineage: `RemoteStore::lineage_node` /
+//! `lineage_chain` against a served store answer exactly what
+//! `LineageGraph::read` answers on that store, on the stores where a
+//! hand-parsed server copy used to differ, and one ancestry query reads each
+//! document once. The documents are built from `mmlib_store::schema`, with
+//! no model library involved.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use mmlib_net::{RegistryServer, RemoteStore};
+use mmlib_store::schema::{
+    kinds, ApproachKind, LineageGraph, LineageRecordDoc, ModelInfoDoc, ModelRelation,
+    SavedModelId,
+};
+use mmlib_store::{DocId, Document, FileId, ModelStorage, StorageBackend, StoreError};
+
+/// A served store, a client of it, and the same store opened locally.
+struct Served {
+    _dir: tempfile::TempDir,
+    local: ModelStorage,
+    server: RegistryServer,
+    client: RemoteStore,
+}
+
+impl Served {
+    fn new() -> Served {
+        let dir = tempfile::tempdir().unwrap();
+        let served = ModelStorage::open(dir.path()).unwrap();
+        Served::over(dir, served)
+    }
+
+    /// Serves `served`, a storage over `dir`.
+    fn over(dir: tempfile::TempDir, served: ModelStorage) -> Served {
+        let local = ModelStorage::open(dir.path()).unwrap();
+        let server = RegistryServer::bind(served, "127.0.0.1:0").unwrap();
+        let client = RemoteStore::builder(server.addr()).build().unwrap();
+        Served { _dir: dir, local, server, client }
+    }
+
+    /// Saves a model-info document; `base` makes it a parameter update.
+    fn model(&self, base: Option<&DocId>) -> DocId {
+        let info = ModelInfoDoc {
+            approach: base.map_or(ApproachKind::Baseline, |_| ApproachKind::ParamUpdate),
+            arch: "tinycnn".into(),
+            relation: base.map_or(ModelRelation::Initial, |_| ModelRelation::PartiallyUpdated),
+            base_model: base.map(|b| b.as_str().to_string()),
+            environment_doc: "env-1".into(),
+            code_file: None,
+            weights_file: Some("weights-1".into()),
+            update_encoding: None,
+            layer_hash_doc: "hashes-1".into(),
+            root_hash: "ab".repeat(32),
+            train_doc: None,
+            dataset: None,
+        };
+        self.local.insert_doc(kinds::MODEL_INFO, serde_json::to_value(&info).unwrap()).unwrap()
+    }
+
+    /// Writes a lineage record for `model` with live parent `parent`.
+    fn record(&self, model: &str, parent: Option<&str>, tag: &str) -> DocId {
+        let record = LineageRecordDoc {
+            model: model.to_string(),
+            parent: parent.map(str::to_string),
+            approach: ApproachKind::ParamUpdate,
+            relation: ModelRelation::PartiallyUpdated,
+            root_hash: "cd".repeat(32),
+            changed_layers: Some(1),
+            tags: vec![tag.to_string()],
+            rebased_from: None,
+        };
+        self.local.insert_doc(kinds::LINEAGE, serde_json::to_value(&record).unwrap()).unwrap()
+    }
+
+    fn graph(&self) -> LineageGraph {
+        LineageGraph::read(&self.local).unwrap()
+    }
+}
+
+fn model_id(id: &DocId) -> SavedModelId {
+    SavedModelId(id.clone())
+}
+
+#[test]
+fn two_records_for_one_model_both_sides_pick_the_last() {
+    let s = Served::new();
+    let m = s.model(None);
+    let first = s.record(m.as_str(), None, "first");
+    let second = s.record(m.as_str(), None, "second");
+    let last = if first < second { "second" } else { "first" };
+
+    let local = s.graph().require(&model_id(&m)).unwrap().record.clone();
+    assert_eq!(local.tags, vec![last.to_string()]);
+    assert_eq!(s.client.lineage_node(m.as_str()).unwrap(), local);
+    assert_eq!(s.client.lineage_chain(m.as_str()).unwrap(), vec![local]);
+}
+
+#[test]
+fn a_record_whose_model_info_is_gone_is_missing_document() {
+    let s = Served::new();
+    let ghost = "model-that-is-gone";
+    s.record(ghost, None, "orphan");
+    let ghost_id = model_id(&DocId::from_string(ghost.into()));
+
+    let graph = s.graph();
+    let is_ghost = |r: Result<(), StoreError>| {
+        matches!(r, Err(StoreError::MissingDocument(d)) if d.as_str() == ghost)
+    };
+    assert!(is_ghost(graph.require(&ghost_id).map(drop)));
+    assert!(is_ghost(graph.ancestry_of(&ghost_id).map(drop)));
+    assert!(is_ghost(s.client.lineage_node(ghost).map(drop)));
+    assert!(is_ghost(s.client.lineage_chain(ghost).map(drop)));
+}
+
+#[test]
+fn a_cyclic_parent_chain_is_an_error_on_both_sides() {
+    let s = Served::new();
+    let (a, b) = (s.model(None), s.model(None));
+    s.record(a.as_str(), Some(b.as_str()), "a");
+    s.record(b.as_str(), Some(a.as_str()), "b");
+
+    assert!(matches!(s.graph().ancestry_of(&model_id(&a)), Err(StoreError::Malformed(_))));
+    let remote = s.client.lineage_chain(a.as_str());
+    let malformed = matches!(&remote, Err(StoreError::Remote(e)) if e.starts_with("malformed"));
+    assert!(malformed, "{remote:?}");
+    // One record is still one record: the cycle fails only the walk.
+    assert_eq!(s.client.lineage_node(a.as_str()).unwrap().parent.as_deref(), Some(b.as_str()));
+}
+
+#[test]
+fn a_model_info_without_a_record_gets_the_same_synthesized_record() {
+    let s = Served::new();
+    let root = s.model(None);
+    let tip = s.model(Some(&root));
+
+    let graph = s.graph();
+    let local: Vec<LineageRecordDoc> =
+        graph.ancestry_of(&model_id(&tip)).unwrap().into_iter().map(|n| n.record.clone()).collect();
+    assert_eq!(local.len(), 2);
+    assert!(graph.nodes().all(|n| n.doc.is_none()), "no record was stored");
+    assert_eq!(local[0].parent.as_deref(), Some(root.as_str()));
+    assert_eq!(s.client.lineage_node(tip.as_str()).unwrap(), local[0]);
+    assert_eq!(s.client.lineage_chain(tip.as_str()).unwrap(), local);
+}
+
+/// A pass-through backend that counts `get_doc` calls.
+struct CountingBackend {
+    inner: Arc<dyn StorageBackend>,
+    doc_gets: AtomicUsize,
+}
+
+impl StorageBackend for CountingBackend {
+    fn insert_doc(&self, kind: &str, body: serde_json::Value) -> Result<DocId, StoreError> {
+        self.inner.insert_doc(kind, body)
+    }
+    fn get_doc(&self, id: &DocId) -> Result<Document, StoreError> {
+        self.doc_gets.fetch_add(1, Ordering::Relaxed);
+        self.inner.get_doc(id)
+    }
+    fn update_doc(&self, id: &DocId, body: serde_json::Value) -> Result<(), StoreError> {
+        self.inner.update_doc(id, body)
+    }
+    fn contains_doc(&self, id: &DocId) -> bool {
+        self.inner.contains_doc(id)
+    }
+    fn remove_doc(&self, id: &DocId) -> Result<(), StoreError> {
+        self.inner.remove_doc(id)
+    }
+    fn doc_ids(&self) -> Result<Vec<DocId>, StoreError> {
+        self.inner.doc_ids()
+    }
+    fn put_file(&self, bytes: &[u8]) -> Result<FileId, StoreError> {
+        self.inner.put_file(bytes)
+    }
+    fn get_file(&self, id: &FileId) -> Result<Vec<u8>, StoreError> {
+        self.inner.get_file(id)
+    }
+    fn file_size(&self, id: &FileId) -> Result<u64, StoreError> {
+        self.inner.file_size(id)
+    }
+    fn contains_file(&self, id: &FileId) -> bool {
+        self.inner.contains_file(id)
+    }
+    fn remove_file(&self, id: &FileId) -> Result<(), StoreError> {
+        self.inner.remove_file(id)
+    }
+    fn file_ids(&self) -> Result<Vec<FileId>, StoreError> {
+        self.inner.file_ids()
+    }
+    fn bytes_written(&self) -> u64 {
+        self.inner.bytes_written()
+    }
+    fn bytes_read(&self) -> u64 {
+        self.inner.bytes_read()
+    }
+}
+
+/// The count gate: one `LineageAncestry` on a depth-8 chain is one read of
+/// the store — `doc_ids` and one `get_doc` per document — not one scan per
+/// chain link. Counts, so the gate holds on any machine.
+#[test]
+fn one_ancestry_query_reads_each_document_once() {
+    let dir = tempfile::tempdir().unwrap();
+    let counting = Arc::new(CountingBackend {
+        inner: ModelStorage::open(dir.path()).unwrap().backend(),
+        doc_gets: AtomicUsize::new(0),
+    });
+    let backend = Arc::clone(&counting) as Arc<dyn StorageBackend>;
+    let s = Served::over(dir, ModelStorage::from_backend(backend, "counting"));
+
+    let mut chain = vec![s.model(None)];
+    for _ in 0..8 {
+        let parent = chain.last().unwrap().clone();
+        let id = s.model(Some(&parent));
+        s.record(id.as_str(), Some(parent.as_str()), "saved");
+        chain.push(id);
+    }
+    // Documents no lineage query needs still cost their one read.
+    s.local.insert_doc(kinds::ENVIRONMENT, serde_json::json!({"os": "linux"})).unwrap();
+
+    let docs = s.local.docs().ids().unwrap().len();
+    counting.doc_gets.store(0, Ordering::Relaxed);
+    let ancestry = s.client.lineage_chain(chain[8].as_str()).unwrap();
+    let walked: Vec<&str> = ancestry.iter().map(|r| r.model.as_str()).collect();
+    let want: Vec<&str> = chain.iter().rev().map(DocId::as_str).collect();
+    assert_eq!(walked, want);
+    let gets = counting.doc_gets.load(Ordering::Relaxed);
+    assert_eq!(gets, docs, "get_doc calls for {docs} documents");
+    assert_eq!(s.server.metrics().requests(mmlib_net::Opcode::LineageAncestry), 1);
+}

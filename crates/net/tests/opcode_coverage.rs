@@ -7,6 +7,7 @@
 //! wildcard), and so does a wire byte used twice.
 
 use mmlib_net::{Opcode, RegistryServer, RemoteStore};
+use mmlib_store::schema::{kinds, ApproachKind, LineageRecordDoc, ModelInfoDoc, ModelRelation};
 use mmlib_store::{DocId, ModelStorage, StorageBackend, StoreError};
 use serde_json::json;
 
@@ -25,39 +26,48 @@ fn every_request_opcode_round_trips_and_is_counted_once() {
     assert_eq!(client.doc_ids().unwrap(), vec![doc.clone()]);
     client.remove_doc(&doc).unwrap();
 
-    // Lineage: a two-node chain served straight from lineage documents.
-    let child = client
-        .insert_doc(
-            "lineage",
-            json!({
-                "model": "m-child",
-                "parent": "m-root",
-                "approach": "param_update",
-                "relation": "partially_updated",
-                "root_hash": "beef",
-            }),
-        )
-        .unwrap();
-    let root = client
-        .insert_doc(
-            "lineage",
-            json!({
-                "model": "m-root",
-                "parent": null,
-                "approach": "baseline",
-                "relation": "initial",
-                "root_hash": "f00d",
-            }),
-        )
-        .unwrap();
-    let record = client.lineage_node("m-child").unwrap();
-    assert_eq!(record.parent.as_deref(), Some("m-root"));
-    let ancestry = client.lineage_chain("m-child").unwrap();
+    // Lineage: a two-node chain of saved models, each with its record. The
+    // server answers only for models whose model-info document it holds.
+    let saved = |approach, base: Option<&DocId>| {
+        let info = ModelInfoDoc {
+            approach,
+            arch: "tinycnn".into(),
+            relation: base.map_or(ModelRelation::Initial, |_| ModelRelation::PartiallyUpdated),
+            base_model: base.map(|b| b.as_str().to_string()),
+            environment_doc: "env-1".into(),
+            code_file: None,
+            weights_file: None,
+            update_encoding: None,
+            layer_hash_doc: "hashes-1".into(),
+            root_hash: "beef".into(),
+            train_doc: None,
+            dataset: None,
+        };
+        let id = client.insert_doc(kinds::MODEL_INFO, serde_json::to_value(&info).unwrap()).unwrap();
+        let record = LineageRecordDoc {
+            model: id.as_str().to_string(),
+            parent: info.base_model.clone(),
+            approach,
+            relation: info.relation,
+            root_hash: info.root_hash,
+            changed_layers: None,
+            tags: Vec::new(),
+            rebased_from: None,
+        };
+        let record = client.insert_doc(kinds::LINEAGE, serde_json::to_value(&record).unwrap());
+        (id, record.unwrap())
+    };
+    let (root, root_record) = saved(ApproachKind::Baseline, None);
+    let (child, child_record) = saved(ApproachKind::ParamUpdate, Some(&root));
+    let record = client.lineage_node(child.as_str()).unwrap();
+    assert_eq!(record.parent.as_deref(), Some(root.as_str()));
+    let ancestry = client.lineage_chain(child.as_str()).unwrap();
     assert_eq!(ancestry.len(), 2);
-    assert_eq!(ancestry[0].model, "m-child");
-    assert_eq!(ancestry[1].model, "m-root");
-    client.remove_doc(&child).unwrap();
-    client.remove_doc(&root).unwrap();
+    assert_eq!(ancestry[0].model, child.as_str());
+    assert_eq!(ancestry[1].model, root.as_str());
+    for doc in [child_record, child, root_record, root] {
+        client.remove_doc(&doc).unwrap();
+    }
 
     // Files: one request per file opcode.
     let file = client.put_file(b"opcode coverage payload").unwrap();
@@ -76,17 +86,17 @@ fn every_request_opcode_round_trips_and_is_counted_once() {
     let m = server.metrics();
     // Connecting performed the version handshake.
     assert_eq!(m.requests(Opcode::Ping), 1);
-    // The lineage setup/teardown above adds two extra inserts and removes;
+    // The lineage setup/teardown above adds four extra inserts and removes;
     // every other request opcode is exercised exactly once, and every
     // pooled connection opened with one `Hello`.
     let covered = [
         (Opcode::Hello, m.connections()),
         (Opcode::Ping, 1),
-        (Opcode::DocInsert, 3),
+        (Opcode::DocInsert, 5),
         (Opcode::DocGet, 1),
         (Opcode::DocUpdate, 1),
         (Opcode::DocContains, 1),
-        (Opcode::DocRemove, 3),
+        (Opcode::DocRemove, 5),
         (Opcode::DocIds, 1),
         (Opcode::FilePut, 1),
         (Opcode::FileGet, 1),

@@ -18,6 +18,11 @@
 //!   [`FaultInjector`]) driving the crash-consistency test matrix.
 //! * [`fsck`] — physical consistency scan of a local root (leftover tmp
 //!   files) with quarantine-based repair.
+//! * [`schema`] — the document schema (model-info documents, lineage
+//!   records, document kinds) and the lineage graph built over it
+//!   ([`schema::LineageGraph::read`]). It sits here, below both the model
+//!   library and the registry server, so a document and a lineage query
+//!   mean the same thing in-process and over the wire.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo, clippy::unimplemented, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
@@ -27,6 +32,7 @@ pub mod document;
 pub mod fault;
 pub mod files;
 pub mod fsck;
+pub mod schema;
 pub mod storage;
 
 pub use document::{DocId, DocStore, Document};

@@ -75,16 +75,25 @@ fi
 # lock that only serialized directory listings, and so is the lock analyser
 # with its pragmas and their budget file (the parking_lot shim's one-lock
 # check replaced it; their names are bracketed so that a search of the tree
-# for them finds nothing here). Fail, naming the file, if one returns.
+# for them finds nothing here), and so are the server's hand-parsed lineage
+# walk and the CLI's second lineage renderer (`LineageGraph::read` in
+# mmlib-store builds every lineage node, on both sides of the wire). Fail,
+# naming the file, if one returns.
 for gone in ChainPolicy with_policy SimNetwork network_time run_flow_with_transport \
     recover_flow_family FaultyBackend artifacts_of walk_wrapper_closure entry_layer_hashes \
     lineage_index UnparsableDoc DocIdMismatch finish_inflight release_pending init_lock \
-    'mmlib-lin[t]' 'lint-budge[t]'; do
+    'mmlib-lin[t]' 'lint-budge[t]' 'fn lineage_record(' 'fn lineage_ancestry(' node_line; do
     if hits=$(grep -rl -- "$gone" crates/*/src src examples tests); then
         echo "check.sh: deleted name '$gone' reappeared in:" $hits >&2
         exit 1
     fi
 done
+# The registry server reads documents only through `mmlib_store::schema`:
+# no document kind or body field is spelled out in mmlib-net's sources.
+if hits=$(grep -rlE '"(base_model|model_info|lineage)"' crates/net/src); then
+    echo "check.sh: mmlib-net parses documents by hand again (use mmlib_store::schema):" $hits >&2
+    exit 1
+fi
 # Recovery builds a model around its decoded tensors (`Model::from_state`)
 # and never runs an initializer. Fail, naming the file, if library code in
 # core or lineage calls `new_initialized`; its tests and doc comments may.
