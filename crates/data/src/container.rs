@@ -122,7 +122,9 @@ pub fn unpack(bytes: &[u8]) -> Result<Unpacked, ContainerError> {
     let id = DatasetId::from_short_name(&name).ok_or(ContainerError::UnknownDataset(name))?;
     let images = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
     let total = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-    let mut blobs = Vec::with_capacity(images.min(1 << 24) as usize);
+    // The header's image count is untrusted: every image takes at least its
+    // 4-byte length, so the remaining payload bounds the reservation.
+    let mut blobs = Vec::with_capacity(images.min((payload.len() - pos) as u64 / 4) as usize);
     let mut seen = 0u64;
     for _ in 0..images {
         let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
@@ -181,6 +183,27 @@ mod tests {
                 other => panic!("corruption at {pos} not detected: {other:?}"),
             }
         }
+    }
+
+    /// Seals `payload` with a valid trailer, as a hostile writer could.
+    fn reseal(mut payload: Vec<u8>) -> Vec<u8> {
+        let mut h = Sha256::new();
+        h.update(&payload);
+        payload.extend_from_slice(&h.finalize().0);
+        payload
+    }
+
+    #[test]
+    fn resealed_header_claiming_u64_max_images_over_an_empty_body_is_corrupt() {
+        let name = DatasetId::CocoFood512.short_name();
+        let mut payload = Vec::new();
+        payload.extend_from_slice(MAGIC);
+        payload.extend_from_slice(&VERSION.to_le_bytes());
+        payload.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        payload.extend_from_slice(name.as_bytes());
+        payload.extend_from_slice(&u64::MAX.to_le_bytes());
+        payload.extend_from_slice(&0u64.to_le_bytes());
+        assert!(matches!(unpack(&reseal(payload)), Err(ContainerError::Corrupt(_))));
     }
 
     #[test]

@@ -3,14 +3,19 @@
 //! Every layer implements a real forward and backward pass. Reductions run
 //! in one of two modes (see `mmlib_tensor::ops`):
 //!
-//! * **Deterministic** — single-threaded, fixed serial accumulation order;
-//!   bit-reproducible across runs. Slower.
+//! * **Deterministic** — single-threaded, and every output element is
+//!   reduced in one fixed serial order; bit-reproducible across runs. The
+//!   kernels still vectorise, but only across *independent* outputs
+//!   (channels, or rows of a `Linear`), never across a reduction, so a
+//!   vector lane adds exactly the terms a scalar loop would, in its order.
+//!   What determinism costs is the second core, not SIMD.
 //! * **Parallel** — work is split over threads; reductions whose partial
 //!   results are combined across threads (batch-norm statistics, weight and
 //!   bias gradients) combine **in completion order**, so the low-order bits
 //!   vary run to run. This mirrors how non-deterministic cuDNN kernels
 //!   behave and is what the paper's deterministic-training study (Fig. 13)
-//!   toggles.
+//!   toggles. A `Conv2d` runs the same per-image kernels in both modes;
+//!   this mode only deals the images to threads.
 
 // Kernels index by (image, channel, position) throughout; iterator-chain
 // rewrites obscure the arithmetic without changing the codegen.
@@ -164,59 +169,48 @@ impl Conv2d {
         self
     }
 
+    /// The shape of this layer's call on `h × w` images.
+    fn geom(&self, h: usize, w: usize) -> ConvGeom {
+        let (k, s, p, g) = (self.kernel, self.stride, self.pad, self.groups);
+        ConvGeom {
+            cin: self.in_channels,
+            cout: self.out_channels,
+            h,
+            w,
+            ho: conv_out(h, k, s, p),
+            wo: conv_out(w, k, s, p),
+            k,
+            s,
+            p,
+            cin_g: self.in_channels / g,
+            cout_g: self.out_channels / g,
+        }
+    }
+
     /// Forward pass; caches the input for backward.
     pub fn forward(&mut self, x: Tensor, ctx: &mut Ctx<'_>) -> Tensor {
         let (n, cin, h, w) = dims4(&x);
         assert_eq!(cin, self.in_channels, "conv input channels");
-        let (k, s, p, g) = (self.kernel, self.stride, self.pad, self.groups);
-        let (ho, wo) = (conv_out(h, k, s, p), conv_out(w, k, s, p));
-        let cout = self.out_channels;
-        let (cin_g, cout_g) = (cin / g, cout / g);
+        let gm = self.geom(h, w);
+        let ConvGeom { cout, ho, wo, k, cin_g, .. } = gm;
         let mut out = Tensor::zeros([n, cout, ho, wo]);
 
         let xd = x.data();
-        let wd = self.weight.data();
+        let wt = gm.weight_out_minor(self.weight.data());
+        let bias = self.bias.as_ref().map(Tensor::data);
         let work_per_image = cout * ho * wo * cin_g * k * k;
 
         // One output element is produced by exactly one accumulation loop,
         // so the forward result is identical across modes; parallel mode
         // only distributes images over threads.
+        let (in_len, image_len) = (cin * h * w, cout * ho * wo);
         let compute_image = |ni: usize, od: &mut [f32]| {
-            for co in 0..cout {
-                let grp = co / cout_g;
-                let b = self.bias.as_ref().map_or(0.0, |b| b.data()[co]);
-                for oh in 0..ho {
-                    for ow in 0..wo {
-                        let mut acc = 0.0f32;
-                        for ci in 0..cin_g {
-                            let ci_g = grp * cin_g + ci;
-                            let xbase = ni * cin * h * w + ci_g * h * w;
-                            let wbase = co * cin_g * k * k + ci * k * k;
-                            for kh in 0..k {
-                                let ih = oh * s + kh;
-                                if ih < p || ih - p >= h {
-                                    continue;
-                                }
-                                let ih = ih - p;
-                                for kw in 0..k {
-                                    let iw = ow * s + kw;
-                                    if iw < p || iw - p >= w {
-                                        continue;
-                                    }
-                                    let iw = iw - p;
-                                    acc += xd[xbase + ih * w + iw] * wd[wbase + kh * k + kw];
-                                }
-                            }
-                        }
-                        od[co * ho * wo + oh * wo + ow] = acc + b;
-                    }
-                }
-            }
+            let xt = transpose(&xd[ni * in_len..(ni + 1) * in_len], cin);
+            gm.forward_image(&xt, &wt, bias, od);
         };
 
+        let od = out.data_mut();
         if ctx.mode == ExecMode::Parallel && n > 1 && work_per_image * n >= PAR_MIN_WORK {
-            let image_len = cout * ho * wo;
-            let od = out.data_mut();
             let slices: Vec<&mut [f32]> = od.chunks_mut(image_len).collect();
             crossbeam::scope(|sc| {
                 for (ni, slice) in slices.into_iter().enumerate() {
@@ -226,10 +220,8 @@ impl Conv2d {
             })
             .expect("conv forward worker panicked");
         } else {
-            let image_len = cout * ho * wo;
-            let od = out.data_mut();
-            for ni in 0..n {
-                compute_image(ni, &mut od[ni * image_len..(ni + 1) * image_len]);
+            for (ni, slice) in od.chunks_mut(image_len).enumerate() {
+                compute_image(ni, slice);
             }
         }
 
@@ -241,48 +233,20 @@ impl Conv2d {
     pub fn backward(&mut self, gout: Tensor, ctx: &mut Ctx<'_>) -> Tensor {
         let x = self.cache_input.take().expect("conv backward before forward");
         let (n, cin, h, w) = dims4(&x);
-        let (_, cout, ho, wo) = dims4(&gout);
-        let (k, s, p, g) = (self.kernel, self.stride, self.pad, self.groups);
-        let (cin_g, cout_g) = (cin / g, cout / g);
+        let gm = self.geom(h, w);
+        let ConvGeom { cout, ho, wo, k, cin_g, .. } = gm;
+        assert_eq!(dims4(&gout), (n, cout, ho, wo), "conv output gradient shape");
         let xd = x.data();
         let gd = gout.data();
-        let wd = self.weight.data();
+        let (in_len, out_len) = (cin * h * w, cout * ho * wo);
 
         // --- weight gradient: reduction over images; parallel mode combines
         // per-image-chunk partials in completion order (non-deterministic).
         let wlen = self.grad_weight.numel();
         let chunk_grad_into = |range: std::ops::Range<usize>, gw: &mut [f32]| {
             for ni in range {
-                for co in 0..cout {
-                    let grp = co / cout_g;
-                    for ci in 0..cin_g {
-                        let ci_g = grp * cin_g + ci;
-                        let xbase = ni * cin * h * w + ci_g * h * w;
-                        let wbase = co * cin_g * k * k + ci * k * k;
-                        for kh in 0..k {
-                            for kw in 0..k {
-                                let mut acc = 0.0f32;
-                                for oh in 0..ho {
-                                    let ih = oh * s + kh;
-                                    if ih < p || ih - p >= h {
-                                        continue;
-                                    }
-                                    let ih = ih - p;
-                                    for ow in 0..wo {
-                                        let iw = ow * s + kw;
-                                        if iw < p || iw - p >= w {
-                                            continue;
-                                        }
-                                        let iw = iw - p;
-                                        acc += xd[xbase + ih * w + iw]
-                                            * gd[ni * cout * ho * wo + co * ho * wo + oh * wo + ow];
-                                    }
-                                }
-                                gw[wbase + kh * k + kw] += acc;
-                            }
-                        }
-                    }
-                }
+                let xt = transpose(&xd[ni * in_len..(ni + 1) * in_len], cin);
+                gm.weight_grad_image(&xt, &gd[ni * out_len..(ni + 1) * out_len], gw);
             }
         };
 
@@ -321,42 +285,13 @@ impl Conv2d {
         // --- input gradient: each input element owned by one loop; parallel
         // mode distributes images.
         let mut gin = Tensor::zeros([n, cin, h, w]);
+        let wt = gm.weight_in_minor(self.weight.data());
         let compute_gin = |ni: usize, gi: &mut [f32]| {
-            for co in 0..cout {
-                let grp = co / cout_g;
-                for oh in 0..ho {
-                    for ow in 0..wo {
-                        let gval = gd[ni * cout * ho * wo + co * ho * wo + oh * wo + ow];
-                        if gval == 0.0 {
-                            continue;
-                        }
-                        for ci in 0..cin_g {
-                            let ci_g = grp * cin_g + ci;
-                            let wbase = co * cin_g * k * k + ci * k * k;
-                            for kh in 0..k {
-                                let ih = oh * s + kh;
-                                if ih < p || ih - p >= h {
-                                    continue;
-                                }
-                                let ih = ih - p;
-                                for kw in 0..k {
-                                    let iw = ow * s + kw;
-                                    if iw < p || iw - p >= w {
-                                        continue;
-                                    }
-                                    let iw = iw - p;
-                                    gi[ci_g * h * w + ih * w + iw] += gval * wd[wbase + kh * k + kw];
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+            gm.input_grad_image(&gd[ni * out_len..(ni + 1) * out_len], &wt, gi);
         };
-        let image_len = cin * h * w;
+        let gid = gin.data_mut();
         if ctx.mode == ExecMode::Parallel && n > 1 && work >= PAR_MIN_WORK {
-            let gid = gin.data_mut();
-            let slices: Vec<&mut [f32]> = gid.chunks_mut(image_len).collect();
+            let slices: Vec<&mut [f32]> = gid.chunks_mut(in_len).collect();
             crossbeam::scope(|sc| {
                 for (ni, slice) in slices.into_iter().enumerate() {
                     let compute_gin = &compute_gin;
@@ -365,9 +300,8 @@ impl Conv2d {
             })
             .expect("conv backward worker panicked");
         } else {
-            let gid = gin.data_mut();
-            for ni in 0..n {
-                compute_gin(ni, &mut gid[ni * image_len..(ni + 1) * image_len]);
+            for (ni, slice) in gid.chunks_mut(in_len).enumerate() {
+                compute_gin(ni, slice);
             }
         }
         gin
@@ -415,6 +349,248 @@ impl Conv2d {
             gb.fill(0.0);
         }
     }
+}
+
+/// The shape of one convolution call, and its three per-image kernels.
+///
+/// The kernels vectorise across independent outputs — the output channels
+/// of a group (forward), the input channels of a group (both gradients), or
+/// every channel at once in a depthwise layer — and never across a
+/// reduction: each output element adds the same terms, in the same order,
+/// as the plain scalar loops over `NCHW` (the tests below check this bit for
+/// bit). Images are read channel-minor (`[h][w][c]`, see [`transpose`])
+/// so that those vectors are contiguous.
+#[derive(Clone, Copy)]
+struct ConvGeom {
+    cin: usize,
+    cout: usize,
+    h: usize,
+    w: usize,
+    ho: usize,
+    wo: usize,
+    k: usize,
+    s: usize,
+    p: usize,
+    cin_g: usize,
+    cout_g: usize,
+}
+
+impl ConvGeom {
+    /// One input and one output channel per group: the kernels then run
+    /// across all channels at once, as a group is one channel wide.
+    fn depthwise(&self) -> bool {
+        self.cin_g == 1 && self.cout_g == 1
+    }
+
+    /// The input coordinate that output coordinate `o` reads through tap
+    /// `t` on an axis of length `len`, or `None` in the padding: padded taps
+    /// are skipped, never added as `0·w`.
+    fn tap(&self, o: usize, t: usize, len: usize) -> Option<usize> {
+        (o * self.s + t).checked_sub(self.p).filter(|&i| i < len)
+    }
+
+    /// The taps of output position `(oh, ow)` that land in the image, in
+    /// `(kh, kw)` order, as `(kh·k + kw, ih·w + iw)`.
+    fn taps(self, oh: usize, ow: usize) -> impl Iterator<Item = (usize, usize)> {
+        (0..self.k).filter_map(move |kh| self.tap(oh, kh, self.h).map(|ih| (kh, ih))).flat_map(
+            move |(kh, ih)| {
+                (0..self.k).filter_map(move |kw| {
+                    self.tap(ow, kw, self.w).map(|iw| (kh * self.k + kw, ih * self.w + iw))
+                })
+            },
+        )
+    }
+
+    /// The output positions whose tap `(kh, kw)` lands in the image, in
+    /// `(oh, ow)` order, as `(oh·wo + ow, ih·w + iw)`.
+    fn positions(self, kh: usize, kw: usize) -> impl Iterator<Item = (usize, usize)> {
+        (0..self.ho).filter_map(move |oh| self.tap(oh, kh, self.h).map(|ih| (oh, ih))).flat_map(
+            move |(oh, ih)| {
+                (0..self.wo).filter_map(move |ow| {
+                    self.tap(ow, kw, self.w).map(|iw| (oh * self.wo + ow, ih * self.w + iw))
+                })
+            },
+        )
+    }
+
+    /// The weight `[cout][cin_g][k][k]` laid out `[cin_g][k][k][cout]`: one
+    /// tap's weights are contiguous across output channels.
+    fn weight_out_minor(&self, wd: &[f32]) -> Vec<f32> {
+        let (kk, cin_g, cout) = (self.k * self.k, self.cin_g, self.cout);
+        let mut wt = vec![0.0f32; wd.len()];
+        for co in 0..cout {
+            for ci in 0..cin_g {
+                for t in 0..kk {
+                    wt[(ci * kk + t) * cout + co] = wd[(co * cin_g + ci) * kk + t];
+                }
+            }
+        }
+        wt
+    }
+
+    /// The weight laid out `[cout][k][k][cin_g]`: one tap's weights are
+    /// contiguous across a group's input channels. A depthwise layer's
+    /// group is one channel wide, so it takes the `[k][k][c]` layout of
+    /// [`ConvGeom::weight_out_minor`] instead.
+    fn weight_in_minor(&self, wd: &[f32]) -> Vec<f32> {
+        if self.depthwise() {
+            return self.weight_out_minor(wd);
+        }
+        let (kk, cin_g) = (self.k * self.k, self.cin_g);
+        let mut wt = vec![0.0f32; wd.len()];
+        for co in 0..self.cout {
+            for ci in 0..cin_g {
+                for t in 0..kk {
+                    wt[(co * kk + t) * cin_g + ci] = wd[(co * cin_g + ci) * kk + t];
+                }
+            }
+        }
+        wt
+    }
+
+    /// Forward of one image into `od` (`[cout][ho][wo]`): `xt` is the image
+    /// channel-minor, `wt` from [`ConvGeom::weight_out_minor`]. Each output
+    /// sums its taps from zero in `(ci, kh, kw)` order, then adds the bias.
+    fn forward_image(&self, xt: &[f32], wt: &[f32], bias: Option<&[f32]>, od: &mut [f32]) {
+        let &ConvGeom { cin, cout, ho, wo, k, cin_g, cout_g, .. } = self;
+        let mut acc = vec![0.0f32; cout];
+        for oh in 0..ho {
+            for ow in 0..wo {
+                acc.fill(0.0);
+                if self.depthwise() {
+                    for (t, pi) in self.taps(oh, ow) {
+                        let xs = &xt[pi * cin..][..cin];
+                        let ws = &wt[t * cout..][..cout];
+                        for ((a, &xv), &wv) in acc.iter_mut().zip(xs).zip(ws) {
+                            *a += xv * wv;
+                        }
+                    }
+                } else {
+                    for (grp, acc) in acc.chunks_exact_mut(cout_g).enumerate() {
+                        for ci in 0..cin_g {
+                            for (t, pi) in self.taps(oh, ow) {
+                                let xv = xt[pi * cin + grp * cin_g + ci];
+                                let ws = &wt[(ci * k * k + t) * cout + grp * cout_g..][..cout_g];
+                                for (a, &wv) in acc.iter_mut().zip(ws) {
+                                    *a += xv * wv;
+                                }
+                            }
+                        }
+                    }
+                }
+                for (co, a) in acc.iter().enumerate() {
+                    od[co * ho * wo + oh * wo + ow] = a + bias.map_or(0.0, |b| b[co]);
+                }
+            }
+        }
+    }
+
+    /// Adds one image's weight gradient into `gw` (`[cout][cin_g][k][k]`):
+    /// `xt` is the image channel-minor, `gd` its `[cout][ho][wo]` output
+    /// gradient. Each weight sums its positions from zero in `(oh, ow)`
+    /// order, and that sum is added into `gw`.
+    fn weight_grad_image(&self, xt: &[f32], gd: &[f32], gw: &mut [f32]) {
+        let &ConvGeom { cin, cout, ho, wo, k, cin_g, cout_g, .. } = self;
+        let kk = k * k;
+        if self.depthwise() {
+            let gt = transpose(gd, cout);
+            let mut acc = vec![0.0f32; cin];
+            for kh in 0..k {
+                for kw in 0..k {
+                    acc.fill(0.0);
+                    for (po, pi) in self.positions(kh, kw) {
+                        let xs = &xt[pi * cin..][..cin];
+                        let gs = &gt[po * cout..][..cout];
+                        for ((a, &xv), &gv) in acc.iter_mut().zip(xs).zip(gs) {
+                            *a += xv * gv;
+                        }
+                    }
+                    for (c, a) in acc.iter().enumerate() {
+                        gw[c * kk + kh * k + kw] += a;
+                    }
+                }
+            }
+            return;
+        }
+        let mut acc = vec![0.0f32; cin_g];
+        for (co, g_co) in gd.chunks_exact(ho * wo).enumerate() {
+            let grp = co / cout_g;
+            for kh in 0..k {
+                for kw in 0..k {
+                    acc.fill(0.0);
+                    for (po, pi) in self.positions(kh, kw) {
+                        let gv = g_co[po];
+                        let xs = &xt[pi * cin + grp * cin_g..][..cin_g];
+                        for (a, &xv) in acc.iter_mut().zip(xs) {
+                            *a += xv * gv;
+                        }
+                    }
+                    for (ci, a) in acc.iter().enumerate() {
+                        gw[(co * cin_g + ci) * kk + kh * k + kw] += a;
+                    }
+                }
+            }
+        }
+    }
+
+    /// One image's input gradient into `gi` (`[cin][h][w]`): `gd` is its
+    /// `[cout][ho][wo]` output gradient, `wt` from
+    /// [`ConvGeom::weight_in_minor`]. Each input element sums its terms from
+    /// zero in `(co, oh, ow)` order, skipping zero upstream gradients.
+    fn input_grad_image(&self, gd: &[f32], wt: &[f32], gi: &mut [f32]) {
+        let &ConvGeom { cin, cout, ho, wo, k, cin_g, cout_g, .. } = self;
+        let mut git = vec![0.0f32; gi.len()];
+        if self.depthwise() {
+            let gt = transpose(gd, cout);
+            for oh in 0..ho {
+                for ow in 0..wo {
+                    let gs = &gt[(oh * wo + ow) * cout..][..cout];
+                    for (t, pi) in self.taps(oh, ow) {
+                        let dst = &mut git[pi * cin..][..cin];
+                        let ws = &wt[t * cout..][..cout];
+                        for ((d, &gv), &wv) in dst.iter_mut().zip(gs).zip(ws) {
+                            // x + -0.0 == x for every x, so adding -0.0 is
+                            // the scalar loop's skip of a zero gradient.
+                            *d += if gv == 0.0 { -0.0 } else { gv * wv };
+                        }
+                    }
+                }
+            }
+        } else {
+            for (co, g_co) in gd.chunks_exact(ho * wo).enumerate() {
+                let grp = co / cout_g;
+                for oh in 0..ho {
+                    for ow in 0..wo {
+                        let gval = g_co[oh * wo + ow];
+                        if gval == 0.0 {
+                            continue;
+                        }
+                        for (t, pi) in self.taps(oh, ow) {
+                            let dst = &mut git[pi * cin + grp * cin_g..][..cin_g];
+                            let ws = &wt[(co * k * k + t) * cin_g..][..cin_g];
+                            for (d, &wv) in dst.iter_mut().zip(ws) {
+                                *d += gval * wv;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        gi.copy_from_slice(&transpose(&git, self.h * self.w));
+    }
+}
+
+/// `[rows][cols]` → `[cols][rows]`. An `NCHW` image becomes channel-minor
+/// with `rows` = its channels, and channel-major again with `rows` = `h·w`.
+fn transpose(src: &[f32], rows: usize) -> Vec<f32> {
+    let cols = src.len() / rows;
+    let mut dst = vec![0.0f32; src.len()];
+    for (r, row) in src.chunks_exact(cols).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            dst[c * rows + r] = v;
+        }
+    }
+    dst
 }
 
 // ---------------------------------------------------------------------------
@@ -704,6 +880,34 @@ impl BatchNorm2d {
 // Linear
 // ---------------------------------------------------------------------------
 
+/// `y[i, o] = Σ_f w[o, f]·x[i, f]` for every row `i` of `x` (`[n][fin]`),
+/// each sum taken from zero in `f` order exactly as `ops::dot_serial` takes
+/// it. Eight weight rows run at a time with independent accumulators, so
+/// their add chains overlap, and each block of rows serves every input row
+/// while it is in cache.
+fn matmul_serial_rows(wd: &[f32], xd: &[f32], fin: usize, fout: usize, yd: &mut [f32]) {
+    const ROWS: usize = 8;
+    for (b, block) in wd.chunks(ROWS * fin.max(1)).enumerate() {
+        for (x, y) in xd.chunks_exact(fin).zip(yd.chunks_exact_mut(fout)) {
+            let y = &mut y[b * ROWS..b * ROWS + block.len() / fin];
+            if y.len() < ROWS {
+                for (yo, row) in y.iter_mut().zip(block.chunks_exact(fin)) {
+                    *yo = mmlib_tensor::ops::dot_serial(row, x);
+                }
+                continue;
+            }
+            let rows: [&[f32]; ROWS] = std::array::from_fn(|r| &block[r * fin..(r + 1) * fin]);
+            let mut acc = [0.0f32; ROWS];
+            for (f, &xv) in x.iter().enumerate() {
+                for r in 0..ROWS {
+                    acc[r] += rows[r][f] * xv;
+                }
+            }
+            y.copy_from_slice(&acc);
+        }
+    }
+}
+
 /// Fully-connected layer: `y = W x + b` over `[N, in]` inputs.
 pub struct Linear {
     /// Input features.
@@ -763,13 +967,20 @@ impl Linear {
             let od = out.data_mut();
             let xd = x.data();
             let bd = self.bias.data();
-            for ni in 0..n {
-                let row_in = &xd[ni * fin..(ni + 1) * fin];
-                let row_out = mmlib_tensor::ops::matvec(&self.weight, row_in, ctx.mode)
-                    .expect("linear shapes checked above");
-                for (o, (y, b)) in row_out.iter().zip(bd).enumerate() {
-                    od[ni * self.out_features + o] = y + b;
+            let fout = self.out_features;
+            match ctx.mode {
+                ExecMode::Deterministic => matmul_serial_rows(self.weight.data(), xd, fin, fout, od),
+                ExecMode::Parallel => {
+                    for ni in 0..n {
+                        let row_in = &xd[ni * fin..(ni + 1) * fin];
+                        let row_out = mmlib_tensor::ops::matvec(&self.weight, row_in, ctx.mode)
+                            .expect("linear shapes checked above");
+                        od[ni * fout..(ni + 1) * fout].copy_from_slice(&row_out);
+                    }
                 }
+            }
+            for (y, b) in od.iter_mut().zip(bd.iter().cycle()) {
+                *y += b;
             }
         }
         self.cache_input = Some(x);
@@ -876,5 +1087,303 @@ impl Linear {
     pub(crate) fn zero_grad(&mut self) {
         self.grad_weight.fill(0.0);
         self.grad_bias.fill(0.0);
+    }
+}
+
+/// The scalar `Conv2d` loops and the serial `Linear` forward that the
+/// kernels above replaced, kept verbatim as their bit-for-bit oracle.
+#[cfg(test)]
+mod reference {
+    use mmlib_tensor::{ExecMode, Tensor};
+
+    use super::conv_out;
+    use crate::module::dims4;
+
+    /// Forward of every image, `[n][cout][ho][wo]`.
+    pub(super) fn conv_forward(
+        x: &Tensor,
+        weight: &Tensor,
+        bias: Option<&Tensor>,
+        s: usize,
+        p: usize,
+        g: usize,
+    ) -> Vec<f32> {
+        let (n, cin, h, w) = dims4(x);
+        let (cout, _, k, _) = dims4(weight);
+        let (ho, wo) = (conv_out(h, k, s, p), conv_out(w, k, s, p));
+        let (cin_g, cout_g) = (cin / g, cout / g);
+        let xd = x.data();
+        let wd = weight.data();
+        let mut out = vec![0.0f32; n * cout * ho * wo];
+
+        let compute_image = |ni: usize, od: &mut [f32]| {
+            for co in 0..cout {
+                let grp = co / cout_g;
+                let b = bias.map_or(0.0, |b| b.data()[co]);
+                for oh in 0..ho {
+                    for ow in 0..wo {
+                        let mut acc = 0.0f32;
+                        for ci in 0..cin_g {
+                            let ci_g = grp * cin_g + ci;
+                            let xbase = ni * cin * h * w + ci_g * h * w;
+                            let wbase = co * cin_g * k * k + ci * k * k;
+                            for kh in 0..k {
+                                let ih = oh * s + kh;
+                                if ih < p || ih - p >= h {
+                                    continue;
+                                }
+                                let ih = ih - p;
+                                for kw in 0..k {
+                                    let iw = ow * s + kw;
+                                    if iw < p || iw - p >= w {
+                                        continue;
+                                    }
+                                    let iw = iw - p;
+                                    acc += xd[xbase + ih * w + iw] * wd[wbase + kh * k + kw];
+                                }
+                            }
+                        }
+                        od[co * ho * wo + oh * wo + ow] = acc + b;
+                    }
+                }
+            }
+        };
+
+        let image_len = cout * ho * wo;
+        for ni in 0..n {
+            compute_image(ni, &mut out[ni * image_len..(ni + 1) * image_len]);
+        }
+        out
+    }
+
+    /// Weight gradient `[cout][cin_g][k][k]`, bias gradient `[cout]` and
+    /// input gradient `[n][cin][h][w]` of `gout` at input `x`.
+    pub(super) fn conv_backward(
+        x: &Tensor,
+        weight: &Tensor,
+        gout: &Tensor,
+        s: usize,
+        p: usize,
+        g: usize,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let (n, cin, h, w) = dims4(x);
+        let (_, cout, ho, wo) = dims4(gout);
+        let k = weight.shape().dim(2);
+        let (cin_g, cout_g) = (cin / g, cout / g);
+        let xd = x.data();
+        let gd = gout.data();
+        let wd = weight.data();
+
+        let chunk_grad_into = |range: std::ops::Range<usize>, gw: &mut [f32]| {
+            for ni in range {
+                for co in 0..cout {
+                    let grp = co / cout_g;
+                    for ci in 0..cin_g {
+                        let ci_g = grp * cin_g + ci;
+                        let xbase = ni * cin * h * w + ci_g * h * w;
+                        let wbase = co * cin_g * k * k + ci * k * k;
+                        for kh in 0..k {
+                            for kw in 0..k {
+                                let mut acc = 0.0f32;
+                                for oh in 0..ho {
+                                    let ih = oh * s + kh;
+                                    if ih < p || ih - p >= h {
+                                        continue;
+                                    }
+                                    let ih = ih - p;
+                                    for ow in 0..wo {
+                                        let iw = ow * s + kw;
+                                        if iw < p || iw - p >= w {
+                                            continue;
+                                        }
+                                        let iw = iw - p;
+                                        acc += xd[xbase + ih * w + iw]
+                                            * gd[ni * cout * ho * wo + co * ho * wo + oh * wo + ow];
+                                    }
+                                }
+                                gw[wbase + kh * k + kw] += acc;
+                            }
+                        }
+                    }
+                }
+            }
+        };
+        let mut grad_weight = vec![0.0f32; weight.numel()];
+        chunk_grad_into(0..n, &mut grad_weight);
+
+        let mut gbd = vec![0.0f32; cout];
+        for ni in 0..n {
+            for co in 0..cout {
+                let base = ni * cout * ho * wo + co * ho * wo;
+                let mut acc = 0.0f32;
+                for i in 0..ho * wo {
+                    acc += gd[base + i];
+                }
+                gbd[co] += acc;
+            }
+        }
+
+        let mut gin = vec![0.0f32; n * cin * h * w];
+        let compute_gin = |ni: usize, gi: &mut [f32]| {
+            for co in 0..cout {
+                let grp = co / cout_g;
+                for oh in 0..ho {
+                    for ow in 0..wo {
+                        let gval = gd[ni * cout * ho * wo + co * ho * wo + oh * wo + ow];
+                        if gval == 0.0 {
+                            continue;
+                        }
+                        for ci in 0..cin_g {
+                            let ci_g = grp * cin_g + ci;
+                            let wbase = co * cin_g * k * k + ci * k * k;
+                            for kh in 0..k {
+                                let ih = oh * s + kh;
+                                if ih < p || ih - p >= h {
+                                    continue;
+                                }
+                                let ih = ih - p;
+                                for kw in 0..k {
+                                    let iw = ow * s + kw;
+                                    if iw < p || iw - p >= w {
+                                        continue;
+                                    }
+                                    let iw = iw - p;
+                                    gi[ci_g * h * w + ih * w + iw] += gval * wd[wbase + kh * k + kw];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        };
+        let image_len = cin * h * w;
+        for ni in 0..n {
+            compute_gin(ni, &mut gin[ni * image_len..(ni + 1) * image_len]);
+        }
+        (grad_weight, gbd, gin)
+    }
+
+    /// `Linear` forward, `[n][out]`: one `ops::matvec` per image.
+    pub(super) fn linear_forward(x: &Tensor, weight: &Tensor, bias: &Tensor, mode: ExecMode) -> Vec<f32> {
+        let (n, fin) = (x.shape().dim(0), x.shape().dim(1));
+        let out_features = weight.shape().dim(0);
+        let mut od = vec![0.0f32; n * out_features];
+        let xd = x.data();
+        let bd = bias.data();
+        for ni in 0..n {
+            let row_in = &xd[ni * fin..(ni + 1) * fin];
+            let row_out =
+                mmlib_tensor::ops::matvec(weight, row_in, mode).expect("linear shapes checked above");
+            for (o, (y, b)) in row_out.iter().zip(bd).enumerate() {
+                od[ni * out_features + o] = y + b;
+            }
+        }
+        od
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use mmlib_tensor::{ExecMode, Pcg32, Tensor};
+    use proptest::prelude::*;
+
+    use super::{reference, Conv2d, Linear};
+    use crate::module::Ctx;
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// Values in [-1, 1) with exact `0.0` and `-0.0` mixed in.
+    fn values(rng: &mut Pcg32, shape: &[usize]) -> Tensor {
+        let data = (0..shape.iter().product())
+            .map(|_| match rng.below(8) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.uniform(-1.0, 1.0),
+            })
+            .collect();
+        Tensor::from_vec(shape.to_vec(), data).unwrap()
+    }
+
+    const MODES: [ExecMode; 2] = [ExecMode::Deterministic, ExecMode::Parallel];
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Forward output, weight and bias gradients and input gradient of
+        /// every layer kind equal the scalar loops' bit for bit. Parallel
+        /// mode runs the same per-image kernels; only its weight-gradient
+        /// combine (completion order) is exempt.
+        #[test]
+        fn conv_kernels_match_the_scalar_loops_bit_for_bit(
+            kind in 0usize..3,
+            ki in 0usize..4,
+            stride in 1usize..=2,
+            pad_pick in 0usize..4,
+            h in 1usize..12,
+            w in 1usize..12,
+            n in 1usize..3,
+            ca in 1usize..5,
+            cb in 1usize..5,
+            with_bias in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let k = [1, 3, 5, 7][ki];
+            let pad = pad_pick % (k / 2 + 1);
+            let (h, w) = (h.max(k - 2 * pad), w.max(k - 2 * pad));
+            let (cin, cout, groups) = match kind {
+                0 => (ca, cb, 1),
+                1 => (2 * ca, 2 * cb, 2),
+                _ => (ca + cb, ca + cb, ca + cb),
+            };
+            let mut rng = Pcg32::seeded(seed);
+            let weight = values(&mut rng, &[cout, cin / groups, k, k]);
+            let bias = with_bias.then(|| values(&mut rng, &[cout]));
+            let x = values(&mut rng, &[n, cin, h, w]);
+            let (ho, wo) = (super::conv_out(h, k, stride, pad), super::conv_out(w, k, stride, pad));
+            let gout = values(&mut rng, &[n, cout, ho, wo]);
+
+            let want_out = reference::conv_forward(&x, &weight, bias.as_ref(), stride, pad, groups);
+            let (want_gw, want_gb, want_gin) =
+                reference::conv_backward(&x, &weight, &gout, stride, pad, groups);
+
+            for mode in MODES {
+                let mut layer = Conv2d::from_params(weight.clone(), bias.clone(), stride, pad, groups);
+                let mut ctx_rng = Pcg32::seeded(0);
+                let mut ctx = Ctx::train(&mut ctx_rng, mode);
+                let out = layer.forward(x.clone(), &mut ctx);
+                let gin = layer.backward(gout.clone(), &mut ctx);
+                prop_assert_eq!(bits(out.data()), bits(&want_out), "forward, {:?}", mode);
+                prop_assert_eq!(bits(gin.data()), bits(&want_gin), "input grad, {:?}", mode);
+                if mode == ExecMode::Deterministic {
+                    prop_assert_eq!(bits(layer.grad_weight.data()), bits(&want_gw), "weight grad");
+                    if let Some(gb) = &layer.grad_bias {
+                        prop_assert_eq!(bits(gb.data()), bits(&want_gb), "bias grad");
+                    }
+                }
+            }
+        }
+
+        /// `Linear` forward equals one `ops::matvec` per image, bit for bit.
+        #[test]
+        fn linear_forward_matches_matvec_bit_for_bit(
+            n in 1usize..4,
+            fin in 1usize..40,
+            fout in 1usize..40,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = Pcg32::seeded(seed);
+            let weight = values(&mut rng, &[fout, fin]);
+            let bias = values(&mut rng, &[fout]);
+            let x = values(&mut rng, &[n, fin]);
+            for mode in MODES {
+                let mut layer = Linear::from_params(weight.clone(), bias.clone());
+                let mut ctx_rng = Pcg32::seeded(0);
+                let out = layer.forward(x.clone(), &mut Ctx::train(&mut ctx_rng, mode));
+                let want = reference::linear_forward(&x, &weight, &bias, mode);
+                prop_assert_eq!(bits(out.data()), bits(&want), "{:?}", mode);
+            }
+        }
     }
 }

@@ -5,8 +5,17 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Each stage prints its wall time (bash SECONDS) as it finishes.
+stage_start=$SECONDS
+lap() { # lap STAGE
+    echo "check.sh: $1 took $((SECONDS - stage_start)) s"
+    stage_start=$SECONDS
+}
+
 cargo build --release
+lap build
 cargo test --workspace -q
+lap test
 
 # Static-analysis gate, run before the expensive stress/bench gates so a
 # violation fails fast. Every invariant has one owner (DESIGN.md "Static
@@ -104,8 +113,10 @@ for f in $(grep -rl -- new_initialized crates/core/src crates/lineage/src || tru
         exit 1
     fi
 done
+lap pins
 
 cargo clippy --workspace --all-targets -- -D warnings
+lap clippy
 
 # Fault matrix: BA/PUA/MPA x 32 seeded fault plans, pinned to a fixed seed
 # base so every run exercises the identical fault schedule. Failures print
@@ -116,6 +127,7 @@ if ! MMLIB_FAULT_SEED_BASE="$FAULT_SEED_BASE" cargo test --test fault_matrix -q;
     echo "reproduce: MMLIB_FAULT_SEED_BASE=$FAULT_SEED_BASE cargo test --test fault_matrix" >&2
     exit 1
 fi
+lap "fault matrix"
 
 # Wire-protocol stress gate: 512 concurrent clients multiplexed over one
 # pipelined RemoteStore pool against the sharded v2 server, asserting zero
@@ -127,6 +139,7 @@ if ! MMLIB_STRESS_CLIENTS=512 cargo test -p mmlib-net --release --test stress -q
     echo "reproduce: MMLIB_STRESS_CLIENTS=512 cargo test -p mmlib-net --release --test stress" >&2
     exit 1
 fi
+lap stress
 
 # Benchmark gate: benchmark/ is a workspace of its own (the root manifest
 # never sees it), so build it here and run its unit and smoke tests — every
@@ -143,5 +156,6 @@ if ! cargo test --release --locked --offline -q \
     echo "reproduce: cargo test --release --locked --offline --manifest-path benchmark/Cargo.toml --target-dir target" >&2
     exit 1
 fi
+lap smoke
 
-echo "check.sh: all gates passed"
+echo "check.sh: all gates passed in $SECONDS s"
