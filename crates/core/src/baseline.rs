@@ -60,6 +60,7 @@ impl SaveService {
             code_file: Some(mmlib_store::batch_ref(1)),
             weights_file: Some(mmlib_store::batch_ref(2)),
             update_encoding: None,
+            update_layers: None,
             layer_hash_doc: mmlib_store::batch_ref(3),
             root_hash: tree.root().to_hex(),
             train_doc: None,
@@ -115,6 +116,7 @@ impl SaveService {
         info.base_model = None;
         info.weights_file = Some(weights_file.as_str().to_string());
         info.update_encoding = None;
+        info.update_layers = None;
         self.storage()
             .docs()
             .update(id.doc_id(), crate::error::to_json_value("ModelInfoDoc", &info)?)?;

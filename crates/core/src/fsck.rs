@@ -18,9 +18,10 @@
 //! * **hash re-verification** — weights blobs are re-parsed and re-hashed
 //!   layer by layer against the stored Merkle tree, and the tree's root
 //!   against the recorded `root_hash`, detecting truncations and bit
-//!   flips without recovering a model. (`delta_v1`-encoded updates are
-//!   checked for readability only; decoding them requires the base
-//!   chain.)
+//!   flips without recovering a model, and a plain update's layers
+//!   against its `update_layers` list, which a tip recovery trusts to
+//!   skip the update. (`delta_v1`-encoded updates are checked for
+//!   readability only; decoding them requires the base chain.)
 //! * **orphan detection** — documents and blobs no saved model reaches.
 //!
 //! With [`FsckOptions::repair`] on a local root, damaged and orphaned
@@ -41,6 +42,7 @@ use crate::error::CoreError;
 use crate::gc::{read_store, DependencyGraph};
 use crate::merkle::{layer_hashes_from_entries, MerkleTree};
 use crate::meta::{ApproachKind, ModelInfoDoc, Ref, SavedModelId};
+use crate::param_update::update_layers_mismatch;
 
 /// What [`fsck`] should do.
 #[derive(Debug, Clone)]
@@ -473,6 +475,11 @@ impl Checker<'_> {
                             layer: format!("{path} (layer not in tree)"),
                         }),
                     }
+                }
+                // Named here even where no recovery reads the file.
+                let held = computed.iter().map(|(p, _)| p.as_str());
+                if let Some(reason) = update_layers_mismatch(info, held) {
+                    self.report.issues.push(FsckIssue::BadModelDoc { id: sid.clone(), reason });
                 }
             }
             // Provenance saves store no weights blob; nothing to re-hash.

@@ -7,7 +7,12 @@
 //! recovering it fully"). Only the changed layers' tensors are serialized.
 //!
 //! Recovery is recursive: recover B (which may itself be an update), then
-//! merge M's parameter update with M's values winning conflicts.
+//! merge M's parameter update with M's values winning conflicts. Since later
+//! values win, an update all of whose layers a later update rewrites cannot
+//! change the result: [`links_to_rebuild`] plans a tip recovery that never
+//! fetches it. Each save records its layers (`update_layers`) for that plan.
+
+use std::collections::BTreeSet;
 
 use mmlib_model::Model;
 use mmlib_obs::{PhaseBreakdown, PhaseClock};
@@ -17,6 +22,56 @@ use crate::error::CoreError;
 use crate::merkle::{split_layer, MerkleDiff, MerkleTree};
 use crate::meta::{ApproachKind, ModelInfoDoc, ModelRelation, SavedModelId};
 use crate::recovery::SaveService;
+
+/// The layers of a plain (state-dict) parameter update, as its document
+/// lists them; `None` for every other link and for a list-less update.
+fn plain_update_layers(info: &ModelInfoDoc) -> Option<&[String]> {
+    match (info.approach, info.update_encoding.as_deref()) {
+        (ApproachKind::ParamUpdate, None | Some("state_dict")) => info.update_layers.as_deref(),
+        _ => None,
+    }
+}
+
+/// Which links of a recovery chain (tip first, as
+/// `SaveService::recovery_chain` returns it) a recovery of its tip must
+/// rebuild, in the same order. Walking down from the tip with the set of
+/// layers later links already settle, a plain parameter update is needed
+/// only if it owns a layer outside that set; its layers then join the set.
+/// Every other link is a barrier, always rebuilt, below which nothing is
+/// settled: a snapshot is the root, and a training replay, an XOR-delta
+/// decode or an update of unknown layers needs its exact base.
+pub(crate) fn links_to_rebuild(chain: &[(SavedModelId, ModelInfoDoc)]) -> Vec<bool> {
+    let mut settled: BTreeSet<&str> = BTreeSet::new();
+    chain
+        .iter()
+        .map(|(_, info)| match plain_update_layers(info) {
+            Some(layers) => {
+                let owns_a_layer = layers.iter().any(|l| !settled.contains(l.as_str()));
+                settled.extend(layers.iter().map(String::as_str));
+                owns_a_layer
+            }
+            None => {
+                settled.clear();
+                true
+            }
+        })
+        .collect()
+}
+
+/// Why an update file holding the layers `held` disagrees with its
+/// document's `update_layers`, or `None` when they agree or the document
+/// lists none. Recovery skips updates by that list, so recovery and fsck
+/// both hold each file they read to it.
+pub(crate) fn update_layers_mismatch<'a>(
+    info: &'a ModelInfoDoc,
+    held: impl IntoIterator<Item = &'a str>,
+) -> Option<String> {
+    let listed: BTreeSet<&str> =
+        info.update_layers.as_ref()?.iter().map(String::as_str).collect();
+    let held: BTreeSet<&str> = held.into_iter().collect();
+    (held != listed)
+        .then(|| format!("update file holds layers {held:?}, its document lists {listed:?}"))
+}
 
 /// Diffs the stored base tree against the model's. A base whose layer list
 /// differs from this architecture's is a bad document, not an update.
@@ -87,6 +142,7 @@ impl SaveService {
             code_file: None, // derived models share the base's code
             weights_file: Some(mmlib_store::batch_ref(0)),
             update_encoding: None,
+            update_layers: Some(diff.changed.clone()),
             layer_hash_doc: mmlib_store::batch_ref(2),
             root_hash: tree.root().to_hex(),
             train_doc: None,
@@ -164,6 +220,7 @@ impl SaveService {
             code_file: None,
             weights_file: Some(mmlib_store::batch_ref(0)),
             update_encoding: Some("delta_v1".to_string()),
+            update_layers: Some(diff.changed.clone()),
             layer_hash_doc: mmlib_store::batch_ref(2),
             root_hash: tree.root().to_hex(),
             train_doc: None,
@@ -222,6 +279,10 @@ impl SaveService {
                     })
                 }
             };
+            let held = entries.iter().map(|(p, _)| split_layer(p).0);
+            if let Some(reason) = update_layers_mismatch(info, held) {
+                return Err(CoreError::BadModelDocument { id: id.clone(), reason });
+            }
             // Merge policy (§3.2): prioritize M's information on conflicts.
             model.apply_update(&entries)?;
             Ok(model)

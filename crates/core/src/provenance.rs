@@ -126,6 +126,7 @@ impl SaveService {
             code_file: None,
             weights_file: None,
             update_encoding: None,
+            update_layers: None,
             layer_hash_doc: mmlib_store::batch_ref(1),
             root_hash: tree.root().to_hex(),
             train_doc: Some(train_doc.as_str().to_string()),

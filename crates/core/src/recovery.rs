@@ -9,7 +9,11 @@
 //! [`ModelInfoDoc::recovery_parent`], its one bound
 //! [`RecoverOptions::max_chain_depth`]), and rebuilt node by node with
 //! [`SaveService::recover_step`]; `mmlib-lineage`'s compaction and family
-//! recovery are built from the same two.
+//! recovery are built from the same two. A single-tip recovery's fold skips
+//! the parameter updates whose layers are all settled by later updates
+//! (`param_update::links_to_rebuild`): their bytes cannot reach the result.
+//! Compaction and family recovery rebuild every node, because they keep
+//! every node's model.
 
 use std::sync::Arc;
 

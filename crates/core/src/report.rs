@@ -287,7 +287,10 @@ impl SaveService {
     ///
     /// Verification (when enabled) runs once, on the final model, against
     /// the stored Merkle root of the *requested* id — intermediate chain
-    /// steps only feed parameters forward.
+    /// steps only feed parameters forward. So the fold rebuilds only the
+    /// links the result depends on (`param_update::links_to_rebuild`): a
+    /// parameter update whose layers later updates all rewrite is neither
+    /// fetched nor decoded.
     pub fn recover_report(
         &self,
         id: &SavedModelId,
@@ -305,9 +308,12 @@ impl SaveService {
                 self.timed(&mut phases, "check_env", || self.check_environment(info))?;
             }
         }
+        let plan = crate::param_update::links_to_rebuild(&chain);
         let mut model = None;
-        for (node, info) in chain.iter().rev() {
-            model = Some(self.recover_step(info, node, model, &mut phases)?);
+        for ((node, info), rebuild) in chain.iter().zip(plan).rev() {
+            if rebuild {
+                model = Some(self.recover_step(info, node, model, &mut phases)?);
+            }
         }
         let (Some(model), Some((_, info))) = (model, chain.first()) else {
             return Err(CoreError::BadModelDocument {

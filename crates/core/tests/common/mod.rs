@@ -51,10 +51,12 @@ pub fn train_spec(relation: ModelRelation, seed: u64) -> (TrainProvenance, Image
     (prov, ImageNetTrainService::new(loader, sgd, train_config))
 }
 
-/// A pass-through backend that counts `get_doc` calls per document id.
+/// A pass-through backend that counts `get_doc` calls per document id and
+/// lists the files `get_file` reads.
 pub struct DocCountingBackend {
     inner: Arc<dyn StorageBackend>,
     doc_gets: Mutex<BTreeMap<String, u32>>,
+    file_gets: Mutex<Vec<String>>,
 }
 
 impl DocCountingBackend {
@@ -64,6 +66,7 @@ impl DocCountingBackend {
         let counting = Arc::new(DocCountingBackend {
             inner: ModelStorage::open(dir).unwrap().backend(),
             doc_gets: Mutex::new(BTreeMap::new()),
+            file_gets: Mutex::new(Vec::new()),
         });
         let backend = Arc::clone(&counting) as Arc<dyn StorageBackend>;
         (SaveService::new(ModelStorage::from_backend(backend, dir)), counting)
@@ -72,6 +75,11 @@ impl DocCountingBackend {
     /// The per-document read counts since the last call.
     pub fn take_doc_gets(&self) -> BTreeMap<String, u32> {
         std::mem::take(&mut *self.doc_gets.lock().unwrap())
+    }
+
+    /// The ids of the files read since the last call, in read order.
+    pub fn take_file_gets(&self) -> Vec<String> {
+        std::mem::take(&mut *self.file_gets.lock().unwrap())
     }
 }
 
@@ -99,6 +107,7 @@ impl StorageBackend for DocCountingBackend {
         self.inner.put_file(bytes)
     }
     fn get_file(&self, id: &FileId) -> Result<Vec<u8>, StoreError> {
+        self.file_gets.lock().unwrap().push(id.as_str().to_string());
         self.inner.get_file(id)
     }
     fn file_size(&self, id: &FileId) -> Result<u64, StoreError> {

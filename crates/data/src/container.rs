@@ -11,6 +11,10 @@
 //! | per-image: len u32 | blob bytes ...
 //! | trailer: sha256 over everything above (32 bytes)
 //! ```
+//!
+//! [`unpack`] reads bytes from disk or the wire, so it is written with
+//! checked indexing and arithmetic throughout, like the wire decoder.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::arithmetic_side_effects))]
 
 use mmlib_tensor::hash::{Digest, Sha256};
 
@@ -53,7 +57,7 @@ impl std::error::Error for ContainerError {}
 /// Packs a dataset into the single-file container format.
 pub fn pack(dataset: &Dataset) -> Vec<u8> {
     let name = dataset.id().short_name();
-    let mut out = Vec::with_capacity(dataset.total_bytes() as usize + 64);
+    let mut out = Vec::with_capacity((dataset.total_bytes() as usize).saturating_add(64));
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(name.len() as u16).to_le_bytes());
@@ -80,58 +84,60 @@ pub struct Unpacked {
     pub blobs: Vec<Vec<u8>>,
 }
 
+/// Splits the first `n` bytes off `rest`.
+fn take<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8], ContainerError> {
+    let (head, tail) =
+        rest.split_at_checked(n).ok_or_else(|| ContainerError::Corrupt("truncated".into()))?;
+    *rest = tail;
+    Ok(head)
+}
+
+/// Splits the first `N` bytes off `rest`, as an array.
+fn take_array<const N: usize>(rest: &mut &[u8]) -> Result<[u8; N], ContainerError> {
+    let (head, tail) =
+        rest.split_first_chunk::<N>().ok_or_else(|| ContainerError::Corrupt("truncated".into()))?;
+    *rest = tail;
+    Ok(*head)
+}
+
 /// Unpacks and verifies a container produced by [`pack`].
 pub fn unpack(bytes: &[u8]) -> Result<Unpacked, ContainerError> {
-    if bytes.len() < 4 + 2 + 2 + 32 {
+    let Some((payload, trailer)) = bytes.split_last_chunk::<32>() else {
         return Err(ContainerError::Corrupt("too short".into()));
-    }
-    let (payload, trailer) = bytes.split_at(bytes.len() - 32);
+    };
     let mut h = Sha256::new();
     h.update(payload);
     let computed = h.finalize();
-    let stored = Digest({
-        let mut d = [0u8; 32];
-        d.copy_from_slice(trailer);
-        d
-    });
+    let stored = Digest(*trailer);
     if stored != computed {
         return Err(ContainerError::ChecksumMismatch { stored, computed });
     }
 
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Result<&[u8], ContainerError> {
-        if *pos + n > payload.len() {
-            return Err(ContainerError::Corrupt("truncated".into()));
-        }
-        let s = &payload[*pos..*pos + n];
-        *pos += n;
-        Ok(s)
-    };
-
-    if take(&mut pos, 4)? != MAGIC {
+    let mut rest = payload;
+    if take_array::<4>(&mut rest)? != *MAGIC {
         return Err(ContainerError::Corrupt("bad magic".into()));
     }
-    let version = u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap());
+    let version = u16::from_le_bytes(take_array(&mut rest)?);
     if version != VERSION {
         return Err(ContainerError::Corrupt(format!("unsupported version {version}")));
     }
-    let name_len = u16::from_le_bytes(take(&mut pos, 2)?.try_into().unwrap()) as usize;
-    let name = std::str::from_utf8(take(&mut pos, name_len)?)
+    let name_len = usize::from(u16::from_le_bytes(take_array(&mut rest)?));
+    let name = std::str::from_utf8(take(&mut rest, name_len)?)
         .map_err(|_| ContainerError::Corrupt("name not utf-8".into()))?
         .to_string();
     let id = DatasetId::from_short_name(&name).ok_or(ContainerError::UnknownDataset(name))?;
-    let images = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
-    let total = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap());
+    let images = u64::from_le_bytes(take_array(&mut rest)?);
+    let total = u64::from_le_bytes(take_array(&mut rest)?);
     // The header's image count is untrusted: every image takes at least its
     // 4-byte length, so the remaining payload bounds the reservation.
-    let mut blobs = Vec::with_capacity(images.min((payload.len() - pos) as u64 / 4) as usize);
+    let mut blobs = Vec::with_capacity(images.min(rest.len() as u64 / 4) as usize);
     let mut seen = 0u64;
     for _ in 0..images {
-        let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        blobs.push(take(&mut pos, len)?.to_vec());
-        seen += len as u64;
+        let len = u32::from_le_bytes(take_array(&mut rest)?);
+        blobs.push(take(&mut rest, len as usize)?.to_vec());
+        seen = seen.saturating_add(u64::from(len));
     }
-    if pos != payload.len() {
+    if !rest.is_empty() {
         return Err(ContainerError::Corrupt("trailing bytes before checksum".into()));
     }
     if seen != total {

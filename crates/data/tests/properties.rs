@@ -74,3 +74,49 @@ proptest! {
         prop_assert_eq!(sum, spec.total_bytes);
     }
 }
+
+/// Seals `payload` with a valid SHA-256 trailer, as a hostile writer could,
+/// so that what follows reaches the parser instead of the checksum.
+fn reseal(mut payload: Vec<u8>) -> Vec<u8> {
+    let digest = mmlib_tensor::hash::sha256(&payload);
+    payload.extend_from_slice(&digest.0);
+    payload
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// `unpack` returns, never panics, on arbitrary bytes: as they are, and
+    /// resealed behind a valid magic, version and dataset name.
+    #[test]
+    fn unpack_never_panics_on_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+        let _ = container::unpack(&bytes);
+        let mut payload = container::pack(&Dataset::new(DatasetId::CocoFood512, 0.0001));
+        payload.truncate(14);
+        payload.extend_from_slice(&bytes);
+        let _ = container::unpack(&reseal(payload));
+    }
+
+    /// Every single-byte change of a valid container, resealed, is decoded
+    /// or refused, never a panic. Half the cases land in the header and the
+    /// first index entries, where the parser's lengths live.
+    #[test]
+    fn unpack_never_panics_on_a_resealed_single_byte_mutation(
+        front in any::<bool>(),
+        near in 0usize..64,
+        frac in 0.0f64..1.0,
+        value in any::<u8>(),
+    ) {
+        let packed = container::pack(&Dataset::new(DatasetId::CocoFood512, 0.0001));
+        let mut payload = packed[..packed.len() - 32].to_vec();
+        let pos = if front { near } else { ((payload.len() - 1) as f64 * frac) as usize };
+        payload[pos] = value;
+        match container::unpack(&reseal(payload)) {
+            Ok(unpacked) => prop_assert_eq!(unpacked.id, DatasetId::CocoFood512),
+            Err(container::ContainerError::ChecksumMismatch { .. }) => {
+                prop_assert!(false, "a resealed container failed its checksum")
+            }
+            Err(_) => {}
+        }
+    }
+}

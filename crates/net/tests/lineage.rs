@@ -49,6 +49,7 @@ impl Served {
             code_file: None,
             weights_file: Some("weights-1".into()),
             update_encoding: None,
+            update_layers: None,
             layer_hash_doc: "hashes-1".into(),
             root_hash: "ab".repeat(32),
             train_doc: None,

@@ -38,6 +38,7 @@ fn every_request_opcode_round_trips_and_is_counted_once() {
             code_file: None,
             weights_file: None,
             update_encoding: None,
+            update_layers: None,
             layer_hash_doc: "hashes-1".into(),
             root_hash: "beef".into(),
             train_doc: None,

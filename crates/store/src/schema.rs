@@ -123,6 +123,13 @@ pub struct ModelInfoDoc {
     /// (the storage-extension codec in `mmlib-compress`).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub update_encoding: Option<String>,
+    /// The layers a parameter update's weights file holds (the save's
+    /// Merkle diff). Recovery applies only the updates that still own a
+    /// layer no later update rewrites, and checks each file it applies
+    /// against this list. Absent for snapshots, provenance saves and
+    /// updates saved before the list existed.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub update_layers: Option<Vec<String>>,
     /// Layer-hash (Merkle) document id.
     pub layer_hash_doc: String,
     /// Merkle root over the model's layer hashes (hex) — the recovery
@@ -461,6 +468,7 @@ mod tests {
             code_file: None,
             weights_file: Some("f-1".into()),
             update_encoding: None,
+            update_layers: None,
             layer_hash_doc: "abc-3".into(),
             root_hash: "00".repeat(32),
             train_doc: None,

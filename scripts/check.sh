@@ -25,7 +25,8 @@ lap test
 #               unique wire bytes (explicit #[repr(u8)] discriminants)
 #   clippy      P1 panic-freedom, D1 determinism hygiene (clippy.toml),
 #               C1 truncating casts (deny line in each lib.rs); checked
-#               indexing and arithmetic in the wire decoder (protocol.rs);
+#               indexing and arithmetic in the wire decoder (protocol.rs)
+#               and the dataset container decoder (container.rs);
 #               a discarded StagedWrite (#[must_use])
 #   types       admission budgets given back by `Drop for Admission`; a
 #               staged write committed at most once (`commit_staged` takes
@@ -39,7 +40,7 @@ lap test
 #               deliberate lock-held I/O sites in net say why in a comment
 #
 # The clippy rules' scopes live in the files they guard, so pin them here:
-# the exact deny line in each listed lib.rs (and in the wire decoder), the
+# the exact deny line in each listed lib.rs (and in the two decoders), the
 # workspace lint table in every manifest (shims too: clippy.toml is found
 # from any member, so a crate outside the table would have D1 on by
 # default), and a cap on `#[expect]` suppressions (13 P1 + 1 D1 + 2 C1; it
@@ -62,7 +63,7 @@ libs() { local c; for c in "$@"; do echo "crates/$c/src/lib.rs"; done; }
 pin P1 "$P1" $(libs core net store tensor dist obs lineage)
 pin D1 "$D1" $(libs tensor train model core lineage dist)
 pin C1 "$C1" $(libs net store)
-pin decoder "$DECODE" crates/net/src/protocol.rs
+pin decoder "$DECODE" crates/net/src/protocol.rs crates/data/src/container.rs
 for m in Cargo.toml crates/*/Cargo.toml crates/shims/*/Cargo.toml; do
     if ! grep -A1 -xF '[lints]' "$m" | grep -qxF 'workspace = true'; then
         echo "check.sh: $m lost '[lints] workspace = true' (F1 and the D1 default)" >&2
