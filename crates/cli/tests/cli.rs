@@ -184,6 +184,46 @@ fn lineage_compact_promotes_and_recovery_still_verifies() {
     assert!(out.contains("verified OK") && out.contains("chain depth 0"), "{out}");
     let out = run(&args(dir.path(), &["lineage", "ancestry", &update])).unwrap();
     assert!(out.contains("[rebased from"), "{out}");
+    // `show` reports what the promoted model-info records: a snapshot,
+    // with no update layers to count.
+    let out = run(&args(dir.path(), &["lineage", "show", &update])).unwrap();
+    assert!(out.contains("approach: BA") && out.contains("rebased:  from"), "{out}");
+    assert!(!out.contains("changed:"), "{out}");
+    let out = run(&args(dir.path(), &["fsck"])).unwrap();
+    assert!(out.contains("clean"), "{out}");
+}
+
+/// A document of the retired `lineage` kind, left in a store of saved
+/// models, is no lineage node: lineage ignores it, GC leaves it alone, and
+/// fsck reports it as an orphan document that `--repair` quarantines.
+#[test]
+fn a_leftover_lineage_document_is_an_orphan() {
+    let dir = tempfile::tempdir().unwrap();
+    let (initial, update) = seed_store(dir.path());
+    let show = |id: &str| run(&args(dir.path(), &["lineage", "show", id])).unwrap();
+    let (shown_initial, shown_update) = (show(&initial), show(&update));
+
+    let storage = ModelStorage::open(dir.path()).unwrap();
+    let record = serde_json::json!({
+        "model": &update, "parent": null, "approach": "baseline",
+        "relation": "initial", "root_hash": "00", "tags": ["stale"],
+    });
+    let leftover = storage.insert_doc("lineage", record).unwrap();
+
+    let graph = mmlib_store::schema::LineageGraph::read(&storage).unwrap();
+    assert_eq!(graph.len(), 2);
+    assert_eq!((show(&initial), show(&update)), (shown_initial, shown_update));
+
+    let out = run(&args(dir.path(), &["gc", "--keep", &update])).unwrap();
+    assert!(out.contains("removed 0 model(s)"), "{out}");
+    assert!(storage.docs().contains(&leftover));
+
+    let out = run(&args(dir.path(), &["fsck"])).unwrap();
+    assert!(out.contains(&format!("orphan document {leftover} (kind \"lineage\")")), "{out}");
+    assert!(out.contains("1 issue(s)"), "{out}");
+    let out = run(&args(dir.path(), &["fsck", "--repair"])).unwrap();
+    assert!(out.contains("1 entr(ies) quarantined"), "{out}");
+    assert!(!storage.docs().contains(&leftover));
     let out = run(&args(dir.path(), &["fsck"])).unwrap();
     assert!(out.contains("clean"), "{out}");
 }

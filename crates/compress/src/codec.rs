@@ -18,6 +18,12 @@
 //!           payload_len(varint) payload
 //! mode   := 0 raw-rle | 1 delta-rle
 //! ```
+//!
+//! [`decode_update`] reads bytes from disk or the wire, so this module is
+//! written with checked indexing and arithmetic throughout, like the wire
+//! decoder.
+
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::arithmetic_side_effects))]
 
 use mmlib_tensor::hash::{Digest, Sha256};
 use mmlib_tensor::{Shape, Tensor};
@@ -90,9 +96,8 @@ pub fn encode_update<'a>(
 
     let mut raw_bytes = 0u64;
     let mut delta_entries = 0usize;
-    let mut raw_entries = 0usize;
     for (name, tensor) in entries {
-        raw_bytes += tensor.nbytes() as u64;
+        raw_bytes = raw_bytes.saturating_add(tensor.nbytes() as u64);
         let own_words: Vec<u32> = tensor.data().iter().map(|v| v.to_bits()).collect();
         let raw_payload = rle_planes(&own_words);
         let delta_payload = base(name)
@@ -100,14 +105,12 @@ pub fn encode_update<'a>(
             .map(|d| rle_planes(&d));
 
         let (mode, payload) = match delta_payload {
-            Some(dp) if dp.len() < raw_payload.len() => (MODE_DELTA, dp),
+            Some(dp) if dp.len() < raw_payload.len() => {
+                delta_entries = delta_entries.saturating_add(1);
+                (MODE_DELTA, dp)
+            }
             _ => (MODE_RAW, raw_payload),
         };
-        if mode == MODE_DELTA {
-            delta_entries += 1;
-        } else {
-            raw_entries += 1;
-        }
 
         varint::write_u64(name.len() as u64, &mut out);
         out.extend_from_slice(name.as_bytes());
@@ -124,7 +127,33 @@ pub fn encode_update<'a>(
     h.update(&out);
     let digest = h.finalize();
     out.extend_from_slice(&digest.0);
+    let raw_entries = entries.len().saturating_sub(delta_entries);
     EncodedUpdate { bytes: out, raw_bytes, delta_entries, raw_entries }
+}
+
+/// Splits the first `n` bytes off `rest`; `what` names the field a short
+/// frame truncated.
+fn take<'a>(rest: &mut &'a [u8], n: usize, what: &str) -> Result<&'a [u8], CodecError> {
+    let (head, tail) =
+        rest.split_at_checked(n).ok_or_else(|| CodecError::Corrupt(format!("truncated {what}")))?;
+    *rest = tail;
+    Ok(head)
+}
+
+/// Splits the first `N` bytes off `rest`, as an array.
+fn take_array<const N: usize>(rest: &mut &[u8], what: &str) -> Result<[u8; N], CodecError> {
+    let (head, tail) = rest
+        .split_first_chunk::<N>()
+        .ok_or_else(|| CodecError::Corrupt(format!("truncated {what}")))?;
+    *rest = tail;
+    Ok(*head)
+}
+
+/// Reads a varint length or count off the front of `rest`.
+fn take_len(rest: &mut &[u8]) -> Result<usize, CodecError> {
+    varint::take_u64(rest)
+        .and_then(|v| usize::try_from(v).ok())
+        .ok_or_else(|| CodecError::Corrupt("bad varint".into()))
 }
 
 /// Decodes an update frame, resolving delta entries against `base`.
@@ -132,79 +161,52 @@ pub fn decode_update<'a>(
     bytes: &[u8],
     base: &dyn Fn(&str) -> Option<&'a Tensor>,
 ) -> Result<Vec<(String, Tensor)>, CodecError> {
-    if bytes.len() < 4 + 2 + 1 + 32 {
-        return Err(CodecError::Corrupt("too short".into()));
-    }
-    let (payload, trailer) = bytes.split_at(bytes.len() - 32);
+    // Magic, version and a one-byte count at least, then the trailer.
+    let (payload, trailer) = match bytes.split_last_chunk::<32>() {
+        Some((payload, trailer)) if payload.len() >= 7 => (payload, trailer),
+        _ => return Err(CodecError::Corrupt("too short".into())),
+    };
     let mut h = Sha256::new();
     h.update(payload);
-    let computed = h.finalize();
-    let stored = Digest({
-        let mut d = [0u8; 32];
-        d.copy_from_slice(trailer);
-        d
-    });
-    if stored != computed {
+    if Digest(*trailer) != h.finalize() {
         return Err(CodecError::ChecksumMismatch);
     }
 
-    let mut pos = 0usize;
-    if &payload[..4] != MAGIC {
+    let mut rest = payload;
+    if take_array::<4>(&mut rest, "magic")? != *MAGIC {
         return Err(CodecError::Corrupt("bad magic".into()));
     }
-    pos += 4;
-    let version = u16::from_le_bytes([payload[4], payload[5]]);
+    let version = u16::from_le_bytes(take_array(&mut rest, "version")?);
     if version != VERSION {
         return Err(CodecError::Corrupt(format!("unsupported version {version}")));
     }
-    pos += 2;
-
-    let read_varint = |pos: &mut usize| -> Result<u64, CodecError> {
-        let (v, used) =
-            varint::read_u64(&payload[*pos..]).ok_or(CodecError::Corrupt("bad varint".into()))?;
-        *pos += used;
-        Ok(v)
-    };
 
     // The trailer is a checksum, not a MAC: anyone can re-seal a hostile
     // frame, so every length is checked against the bytes remaining and
     // every product is checked, never trusted to fit.
-    let count = read_varint(&mut pos)? as usize;
+    let count = take_len(&mut rest)?;
     let mut out = Vec::with_capacity(count.min(1 << 20));
     for _ in 0..count {
-        let name_len = read_varint(&mut pos)? as usize;
-        if name_len > payload.len() - pos {
-            return Err(CodecError::Corrupt("truncated name".into()));
-        }
-        let name = std::str::from_utf8(&payload[pos..pos + name_len])
+        let name_len = take_len(&mut rest)?;
+        let name = std::str::from_utf8(take(&mut rest, name_len, "name")?)
             .map_err(|_| CodecError::Corrupt("name not utf-8".into()))?
             .to_string();
-        pos += name_len;
-        if pos >= payload.len() {
-            return Err(CodecError::Corrupt("truncated mode".into()));
-        }
-        let mode = payload[pos];
-        pos += 1;
-        let rank = read_varint(&mut pos)? as usize;
+        let [mode] = take_array(&mut rest, "mode")?;
+        let rank = take_len(&mut rest)?;
         if rank > 8 {
             return Err(CodecError::Corrupt(format!("implausible rank {rank}")));
         }
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(read_varint(&mut pos)? as usize);
-        }
+        let dims = (0..rank).map(|_| take_len(&mut rest)).collect::<Result<Vec<_>, _>>()?;
         let shape = Shape::new(dims);
-        let Some(numel) = shape.checked_numel().filter(|&n| n <= 1 << 33) else {
+        let Some(plane_bytes) =
+            shape.checked_numel().filter(|&n| n <= 1 << 33).and_then(|n| n.checked_mul(4))
+        else {
             return Err(CodecError::Corrupt(format!("implausible element count for dims {shape}")));
         };
-        let payload_len = read_varint(&mut pos)? as usize;
-        if payload_len > payload.len() - pos {
-            return Err(CodecError::Corrupt("truncated payload".into()));
-        }
-        let body = &payload[pos..pos + payload_len];
-        pos += payload_len;
+        let payload_len = take_len(&mut rest)?;
+        let body = take(&mut rest, payload_len, "payload")?;
 
-        let planes = rle::decode(body, numel * 4)
+        let planes = rle::decode(body, plane_bytes)
             .ok_or(CodecError::Corrupt("bad rle stream".into()))?;
         let words =
             byteplane::merge(&planes).ok_or(CodecError::Corrupt("bad byte planes".into()))?;
@@ -225,7 +227,7 @@ pub fn decode_update<'a>(
         };
         out.push((name, tensor));
     }
-    if pos != payload.len() {
+    if !rest.is_empty() {
         return Err(CodecError::Corrupt("trailing bytes".into()));
     }
     Ok(out)

@@ -10,6 +10,11 @@
 //!
 //! starting with a zero run (possibly 0), repeated until the input is
 //! consumed. Worst case overhead is two varint bytes per literal chunk.
+//!
+//! [`decode`] reads bytes from disk or the wire, so this module is written
+//! with checked indexing and arithmetic throughout, like the wire decoder.
+
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::arithmetic_side_effects))]
 
 use crate::varint;
 
@@ -18,61 +23,67 @@ const MAX_LITERAL: usize = 1 << 16;
 
 /// Encodes `input` with zero-RLE.
 pub fn encode(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 4 + 16);
-    let mut pos = 0usize;
-    while pos < input.len() {
-        // Count zeros.
-        let zero_start = pos;
-        while pos < input.len() && input[pos] == 0 {
-            pos += 1;
-        }
-        varint::write_u64((pos - zero_start) as u64, &mut out);
-        // Count literals: run until the next "worthwhile" zero run (>= 4)
-        // or the chunk limit, so isolated zeros don't fragment literals.
-        let lit_start = pos;
-        while pos < input.len() && pos - lit_start < MAX_LITERAL {
-            if input[pos] == 0 {
-                let run_end = input[pos..]
-                    .iter()
-                    .position(|&b| b != 0)
-                    .map_or(input.len(), |off| pos + off);
-                if run_end - pos >= 4 || run_end == input.len() {
-                    break;
-                }
-                pos = run_end;
-            } else {
-                pos += 1;
-            }
-        }
-        varint::write_u64((pos - lit_start) as u64, &mut out);
-        out.extend_from_slice(&input[lit_start..pos]);
+    let mut out = Vec::with_capacity((input.len() / 4).saturating_add(16));
+    let mut rest = input;
+    while !rest.is_empty() {
+        let zeros = rest.iter().take_while(|&&b| b == 0).count();
+        varint::write_u64(zeros as u64, &mut out);
+        let tail = rest.get(zeros..).unwrap_or_default();
+        let (literal, tail) = tail.split_at_checked(literal_len(tail)).unwrap_or((tail, &[]));
+        varint::write_u64(literal.len() as u64, &mut out);
+        out.extend_from_slice(literal);
+        rest = tail;
     }
     out
 }
 
+/// The length of the literal chunk at the front of `input`: it runs until
+/// the next "worthwhile" zero run (>= 4, or reaching the end) or the chunk
+/// limit, so isolated zeros don't fragment literals.
+fn literal_len(input: &[u8]) -> usize {
+    let mut len = 0usize;
+    while len < MAX_LITERAL {
+        let tail = input.get(len..).unwrap_or_default();
+        let step = match tail.first() {
+            None => break,
+            Some(0) => {
+                let zeros = tail.iter().take_while(|&&b| b == 0).count();
+                if zeros >= 4 || zeros == tail.len() {
+                    break;
+                }
+                zeros
+            }
+            Some(_) => 1,
+        };
+        len = len.saturating_add(step);
+    }
+    len
+}
+
 /// Decodes a zero-RLE stream produced by [`encode`].
 ///
-/// `expected_len` bounds the output (corrupt streams cannot balloon). Run
+/// `expected_len` bounds the output, and so what the decode allocates:
+/// corrupt streams cannot balloon past it, so the caller bounds it. Run
 /// lengths are untrusted: each is compared against the room left, never
 /// added to a position first.
 pub fn decode(input: &[u8], expected_len: usize) -> Option<Vec<u8>> {
     // A frame's `expected_len` is as untrusted as its runs, so it only
     // sizes the first allocation up to a bound; past it, the output grows.
     let mut out = Vec::with_capacity(expected_len.min(1 << 26));
-    let mut pos = 0usize;
-    while pos < input.len() {
-        let (zeros, used) = varint::read_u64(&input[pos..])?;
-        pos += used;
-        let zeros = usize::try_from(zeros).ok().filter(|&z| z <= expected_len - out.len())?;
-        out.resize(out.len() + zeros, 0);
-        let (lits, used) = varint::read_u64(&input[pos..])?;
-        pos += used;
-        let lits = usize::try_from(lits).ok()?;
-        if lits > input.len() - pos || lits > expected_len - out.len() {
+    let mut rest = input;
+    while !rest.is_empty() {
+        let zeros = usize::try_from(varint::take_u64(&mut rest)?).ok()?;
+        if zeros > expected_len.checked_sub(out.len())? {
             return None;
         }
-        out.extend_from_slice(&input[pos..pos + lits]);
-        pos += lits;
+        out.resize(out.len().checked_add(zeros)?, 0);
+        let lits = usize::try_from(varint::take_u64(&mut rest)?).ok()?;
+        if lits > expected_len.checked_sub(out.len())? {
+            return None;
+        }
+        let (literal, tail) = rest.split_at_checked(lits)?;
+        out.extend_from_slice(literal);
+        rest = tail;
     }
     (out.len() == expected_len).then_some(out)
 }

@@ -37,6 +37,14 @@ pub fn read_u64(input: &[u8]) -> Option<(u64, usize)> {
     None
 }
 
+/// Reads a LEB128 varint off the front of `rest` and advances `rest` past
+/// it, or returns `None` (leaving `rest` as it was) on truncation/overflow.
+pub fn take_u64(rest: &mut &[u8]) -> Option<u64> {
+    let (value, used) = read_u64(rest)?;
+    *rest = rest.get(used..)?;
+    Some(value)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,6 +2,7 @@
 //! tensors (including special values), every corruption is detected, and a
 //! hostile frame re-sealed with a valid trailer is an error, never a panic.
 
+use mmlib_compress::rle;
 use mmlib_compress::varint::write_u64;
 use mmlib_compress::{decode_update, encode_update, CodecError};
 use mmlib_tensor::hash::Sha256;
@@ -134,5 +135,37 @@ proptest! {
         frame[pos] = byte;
         // Any outcome but a panic: a byte can still re-seal a valid frame.
         let _ = decode_update(&seal(frame), &base_fn);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// `rle::decode` returns, never panics, on arbitrary bytes and any
+    /// output bound the caller gives it, and what it returns has exactly
+    /// that length.
+    #[test]
+    fn rle_decode_never_panics_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+        expected_len in 0usize..1 << 16,
+    ) {
+        if let Some(out) = rle::decode(&bytes, expected_len) {
+            prop_assert_eq!(out.len(), expected_len);
+        }
+    }
+
+    /// `decode_update` returns, never panics, on arbitrary bytes: as they
+    /// are, and sealed behind a valid magic and version, so the parser
+    /// runs past the checksum.
+    #[test]
+    fn decode_update_never_panics_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let none = |_: &str| None;
+        let _ = decode_update(&bytes, &none);
+        let mut frame = b"MMCU".to_vec();
+        frame.extend_from_slice(&1u16.to_le_bytes());
+        frame.extend_from_slice(&bytes);
+        let _ = decode_update(&seal(frame), &none);
     }
 }

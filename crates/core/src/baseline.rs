@@ -46,11 +46,11 @@ impl SaveService {
 
         // The whole save is one batch commit: artifacts first, then the
         // model-info document referencing them by intra-batch `$batch:N`
-        // placeholders, then the lineage record referencing model-info.
-        // Item order is visibility order, so the old write-after-write
-        // crash semantics hold while the save pays one durability tail
-        // (one staged fdatasync per item + one directory fsync per store)
-        // instead of a tmp+fsync+rename+dir-fsync round per artifact.
+        // placeholders. Item order is visibility order, so the old
+        // write-after-write crash semantics hold while the save pays one
+        // durability tail (one staged fdatasync per item + one directory
+        // fsync per store) instead of a tmp+fsync+rename+dir-fsync round
+        // per artifact.
         let info = ModelInfoDoc {
             approach: crate::meta::ApproachKind::Baseline,
             arch: model.arch.name().to_string(),
@@ -65,6 +65,8 @@ impl SaveService {
             root_hash: tree.root().to_hex(),
             train_doc: None,
             dataset: None,
+            tags: Vec::new(),
+            rebased_from: None,
         };
         let batch = vec![
             self.environment_item()?,
@@ -72,7 +74,6 @@ impl SaveService {
             mmlib_store::BatchItem::File { bytes },
             self.layer_hashes_item(&tree)?,
             self.model_info_item(&info)?,
-            self.lineage_item(&info, mmlib_store::batch_ref(4), None)?,
         ];
         let ids = clock.time("write", || self.storage().commit_batch(batch))?;
         Ok(SavedModelId(crate::recovery::batch_doc_id(ids.into_iter().nth(4))?))
@@ -86,10 +87,10 @@ impl SaveService {
     /// stored Merkle root first, then the full state dict is written as a
     /// new weights file and the model-info document is updated: approach
     /// becomes [`ApproachKind::Baseline`](crate::meta::ApproachKind), the
-    /// recovery base is cleared, and a parameter update's old delta file is
-    /// removed. Content identity — the id, root hash, and layer-hash
-    /// document — is untouched, so recovery stays byte-identical while its
-    /// chain depth drops to zero. Returns the file id the old weights file
+    /// base moves to `rebased_from` (so the model no longer depends on it),
+    /// and a parameter update's old delta file is removed. Content identity
+    /// — the id, root hash, and layer-hash document — is untouched, so
+    /// recovery stays byte-identical while its chain depth drops to zero. Returns the file id the old weights file
     /// had, when one was replaced.
     ///
     /// Crash ordering: new file → document update → old-file removal, so an
@@ -113,13 +114,11 @@ impl SaveService {
 
         let old_weights = info.weights_file.take();
         info.approach = crate::meta::ApproachKind::Baseline;
-        info.base_model = None;
+        info.rebased_from = info.base_model.take();
         info.weights_file = Some(weights_file.as_str().to_string());
         info.update_encoding = None;
         info.update_layers = None;
-        self.storage()
-            .docs()
-            .update(id.doc_id(), crate::error::to_json_value("ModelInfoDoc", &info)?)?;
+        self.update_model_info(id, &info)?;
 
         if let Some(old) = &old_weights {
             self.storage().files().remove(&mmlib_store::FileId::from_string(old.clone()))?;

@@ -125,25 +125,6 @@ pub enum FsckIssue {
         /// The inconsistent model.
         model: SavedModelId,
     },
-    /// A lineage record describing a model that does not exist (the model
-    /// was removed without its record, or the record survived a crash the
-    /// model did not).
-    OrphanLineage {
-        /// The lineage document.
-        id: DocId,
-        /// The model id the record claims to describe.
-        model: String,
-    },
-    /// A lineage record whose `parent` reference is not a saved model —
-    /// the ancestry edge dangles.
-    DanglingLineageParent {
-        /// The lineage document.
-        id: DocId,
-        /// The model the record describes.
-        model: String,
-        /// The unresolvable parent reference.
-        parent: String,
-    },
     /// A document no saved model reaches.
     OrphanDoc {
         /// The unreferenced document.
@@ -184,12 +165,6 @@ impl std::fmt::Display for FsckIssue {
             }
             FsckIssue::RootHashMismatch { model } => {
                 write!(f, "model {model}: merkle root does not match recorded root_hash")
-            }
-            FsckIssue::OrphanLineage { id, model } => {
-                write!(f, "lineage record {id} describes missing model {model}")
-            }
-            FsckIssue::DanglingLineageParent { id, model, parent } => {
-                write!(f, "lineage record {id} of model {model}: parent {parent} does not exist")
             }
             FsckIssue::OrphanDoc { id, kind } => {
                 write!(f, "orphan document {id} (kind {kind:?})")
@@ -268,10 +243,7 @@ pub fn fsck(storage: &ModelStorage, opts: &FsckOptions) -> Result<FsckReport, Co
         reachable_docs: BTreeSet::new(),
         reachable_files: BTreeSet::new(),
     };
-    c.report.docs_seen = graph.models.len()
-        + graph.lineage.values().map(Vec::len).sum::<usize>()
-        + graph.others.len()
-        + graph.unreadable.len();
+    c.report.docs_seen = graph.models.len() + graph.others.len() + graph.unreadable.len();
     c.report.files_seen = c.file_set.len();
     c.leftover_tmps()?;
     c.unreadable_docs()?;
@@ -279,7 +251,6 @@ pub fn fsck(storage: &ModelStorage, opts: &FsckOptions) -> Result<FsckReport, Co
         c.check_model(id, info)?;
     }
     c.report.models_checked = graph.models.len();
-    c.lineage_pass()?;
     c.orphan_pass()?;
     Ok(c.report)
 }
@@ -488,38 +459,6 @@ impl Checker<'_> {
         Ok(())
     }
 
-    /// Walks the lineage edges: every `lineage` document must describe an
-    /// existing model, and its `parent` reference (the live ancestry edge)
-    /// must resolve to a saved model. Violations are quarantined in repair
-    /// mode — a lineage record is derived metadata; removing it never
-    /// affects recoverability. `rebased_from` is historical provenance of
-    /// compaction and is deliberately *not* treated as an edge: compaction
-    /// exists precisely so the old base can be collected.
-    fn lineage_pass(&mut self) -> Result<(), CoreError> {
-        let graph = self.graph;
-        let is_model = |m: &str| {
-            graph.models.contains_key(&SavedModelId(DocId::from_string(m.to_string())))
-        };
-        for (model, records) in &graph.lineage {
-            for (id, record) in records {
-                let issue = if !graph.models.contains_key(model) {
-                    FsckIssue::OrphanLineage { id: id.clone(), model: record.model.clone() }
-                } else if let Some(parent) = record.parent.as_ref().filter(|p| !is_model(p)) {
-                    FsckIssue::DanglingLineageParent {
-                        id: id.clone(),
-                        model: record.model.clone(),
-                        parent: parent.clone(),
-                    }
-                } else {
-                    continue;
-                };
-                self.quarantine_doc(id)?;
-                self.report.issues.push(issue);
-            }
-        }
-        Ok(())
-    }
-
     /// Reports (and in repair mode quarantines) every document and blob no
     /// saved model reaches.
     fn orphan_pass(&mut self) -> Result<(), CoreError> {
@@ -680,69 +619,6 @@ mod tests {
         let after =
             fsck(svc.storage(), &FsckOptions::default()).unwrap();
         assert!(after.issues.iter().all(|i| matches!(i, FsckIssue::MissingDoc { .. })));
-    }
-
-    /// The lineage document describing `id`.
-    fn lineage_doc_of(svc: &SaveService, id: &SavedModelId) -> DocId {
-        read_store(svc.storage()).unwrap().lineage[id][0].0.clone()
-    }
-
-    #[test]
-    fn orphaned_lineage_record_is_reported_and_quarantined() {
-        let dir = tempfile::tempdir().unwrap();
-        let svc = service(dir.path());
-        let model = Model::new_initialized(ArchId::TinyCnn, 7);
-        let id = svc.save(SaveRequest::full(&model)).unwrap().id;
-
-        // Remove the model doc but leave its lineage record behind.
-        let lineage = lineage_doc_of(&svc, &id);
-        svc.storage().docs().remove(id.doc_id()).unwrap();
-
-        let report = fsck(svc.storage(), &FsckOptions::default()).unwrap();
-        assert!(
-            report
-                .issues
-                .iter()
-                .any(|i| matches!(i, FsckIssue::OrphanLineage { id, .. } if *id == lineage)),
-            "orphaned lineage not reported: {:?}",
-            report.issues
-        );
-        let repaired =
-            fsck(svc.storage(), &FsckOptions { repair: true, ..Default::default() }).unwrap();
-        assert!(!repaired.quarantined.is_empty());
-        let after = fsck(svc.storage(), &FsckOptions::default()).unwrap();
-        assert!(
-            !after.issues.iter().any(|i| matches!(i, FsckIssue::OrphanLineage { .. })),
-            "quarantine must clear the orphaned record: {:?}",
-            after.issues
-        );
-    }
-
-    #[test]
-    fn dangling_lineage_parent_is_reported_and_quarantined() {
-        let dir = tempfile::tempdir().unwrap();
-        let svc = service(dir.path());
-        let model = Model::new_initialized(ArchId::TinyCnn, 7);
-        let id = svc.save(SaveRequest::full(&model)).unwrap().id;
-
-        // Rewrite the lineage record to claim a parent that was never saved.
-        let lineage = lineage_doc_of(&svc, &id);
-        let mut body = svc.storage().get_doc(&lineage).unwrap().body;
-        body["parent"] = serde_json::json!("model-that-never-was");
-        svc.storage().docs().update(&lineage, body).unwrap();
-
-        let report = fsck(svc.storage(), &FsckOptions::default()).unwrap();
-        assert!(
-            report.issues.iter().any(|i| matches!(
-                i,
-                FsckIssue::DanglingLineageParent { parent, .. } if parent == "model-that-never-was"
-            )),
-            "dangling parent not reported: {:?}",
-            report.issues
-        );
-        fsck(svc.storage(), &FsckOptions { repair: true, ..Default::default() }).unwrap();
-        let after = fsck(svc.storage(), &FsckOptions::default()).unwrap();
-        assert!(after.is_clean(), "store dirty after repair: {:?}", after.issues);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! * [`read_store`] — the one read of a store for maintenance: every
 //!   document, read once, into the [`DependencyGraph`] that deletion, GC
 //!   and fsck are all built on. (The lineage graph has its own read,
-//!   `mmlib_store::schema::LineageGraph::read`, which keeps no bodies but
-//!   the two kinds it decodes.)
+//!   `mmlib_store::schema::LineageGraph::read`, which keeps one node per
+//!   model-info document and no bodies: a model's lineage is its model-info
+//!   document, so deleting the model deletes its lineage too.)
 //! * [`delete_model`] — deletes one model's documents and files, refusing
 //!   while other saved models still depend on it.
 //! * [`collect_garbage`] — mark-and-sweep: given a set of *live* roots,
@@ -24,10 +25,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use mmlib_store::{DocId, Document, ModelStorage, StoreError};
+use mmlib_store::{DocId, Document, ModelStorage};
 
 use crate::error::CoreError;
-use crate::meta::{kinds, LineageRecordDoc, ModelInfoDoc, Ref, SavedModelId, BASE_MODEL};
+use crate::meta::{kinds, ModelInfoDoc, Ref, SavedModelId, BASE_MODEL};
 use crate::recovery::SaveService;
 
 /// One read of a store, sorted by document kind, with the base/derived
@@ -38,10 +39,6 @@ pub struct DependencyGraph {
     pub models: BTreeMap<SavedModelId, ModelInfoDoc>,
     /// Model id → ids of models directly derived from it.
     pub dependents: BTreeMap<SavedModelId, Vec<SavedModelId>>,
-    /// Model id → the lineage records describing it (normally one), in
-    /// document-id order. A key need not be a saved model: a record can
-    /// outlive its model.
-    pub lineage: BTreeMap<SavedModelId, Vec<(DocId, LineageRecordDoc)>>,
     /// Every other document (environments, layer hashes, wrappers, ...).
     pub others: BTreeMap<DocId, Document>,
     /// Documents that could not be read, or whose body does not decode to
@@ -155,16 +152,6 @@ pub fn read_store(storage: &ModelStorage) -> Result<DependencyGraph, CoreError> 
                     graph.unreadable.push((id, err));
                 }
             },
-            kinds::LINEAGE => match serde_json::from_value::<LineageRecordDoc>(doc.body) {
-                Ok(record) => {
-                    let model = SavedModelId(DocId::from_string(record.model.clone()));
-                    graph.lineage.entry(model).or_default().push((id, record));
-                }
-                Err(e) => {
-                    let err = StoreError::Malformed(format!("undecodable lineage record: {e}"));
-                    graph.unreadable.push((id, err.into()));
-                }
-            },
             _ => {
                 graph.others.insert(id, doc);
             }
@@ -219,8 +206,8 @@ pub fn delete_model(svc: &SaveService, id: &SavedModelId) -> Result<GcReport, Co
     sweep(svc, &graph, &[id], kept)
 }
 
-/// Removes the `garbage` models: each one's document, its lineage records,
-/// and every artifact it owns that no `kept` model owns too.
+/// Removes the `garbage` models: each one's document and every artifact it
+/// owns that no `kept` model owns too.
 fn sweep<'a>(
     svc: &SaveService,
     graph: &DependencyGraph,
@@ -245,10 +232,6 @@ fn sweep<'a>(
                 _ => {} // missing, or shared with a garbage model swept before
             }
         }
-        for (d, _) in graph.lineage.get(*id).into_iter().flatten() {
-            docs.remove(d)?;
-            report.removed_docs += 1;
-        }
         docs.remove(id.doc_id())?;
         report.removed_docs += 1;
         report.removed_models.push((*id).clone());
@@ -258,7 +241,7 @@ fn sweep<'a>(
 
 /// Mark-and-sweep garbage collection: keeps `live` models and everything
 /// their base closures reach; removes all other saved models with what they
-/// own, and lineage records whose model does not exist.
+/// own.
 pub fn collect_garbage(
     svc: &SaveService,
     live: &[SavedModelId],
@@ -284,16 +267,5 @@ pub fn collect_garbage(
     let mut garbage: Vec<&SavedModelId> =
         graph.models.keys().filter(|id| !marked.contains(id)).collect();
     garbage.sort_by_key(|id| std::cmp::Reverse(graph.base_closure_of(id).len()));
-    let mut report = sweep(svc, &graph, &garbage, marked.iter())?;
-    // Lineage records whose model does not exist (crash remnants of
-    // interrupted saves, or models removed without their records).
-    for (model, records) in &graph.lineage {
-        if !graph.models.contains_key(model) {
-            for (d, _) in records {
-                svc.storage().docs().remove(d)?;
-                report.removed_docs += 1;
-            }
-        }
-    }
-    Ok(report)
+    sweep(svc, &graph, &garbage, marked.iter())
 }

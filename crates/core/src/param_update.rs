@@ -130,9 +130,9 @@ impl SaveService {
         });
 
         // One batch commits the whole save: artifacts, then model-info
-        // referencing them via `$batch:N`, then the lineage record — item
-        // order is visibility order, so crash windows match the old
-        // sequential writes at a fraction of the sync cost.
+        // referencing them via `$batch:N` — item order is visibility order,
+        // so crash windows match the old sequential writes at a fraction of
+        // the sync cost.
         let info = ModelInfoDoc {
             approach: ApproachKind::ParamUpdate,
             arch: model.arch.name().to_string(),
@@ -147,13 +147,14 @@ impl SaveService {
             root_hash: tree.root().to_hex(),
             train_doc: None,
             dataset: None,
+            tags: Vec::new(),
+            rebased_from: None,
         };
         let batch = vec![
             mmlib_store::BatchItem::File { bytes },
             self.environment_item()?,
             self.layer_hashes_item(&tree)?,
             self.model_info_item(&info)?,
-            self.lineage_item(&info, mmlib_store::batch_ref(3), Some(diff.changed.len()))?,
         ];
         let ids = clock.time("write", || self.storage().commit_batch(batch))?;
         let id = SavedModelId(crate::recovery::batch_doc_id(ids.into_iter().nth(3))?);
@@ -225,13 +226,14 @@ impl SaveService {
             root_hash: tree.root().to_hex(),
             train_doc: None,
             dataset: None,
+            tags: Vec::new(),
+            rebased_from: None,
         };
         let batch = vec![
             mmlib_store::BatchItem::File { bytes: encoded.bytes.clone() },
             self.environment_item()?,
             self.layer_hashes_item(&tree)?,
             self.model_info_item(&info)?,
-            self.lineage_item(&info, mmlib_store::batch_ref(3), Some(diff.changed.len()))?,
         ];
         let ids = clock.time("write", || self.storage().commit_batch(batch))?;
         let id = SavedModelId(crate::recovery::batch_doc_id(ids.into_iter().nth(3))?);

@@ -113,9 +113,9 @@ impl SaveService {
 
         // (2) Environment and verification data (the resulting model's
         // layer hashes), plus (4) the model-info document tying in the base
-        // reference and the wrapper tree, plus the lineage record — all one
-        // batch commit, with model-info referencing the in-batch items via
-        // `$batch:N` and the external wrapper/train docs by their real ids.
+        // reference and the wrapper tree — all one batch commit, with
+        // model-info referencing the in-batch items via `$batch:N` and the
+        // external wrapper/train docs by their real ids.
         let tree = clock.time("hash", || self.save_tree(model_after_training));
         let info = ModelInfoDoc {
             approach: ApproachKind::Provenance,
@@ -131,12 +131,13 @@ impl SaveService {
             root_hash: tree.root().to_hex(),
             train_doc: Some(train_doc.as_str().to_string()),
             dataset: Some(dataset_ref),
+            tags: Vec::new(),
+            rebased_from: None,
         };
         let batch = vec![
             self.environment_item()?,
             self.layer_hashes_item(&tree)?,
             self.model_info_item(&info)?,
-            self.lineage_item(&info, mmlib_store::batch_ref(2), None)?,
         ];
         let ids = clock.time("write", || self.storage().commit_batch(batch))?;
         Ok(SavedModelId(crate::recovery::batch_doc_id(ids.into_iter().nth(2))?))

@@ -181,35 +181,6 @@ impl SaveService {
         })
     }
 
-    /// The lineage record as a batch item: the derivation edge the lineage
-    /// DAG (`mmlib-lineage`) is built from, one per save. `model_ref` is the
-    /// intra-batch reference to the model-info item, so ordering the record
-    /// last keeps the old semantics — a lineage record always describes a
-    /// model that exists, and a crash in between leaves a model without a
-    /// record, which every lineage reader treats as a root-less legacy
-    /// node.
-    pub(crate) fn lineage_item(
-        &self,
-        info: &ModelInfoDoc,
-        model_ref: String,
-        changed_layers: Option<usize>,
-    ) -> Result<mmlib_store::BatchItem, CoreError> {
-        let record = crate::meta::LineageRecordDoc {
-            model: model_ref,
-            parent: info.base_model.clone(),
-            approach: info.approach,
-            relation: info.relation,
-            root_hash: info.root_hash.clone(),
-            changed_layers,
-            tags: Vec::new(),
-            rebased_from: None,
-        };
-        Ok(mmlib_store::BatchItem::Doc {
-            kind: kinds::LINEAGE.to_string(),
-            body: to_json_value("LineageRecordDoc", &record)?,
-        })
-    }
-
     /// Loads and decodes a model-info document.
     pub fn load_model_info(&self, id: &SavedModelId) -> Result<ModelInfoDoc, CoreError> {
         let doc = self.storage.get_doc(id.doc_id())?;
@@ -223,6 +194,12 @@ impl SaveService {
             id: id.clone(),
             reason: format!("undecodable body: {e}"),
         })
+    }
+
+    /// Rewrites a saved model's model-info document in place.
+    pub fn update_model_info(&self, id: &SavedModelId, info: &ModelInfoDoc) -> Result<(), CoreError> {
+        let body = to_json_value("ModelInfoDoc", info)?;
+        Ok(self.storage.docs().update(id.doc_id(), body)?)
     }
 
     /// Loads and validates the stored Merkle tree of a saved model.

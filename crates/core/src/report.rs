@@ -261,10 +261,6 @@ impl SaveService {
             }
         };
 
-        // The lineage record — one per save, the derivation edge the
-        // lineage DAG (`mmlib-lineage`) is built from — is committed by the
-        // per-approach save batch itself (ordered after model-info), so no
-        // separate write happens here.
         let tts = clock.elapsed();
         let storage_bytes = self.storage().bytes_written().saturating_sub(bytes_before);
         obs.observe_duration(SAVE_SECONDS, ("approach", approach.abbrev()), tts);

@@ -223,27 +223,6 @@ fn gc_keeps_a_snapshots_lineage_base_alive() {
 }
 
 #[test]
-fn gc_sweeps_lineage_records_with_their_models() {
-    let dir = tempfile::tempdir().unwrap();
-    let (s, ids, _) = build_store(dir.path());
-    // Every saved model carries one lineage record.
-    let lineage_docs = |s: &SaveService| {
-        s.storage()
-            .docs()
-            .ids()
-            .unwrap()
-            .into_iter()
-            .filter(|d| s.storage().get_doc(d).unwrap().kind == "lineage")
-            .count()
-    };
-    assert_eq!(lineage_docs(&s), 4);
-    delete_model(&s, &ids[3]).unwrap();
-    assert_eq!(lineage_docs(&s), 3, "deletion removes the model's lineage record");
-    collect_garbage(&s, &[ids[2].clone()]).unwrap();
-    assert_eq!(lineage_docs(&s), 3, "kept chain keeps its records");
-}
-
-#[test]
 fn gc_rejects_unknown_live_roots() {
     let dir = tempfile::tempdir().unwrap();
     let (s, _, _) = build_store(dir.path());

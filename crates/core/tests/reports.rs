@@ -86,33 +86,46 @@ fn labels(phases: &PhaseBreakdown) -> BTreeSet<&'static str> {
 }
 
 /// Each approach reports exactly the phases it runs, every recovery all
-/// four, and a save's durability syncs stay within the batch-commit bound —
-/// counts and labels, so the gate holds on any machine.
+/// four, and each save commits a pinned number of durability syncs and
+/// documents: one staged sync per batch item plus one directory sync per
+/// store the batch touches, and one model-info document that is also the
+/// model's lineage node. Counts and labels, so the gate holds on any
+/// machine.
 #[test]
-fn each_approach_reports_its_phases_and_sync_budget() {
+fn each_approach_reports_its_phases_and_pinned_save_costs() {
     let dir = tempfile::tempdir().unwrap();
     let (svc, _) = service(dir.path());
     let mut model = Model::new_initialized(ArchId::TinyCnn, 12);
     model.set_fully_trainable();
+    let counts = || (svc.storage().sync_ops(), svc.storage().docs().ids().unwrap().len());
+    let since = |(syncs, docs): (u64, usize)| {
+        let (syncs_now, docs_now) = counts();
+        (syncs_now - syncs, docs_now - docs)
+    };
 
-    let syncs = svc.storage().sync_ops();
+    let before = counts();
     let full = svc.save(SaveRequest::full(&model)).unwrap();
-    let full_syncs = svc.storage().sync_ops() - syncs;
     assert_eq!(labels(&full.phases), BTreeSet::from(["serialize", "hash", "write"]));
-    assert!((1..=8).contains(&full_syncs), "BA save issued {full_syncs} syncs");
+    // Environment, code, weights, layer hashes, model-info.
+    assert_eq!(since(before), (7, 3), "BA save: (syncs, documents)");
 
     bump_classifier(&mut model, 1.0);
-    let syncs = svc.storage().sync_ops();
+    let before = counts();
     let update = svc.save(SaveRequest::update(&model, &full.id)).unwrap();
-    let update_syncs = svc.storage().sync_ops() - syncs;
     assert_eq!(labels(&update.phases), BTreeSet::from(["diff", "hash", "serialize", "write"]));
-    assert!((1..=7).contains(&update_syncs), "PUA save issued {update_syncs} syncs");
+    // Weights, environment, layer hashes, model-info.
+    assert_eq!(since(before), (6, 3), "PUA save: (syncs, documents)");
 
     let (prov, mut trainer) = common::train_spec(ModelRelation::PartiallyUpdated, 13);
     model.set_classifier_only_trainable();
     trainer.train(&mut model);
+    let before = counts();
     let replay = svc.save(SaveRequest::provenance(&model, &update.id, &prov)).unwrap();
     assert_eq!(labels(&replay.phases), BTreeSet::from(["pack", "hash", "write"]));
+    // The dataset container and three wrappers (one with a state file),
+    // each written on its own, then environment, layer hashes and
+    // model-info in one batch.
+    assert_eq!(since(before), (14, 6), "MPA save: (syncs, documents)");
 
     for id in [&full.id, &update.id, &replay.id] {
         let report = svc.recover_report(id, RecoverOptions::default()).unwrap();

@@ -13,15 +13,15 @@
 //!   Merkle root before anything is rewritten;
 //! * recovery depth after compaction is `< max_depth` for every node of
 //!   the chain, so TTR stays flat no matter how deep the chain grew;
-//! * promoted nodes drop their recovery base (`parent` becomes `None`,
-//!   the old edge is preserved as `rebased_from`), which is what lets
-//!   `gc` collect a retired chain prefix.
+//! * promoted nodes drop their base (`base_model` becomes `None`, the old
+//!   edge is kept as `rebased_from` in the same document update), which is
+//!   what lets `gc` collect a retired chain prefix.
 
-use mmlib_core::meta::{kinds, ApproachKind, SavedModelId};
+use mmlib_core::meta::{ApproachKind, SavedModelId};
 use mmlib_core::{CoreError, RecoverOptions};
 use mmlib_obs::PhaseBreakdown;
 
-use crate::{Lineage, LineageNode, COMPACTIONS, PROMOTED};
+use crate::{Lineage, COMPACTIONS, PROMOTED};
 
 /// What one compaction run did.
 #[derive(Debug, Clone)]
@@ -60,9 +60,6 @@ impl Lineage<'_> {
         // Listed tip first, rebuilt root first.
         let chain =
             svc.recovery_chain(tip, RecoverOptions::default().max_chain_depth, |_| false)?;
-        // One scan for the whole run: promoting a node rewrites only that
-        // node's own record.
-        let graph = self.graph()?;
 
         let mut current = None;
         let mut promoted = Vec::new();
@@ -72,7 +69,6 @@ impl Lineage<'_> {
             depth = if info.approach == ApproachKind::Baseline { 0 } else { depth + 1 };
             if depth >= max_depth {
                 svc.promote_to_snapshot(id, &model)?;
-                self.rebase_record(graph.require(id)?, info.recovery_parent())?;
                 promoted.push(id.clone());
                 depth = 0;
             }
@@ -87,28 +83,5 @@ impl Lineage<'_> {
             max_depth,
             bytes_written: svc.storage().bytes_written().saturating_sub(bytes_before),
         })
-    }
-
-    /// Rewrites a promoted node's lineage record: the live parent edge is
-    /// cut and preserved as `rebased_from`. Legacy nodes without a record
-    /// get one inserted, so compaction upgrades old stores as it goes.
-    fn rebase_record(
-        &self,
-        node: &LineageNode,
-        old_parent: Option<SavedModelId>,
-    ) -> Result<(), CoreError> {
-        let mut record = node.record.clone();
-        record.rebased_from = record.parent.take().or(old_parent.map(|p| p.to_string()));
-        let body = serde_json::to_value(&record).map_err(|e| CoreError::BadModelDocument {
-            id: node.id.clone(),
-            reason: format!("unencodable lineage record: {e}"),
-        })?;
-        match &node.doc {
-            Some(doc_id) => self.svc().storage().docs().update(doc_id, body)?,
-            None => {
-                self.svc().storage().insert_doc(kinds::LINEAGE, body)?;
-            }
-        }
-        Ok(())
     }
 }

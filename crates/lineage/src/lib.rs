@@ -8,11 +8,12 @@
 //! MGit's lineage-as-a-DAG abstraction and ModelHub's bounded version-graph
 //! storage:
 //!
-//! * [`LineageGraph`] — the persistent DAG built from the `lineage`
-//!   records `SaveService::save` emits (one per save), with synthesized
-//!   nodes for models saved before lineage records existed. It lives in
-//!   `mmlib_store::schema` (re-exported here), so the registry server
-//!   answers remote lineage queries from the same graph;
+//! * [`LineageGraph`] — the DAG over a store's `model_info` documents: each
+//!   one names its base, approach, relation and Merkle root, plus the
+//!   `tags` and `rebased_from` only lineage reads, so a saved model is its
+//!   own lineage node. It lives in `mmlib_store::schema` (re-exported
+//!   here), so the registry server answers remote lineage queries from the
+//!   same graph;
 //! * [`Lineage`] — the query/maintenance service: `show`, `ancestry`,
 //!   `descendants`, `diff`, and `tag` queries;
 //! * [`Lineage::compact`] — depth-bounded re-basing: rewrite a deep delta
@@ -160,26 +161,15 @@ impl<'a> Lineage<'a> {
         })
     }
 
-    /// Attaches a tag to a model's lineage record (idempotent). Models
-    /// saved before lineage records existed get one synthesized in place.
+    /// Attaches a tag to a model (idempotent): one read and one update of
+    /// its model-info document.
     pub fn tag(&self, id: &SavedModelId, tag: &str) -> Result<LineageNode, CoreError> {
-        let graph = self.graph()?;
-        let mut node = graph.require(id)?.clone();
-        if !node.record.tags.iter().any(|t| t == tag) {
-            node.record.tags.push(tag.to_string());
+        let mut info = self.svc.load_model_info(id)?;
+        if !info.tags.iter().any(|t| t == tag) {
+            info.tags.push(tag.to_string());
+            self.svc.update_model_info(id, &info)?;
         }
-        let body = serde_json::to_value(&node.record).map_err(|e| {
-            CoreError::BadModelDocument { id: id.clone(), reason: format!("unencodable lineage record: {e}") }
-        })?;
-        match &node.doc {
-            Some(doc_id) => self.svc.storage().docs().update(doc_id, body)?,
-            None => {
-                let doc_id =
-                    self.svc.storage().insert_doc(mmlib_core::meta::kinds::LINEAGE, body)?;
-                node.doc = Some(doc_id);
-            }
-        }
-        Ok(node)
+        Ok(LineageNode { id: id.clone(), record: info.lineage_view(id) })
     }
 
     /// All layer digests of a saved model, from its stored Merkle tree.

@@ -124,9 +124,9 @@ pub enum Opcode {
     StatsText = 0x31,
     /// Fetch one model's lineage record. Header: `{"id": s}`; the response
     /// header carries `{"id": s, "record": v}`, the model's node in
-    /// `mmlib_store::schema::LineageGraph::read` (its stored or synthesized
-    /// `LineageRecordDoc`). A model the store does not hold is refused with
-    /// `missing_document`.
+    /// `mmlib_store::schema::LineageGraph::read` (the `LineageRecordDoc`
+    /// view of its model-info document). A model the store does not hold is
+    /// refused with `missing_document`.
     LineageGet = 0x32,
     /// Fetch a model's ancestry, tip first. Header: `{"id": s}`; the
     /// response header carries `{"id": s, "ancestry": [v, ...]}`, the

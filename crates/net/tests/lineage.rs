@@ -10,8 +10,7 @@ use std::sync::Arc;
 
 use mmlib_net::{RegistryServer, RemoteStore};
 use mmlib_store::schema::{
-    kinds, ApproachKind, LineageGraph, LineageRecordDoc, ModelInfoDoc, ModelRelation,
-    SavedModelId,
+    kinds, ApproachKind, LineageGraph, LineageRecordDoc, ModelInfoDoc, ModelRelation, SavedModelId,
 };
 use mmlib_store::{DocId, Document, FileId, ModelStorage, StorageBackend, StoreError};
 
@@ -54,23 +53,17 @@ impl Served {
             root_hash: "ab".repeat(32),
             train_doc: None,
             dataset: None,
+            tags: Vec::new(),
+            rebased_from: None,
         };
         self.local.insert_doc(kinds::MODEL_INFO, serde_json::to_value(&info).unwrap()).unwrap()
     }
 
-    /// Writes a lineage record for `model` with live parent `parent`.
-    fn record(&self, model: &str, parent: Option<&str>, tag: &str) -> DocId {
-        let record = LineageRecordDoc {
-            model: model.to_string(),
-            parent: parent.map(str::to_string),
-            approach: ApproachKind::ParamUpdate,
-            relation: ModelRelation::PartiallyUpdated,
-            root_hash: "cd".repeat(32),
-            changed_layers: Some(1),
-            tags: vec![tag.to_string()],
-            rebased_from: None,
-        };
-        self.local.insert_doc(kinds::LINEAGE, serde_json::to_value(&record).unwrap()).unwrap()
+    /// Points `model`'s base at `base`, in place.
+    fn rebase(&self, model: &DocId, base: &DocId) {
+        let mut body = self.local.get_doc(model).unwrap().body;
+        body["base_model"] = serde_json::json!(base.as_str());
+        self.local.docs().update(model, body).unwrap();
     }
 
     fn graph(&self) -> LineageGraph {
@@ -83,63 +76,39 @@ fn model_id(id: &DocId) -> SavedModelId {
 }
 
 #[test]
-fn two_records_for_one_model_both_sides_pick_the_last() {
-    let s = Served::new();
-    let m = s.model(None);
-    let first = s.record(m.as_str(), None, "first");
-    let second = s.record(m.as_str(), None, "second");
-    let last = if first < second { "second" } else { "first" };
-
-    let local = s.graph().require(&model_id(&m)).unwrap().record.clone();
-    assert_eq!(local.tags, vec![last.to_string()]);
-    assert_eq!(s.client.lineage_node(m.as_str()).unwrap(), local);
-    assert_eq!(s.client.lineage_chain(m.as_str()).unwrap(), vec![local]);
-}
-
-#[test]
-fn a_record_whose_model_info_is_gone_is_missing_document() {
-    let s = Served::new();
-    let ghost = "model-that-is-gone";
-    s.record(ghost, None, "orphan");
-    let ghost_id = model_id(&DocId::from_string(ghost.into()));
-
-    let graph = s.graph();
-    let is_ghost = |r: Result<(), StoreError>| {
-        matches!(r, Err(StoreError::MissingDocument(d)) if d.as_str() == ghost)
-    };
-    assert!(is_ghost(graph.require(&ghost_id).map(drop)));
-    assert!(is_ghost(graph.ancestry_of(&ghost_id).map(drop)));
-    assert!(is_ghost(s.client.lineage_node(ghost).map(drop)));
-    assert!(is_ghost(s.client.lineage_chain(ghost).map(drop)));
-}
-
-#[test]
 fn a_cyclic_parent_chain_is_an_error_on_both_sides() {
     let s = Served::new();
-    let (a, b) = (s.model(None), s.model(None));
-    s.record(a.as_str(), Some(b.as_str()), "a");
-    s.record(b.as_str(), Some(a.as_str()), "b");
+    let a = s.model(None);
+    let b = s.model(Some(&a));
+    s.rebase(&a, &b);
 
     assert!(matches!(s.graph().ancestry_of(&model_id(&a)), Err(StoreError::Malformed(_))));
     let remote = s.client.lineage_chain(a.as_str());
     let malformed = matches!(&remote, Err(StoreError::Remote(e)) if e.starts_with("malformed"));
     assert!(malformed, "{remote:?}");
-    // One record is still one record: the cycle fails only the walk.
+    // One node is still one node: the cycle fails only the walk.
     assert_eq!(s.client.lineage_node(a.as_str()).unwrap().parent.as_deref(), Some(b.as_str()));
 }
 
 #[test]
-fn a_model_info_without_a_record_gets_the_same_synthesized_record() {
+fn both_sides_build_the_same_node_from_a_model_info() {
     let s = Served::new();
     let root = s.model(None);
     let tip = s.model(Some(&root));
+    let mut body = s.local.get_doc(&tip).unwrap().body;
+    body["tags"] = serde_json::json!(["best"]);
+    body["update_layers"] = serde_json::json!(["fc"]);
+    s.local.docs().update(&tip, body).unwrap();
+    // A leftover document of the retired `lineage` kind is not a node.
+    s.local.insert_doc("lineage", serde_json::json!({"model": tip.as_str()})).unwrap();
 
     let graph = s.graph();
+    assert_eq!(graph.len(), 2, "one node per model-info document");
     let local: Vec<LineageRecordDoc> =
         graph.ancestry_of(&model_id(&tip)).unwrap().into_iter().map(|n| n.record.clone()).collect();
     assert_eq!(local.len(), 2);
-    assert!(graph.nodes().all(|n| n.doc.is_none()), "no record was stored");
     assert_eq!(local[0].parent.as_deref(), Some(root.as_str()));
+    assert_eq!((local[0].tags.as_slice(), local[0].changed_layers), (&["best".into()][..], Some(1)));
     assert_eq!(s.client.lineage_node(tip.as_str()).unwrap(), local[0]);
     assert_eq!(s.client.lineage_chain(tip.as_str()).unwrap(), local);
 }
@@ -212,9 +181,7 @@ fn one_ancestry_query_reads_each_document_once() {
     let mut chain = vec![s.model(None)];
     for _ in 0..8 {
         let parent = chain.last().unwrap().clone();
-        let id = s.model(Some(&parent));
-        s.record(id.as_str(), Some(parent.as_str()), "saved");
-        chain.push(id);
+        chain.push(s.model(Some(&parent)));
     }
     // Documents no lineage query needs still cost their one read.
     s.local.insert_doc(kinds::ENVIRONMENT, serde_json::json!({"os": "linux"})).unwrap();

@@ -10,9 +10,12 @@
 //!
 //! The types live here, below both sides of the wire, so that the model
 //! library (which saves and recovers through them), the lineage queries and
-//! the registry server read a document the same way. [`LineageGraph::read`]
-//! is the one builder of lineage nodes: `mmlib lineage` in-process and the
-//! server's `LineageGet` / `LineageAncestry` answer from the same graph.
+//! the registry server read a document the same way. A model-info document
+//! is also the model's lineage node: it names the base, approach, relation
+//! and Merkle root, and carries the two fields only lineage needs (`tags`,
+//! `rebased_from`). [`LineageGraph::read`] is the one builder of lineage
+//! nodes: `mmlib lineage` in-process and the server's `LineageGet` /
+//! `LineageAncestry` answer from the same graph.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -139,9 +142,33 @@ pub struct ModelInfoDoc {
     pub train_doc: Option<String>,
     /// Training dataset reference (provenance saves only).
     pub dataset: Option<DatasetRef>,
+    /// Free-form labels attached via `mmlib lineage tag`.
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    pub tags: Vec<String>,
+    /// The base this model was saved on, kept after compaction promoted it
+    /// to a snapshot and cleared `base_model`: where the version came from,
+    /// never a recovery or ownership edge.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub rebased_from: Option<String>,
 }
 
 impl ModelInfoDoc {
+    /// The lineage node this document describes for model `id`: its base
+    /// is the parent edge, and a parameter update's `update_layers` count
+    /// as its changed layers.
+    pub fn lineage_view(&self, id: &SavedModelId) -> LineageRecordDoc {
+        LineageRecordDoc {
+            model: id.to_string(),
+            parent: self.base_model.clone(),
+            approach: self.approach,
+            relation: self.relation,
+            root_hash: self.root_hash.clone(),
+            changed_layers: self.update_layers.as_ref().map(Vec::len),
+            tags: self.tags.clone(),
+            rebased_from: self.rebased_from.clone(),
+        }
+    }
+
     /// The model this one is rebuilt on, if any — the one rule every chain
     /// walk follows. A snapshot is self-contained: the base it may record
     /// is lineage metadata only, never a recovery dependency. A parameter
@@ -218,17 +245,15 @@ pub enum Ref {
     File(FileId),
 }
 
-/// The body of a `lineage` document — one per saved model, written by
-/// `SaveService::save` in the same save. It records the *derivation* edge
-/// (which model this version was trained from) independently of the
-/// *recovery* edge in the model-info document: compaction re-bases recovery
-/// onto a snapshot without losing where a version historically came from.
+/// One model's lineage node as the lineage queries and the wire report it:
+/// a view of its model-info document, built by
+/// [`ModelInfoDoc::lineage_view`] and never stored.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LineageRecordDoc {
     /// The model-info document id this record describes.
     pub model: String,
-    /// Parent model-info id for recovery purposes; `None` for roots and for
-    /// versions re-based onto their own snapshot by compaction.
+    /// The model's `base_model`: `None` for roots and for versions
+    /// compaction promoted to snapshots.
     pub parent: Option<String>,
     /// The approach that saved this version.
     pub approach: ApproachKind,
@@ -238,14 +263,13 @@ pub struct LineageRecordDoc {
     /// model's content identity.
     pub root_hash: String,
     /// Number of layers that differed from the parent at save time
-    /// (param-update saves only).
+    /// (parameter updates only, until compaction promotes them).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub changed_layers: Option<usize>,
     /// Free-form labels attached via `mmlib lineage tag`.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub tags: Vec<String>,
-    /// The original parent id, kept for provenance after compaction cut the
-    /// recovery edge (`parent` was cleared or redirected).
+    /// The original parent id, kept after compaction cut the edge.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub rebased_from: Option<String>,
 }
@@ -260,8 +284,6 @@ pub mod kinds {
     pub const LAYER_HASHES: &str = "layer_hashes";
     /// Wrapper objects (train service, dataloader, optimizer).
     pub const WRAPPER: &str = "wrapper";
-    /// Lineage records (one per saved model, see [`super::LineageRecordDoc`]).
-    pub const LINEAGE: &str = "lineage";
 }
 
 /// One node of the lineage DAG: a saved model version and its record.
@@ -269,22 +291,12 @@ pub mod kinds {
 pub struct LineageNode {
     /// The saved model this node describes.
     pub id: SavedModelId,
-    /// The persisted record (derivation edge, diff provenance, tags).
+    /// The model's lineage view (derivation edge, diff provenance, tags).
     pub record: LineageRecordDoc,
-    /// The backing `lineage` document, or `None` for nodes synthesized
-    /// from `model_info` metadata of models saved before lineage records
-    /// existed.
-    pub doc: Option<DocId>,
 }
 
-/// The lineage DAG over one store's saved models.
-///
-/// Built from the `lineage` records `SaveService::save` emits. Models
-/// without a record (stores predating lineage, or a record lost to a
-/// crash) get a node synthesized from their `model_info` base reference,
-/// so the graph is always total over the store's models. Lineage records
-/// describing models that no longer exist are skipped — reporting them is
-/// `fsck`'s job.
+/// The lineage DAG over one store's saved models: one node per model-info
+/// document, with an edge from each model to its base.
 #[derive(Debug, Default)]
 pub struct LineageGraph {
     nodes: BTreeMap<String, LineageNode>,
@@ -293,51 +305,20 @@ pub struct LineageGraph {
 
 impl LineageGraph {
     /// Reads the store and builds the DAG: `doc_ids`, then one `get_doc`
-    /// per document, keeping only one node per model-info document or
-    /// lineage record. A document that cannot be read fails the read, and
-    /// so does a model-info or lineage body that does not decode
-    /// ([`StoreError::Malformed`]).
+    /// per document, keeping one node per model-info document. A document
+    /// that cannot be read fails the read, and so does a model-info body
+    /// that does not decode ([`StoreError::Malformed`]).
     pub fn read(storage: &ModelStorage) -> Result<LineageGraph, StoreError> {
-        // One node per model as the read goes, so no decoded document
-        // outlives its own step: a stored record replaces whatever node its
-        // model has, and a model-info document adds a synthesized one only
-        // where no record was seen.
-        let mut models = BTreeSet::new();
         let mut nodes: BTreeMap<String, LineageNode> = BTreeMap::new();
         for id in storage.docs().ids()? {
             let doc = storage.get_doc(&id)?;
-            match doc.kind.as_str() {
-                kinds::MODEL_INFO => {
-                    let info: ModelInfoDoc = decode(&id, doc.body)?;
-                    let model = id.as_str().to_string();
-                    if !nodes.contains_key(&model) {
-                        // Legacy model: synthesize the record from its info doc.
-                        let record = LineageRecordDoc {
-                            model: model.clone(),
-                            parent: info.base_model,
-                            approach: info.approach,
-                            relation: info.relation,
-                            root_hash: info.root_hash,
-                            changed_layers: None,
-                            tags: Vec::new(),
-                            rebased_from: None,
-                        };
-                        let node = LineageNode { id: SavedModelId(id), record, doc: None };
-                        nodes.insert(model.clone(), node);
-                    }
-                    models.insert(model);
-                }
-                kinds::LINEAGE => {
-                    let record: LineageRecordDoc = decode(&id, doc.body)?;
-                    // The last record in document-id order describes the model.
-                    let model = record.model.clone();
-                    let node_id = SavedModelId(DocId::from_string(model.clone()));
-                    nodes.insert(model, LineageNode { id: node_id, record, doc: Some(id) });
-                }
-                _ => {}
+            if doc.kind == kinds::MODEL_INFO {
+                let info: ModelInfoDoc = decode(&id, doc.body)?;
+                let id = SavedModelId(id);
+                let record = info.lineage_view(&id);
+                nodes.insert(id.to_string(), LineageNode { id, record });
             }
         }
-        nodes.retain(|model, _| models.contains(model));
         let mut children: BTreeMap<String, Vec<String>> = BTreeMap::new();
         for (model, node) in &nodes {
             // Edges into missing models are dropped (fsck reports the
@@ -473,6 +454,8 @@ mod tests {
             root_hash: "00".repeat(32),
             train_doc: None,
             dataset: None,
+            tags: Vec::new(),
+            rebased_from: None,
         }
     }
 
@@ -500,30 +483,43 @@ mod tests {
     }
 
     #[test]
-    fn lineage_record_doc_serde_round_trip() {
-        let doc = LineageRecordDoc {
-            model: "m-2".into(),
-            parent: Some("m-1".into()),
-            approach: ApproachKind::ParamUpdate,
-            relation: ModelRelation::PartiallyUpdated,
-            root_hash: "ab".repeat(32),
-            changed_layers: Some(3),
-            tags: vec!["v2".into()],
-            rebased_from: None,
-        };
-        let json = serde_json::to_value(&doc).unwrap();
-        assert_eq!(json["parent"], "m-1");
-        assert!(json.get("rebased_from").is_none(), "None fields stay absent");
-        let back: LineageRecordDoc = serde_json::from_value(json).unwrap();
-        assert_eq!(doc, back);
+    fn tags_and_rebased_from_round_trip_and_stay_absent_when_empty() {
+        let plain = info_doc(ApproachKind::ParamUpdate, Some("abc-1"));
+        let json = serde_json::to_value(&plain).unwrap();
+        assert!(json.get("tags").is_none(), "empty tags stay absent");
+        assert!(json.get("rebased_from").is_none(), "None stays absent");
 
-        // Optional fields default when absent (old stores have no tags).
-        let minimal: LineageRecordDoc = serde_json::from_value(serde_json::json!({
-            "model": "m-1", "parent": null, "approach": "baseline",
-            "relation": "initial", "root_hash": "00",
-        }))
-        .unwrap();
-        assert!(minimal.tags.is_empty());
-        assert!(minimal.changed_layers.is_none());
+        let mut doc = plain;
+        doc.tags = vec!["v2".into(), "best".into()];
+        doc.rebased_from = Some("abc-0".into());
+        let json = serde_json::to_value(&doc).unwrap();
+        assert_eq!(json["tags"], serde_json::json!(["v2", "best"]));
+        assert_eq!(json["rebased_from"], "abc-0");
+        let back: ModelInfoDoc = serde_json::from_value(json).unwrap();
+        assert_eq!(doc, back);
+    }
+
+    #[test]
+    fn the_lineage_record_is_a_view_of_the_model_info() {
+        let id = SavedModelId(DocId::from_string("m-2".into()));
+        let mut doc = info_doc(ApproachKind::ParamUpdate, Some("m-1"));
+        doc.update_layers = Some(vec!["fc.weight".into(), "fc.bias".into()]);
+        doc.tags = vec!["v2".into()];
+        let record = doc.lineage_view(&id);
+        assert_eq!(
+            record,
+            LineageRecordDoc {
+                model: "m-2".into(),
+                parent: Some("m-1".into()),
+                approach: ApproachKind::ParamUpdate,
+                relation: ModelRelation::PartiallyUpdated,
+                root_hash: doc.root_hash.clone(),
+                changed_layers: Some(2),
+                tags: vec!["v2".into()],
+                rebased_from: None,
+            }
+        );
+        let snapshot = info_doc(ApproachKind::Baseline, None).lineage_view(&id);
+        assert_eq!((snapshot.parent, snapshot.changed_layers), (None, None));
     }
 }

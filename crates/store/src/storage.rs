@@ -168,7 +168,7 @@ pub const BATCH_REF_PREFIX: &str = "$batch:";
 /// the same [`StorageBackend::commit_batch`] call.
 ///
 /// Ids are generated during the commit, but documents that tie a save
-/// together (model-info, lineage records) embed the ids of their referents
+/// together (model-info) embed the ids of their referents
 /// — which forces them into follow-up writes unless the reference can be
 /// expressed symbolically. A body string `"$batch:2"` is replaced with item
 /// 2's id before the referencing document is written. Only backward

@@ -25,8 +25,9 @@ lap test
 #               unique wire bytes (explicit #[repr(u8)] discriminants)
 #   clippy      P1 panic-freedom, D1 determinism hygiene (clippy.toml),
 #               C1 truncating casts (deny line in each lib.rs); checked
-#               indexing and arithmetic in the wire decoder (protocol.rs)
-#               and the dataset container decoder (container.rs);
+#               indexing and arithmetic in the wire decoder (protocol.rs),
+#               the dataset container decoder (container.rs) and the
+#               delta_v1 update decoder (codec.rs, rle.rs);
 #               a discarded StagedWrite (#[must_use])
 #   types       admission budgets given back by `Drop for Admission`; a
 #               staged write committed at most once (`commit_staged` takes
@@ -40,7 +41,7 @@ lap test
 #               deliberate lock-held I/O sites in net say why in a comment
 #
 # The clippy rules' scopes live in the files they guard, so pin them here:
-# the exact deny line in each listed lib.rs (and in the two decoders), the
+# the exact deny line in each listed lib.rs (and in the decoders), the
 # workspace lint table in every manifest (shims too: clippy.toml is found
 # from any member, so a crate outside the table would have D1 on by
 # default), and a cap on `#[expect]` suppressions (13 P1 + 1 D1 + 2 C1; it
@@ -63,7 +64,8 @@ libs() { local c; for c in "$@"; do echo "crates/$c/src/lib.rs"; done; }
 pin P1 "$P1" $(libs core net store tensor dist obs lineage)
 pin D1 "$D1" $(libs tensor train model core lineage dist)
 pin C1 "$C1" $(libs net store)
-pin decoder "$DECODE" crates/net/src/protocol.rs crates/data/src/container.rs
+pin decoder "$DECODE" crates/net/src/protocol.rs crates/data/src/container.rs \
+    crates/compress/src/codec.rs crates/compress/src/rle.rs
 for m in Cargo.toml crates/*/Cargo.toml crates/shims/*/Cargo.toml; do
     if ! grep -A1 -xF '[lints]' "$m" | grep -qxF 'workspace = true'; then
         echo "check.sh: $m lost '[lints] workspace = true' (F1 and the D1 default)" >&2
@@ -87,12 +89,16 @@ fi
 # check replaced it; their names are bracketed so that a search of the tree
 # for them finds nothing here), and so are the server's hand-parsed lineage
 # walk and the CLI's second lineage renderer (`LineageGraph::read` in
-# mmlib-store builds every lineage node, on both sides of the wire). Fail,
-# naming the file, if one returns.
+# mmlib-store builds every lineage node, on both sides of the wire), and so
+# is the second document per save with the rules only it needed: its batch
+# item, its fsck issue classes and compaction's rewrite of it (a model's
+# model-info document is its lineage node). Fail, naming the file, if one
+# returns.
 for gone in ChainPolicy with_policy SimNetwork network_time run_flow_with_transport \
     recover_flow_family FaultyBackend artifacts_of walk_wrapper_closure entry_layer_hashes \
     lineage_index UnparsableDoc DocIdMismatch finish_inflight release_pending init_lock \
-    'mmlib-lin[t]' 'lint-budge[t]' 'fn lineage_record(' 'fn lineage_ancestry(' node_line; do
+    'mmlib-lin[t]' 'lint-budge[t]' 'fn lineage_record(' 'fn lineage_ancestry(' node_line \
+    lineage_item OrphanLineage DanglingLineageParent rebase_record 'kinds::LINEAGE'; do
     if hits=$(grep -rl -- "$gone" crates/*/src src examples tests); then
         echo "check.sh: deleted name '$gone' reappeared in:" $hits >&2
         exit 1

@@ -155,10 +155,9 @@ fn run_cell_with_plan(approach: ApproachKind, seed: u64, plan: FaultPlan) -> (u6
     }
 
     // Lineage after crash + repair: the DAG must stay total over the
-    // committed models. A crash between a model's commit and its lineage
-    // record leaves a node synthesized from the model-info doc — never a
-    // missing node, an orphaned record, or a dangling parent (those are
-    // exactly what the fsck lineage pass quarantined above).
+    // committed models. A model's lineage node is its model-info document,
+    // committed in the same batch item, so a crash can leave no committed
+    // model without a node and no node without its model.
     let lineage = mmlib::lineage::Lineage::new(&svc);
     let graph = lineage
         .graph()
@@ -217,7 +216,7 @@ fn run_approach(approach: ApproachKind, salt: u64) {
 fn run_batch_crash_sweep(approach: ApproachKind, salt: u64) {
     use mmlib::store::fault::Fault;
     // The two saves of a sequence consume well under 20 write operations
-    // (stages, batch commits, model-info, lineage); sweeping them all hits
+    // (stages, batch commits, model-info); sweeping them all hits
     // every stage index and both batch-commit indices of each save.
     const OPS_TO_SWEEP: u64 = 18;
     let base = seed_base();
