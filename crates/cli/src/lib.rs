@@ -531,7 +531,7 @@ fn stats(svc: &SaveService) -> Result<String, CliError> {
     for info in graph.models.values() {
         *by_approach.entry(info.approach.abbrev()).or_insert(0usize) += 1;
     }
-    let docs = svc.storage().docs().ids().map_err(fail)?.len();
+    let docs = svc.storage().doc_ids().map_err(fail)?.len();
     let mut out = String::new();
     writeln!(out, "models: {}", graph.models.len()).unwrap();
     for (a, n) in by_approach {

@@ -68,7 +68,7 @@ fn chain_returns_on_a_cyclic_base_reference() {
     let doc_id = mmlib_store::DocId::from_string(update.clone());
     let mut body = storage.get_doc(&doc_id).unwrap().body;
     body["base_model"] = serde_json::json!(update.as_str());
-    storage.docs().update(&doc_id, body).unwrap();
+    storage.update_doc(&doc_id, body).unwrap();
 
     let out = run(&args(dir.path(), &["chain", &update])).unwrap();
     assert_eq!(out.lines().count(), 2, "{out}");
@@ -216,14 +216,14 @@ fn a_leftover_lineage_document_is_an_orphan() {
 
     let out = run(&args(dir.path(), &["gc", "--keep", &update])).unwrap();
     assert!(out.contains("removed 0 model(s)"), "{out}");
-    assert!(storage.docs().contains(&leftover));
+    assert!(storage.contains_doc(&leftover));
 
     let out = run(&args(dir.path(), &["fsck"])).unwrap();
     assert!(out.contains(&format!("orphan document {leftover} (kind \"lineage\")")), "{out}");
     assert!(out.contains("1 issue(s)"), "{out}");
     let out = run(&args(dir.path(), &["fsck", "--repair"])).unwrap();
     assert!(out.contains("1 entr(ies) quarantined"), "{out}");
-    assert!(!storage.docs().contains(&leftover));
+    assert!(!storage.contains_doc(&leftover));
     let out = run(&args(dir.path(), &["fsck"])).unwrap();
     assert!(out.contains("clean"), "{out}");
 }

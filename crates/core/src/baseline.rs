@@ -121,7 +121,7 @@ impl SaveService {
         self.update_model_info(id, &info)?;
 
         if let Some(old) = &old_weights {
-            self.storage().files().remove(&mmlib_store::FileId::from_string(old.clone()))?;
+            self.storage().remove_file(&mmlib_store::FileId::from_string(old.clone()))?;
         }
         Ok(old_weights)
     }

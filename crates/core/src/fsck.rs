@@ -239,7 +239,7 @@ pub fn fsck(storage: &ModelStorage, opts: &FsckOptions) -> Result<FsckReport, Co
         local: store_fsck::is_local_root(storage.root()),
         graph: &graph,
         report: FsckReport::default(),
-        file_set: storage.files().ids()?.into_iter().collect(),
+        file_set: storage.file_ids()?.into_iter().collect(),
         reachable_docs: BTreeSet::new(),
         reachable_files: BTreeSet::new(),
     };
@@ -571,7 +571,7 @@ mod tests {
         root[0] = if root[0] == b'0' { b'1' } else { b'0' };
         info.root_hash = String::from_utf8(root).unwrap();
         let body = serde_json::to_value(&info).unwrap();
-        svc.storage().docs().update(id.doc_id(), body).unwrap();
+        svc.storage().update_doc(id.doc_id(), body).unwrap();
 
         let report = fsck(svc.storage(), &FsckOptions::default()).unwrap();
         assert!(
@@ -596,7 +596,7 @@ mod tests {
             .unwrap();
         // A dangling reference: delete the environment document.
         let env = saved_info(&svc, &id).environment_doc;
-        svc.storage().docs().remove(&DocId::from_string(env)).unwrap();
+        svc.storage().remove_doc(&DocId::from_string(env)).unwrap();
 
         let report = fsck(svc.storage(), &FsckOptions::default()).unwrap();
         assert!(report

@@ -125,7 +125,7 @@ impl DependencyGraph {
 /// only a failure to list the store is.
 pub fn read_store(storage: &ModelStorage) -> Result<DependencyGraph, CoreError> {
     let mut graph = DependencyGraph::default();
-    for id in storage.docs().ids()? {
+    for id in storage.doc_ids()? {
         let doc = match storage.get_doc(&id) {
             Ok(doc) => doc,
             Err(e) => {
@@ -215,24 +215,24 @@ fn sweep<'a>(
     kept: impl Iterator<Item = &'a SavedModelId>,
 ) -> Result<GcReport, CoreError> {
     let kept: BTreeSet<Ref> = kept.flat_map(|id| graph.owned(id)).collect();
-    let (docs, files) = (svc.storage().docs(), svc.storage().files());
+    let storage = svc.storage();
     let mut report = GcReport::default();
     for id in garbage {
         for artifact in graph.owned(id).filter(|r| !kept.contains(r)) {
             match artifact {
-                Ref::Doc(d) if docs.contains(&d) => {
-                    docs.remove(&d)?;
+                Ref::Doc(d) if storage.contains_doc(&d) => {
+                    storage.remove_doc(&d)?;
                     report.removed_docs += 1;
                 }
-                Ref::File(f) if files.contains(&f) => {
-                    report.reclaimed_bytes += files.size(&f)?;
-                    files.remove(&f)?;
+                Ref::File(f) if storage.contains_file(&f) => {
+                    report.reclaimed_bytes += storage.file_size(&f)?;
+                    storage.remove_file(&f)?;
                     report.removed_files += 1;
                 }
                 _ => {} // missing, or shared with a garbage model swept before
             }
         }
-        docs.remove(id.doc_id())?;
+        storage.remove_doc(id.doc_id())?;
         report.removed_docs += 1;
         report.removed_models.push((*id).clone());
     }

@@ -6,14 +6,16 @@
 //! optimizer; (2) the training environment; (3) the training dataset,
 //! packed into a single container file (or an external reference when a
 //! dedicated dataset manager owns it); and (4) the base-model reference.
-//! Recovery recovers the base recursively and *replays the training*
-//! deterministically, then verifies the replayed model against the stored
-//! Merkle root.
+//! A save is one batch commit of all of it, model-info last. Recovery
+//! checks the dataset digest against the stored blobs, recovers the base
+//! recursively and *replays the training* deterministically, then verifies
+//! the replayed model against the stored Merkle root.
 
 use mmlib_data::loader::LoaderConfig;
 use mmlib_data::{container, Dataset, DatasetId};
 use mmlib_model::Model;
 use mmlib_obs::{PhaseBreakdown, PhaseClock};
+use mmlib_store::BatchItem;
 use mmlib_train::{ImageNetTrainService, OptimizerConfig, TrainConfig, TrainService};
 
 use crate::error::CoreError;
@@ -22,6 +24,12 @@ use crate::meta::{
 };
 use crate::recovery::SaveService;
 use crate::wrapper;
+
+/// Appends `item` to `batch`, returning the `$batch:N` reference to it.
+fn push(batch: &mut Vec<BatchItem>, item: BatchItem) -> String {
+    batch.push(item);
+    mmlib_store::batch_ref(batch.len() - 1)
+}
 
 /// Everything the provenance approach must capture about one training run.
 ///
@@ -77,70 +85,55 @@ impl SaveService {
             });
         }
 
-        // (3) Dataset: pack to a single file unless managed externally.
+        // One batch, referents before the documents naming them by
+        // `$batch:N`: (3) the dataset container unless it is managed
+        // externally, (1) the wrapper tree of the training process, (2) the
+        // environment and the trained model's layer hashes, and (4) the
+        // model-info document tying in the base reference.
+        let mut batch = Vec::with_capacity(8);
         let dataset = Dataset::new(prov.dataset_id, prov.dataset_scale);
-        let container_file = if prov.dataset_external {
-            None
+        let (container_file, digest) = if prov.dataset_external {
+            (None, dataset.content_digest())
         } else {
-            let packed = clock.time("pack", || container::pack(&dataset));
-            Some(clock.time("write", || self.storage().put_file(&packed))?.as_str().to_string())
+            let (packed, digest) = clock.time("pack", || container::pack(&dataset));
+            (Some(push(&mut batch, BatchItem::File { bytes: packed })), digest)
         };
-        let dataset_ref = DatasetRef {
-            name: prov.dataset_id.short_name().to_string(),
-            scale: prov.dataset_scale,
-            container_file,
-            content_digest: dataset.content_digest().to_hex(),
-        };
-
-        // (1) Training process: wrapper documents.
-        let loader_doc =
-            clock.time("write", || wrapper::save_loader_wrapper(self.storage(), &prov.loader_config))?;
-        let sgd_doc = clock.time("write", || {
-            wrapper::save_optimizer_wrapper(
-                self.storage(),
-                &prov.optimizer,
-                &prov.optimizer_state_before,
-            )
-        })?;
-        let train_doc = clock.time("write", || {
-            wrapper::save_train_service_wrapper(
-                self.storage(),
-                &prov.train_config,
-                &loader_doc,
-                &sgd_doc,
-            )
-        })?;
-
-        // (2) Environment and verification data (the resulting model's
-        // layer hashes), plus (4) the model-info document tying in the base
-        // reference and the wrapper tree — all one batch commit, with
-        // model-info referencing the in-batch items via `$batch:N` and the
-        // external wrapper/train docs by their real ids.
+        let loader = push(&mut batch, wrapper::loader_wrapper_item(&prov.loader_config)?);
+        let state =
+            push(&mut batch, BatchItem::File { bytes: prov.optimizer_state_before.clone() });
+        let optimizer = push(&mut batch, wrapper::optimizer_wrapper_item(&prov.optimizer, state)?);
+        let train_doc = push(
+            &mut batch,
+            wrapper::train_service_wrapper_item(&prov.train_config, loader, optimizer)?,
+        );
+        let environment_doc = push(&mut batch, self.environment_item()?);
         let tree = clock.time("hash", || self.save_tree(model_after_training));
+        let layer_hash_doc = push(&mut batch, self.layer_hashes_item(&tree)?);
         let info = ModelInfoDoc {
             approach: ApproachKind::Provenance,
             arch: model_after_training.arch.name().to_string(),
             relation: prov.relation,
             base_model: Some(base.doc_id().as_str().to_string()),
-            environment_doc: mmlib_store::batch_ref(0),
+            environment_doc,
             code_file: None,
             weights_file: None,
             update_encoding: None,
             update_layers: None,
-            layer_hash_doc: mmlib_store::batch_ref(1),
+            layer_hash_doc,
             root_hash: tree.root().to_hex(),
-            train_doc: Some(train_doc.as_str().to_string()),
-            dataset: Some(dataset_ref),
+            train_doc: Some(train_doc),
+            dataset: Some(DatasetRef {
+                name: prov.dataset_id.short_name().to_string(),
+                scale: prov.dataset_scale,
+                container_file,
+                content_digest: digest.to_hex(),
+            }),
             tags: Vec::new(),
             rebased_from: None,
         };
-        let batch = vec![
-            self.environment_item()?,
-            self.layer_hashes_item(&tree)?,
-            self.model_info_item(&info)?,
-        ];
+        batch.push(self.model_info_item(&info)?);
         let ids = clock.time("write", || self.storage().commit_batch(batch))?;
-        Ok(SavedModelId(crate::recovery::batch_doc_id(ids.into_iter().nth(2))?))
+        Ok(SavedModelId(crate::recovery::batch_doc_id(ids.into_iter().last())?))
     }
 
     /// Recovers a provenance model from its already-recovered base: replays
@@ -170,19 +163,23 @@ impl SaveService {
                 }
             })?;
             let dataset = Dataset::new(dataset_id, dataset_ref.scale);
-            // Verify the stored container (when present) round-trips and matches
-            // the declared content digest.
-            if let Some(file_id) = &dataset_ref.container_file {
-                let packed = self.read_file(file_id)?;
-                let unpacked = container::unpack(&packed)?;
-                if unpacked.id != dataset_id || unpacked.blobs.len() as u64 != dataset.len() {
-                    return Err(CoreError::VerificationFailed {
-                        id: id.clone(),
-                        reason: "dataset container does not match its reference".into(),
-                    });
+            // The digest is checked against the stored container's blobs
+            // when there is one, so the recorded value vouches for the
+            // stored bytes; an external dataset is generated again.
+            let digest = match &dataset_ref.container_file {
+                Some(file_id) => {
+                    let unpacked = container::unpack(&self.read_file(file_id)?)?;
+                    if unpacked.id != dataset_id || unpacked.blobs.len() as u64 != dataset.len() {
+                        return Err(CoreError::VerificationFailed {
+                            id: id.clone(),
+                            reason: "dataset container does not match its reference".into(),
+                        });
+                    }
+                    unpacked.content_digest()
                 }
-            }
-            if dataset.content_digest().to_hex() != dataset_ref.content_digest {
+                None => dataset.content_digest(),
+            };
+            if digest.to_hex() != dataset_ref.content_digest {
                 return Err(CoreError::VerificationFailed {
                     id: id.clone(),
                     reason: "dataset content digest mismatch".into(),

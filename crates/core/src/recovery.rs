@@ -199,7 +199,7 @@ impl SaveService {
     /// Rewrites a saved model's model-info document in place.
     pub fn update_model_info(&self, id: &SavedModelId, info: &ModelInfoDoc) -> Result<(), CoreError> {
         let body = to_json_value("ModelInfoDoc", info)?;
-        Ok(self.storage.docs().update(id.doc_id(), body)?)
+        Ok(self.storage.update_doc(id.doc_id(), body)?)
     }
 
     /// Loads and validates the stored Merkle tree of a saved model.

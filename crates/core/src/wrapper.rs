@@ -11,12 +11,17 @@
 //! through a closed registry of known classes — the same classes the
 //! paper's `ImageNetTrainService` example wires together: the dataloader
 //! (stateless), the optimizer (stateful), and the train service itself.
+//!
+//! Writing a wrapper tree is not this module's job: its builders return
+//! [`BatchItem`]s that reference each other (and the optimizer's state
+//! file) by [`mmlib_store::batch_ref`], and a provenance save commits them
+//! in the one batch that also holds its model-info document.
 
 use std::collections::BTreeMap;
 
 use mmlib_data::loader::LoaderConfig;
 use mmlib_data::{DataLoader, Dataset};
-use mmlib_store::{DocId, FileId, ModelStorage};
+use mmlib_store::{BatchItem, DocId, FileId, ModelStorage};
 use mmlib_train::{AnyOptimizer, ImageNetTrainService, OptimizerConfig, TrainConfig};
 use serde::{Deserialize, Serialize};
 
@@ -52,59 +57,58 @@ pub mod classes {
     pub const TRAIN_SERVICE: &str = "ImageNetTrainService";
 }
 
-/// Saves a dataloader wrapper document.
-pub fn save_loader_wrapper(
-    storage: &ModelStorage,
-    config: &LoaderConfig,
-) -> Result<DocId, CoreError> {
-    let doc = WrapperDoc {
+/// A wrapper document as a batch item.
+fn wrapper_item(doc: &WrapperDoc) -> Result<BatchItem, CoreError> {
+    Ok(BatchItem::Doc { kind: kinds::WRAPPER.into(), body: to_json_value("WrapperDoc", doc)? })
+}
+
+/// The dataloader wrapper document, as a batch item.
+pub fn loader_wrapper_item(config: &LoaderConfig) -> Result<BatchItem, CoreError> {
+    wrapper_item(&WrapperDoc {
         class_name: classes::DATA_LOADER.into(),
         import_or_code: "use mmlib_data::DataLoader;".into(),
         init_args: to_json_value("LoaderConfig", config)?,
         config_args: serde_json::Value::Null,
         ref_args: BTreeMap::new(),
         state_file: None,
-    };
-    Ok(storage.insert_doc(kinds::WRAPPER, to_json_value("WrapperDoc", &doc)?)?)
+    })
 }
 
-/// Saves an optimizer wrapper document, including its state file.
-pub fn save_optimizer_wrapper(
-    storage: &ModelStorage,
+/// The optimizer wrapper document, as a batch item. `state_file` names its
+/// state file: an id, or the [`mmlib_store::batch_ref`] of an earlier
+/// item of the same batch.
+pub fn optimizer_wrapper_item(
     config: &OptimizerConfig,
-    state_before_training: &[u8],
-) -> Result<DocId, CoreError> {
-    let state_file = storage.put_file(state_before_training)?;
-    let doc = WrapperDoc {
+    state_file: String,
+) -> Result<BatchItem, CoreError> {
+    wrapper_item(&WrapperDoc {
         class_name: config.class_name().into(),
         import_or_code: format!("use mmlib_train::{};", config.class_name()),
         init_args: to_json_value("OptimizerConfig", config)?,
         config_args: serde_json::Value::Null,
         ref_args: BTreeMap::new(),
-        state_file: Some(state_file.as_str().to_string()),
-    };
-    Ok(storage.insert_doc(kinds::WRAPPER, to_json_value("WrapperDoc", &doc)?)?)
+        state_file: Some(state_file),
+    })
 }
 
-/// Saves the train-service wrapper referencing its dataloader and optimizer.
-pub fn save_train_service_wrapper(
-    storage: &ModelStorage,
+/// The train-service wrapper document, as a batch item, referencing its
+/// dataloader and optimizer wrappers (ids or batch references).
+pub fn train_service_wrapper_item(
     train_config: &TrainConfig,
-    loader_doc: &DocId,
-    sgd_doc: &DocId,
-) -> Result<DocId, CoreError> {
-    let mut refs = BTreeMap::new();
-    refs.insert("dataloader".to_string(), loader_doc.as_str().to_string());
-    refs.insert("optimizer".to_string(), sgd_doc.as_str().to_string());
-    let doc = WrapperDoc {
+    loader: String,
+    optimizer: String,
+) -> Result<BatchItem, CoreError> {
+    wrapper_item(&WrapperDoc {
         class_name: classes::TRAIN_SERVICE.into(),
         import_or_code: "use mmlib_train::ImageNetTrainService;".into(),
         init_args: to_json_value("TrainConfig", train_config)?,
         config_args: serde_json::Value::Null,
-        ref_args: refs,
+        ref_args: BTreeMap::from([
+            ("dataloader".to_string(), loader),
+            ("optimizer".to_string(), optimizer),
+        ]),
         state_file: None,
-    };
-    Ok(storage.insert_doc(kinds::WRAPPER, to_json_value("WrapperDoc", &doc)?)?)
+    })
 }
 
 /// Loads and decodes a wrapper document.
@@ -171,7 +175,32 @@ pub fn reconstruct_train_service(
 mod tests {
     use super::*;
     use mmlib_data::DatasetId;
+    use mmlib_store::batch_ref;
     use mmlib_train::{Sgd, SgdConfig};
+
+    /// Commits a wrapper tree as one batch: loader, state file, optimizer,
+    /// train service. Returns the ids of the loader, optimizer and train
+    /// service documents.
+    fn commit_tree(
+        storage: &ModelStorage,
+        loader: &LoaderConfig,
+        optimizer: &OptimizerConfig,
+        state: &[u8],
+        train: &TrainConfig,
+    ) -> [DocId; 3] {
+        let batch = vec![
+            loader_wrapper_item(loader).unwrap(),
+            BatchItem::File { bytes: state.to_vec() },
+            optimizer_wrapper_item(optimizer, batch_ref(1)).unwrap(),
+            train_service_wrapper_item(train, batch_ref(0), batch_ref(2)).unwrap(),
+        ];
+        let ids = storage.commit_batch(batch).unwrap();
+        let doc = |i: usize| match &ids[i] {
+            mmlib_store::BatchId::Doc(d) => d.clone(),
+            other => panic!("item {i} is not a document: {other:?}"),
+        };
+        [doc(0), doc(2), doc(3)]
+    }
 
     #[test]
     fn wrapper_tree_round_trip() {
@@ -185,9 +214,8 @@ mod tests {
         let sgd = Sgd::new(sgd_config);
         let state = sgd.state_bytes();
 
-        let loader_doc = save_loader_wrapper(&storage, &loader_config).unwrap();
-        let sgd_doc = save_optimizer_wrapper(&storage, &sgd_config.into(), &state).unwrap();
-        let svc_doc = save_train_service_wrapper(&storage, &train_config, &loader_doc, &sgd_doc).unwrap();
+        let [_, _, svc_doc] =
+            commit_tree(&storage, &loader_config, &sgd_config.into(), &state, &train_config);
 
         let dataset = Dataset::new(DatasetId::CocoFood512, 0.0002);
         let svc = reconstruct_train_service(&storage, &svc_doc, dataset).unwrap();
@@ -200,7 +228,15 @@ mod tests {
     fn wrong_class_is_rejected() {
         let dir = tempfile::tempdir().unwrap();
         let storage = ModelStorage::open(dir.path()).unwrap();
-        let loader_doc = save_loader_wrapper(&storage, &LoaderConfig::default()).unwrap();
+        let sgd = SgdConfig::default();
+        let state = Sgd::new(sgd).state_bytes();
+        let [loader_doc, _, _] = commit_tree(
+            &storage,
+            &LoaderConfig::default(),
+            &sgd.into(),
+            &state,
+            &TrainConfig::default(),
+        );
         let dataset = Dataset::new(DatasetId::CocoFood512, 0.0002);
         // A loader wrapper is not a train service.
         match reconstruct_train_service(&storage, &loader_doc, dataset) {
@@ -233,7 +269,13 @@ mod tests {
         assert!(sgd.tracked_params() > 0);
 
         let cfg = *sgd.config();
-        let doc = save_optimizer_wrapper(&storage, &cfg.into(), &sgd.state_bytes()).unwrap();
+        let [_, doc, _] = commit_tree(
+            &storage,
+            &LoaderConfig::default(),
+            &cfg.into(),
+            &sgd.state_bytes(),
+            &TrainConfig::default(),
+        );
         let loaded = load_wrapper(&storage, &doc).unwrap();
         assert_eq!(loaded.class_name, classes::SGD);
         let state_file = loaded.state_file.unwrap();

@@ -341,7 +341,7 @@ fn environment_mismatch_blocks_recovery_unless_skipped() {
     let env_id = mmlib_store::DocId::from_string(info);
     let mut env_doc = svc.storage().get_doc(&env_id).unwrap();
     env_doc.body["mmlib_version"] = serde_json::json!("0.0.0-other");
-    svc.storage().docs().update(&env_id, env_doc.body).unwrap();
+    svc.storage().update_doc(&env_id, env_doc.body).unwrap();
 
     let err = svc.recover_report(&id, RecoverOptions::default()).unwrap_err();
     assert!(matches!(err, mmlib_core::CoreError::EnvironmentMismatch { .. }));

@@ -9,7 +9,9 @@ use mmlib_core::meta::ModelRelation;
 use mmlib_core::{SaveService, TrainProvenance};
 use mmlib_data::loader::LoaderConfig;
 use mmlib_data::{DataLoader, Dataset, DatasetId};
-use mmlib_store::{DocId, Document, FileId, ModelStorage, StorageBackend, StoreError};
+use mmlib_store::{
+    BatchId, BatchItem, DocId, Document, FileId, ModelStorage, StorageBackend, StoreError,
+};
 use mmlib_tensor::ExecMode;
 use mmlib_train::{ImageNetTrainService, Sgd, SgdConfig, TrainConfig};
 
@@ -51,12 +53,24 @@ pub fn train_spec(relation: ModelRelation, seed: u64) -> (TrainProvenance, Image
     (prov, ImageNetTrainService::new(loader, sgd, train_config))
 }
 
-/// A pass-through backend that counts `get_doc` calls per document id and
-/// lists the files `get_file` reads.
+/// A pass-through backend that counts `get_doc` calls per document id,
+/// lists the files `get_file` reads, and counts writes: `commit_batch`
+/// calls apart from per-item writes (insert, update, remove, put).
 pub struct DocCountingBackend {
     inner: Arc<dyn StorageBackend>,
     doc_gets: Mutex<BTreeMap<String, u32>>,
     file_gets: Mutex<Vec<String>>,
+    writes: Mutex<Writes>,
+}
+
+/// Write calls seen by a [`DocCountingBackend`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Writes {
+    /// `commit_batch` calls.
+    pub batches: u32,
+    /// Per-item writes: `insert_doc`, `update_doc`, `remove_doc`,
+    /// `put_file`, `remove_file`.
+    pub items: u32,
 }
 
 impl DocCountingBackend {
@@ -67,6 +81,7 @@ impl DocCountingBackend {
             inner: ModelStorage::open(dir).unwrap().backend(),
             doc_gets: Mutex::new(BTreeMap::new()),
             file_gets: Mutex::new(Vec::new()),
+            writes: Mutex::new(Writes::default()),
         });
         let backend = Arc::clone(&counting) as Arc<dyn StorageBackend>;
         (SaveService::new(ModelStorage::from_backend(backend, dir)), counting)
@@ -81,10 +96,20 @@ impl DocCountingBackend {
     pub fn take_file_gets(&self) -> Vec<String> {
         std::mem::take(&mut *self.file_gets.lock().unwrap())
     }
+
+    /// The write calls since the last call.
+    pub fn take_writes(&self) -> Writes {
+        std::mem::take(&mut *self.writes.lock().unwrap())
+    }
+
+    fn item_write(&self) {
+        self.writes.lock().unwrap().items += 1;
+    }
 }
 
 impl StorageBackend for DocCountingBackend {
     fn insert_doc(&self, kind: &str, body: serde_json::Value) -> Result<DocId, StoreError> {
+        self.item_write();
         self.inner.insert_doc(kind, body)
     }
     fn get_doc(&self, id: &DocId) -> Result<Document, StoreError> {
@@ -92,18 +117,21 @@ impl StorageBackend for DocCountingBackend {
         self.inner.get_doc(id)
     }
     fn update_doc(&self, id: &DocId, body: serde_json::Value) -> Result<(), StoreError> {
+        self.item_write();
         self.inner.update_doc(id, body)
     }
     fn contains_doc(&self, id: &DocId) -> bool {
         self.inner.contains_doc(id)
     }
     fn remove_doc(&self, id: &DocId) -> Result<(), StoreError> {
+        self.item_write();
         self.inner.remove_doc(id)
     }
     fn doc_ids(&self) -> Result<Vec<DocId>, StoreError> {
         self.inner.doc_ids()
     }
     fn put_file(&self, bytes: &[u8]) -> Result<FileId, StoreError> {
+        self.item_write();
         self.inner.put_file(bytes)
     }
     fn get_file(&self, id: &FileId) -> Result<Vec<u8>, StoreError> {
@@ -117,6 +145,7 @@ impl StorageBackend for DocCountingBackend {
         self.inner.contains_file(id)
     }
     fn remove_file(&self, id: &FileId) -> Result<(), StoreError> {
+        self.item_write();
         self.inner.remove_file(id)
     }
     fn file_ids(&self) -> Result<Vec<FileId>, StoreError> {
@@ -127,5 +156,12 @@ impl StorageBackend for DocCountingBackend {
     }
     fn bytes_read(&self) -> u64 {
         self.inner.bytes_read()
+    }
+    fn sync_ops(&self) -> u64 {
+        self.inner.sync_ops()
+    }
+    fn commit_batch(&self, items: Vec<BatchItem>) -> Result<Vec<BatchId>, StoreError> {
+        self.writes.lock().unwrap().batches += 1;
+        self.inner.commit_batch(items)
     }
 }

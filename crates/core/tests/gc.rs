@@ -100,8 +100,8 @@ fn assert_fsck_clean(s: &SaveService) {
 }
 
 fn stored_file_bytes(s: &SaveService) -> u64 {
-    let files = s.storage().files();
-    files.ids().unwrap().iter().map(|f| files.size(f).unwrap()).sum()
+    let storage = s.storage();
+    storage.file_ids().unwrap().iter().map(|f| storage.file_size(f).unwrap()).sum()
 }
 
 #[test]
@@ -133,7 +133,7 @@ fn chain_of_returns_on_cyclic_base_references() {
         let (s, ids, _) = build_store(dir.path());
         let mut doc = s.storage().get_doc(ids[1].doc_id()).unwrap();
         doc.body["base_model"] = serde_json::json!(ids[new_base].doc_id().as_str());
-        s.storage().docs().update(ids[1].doc_id(), doc.body).unwrap();
+        s.storage().update_doc(ids[1].doc_id(), doc.body).unwrap();
 
         let graph = dependency_graph(&s).unwrap();
         let chain = graph.chain_of(&ids[2]);
@@ -197,8 +197,8 @@ fn gc_with_no_live_roots_sweeps_everything() {
     assert!(dependency_graph(&s).unwrap().models.is_empty());
     // Wrapper docs and every blob, optimizer state included, went with
     // the models that owned them.
-    assert!(s.storage().docs().ids().unwrap().is_empty());
-    assert!(s.storage().files().ids().unwrap().is_empty());
+    assert!(s.storage().doc_ids().unwrap().is_empty());
+    assert!(s.storage().file_ids().unwrap().is_empty());
 }
 
 #[test]

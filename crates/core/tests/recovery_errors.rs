@@ -1,10 +1,14 @@
 //! Failure-injection tests of the recovery path's document handling.
 
-use mmlib_core::meta::SavedModelId;
+use mmlib_core::meta::{ModelRelation, SavedModelId};
 use mmlib_core::{CoreError, RecoverOptions, SaveRequest, SaveService};
 use mmlib_model::{ArchId, Model};
 use mmlib_store::ModelStorage;
+use mmlib_tensor::hash::Sha256;
+use mmlib_train::TrainService;
 use serde_json::json;
+
+mod common;
 
 fn svc(dir: &std::path::Path) -> SaveService {
     SaveService::new(ModelStorage::open(dir).unwrap())
@@ -40,7 +44,7 @@ fn unknown_architecture_is_rejected() {
     // Corrupt the arch field.
     let mut doc = s.storage().get_doc(id.doc_id()).unwrap();
     doc.body["arch"] = json!("lenet-9000");
-    s.storage().docs().update(id.doc_id(), doc.body).unwrap();
+    s.storage().update_doc(id.doc_id(), doc.body).unwrap();
     let err = s.recover_report(&id, RecoverOptions::default()).unwrap_err();
     assert!(matches!(err, CoreError::BadModelDocument { .. }), "{err}");
 }
@@ -53,7 +57,7 @@ fn missing_weights_file_is_reported() {
     let id = s.save(SaveRequest::full(&model)).unwrap().id;
     let mut doc = s.storage().get_doc(id.doc_id()).unwrap();
     let weights = doc.body["weights_file"].as_str().unwrap().to_string();
-    s.storage().files().remove(&mmlib_store::FileId::from_string(weights)).unwrap();
+    s.storage().remove_file(&mmlib_store::FileId::from_string(weights)).unwrap();
     doc.body["code_file"] = doc.body["code_file"].clone();
     let err = s.recover_report(&id, RecoverOptions::default()).unwrap_err();
     assert!(matches!(err, CoreError::Store(mmlib_store::StoreError::MissingFile(_))), "{err}");
@@ -75,7 +79,7 @@ fn dangling_base_reference_is_reported() {
     // Point the update at a nonexistent base.
     let mut doc = s.storage().get_doc(update.doc_id()).unwrap();
     doc.body["base_model"] = json!("gone-1");
-    s.storage().docs().update(update.doc_id(), doc.body).unwrap();
+    s.storage().update_doc(update.doc_id(), doc.body).unwrap();
     let err = s.recover_report(&update, RecoverOptions::default()).unwrap_err();
     assert!(matches!(err, CoreError::Store(mmlib_store::StoreError::MissingDocument(_))), "{err}");
 }
@@ -108,7 +112,7 @@ fn cyclic_base_chain_hits_the_depth_guard() {
         let forged = if two_cycle { &mid } else { &tip };
         let mut doc = s.storage().get_doc(forged.doc_id()).unwrap();
         doc.body["base_model"] = json!(tip.doc_id().as_str());
-        s.storage().docs().update(forged.doc_id(), doc.body).unwrap();
+        s.storage().update_doc(forged.doc_id(), doc.body).unwrap();
         let err = s.recover_report(&tip, RecoverOptions::default()).unwrap_err();
         assert!(matches!(err, CoreError::BaseChainTooDeep { .. }), "{err}");
     }
@@ -126,7 +130,7 @@ fn derived_document_without_a_base_is_rejected() {
     let update = s.save(SaveRequest::update(&model, &base)).unwrap().id;
     let mut doc = s.storage().get_doc(update.doc_id()).unwrap();
     doc.body["base_model"] = json!(null);
-    s.storage().docs().update(update.doc_id(), doc.body).unwrap();
+    s.storage().update_doc(update.doc_id(), doc.body).unwrap();
     let err = s.recover_report(&update, RecoverOptions::default()).unwrap_err();
     assert!(matches!(err, CoreError::BadModelDocument { .. }), "{err}");
 }
@@ -139,7 +143,39 @@ fn tampered_root_hash_fails_verification() {
     let id = s.save(SaveRequest::full(&model)).unwrap().id;
     let mut doc = s.storage().get_doc(id.doc_id()).unwrap();
     doc.body["root_hash"] = json!("ff".repeat(32));
-    s.storage().docs().update(id.doc_id(), doc.body).unwrap();
+    s.storage().update_doc(id.doc_id(), doc.body).unwrap();
     let err = s.recover_report(&id, RecoverOptions::default()).unwrap_err();
     assert!(matches!(err, CoreError::VerificationFailed { .. }));
+}
+
+/// A provenance recovery checks the dataset digest against the blobs it
+/// stored: one flipped blob byte, behind a resealed SHA trailer so the
+/// container itself still unpacks, fails the recovery. The replay alone
+/// would not notice, because the loader derives pixels from image ids.
+#[test]
+fn a_resealed_container_with_a_flipped_blob_byte_fails_verification() {
+    let dir = tempfile::tempdir().unwrap();
+    let s = svc(dir.path());
+    let mut model = Model::new_initialized(ArchId::TinyCnn, 9);
+    let base = s.save(SaveRequest::full(&model)).unwrap().id;
+    let (prov, mut trainer) = common::train_spec(ModelRelation::PartiallyUpdated, 10);
+    model.set_classifier_only_trainable();
+    trainer.train(&mut model);
+    let id = s.save(SaveRequest::provenance(&model, &base, &prov)).unwrap().id;
+    assert!(s.recover_report(&id, RecoverOptions::default()).is_ok(), "intact, it recovers");
+
+    let container = s.load_model_info(&id).unwrap().dataset.unwrap().container_file.unwrap();
+    let path = dir.path().join("files").join(format!("{container}.bin"));
+    let mut bytes = std::fs::read(&path).unwrap();
+    let payload_len = bytes.len() - 32;
+    // The payload ends with the last blob's last byte.
+    bytes[payload_len - 1] ^= 0x01;
+    let mut h = Sha256::new();
+    h.update(&bytes[..payload_len]);
+    bytes[payload_len..].copy_from_slice(&h.finalize().0);
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(mmlib_data::container::unpack(&bytes).is_ok(), "the resealed container unpacks");
+
+    let err = s.recover_report(&id, RecoverOptions::default()).unwrap_err();
+    assert!(matches!(err, CoreError::VerificationFailed { .. }), "{err}");
 }

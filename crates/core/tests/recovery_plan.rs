@@ -62,7 +62,7 @@ fn weights_file(svc: &SaveService, id: &SavedModelId) -> String {
 fn set_update_layers(svc: &SaveService, id: &SavedModelId, layers: &[&str]) {
     let mut info = svc.load_model_info(id).unwrap();
     info.update_layers = Some(layers.iter().map(|l| l.to_string()).collect());
-    svc.storage().docs().update(id.doc_id(), serde_json::to_value(&info).unwrap()).unwrap();
+    svc.storage().update_doc(id.doc_id(), serde_json::to_value(&info).unwrap()).unwrap();
 }
 
 /// Recovers `tip` and returns which of `ids`' weights files it read, and
@@ -190,7 +190,7 @@ fn fsck_names_a_missing_update_file_that_recovery_no_longer_reads() {
     let mut model = Model::new_initialized(ArchId::TinyCnn, 6);
     let ids = update_chain(&svc, &mut model, &["fc"; 4]);
     let lost = FileId::from_string(weights_file(&svc, &ids[1]));
-    svc.storage().files().remove(&lost).unwrap();
+    svc.storage().remove_file(&lost).unwrap();
 
     let rec = svc.recover_report(&ids[4], RecoverOptions::default()).unwrap();
     assert!(rec.model.models_equal(&model), "the tip does not depend on the lost file");

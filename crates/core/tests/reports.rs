@@ -97,7 +97,7 @@ fn each_approach_reports_its_phases_and_pinned_save_costs() {
     let (svc, _) = service(dir.path());
     let mut model = Model::new_initialized(ArchId::TinyCnn, 12);
     model.set_fully_trainable();
-    let counts = || (svc.storage().sync_ops(), svc.storage().docs().ids().unwrap().len());
+    let counts = || (svc.storage().sync_ops(), svc.storage().doc_ids().unwrap().len());
     let since = |(syncs, docs): (u64, usize)| {
         let (syncs_now, docs_now) = counts();
         (syncs_now - syncs, docs_now - docs)
@@ -122,15 +122,60 @@ fn each_approach_reports_its_phases_and_pinned_save_costs() {
     let before = counts();
     let replay = svc.save(SaveRequest::provenance(&model, &update.id, &prov)).unwrap();
     assert_eq!(labels(&replay.phases), BTreeSet::from(["pack", "hash", "write"]));
-    // The dataset container and three wrappers (one with a state file),
-    // each written on its own, then environment, layer hashes and
-    // model-info in one batch.
-    assert_eq!(since(before), (14, 6), "MPA save: (syncs, documents)");
+    // One batch of eight items: the dataset container, the loader wrapper,
+    // the optimizer's state file and wrapper, the train-service wrapper,
+    // environment, layer hashes and model-info: eight staged syncs plus one
+    // per directory the batch touches (docs/, files/).
+    assert_eq!(since(before), (10, 6), "MPA save: (syncs, documents)");
 
     for id in [&full.id, &update.id, &replay.id] {
         let report = svc.recover_report(id, RecoverOptions::default()).unwrap();
         assert_eq!(labels(&report.phases), BTreeSet::from(RECOVER_PHASES), "{id}");
     }
+}
+
+/// Every save kind is one `commit_batch` and no per-item write: a full
+/// snapshot, an update, a compressed update, and a provenance save with a
+/// stored and with an external dataset. Each recovers verified.
+#[test]
+fn every_save_kind_is_one_batch_and_no_per_item_write() {
+    use common::Writes;
+    let dir = tempfile::tempdir().unwrap();
+    let (svc, counting) = common::DocCountingBackend::service(dir.path());
+    let one_batch = Writes { batches: 1, items: 0 };
+    let mut model = Model::new_initialized(ArchId::TinyCnn, 15);
+    model.set_fully_trainable();
+
+    let full = svc.save(SaveRequest::full(&model)).unwrap().id;
+    assert_eq!(counting.take_writes(), one_batch, "full");
+
+    let base_model = model.duplicate();
+    bump_classifier(&mut model, 1.0);
+    let update = svc.save(SaveRequest::update(&model, &full)).unwrap().id;
+    assert_eq!(counting.take_writes(), one_batch, "update");
+
+    let compressed =
+        svc.save(SaveRequest::compressed_update(&model, &base_model, &full)).unwrap().id;
+    assert_eq!(counting.take_writes(), one_batch, "compressed update");
+
+    let mut saved = vec![full, update, compressed.clone()];
+    for (external, seed) in [(false, 16), (true, 17)] {
+        let (mut prov, mut trainer) = common::train_spec(ModelRelation::PartiallyUpdated, seed);
+        prov.dataset_external = external;
+        let before = model.duplicate();
+        model.set_classifier_only_trainable();
+        trainer.train(&mut model);
+        let base = saved.last().unwrap().clone();
+        assert!(!model.models_equal(&before), "training moved the model");
+        saved.push(svc.save(SaveRequest::provenance(&model, &base, &prov)).unwrap().id);
+        assert_eq!(counting.take_writes(), one_batch, "provenance, external dataset: {external}");
+    }
+
+    for id in &saved {
+        let report = svc.recover_report(id, RecoverOptions::default()).unwrap();
+        assert_eq!(report.verification, VerifyOutcome::Verified, "{id}");
+    }
+    assert_eq!(counting.take_writes(), Writes::default(), "recovery writes nothing");
 }
 
 /// A verified recovery reads the requested id's model-info once: the root

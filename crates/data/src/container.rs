@@ -19,7 +19,7 @@
 use mmlib_tensor::hash::{Digest, Sha256};
 
 use crate::catalog::DatasetId;
-use crate::dataset::Dataset;
+use crate::dataset::{content_digest, Dataset};
 
 const MAGIC: &[u8; 4] = b"MMDC";
 const VERSION: u16 = 1;
@@ -54,8 +54,10 @@ impl std::fmt::Display for ContainerError {
 
 impl std::error::Error for ContainerError {}
 
-/// Packs a dataset into the single-file container format.
-pub fn pack(dataset: &Dataset) -> Vec<u8> {
+/// Packs a dataset into the single-file container format, returning the
+/// container and the dataset's [`content_digest`] over the blobs it packed:
+/// each blob is generated once and feeds both.
+pub fn pack(dataset: &Dataset) -> (Vec<u8>, Digest) {
     let name = dataset.id().short_name();
     let mut out = Vec::with_capacity((dataset.total_bytes() as usize).saturating_add(64));
     out.extend_from_slice(MAGIC);
@@ -64,15 +66,17 @@ pub fn pack(dataset: &Dataset) -> Vec<u8> {
     out.extend_from_slice(name.as_bytes());
     out.extend_from_slice(&dataset.len().to_le_bytes());
     out.extend_from_slice(&dataset.total_bytes().to_le_bytes());
-    for i in 0..dataset.len() {
+    let blobs = (0..dataset.len()).map(|i| {
         let blob = dataset.blob(i);
         out.extend_from_slice(&(blob.len() as u32).to_le_bytes());
         out.extend_from_slice(&blob);
-    }
+        blob
+    });
+    let digest = content_digest(dataset.id(), dataset.len(), dataset.total_bytes(), blobs);
     let mut h = Sha256::new();
     h.update(&out);
     out.extend_from_slice(&h.finalize().0);
-    out
+    (out, digest)
 }
 
 /// A decoded container: the named dataset and its blob payloads.
@@ -82,6 +86,14 @@ pub struct Unpacked {
     pub id: DatasetId,
     /// Per-image blobs in index order.
     pub blobs: Vec<Vec<u8>>,
+}
+
+impl Unpacked {
+    /// The [`content_digest`] of the blobs this container holds.
+    pub fn content_digest(&self) -> Digest {
+        let total = self.blobs.iter().map(|b| b.len() as u64).sum();
+        content_digest(self.id, self.blobs.len() as u64, total, &self.blobs)
+    }
 }
 
 /// Splits the first `n` bytes off `rest`.
@@ -159,9 +171,11 @@ mod tests {
     #[test]
     fn pack_unpack_round_trip() {
         let d = tiny();
-        let packed = pack(&d);
+        let (packed, digest) = pack(&d);
         let un = unpack(&packed).unwrap();
         assert_eq!(un.id, d.id());
+        assert_eq!(digest, d.content_digest(), "packed blobs are the generated ones");
+        assert_eq!(un.content_digest(), digest, "and so are the unpacked ones");
         assert_eq!(un.blobs.len() as u64, d.len());
         for (i, blob) in un.blobs.iter().enumerate() {
             assert_eq!(blob, &d.blob(i as u64));
@@ -171,7 +185,7 @@ mod tests {
     #[test]
     fn container_size_tracks_dataset_size() {
         let d = tiny();
-        let packed = pack(&d);
+        let (packed, _) = pack(&d);
         let overhead = packed.len() as u64 - d.total_bytes();
         // index: 4 bytes per image + header + trailer
         assert_eq!(overhead, 4 * d.len() + 4 + 2 + 2 + 6 + 8 + 8 + 32);
@@ -179,8 +193,7 @@ mod tests {
 
     #[test]
     fn flipping_any_payload_bit_is_detected() {
-        let d = tiny();
-        let packed = pack(&d);
+        let (packed, _) = pack(&tiny());
         for &pos in &[0usize, 10, 100, packed.len() / 2, packed.len() - 40] {
             let mut corrupt = packed.clone();
             corrupt[pos] ^= 0x01;
@@ -214,7 +227,7 @@ mod tests {
 
     #[test]
     fn truncation_is_detected() {
-        let packed = pack(&tiny());
+        let (packed, _) = pack(&tiny());
         assert!(unpack(&packed[..packed.len() - 1]).is_err());
         assert!(unpack(&packed[..10]).is_err());
         assert!(unpack(&[]).is_err());

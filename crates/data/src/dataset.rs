@@ -90,18 +90,34 @@ impl Dataset {
         self.image_rng(index, 3).below(NUM_CLASSES)
     }
 
-    /// SHA-256 over the dataset identity and all blob contents — the
-    /// checksum the provenance approach records for its dataset reference.
+    /// The dataset's [`content_digest`], over freshly generated blobs (the
+    /// check for a dataset that is referenced, not stored).
     pub fn content_digest(&self) -> Digest {
-        let mut h = Sha256::new();
-        h.update(self.spec.id.short_name().as_bytes());
-        h.update(&self.spec.images.to_le_bytes());
-        h.update(&self.spec.total_bytes.to_le_bytes());
-        for i in 0..self.spec.images {
-            h.update(&self.blob(i));
-        }
-        h.finalize()
+        let blobs = (0..self.len()).map(|i| self.blob(i));
+        content_digest(self.id(), self.len(), self.total_bytes(), blobs)
     }
+}
+
+/// SHA-256 over a dataset's identity and its blob bytes: the checksum the
+/// provenance approach records for its dataset reference. A save computes
+/// it over the blobs it packs, a recovery over the blobs it unpacked from
+/// the stored container, so the recorded value vouches for the stored
+/// bytes; `images` and `total_bytes` are the count and summed length of
+/// `blobs`.
+pub fn content_digest<B: AsRef<[u8]>>(
+    id: DatasetId,
+    images: u64,
+    total_bytes: u64,
+    blobs: impl IntoIterator<Item = B>,
+) -> Digest {
+    let mut h = Sha256::new();
+    h.update(id.short_name().as_bytes());
+    h.update(&images.to_le_bytes());
+    h.update(&total_bytes.to_le_bytes());
+    for blob in blobs {
+        h.update(blob.as_ref());
+    }
+    h.finalize()
 }
 
 #[cfg(test)]

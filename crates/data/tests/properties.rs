@@ -19,9 +19,10 @@ proptest! {
 
     #[test]
     fn container_round_trip(dataset in arb_dataset()) {
-        let packed = container::pack(&dataset);
+        let (packed, digest) = container::pack(&dataset);
         let unpacked = container::unpack(&packed).unwrap();
         prop_assert_eq!(unpacked.id, dataset.id());
+        prop_assert_eq!(unpacked.content_digest(), digest);
         prop_assert_eq!(unpacked.blobs.len() as u64, dataset.len());
         let total: u64 = unpacked.blobs.iter().map(|b| b.len() as u64).sum();
         prop_assert_eq!(total, dataset.total_bytes());
@@ -29,7 +30,7 @@ proptest! {
 
     #[test]
     fn container_detects_any_single_bitflip(dataset in arb_dataset(), pos_frac in 0.0f64..1.0, bit in 0u8..8) {
-        let mut packed = container::pack(&dataset);
+        let (mut packed, _) = container::pack(&dataset);
         let pos = ((packed.len() - 1) as f64 * pos_frac) as usize;
         packed[pos] ^= 1 << bit;
         prop_assert!(container::unpack(&packed).is_err(), "bitflip at {} undetected", pos);
@@ -91,7 +92,7 @@ proptest! {
     #[test]
     fn unpack_never_panics_on_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         let _ = container::unpack(&bytes);
-        let mut payload = container::pack(&Dataset::new(DatasetId::CocoFood512, 0.0001));
+        let (mut payload, _) = container::pack(&Dataset::new(DatasetId::CocoFood512, 0.0001));
         payload.truncate(14);
         payload.extend_from_slice(&bytes);
         let _ = container::unpack(&reseal(payload));
@@ -107,7 +108,7 @@ proptest! {
         frac in 0.0f64..1.0,
         value in any::<u8>(),
     ) {
-        let packed = container::pack(&Dataset::new(DatasetId::CocoFood512, 0.0001));
+        let (packed, _) = container::pack(&Dataset::new(DatasetId::CocoFood512, 0.0001));
         let mut payload = packed[..packed.len() - 32].to_vec();
         let pos = if front { near } else { ((payload.len() - 1) as f64 * frac) as usize };
         payload[pos] = value;

@@ -337,3 +337,72 @@ fn flow_over_faulty_tcp_survives_and_fsck_finds_only_duplicates() {
     let after = fsck(&storage, &FsckOptions::default()).unwrap();
     assert!(after.is_clean(), "store dirty after repair: {:?}", after.issues);
 }
+
+/// A provenance save and its recovery over the loopback registry.
+/// `RemoteStore` commits a batch item by item, so the save's `$batch:N`
+/// references, nested inside the wrapper documents too (the optimizer's
+/// state file, the train service's loader and optimizer, the dataset
+/// container), must resolve on the client before each document is sent.
+#[test]
+fn provenance_save_and_replay_over_tcp_are_byte_identical() {
+    use mmlib_core::{RecoverOptions, SaveRequest, SaveService, TrainProvenance, VerifyOutcome};
+    use mmlib_data::loader::LoaderConfig;
+    use mmlib_data::{DataLoader, Dataset, DatasetId};
+    use mmlib_model::Model;
+    use mmlib_net::{RegistryServer, RemoteStore};
+    use mmlib_store::{ModelStorage, BATCH_REF_PREFIX};
+    use mmlib_tensor::ExecMode;
+    use mmlib_train::{ImageNetTrainService, Sgd, SgdConfig, TrainConfig, TrainService};
+
+    let dir = tempfile::tempdir().unwrap();
+    let backing = ModelStorage::open(dir.path()).unwrap();
+    let server = RegistryServer::bind(backing, "127.0.0.1:0").unwrap();
+    let storage = RemoteStore::builder(server.addr()).build().unwrap().into_storage();
+    let service = SaveService::new(storage);
+
+    let mut model = Model::new_initialized(ArchId::TinyCnn, 21);
+    let base = service.save(SaveRequest::full(&model)).unwrap().id;
+
+    let loader_config = LoaderConfig {
+        batch_size: 2,
+        resolution: 16,
+        shuffle: true,
+        augment: true,
+        seed: 22,
+        max_images: Some(4),
+    };
+    let sgd_config = SgdConfig { lr: 0.01, momentum: 0.9, weight_decay: 0.0, max_grad_norm: None };
+    let train_config = TrainConfig {
+        epochs: 1,
+        max_batches_per_epoch: Some(2),
+        seed: 22,
+        mode: ExecMode::Deterministic,
+    };
+    let sgd = Sgd::new(sgd_config);
+    let prov = TrainProvenance {
+        dataset_id: DatasetId::CocoOutdoor512,
+        dataset_scale: 0.0002,
+        dataset_external: false,
+        loader_config,
+        optimizer: sgd_config.into(),
+        optimizer_state_before: sgd.state_bytes(),
+        train_config,
+        relation: ModelRelation::PartiallyUpdated,
+    };
+    let loader = DataLoader::new(Dataset::new(prov.dataset_id, prov.dataset_scale), loader_config);
+    model.set_classifier_only_trainable();
+    ImageNetTrainService::new(loader, sgd, train_config).train(&mut model);
+    let id = service.save(SaveRequest::provenance(&model, &base, &prov)).unwrap().id;
+
+    // No placeholder reached the server: every reference names a real id.
+    let storage = service.storage();
+    for doc_id in storage.doc_ids().unwrap() {
+        let body = storage.get_doc(&doc_id).unwrap().body.to_string();
+        assert!(!body.contains(BATCH_REF_PREFIX), "unresolved reference in {doc_id}: {body}");
+    }
+
+    let report = service.recover_report(&id, RecoverOptions::default()).unwrap();
+    assert_eq!(report.verification, VerifyOutcome::Verified);
+    assert_eq!(report.recovered_bases, 1);
+    assert!(report.model.models_equal(&model), "replay over TCP is not byte-identical");
+}

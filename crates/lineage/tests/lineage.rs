@@ -133,7 +133,7 @@ fn corrupt_layer_hash_documents_are_errors_not_panics() {
     for (what, corrupt) in corruptions {
         let mut body = good.clone();
         corrupt(&mut body);
-        s.storage().docs().update(&doc_id, body).unwrap();
+        s.storage().update_doc(&doc_id, body).unwrap();
         assert!(s.save(SaveRequest::update(&model, base)).is_err(), "{what}: save");
         match lineage.diff(&ids[0], base) {
             // Paths are not hashed into the tree, so a swapped pair decodes:
@@ -144,7 +144,7 @@ fn corrupt_layer_hash_documents_are_errors_not_panics() {
         }
     }
 
-    s.storage().docs().update(&doc_id, good).unwrap();
+    s.storage().update_doc(&doc_id, good).unwrap();
     let saved = s.save(SaveRequest::update(&model, base)).unwrap();
     assert_eq!(saved.diff.unwrap().changed.len(), 1);
     assert_eq!(lineage.diff(&ids[0], base).unwrap().changed_layers.len(), 1);
@@ -496,7 +496,7 @@ fn hostile_chains_end_at_the_depth_guard() {
         let forged = if two_cycle { mid } else { tip };
         let mut doc = s.storage().get_doc(forged.doc_id()).unwrap();
         doc.body["base_model"] = serde_json::json!(tip.doc_id().as_str());
-        s.storage().docs().update(forged.doc_id(), doc.body).unwrap();
+        s.storage().update_doc(forged.doc_id(), doc.body).unwrap();
 
         let lineage = Lineage::new(&s);
         let limit = RecoverOptions::default().max_chain_depth;

@@ -103,12 +103,12 @@ fn respond(
             // stored size without an extra round trip.
             let updated = storage
                 .get_doc(&id)
-                .and_then(|doc| storage.docs().update(&id, body).map(|()| doc.kind));
+                .and_then(|doc| storage.update_doc(&id, body).map(|()| doc.kind));
             store_reply(updated, |kind| json!({"kind": kind}))
         }
-        Opcode::DocContains => ok_frame(json!({"present": storage.docs().contains(&doc_id()?)})),
-        Opcode::DocRemove => store_reply(storage.docs().remove(&doc_id()?), |()| json!({})),
-        Opcode::DocIds => store_reply(storage.docs().ids(), |ids| id_list(ids, DocId::as_str)),
+        Opcode::DocContains => ok_frame(json!({"present": storage.contains_doc(&doc_id()?)})),
+        Opcode::DocRemove => store_reply(storage.remove_doc(&doc_id()?), |()| json!({})),
+        Opcode::DocIds => store_reply(storage.doc_ids(), |ids| id_list(ids, DocId::as_str)),
         Opcode::FilePut => {
             store_reply(storage.put_file(blob.unwrap_or(&[])), |id| json!({"id": id.as_str()}))
         }
@@ -121,13 +121,13 @@ fn respond(
             Err(e) => store_err_frame(&e),
         },
         Opcode::FileSize => {
-            store_reply(storage.files().size(&file_id()?), |size| json!({"len": size}))
+            store_reply(storage.file_size(&file_id()?), |size| json!({"len": size}))
         }
         Opcode::FileContains => {
-            ok_frame(json!({"present": storage.files().contains(&file_id()?)}))
+            ok_frame(json!({"present": storage.contains_file(&file_id()?)}))
         }
-        Opcode::FileRemove => store_reply(storage.files().remove(&file_id()?), |()| json!({})),
-        Opcode::FileIds => store_reply(storage.files().ids(), |ids| id_list(ids, FileId::as_str)),
+        Opcode::FileRemove => store_reply(storage.remove_file(&file_id()?), |()| json!({})),
+        Opcode::FileIds => store_reply(storage.file_ids(), |ids| id_list(ids, FileId::as_str)),
         Opcode::Stats => ok_frame(metrics.snapshot()),
         Opcode::StatsText => ok_frame(json!({"text": metrics.render_text()})),
         // Lineage is answered from the graph `mmlib lineage` builds locally,

@@ -90,7 +90,7 @@ fn truncated_chunk_mid_blob_stream_is_survived_by_retry() {
 
     // The store committed the blob exactly once, byte-identical.
     let direct = ModelStorage::open(dir.path()).unwrap();
-    assert_eq!(direct.files().ids().unwrap(), vec![id.clone()]);
+    assert_eq!(direct.file_ids().unwrap(), vec![id.clone()]);
     assert_eq!(direct.get_file(&id).unwrap(), blob);
     assert!(metrics.bytes_in() >= blob.len() as u64);
 }
@@ -132,7 +132,7 @@ fn dropped_reply_retries_with_at_least_once_semantics() {
     // At-least-once: the first attempt's commit survives as a duplicate —
     // the orphan `mmlib fsck` exists to find.
     let direct = ModelStorage::open(dir.path()).unwrap();
-    assert_eq!(direct.docs().ids().unwrap().len(), 2);
+    assert_eq!(direct.doc_ids().unwrap().len(), 2);
 }
 
 #[test]
@@ -161,7 +161,7 @@ fn lost_single_response_poisons_only_its_request_id() {
     );
     // At-least-once again: both insert attempts committed.
     let direct = ModelStorage::open(dir.path()).unwrap();
-    assert_eq!(direct.docs().ids().unwrap().len(), 2);
+    assert_eq!(direct.doc_ids().unwrap().len(), 2);
 }
 
 #[test]

@@ -86,7 +86,7 @@ fn a_first_frame_other_than_hello_is_refused() {
     assert_eq!(metrics.inflight(), 0.0);
     assert_eq!(metrics.load_shed(), 0);
     let direct = ModelStorage::open(dir.path()).unwrap();
-    assert!(direct.docs().ids().unwrap().is_empty());
+    assert!(direct.doc_ids().unwrap().is_empty());
 
     // A refusal is per connection: the next well-behaved client is served.
     let client = RemoteStore::builder(server.addr()).pool_size(1).build().unwrap();

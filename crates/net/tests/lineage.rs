@@ -63,7 +63,7 @@ impl Served {
     fn rebase(&self, model: &DocId, base: &DocId) {
         let mut body = self.local.get_doc(model).unwrap().body;
         body["base_model"] = serde_json::json!(base.as_str());
-        self.local.docs().update(model, body).unwrap();
+        self.local.update_doc(model, body).unwrap();
     }
 
     fn graph(&self) -> LineageGraph {
@@ -98,7 +98,7 @@ fn both_sides_build_the_same_node_from_a_model_info() {
     let mut body = s.local.get_doc(&tip).unwrap().body;
     body["tags"] = serde_json::json!(["best"]);
     body["update_layers"] = serde_json::json!(["fc"]);
-    s.local.docs().update(&tip, body).unwrap();
+    s.local.update_doc(&tip, body).unwrap();
     // A leftover document of the retired `lineage` kind is not a node.
     s.local.insert_doc("lineage", serde_json::json!({"model": tip.as_str()})).unwrap();
 
@@ -186,7 +186,7 @@ fn one_ancestry_query_reads_each_document_once() {
     // Documents no lineage query needs still cost their one read.
     s.local.insert_doc(kinds::ENVIRONMENT, serde_json::json!({"os": "linux"})).unwrap();
 
-    let docs = s.local.docs().ids().unwrap().len();
+    let docs = s.local.doc_ids().unwrap().len();
     counting.doc_gets.store(0, Ordering::Relaxed);
     let ancestry = s.client.lineage_chain(chain[8].as_str()).unwrap();
     let walked: Vec<&str> = ancestry.iter().map(|r| r.model.as_str()).collect();

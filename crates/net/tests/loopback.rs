@@ -205,10 +205,10 @@ fn remote_backed_model_storage_serves_the_full_surface() {
 
     assert!(storage.root().to_string_lossy().starts_with("tcp://"));
     let id = storage.insert_doc("k", json!({"v": 1})).unwrap();
-    assert!(storage.docs().contains(&id));
+    assert!(storage.contains_doc(&id));
     let fid = storage.put_file(b"remote bytes").unwrap();
     assert_eq!(storage.get_file(&fid).unwrap(), b"remote bytes");
-    assert_eq!(storage.files().size(&fid).unwrap(), 12);
+    assert_eq!(storage.file_size(&fid).unwrap(), 12);
     assert!(storage.bytes_written() > 0);
     assert!(storage.bytes_read() > 0);
 

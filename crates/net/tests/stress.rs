@@ -154,5 +154,5 @@ fn load_shed_surfaces_as_a_clean_retryable_busy() {
     assert_eq!(metrics.connections(), 1, "load shedding must not tear the connection down");
     assert_eq!(metrics.requests(Opcode::DocInsert), 2);
     let direct = ModelStorage::open(dir.path()).unwrap();
-    assert_eq!(direct.docs().ids().unwrap().len(), 2);
+    assert_eq!(direct.doc_ids().unwrap().len(), 2);
 }

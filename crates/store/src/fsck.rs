@@ -1,9 +1,9 @@
 //! Physical consistency scan of a local storage root.
 //!
 //! This is the filesystem half of `fsck`: it lists the leftover temporary
-//! files of interrupted atomic writes under `docs/` + `files/` without
+//! files of interrupted staged writes under `docs/` + `files/` without
 //! reading any document. Document integrity (parse, embedded id) is checked
-//! by [`DocStore::get`](crate::DocStore::get) on every read; the model-aware
+//! by `DocStore::get` on every read; the model-aware
 //! half (reference resolution, Merkle re-verification, orphan detection)
 //! lives in `mmlib-core::fsck` and builds on this scan.
 
@@ -84,7 +84,7 @@ mod tests {
         )
         .unwrap();
         assert!(storage.insert_doc("k", json!({"a": 1})).is_err());
-        assert!(storage.docs().ids().unwrap().is_empty(), "torn doc never became visible");
+        assert!(storage.doc_ids().unwrap().is_empty(), "torn doc never became visible");
 
         let leftovers = scan_local(dir.path()).unwrap();
         assert_eq!(leftovers.len(), 1);

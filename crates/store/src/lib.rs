@@ -7,13 +7,14 @@
 //! halves as embedded, directory-backed stores plus the accounting the
 //! evaluation needs:
 //!
-//! * [`document`] — a JSON document store with generated ids and recursive
-//!   reference resolution (the paper's "recursively load all associated
-//!   JSON documents").
-//! * [`files`] — a flat file store with generated ids.
-//! * [`storage`] — [`storage::ModelStorage`], bundling one document store
-//!   and one file store behind shared byte accounting; every save's storage
-//!   consumption is measured here.
+//! * [`document`] — JSON documents with generated ids, which reference each
+//!   other and files by id (the paper's "recursively load all associated
+//!   JSON documents"), and their codec.
+//! * [`files`] — opaque blobs with generated ids.
+//! * [`storage`] — [`storage::ModelStorage`], the one call surface over a
+//!   [`storage::StorageBackend`]; the local backend keeps both halves in
+//!   directories written through one staged commit, behind shared byte
+//!   accounting, so every save's storage consumption is measured here.
 //! * [`fault`] — seeded deterministic fault injection ([`FaultPlan`],
 //!   [`FaultInjector`]) driving the crash-consistency test matrix.
 //! * [`fsck`] — physical consistency scan of a local root (leftover tmp
@@ -35,9 +36,9 @@ pub mod fsck;
 pub mod schema;
 pub mod storage;
 
-pub use document::{DocId, DocStore, Document};
+pub use document::{DocId, Document};
 pub use fault::{Fault, FaultInjector, FaultPlan};
-pub use files::{FileId, FileStore};
+pub use files::FileId;
 pub use storage::{
     batch_ref, register_metrics, BatchId, BatchItem, ModelStorage, StorageBackend, StoreError,
     BATCH_REF_PREFIX,

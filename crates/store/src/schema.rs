@@ -310,7 +310,7 @@ impl LineageGraph {
     /// that does not decode ([`StoreError::Malformed`]).
     pub fn read(storage: &ModelStorage) -> Result<LineageGraph, StoreError> {
         let mut nodes: BTreeMap<String, LineageNode> = BTreeMap::new();
-        for id in storage.docs().ids()? {
+        for id in storage.doc_ids()? {
             let doc = storage.get_doc(&id)?;
             if doc.kind == kinds::MODEL_INFO {
                 let info: ModelInfoDoc = decode(&id, doc.body)?;

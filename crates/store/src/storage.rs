@@ -1,4 +1,10 @@
 //! The combined model storage: documents + files + byte accounting.
+//!
+//! [`ModelStorage`] is the one call surface the model library and the
+//! registry server use: the per-item methods carry the [`StorageBackend`]
+//! names and count one store operation each, and a save is one
+//! [`ModelStorage::commit_batch`]. The local backend writes every item, in
+//! a batch or alone, through the same staged commit (see `atomic.rs`).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -6,9 +12,10 @@ use std::sync::Arc;
 
 use mmlib_obs::Recorder;
 
+use crate::atomic::StoreDir;
 use crate::document::{DocId, DocStore, Document};
 use crate::fault::{FaultInjector, FaultPlan};
-use crate::files::{FileId, FileStore};
+use crate::files::FileId;
 
 /// Errors from the storage layer.
 #[derive(Debug)]
@@ -97,9 +104,9 @@ pub fn register_metrics(recorder: &Recorder) {
 /// the exposition shows aggregate storage traffic without extra plumbing.
 #[derive(Debug, Default)]
 pub struct Accounting {
-    written: AtomicU64,
-    read: AtomicU64,
-    syncs: AtomicU64,
+    pub(crate) written: AtomicU64,
+    pub(crate) read: AtomicU64,
+    pub(crate) syncs: AtomicU64,
 }
 
 impl Accounting {
@@ -311,15 +318,29 @@ pub trait StorageBackend: Send + Sync {
 }
 
 /// The default backend: a local directory split into `docs/` + `files/`.
+/// Every write, a batch's or a single item's, is a stage per item followed
+/// by one [`StoreDir::commit`].
 struct LocalBackend {
     docs: DocStore,
-    files: FileStore,
+    files: StoreDir<FileId>,
     accounting: Arc<Accounting>,
+}
+
+impl LocalBackend {
+    fn open(root: &Path, faults: Option<Arc<FaultInjector>>) -> Result<LocalBackend, StoreError> {
+        let accounting = Arc::new(Accounting::default());
+        let dir = StoreDir::open(root.join("docs"), Arc::clone(&accounting), faults.clone())?;
+        let files = StoreDir::open(root.join("files"), Arc::clone(&accounting), faults)?;
+        Ok(LocalBackend { docs: DocStore { dir }, files, accounting })
+    }
 }
 
 impl StorageBackend for LocalBackend {
     fn insert_doc(&self, kind: &str, body: serde_json::Value) -> Result<DocId, StoreError> {
-        self.docs.insert(kind, body)
+        let (id, staged, n) = self.docs.stage(kind, body)?;
+        // The stage took this write's one injector operation.
+        self.docs.dir.commit(vec![staged], n, None)?;
+        Ok(id)
     }
 
     fn get_doc(&self, id: &DocId) -> Result<Document, StoreError> {
@@ -331,23 +352,25 @@ impl StorageBackend for LocalBackend {
     }
 
     fn contains_doc(&self, id: &DocId) -> bool {
-        self.docs.contains(id)
+        self.docs.dir.contains(id)
     }
 
     fn remove_doc(&self, id: &DocId) -> Result<(), StoreError> {
-        self.docs.remove(id)
+        self.docs.dir.remove(id)
     }
 
     fn doc_ids(&self) -> Result<Vec<DocId>, StoreError> {
-        self.docs.ids()
+        self.docs.dir.ids()
     }
 
     fn put_file(&self, bytes: &[u8]) -> Result<FileId, StoreError> {
-        self.files.put(bytes)
+        let id = self.files.next_id();
+        self.files.write(&id, bytes)?;
+        Ok(id)
     }
 
     fn get_file(&self, id: &FileId) -> Result<Vec<u8>, StoreError> {
-        self.files.get(id)
+        self.files.read(id)
     }
 
     fn file_size(&self, id: &FileId) -> Result<u64, StoreError> {
@@ -380,15 +403,15 @@ impl StorageBackend for LocalBackend {
 
     fn commit_batch(&self, items: Vec<BatchItem>) -> Result<Vec<BatchId>, StoreError> {
         // Stage everything (each stage consumes one fault-injector
-        // operation, like the sequential writes it replaces), then pay the
-        // rename + directory-fsync tail once for the whole batch. A failed
-        // stage aborts before any rename, so the committed state is
-        // untouched; staged tmp files stay behind for fsck, as a crash
-        // would leave them. Staged ids are reserved up front, so a document
-        // body may reference an earlier item of its own batch (`$batch:N`).
+        // operation), then pay the rename + directory-fsync tail once for
+        // the whole batch. A failed stage aborts before any rename, so the
+        // committed state is untouched; staged tmp files stay behind for
+        // fsck, as a crash would leave them. Staged ids are reserved up
+        // front, so a document body may reference an earlier item of its
+        // own batch (`$batch:N`).
         let mut staged = Vec::with_capacity(items.len());
         let mut ids = Vec::with_capacity(items.len());
-        let mut written = Vec::with_capacity(items.len());
+        let mut written = 0;
         for item in items {
             match item {
                 BatchItem::Doc { kind, mut body } => {
@@ -396,25 +419,20 @@ impl StorageBackend for LocalBackend {
                     let (id, s, n) = self.docs.stage(&kind, body)?;
                     staged.push(s);
                     ids.push(BatchId::Doc(id));
-                    written.push(n);
+                    written += n;
                 }
                 BatchItem::File { bytes } => {
-                    let (id, s, n) = self.files.stage(&bytes)?;
-                    staged.push(s);
+                    let id = self.files.next_id();
+                    staged.push(self.files.stage(&id, &bytes)?);
                     ids.push(BatchId::File(id));
-                    written.push(n);
+                    written += bytes.len() as u64;
                 }
             }
         }
         // The commit itself is one more injector operation, so fault plans
-        // can target the rename/dir-fsync step specifically. Both stores
+        // can target the rename/dir-fsync step specifically. Both halves
         // share one injector when faults are enabled.
-        let injector = self.docs.faults().or_else(|| self.files.faults());
-        let dir_syncs = crate::atomic::commit_staged(staged, injector)?;
-        self.accounting.add_syncs(dir_syncs as u64);
-        for n in written {
-            self.accounting.add_written(n);
-        }
+        self.files.commit(staged, written, self.files.faults())?;
         Ok(ids)
     }
 }
@@ -435,10 +453,7 @@ impl ModelStorage {
     /// Opens (or creates) a local directory-backed storage rooted at `root`.
     pub fn open(root: impl AsRef<Path>) -> Result<ModelStorage, StoreError> {
         let root = root.as_ref().to_path_buf();
-        let accounting = Arc::new(Accounting::default());
-        let docs = DocStore::open(root.join("docs"), Arc::clone(&accounting))?;
-        let files = FileStore::open(root.join("files"), Arc::clone(&accounting))?;
-        let backend = Arc::new(LocalBackend { docs, files, accounting });
+        let backend = Arc::new(LocalBackend::open(&root, None)?);
         Ok(ModelStorage { backend, root })
     }
 
@@ -455,12 +470,7 @@ impl ModelStorage {
     ) -> Result<(ModelStorage, Arc<FaultInjector>), StoreError> {
         let root = root.as_ref().to_path_buf();
         let injector = Arc::new(FaultInjector::new(plan));
-        let accounting = Arc::new(Accounting::default());
-        let mut docs = DocStore::open(root.join("docs"), Arc::clone(&accounting))?;
-        let mut files = FileStore::open(root.join("files"), Arc::clone(&accounting))?;
-        docs.set_faults(Arc::clone(&injector));
-        files.set_faults(Arc::clone(&injector));
-        let backend = Arc::new(LocalBackend { docs, files, accounting });
+        let backend = Arc::new(LocalBackend::open(&root, Some(Arc::clone(&injector)))?);
         Ok((ModelStorage { backend, root }, injector))
     }
 
@@ -485,16 +495,6 @@ impl ModelStorage {
         Arc::clone(&self.backend)
     }
 
-    /// The document half.
-    pub fn docs(&self) -> DocsView<'_> {
-        DocsView { backend: &*self.backend }
-    }
-
-    /// The file half.
-    pub fn files(&self) -> FilesView<'_> {
-        FilesView { backend: &*self.backend }
-    }
-
     /// Total bytes written through this storage so far.
     pub fn bytes_written(&self) -> u64 {
         self.backend.bytes_written()
@@ -513,24 +513,72 @@ impl ModelStorage {
         self.backend.sync_ops()
     }
 
-    /// Convenience: insert a document of `kind` with a JSON `body`.
+    /// Inserts a document of `kind` with a JSON `body`, as a one-item
+    /// write.
     pub fn insert_doc(&self, kind: &str, body: serde_json::Value) -> Result<DocId, StoreError> {
-        self.docs().insert(kind, body)
+        count_op("doc_insert");
+        self.backend.insert_doc(kind, body)
     }
 
-    /// Convenience: load a document by id.
+    /// Loads a document by id.
     pub fn get_doc(&self, id: &DocId) -> Result<Document, StoreError> {
-        self.docs().get(id)
+        count_op("doc_get");
+        self.backend.get_doc(id)
     }
 
-    /// Convenience: save a file and return its generated id.
+    /// Replaces an existing document's body.
+    pub fn update_doc(&self, id: &DocId, body: serde_json::Value) -> Result<(), StoreError> {
+        count_op("doc_update");
+        self.backend.update_doc(id, body)
+    }
+
+    /// Whether a document exists.
+    pub fn contains_doc(&self, id: &DocId) -> bool {
+        self.backend.contains_doc(id)
+    }
+
+    /// Deletes a document.
+    pub fn remove_doc(&self, id: &DocId) -> Result<(), StoreError> {
+        count_op("doc_remove");
+        self.backend.remove_doc(id)
+    }
+
+    /// Every stored document id, sorted.
+    pub fn doc_ids(&self) -> Result<Vec<DocId>, StoreError> {
+        self.backend.doc_ids()
+    }
+
+    /// Saves a blob as a one-item write, returning its generated id.
     pub fn put_file(&self, bytes: &[u8]) -> Result<FileId, StoreError> {
-        self.files().put(bytes)
+        count_op("file_put");
+        self.backend.put_file(bytes)
     }
 
-    /// Convenience: load a file by id.
+    /// Loads a blob by id.
     pub fn get_file(&self, id: &FileId) -> Result<Vec<u8>, StoreError> {
-        self.files().get(id)
+        count_op("file_get");
+        self.backend.get_file(id)
+    }
+
+    /// A blob's size in bytes, without reading it.
+    pub fn file_size(&self, id: &FileId) -> Result<u64, StoreError> {
+        self.backend.file_size(id)
+    }
+
+    /// Whether a blob exists.
+    pub fn contains_file(&self, id: &FileId) -> bool {
+        self.backend.contains_file(id)
+    }
+
+    /// Deletes a blob.
+    pub fn remove_file(&self, id: &FileId) -> Result<(), StoreError> {
+        count_op("file_remove");
+        self.backend.remove_file(id)
+    }
+
+    /// Every stored blob id, sorted.
+    pub fn file_ids(&self) -> Result<Vec<FileId>, StoreError> {
+        self.backend.file_ids()
     }
 
     /// Commits a batch of document/file writes, coalescing the durability
@@ -539,75 +587,6 @@ impl ModelStorage {
     pub fn commit_batch(&self, items: Vec<BatchItem>) -> Result<Vec<BatchId>, StoreError> {
         count_op("batch_commit");
         self.backend.commit_batch(items)
-    }
-}
-
-/// Document operations of a [`ModelStorage`], backend-agnostic.
-pub struct DocsView<'a> {
-    backend: &'a dyn StorageBackend,
-}
-
-impl DocsView<'_> {
-    pub fn insert(&self, kind: &str, body: serde_json::Value) -> Result<DocId, StoreError> {
-        count_op("doc_insert");
-        self.backend.insert_doc(kind, body)
-    }
-
-    pub fn get(&self, id: &DocId) -> Result<Document, StoreError> {
-        count_op("doc_get");
-        self.backend.get_doc(id)
-    }
-
-    pub fn update(&self, id: &DocId, body: serde_json::Value) -> Result<(), StoreError> {
-        count_op("doc_update");
-        self.backend.update_doc(id, body)
-    }
-
-    pub fn contains(&self, id: &DocId) -> bool {
-        self.backend.contains_doc(id)
-    }
-
-    pub fn remove(&self, id: &DocId) -> Result<(), StoreError> {
-        count_op("doc_remove");
-        self.backend.remove_doc(id)
-    }
-
-    pub fn ids(&self) -> Result<Vec<DocId>, StoreError> {
-        self.backend.doc_ids()
-    }
-}
-
-/// File operations of a [`ModelStorage`], backend-agnostic.
-pub struct FilesView<'a> {
-    backend: &'a dyn StorageBackend,
-}
-
-impl FilesView<'_> {
-    pub fn put(&self, bytes: &[u8]) -> Result<FileId, StoreError> {
-        count_op("file_put");
-        self.backend.put_file(bytes)
-    }
-
-    pub fn get(&self, id: &FileId) -> Result<Vec<u8>, StoreError> {
-        count_op("file_get");
-        self.backend.get_file(id)
-    }
-
-    pub fn size(&self, id: &FileId) -> Result<u64, StoreError> {
-        self.backend.file_size(id)
-    }
-
-    pub fn contains(&self, id: &FileId) -> bool {
-        self.backend.contains_file(id)
-    }
-
-    pub fn remove(&self, id: &FileId) -> Result<(), StoreError> {
-        count_op("file_remove");
-        self.backend.remove_file(id)
-    }
-
-    pub fn ids(&self) -> Result<Vec<FileId>, StoreError> {
-        self.backend.file_ids()
     }
 }
 
@@ -713,27 +692,44 @@ mod tests {
             ])
             .unwrap_err();
         assert!(err.to_string().contains("injected fault"));
-        assert_eq!(storage.docs().ids().unwrap().len(), 1, "prefix visible in item order");
-        assert_eq!(storage.files().ids().unwrap().len(), 0);
+        assert_eq!(storage.doc_ids().unwrap().len(), 1, "prefix visible in item order");
+        assert_eq!(storage.file_ids().unwrap().len(), 0);
         assert_eq!(storage.bytes_written(), 0, "interrupted batches account nothing");
     }
 
     #[test]
-    fn views_expose_full_backend_surface() {
+    fn storage_exposes_the_full_backend_surface() {
         let dir = tempfile::tempdir().unwrap();
         let storage = ModelStorage::open(dir.path()).unwrap();
-        let id = storage.docs().insert("k", json!({"n": 1})).unwrap();
-        assert!(storage.docs().contains(&id));
-        storage.docs().update(&id, json!({"n": 2})).unwrap();
-        assert_eq!(storage.docs().get(&id).unwrap().body["n"], 2);
-        assert_eq!(storage.docs().ids().unwrap(), vec![id.clone()]);
-        storage.docs().remove(&id).unwrap();
-        assert!(!storage.docs().contains(&id));
+        let id = storage.insert_doc("k", json!({"n": 1})).unwrap();
+        assert!(storage.contains_doc(&id));
+        storage.update_doc(&id, json!({"n": 2})).unwrap();
+        assert_eq!(storage.get_doc(&id).unwrap().body["n"], 2);
+        assert_eq!(storage.doc_ids().unwrap(), vec![id.clone()]);
+        storage.remove_doc(&id).unwrap();
+        assert!(!storage.contains_doc(&id));
 
-        let fid = storage.files().put(b"abc").unwrap();
-        assert!(storage.files().contains(&fid));
-        assert_eq!(storage.files().size(&fid).unwrap(), 3);
-        storage.files().remove(&fid).unwrap();
-        assert!(!storage.files().contains(&fid));
+        let fid = storage.put_file(b"abc").unwrap();
+        assert!(storage.contains_file(&fid));
+        assert_eq!(storage.file_size(&fid).unwrap(), 3);
+        storage.remove_file(&fid).unwrap();
+        assert!(!storage.contains_file(&fid));
+    }
+
+    #[test]
+    fn a_single_write_syncs_its_payload_and_its_directory() {
+        let dir = tempfile::tempdir().unwrap();
+        let storage = ModelStorage::open(dir.path()).unwrap();
+        let id = storage.insert_doc("k", json!({})).unwrap();
+        storage.update_doc(&id, json!({"v": 1})).unwrap();
+        storage.put_file(b"x").unwrap();
+        assert_eq!(storage.sync_ops(), 6);
+        storage
+            .commit_batch(vec![
+                BatchItem::File { bytes: vec![1] },
+                BatchItem::Doc { kind: "k".into(), body: json!({"f": batch_ref(0)}) },
+            ])
+            .unwrap();
+        assert_eq!(storage.sync_ops(), 6 + 2 + 2, "a stage per item, a sync per directory");
     }
 }

@@ -33,7 +33,7 @@ proptest! {
         // never happened.
         drop(storage);
         let reopened = ModelStorage::open(dir.path()).unwrap();
-        prop_assert!(reopened.docs().ids().unwrap().is_empty());
+        prop_assert!(reopened.doc_ids().unwrap().is_empty());
     }
 
     #[test]
@@ -52,13 +52,13 @@ proptest! {
 
         let old_body = body_of(old_size, tag);
         let id = storage.insert_doc("k", old_body.clone()).unwrap();
-        prop_assert!(storage.docs().update(&id, body_of(new_size, tag + 1)).is_err());
+        prop_assert!(storage.update_doc(&id, body_of(new_size, tag + 1)).is_err());
 
         drop(storage);
         let reopened = ModelStorage::open(dir.path()).unwrap();
         let doc = reopened.get_doc(&id).unwrap();
         prop_assert_eq!(doc.body, old_body, "old state fully intact after torn update");
-        prop_assert_eq!(reopened.docs().ids().unwrap().len(), 1);
+        prop_assert_eq!(reopened.doc_ids().unwrap().len(), 1);
     }
 
     #[test]
@@ -79,7 +79,7 @@ proptest! {
 
         drop(storage);
         let reopened = ModelStorage::open(dir.path()).unwrap();
-        prop_assert_eq!(reopened.files().ids().unwrap(), vec![keep.clone()]);
+        prop_assert_eq!(reopened.file_ids().unwrap(), vec![keep.clone()]);
         prop_assert_eq!(reopened.get_file(&keep).unwrap(), b"keep-me".to_vec());
     }
 }

@@ -13,11 +13,16 @@
 //! Everything is little-endian. The format is versioned so stores written by
 //! one release stay readable by the next (the paper's environment-tracking
 //! requirement applied to ourselves).
+//!
+//! Every recovery decodes stored bytes through [`read_tensor`] and
+//! [`state_from_bytes`], so this module is written with checked indexing
+//! and arithmetic throughout, like the wire decoder.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::arithmetic_side_effects))]
 
 use crate::error::TensorError;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 const TENSOR_MAGIC: u32 = 0x4d4d5453; // "MMTS"
 const STATE_MAGIC: u32 = 0x4d4d5344; // "MMSD"
@@ -31,21 +36,30 @@ pub fn write_tensor(t: &Tensor, out: &mut BytesMut) {
     for &d in t.shape().dims() {
         out.put_u64_le(d as u64);
     }
-    out.reserve(t.numel() * 4);
+    out.reserve(t.numel().saturating_mul(4));
     // Bulk-convert through a stack buffer: per-element `put_f32_le` calls
     // are measurably slower for multi-hundred-MB state dicts.
-    let mut buf = [0u8; 4096];
-    for chunk in t.data().chunks(1024) {
-        for (i, v) in chunk.iter().enumerate() {
-            buf[i * 4..(i + 1) * 4].copy_from_slice(&v.to_le_bytes());
+    let mut buf = [[0u8; 4]; 1024];
+    for chunk in t.data().chunks(buf.len()) {
+        for (word, v) in buf.iter_mut().zip(chunk) {
+            *word = v.to_le_bytes();
         }
-        out.put_slice(&buf[..chunk.len() * 4]);
+        let filled = buf.get(..chunk.len()).unwrap_or_default();
+        out.put_slice(filled.as_flattened());
     }
 }
 
-/// Exact serialized size of one tensor.
+/// Exact serialized size of one tensor (saturating: a capacity hint).
 fn tensor_wire_size(t: &Tensor) -> usize {
-    8 + t.shape().rank() * 8 + t.numel() * 4
+    t.shape().rank().saturating_add(1).saturating_mul(8).saturating_add(t.numel().saturating_mul(4))
+}
+
+/// Splits the first `N` bytes off `buf`, as an array; `None` if it is
+/// shorter.
+fn take_array<const N: usize>(buf: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = buf.split_first_chunk::<N>()?;
+    *buf = rest;
+    Some(*head)
 }
 
 /// Serializes one tensor to an owned buffer.
@@ -58,24 +72,20 @@ pub fn tensor_to_bytes(t: &Tensor) -> Bytes {
 /// Deserializes one tensor from the front of `buf`, advancing it. Every
 /// length is checked against the bytes remaining before it is used.
 pub fn read_tensor(buf: &mut &[u8]) -> Result<Tensor, TensorError> {
-    if buf.remaining() < 8 {
-        return Err(TensorError::Corrupt("truncated tensor header".into()));
-    }
-    let magic = buf.get_u32_le();
+    let header = || TensorError::Corrupt("truncated tensor header".into());
+    let magic = u32::from_le_bytes(take_array(buf).ok_or_else(header)?);
     if magic != TENSOR_MAGIC {
         return Err(TensorError::Corrupt(format!("bad tensor magic {magic:#x}")));
     }
-    let version = buf.get_u16_le();
+    let version = u16::from_le_bytes(take_array(buf).ok_or_else(header)?);
     if version != VERSION {
         return Err(TensorError::UnsupportedVersion(version));
     }
-    let rank = buf.get_u16_le() as usize;
-    if buf.remaining() < rank * 8 {
-        return Err(TensorError::Corrupt("truncated dims".into()));
-    }
+    let rank = usize::from(u16::from_le_bytes(take_array(buf).ok_or_else(header)?));
     let mut dims = Vec::with_capacity(rank);
     for _ in 0..rank {
-        let d = usize::try_from(buf.get_u64_le())
+        let d = take_array(buf).ok_or_else(|| TensorError::Corrupt("truncated dims".into()))?;
+        let d = usize::try_from(u64::from_le_bytes(d))
             .map_err(|_| TensorError::Corrupt("dim overflows usize".into()))?;
         dims.push(d);
     }
@@ -90,12 +100,14 @@ pub fn read_tensor(buf: &mut &[u8]) -> Result<Tensor, TensorError> {
     let Some((raw, rest)) = buf.split_at_checked(nbytes) else {
         return Err(TensorError::Corrupt(format!(
             "truncated data: need {nbytes} bytes, have {}",
-            buf.remaining()
+            buf.len()
         )));
     };
     *buf = rest;
-    // One exact-size allocation, filled straight from the borrowed bytes.
-    let data = raw.chunks_exact(4).map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])).collect();
+    // One exact-size allocation, filled straight from the borrowed bytes;
+    // every chunk is 4 bytes, so the conversion never takes its default.
+    let data =
+        raw.chunks_exact(4).map(|b| f32::from_le_bytes(b.try_into().unwrap_or_default())).collect();
     Tensor::from_vec(shape, data)
 }
 
@@ -103,8 +115,8 @@ pub fn read_tensor(buf: &mut &[u8]) -> Result<Tensor, TensorError> {
 pub fn tensor_from_bytes(bytes: &[u8]) -> Result<Tensor, TensorError> {
     let mut buf = bytes;
     let t = read_tensor(&mut buf)?;
-    if buf.has_remaining() {
-        return Err(TensorError::Corrupt(format!("{} trailing bytes", buf.remaining())));
+    if !buf.is_empty() {
+        return Err(TensorError::Corrupt(format!("{} trailing bytes", buf.len())));
     }
     Ok(t)
 }
@@ -121,11 +133,9 @@ where
     let entries: Vec<(&'a str, &'a Tensor)> = entries.into_iter().collect();
     // Reserve the exact size: growth-by-doubling reallocs of multi-hundred-MB
     // buffers are very costly on page-fault-expensive hosts.
-    let total: usize = 10
-        + entries
-            .iter()
-            .map(|(n, t)| 4 + n.len() + tensor_wire_size(t))
-            .sum::<usize>();
+    let total = entries.iter().fold(10usize, |total, (n, t)| {
+        total.saturating_add(4).saturating_add(n.len()).saturating_add(tensor_wire_size(t))
+    });
     let iter = entries.into_iter();
     let mut out = BytesMut::with_capacity(total);
     out.put_u32_le(STATE_MAGIC);
@@ -148,26 +158,23 @@ const MIN_ENTRY_LEN: usize = 4 + 8 + 4;
 /// tensor straight from the borrowed bytes.
 pub fn state_from_bytes(bytes: &[u8]) -> Result<Vec<(String, Tensor)>, TensorError> {
     let mut buf = bytes;
-    if buf.remaining() < 10 {
-        return Err(TensorError::Corrupt("truncated state header".into()));
-    }
-    let magic = buf.get_u32_le();
+    let header = || TensorError::Corrupt("truncated state header".into());
+    let magic = u32::from_le_bytes(take_array(&mut buf).ok_or_else(header)?);
     if magic != STATE_MAGIC {
         return Err(TensorError::Corrupt(format!("bad state magic {magic:#x}")));
     }
-    let version = buf.get_u16_le();
+    let version = u16::from_le_bytes(take_array(&mut buf).ok_or_else(header)?);
     if version != VERSION {
         return Err(TensorError::UnsupportedVersion(version));
     }
-    let count = buf.get_u32_le() as usize;
+    let count = u32::from_le_bytes(take_array(&mut buf).ok_or_else(header)?) as usize;
     // The count is input: reserve no more entries than the bytes could hold.
-    let mut entries = Vec::with_capacity(count.min(buf.remaining() / MIN_ENTRY_LEN));
+    let mut entries = Vec::with_capacity(count.min(buf.len() / MIN_ENTRY_LEN));
     for _ in 0..count {
-        if buf.remaining() < 4 {
-            return Err(TensorError::Corrupt("truncated entry name length".into()));
-        }
-        let name_len = buf.get_u32_le() as usize;
-        let Some((name, rest)) = buf.split_at_checked(name_len) else {
+        let name_len = take_array(&mut buf)
+            .ok_or_else(|| TensorError::Corrupt("truncated entry name length".into()))?;
+        let Some((name, rest)) = buf.split_at_checked(u32::from_le_bytes(name_len) as usize)
+        else {
             return Err(TensorError::Corrupt("truncated entry name".into()));
         };
         let name = std::str::from_utf8(name)
@@ -177,8 +184,8 @@ pub fn state_from_bytes(bytes: &[u8]) -> Result<Vec<(String, Tensor)>, TensorErr
         let tensor = read_tensor(&mut buf)?;
         entries.push((name, tensor));
     }
-    if buf.has_remaining() {
-        return Err(TensorError::Corrupt(format!("{} trailing bytes", buf.remaining())));
+    if !buf.is_empty() {
+        return Err(TensorError::Corrupt(format!("{} trailing bytes", buf.len())));
     }
     Ok(entries)
 }

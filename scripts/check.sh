@@ -26,8 +26,9 @@ lap test
 #   clippy      P1 panic-freedom, D1 determinism hygiene (clippy.toml),
 #               C1 truncating casts (deny line in each lib.rs); checked
 #               indexing and arithmetic in the wire decoder (protocol.rs),
-#               the dataset container decoder (container.rs) and the
-#               delta_v1 update decoder (codec.rs, rle.rs);
+#               the dataset container decoder (container.rs), the
+#               delta_v1 update decoder (codec.rs, rle.rs) and the tensor
+#               decoder (ser.rs);
 #               a discarded StagedWrite (#[must_use])
 #   types       admission budgets given back by `Drop for Admission`; a
 #               staged write committed at most once (`commit_staged` takes
@@ -65,7 +66,7 @@ pin P1 "$P1" $(libs core net store tensor dist obs lineage)
 pin D1 "$D1" $(libs tensor train model core lineage dist)
 pin C1 "$C1" $(libs net store)
 pin decoder "$DECODE" crates/net/src/protocol.rs crates/data/src/container.rs \
-    crates/compress/src/codec.rs crates/compress/src/rle.rs
+    crates/compress/src/codec.rs crates/compress/src/rle.rs crates/tensor/src/ser.rs
 for m in Cargo.toml crates/*/Cargo.toml crates/shims/*/Cargo.toml; do
     if ! grep -A1 -xF '[lints]' "$m" | grep -qxF 'workspace = true'; then
         echo "check.sh: $m lost '[lints] workspace = true' (F1 and the D1 default)" >&2
@@ -92,13 +93,18 @@ fi
 # mmlib-store builds every lineage node, on both sides of the wire), and so
 # is the second document per save with the rules only it needed: its batch
 # item, its fsck issue classes and compaction's rewrite of it (a model's
-# model-info document is its lineage node). Fail, naming the file, if one
-# returns.
+# model-info document is its lineage node), and so are the write paths
+# beside the staged commit: the store views, the unstaged atomic write and
+# the wrapper writes an MPA save made before its batch (`ModelStorage` is
+# the one call surface, `commit_staged` the one rename, and the wrapper
+# builders return batch items). Fail, naming the file, if one returns.
 for gone in ChainPolicy with_policy SimNetwork network_time run_flow_with_transport \
     recover_flow_family FaultyBackend artifacts_of walk_wrapper_closure entry_layer_hashes \
     lineage_index UnparsableDoc DocIdMismatch finish_inflight release_pending init_lock \
     'mmlib-lin[t]' 'lint-budge[t]' 'fn lineage_record(' 'fn lineage_ancestry(' node_line \
-    lineage_item OrphanLineage DanglingLineageParent rebase_record 'kinds::LINEAGE'; do
+    lineage_item OrphanLineage DanglingLineageParent rebase_record 'kinds::LINEAGE' \
+    DocsView FilesView atomic_write save_loader_wrapper save_optimizer_wrapper \
+    save_train_service_wrapper; do
     if hits=$(grep -rl -- "$gone" crates/*/src src examples tests); then
         echo "check.sh: deleted name '$gone' reappeared in:" $hits >&2
         exit 1
