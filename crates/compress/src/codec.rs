@@ -5,9 +5,12 @@
 //!
 //! * **delta-coded** against the same-named tensor of the base model:
 //!   `xor-delta → byte planes → per-plane zero-RLE`, or
-//! * **raw** (the tensor's own bytes, zero-RLE'd), used for tensors with no
-//!   base counterpart or whenever delta coding would not shrink the tensor.
+//! * **raw** (the tensor's own bytes, zero-RLE'd), used whenever delta
+//!   coding would not shrink the tensor.
 //!
+//! An update changes layers its base holds, so [`decode_update`] takes
+//! every entry, raw or delta, only with a same-named, same-shaped base
+//! tensor: the base bounds what a frame may make the decoder allocate.
 //! The encoder picks per tensor whichever is smaller, so the encoded update
 //! is never larger than raw + small framing. A SHA-256 trailer seals the
 //! frame. Decoding is bit-exact by construction and verified by checksum.
@@ -43,7 +46,7 @@ pub enum CodecError {
     Corrupt(String),
     /// The frame checksum does not match.
     ChecksumMismatch,
-    /// A delta-coded entry has no (or a mismatching) base tensor.
+    /// An entry has no (or a mismatching) base tensor.
     MissingBase(String),
 }
 
@@ -52,7 +55,7 @@ impl std::fmt::Display for CodecError {
         match self {
             CodecError::Corrupt(m) => write!(f, "corrupt update frame: {m}"),
             CodecError::ChecksumMismatch => write!(f, "update frame checksum mismatch"),
-            CodecError::MissingBase(n) => write!(f, "delta entry {n} has no matching base tensor"),
+            CodecError::MissingBase(n) => write!(f, "entry {n} has no matching base tensor"),
         }
     }
 }
@@ -156,7 +159,9 @@ fn take_len(rest: &mut &[u8]) -> Result<usize, CodecError> {
         .ok_or_else(|| CodecError::Corrupt("bad varint".into()))
 }
 
-/// Decodes an update frame, resolving delta entries against `base`.
+/// Decodes an update frame against `base`, which must hold a same-named,
+/// same-shaped tensor for every entry: delta entries resolve against it,
+/// and it bounds every entry's size before its payload is expanded.
 pub fn decode_update<'a>(
     bytes: &[u8],
     base: &dyn Fn(&str) -> Option<&'a Tensor>,
@@ -205,6 +210,11 @@ pub fn decode_update<'a>(
         };
         let payload_len = take_len(&mut rest)?;
         let body = take(&mut rest, payload_len, "payload")?;
+        // Checked before the zero runs expand, so a resealed frame cannot
+        // make the decoder allocate a layer its base lacks.
+        let b = base(&name)
+            .filter(|b| b.shape() == &shape)
+            .ok_or_else(|| CodecError::MissingBase(name.clone()))?;
 
         let planes = rle::decode(body, plane_bytes)
             .ok_or(CodecError::Corrupt("bad rle stream".into()))?;
@@ -217,10 +227,6 @@ pub fn decode_update<'a>(
                     .map_err(|e| CodecError::Corrupt(format!("bad tensor: {e}")))?
             }
             MODE_DELTA => {
-                let b = base(&name).ok_or_else(|| CodecError::MissingBase(name.clone()))?;
-                if b.shape() != &shape {
-                    return Err(CodecError::MissingBase(name.clone()));
-                }
                 delta::apply(b, &words).ok_or_else(|| CodecError::MissingBase(name.clone()))?
             }
             other => return Err(CodecError::Corrupt(format!("unknown mode {other}"))),
@@ -283,8 +289,25 @@ mod tests {
         let none = |_: &str| None;
         let enc = encode_update(&entries, &none);
         assert_eq!(enc.raw_entries, 1);
-        let dec = decode_update(&enc.bytes, &none).unwrap();
+        let base = Tensor::zeros([10]);
+        let dec = decode_update(&enc.bytes, &|_| Some(&base)).unwrap();
         assert!(dec[0].1.bit_eq(&t));
+    }
+
+    /// A raw entry decodes only onto a same-named, same-shaped base tensor,
+    /// like a delta entry: the base bounds the zero runs it may expand.
+    #[test]
+    fn a_raw_entry_the_base_lacks_or_shapes_otherwise_is_refused() {
+        let t = Tensor::ones([10]);
+        let enc = encode_update(&[("w", &t)], &|_| None);
+        assert_eq!(enc.raw_entries, 1);
+        let refused = Some(CodecError::MissingBase("w".into()));
+        let named_otherwise = Tensor::zeros([10]);
+        let got = decode_update(&enc.bytes, &|name| (name == "v").then_some(&named_otherwise));
+        assert_eq!(got.err(), refused);
+        let shaped_otherwise = Tensor::zeros([5, 2]);
+        let got = decode_update(&enc.bytes, &|name| (name == "w").then_some(&shaped_otherwise));
+        assert_eq!(got.err(), refused);
     }
 
     #[test]
@@ -307,12 +330,14 @@ mod tests {
         let entries = vec![("w", &t)];
         let none = |_: &str| None;
         let enc = encode_update(&entries, &none);
+        let base = |name: &str| (name == "w").then_some(&t);
+        assert!(decode_update(&enc.bytes, &base).is_ok());
         for pos in [0usize, 6, enc.bytes.len() / 2, enc.bytes.len() - 33] {
             let mut bad = enc.bytes.clone();
             bad[pos] ^= 1;
-            assert!(decode_update(&bad, &none).is_err(), "corruption at {pos} accepted");
+            assert!(decode_update(&bad, &base).is_err(), "corruption at {pos} accepted");
         }
-        assert!(decode_update(&enc.bytes[..enc.bytes.len() - 1], &none).is_err());
+        assert!(decode_update(&enc.bytes[..enc.bytes.len() - 1], &base).is_err());
     }
 
     #[test]
@@ -325,7 +350,8 @@ mod tests {
             tensors.iter().map(|(n, t)| (n.as_str(), t)).collect();
         let none = |_: &str| None;
         let enc = encode_update(&entries, &none);
-        let dec = decode_update(&enc.bytes, &none).unwrap();
+        let base = |name: &str| tensors.get(name);
+        let dec = decode_update(&enc.bytes, &base).unwrap();
         for ((n1, t1), (n2, t2)) in entries.iter().zip(&dec) {
             assert_eq!(*n1, n2);
             assert!(t1.bit_eq(t2));

@@ -9,8 +9,9 @@
 //! Recovery is recursive: recover B (which may itself be an update), then
 //! merge M's parameter update with M's values winning conflicts. Since later
 //! values win, an update all of whose layers a later update rewrites cannot
-//! change the result: [`links_to_rebuild`] plans a tip recovery that never
-//! fetches it. Each save records its layers (`update_layers`) for that plan.
+//! change the result: `mmlib_store::schema::links_to_rebuild` plans a tip
+//! recovery that never fetches it. Each save records its layers
+//! (`update_layers`) for that plan.
 
 use std::collections::BTreeSet;
 
@@ -22,41 +23,6 @@ use crate::error::CoreError;
 use crate::merkle::{split_layer, MerkleDiff, MerkleTree};
 use crate::meta::{ApproachKind, ModelInfoDoc, ModelRelation, SavedModelId};
 use crate::recovery::SaveService;
-
-/// The layers of a plain (state-dict) parameter update, as its document
-/// lists them; `None` for every other link and for a list-less update.
-fn plain_update_layers(info: &ModelInfoDoc) -> Option<&[String]> {
-    match (info.approach, info.update_encoding.as_deref()) {
-        (ApproachKind::ParamUpdate, None | Some("state_dict")) => info.update_layers.as_deref(),
-        _ => None,
-    }
-}
-
-/// Which links of a recovery chain (tip first, as
-/// `SaveService::recovery_chain` returns it) a recovery of its tip must
-/// rebuild, in the same order. Walking down from the tip with the set of
-/// layers later links already settle, a plain parameter update is needed
-/// only if it owns a layer outside that set; its layers then join the set.
-/// Every other link is a barrier, always rebuilt, below which nothing is
-/// settled: a snapshot is the root, and a training replay, an XOR-delta
-/// decode or an update of unknown layers needs its exact base.
-pub(crate) fn links_to_rebuild(chain: &[(SavedModelId, ModelInfoDoc)]) -> Vec<bool> {
-    let mut settled: BTreeSet<&str> = BTreeSet::new();
-    chain
-        .iter()
-        .map(|(_, info)| match plain_update_layers(info) {
-            Some(layers) => {
-                let owns_a_layer = layers.iter().any(|l| !settled.contains(l.as_str()));
-                settled.extend(layers.iter().map(String::as_str));
-                owns_a_layer
-            }
-            None => {
-                settled.clear();
-                true
-            }
-        })
-        .collect()
-}
 
 /// Why an update file holding the layers `held` disagrees with its
 /// document's `update_layers`, or `None` when they agree or the document

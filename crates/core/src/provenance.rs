@@ -168,7 +168,8 @@ impl SaveService {
             // stored bytes; an external dataset is generated again.
             let digest = match &dataset_ref.container_file {
                 Some(file_id) => {
-                    let unpacked = container::unpack(&self.read_file(file_id)?)?;
+                    let bytes = self.read_file(file_id)?;
+                    let unpacked = container::unpack(&bytes)?;
                     if unpacked.id != dataset_id || unpacked.blobs.len() as u64 != dataset.len() {
                         return Err(CoreError::VerificationFailed {
                             id: id.clone(),

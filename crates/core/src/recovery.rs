@@ -4,22 +4,28 @@
 //! recorded per model document, so a store may mix them) and one
 //! [`SaveService::recover_report`] entry point that resolves base-model
 //! chains — the paper's recursive recovery of §3.2/§3.3. The chain is
-//! listed by [`SaveService::recovery_chain`], the only loop that follows
-//! base references through the store (its rule is
-//! [`ModelInfoDoc::recovery_parent`], its one bound
+//! listed by [`SaveService::recovery_chain`] over `mmlib_store::schema`'s
+//! one walk (its rule is [`ModelInfoDoc::recovery_parent`], its one bound
 //! [`RecoverOptions::max_chain_depth`]), and rebuilt node by node with
 //! [`SaveService::recover_step`]; `mmlib-lineage`'s compaction and family
 //! recovery are built from the same two. A single-tip recovery's fold skips
 //! the parameter updates whose layers are all settled by later updates
-//! (`param_update::links_to_rebuild`): their bytes cannot reach the result.
+//! (`schema::links_to_rebuild`): their bytes cannot reach the result.
 //! Compaction and family recovery rebuild every node, because they keep
-//! every node's model.
+//! every node's model. When the store can fetch everything a recovery reads
+//! in one exchange (`StorageBackend::recovery_reads`, one `ChainGet` to a
+//! registry), the recovery runs over a [`ReadAhead`] view of what it
+//! fetched.
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 use mmlib_model::{ArchId, Model};
 use mmlib_obs::{PhaseBreakdown, PhaseClock, Recorder};
-use mmlib_store::{BatchId, DocId, FileId, ModelStorage, StoreError};
+use mmlib_store::schema::{self, RecoveryReads, WalkEnd};
+use mmlib_store::{
+    BatchId, BatchItem, DocId, Document, FileId, ModelStorage, StorageBackend, StoreError,
+};
 
 use crate::env::EnvironmentInfo;
 use crate::error::{to_json_value, CoreError};
@@ -184,16 +190,8 @@ impl SaveService {
     /// Loads and decodes a model-info document.
     pub fn load_model_info(&self, id: &SavedModelId) -> Result<ModelInfoDoc, CoreError> {
         let doc = self.storage.get_doc(id.doc_id())?;
-        if doc.kind != kinds::MODEL_INFO {
-            return Err(CoreError::BadModelDocument {
-                id: id.clone(),
-                reason: format!("document kind is {:?}, expected model_info", doc.kind),
-            });
-        }
-        serde_json::from_value(doc.body).map_err(|e| CoreError::BadModelDocument {
-            id: id.clone(),
-            reason: format!("undecodable body: {e}"),
-        })
+        schema::model_info(doc)
+            .map_err(|bad| CoreError::BadModelDocument { id: id.clone(), reason: bad.to_string() })
     }
 
     /// Rewrites a saved model's model-info document in place.
@@ -264,36 +262,45 @@ impl SaveService {
     /// accepts, for a caller that already holds that model. Only model-info
     /// documents are read, each once.
     ///
-    /// This is the only loop that follows base references through the
-    /// store, and `limit` is its only guard: a chain with more than `limit`
-    /// bases (a cycle, or corruption) is [`CoreError::BaseChainTooDeep`]
-    /// after `limit + 1` reads. [`SaveService::recover_report`] passes
+    /// The walk is [`schema::walk_chain`], the only loop that follows base
+    /// references through a store; this turns an abnormal end into its
+    /// error. `limit` is the walk's only guard: a chain with more than
+    /// `limit` bases (a cycle, or corruption) is
+    /// [`CoreError::BaseChainTooDeep`] after `limit + 1` reads.
+    /// [`SaveService::recover_report`] passes
     /// [`RecoverOptions::max_chain_depth`]; everything else passes that
-    /// option's default. A loop, not recursion, so a chain at the bound
-    /// costs heap rather than ~2 KB of stack per link.
+    /// option's default.
     pub fn recovery_chain(
         &self,
         tip: &SavedModelId,
         limit: usize,
         have: impl Fn(&SavedModelId) -> bool,
     ) -> Result<Vec<(SavedModelId, ModelInfoDoc)>, CoreError> {
-        let mut chain = Vec::new();
-        let mut next = Some(tip.clone());
-        while let Some(id) = next.filter(|id| !have(id)) {
-            if chain.len() > limit {
-                return Err(CoreError::BaseChainTooDeep { id, limit });
+        let walk = schema::walk_chain(|id| self.storage.get_doc(id), tip, limit, have);
+        match walk.end {
+            WalkEnd::Complete => Ok(walk.links),
+            WalkEnd::Limit(id) => Err(CoreError::BaseChainTooDeep { id, limit }),
+            WalkEnd::Unreadable(_, e) => Err(CoreError::Store(e)),
+            WalkEnd::Bad(id, bad) => {
+                Err(CoreError::BadModelDocument { id, reason: bad.to_string() })
             }
-            let info = self.load_model_info(&id)?;
-            next = info.recovery_parent();
-            if next.is_none() && info.approach != ApproachKind::Baseline {
-                return Err(CoreError::BadModelDocument {
-                    id,
-                    reason: format!("{} document lacks a base model", info.approach),
-                });
-            }
-            chain.push((id, info));
+            WalkEnd::NoBase(id, approach) => Err(CoreError::BadModelDocument {
+                id,
+                reason: format!("{approach} document lacks a base model"),
+            }),
         }
-        Ok(chain)
+    }
+
+    /// This service reading its store through a [`ReadAhead`] view of
+    /// `reads`, with the same environment and recorder.
+    pub(crate) fn reading_ahead(&self, reads: RecoveryReads) -> SaveService {
+        let view = ReadAhead::new(reads, self.storage.backend());
+        SaveService {
+            storage: ModelStorage::from_backend(Arc::new(view), self.storage.root()),
+            environment: self.environment.clone(),
+            obs: self.obs.clone(),
+            hash_cache: HashCache::new(),
+        }
     }
 
     /// Recovers exactly one saved model from its already-decoded document
@@ -327,5 +334,100 @@ impl SaveService {
             ApproachKind::ParamUpdate => self.apply_update_onto(info, id, need_base(base)?, phases),
             ApproachKind::Provenance => self.replay_onto(info, id, need_base(base)?, phases),
         }
+    }
+}
+
+/// A read-ahead view of a store for one recovery: each document and file
+/// of a [`RecoveryReads`] is handed out once, and every other call, a
+/// second read of the same item included, goes to the store. So a recovery
+/// over the view makes the reads a recovery over the store makes, and
+/// meets every failure (a missing base, a bad document, the depth guard, a
+/// failed verification) at the same read.
+struct ReadAhead {
+    docs: Mutex<BTreeMap<DocId, Document>>,
+    files: Mutex<BTreeMap<FileId, Vec<u8>>>,
+    store: Arc<dyn StorageBackend>,
+}
+
+impl ReadAhead {
+    fn new(reads: RecoveryReads, store: Arc<dyn StorageBackend>) -> ReadAhead {
+        let docs = reads.docs.into_iter().map(|doc| (doc.id.clone(), doc)).collect();
+        ReadAhead {
+            docs: Mutex::new(docs),
+            files: Mutex::new(reads.files.into_iter().collect()),
+            store,
+        }
+    }
+}
+
+/// Takes `key` out of a read-ahead map. A removal leaves the map whole, so
+/// a poisoned lock is still safe to use.
+fn take<K: Ord, V>(map: &Mutex<BTreeMap<K, V>>, key: &K) -> Option<V> {
+    map.lock().unwrap_or_else(std::sync::PoisonError::into_inner).remove(key)
+}
+
+impl StorageBackend for ReadAhead {
+    fn insert_doc(&self, kind: &str, body: serde_json::Value) -> Result<DocId, StoreError> {
+        self.store.insert_doc(kind, body)
+    }
+
+    fn get_doc(&self, id: &DocId) -> Result<Document, StoreError> {
+        take(&self.docs, id).map_or_else(|| self.store.get_doc(id), Ok)
+    }
+
+    fn update_doc(&self, id: &DocId, body: serde_json::Value) -> Result<(), StoreError> {
+        self.store.update_doc(id, body)
+    }
+
+    fn contains_doc(&self, id: &DocId) -> bool {
+        self.store.contains_doc(id)
+    }
+
+    fn remove_doc(&self, id: &DocId) -> Result<(), StoreError> {
+        self.store.remove_doc(id)
+    }
+
+    fn doc_ids(&self) -> Result<Vec<DocId>, StoreError> {
+        self.store.doc_ids()
+    }
+
+    fn put_file(&self, bytes: &[u8]) -> Result<FileId, StoreError> {
+        self.store.put_file(bytes)
+    }
+
+    fn get_file(&self, id: &FileId) -> Result<Vec<u8>, StoreError> {
+        take(&self.files, id).map_or_else(|| self.store.get_file(id), Ok)
+    }
+
+    fn file_size(&self, id: &FileId) -> Result<u64, StoreError> {
+        self.store.file_size(id)
+    }
+
+    fn contains_file(&self, id: &FileId) -> bool {
+        self.store.contains_file(id)
+    }
+
+    fn remove_file(&self, id: &FileId) -> Result<(), StoreError> {
+        self.store.remove_file(id)
+    }
+
+    fn file_ids(&self) -> Result<Vec<FileId>, StoreError> {
+        self.store.file_ids()
+    }
+
+    fn bytes_written(&self) -> u64 {
+        self.store.bytes_written()
+    }
+
+    fn bytes_read(&self) -> u64 {
+        self.store.bytes_read()
+    }
+
+    fn sync_ops(&self) -> u64 {
+        self.store.sync_ops()
+    }
+
+    fn commit_batch(&self, items: Vec<BatchItem>) -> Result<Vec<BatchId>, StoreError> {
+        self.store.commit_batch(items)
     }
 }

@@ -284,9 +284,14 @@ impl SaveService {
     /// Verification (when enabled) runs once, on the final model, against
     /// the stored Merkle root of the *requested* id — intermediate chain
     /// steps only feed parameters forward. So the fold rebuilds only the
-    /// links the result depends on (`param_update::links_to_rebuild`): a
+    /// links the result depends on (`schema::links_to_rebuild`): a
     /// parameter update whose layers later updates all rewrite is neither
     /// fetched nor decoded.
+    ///
+    /// A store that can fetch everything the recovery reads in one exchange
+    /// (a registry: one `ChainGet`) is asked first, and the recovery reads
+    /// through a view of the answer; whatever the view lacks it reads from
+    /// the store, so every error comes from the same read as without it.
     pub fn recover_report(
         &self,
         id: &SavedModelId,
@@ -295,20 +300,31 @@ impl SaveService {
         let obs = self.obs();
         let mut clock = PhaseClock::new(obs, RECOVER_PHASE, "phase");
         let mut phases = PhaseBreakdown::new();
+        let read_ahead = self.timed(&mut phases, "fetch", || {
+            self.storage().recovery_reads(id, opts.max_chain_depth, opts.check_env).transpose()
+        })?;
+        let view;
+        let svc = match read_ahead {
+            Some(reads) => {
+                view = self.reading_ahead(reads);
+                &view
+            }
+            None => self,
+        };
         // The chain's documents tip first, then its models snapshot first.
         let chain = self.timed(&mut phases, "fetch", || {
-            self.recovery_chain(id, opts.max_chain_depth, |_| false)
+            svc.recovery_chain(id, opts.max_chain_depth, |_| false)
         })?;
         if opts.check_env {
             for (_, info) in &chain {
-                self.timed(&mut phases, "check_env", || self.check_environment(info))?;
+                self.timed(&mut phases, "check_env", || svc.check_environment(info))?;
             }
         }
-        let plan = crate::param_update::links_to_rebuild(&chain);
+        let plan = mmlib_store::schema::links_to_rebuild(&chain);
         let mut model = None;
         for ((node, info), rebuild) in chain.iter().zip(plan).rev() {
             if rebuild {
-                model = Some(self.recover_step(info, node, model, &mut phases)?);
+                model = Some(svc.recover_step(info, node, model, &mut phases)?);
             }
         }
         let (Some(model), Some((_, info))) = (model, chain.first()) else {

@@ -6,14 +6,17 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use mmlib_core::meta::ModelRelation;
-use mmlib_core::{SaveService, TrainProvenance};
+use mmlib_core::{SaveRequest, SaveService, SavedModelId, TrainProvenance};
 use mmlib_data::loader::LoaderConfig;
 use mmlib_data::{DataLoader, Dataset, DatasetId};
+use mmlib_model::Model;
 use mmlib_store::{
     BatchId, BatchItem, DocId, Document, FileId, ModelStorage, StorageBackend, StoreError,
 };
 use mmlib_tensor::ExecMode;
-use mmlib_train::{ImageNetTrainService, Sgd, SgdConfig, TrainConfig};
+use mmlib_train::{ImageNetTrainService, Sgd, SgdConfig, TrainConfig, TrainService};
+
+pub mod error_cases;
 
 /// Dataset byte-size scale the tests train on.
 pub const SCALE: f64 = 0.0002;
@@ -53,6 +56,56 @@ pub fn train_spec(relation: ModelRelation, seed: u64) -> (TrainProvenance, Image
     (prov, ImageNetTrainService::new(loader, sgd, train_config))
 }
 
+/// `TinyCnn`'s layers that hold state.
+pub const LAYERS: [&str; 5] = ["conv1", "bn1", "conv2", "bn2", "fc"];
+
+/// Changes every trainable parameter of `layer` in `model`.
+pub fn bump_layer(model: &mut Model, layer: &str) {
+    model.set_fully_trainable();
+    let prefix = format!("{layer}.");
+    model.visit_trainable_mut(&mut |path, param, _| {
+        if path.starts_with(&prefix) {
+            param.data_mut()[0] += 1.0;
+        }
+    });
+}
+
+/// Saves one link on `base`: a snapshot (kind 0), a plain update (1–3), a
+/// delta update (4–5) or a provenance save (6). Updates change the layers
+/// whose bits are set in `mask`, possibly none.
+pub fn save_link(
+    svc: &SaveService,
+    model: &mut Model,
+    base: &SavedModelId,
+    (kind, mask, seed): (u8, u8, u64),
+) -> SavedModelId {
+    let before = model.duplicate();
+    if kind == 6 {
+        // Mostly fully updated: training every layer, the replay depends on
+        // every layer of its base, which is what makes it a barrier.
+        let relation = if seed % 4 == 0 {
+            ModelRelation::PartiallyUpdated
+        } else {
+            ModelRelation::FullyUpdated
+        };
+        mmlib_core::meta::apply_trainability(relation, model);
+        let (prov, mut trainer) = train_spec(relation, seed);
+        trainer.train(model);
+        return svc.save(SaveRequest::provenance(model, base, &prov)).unwrap().id;
+    }
+    for (i, layer) in LAYERS.iter().enumerate() {
+        if mask >> i & 1 == 1 {
+            bump_layer(model, layer);
+        }
+    }
+    let request = match kind {
+        0 => SaveRequest::full(model).base(base),
+        1..=3 => SaveRequest::update(model, base),
+        _ => SaveRequest::compressed_update(model, &before, base),
+    };
+    svc.save(request).unwrap().id
+}
+
 /// A pass-through backend that counts `get_doc` calls per document id,
 /// lists the files `get_file` reads, and counts writes: `commit_batch`
 /// calls apart from per-item writes (insert, update, remove, put).
@@ -77,14 +130,20 @@ impl DocCountingBackend {
     /// A service over a fresh local store at `dir`, seen through the counter
     /// (the descriptor is `dir`, so fsck still treats the store as local).
     pub fn service(dir: &std::path::Path) -> (SaveService, Arc<DocCountingBackend>) {
-        let counting = Arc::new(DocCountingBackend {
-            inner: ModelStorage::open(dir).unwrap().backend(),
+        let counting = DocCountingBackend::wrap(ModelStorage::open(dir).unwrap().backend());
+        let backend = Arc::clone(&counting) as Arc<dyn StorageBackend>;
+        (SaveService::new(ModelStorage::from_backend(backend, dir)), counting)
+    }
+
+    /// A counter in front of `inner`. Like every backend that does not
+    /// answer `recovery_reads`, it makes a recovery read item by item.
+    pub fn wrap(inner: Arc<dyn StorageBackend>) -> Arc<DocCountingBackend> {
+        Arc::new(DocCountingBackend {
+            inner,
             doc_gets: Mutex::new(BTreeMap::new()),
             file_gets: Mutex::new(Vec::new()),
             writes: Mutex::new(Writes::default()),
-        });
-        let backend = Arc::clone(&counting) as Arc<dyn StorageBackend>;
-        (SaveService::new(ModelStorage::from_backend(backend, dir)), counting)
+        })
     }
 
     /// The per-document read counts since the last call.

@@ -23,21 +23,7 @@ use mmlib_train::TrainService;
 use proptest::prelude::*;
 
 mod common;
-use common::{train_spec, DocCountingBackend};
-
-/// `TinyCnn`'s layers that hold state.
-const LAYERS: [&str; 5] = ["conv1", "bn1", "conv2", "bn2", "fc"];
-
-/// Changes every trainable parameter of `layer` in `model`.
-fn bump_layer(model: &mut Model, layer: &str) {
-    model.set_fully_trainable();
-    let prefix = format!("{layer}.");
-    model.visit_trainable_mut(&mut |path, param, _| {
-        if path.starts_with(&prefix) {
-            param.data_mut()[0] += 1.0;
-        }
-    });
-}
+use common::{bump_layer, save_link, train_spec, DocCountingBackend, LAYERS};
 
 /// Saves a snapshot of `model`, then one parameter update per entry of
 /// `layers`, each changing only that layer. Returns the ids, snapshot
@@ -224,42 +210,6 @@ fn recover_every_link(
     let model = model.expect("a chain ends at a snapshot");
     mmlib_core::verify::verify_against_root(&model, &chain[0].1.root_hash, tip)?;
     Ok(model)
-}
-
-/// Saves one link on `base`: a snapshot (kind 0), a plain update (1–3), a
-/// delta update (4–5) or a provenance save (6). Updates change the layers
-/// whose bits are set in `mask`, possibly none.
-fn save_link(
-    svc: &SaveService,
-    model: &mut Model,
-    base: &SavedModelId,
-    (kind, mask, seed): (u8, u8, u64),
-) -> SavedModelId {
-    let before = model.duplicate();
-    if kind == 6 {
-        // Mostly fully updated: training every layer, the replay depends on
-        // every layer of its base, which is what makes it a barrier.
-        let relation = if seed % 4 == 0 {
-            ModelRelation::PartiallyUpdated
-        } else {
-            ModelRelation::FullyUpdated
-        };
-        mmlib_core::meta::apply_trainability(relation, model);
-        let (prov, mut trainer) = train_spec(relation, seed);
-        trainer.train(model);
-        return svc.save(SaveRequest::provenance(model, base, &prov)).unwrap().id;
-    }
-    for (i, layer) in LAYERS.iter().enumerate() {
-        if mask >> i & 1 == 1 {
-            bump_layer(model, layer);
-        }
-    }
-    let request = match kind {
-        0 => SaveRequest::full(model).base(base),
-        1..=3 => SaveRequest::update(model, base),
-        _ => SaveRequest::compressed_update(model, &before, base),
-    };
-    svc.save(request).unwrap().id
 }
 
 proptest! {

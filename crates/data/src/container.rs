@@ -79,16 +79,17 @@ pub fn pack(dataset: &Dataset) -> (Vec<u8>, Digest) {
     (out, digest)
 }
 
-/// A decoded container: the named dataset and its blob payloads.
+/// A decoded container: the named dataset and its blob payloads, borrowed
+/// from the container bytes.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Unpacked {
+pub struct Unpacked<'a> {
     /// The dataset the container claims to hold.
     pub id: DatasetId,
     /// Per-image blobs in index order.
-    pub blobs: Vec<Vec<u8>>,
+    pub blobs: Vec<&'a [u8]>,
 }
 
-impl Unpacked {
+impl Unpacked<'_> {
     /// The [`content_digest`] of the blobs this container holds.
     pub fn content_digest(&self) -> Digest {
         let total = self.blobs.iter().map(|b| b.len() as u64).sum();
@@ -113,7 +114,7 @@ fn take_array<const N: usize>(rest: &mut &[u8]) -> Result<[u8; N], ContainerErro
 }
 
 /// Unpacks and verifies a container produced by [`pack`].
-pub fn unpack(bytes: &[u8]) -> Result<Unpacked, ContainerError> {
+pub fn unpack(bytes: &[u8]) -> Result<Unpacked<'_>, ContainerError> {
     let Some((payload, trailer)) = bytes.split_last_chunk::<32>() else {
         return Err(ContainerError::Corrupt("too short".into()));
     };
@@ -146,7 +147,7 @@ pub fn unpack(bytes: &[u8]) -> Result<Unpacked, ContainerError> {
     let mut seen = 0u64;
     for _ in 0..images {
         let len = u32::from_le_bytes(take_array(&mut rest)?);
-        blobs.push(take(&mut rest, len as usize)?.to_vec());
+        blobs.push(take(&mut rest, len as usize)?);
         seen = seen.saturating_add(u64::from(len));
     }
     if !rest.is_empty() {
@@ -178,7 +179,7 @@ mod tests {
         assert_eq!(un.content_digest(), digest, "and so are the unpacked ones");
         assert_eq!(un.blobs.len() as u64, d.len());
         for (i, blob) in un.blobs.iter().enumerate() {
-            assert_eq!(blob, &d.blob(i as u64));
+            assert_eq!(*blob, d.blob(i as u64).as_slice());
         }
     }
 

@@ -24,14 +24,15 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use mmlib_obs::Gauge;
-use mmlib_store::schema::LineageRecordDoc;
+use mmlib_store::schema::{LineageRecordDoc, RecoveryReads, SavedModelId};
 use mmlib_store::{DocId, Document, FileId, ModelStorage, StorageBackend, StoreError};
 use parking_lot::Mutex;
 use serde_json::{json, Value};
 
 use crate::protocol::{
-    chunk_frames, encode_frame_prefix, header_str, header_u64, read_frame_counted, BlobAssembler,
-    Frame, Opcode, RecvBuf, WireError, WireVersion, PROTOCOL_V2,
+    chunk_frames, decode_chain_reply, encode_frame_prefix, header_str, header_u64,
+    read_frame_counted, reply_parts, BlobAssembler, Frame, Opcode, RecvBuf, WireError, WireVersion,
+    PROTOCOL_V2,
 };
 
 /// Gauge of currently open pooled client connections (process-wide).
@@ -222,14 +223,14 @@ impl RemoteStore {
     }
 
     /// Like [`RemoteStore::request`], also streaming `blob` after the
-    /// request frame and reading any blob announced by the reply. The blob
-    /// is a `Bytes` so retried attempts re-slice the same buffer instead
-    /// of copying it.
+    /// request frame and reading the parts of any blob announced by the
+    /// reply, each into its own buffer. The blob is a `Bytes` so retried
+    /// attempts re-slice the same buffer instead of copying it.
     fn request_blob(
         &self,
         frame: Frame,
         blob: Option<Bytes>,
-    ) -> Result<(Frame, Option<Vec<u8>>), StoreError> {
+    ) -> Result<(Frame, Vec<Vec<u8>>), StoreError> {
         let mut attempt = 0u32;
         loop {
             // Every attempt gets a fresh frame id, so a late reply to a
@@ -264,7 +265,7 @@ impl RemoteStore {
         &self,
         frame: &Frame,
         blob: Option<&Bytes>,
-    ) -> Result<(Frame, Option<Vec<u8>>), WireError> {
+    ) -> Result<(Frame, Vec<Vec<u8>>), WireError> {
         let slot = &self.pool[self.next_slot.fetch_add(1, Ordering::Relaxed) % self.pool.len()];
         let (reply, reply_blob) = self.exchange(slot, frame, blob)?;
         if reply.opcode == Opcode::Busy {
@@ -275,7 +276,7 @@ impl RemoteStore {
         // backend would see them (headers are transport overhead).
         let sent = frame.payload.len() as u64 + blob.map_or(0, |b| b.len() as u64);
         let received = reply.payload.len() as u64
-            + reply_blob.as_ref().map_or(0, |b| b.len() as u64);
+            + reply_blob.iter().map(|part| part.len() as u64).sum::<u64>();
         self.bytes_written.fetch_add(sent, Ordering::Relaxed);
         self.bytes_read.fetch_add(received, Ordering::Relaxed);
         Ok((reply, reply_blob))
@@ -288,7 +289,7 @@ impl RemoteStore {
         slot: &Mutex<Option<Arc<Conn>>>,
         frame: &Frame,
         blob: Option<&Bytes>,
-    ) -> Result<(Frame, Option<Vec<u8>>), WireError> {
+    ) -> Result<(Frame, Vec<Vec<u8>>), WireError> {
         let conn = {
             let mut guard = slot.lock();
             match &*guard {
@@ -306,8 +307,7 @@ impl RemoteStore {
 
         let id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
-        let wants_blob = frame.opcode == Opcode::FileGet;
-        conn.pending.lock().insert(id, PendingEntry { tx, wants_blob });
+        conn.pending.lock().insert(id, PendingEntry { tx, request: frame.opcode });
 
         let sent = frame.clone().with_request_id(id);
         let wrote = {
@@ -501,12 +501,15 @@ struct Conn {
 
 struct PendingEntry {
     tx: mpsc::Sender<ConnEvent>,
-    /// The request's `Ok` reply announces a streamed blob (`FileGet`).
-    wants_blob: bool,
+    /// The request's opcode, which says whether its `Ok` reply announces a
+    /// streamed blob ([`reply_parts`]).
+    request: Opcode,
 }
 
 enum ConnEvent {
-    Reply(Frame, Option<Vec<u8>>),
+    /// The reply, with the parts of the blob it announced (none when it
+    /// announced none).
+    Reply(Frame, Vec<Vec<u8>>),
     Failed(String),
 }
 
@@ -576,22 +579,24 @@ fn route_reply(conn: &Conn, frame: Frame, partials: &mut HashMap<u64, Partial>) 
             }
             let Some(done) = partials.remove(&id) else { return };
             let _ = done.tx.send(match pushed {
-                Ok(()) => ConnEvent::Reply(done.frame, Some(done.blob.into_blob())),
+                Ok(()) => ConnEvent::Reply(done.frame, done.blob.into_parts()),
                 Err(e) => ConnEvent::Failed(e.to_string()),
             });
         }
         Opcode::Ok => {
             let Some(entry) = conn.pending.lock().remove(&id) else { return };
-            let announced = frame.header.get("len").and_then(Value::as_u64);
-            let event = match announced.filter(|_| entry.wants_blob).map(BlobAssembler::new) {
-                None => ConnEvent::Reply(frame, None),
+            let announced = reply_parts(entry.request, &frame.header)
+                .and_then(|parts| parts.map(|lens| BlobAssembler::with_parts(&lens)).transpose());
+            let event = match announced {
+                Ok(None) => ConnEvent::Reply(frame, Vec::new()),
                 // The server is trusted no further than any peer: an
-                // over-long announcement fails this request, and only it.
-                Some(Err(e)) => ConnEvent::Failed(e.to_string()),
-                Some(Ok(blob)) if blob.is_complete() => {
-                    ConnEvent::Reply(frame, Some(blob.into_blob()))
+                // over-long or inconsistent announcement fails this
+                // request, and only it; its chunks are dropped unread.
+                Err(e) => ConnEvent::Failed(e.to_string()),
+                Ok(Some(blob)) if blob.is_complete() => {
+                    ConnEvent::Reply(frame, blob.into_parts())
                 }
-                Some(Ok(blob)) => {
+                Ok(Some(blob)) => {
                     partials.insert(id, Partial { frame, blob, tx: entry.tx });
                     return;
                 }
@@ -601,7 +606,7 @@ fn route_reply(conn: &Conn, frame: Frame, partials: &mut HashMap<u64, Partial>) 
         Opcode::Err | Opcode::Busy => {
             partials.remove(&id);
             let Some(entry) = conn.pending.lock().remove(&id) else { return };
-            let _ = entry.tx.send(ConnEvent::Reply(frame, None));
+            let _ = entry.tx.send(ConnEvent::Reply(frame, Vec::new()));
         }
         // The server never sends request opcodes; a stray one is dropped
         // rather than poisoning every in-flight request on the socket.
@@ -787,8 +792,10 @@ impl StorageBackend for RemoteStore {
         let (reply, blob) = self.request_blob(request, None)?;
         let header = expect_ok(reply)?;
         let len = header_u64(&header, "len").map_err(remote)?;
-        let blob =
-            blob.ok_or_else(|| StoreError::Remote("file reply announced no blob".to_string()))?;
+        let blob = blob
+            .into_iter()
+            .next()
+            .ok_or_else(|| StoreError::Remote("file reply announced no blob".to_string()))?;
         if blob.len() as u64 != len {
             return Err(StoreError::Remote(format!(
                 "file reply announced {len} bytes but streamed {}",
@@ -823,6 +830,30 @@ impl StorageBackend for RemoteStore {
 
     fn bytes_read(&self) -> u64 {
         self.bytes_read.load(Ordering::Relaxed)
+    }
+
+    /// One `ChainGet`: the registry walks the chain next to the data and
+    /// streams back what the recovery reads. The bytes read are accounted
+    /// as the per-item reads of the same documents and files would be.
+    fn recovery_reads(
+        &self,
+        tip: &SavedModelId,
+        limit: usize,
+        check_env: bool,
+    ) -> Option<Result<RecoveryReads, StoreError>> {
+        let limit = u64::try_from(limit).unwrap_or(u64::MAX);
+        let request = Frame::new(
+            Opcode::ChainGet,
+            json!({"id": tip.doc_id().as_str(), "limit": limit, "check_env": check_env}),
+        );
+        let fetched = self.request_blob(request, None).and_then(|(reply, files)| {
+            let reads =
+                decode_chain_reply(expect_ok(reply)?, files).map_err(remote)?;
+            let docs: u64 = reads.docs.iter().map(doc_stored_bytes).sum();
+            self.bytes_read.fetch_add(docs, Ordering::Relaxed);
+            Ok(reads)
+        });
+        Some(fetched)
     }
 }
 

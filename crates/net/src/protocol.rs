@@ -14,7 +14,8 @@
 //! carries the structured part of a message (ids, document bodies, sizes);
 //! the payload carries raw blob bytes. Large blobs never travel in one
 //! frame: a transfer is announced by its request/response frame (header
-//! `{"len": n}`) and the bytes follow in [`CHUNK_SIZE`]-bounded
+//! `{"len": n}`; a [`Opcode::ChainGet`] reply announces several files back
+//! to back) and the bytes follow in [`CHUNK_SIZE`]-bounded
 //! [`Opcode::Chunk`] frames. Each chunk carries the request id of its
 //! transfer, so chunks of different transfers may interleave freely on one
 //! connection; `BlobAssembler` is the one place either side checks a
@@ -47,7 +48,9 @@ use std::fmt;
 use std::io::Read;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde_json::Value;
+use mmlib_store::schema::RecoveryReads;
+use mmlib_store::{DocId, Document, FileId};
+use serde_json::{json, Value};
 
 /// The protocol version this build speaks, as exchanged in `Hello`.
 pub const PROTOCOL_V2: u32 = 2;
@@ -133,6 +136,18 @@ pub enum Opcode {
     /// records `LineageGraph::ancestry_of` walks. An unknown model is
     /// `missing_document`, a cyclic parent chain `malformed`.
     LineageAncestry = 0x33,
+    /// Fetch everything a recovery of one model reads, in one exchange.
+    /// Header: `{"id": s, "limit": n, "check_env": b}`, the tip, the
+    /// recovery's chain-depth limit and whether it checks environments.
+    /// The server runs `mmlib_store::schema::recovery_reads` next to the
+    /// data; the `Ok` reply carries the documents inline and announces the
+    /// files: `{"docs": [{"id": s, "kind": s, "body": v}, ...], "files":
+    /// [{"id": s, "len": n}, ...], "len": n}`, where `len` is the files'
+    /// total. The files follow back to back as chunks, in list order
+    /// ([`encode_chain_reply`], [`decode_chain_reply`]). The reply is never
+    /// an error for what the store holds: the read set just ends where a
+    /// read fails, and the client reads what is missing itself.
+    ChainGet = 0x34,
     /// Success response. Header: operation-specific result.
     Ok = 0x40,
     /// Failure response. Header: `{"code": s, "message": s}`.
@@ -148,7 +163,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// Every opcode, for metrics tables.
-    pub const ALL: [Opcode; 22] = [
+    pub const ALL: [Opcode; 23] = [
         Opcode::Ping,
         Opcode::Hello,
         Opcode::DocInsert,
@@ -167,6 +182,7 @@ impl Opcode {
         Opcode::StatsText,
         Opcode::LineageGet,
         Opcode::LineageAncestry,
+        Opcode::ChainGet,
         Opcode::Ok,
         Opcode::Err,
         Opcode::Busy,
@@ -194,6 +210,7 @@ impl Opcode {
             Opcode::StatsText => "stats_text",
             Opcode::LineageGet => "lineage_get",
             Opcode::LineageAncestry => "lineage_ancestry",
+            Opcode::ChainGet => "chain_get",
             Opcode::Ok => "ok",
             Opcode::Err => "err",
             Opcode::Busy => "busy",
@@ -225,10 +242,11 @@ impl Opcode {
             Opcode::StatsText => 15,
             Opcode::LineageGet => 16,
             Opcode::LineageAncestry => 17,
-            Opcode::Ok => 18,
-            Opcode::Err => 19,
-            Opcode::Busy => 20,
-            Opcode::Chunk => 21,
+            Opcode::ChainGet => 18,
+            Opcode::Ok => 19,
+            Opcode::Err => 20,
+            Opcode::Busy => 21,
+            Opcode::Chunk => 22,
         }
     }
 }
@@ -460,45 +478,71 @@ pub fn chunk_frames(request_id: u64, blob: &Bytes) -> Vec<Frame> {
     out
 }
 
-/// Reassembles one announced blob from its `Chunk` frames. Both directions
-/// account their transfers here and nowhere else: the server's inbound
-/// `FilePut` uploads, the client's `FileGet` replies.
+/// Reassembles one announced blob from its `Chunk` frames, each of its
+/// parts into a buffer of its own. Both directions account their transfers
+/// here and nowhere else: the server's inbound `FilePut` uploads, the
+/// client's `FileGet` and `ChainGet` replies.
 pub struct BlobAssembler {
     /// Announced bytes not yet received.
     remaining: u64,
-    /// `None` counts without buffering: a shed upload's chunks are already
+    /// Each announced part: its bytes still to come, and those received.
+    parts: Vec<(u64, Vec<u8>)>,
+    /// The part the next byte belongs to.
+    at: usize,
+    /// False counts without buffering: a shed upload's chunks are already
     /// on the wire and must be consumed, but nothing will read the bytes.
-    data: Option<Vec<u8>>,
+    buffering: bool,
 }
 
 impl BlobAssembler {
     /// Starts a transfer of `len` announced bytes. The announcement comes
     /// from the peer, so it is bounded here and never sizes an allocation.
     pub fn new(len: u64) -> Result<BlobAssembler, WireError> {
-        if len > MAX_BLOB_LEN {
+        BlobAssembler::with_parts(&[len])
+    }
+
+    /// Starts a transfer of parts of the announced lengths, sent back to
+    /// back. Their total is bounded like a single blob's.
+    pub fn with_parts(lens: &[u64]) -> Result<BlobAssembler, WireError> {
+        let total = lens.iter().try_fold(0u64, |sum, &len| sum.checked_add(len));
+        let Some(len) = total.filter(|&len| len <= MAX_BLOB_LEN) else {
             return Err(WireError::Protocol(format!(
-                "announced blob of {len} bytes exceeds maximum {MAX_BLOB_LEN}"
+                "announced blob of {} bytes exceeds maximum {MAX_BLOB_LEN}",
+                total.map_or_else(|| "more than u64::MAX".to_string(), |len| len.to_string())
             )));
-        }
-        Ok(BlobAssembler { remaining: len, data: Some(Vec::new()) })
+        };
+        let parts = lens.iter().map(|&len| (len, Vec::new())).collect();
+        Ok(BlobAssembler { remaining: len, parts, at: 0, buffering: true })
     }
 
     /// Switches to counting without buffering (the upload was shed).
     pub fn count_only(&mut self) {
-        self.data = None;
+        self.buffering = false;
     }
 
-    /// Accounts one chunk payload. After an error the transfer is dead.
+    /// Accounts one chunk payload, which may end one part and begin the
+    /// next. After an error the transfer is dead.
     pub fn push(&mut self, chunk: &[u8]) -> Result<(), WireError> {
+        let overrun = || WireError::Protocol("chunk overruns announced length".to_string());
         if chunk.is_empty() {
             return Err(WireError::Protocol("empty chunk frame".to_string()));
         }
-        let Some(remaining) = self.remaining.checked_sub(chunk.len() as u64) else {
-            return Err(WireError::Protocol("chunk overruns announced length".to_string()));
-        };
-        self.remaining = remaining;
-        if let Some(data) = &mut self.data {
-            data.extend_from_slice(chunk);
+        self.remaining = self.remaining.checked_sub(chunk.len() as u64).ok_or_else(overrun)?;
+        let mut rest = chunk;
+        // Each pass moves to the next part or takes at least one byte.
+        while !rest.is_empty() {
+            let (left, bytes) = self.parts.get_mut(self.at).ok_or_else(overrun)?;
+            if *left == 0 {
+                self.at = self.at.saturating_add(1);
+                continue;
+            }
+            let n = usize::try_from(*left).map_or(rest.len(), |left| left.min(rest.len()));
+            let (head, tail) = rest.split_at_checked(n).ok_or_else(overrun)?;
+            *left = left.saturating_sub(n as u64);
+            if self.buffering {
+                bytes.extend_from_slice(head);
+            }
+            rest = tail;
         }
         Ok(())
     }
@@ -508,10 +552,117 @@ impl BlobAssembler {
         self.remaining == 0
     }
 
-    /// The assembled bytes (empty in count-only mode).
+    /// The assembled bytes of a one-part transfer (empty in count-only
+    /// mode).
     pub fn into_blob(self) -> Vec<u8> {
-        self.data.unwrap_or_default()
+        self.into_parts().into_iter().next().unwrap_or_default()
     }
+
+    /// The assembled parts, in announcement order.
+    pub fn into_parts(self) -> Vec<Vec<u8>> {
+        self.parts.into_iter().map(|(_, bytes)| bytes).collect()
+    }
+}
+
+/// The parts of the blob an `Ok` reply to a `request` announces, or `None`
+/// when it announces none: a `FileGet` reply's one `len`, or a `ChainGet`
+/// reply's files, whose lengths must add up to its `len`.
+pub fn reply_parts(request: Opcode, header: &Value) -> Result<Option<Vec<u64>>, WireError> {
+    match request {
+        Opcode::FileGet => Ok(header.get("len").and_then(Value::as_u64).map(|len| vec![len])),
+        Opcode::ChainGet => {
+            let lens: Vec<u64> = chain_files(header)?.into_iter().map(|(_, len)| len).collect();
+            let listed = lens.iter().try_fold(0u64, |sum, &len| sum.checked_add(len));
+            let announced = header_u64(header, "len")?;
+            if listed != Some(announced) {
+                return Err(WireError::Protocol(format!(
+                    "chain_get reply announces {announced} bytes but lists files of {}",
+                    listed.map_or_else(|| "more than u64::MAX".to_string(), |n| n.to_string())
+                )));
+            }
+            Ok(Some(lens))
+        }
+        _ => Ok(None),
+    }
+}
+
+/// The `files` list of a `ChainGet` reply header: each file's id and
+/// length.
+fn chain_files(header: &Value) -> Result<Vec<(&str, u64)>, WireError> {
+    let files = header
+        .get("files")
+        .and_then(Value::as_array)
+        .ok_or_else(|| WireError::BadHeader("missing `files` list".to_string()))?;
+    files.iter().map(|file| Ok((header_str(file, "id")?, header_u64(file, "len")?))).collect()
+}
+
+/// JSON bytes of documents one `ChainGet` reply carries at most: half a
+/// frame, so its header always fits one. The documents past it stay
+/// behind, and the client reads them itself.
+const CHAIN_DOCS_BUDGET: usize = 4 * 1024 * 1024;
+
+/// A `ChainGet` reply for a read set: its header, and the files to stream
+/// after it, each from its own buffer.
+pub fn encode_chain_reply(reads: RecoveryReads) -> (Value, Vec<Bytes>) {
+    let mut budget = CHAIN_DOCS_BUDGET;
+    let docs: Vec<Value> = reads
+        .docs
+        .into_iter()
+        .map(|doc| json!({"id": doc.id.as_str(), "kind": doc.kind, "body": doc.body}))
+        .take_while(|entry| {
+            let left = budget.checked_sub(entry.to_json_string().len());
+            budget = left.unwrap_or(0);
+            left.is_some()
+        })
+        .collect();
+    let mut len = 0u64;
+    let (files, blobs): (Vec<Value>, Vec<Bytes>) = reads
+        .files
+        .into_iter()
+        .map(|(id, bytes)| {
+            len = len.saturating_add(bytes.len() as u64);
+            (json!({"id": id.as_str(), "len": bytes.len() as u64}), Bytes::from(bytes))
+        })
+        .unzip();
+    (json!({"docs": docs, "files": files, "len": len}), blobs)
+}
+
+/// Decodes a `ChainGet` reply: its header, and the files its chunks
+/// carried, one buffer each, as [`reply_parts`] announced them. An entry
+/// that is not a document, or a file count or length that disagrees with
+/// the list, is the peer's fault.
+pub fn decode_chain_reply(
+    mut header: Value,
+    files: Vec<Vec<u8>>,
+) -> Result<RecoveryReads, WireError> {
+    let bad = |what: &str| WireError::BadHeader(format!("chain_get reply: {what}"));
+    let listed: Vec<(FileId, u64)> = chain_files(&header)?
+        .into_iter()
+        .map(|(id, len)| (FileId::from_string(id.to_string()), len))
+        .collect();
+    if listed.len() != files.len()
+        || listed.iter().zip(&files).any(|((_, len), bytes)| *len != bytes.len() as u64)
+    {
+        return Err(bad("the files received disagree with the files listed"));
+    }
+    let entries = match header.as_object_mut().and_then(|h| h.remove("docs")) {
+        Some(Value::Array(entries)) => entries,
+        _ => return Err(bad("missing `docs` list")),
+    };
+    let docs = entries
+        .into_iter()
+        .map(|mut entry| {
+            let id = header_str(&entry, "id").map(|id| DocId::from_string(id.to_string()));
+            let kind = header_str(&entry, "kind").map(str::to_string);
+            let body = entry.as_object_mut().and_then(|e| e.remove("body"));
+            match (id, kind, body) {
+                (Ok(id), Ok(kind), Some(body)) => Ok(Document { id, kind, body }),
+                _ => Err(bad("a `docs` entry is not a document")),
+            }
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let files = listed.into_iter().map(|(id, _)| id).zip(files).collect();
+    Ok(RecoveryReads { docs, files })
 }
 
 /// Inbound byte accumulator with a consumed-prefix cursor: socket reads go
@@ -576,7 +727,6 @@ pub fn header_u64(header: &Value, key: &str) -> Result<u64, WireError> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use serde_json::json;
 
     /// Decodes a buffer that must hold exactly one whole frame.
     fn decode_whole(wire: &[u8], version: WireVersion) -> Frame {
@@ -745,7 +895,7 @@ mod tests {
         for _ in 0..3 {
             assert!(!shed.is_complete());
             shed.push(&[0xAB; CHUNK_SIZE]).unwrap();
-            assert!(shed.data.is_none());
+            assert!(shed.parts.iter().all(|(_, bytes)| bytes.capacity() == 0));
         }
         assert!(shed.is_complete());
         assert!(matches!(shed.push(&[1]), Err(WireError::Protocol(_))));
@@ -789,6 +939,64 @@ mod tests {
             back.extend_from_slice(&f.payload);
         }
         assert_eq!(back, blob.to_vec());
+    }
+
+    fn doc(i: u64, body: Value) -> Document {
+        Document { id: DocId::from_string(format!("d-{i}")), kind: "k".into(), body }
+    }
+
+    #[test]
+    fn a_chain_reply_round_trips_into_one_buffer_per_file() {
+        let files = vec![
+            (FileId::from_string("f-1".into()), vec![1u8; 100_000]),
+            (FileId::from_string("f-2".into()), Vec::new()),
+            (FileId::from_string("f-3".into()), vec![3u8; 70_000]),
+        ];
+        let docs = vec![doc(1, json!({"i": 1})), doc(2, json!([2]))];
+        let (header, blobs) =
+            encode_chain_reply(RecoveryReads { docs: docs.clone(), files: files.clone() });
+        assert_eq!(blobs.len(), 3);
+        let lens = reply_parts(Opcode::ChainGet, &header).unwrap().unwrap();
+        assert_eq!(lens, vec![100_000, 0, 70_000]);
+        // The files back to back in chunks that straddle file boundaries.
+        let stream: Vec<u8> = blobs.iter().flat_map(|blob| blob.iter().copied()).collect();
+        let mut assembler = BlobAssembler::with_parts(&lens).unwrap();
+        for chunk in stream.chunks(30_000) {
+            assert!(!assembler.is_complete());
+            assembler.push(chunk).unwrap();
+        }
+        assert!(assembler.is_complete());
+        let back = decode_chain_reply(header, assembler.into_parts()).unwrap();
+        let ids = |docs: &[Document]| docs.iter().map(|d| d.id.clone()).collect::<Vec<_>>();
+        assert_eq!(ids(&back.docs), ids(&docs));
+        assert!(back.docs.iter().zip(&docs).all(|(a, b)| a.kind == b.kind && a.body == b.body));
+        assert_eq!(back.files, files);
+    }
+
+    #[test]
+    fn a_chain_reply_header_always_fits_one_frame() {
+        let big = |i| doc(i, json!("x".repeat(1 << 20)));
+        let reads = RecoveryReads { docs: (0..6).map(big).collect(), files: Vec::new() };
+        let (header, _) = encode_chain_reply(reads);
+        let kept = header["docs"].as_array().unwrap().len();
+        assert_eq!(kept, 3, "the documents past the budget stay behind");
+        let frame = Frame::new(Opcode::Ok, header).with_request_id(1);
+        assert!(encode_frame_v(&frame, WireVersion::V2).is_ok());
+    }
+
+    #[test]
+    fn a_chain_reply_whose_files_miss_its_len_is_refused() {
+        let header = json!({"docs": [], "files": [{"id": "f-1", "len": 3}], "len": 4});
+        assert!(matches!(reply_parts(Opcode::ChainGet, &header), Err(WireError::Protocol(_))));
+        let files = json!([{"id": "f-1", "len": u64::MAX}, {"id": "f-2", "len": 2}]);
+        let header = json!({"docs": [], "files": files, "len": 1});
+        assert!(matches!(reply_parts(Opcode::ChainGet, &header), Err(WireError::Protocol(_))));
+        // Parts may not add up past the blob bound either.
+        let halves = [MAX_BLOB_LEN / 2 + 1, MAX_BLOB_LEN / 2];
+        assert!(matches!(BlobAssembler::with_parts(&halves), Err(WireError::Protocol(_))));
+        // Nor may the files received disagree with the list.
+        let header = json!({"docs": [], "files": [{"id": "f-1", "len": 3}], "len": 3});
+        assert!(decode_chain_reply(header, vec![vec![1, 2]]).is_err());
     }
 
     #[test]

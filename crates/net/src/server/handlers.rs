@@ -2,7 +2,7 @@
 //! and build its response. Every request opcode has its arm in [`respond`].
 
 use bytes::Bytes;
-use mmlib_store::schema::{LineageGraph, SavedModelId};
+use mmlib_store::schema::{self, LineageGraph, SavedModelId};
 use mmlib_store::{DocId, FileId, ModelStorage, StoreError};
 use serde_json::{json, Value};
 
@@ -10,8 +10,14 @@ use super::admission::Job;
 use super::metrics::ServerMetrics;
 use super::ServerState;
 use crate::protocol::{
-    chunk_frames, header_str, header_u64, Frame, Opcode, WireError, PROTOCOL_V2,
+    chunk_frames, encode_chain_reply, header_str, header_u64, Frame, Opcode, WireError,
+    PROTOCOL_V2,
 };
+
+/// The deepest chain one `ChainGet` walks, whatever limit it asks for. A
+/// deeper chain still recovers: the walk stops with the model-info
+/// documents it read, and the client reads the rest itself.
+const MAX_CHAIN_WALK: usize = 1024;
 
 /// Executes one admitted request on its shard worker and enqueues the
 /// response frames. The job's admission is given back when it drops, after
@@ -20,23 +26,23 @@ pub(super) fn run_job(state: &ServerState, job: Job) {
     let reply = respond(&job.frame, job.blob.as_deref(), &state.storage, &state.metrics)
         .unwrap_or_else(Reply::frame);
     let mut frames = vec![reply.frame.with_request_id(job.frame.request_id)];
-    if let Some(blob) = reply.blob {
-        frames.extend(chunk_frames(job.frame.request_id, &blob));
+    for blob in &reply.blobs {
+        frames.extend(chunk_frames(job.frame.request_id, blob));
     }
     let _ = job.admission.conn.send_frames(&frames, state.faults.as_deref());
     state.metrics.observe_latency(job.frame.opcode, job.started.elapsed());
 }
 
-/// A request's response: one reply frame, plus an outbound blob to stream
-/// as chunks after it.
+/// A request's response: one reply frame, plus the outbound blobs to
+/// stream as chunks after it, back to back.
 struct Reply {
     frame: Frame,
-    blob: Option<Bytes>,
+    blobs: Vec<Bytes>,
 }
 
 impl Reply {
     fn frame(frame: Frame) -> Reply {
-        Reply { frame, blob: None }
+        Reply { frame, blobs: Vec::new() }
     }
 }
 
@@ -116,7 +122,7 @@ fn respond(
             Ok(blob) => {
                 let blob = Bytes::from(blob);
                 let frame = ok_frame(json!({"len": blob.len() as u64}));
-                return Ok(Reply { frame, blob: Some(blob) });
+                return Ok(Reply { frame, blobs: vec![blob] });
             }
             Err(e) => store_err_frame(&e),
         },
@@ -148,6 +154,19 @@ fn respond(
             });
             let id = id.doc_id().as_str();
             store_reply(found, |ancestry| json!({"id": id, "ancestry": ancestry}))
+        }
+        Opcode::ChainGet => {
+            let tip = SavedModelId(doc_id()?);
+            let limit = header_u64(&frame.header, "limit").map_err(bad_header)?;
+            let limit = usize::try_from(limit).unwrap_or(usize::MAX).min(MAX_CHAIN_WALK);
+            let check_env = frame
+                .header
+                .get("check_env")
+                .and_then(Value::as_bool)
+                .ok_or_else(|| err_frame("bad_header", "missing boolean field `check_env`"))?;
+            let reads = schema::recovery_reads(storage, &tip, limit, check_env);
+            let (header, blobs) = encode_chain_reply(reads);
+            return Ok(Reply { frame: ok_frame(header), blobs });
         }
         Opcode::Hello | Opcode::Ok | Opcode::Err | Opcode::Busy | Opcode::Chunk => {
             // Handled (or rejected) on the I/O thread before dispatch;

@@ -16,6 +16,7 @@ use bytes::Bytes;
 use mmlib_net::protocol::{encode_frame_v, read_frame_counted, WireVersion, MAX_BLOB_LEN};
 use mmlib_net::{Frame, NetFaults, Opcode, RegistryServer, RemoteStore, ServerConfig};
 use mmlib_store::fault::{Fault, FaultPlan};
+use mmlib_store::schema::SavedModelId;
 use mmlib_store::{DocId, FileId, ModelStorage, StorageBackend, StoreError};
 use serde_json::json;
 
@@ -285,6 +286,60 @@ fn undecodable_lineage_replies_are_remote_errors() {
     ];
     for (what, outcome) in outcomes {
         assert!(matches!(outcome, Err(StoreError::Remote(_))), "{what}: {outcome:?}");
+    }
+    // The connection is still healthy.
+    assert!(client.contains_doc(&DocId::from_string("d-1".into())));
+    drop(client);
+    peer.join().unwrap();
+}
+
+#[test]
+fn bad_chain_get_replies_fail_only_their_own_request() {
+    use std::io::Write;
+
+    // A scripted peer: it completes the handshake, answers existence checks
+    // honestly, and answers each `ChainGet` with the hostile reply its tip
+    // names, chunks included. It serves exactly one connection.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut version = WireVersion::V1;
+        while let Ok((frame, _)) = read_frame_counted(&mut stream, version) {
+            let tip = frame.header["id"].as_str().unwrap_or("").to_string();
+            let (header, chunk) = match (frame.opcode, tip.as_str()) {
+                (Opcode::Hello, _) => {
+                    (json!({"version": mmlib_net::PROTOCOL_V2, "max_inflight": 64}), None)
+                }
+                (Opcode::Ping, _) => (json!({"version": mmlib_net::PROTOCOL_V2}), None),
+                (Opcode::DocContains, _) => (json!({"present": true}), None),
+                // Three bytes listed, four announced and streamed.
+                (Opcode::ChainGet, "short-list") => (
+                    json!({"docs": [], "files": [{"id": "f-1", "len": 3}], "len": 4}),
+                    Some(vec![1u8, 2, 3, 4]),
+                ),
+                (Opcode::ChainGet, "kindless-doc") => (
+                    json!({"docs": [{"id": "d-1", "body": {}}], "files": [], "len": 0}),
+                    None,
+                ),
+                (other, tip) => panic!("unscripted request {} {tip}", other.name()),
+            };
+            let reply = Frame::new(Opcode::Ok, header).with_request_id(frame.request_id);
+            stream.write_all(&encode_frame_v(&reply, version).unwrap()).unwrap();
+            if let Some(bytes) = chunk {
+                let chunk = Frame::with_payload(Opcode::Chunk, json!({}), Bytes::from(bytes))
+                    .with_request_id(frame.request_id);
+                stream.write_all(&encode_frame_v(&chunk, version).unwrap()).unwrap();
+            }
+            version = WireVersion::V2;
+        }
+    });
+
+    let client = RemoteStore::builder(addr).pool_size(1).max_retries(0).build().unwrap();
+    for tip in ["short-list", "kindless-doc"] {
+        let tip = SavedModelId(DocId::from_string(tip.into()));
+        let outcome = client.recovery_reads(&tip, 8, true).unwrap();
+        assert!(matches!(outcome, Err(StoreError::Remote(_))), "{tip}: {outcome:?}");
     }
     // The connection is still healthy.
     assert!(client.contains_doc(&DocId::from_string("d-1".into())));

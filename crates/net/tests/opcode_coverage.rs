@@ -7,7 +7,7 @@
 //! wildcard), and so does a wire byte used twice.
 
 use mmlib_net::{Opcode, RegistryServer, RemoteStore};
-use mmlib_store::schema::{kinds, ApproachKind, ModelInfoDoc, ModelRelation};
+use mmlib_store::schema::{kinds, ApproachKind, ModelInfoDoc, ModelRelation, SavedModelId};
 use mmlib_store::{DocId, ModelStorage, StorageBackend, StoreError};
 use serde_json::json;
 
@@ -56,6 +56,12 @@ fn every_request_opcode_round_trips_and_is_counted_once() {
     assert_eq!(ancestry.len(), 2);
     assert_eq!(ancestry[0].model, child.as_str());
     assert_eq!(ancestry[1].model, root.as_str());
+    // A recovery's read-ahead: the chain's two model-info documents, tip
+    // first, and no file (neither document names one).
+    let reads = client.recovery_reads(&SavedModelId(child.clone()), 8, false).unwrap().unwrap();
+    let read: Vec<&DocId> = reads.docs.iter().map(|doc| &doc.id).collect();
+    assert_eq!(read, vec![&child, &root]);
+    assert!(reads.files.is_empty());
     for doc in [child, root] {
         client.remove_doc(&doc).unwrap();
     }
@@ -99,6 +105,7 @@ fn every_request_opcode_round_trips_and_is_counted_once() {
         (Opcode::StatsText, 1),
         (Opcode::LineageGet, 1),
         (Opcode::LineageAncestry, 1),
+        (Opcode::ChainGet, 1),
     ];
     let responses = [Opcode::Ok, Opcode::Err, Opcode::Busy, Opcode::Chunk];
     for op in Opcode::ALL {

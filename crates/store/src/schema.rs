@@ -198,8 +198,8 @@ impl ModelInfoDoc {
         let doc = |id: &str, role| (Ref::Doc(DocId::from_string(id.to_string())), role);
         let file = |id: &str, role| (Ref::File(FileId::from_string(id.to_string())), role);
         let mut out = vec![
-            doc(&self.environment_doc, "environment"),
-            doc(&self.layer_hash_doc, "layer-hash"),
+            doc(&self.environment_doc, ENVIRONMENT),
+            doc(&self.layer_hash_doc, LAYER_HASH),
         ];
         if let Some(base) = &self.base_model {
             out.push(doc(base, BASE_MODEL));
@@ -210,7 +210,7 @@ impl ModelInfoDoc {
             if !seen.insert(wid) {
                 continue;
             }
-            out.push(doc(wid, "wrapper"));
+            out.push(doc(wid, WRAPPER));
             let Some(wrapper) = docs.get(&DocId::from_string(wid.to_string())) else { continue };
             if let Some(refs) = wrapper.body["ref_args"].as_object() {
                 queue.extend(refs.values().filter_map(|v| v.as_str()));
@@ -235,6 +235,12 @@ impl ModelInfoDoc {
 /// The role [`ModelInfoDoc::references`] gives a model's base: the one
 /// reference the model does not own.
 pub const BASE_MODEL: &str = "base-model";
+/// The role of a model's environment document.
+const ENVIRONMENT: &str = "environment";
+/// The role of a model's layer-hash document.
+const LAYER_HASH: &str = "layer-hash";
+/// The role of a wrapper document in a provenance save's wrapper tree.
+const WRAPPER: &str = "wrapper";
 
 /// The target of one [`ModelInfoDoc::references`] entry.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -243,6 +249,221 @@ pub enum Ref {
     Doc(DocId),
     /// A blob.
     File(FileId),
+}
+
+/// Why a document is not a readable model-info document.
+#[derive(Debug, Clone, PartialEq)]
+pub enum NotModelInfo {
+    /// The document is of another kind.
+    WrongKind(String),
+    /// The body does not decode as a [`ModelInfoDoc`].
+    Undecodable(String),
+}
+
+impl fmt::Display for NotModelInfo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            NotModelInfo::WrongKind(kind) => {
+                write!(f, "document kind is {kind:?}, expected {}", kinds::MODEL_INFO)
+            }
+            NotModelInfo::Undecodable(e) => write!(f, "undecodable body: {e}"),
+        }
+    }
+}
+
+/// Decodes a model-info document.
+pub fn model_info(doc: Document) -> Result<ModelInfoDoc, NotModelInfo> {
+    if doc.kind != kinds::MODEL_INFO {
+        return Err(NotModelInfo::WrongKind(doc.kind));
+    }
+    serde_json::from_value(doc.body).map_err(|e| NotModelInfo::Undecodable(e.to_string()))
+}
+
+/// How a [`walk_chain`] ended.
+#[derive(Debug)]
+pub enum WalkEnd {
+    /// At a snapshot, or before a model the caller holds: the chain is
+    /// whole.
+    Complete,
+    /// `limit + 1` links were read and the chain goes on at this model,
+    /// whose document was not read (a cycle, or corruption).
+    Limit(SavedModelId),
+    /// This model's document could not be read: it is missing, or the read
+    /// failed.
+    Unreadable(SavedModelId, StoreError),
+    /// This model's document is not a model-info document.
+    Bad(SavedModelId, NotModelInfo),
+    /// This model is a derived save that names no base.
+    NoBase(SavedModelId, ApproachKind),
+}
+
+/// The links a [`walk_chain`] read, tip first, and how it ended.
+#[derive(Debug)]
+pub struct ChainWalk {
+    /// Each model with its decoded model-info document, tip first.
+    pub links: Vec<(SavedModelId, ModelInfoDoc)>,
+    /// Why the walk stopped where it did.
+    pub end: WalkEnd,
+}
+
+/// Walks the recovery chain of `tip`, following
+/// [`ModelInfoDoc::recovery_parent`] down to the first snapshot, or ending
+/// before the first id `have` accepts, for a caller that already holds that
+/// model. `read` fetches a document; only model-info documents are read,
+/// each once.
+///
+/// This is the only loop that follows base references through a store,
+/// and `limit` is its only guard: a chain with more than `limit` bases ends
+/// in [`WalkEnd::Limit`] after `limit + 1` reads. A loop, not recursion, so
+/// a chain at the bound costs heap rather than stack per link. The
+/// recovery (`SaveService::recovery_chain`) turns an abnormal end into its
+/// error; the registry server ([`recovery_reads`]) just stops there.
+pub fn walk_chain(
+    mut read: impl FnMut(&DocId) -> Result<Document, StoreError>,
+    tip: &SavedModelId,
+    limit: usize,
+    have: impl Fn(&SavedModelId) -> bool,
+) -> ChainWalk {
+    let mut links = Vec::new();
+    let mut next = Some(tip.clone());
+    let end = loop {
+        let Some(id) = next.filter(|id| !have(id)) else { break WalkEnd::Complete };
+        if links.len() > limit {
+            break WalkEnd::Limit(id);
+        }
+        let info = match read(id.doc_id()).map(model_info) {
+            Ok(Ok(info)) => info,
+            Ok(Err(bad)) => break WalkEnd::Bad(id, bad),
+            Err(e) => break WalkEnd::Unreadable(id, e),
+        };
+        next = info.recovery_parent();
+        if next.is_none() && info.approach != ApproachKind::Baseline {
+            break WalkEnd::NoBase(id, info.approach);
+        }
+        links.push((id, info));
+    };
+    ChainWalk { links, end }
+}
+
+/// The layers of a plain (state-dict) parameter update, as its document
+/// lists them; `None` for every other link and for a list-less update.
+fn plain_update_layers(info: &ModelInfoDoc) -> Option<&[String]> {
+    match (info.approach, info.update_encoding.as_deref()) {
+        (ApproachKind::ParamUpdate, None | Some("state_dict")) => info.update_layers.as_deref(),
+        _ => None,
+    }
+}
+
+/// Which links of a recovery chain (tip first, as [`walk_chain`] reads it)
+/// a recovery of its tip must rebuild, in the same order. Walking down from
+/// the tip with the set of layers later links already settle, a plain
+/// parameter update is needed only if it owns a layer outside that set; its
+/// layers then join the set. Every other link is a barrier, always rebuilt,
+/// below which nothing is settled: a snapshot is the root, and a training
+/// replay, an XOR-delta decode or an update of unknown layers needs its
+/// exact base.
+pub fn links_to_rebuild(chain: &[(SavedModelId, ModelInfoDoc)]) -> Vec<bool> {
+    let mut settled: BTreeSet<&str> = BTreeSet::new();
+    chain
+        .iter()
+        .map(|(_, info)| match plain_update_layers(info) {
+            Some(layers) => {
+                let owns_a_layer = layers.iter().any(|l| !settled.contains(l.as_str()));
+                settled.extend(layers.iter().map(String::as_str));
+                owns_a_layer
+            }
+            None => {
+                settled.clear();
+                true
+            }
+        })
+        .collect()
+}
+
+/// The documents and files one tip recovery reads, read ahead of it by
+/// [`recovery_reads`], each list in the order the recovery reads it.
+#[derive(Debug, Default)]
+pub struct RecoveryReads {
+    /// Documents: the chain's model-info documents tip first, then, with
+    /// the environment check, every link's environment document, then the
+    /// wrapper documents of the links the plan rebuilds.
+    pub docs: Vec<Document>,
+    /// The files of the links the plan rebuilds, snapshot first.
+    pub files: Vec<(FileId, Vec<u8>)>,
+}
+
+/// The one definition of what a recovery of `tip` reads, read here, next to
+/// the data: every link's model-info document ([`walk_chain`] with `limit`);
+/// with `check_env`, every link's environment document; and for each link
+/// [`links_to_rebuild`] keeps, its [`ModelInfoDoc::references`] except the
+/// base model, the layer hashes and the environment: the code, the weights,
+/// the wrapper tree with its state files, and the dataset container.
+/// Wrappers are read until the list stops growing.
+///
+/// Never an error: the set ends at the first read that fails, and after the
+/// model-info documents when the walk ends abnormally. A recovery that
+/// misses an item reads it itself and meets the failure there.
+pub fn recovery_reads(
+    storage: &ModelStorage,
+    tip: &SavedModelId,
+    limit: usize,
+    check_env: bool,
+) -> RecoveryReads {
+    let mut reads = RecoveryReads::default();
+    let read = |id: &DocId| {
+        let doc = storage.get_doc(id)?;
+        reads.docs.push(doc.clone());
+        Ok(doc)
+    };
+    let walk = walk_chain(read, tip, limit, |_| false);
+    if matches!(walk.end, WalkEnd::Complete) {
+        // An error here is where the recovery will fail too.
+        let _ = read_links(storage, &walk.links, check_env, &mut reads);
+    }
+    reads
+}
+
+/// The part of [`recovery_reads`] after the walk.
+fn read_links(
+    storage: &ModelStorage,
+    links: &[(SavedModelId, ModelInfoDoc)],
+    check_env: bool,
+    reads: &mut RecoveryReads,
+) -> Result<(), StoreError> {
+    if check_env {
+        for (_, info) in links {
+            reads.docs.push(storage.get_doc(&DocId::from_string(info.environment_doc.clone()))?);
+        }
+    }
+    let plan = links_to_rebuild(links);
+    for ((_, info), _) in links.iter().zip(plan).rev().filter(|(_, rebuild)| *rebuild) {
+        let mut wrappers: BTreeMap<DocId, Document> = BTreeMap::new();
+        loop {
+            let unread: Vec<DocId> = info
+                .references(&wrappers)
+                .into_iter()
+                .filter_map(|(target, role)| match target {
+                    Ref::Doc(id) if role == WRAPPER && !wrappers.contains_key(&id) => Some(id),
+                    _ => None,
+                })
+                .collect();
+            if unread.is_empty() {
+                break;
+            }
+            for id in unread {
+                let doc = storage.get_doc(&id)?;
+                reads.docs.push(doc.clone());
+                wrappers.insert(id, doc);
+            }
+        }
+        for (target, _) in info.references(&wrappers) {
+            if let Ref::File(id) = target {
+                let bytes = storage.get_file(&id)?;
+                reads.files.push((id, bytes));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// One model's lineage node as the lineage queries and the wire report it:

@@ -16,6 +16,7 @@ use crate::atomic::StoreDir;
 use crate::document::{DocId, DocStore, Document};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::files::FileId;
+use crate::schema::{RecoveryReads, SavedModelId};
 
 /// Errors from the storage layer.
 #[derive(Debug)]
@@ -285,6 +286,20 @@ pub trait StorageBackend: Send + Sync {
     /// the server's job) report 0.
     fn sync_ops(&self) -> u64 {
         0
+    }
+
+    /// Everything a recovery of `tip` reads, fetched ahead of it in one
+    /// exchange with the store: [`crate::schema::recovery_reads`], run
+    /// where the data is. `None`, the default, means the backend has no
+    /// such exchange and a recovery reads item by item, as it does from a
+    /// local directory.
+    fn recovery_reads(
+        &self,
+        _tip: &SavedModelId,
+        _limit: usize,
+        _check_env: bool,
+    ) -> Option<Result<RecoveryReads, StoreError>> {
+        None
     }
 
     /// Commits a batch of writes, returning the generated ids in item
@@ -579,6 +594,17 @@ impl ModelStorage {
     /// Every stored blob id, sorted.
     pub fn file_ids(&self) -> Result<Vec<FileId>, StoreError> {
         self.backend.file_ids()
+    }
+
+    /// Everything a recovery of `tip` reads, when the backend can fetch it
+    /// in one exchange (see [`StorageBackend::recovery_reads`]).
+    pub fn recovery_reads(
+        &self,
+        tip: &SavedModelId,
+        limit: usize,
+        check_env: bool,
+    ) -> Option<Result<RecoveryReads, StoreError>> {
+        self.backend.recovery_reads(tip, limit, check_env)
     }
 
     /// Commits a batch of document/file writes, coalescing the durability

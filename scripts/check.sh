@@ -116,6 +116,22 @@ if hits=$(grep -rlE '"(base_model|model_info|lineage)"' crates/net/src); then
     echo "check.sh: mmlib-net parses documents by hand again (use mmlib_store::schema):" $hits >&2
     exit 1
 fi
+# One walk, one plan, one reply decode: the chain-walk loop (`walk_chain`
+# and its `next = ...recovery_parent()` step) and `links_to_rebuild` are
+# defined in mmlib-store's schema.rs only, which both the in-process
+# recovery and the registry's `ChainGet` call; the `ChainGet` reply is
+# decoded in net/src/protocol.rs only, under the decoder deny line pinned
+# above. Fail, naming the file, if a second definition appears.
+only_in() { # only_in FILE REGEX
+    local hits
+    if hits=$(grep -rlE -- "$2" crates src examples tests | grep -vxF "$1"); then
+        echo "check.sh: '$2' belongs in $1 only, and is also in:" $hits >&2
+        exit 1
+    fi
+}
+only_in crates/store/src/schema.rs 'fn links_to_rebuild\('
+only_in crates/store/src/schema.rs 'fn walk_chain\(|next = .*recovery_parent\(\)'
+only_in crates/net/src/protocol.rs 'fn decode_chain_reply\('
 # Recovery builds a model around its decoded tensors (`Model::from_state`)
 # and never runs an initializer. Fail, naming the file, if library code in
 # core or lineage calls `new_initialized`; its tests and doc comments may.
