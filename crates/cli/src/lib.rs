@@ -59,12 +59,10 @@ re-base the model's delta chain: promote every n-th\n                           
 node to a full snapshot (default n = 8) so recovery\n                           \
 time stays flat; recovery stays byte-identical\n  \
   lineage tag <id> <tag>   attach a tag to a model's lineage record\n  \
-  serve --addr <ip:port> [--for <secs>] [--io-threads <n>] [--shards <n>]\n        \
-[--max-inflight <n>] [--per-conn-inflight <n>]\n                           \
-serve the store as a TCP model registry (requires --store);\n                           \
---shards sets the worker pool, --io-threads the socket\n                           \
-pollers, and the inflight caps bound admission before\n                           \
-the server sheds load with Busy\n\
+  serve --addr <ip:port> [--for <secs>] [--max-connections <n>]\n                           \
+serve the store as a TCP model registry (requires --store),\n                           \
+one thread per connection; past --max-connections\n                           \
+(default 256) a new connection is refused with Busy\n\
 \n\
 --remote <addr> runs a command against a registry served elsewhere\n\
 (`mmlib serve`) instead of a local --store directory.";
@@ -144,11 +142,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 fn serve(store_dir: &str, tail: &[&str]) -> Result<String, CliError> {
     let mut addr = "127.0.0.1:7440".to_string();
     let mut run_for: Option<u64> = None;
-    let defaults = mmlib_net::AdmissionConfig::default();
-    let mut io_threads = mmlib_net::WireConfig::default().io_threads;
-    let mut shards = mmlib_net::ShardConfig::default().workers;
-    let mut per_conn_inflight = defaults.per_conn_inflight;
-    let mut global_inflight = defaults.global_inflight;
+    let mut max_connections = mmlib_net::ServerConfig::default().max_connections;
     let mut iter = tail.iter();
     let parse_count = |flag: &str, value: Option<&&str>| -> Result<usize, CliError> {
         let value = value.ok_or_else(|| CliError::Usage(USAGE.into()))?;
@@ -170,22 +164,10 @@ fn serve(store_dir: &str, tail: &[&str]) -> Result<String, CliError> {
                     CliError::Usage(format!("--for needs a number of seconds, got {secs:?}"))
                 })?);
             }
-            "--io-threads" => io_threads = parse_count(flag, iter.next())?,
-            "--shards" => shards = parse_count(flag, iter.next())?,
-            "--max-inflight" => global_inflight = parse_count(flag, iter.next())?,
-            "--per-conn-inflight" => per_conn_inflight = parse_count(flag, iter.next())?,
+            "--max-connections" => max_connections = parse_count(flag, iter.next())?,
             other => return Err(CliError::Usage(format!("unknown serve flag {other:?}\n{USAGE}"))),
         }
     }
-    // Each flag maps 1:1 onto a validated sub-config; bad combinations
-    // (zero threads, a per-connection cap above the global one) are
-    // refused here with the constructor's own explanation.
-    let bad_flags = |e: mmlib_net::ConfigError| CliError::Usage(format!("{e}\n{USAGE}"));
-    let wire = mmlib_net::WireConfig::new(io_threads).map_err(bad_flags)?;
-    let shards = mmlib_net::ShardConfig::new(shards).map_err(bad_flags)?;
-    let admission =
-        mmlib_net::AdmissionConfig::new(per_conn_inflight, global_inflight).map_err(bad_flags)?;
-
     let storage = ModelStorage::open(Path::new(store_dir)).map_err(fail)?;
     // The server's registry carries its own wire metrics plus the full
     // save/recover phase taxonomy (pre-registered so `mmlib stats --remote`
@@ -193,12 +175,13 @@ fn serve(store_dir: &str, tail: &[&str]) -> Result<String, CliError> {
     let recorder = std::sync::Arc::new(mmlib_obs::Recorder::new());
     mmlib_core::register_metrics(&recorder);
     let config = mmlib_net::ServerConfig {
-        wire,
-        shards,
-        admission,
+        max_connections,
         recorder: Some(recorder),
         ..Default::default()
     };
+    // A bad value (zero connections) is refused with the config's own
+    // explanation.
+    config.validate().map_err(|e| CliError::Usage(format!("{e}\n{USAGE}")))?;
     let mut server =
         mmlib_net::RegistryServer::bind_with_config(storage, addr.as_str(), config).map_err(fail)?;
     // Announce immediately — clients need the address while we block.

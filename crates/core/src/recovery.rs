@@ -337,14 +337,15 @@ impl SaveService {
     }
 }
 
-/// A read-ahead view of a store for one recovery: each document and file
-/// of a [`RecoveryReads`] is handed out once, and every other call, a
-/// second read of the same item included, goes to the store. So a recovery
-/// over the view makes the reads a recovery over the store makes, and
-/// meets every failure (a missing base, a bad document, the depth guard, a
-/// failed verification) at the same read.
+/// A read-ahead view of a store for one recovery. Each document of a
+/// [`RecoveryReads`] is handed to every read of it (a cyclic chain's walk
+/// reads the same documents until its depth guard stops it), and each file
+/// to the first read of it, which frees its bytes. Every other call goes
+/// to the store. So a recovery over the view makes the reads a recovery
+/// over the store makes, and meets every failure (a missing base, a bad
+/// document, the depth guard, a failed verification) at the same read.
 struct ReadAhead {
-    docs: Mutex<BTreeMap<DocId, Document>>,
+    docs: BTreeMap<DocId, Document>,
     files: Mutex<BTreeMap<FileId, Vec<u8>>>,
     store: Arc<dyn StorageBackend>,
 }
@@ -352,18 +353,14 @@ struct ReadAhead {
 impl ReadAhead {
     fn new(reads: RecoveryReads, store: Arc<dyn StorageBackend>) -> ReadAhead {
         let docs = reads.docs.into_iter().map(|doc| (doc.id.clone(), doc)).collect();
-        ReadAhead {
-            docs: Mutex::new(docs),
-            files: Mutex::new(reads.files.into_iter().collect()),
-            store,
-        }
+        ReadAhead { docs, files: Mutex::new(reads.files.into_iter().collect()), store }
     }
-}
 
-/// Takes `key` out of a read-ahead map. A removal leaves the map whole, so
-/// a poisoned lock is still safe to use.
-fn take<K: Ord, V>(map: &Mutex<BTreeMap<K, V>>, key: &K) -> Option<V> {
-    map.lock().unwrap_or_else(std::sync::PoisonError::into_inner).remove(key)
+    /// Takes file `id` out of the view. A removal leaves the map whole, so
+    /// a poisoned lock is still safe to use.
+    fn take_file(&self, id: &FileId) -> Option<Vec<u8>> {
+        self.files.lock().unwrap_or_else(std::sync::PoisonError::into_inner).remove(id)
+    }
 }
 
 impl StorageBackend for ReadAhead {
@@ -372,7 +369,7 @@ impl StorageBackend for ReadAhead {
     }
 
     fn get_doc(&self, id: &DocId) -> Result<Document, StoreError> {
-        take(&self.docs, id).map_or_else(|| self.store.get_doc(id), Ok)
+        self.docs.get(id).cloned().map_or_else(|| self.store.get_doc(id), Ok)
     }
 
     fn update_doc(&self, id: &DocId, body: serde_json::Value) -> Result<(), StoreError> {
@@ -396,7 +393,7 @@ impl StorageBackend for ReadAhead {
     }
 
     fn get_file(&self, id: &FileId) -> Result<Vec<u8>, StoreError> {
-        take(&self.files, id).map_or_else(|| self.store.get_file(id), Ok)
+        self.take_file(id).map_or_else(|| self.store.get_file(id), Ok)
     }
 
     fn file_size(&self, id: &FileId) -> Result<u64, StoreError> {

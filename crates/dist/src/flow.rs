@@ -263,7 +263,6 @@ pub fn run_flow(config: &FlowConfig, storage_root: &std::path::Path) -> FlowResu
 pub fn run_flow_tcp(
     config: &FlowConfig,
     storage_root: &std::path::Path,
-    workers: usize,
     faults: Option<std::sync::Arc<mmlib_net::NetFaults>>,
 ) -> FlowResult {
     #[expect(
@@ -271,10 +270,6 @@ pub fn run_flow_tcp(
         reason = "flow harness aborts on unusable experiment storage by design"
     )]
     let backing = ModelStorage::open(storage_root).expect("storage root must be writable");
-    // Workers are execution shards, not a connection cap — the v2 server
-    // multiplexes any number of connections over its I/O threads. Still
-    // honour the caller's figure as the shard count floor.
-    let shards = mmlib_net::ShardConfig { workers: workers.max(1) };
     #[expect(
         clippy::expect_used,
         reason = "flow harness aborts when the loopback server cannot bind"
@@ -282,7 +277,7 @@ pub fn run_flow_tcp(
     let mut server = mmlib_net::RegistryServer::bind_with_config(
         backing,
         "127.0.0.1:0",
-        mmlib_net::ServerConfig { shards, faults, ..Default::default() },
+        mmlib_net::ServerConfig { faults, ..Default::default() },
     )
     .expect("bind loopback registry server");
     let addr = server.addr();

@@ -205,7 +205,7 @@ fn dist5_flow_runs_end_to_end_over_tcp() {
     let dir = tempfile::tempdir().unwrap();
     let mut config = fast_config(ApproachKind::ParamUpdate, ModelRelation::PartiallyUpdated);
     config.kind = FlowKind::Dist5;
-    let result = run_flow_tcp(&config, dir.path(), 8, None);
+    let result = run_flow_tcp(&config, dir.path(), None);
 
     // Full Table-3 geometry, with every model recovered (bit-exactness is
     // verified inside recovery) — all of it across real loopback sockets.
@@ -262,7 +262,7 @@ fn sim_and_tcp_transports_store_identical_model_bytes() {
     let sim_dir = tempfile::tempdir().unwrap();
     let sim = run_flow(&config, sim_dir.path());
     let tcp_dir = tempfile::tempdir().unwrap();
-    let tcp = run_flow_tcp(&config, tcp_dir.path(), 4, None);
+    let tcp = run_flow_tcp(&config, tcp_dir.path(), None);
 
     // Generated document ids gain a hex digit at different points (one id
     // counter per node handle in the shared directory, one shared server
@@ -307,7 +307,7 @@ fn flow_over_faulty_tcp_survives_and_fsck_finds_only_duplicates() {
     let accept_plan = FaultPlan::new(23).with(0, Fault::ConnReset);
     let faults = Arc::new(NetFaults::new(accept_plan, response_plan));
 
-    let result = run_flow_tcp(&config, dir.path(), 4, Some(Arc::clone(&faults)));
+    let result = run_flow_tcp(&config, dir.path(), Some(Arc::clone(&faults)));
 
     // The flow's own verification ran inside recovery: full Table-3 shape,
     // every model recovered bit-exactly despite the injected faults.

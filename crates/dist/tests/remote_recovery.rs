@@ -98,6 +98,29 @@ fn every_recovery_error_case_fails_alike_over_the_wire() {
     }
 }
 
+/// A cyclic chain is one `ChainGet` too: the reply carries each of the
+/// cycle's documents once, the recovery's walk reads them from it until
+/// its depth guard trips, and it fails as it does in-process.
+#[test]
+fn a_cyclic_chain_is_one_chain_get_and_fails_as_in_process() {
+    for case in [&common::error_cases::SELF_CYCLE, &common::error_cases::TWO_CYCLE] {
+        let dir = tempfile::tempdir().unwrap();
+        let local = SaveService::new(ModelStorage::open(dir.path()).unwrap());
+        let id = (case.setup)(&local, dir.path());
+        let in_process = local.recover_report(&id, RecoverOptions::default()).unwrap_err();
+        let (server, client) = serve(dir.path());
+
+        let before = requests(&server);
+        let err = service(client).recover_report(&id, RecoverOptions::default()).unwrap_err();
+        let mut asked = requests(&server);
+        asked.retain(|op, n| before[op] != *n);
+        let one_chain_get = BTreeMap::from([("chain_get", before["chain_get"] + 1)]);
+        assert_eq!(asked, one_chain_get, "{}", case.name);
+        assert!(matches!(err, CoreError::BaseChainTooDeep { .. }), "{}: {err}", case.name);
+        assert_eq!(err.to_string(), in_process.to_string(), "{}", case.name);
+    }
+}
+
 /// The four chains of the count gate, each saved into `svc`: returns the
 /// tip and the model it must recover to.
 fn gate_chains(svc: &SaveService) -> Vec<(&'static str, SavedModelId, Model)> {

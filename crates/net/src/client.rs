@@ -6,21 +6,21 @@
 //! against a registry across the network — the paper's node/server split
 //! (§4.1).
 //!
-//! Connections come from a small **pool** with **request pipelining**: each
-//! pooled socket opens with the `Hello` handshake, a dedicated reader
-//! thread demultiplexes responses by frame id, and any number of caller
-//! threads share the pool concurrently — family recovery and the dist
-//! flows no longer pay per-request connection latency. Requests are
-//! retried with exponential backoff plus jitter on connection failure, and
-//! a server `Busy` load-shed answer is just another retryable outcome (the
-//! connection stays up).
+//! Connections come from a small **pool**: each pooled socket opens with
+//! the `Hello` handshake and then serves one caller at a time, who writes
+//! the request and reads its reply on their own thread; a caller waits
+//! while every connection is in use, and the client starts no thread of its
+//! own. Family recovery and the dist flows thus reuse warm connections
+//! instead of paying per-request connection latency. Requests are retried
+//! with exponential backoff plus jitter on connection failure, and a
+//! server's `Busy` refusal of a new connection is just another retryable
+//! outcome.
 
-use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use mmlib_obs::Gauge;
@@ -43,9 +43,9 @@ pub const NET_POOL_CONNECTIONS: &str = "mmlib_net_pool_connections";
 pub(crate) struct ClientConfig {
     /// Attempts per request beyond the first (0 = fail fast).
     pub max_retries: u32,
-    /// How long a caller waits for its pipelined reply (None = forever).
+    /// How long a caller waits for its reply (None = forever).
     pub read_timeout: Option<Duration>,
-    /// Pooled connections; callers round-robin across them.
+    /// Pooled connections, each serving one caller at a time.
     pub pool_size: usize,
 }
 
@@ -64,7 +64,8 @@ pub struct RemoteStoreBuilder {
 }
 
 impl RemoteStoreBuilder {
-    /// Pooled connections the client multiplexes requests over.
+    /// Pooled connections: at most this many requests are in flight at
+    /// once, one per connection.
     pub fn pool_size(mut self, n: usize) -> RemoteStoreBuilder {
         self.config.pool_size = n;
         self
@@ -91,18 +92,19 @@ impl RemoteStoreBuilder {
         if config.pool_size == 0 {
             return Err(StoreError::Remote("pool_size must be at least 1".to_string()));
         }
-        let pool = (0..config.pool_size).map(|_| Mutex::new(None)).collect();
+        let (returned, idle) = mpsc::channel();
         let store = RemoteStore {
             addr,
+            unopened: AtomicUsize::new(config.pool_size),
             config,
-            pool,
-            next_slot: AtomicUsize::new(0),
+            idle: Mutex::new(idle),
+            returned,
             next_request_id: AtomicU64::new(1),
             jitter: Jitter::new(),
             bytes_written: AtomicU64::new(0),
             bytes_read: AtomicU64::new(0),
-            wire_out: Arc::new(AtomicU64::new(0)),
-            wire_in: Arc::new(AtomicU64::new(0)),
+            wire_out: AtomicU64::new(0),
+            wire_in: AtomicU64::new(0),
             pool_gauge: mmlib_obs::recorder().gauge(NET_POOL_CONNECTIONS, None),
         };
         // Handshake one connection now; the rest open lazily on demand.
@@ -117,20 +119,24 @@ impl RemoteStoreBuilder {
     }
 }
 
-/// A pooled, pipelined client for a registry server, usable as a storage
-/// backend.
+/// A pooled client for a registry server, usable as a storage backend.
 ///
-/// One `RemoteStore` holds [`RemoteStoreBuilder::pool_size`] TCP connections and
-/// is safe to share across any number of threads — callers round-robin
-/// over the pool and concurrent requests on one socket are correlated by
-/// frame id. Wrap it in an `Arc` directly, or hand the whole stack a
-/// [`ModelStorage`] via [`RemoteStore::into_storage`].
+/// One `RemoteStore` holds up to [`RemoteStoreBuilder::pool_size`] TCP
+/// connections and is safe to share across any number of threads: each
+/// request takes an idle connection for its exchange, and waits for one
+/// while all are in use. Wrap it in an `Arc` directly, or hand the whole
+/// stack a [`ModelStorage`] via [`RemoteStore::into_storage`].
 pub struct RemoteStore {
     addr: SocketAddr,
     config: ClientConfig,
-    /// One slot per pooled connection; each opens on first use.
-    pool: Vec<Mutex<Option<Arc<Conn>>>>,
-    next_slot: AtomicUsize,
+    /// The pool's idle slots: a slot holds its open connection, or `None`
+    /// once a wire error closed it. A caller takes a slot for one exchange
+    /// and sends it back through `returned`.
+    idle: Mutex<mpsc::Receiver<Option<Conn>>>,
+    returned: mpsc::Sender<Option<Conn>>,
+    /// Slots not yet opened; with the idle and the taken ones,
+    /// `pool_size` in all.
+    unopened: AtomicUsize,
     next_request_id: AtomicU64,
     jitter: Jitter,
     /// Storage-semantic bytes (stored document/blob sizes), mirroring what
@@ -139,8 +145,8 @@ pub struct RemoteStore {
     bytes_read: AtomicU64,
     /// Exact raw socket bytes, for reconciling against the server's
     /// `bytes_in`/`bytes_out` counters.
-    wire_out: Arc<AtomicU64>,
-    wire_in: Arc<AtomicU64>,
+    wire_out: AtomicU64,
+    wire_in: AtomicU64,
     pool_gauge: Arc<Gauge>,
 }
 
@@ -257,20 +263,27 @@ impl RemoteStore {
         }
     }
 
-    /// One exchange on a pooled connection (round-robin pick, lazily
-    /// opened). All errors out of here are retryable: a wire failure has
-    /// already marked its connection dead (the slot reopens on next use);
-    /// `Busy` and a refused reply blob left it healthy.
+    /// One exchange on a pooled connection, opened first if its slot has
+    /// none. All errors out of here are retryable: a wire error drops the
+    /// connection (its slot reopens on next use); a timeout, `Busy` or a
+    /// refused reply blob leave it in the pool.
     fn try_exchange(
         &self,
         frame: &Frame,
         blob: Option<&Bytes>,
     ) -> Result<(Frame, Vec<Vec<u8>>), WireError> {
-        let slot = &self.pool[self.next_slot.fetch_add(1, Ordering::Relaxed) % self.pool.len()];
-        let (reply, reply_blob) = self.exchange(slot, frame, blob)?;
+        let mut slot = self.take_slot()?;
+        let conn = match slot.conn.take() {
+            Some(conn) => conn,
+            None => self.open_conn()?,
+        };
+        let conn = slot.conn.insert(conn);
+        let id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
+        conn.write_request(&frame.clone().with_request_id(id), blob, &self.wire_out)?;
+        let (reply, reply_blob) =
+            conn.read_reply(id, frame.opcode, self.config.read_timeout, &self.wire_in)?;
         if reply.opcode == Opcode::Busy {
-            let hint = reply.header.get("retry_after_ms").and_then(Value::as_u64).unwrap_or(0);
-            return Err(WireError::Busy(hint));
+            return Err(WireError::Busy(busy_hint(&reply)));
         }
         // Storage-semantic accounting: payload bytes moved, as a local
         // backend would see them (headers are transport overhead).
@@ -282,109 +295,34 @@ impl RemoteStore {
         Ok((reply, reply_blob))
     }
 
-    /// Pipelined exchange: register the frame id, write, wait for the
-    /// reader thread to hand back the correlated reply.
-    fn exchange(
-        &self,
-        slot: &Mutex<Option<Arc<Conn>>>,
-        frame: &Frame,
-        blob: Option<&Bytes>,
-    ) -> Result<(Frame, Vec<Vec<u8>>), WireError> {
-        let conn = {
-            let mut guard = slot.lock();
-            match &*guard {
-                Some(conn) if conn.alive.load(Ordering::Acquire) => Arc::clone(conn),
-                _ => {
-                    // Reconnecting under the slot lock is deliberate: it
-                    // serializes handshakes, so racing callers share one
-                    // connection instead of opening N.
-                    let conn = self.open_conn()?;
-                    *guard = Some(Arc::clone(&conn));
-                    conn
-                }
-            }
-        };
-
-        let id = self.next_request_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
-        conn.pending.lock().insert(id, PendingEntry { tx, request: frame.opcode });
-
-        let sent = frame.clone().with_request_id(id);
-        let wrote = {
-            let mut writer = conn.writer.lock();
-            // The writer lock exists to serialize whole-frame writes on
-            // the shared socket; I/O under it is the point.
-            self.write_request(&mut *writer, &sent, blob, WireVersion::V2)
-        };
-        if let Err(e) = wrote {
-            // The socket's framing state is unknown after a failed write:
-            // fail every waiter; the slot reopens on its next use.
-            conn.fail_all(&format!("write failed: {e}"));
-            let _ = conn.writer.lock().shutdown(Shutdown::Both);
-            return Err(e);
-        }
-
-        let event = match self.config.read_timeout {
-            Some(timeout) => rx.recv_timeout(timeout).map_err(|e| match e {
-                mpsc::RecvTimeoutError::Timeout => {
-                    // Leave the connection up: the reader discards the
-                    // stale reply if it ever arrives.
-                    conn.pending.lock().remove(&id);
-                    WireError::Protocol(format!(
-                        "timed out after {timeout:?} waiting for a reply"
-                    ))
-                }
-                mpsc::RecvTimeoutError::Disconnected => {
-                    WireError::Protocol("connection reader exited".to_string())
-                }
-            }),
-            None => rx
+    /// Takes a pool slot: an idle connection if there is one, else an
+    /// unopened slot while any is left, else the next slot given back.
+    /// Takers decide one at a time, under the `idle` lock.
+    fn take_slot(&self) -> Result<Slot<'_>, WireError> {
+        let idle = self.idle.lock();
+        let conn = match idle.try_recv() {
+            Ok(slot) => slot,
+            Err(_) if self.take_unopened() => None,
+            // `recv` fails only once every sender is gone, and `self` holds
+            // one.
+            Err(_) => idle
                 .recv()
-                .map_err(|_| WireError::Protocol("connection reader exited".to_string())),
+                .map_err(|_| WireError::Protocol("connection pool closed".to_string()))?,
         };
-        match event? {
-            ConnEvent::Reply(reply, reply_blob) => Ok((reply, reply_blob)),
-            ConnEvent::Failed(reason) => Err(WireError::Protocol(reason)),
-        }
+        Ok(Slot { pool: &self.returned, conn })
     }
 
-    /// Writes one request frame (and its blob as chunk frames) to `w`,
-    /// counting exact wire bytes. Chunk payloads are zero-copy slices of
-    /// the request's one `Bytes` buffer — no per-attempt copy.
-    fn write_request(
-        &self,
-        w: &mut impl Write,
-        frame: &Frame,
-        blob: Option<&Bytes>,
-        version: WireVersion,
-    ) -> Result<(), WireError> {
-        let mut wrote = self.write_one(w, frame, version)?;
-        if let Some(blob) = blob {
-            for chunk in chunk_frames(frame.request_id, blob) {
-                wrote += self.write_one(w, &chunk, version)?;
-            }
-        }
-        w.flush()?;
-        self.wire_out.fetch_add(wrote, Ordering::Relaxed);
-        Ok(())
+    /// Claims one unopened slot, if any is left.
+    fn take_unopened(&self) -> bool {
+        self.unopened
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
+            .is_ok()
     }
 
-    fn write_one(
-        &self,
-        w: &mut impl Write,
-        frame: &Frame,
-        version: WireVersion,
-    ) -> Result<u64, WireError> {
-        let prefix = encode_frame_prefix(frame, version)?;
-        w.write_all(&prefix)?;
-        w.write_all(&frame.payload)?;
-        Ok((prefix.len() + frame.payload.len()) as u64)
-    }
-
-    /// Opens a socket, performs the `Hello` handshake (the one id-less
-    /// frame pair of a session), then spawns the demultiplexing reader
-    /// thread.
-    fn open_conn(&self) -> Result<Arc<Conn>, WireError> {
+    /// Opens a socket and performs the `Hello` handshake, the one id-less
+    /// frame pair of a session. A server serving as many connections as it
+    /// admits answers `Busy`, which is retried like any other refusal.
+    fn open_conn(&self) -> Result<Conn, WireError> {
         /// TCP connect timeout per attempt.
         const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
         /// Socket write timeout.
@@ -394,7 +332,8 @@ impl RemoteStore {
         stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
         stream.set_nodelay(true)?;
         let hello = Frame::new(Opcode::Hello, json!({"version": u64::from(PROTOCOL_V2)}));
-        self.write_request(&mut &stream, &hello, None, WireVersion::V1)?;
+        let wrote = write_frames(&mut &stream, &hello, None, WireVersion::V1)?;
+        self.wire_out.fetch_add(wrote, Ordering::Relaxed);
         let (reply, n) = read_frame_counted(&mut &stream, WireVersion::V1)?;
         self.wire_in.fetch_add(n, Ordering::Relaxed);
         match reply.opcode {
@@ -407,6 +346,7 @@ impl RemoteStore {
                     )));
                 }
             }
+            Opcode::Busy => return Err(WireError::Busy(busy_hint(&reply))),
             _ => {
                 let msg = reply
                     .header
@@ -416,30 +356,14 @@ impl RemoteStore {
                 return Err(WireError::Protocol(format!("hello rejected: {msg}")));
             }
         }
-        let reader_stream = stream.try_clone()?;
-        // The reader polls so it can notice a locally-initiated close even
-        // when the wire is silent.
-        reader_stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-        let conn = Arc::new(Conn {
-            writer: Mutex::new(stream),
-            pending: Mutex::new(HashMap::new()),
-            alive: AtomicBool::new(true),
-        });
         self.pool_gauge.add(1.0);
-        {
-            let reader_conn = Arc::clone(&conn);
-            let wire_in = Arc::clone(&self.wire_in);
-            let gauge = Arc::clone(&self.pool_gauge);
-            std::thread::Builder::new()
-                .name(format!("mmlib-client-{}", self.addr))
-                .spawn(move || reader_loop(&reader_conn, reader_stream, &wire_in, &gauge))
-                .map_err(|e| {
-                    conn.alive.store(false, Ordering::Release);
-                    self.pool_gauge.add(-1.0);
-                    WireError::Io(e)
-                })?;
-        }
-        Ok(conn)
+        Ok(Conn {
+            stream,
+            recv: RecvBuf::new(),
+            scratch: vec![0u8; 64 * 1024],
+            broken: false,
+            gauge: Arc::clone(&self.pool_gauge),
+        })
     }
 
     /// An existence check (`DocContains` / `FileContains`); any failure
@@ -477,141 +401,172 @@ impl RemoteStore {
     }
 }
 
-impl Drop for RemoteStore {
+/// A pool slot taken for one exchange. Dropping it sends the slot back,
+/// with its connection unless a wire error broke it.
+struct Slot<'a> {
+    pool: &'a mpsc::Sender<Option<Conn>>,
+    conn: Option<Conn>,
+}
+
+impl Drop for Slot<'_> {
     fn drop(&mut self) {
-        for slot in &self.pool {
-            // Take the connection out first: failing the waiters and
-            // closing the socket each take a lock of their own.
-            let taken = slot.lock().take();
-            if let Some(conn) = taken {
-                conn.fail_all("client shut down");
-                let _ = conn.writer.lock().shutdown(Shutdown::Both);
-            }
-        }
+        let conn = self.conn.take().filter(|conn| !conn.broken);
+        // Fails only once the store is gone, and the slot with it.
+        let _ = self.pool.send(conn);
     }
 }
 
-/// A multiplexed connection: writers interleave under the lock, one
-/// reader thread demultiplexes replies by frame id.
+/// One pooled connection, used by one caller at a time.
 struct Conn {
-    writer: Mutex<TcpStream>,
-    pending: Mutex<HashMap<u64, PendingEntry>>,
-    alive: AtomicBool,
+    stream: TcpStream,
+    /// Bytes read past the last whole frame, kept for the next exchange.
+    recv: RecvBuf,
+    scratch: Vec<u8>,
+    /// A wire error left the stream's framing unknown: the connection is
+    /// closed when its slot goes back.
+    broken: bool,
+    gauge: Arc<Gauge>,
 }
 
-struct PendingEntry {
-    tx: mpsc::Sender<ConnEvent>,
-    /// The request's opcode, which says whether its `Ok` reply announces a
-    /// streamed blob ([`reply_parts`]).
-    request: Opcode,
-}
-
-enum ConnEvent {
-    /// The reply, with the parts of the blob it announced (none when it
-    /// announced none).
-    Reply(Frame, Vec<Vec<u8>>),
-    Failed(String),
+impl Drop for Conn {
+    fn drop(&mut self) {
+        self.gauge.add(-1.0);
+    }
 }
 
 impl Conn {
-    fn fail_all(&self, reason: &str) {
-        self.alive.store(false, Ordering::Release);
-        for (_, entry) in self.pending.lock().drain() {
-            let _ = entry.tx.send(ConnEvent::Failed(reason.to_string()));
+    /// Writes one request frame and its blob as chunk frames, counting
+    /// exact wire bytes.
+    fn write_request(
+        &mut self,
+        frame: &Frame,
+        blob: Option<&Bytes>,
+        wire_out: &AtomicU64,
+    ) -> Result<(), WireError> {
+        match write_frames(&mut self.stream, frame, blob, WireVersion::V2) {
+            Ok(wrote) => {
+                wire_out.fetch_add(wrote, Ordering::Relaxed);
+                Ok(())
+            }
+            Err(e) => {
+                self.broken = true;
+                Err(e)
+            }
         }
     }
-}
 
-/// A reply blob mid-assembly on the reader thread.
-struct Partial {
-    frame: Frame,
-    blob: BlobAssembler,
-    tx: mpsc::Sender<ConnEvent>,
-}
-
-/// The per-connection reader: accumulate bytes, decode frames, route each
-/// to the caller waiting on its frame id. Replies to ids nobody waits for
-/// (a timed-out attempt's late answer) are discarded.
-fn reader_loop(conn: &Conn, mut stream: TcpStream, wire_in: &AtomicU64, gauge: &Gauge) {
-    let mut recv = RecvBuf::new();
-    let mut partials: HashMap<u64, Partial> = HashMap::new();
-    let mut scratch = vec![0u8; 64 * 1024];
-    let reason = 'conn: loop {
-        if !conn.alive.load(Ordering::Acquire) {
-            break "connection closed".to_string();
+    /// Reads until the reply to request `id` — and the blob it announces,
+    /// if any ([`reply_parts`]) — is whole, waiting at most `timeout` in
+    /// all. Frames of other requests, such as a timed-out attempt's late
+    /// reply, are skipped. A timeout or a reply whose announcement breaks
+    /// chunk accounting fails this request only: the connection stays up.
+    fn read_reply(
+        &mut self,
+        id: u64,
+        request: Opcode,
+        timeout: Option<Duration>,
+        wire_in: &AtomicU64,
+    ) -> Result<(Frame, Vec<Vec<u8>>), WireError> {
+        let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
+        let mut announced: Option<(Frame, BlobAssembler)> = None;
+        loop {
+            let frame = match self.recv.next_frame(WireVersion::V2) {
+                Ok(Some(frame)) => frame,
+                Ok(None) => {
+                    let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+                    if left.is_some_and(|left| left.is_zero()) || !self.fill(left, wire_in)? {
+                        return Err(WireError::Protocol(format!(
+                            "timed out after {:?} waiting for a reply",
+                            timeout.unwrap_or_default()
+                        )));
+                    }
+                    continue;
+                }
+                Err(e) => {
+                    self.broken = true;
+                    return Err(e);
+                }
+            };
+            if frame.request_id != id {
+                continue;
+            }
+            match (frame.opcode, announced.as_mut()) {
+                (Opcode::Err | Opcode::Busy, _) => return Ok((frame, Vec::new())),
+                (Opcode::Chunk, Some((_, blob))) => blob.push(&frame.payload)?,
+                (Opcode::Ok, None) => match reply_parts(request, &frame.header)? {
+                    None => return Ok((frame, Vec::new())),
+                    Some(lens) => announced = Some((frame, BlobAssembler::with_parts(&lens)?)),
+                },
+                // The server sends nothing else for a request; a stray
+                // frame is dropped.
+                _ => continue,
+            }
+            if announced.as_ref().is_some_and(|(_, blob)| blob.is_complete()) {
+                if let Some((frame, blob)) = announced.take() {
+                    return Ok((frame, blob.into_parts()));
+                }
+            }
         }
-        match stream.read(&mut scratch) {
-            Ok(0) => break "server closed the connection".to_string(),
+    }
+
+    /// Reads what the socket has into the receive buffer, waiting at most
+    /// `wait` (`None` = forever). `false` when the wait ran out.
+    fn fill(&mut self, wait: Option<Duration>, wire_in: &AtomicU64) -> Result<bool, WireError> {
+        let read = self.stream.set_read_timeout(wait);
+        match read.and_then(|()| self.stream.read(&mut self.scratch)) {
+            Ok(0) => {
+                self.broken = true;
+                Err(WireError::Closed)
+            }
             Ok(n) => {
                 wire_in.fetch_add(n as u64, Ordering::Relaxed);
-                recv.extend(&scratch[..n]);
-                loop {
-                    match recv.next_frame(WireVersion::V2) {
-                        Ok(None) => break,
-                        Ok(Some(frame)) => route_reply(conn, frame, &mut partials),
-                        Err(e) => break 'conn format!("protocol error: {e}"),
-                    }
-                }
+                self.recv.extend(&self.scratch[..n]);
+                Ok(true)
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut
-                    || e.kind() == std::io::ErrorKind::Interrupted =>
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                continue;
+                Ok(false)
             }
-            Err(e) => break format!("read failed: {e}"),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => Ok(true),
+            Err(e) => {
+                self.broken = true;
+                Err(WireError::Io(e))
+            }
         }
-    };
-    conn.fail_all(&reason);
-    gauge.add(-1.0);
+    }
 }
 
-/// Routes one decoded response frame on the reader thread.
-fn route_reply(conn: &Conn, frame: Frame, partials: &mut HashMap<u64, Partial>) {
-    let id = frame.request_id;
-    match frame.opcode {
-        Opcode::Chunk => {
-            let Some(partial) = partials.get_mut(&id) else { return };
-            let pushed = partial.blob.push(&frame.payload);
-            if pushed.is_ok() && !partial.blob.is_complete() {
-                return;
-            }
-            let Some(done) = partials.remove(&id) else { return };
-            let _ = done.tx.send(match pushed {
-                Ok(()) => ConnEvent::Reply(done.frame, done.blob.into_parts()),
-                Err(e) => ConnEvent::Failed(e.to_string()),
-            });
+/// Writes one frame, and `blob` as its chunk frames, to `w`; returns the
+/// exact wire bytes written. Chunk payloads are zero-copy slices of the
+/// request's one `Bytes` buffer — no per-attempt copy.
+fn write_frames(
+    w: &mut impl Write,
+    frame: &Frame,
+    blob: Option<&Bytes>,
+    version: WireVersion,
+) -> Result<u64, WireError> {
+    let mut wrote = write_one(w, frame, version)?;
+    if let Some(blob) = blob {
+        for chunk in chunk_frames(frame.request_id, blob) {
+            wrote += write_one(w, &chunk, version)?;
         }
-        Opcode::Ok => {
-            let Some(entry) = conn.pending.lock().remove(&id) else { return };
-            let announced = reply_parts(entry.request, &frame.header)
-                .and_then(|parts| parts.map(|lens| BlobAssembler::with_parts(&lens)).transpose());
-            let event = match announced {
-                Ok(None) => ConnEvent::Reply(frame, Vec::new()),
-                // The server is trusted no further than any peer: an
-                // over-long or inconsistent announcement fails this
-                // request, and only it; its chunks are dropped unread.
-                Err(e) => ConnEvent::Failed(e.to_string()),
-                Ok(Some(blob)) if blob.is_complete() => {
-                    ConnEvent::Reply(frame, blob.into_parts())
-                }
-                Ok(Some(blob)) => {
-                    partials.insert(id, Partial { frame, blob, tx: entry.tx });
-                    return;
-                }
-            };
-            let _ = entry.tx.send(event);
-        }
-        Opcode::Err | Opcode::Busy => {
-            partials.remove(&id);
-            let Some(entry) = conn.pending.lock().remove(&id) else { return };
-            let _ = entry.tx.send(ConnEvent::Reply(frame, Vec::new()));
-        }
-        // The server never sends request opcodes; a stray one is dropped
-        // rather than poisoning every in-flight request on the socket.
-        _ => {}
     }
+    w.flush()?;
+    Ok(wrote)
+}
+
+fn write_one(w: &mut impl Write, frame: &Frame, version: WireVersion) -> Result<u64, WireError> {
+    let prefix = encode_frame_prefix(frame, version)?;
+    w.write_all(&prefix)?;
+    w.write_all(&frame.payload)?;
+    Ok((prefix.len() + frame.payload.len()) as u64)
+}
+
+/// The backoff hint of a `Busy` reply, in milliseconds.
+fn busy_hint(reply: &Frame) -> u64 {
+    reply.header.get("retry_after_ms").and_then(Value::as_u64).unwrap_or(0)
 }
 
 /// The registry server's metrics snapshot, decoded from the `Stats` reply.
@@ -623,9 +578,9 @@ pub struct ServerStats {
     pub bytes_in: u64,
     /// Raw socket bytes the server sent.
     pub bytes_out: u64,
-    /// Connections accepted.
+    /// Connections admitted.
     pub connections: u64,
-    /// Requests answered with `Busy` by admission control.
+    /// Connections the server refused with `Busy`.
     pub load_shed: u64,
     /// Requests in flight when the snapshot was taken.
     pub inflight: u64,

@@ -7,12 +7,12 @@
 //!   a scheduled fault closes the socket immediately, the transient
 //!   `ECONNRESET` a restarting registry produces;
 //! * the **response** injector is consulted once per outgoing frame
-//!   (replies *and* blob chunks). Under protocol v2 a fault's blast radius
-//!   is part of its meaning: `DropConnection`/`ConnReset` kill the whole
-//!   multiplexed connection, `TruncateFrame`/`TornWrite` emit a prefix of
-//!   one frame and then close (the torn-write failure mode), and `IoError`
-//!   silently swallows exactly one response frame while the connection —
-//!   and every *other* in-flight request on it — lives on.
+//!   (replies *and* blob chunks). A fault's blast radius is part of its
+//!   meaning: `DropConnection`/`ConnReset` close the connection,
+//!   `TruncateFrame`/`TornWrite` emit a prefix of one frame and then close
+//!   (the torn-write failure mode), and `IoError` silently swallows
+//!   exactly one response frame while the connection lives on to serve
+//!   the next request.
 //!
 //! Both plans come from `mmlib-store`'s [`FaultPlan`], so one seed
 //! describes a whole storage + network failure scenario. Clients are

@@ -8,17 +8,20 @@
 //! * [`protocol`] — length-prefixed binary frames (u32 length + opcode +
 //!   frame id + JSON header + raw payload) with 64 KiB chunked blob
 //!   streaming, so a 242 MB ResNet-152 snapshot never sits in one
-//!   allocation twice. One connection carries many in-flight requests,
-//!   correlated by the `u64` frame id; a connection opens with the `Hello`
-//!   handshake and there is no other way in.
+//!   allocation twice. Every frame names the request it belongs to by its
+//!   `u64` frame id; a connection opens with the `Hello` handshake and
+//!   there is no other way in.
 //! * [`RegistryServer`] — a TCP server over a [`mmlib_store::ModelStorage`]
-//!   with nonblocking I/O threads, sharded worker pools keyed by model id
-//!   (per-model request ordering), admission control with `Busy` load
-//!   shedding, and per-opcode request/byte metrics.
-//! * [`RemoteStore`] — a pooled, pipelined client implementing
+//!   that serves each connection on a blocking thread of its own, one
+//!   request at a time, admits at most `max_connections` of them (the rest
+//!   are refused with `Busy`), and records per-opcode request/byte
+//!   metrics.
+//! * [`RemoteStore`] — a pooled client implementing
 //!   [`mmlib_store::StorageBackend`], so the entire save/recover stack runs
-//!   unmodified against a remote registry; retries with exponential backoff
-//!   plus jitter, configurable through [`RemoteStore::builder`].
+//!   unmodified against a remote registry: each pooled connection serves
+//!   one caller at a time, on the caller's own thread; retries with
+//!   exponential backoff plus jitter, configurable through
+//!   [`RemoteStore::builder`].
 //!
 //! This is the only network layer: `mmlib-dist`'s `run_flow_tcp` runs an
 //! evaluation flow through it, while `run_flow` opens the storage root
@@ -37,10 +40,7 @@ pub use fault::NetFaults;
 pub use protocol::{
     Frame, Opcode, WireError, WireVersion, CHUNK_SIZE, MAX_FRAME_LEN, PROTOCOL_V2,
 };
-pub use server::{
-    AdmissionConfig, ConfigError, RegistryServer, ServerConfig, ServerMetrics, ShardConfig,
-    WireConfig,
-};
+pub use server::{ConfigError, RegistryServer, ServerConfig, ServerMetrics};
 
 /// Pre-registers every net metric on `recorder`: the server's request
 /// counters and latency histograms under every opcode label, its byte,

@@ -1,8 +1,9 @@
 //! The mmlib wire protocol: length-prefixed binary frames.
 //!
 //! Every frame of a session carries a `u64` request id right after the
-//! opcode, so one connection can hold many in-flight requests and every
-//! response frame names the request it answers ([`WireVersion::V2`]):
+//! opcode, so every response frame names the request it answers
+//! ([`WireVersion::V2`]), and a client that gave up waiting on one request
+//! can skip its late reply:
 //!
 //! ```text
 //! ┌─────────────┬─────────┬────────────────┬───────────────┬────────┬─────────┐
@@ -16,10 +17,11 @@
 //! frame: a transfer is announced by its request/response frame (header
 //! `{"len": n}`; a [`Opcode::ChainGet`] reply announces several files back
 //! to back) and the bytes follow in [`CHUNK_SIZE`]-bounded
-//! [`Opcode::Chunk`] frames. Each chunk carries the request id of its
-//! transfer, so chunks of different transfers may interleave freely on one
-//! connection; `BlobAssembler` is the one place either side checks a
-//! transfer's chunk accounting, and `RecvBuf` the one inbound buffer.
+//! [`Opcode::Chunk`] frames, each carrying the request id of its transfer.
+//! An upload's chunks follow its announcement directly: a connection
+//! carries one request at a time. `BlobAssembler` is the one place either
+//! side checks a transfer's chunk accounting, and `RecvBuf` the one
+//! inbound buffer.
 //!
 //! # Handshake
 //!
@@ -28,19 +30,18 @@
 //! can parse it:
 //!
 //! * a client opens with [`Opcode::Hello`] `{"version": 2}`; the server
-//!   answers `Ok {"version": 2, "max_inflight": n}`, and every later frame,
-//!   in both directions, carries a request id;
+//!   answers `Ok {"version": 2}`, and every later frame, in both
+//!   directions, carries a request id;
 //! * any other first frame — another version, another opcode — is refused
 //!   with an `Err {"code": "version_mismatch"}` in the same id-less framing
-//!   and the connection is closed, before anything reaches admission,
-//!   a worker or the store.
+//!   and the connection is closed, before anything reaches the store.
 //!
 //! # Load shedding
 //!
-//! A server enforcing its admission budget answers an over-budget
-//! request with [`Opcode::Busy`] (`{"code": "busy", "retry_after_ms": n}`)
-//! instead of queueing it. `Busy` is a per-request response: the
-//! connection stays healthy and other in-flight requests are unaffected.
+//! A server already serving as many connections as it admits answers a new
+//! connection's `Hello` with [`Opcode::Busy`] (`{"code": "busy",
+//! "retry_after_ms": n}`) in the same id-less framing and closes it. The
+//! client backs off by at least the hint and connects again.
 
 #![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::arithmetic_side_effects))]
 
@@ -93,8 +94,8 @@ pub enum Opcode {
     /// Liveness and version check. Header: `{"version": n}`.
     Ping = 0x01,
     /// The handshake, sent id-less as a connection's first frame. Header:
-    /// `{"version": 2}`; the `Ok` reply carries `{"version": 2,
-    /// "max_inflight": n}` and every frame after it carries a request id.
+    /// `{"version": 2}`; the `Ok` reply carries `{"version": 2}` and every
+    /// frame after it carries a request id.
     Hello = 0x02,
     /// Insert a document. Header: `{"kind": s, "body": v}`.
     DocInsert = 0x10,
@@ -152,9 +153,9 @@ pub enum Opcode {
     Ok = 0x40,
     /// Failure response. Header: `{"code": s, "message": s}`.
     Err = 0x41,
-    /// Load-shed response: the server's admission budget is exhausted.
-    /// Header: `{"code": "busy", "retry_after_ms": n}`. Retryable; the
-    /// connection stays healthy.
+    /// Load-shed reply to a `Hello`: the server serves as many connections
+    /// as it admits. Header: `{"code": "busy", "retry_after_ms": n}`; the
+    /// server then closes the connection. Retryable.
     Busy = 0x42,
     /// Blob payload continuation for an announced transfer, named by the
     /// frame's request id.
@@ -307,8 +308,8 @@ pub enum WireError {
     /// The peer violated the message exchange (wrong opcode, bad chunk
     /// accounting, version mismatch, ...).
     Protocol(String),
-    /// The server shed this request under load ([`Opcode::Busy`]); retry
-    /// after a backoff. Carries the advised delay in milliseconds.
+    /// The server refused the connection under load ([`Opcode::Busy`]);
+    /// retry after a backoff. Carries the advised delay in milliseconds.
     Busy(u64),
 }
 
@@ -402,10 +403,10 @@ fn decode_body(mut body: Bytes, version: WireVersion) -> Result<Frame, WireError
     Ok(Frame { opcode, request_id, header, payload: body })
 }
 
-/// Incremental decode for event-loop readers: examines `buf` (the start of
-/// a frame stream) and returns the first complete frame plus the number of
-/// bytes it occupied, or `Ok(None)` when more bytes are needed. Errors are
-/// unrecoverable for the stream (framing is lost).
+/// Incremental decode: examines `buf` (the start of a frame stream) and
+/// returns the first complete frame plus the number of bytes it occupied,
+/// or `Ok(None)` when more bytes are needed. Errors are unrecoverable for
+/// the stream (framing is lost).
 pub fn try_decode_frame(
     buf: &[u8],
     version: WireVersion,
@@ -489,8 +490,8 @@ pub struct BlobAssembler {
     parts: Vec<(u64, Vec<u8>)>,
     /// The part the next byte belongs to.
     at: usize,
-    /// False counts without buffering: a shed upload's chunks are already
-    /// on the wire and must be consumed, but nothing will read the bytes.
+    /// False counts without buffering: the chunks are consumed, but
+    /// nothing will read the bytes.
     buffering: bool,
 }
 
@@ -515,7 +516,7 @@ impl BlobAssembler {
         Ok(BlobAssembler { remaining: len, parts, at: 0, buffering: true })
     }
 
-    /// Switches to counting without buffering (the upload was shed).
+    /// Switches to counting without buffering.
     pub fn count_only(&mut self) {
         self.buffering = false;
     }
@@ -698,12 +699,6 @@ impl RecvBuf {
             self.start = 0;
         }
         Ok(Some(frame))
-    }
-
-    /// Forgets everything buffered (the bytes after a framing error).
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.start = 0;
     }
 }
 

@@ -1,17 +1,14 @@
-//! The shard workers' side: execute one admitted request against storage
-//! and build its response. Every request opcode has its arm in [`respond`].
+//! Execute one request against storage and build its response. Every
+//! request opcode has its arm in [`respond`].
 
 use bytes::Bytes;
 use mmlib_store::schema::{self, LineageGraph, SavedModelId};
 use mmlib_store::{DocId, FileId, ModelStorage, StoreError};
 use serde_json::{json, Value};
 
-use super::admission::Job;
 use super::metrics::ServerMetrics;
-use super::ServerState;
 use crate::protocol::{
-    chunk_frames, encode_chain_reply, header_str, header_u64, Frame, Opcode, WireError,
-    PROTOCOL_V2,
+    encode_chain_reply, header_str, header_u64, Frame, Opcode, WireError, PROTOCOL_V2,
 };
 
 /// The deepest chain one `ChainGet` walks, whatever limit it asks for. A
@@ -19,29 +16,15 @@ use crate::protocol::{
 /// documents it read, and the client reads the rest itself.
 const MAX_CHAIN_WALK: usize = 1024;
 
-/// Executes one admitted request on its shard worker and enqueues the
-/// response frames. The job's admission is given back when it drops, after
-/// the reply is queued.
-pub(super) fn run_job(state: &ServerState, job: Job) {
-    let reply = respond(&job.frame, job.blob.as_deref(), &state.storage, &state.metrics)
-        .unwrap_or_else(Reply::frame);
-    let mut frames = vec![reply.frame.with_request_id(job.frame.request_id)];
-    for blob in &reply.blobs {
-        frames.extend(chunk_frames(job.frame.request_id, blob));
-    }
-    let _ = job.admission.conn.send_frames(&frames, state.faults.as_deref());
-    state.metrics.observe_latency(job.frame.opcode, job.started.elapsed());
-}
-
 /// A request's response: one reply frame, plus the outbound blobs to
 /// stream as chunks after it, back to back.
-struct Reply {
-    frame: Frame,
-    blobs: Vec<Bytes>,
+pub(super) struct Reply {
+    pub(super) frame: Frame,
+    pub(super) blobs: Vec<Bytes>,
 }
 
 impl Reply {
-    fn frame(frame: Frame) -> Reply {
+    pub(super) fn frame(frame: Frame) -> Reply {
         Reply { frame, blobs: Vec::new() }
     }
 }
@@ -78,7 +61,7 @@ fn id_list<T>(ids: Vec<T>, as_str: impl Fn(&T) -> &str) -> Value {
 /// response. `Err` is a malformed request's refusal; it and every storage
 /// error come back as `Err` frames that poison only their own request id,
 /// never the connection.
-fn respond(
+pub(super) fn respond(
     frame: &Frame,
     blob: Option<&[u8]>,
     storage: &ModelStorage,
@@ -169,12 +152,8 @@ fn respond(
             return Ok(Reply { frame: ok_frame(header), blobs });
         }
         Opcode::Hello | Opcode::Ok | Opcode::Err | Opcode::Busy | Opcode::Chunk => {
-            // Handled (or rejected) on the I/O thread before dispatch;
-            // reaching a worker would be a routing bug.
-            err_frame(
-                "protocol",
-                &format!("{} is not a dispatchable request", frame.opcode.name()),
-            )
+            // Handled (or rejected) by the connection before it gets here.
+            err_frame("protocol", &format!("{} is not a request", frame.opcode.name()))
         }
     };
     Ok(Reply::frame(reply))

@@ -35,9 +35,9 @@ pub const NET_REQUEST_SECONDS: &str = "mmlib_net_request_seconds";
 pub const NET_BYTES_IN_TOTAL: &str = "mmlib_net_bytes_in_total";
 /// Counter of wire bytes sent.
 pub const NET_BYTES_OUT_TOTAL: &str = "mmlib_net_bytes_out_total";
-/// Counter of connections accepted.
+/// Counter of connections admitted (refused ones count as load shed).
 pub const NET_CONNECTIONS_TOTAL: &str = "mmlib_net_connections_total";
-/// Counter of requests shed with a `Busy` response.
+/// Counter of connections refused with a `Busy` reply to their `Hello`.
 pub const NET_LOAD_SHED_TOTAL: &str = "mmlib_net_load_shed_total";
 /// Gauge of requests currently in flight (admitted, response not yet sent).
 pub const NET_INFLIGHT_REQUESTS: &str = "mmlib_net_inflight_requests";
@@ -75,8 +75,7 @@ impl ServerMetrics {
         &self.recorder
     }
 
-    /// Requests served for one opcode (admitted requests; shed requests
-    /// count under [`ServerMetrics::load_shed`] instead).
+    /// Requests served for one opcode.
     pub fn requests(&self, op: Opcode) -> u64 {
         self.requests[op.index()].value()
     }
@@ -96,12 +95,13 @@ impl ServerMetrics {
         self.bytes_out.value()
     }
 
-    /// Connections accepted.
+    /// Connections admitted.
     pub fn connections(&self) -> u64 {
         self.connections.value()
     }
 
-    /// Requests answered with `Busy` by admission control.
+    /// Connections refused with `Busy` because `max_connections` were
+    /// already served.
     pub fn load_shed(&self) -> u64 {
         self.load_shed.value()
     }

@@ -1,55 +1,56 @@
-//! The model-registry server: a multiplexed TCP front-end over a
-//! [`ModelStorage`].
+//! The model-registry server: a TCP front-end over a [`ModelStorage`].
 //!
 //! The paper's deployment keeps all model data on a central server (a
 //! MongoDB plus a shared FS) that every node reads and writes over the
-//! cluster network (§4.1). [`RegistryServer`] is that component, built for
-//! the ROADMAP's "thousands of concurrent clients" north star:
+//! cluster network (§4.1). [`RegistryServer`] is that component, built the
+//! way that MongoDB serves its clients: one thread per connection.
 //!
-//! * a small set of **I/O threads** ([`WireConfig::io_threads`]) own every
-//!   socket, running a nonblocking read/decode/write loop — a connection
-//!   costs a buffer, not a thread (`io`);
-//! * a connection must open with the `Hello` handshake of
-//!   [`crate::protocol`]; until it has, nothing it sends gets past its I/O
-//!   thread;
-//! * **admission control** ([`AdmissionConfig`]) bounds in-flight requests
-//!   per connection and globally; an over-budget request is answered with
-//!   an [`Opcode::Busy`](crate::Opcode::Busy) frame instead of queueing
-//!   without bound, and the connection stays healthy. The in-flight budget
-//!   also bounds each connection's outbound queue, which is why no write
-//!   timeout is needed (`admission`);
-//! * admitted requests are dispatched to **sharded worker pools**
-//!   ([`ShardConfig::workers`]) keyed by the model/document/file id in the
-//!   request header, so requests naming the same model execute in arrival
-//!   order on one shard while different models proceed in parallel
-//!   (`handlers`).
+//! * an **accept thread** admits up to [`ServerConfig::max_connections`]
+//!   connections at once and gives each a thread of its own; a connection
+//!   past the budget gets an [`Opcode::Busy`](crate::Opcode::Busy) reply to
+//!   its `Hello` and is closed, and the client backs off and retries;
+//! * a **connection thread** does the `Hello` handshake of
+//!   [`crate::protocol`], then reads one request (and, for an upload, its
+//!   chunks), answers it from storage, and writes the reply straight to
+//!   the socket before it reads the next (`conn`, `handlers`). So a
+//!   connection has one request in flight, and its requests run in the
+//!   order they were sent.
 //!
 //! Per-opcode request counts and byte counters are recorded so distributed
 //! experiments can report *measured* transfer volume instead of modeled
-//! volume; `bytes_in`/`bytes_out` count raw socket bytes, exactly
+//! volume; `bytes_in`/`bytes_out` count raw socket bytes, exactly, but for
+//! the unsent rest of a reply to a peer that vanished mid-write
 //! (`metrics`).
 
-mod admission;
 mod config;
+mod conn;
 mod handlers;
-mod io;
 mod metrics;
 
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Duration;
 
 use mmlib_obs::Recorder;
 use mmlib_store::ModelStorage;
 
-pub use config::{AdmissionConfig, ConfigError, ServerConfig, ShardConfig, WireConfig};
+pub use config::{ConfigError, ServerConfig};
 pub use metrics::{
     ServerMetrics, NET_BYTES_IN_TOTAL, NET_BYTES_OUT_TOTAL, NET_CONNECTIONS_TOTAL,
     NET_INFLIGHT_REQUESTS, NET_LOAD_SHED_TOTAL, NET_REQUESTS_TOTAL, NET_REQUEST_SECONDS,
 };
 
 use crate::fault::NetFaults;
+use crate::protocol::{encode_frame_v, WireVersion};
+
+/// Backoff hint carried in `Busy` replies, in milliseconds.
+const RETRY_AFTER_MS: u64 = 25;
+
+/// How long a refused connection's `Hello` is waited for, so that closing
+/// the socket does not reset it before the peer reads the refusal.
+const REFUSAL_READ_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// A running registry server; shuts down on [`RegistryServer::shutdown`] or
 /// drop.
@@ -67,7 +68,7 @@ impl RegistryServer {
         RegistryServer::bind_with_config(storage, addr, ServerConfig::default())
     }
 
-    /// Binds with explicit tuning knobs.
+    /// Binds with explicit settings.
     pub fn bind_with_config(
         storage: ModelStorage,
         addr: impl ToSocketAddrs,
@@ -86,11 +87,16 @@ impl RegistryServer {
         let stop = Arc::new(AtomicBool::new(false));
 
         let thread = {
-            let metrics = Arc::clone(&metrics);
-            let stop = Arc::clone(&stop);
+            let state = ServerState {
+                storage,
+                metrics: Arc::clone(&metrics),
+                faults: config.faults.clone(),
+                idle_timeout: config.idle_timeout,
+                stop: Arc::clone(&stop),
+            };
             std::thread::Builder::new()
                 .name(format!("mmlib-registry-{addr}"))
-                .spawn(move || serve(listener, storage, config, metrics, stop))?
+                .spawn(move || accept_loop(&listener, &state, config.max_connections))?
         };
 
         Ok(RegistryServer { addr, metrics, stop, thread: Some(thread) })
@@ -106,9 +112,9 @@ impl RegistryServer {
         &self.metrics
     }
 
-    /// Stops accepting, drains in-flight requests and queued responses
-    /// (bounded by a short grace period for stalled peers), joins all
-    /// threads.
+    /// Stops accepting and joins every thread. Each connection finishes
+    /// the request it is serving, then closes; one waiting for bytes closes
+    /// within a poll interval.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(thread) = self.thread.take() {
@@ -123,93 +129,93 @@ impl Drop for RegistryServer {
     }
 }
 
-/// Shared server state every I/O thread and worker sees.
+/// What every connection thread shares.
 struct ServerState {
     storage: ModelStorage,
     metrics: Arc<ServerMetrics>,
-    admission: AdmissionConfig,
     faults: Option<Arc<NetFaults>>,
-    global_inflight: AtomicUsize,
+    idle_timeout: Option<Duration>,
+    stop: Arc<AtomicBool>,
 }
 
-/// Supervisor: accept loop + I/O threads + shard workers under one scope.
-fn serve(
-    listener: TcpListener,
-    storage: ModelStorage,
-    config: ServerConfig,
-    metrics: Arc<ServerMetrics>,
-    stop: Arc<AtomicBool>,
-) {
-    let state = Arc::new(ServerState {
-        storage,
-        metrics: Arc::clone(&metrics),
-        admission: config.admission.clone(),
-        faults: config.faults.clone(),
-        global_inflight: AtomicUsize::new(0),
-    });
+/// A connection's place in the `max_connections` budget. Only
+/// [`Admission::take`] makes one, and dropping it gives the place back, so
+/// a connection releases it however its thread ends.
+struct Admission<'a> {
+    live: &'a AtomicUsize,
+}
 
-    let result = crossbeam::scope(|s| {
-        // Shard workers: one FIFO queue each. Requests are routed by id
-        // hash, so a queue is a per-model serialization point.
-        let mut shard_txs = Vec::with_capacity(config.shards.workers);
-        for _ in 0..config.shards.workers {
-            let (tx, rx) = crossbeam::channel::unbounded::<admission::Job>();
-            shard_txs.push(tx);
-            let state = Arc::clone(&state);
-            s.spawn(move |_| {
-                while let Ok(job) = rx.recv() {
-                    handlers::run_job(&state, job);
-                }
-            });
-        }
+impl<'a> Admission<'a> {
+    /// A place in the budget, or `None` when `max` connections are live.
+    fn take(live: &'a AtomicUsize, max: usize) -> Option<Admission<'a>> {
+        live.fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| (n < max).then_some(n + 1))
+            .ok()
+            .map(|_| Admission { live })
+    }
+}
 
-        // I/O threads: each adopts connections from its intake channel
-        // and multiplexes them with a nonblocking event loop.
-        let mut intakes = Vec::with_capacity(config.wire.io_threads);
-        for _ in 0..config.wire.io_threads {
-            let (intake_tx, intake) = mpsc::channel::<TcpStream>();
-            intakes.push(intake_tx);
-            let state = Arc::clone(&state);
-            let stop = Arc::clone(&stop);
-            let shard_txs = shard_txs.clone();
-            let idle_timeout = config.wire.idle_timeout;
-            s.spawn(move |_| io::io_loop(&state, &intake, &shard_txs, idle_timeout, &stop));
-        }
-        // The supervisor's own senders must drop so workers exit when the
-        // I/O threads do.
-        drop(shard_txs);
+impl Drop for Admission<'_> {
+    fn drop(&mut self) {
+        self.live.fetch_sub(1, Ordering::AcqRel);
+    }
+}
 
-        // Accept loop: pin each connection to an I/O thread round-robin.
-        let mut next_io = 0usize;
-        while !stop.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    // Fault hook: a scheduled accept fault closes the
-                    // connection before it is served — the transient
-                    // ECONNRESET of a restarting registry. Clients survive
-                    // it through their retry loop.
-                    if let Some(faults) = &state.faults {
-                        if faults.on_accept().is_some() {
-                            drop(stream);
-                            continue;
-                        }
-                    }
-                    // A send fails only once that I/O thread has exited,
-                    // and then the connection just closes.
-                    let _ = intakes[next_io % intakes.len()].send(stream);
-                    next_io = next_io.wrapping_add(1);
-                }
+/// Accepts connections until the stop flag is set, serving each admitted
+/// one on a scoped thread of its own; returns once all of them are done.
+fn accept_loop(listener: &TcpListener, state: &ServerState, max_connections: usize) {
+    let live = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        while !state.stop.load(Ordering::SeqCst) {
+            let stream = match listener.accept() {
+                Ok((stream, _peer)) => stream,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(1));
+                    continue;
                 }
                 Err(_) => break,
+            };
+            // Fault hook: a scheduled accept fault closes the connection
+            // before it is served — the transient ECONNRESET of a
+            // restarting registry. Clients survive it through their retry
+            // loop.
+            if state.faults.as_ref().is_some_and(|faults| faults.on_accept().is_some()) {
+                continue;
             }
+            let Some(admission) = Admission::take(&live, max_connections) else {
+                refuse(stream, &state.metrics);
+                continue;
+            };
+            state.metrics.connections.add(1);
+            // The handle is dropped: the thread is reaped when it ends, and
+            // the scope still waits for it. A failed spawn drops the
+            // closure, and the socket and admission with it.
+            let _ = std::thread::Builder::new()
+                .name("mmlib-registry-conn".to_string())
+                .spawn_scoped(s, move || {
+                    let _admission = admission;
+                    conn::serve(state, stream);
+                });
         }
     });
-    // A thread panic (already reported on its own thread) surfaces here
-    // after the scope joins. The server is tearing down at this point, so
-    // note it instead of re-panicking into the joining thread.
-    if result.is_err() {
-        eprintln!("mmlib-net: a registry thread panicked; server shut down");
+}
+
+/// Answers a connection past the budget: `Busy` in place of its `Hello`
+/// reply, in the handshake's id-less framing, then close. The peer's
+/// `Hello` is read first (briefly), so that closing does not reset the
+/// connection before the refusal is read.
+fn refuse(mut stream: TcpStream, metrics: &ServerMetrics) {
+    metrics.load_shed.add(1);
+    if stream.set_nonblocking(false).is_err()
+        || stream.set_read_timeout(Some(REFUSAL_READ_TIMEOUT)).is_err()
+    {
+        return;
+    }
+    if let Ok(n) = stream.read(&mut [0u8; 256]) {
+        metrics.bytes_in.add(n as u64);
+    }
+    let busy = handlers::busy_frame(RETRY_AFTER_MS);
+    if let Ok(encoded) = encode_frame_v(&busy, WireVersion::V1) {
+        metrics.bytes_out.add(encoded.len() as u64);
+        let _ = stream.write_all(&encoded);
     }
 }

@@ -39,10 +39,7 @@ fn wire_len(v: WireVersion, op: Opcode, header: serde_json::Value, payload: &[u8
 
 /// The v1-framed `Hello` reply that opens every v2 connection.
 fn hello_reply_len() -> u64 {
-    let header = json!({
-        "version": mmlib_net::PROTOCOL_V2,
-        "max_inflight": mmlib_net::AdmissionConfig::default().per_conn_inflight as u64,
-    });
+    let header = json!({"version": mmlib_net::PROTOCOL_V2});
     wire_len(WireVersion::V1, Opcode::Ok, header, &[])
 }
 

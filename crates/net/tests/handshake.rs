@@ -6,6 +6,7 @@
 
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use mmlib_net::protocol::{encode_frame_v, read_frame_counted, WireError};
@@ -164,4 +165,77 @@ fn dead_uploads_release_their_admission_budget() {
     let id = client.put_file(&blob).unwrap();
     assert_eq!(client.get_file(&id).unwrap(), blob);
     assert_eq!(metrics.load_shed(), 0, "nothing should have been shed");
+}
+
+#[test]
+fn a_connection_past_the_budget_gets_busy_then_eof() {
+    let dir = tempfile::tempdir().unwrap();
+    let storage = ModelStorage::open(dir.path()).unwrap();
+    let config = mmlib_net::ServerConfig { max_connections: 2, ..Default::default() };
+    let server = RegistryServer::bind_with_config(storage, "127.0.0.1:0", config).unwrap();
+    let metrics = server.metrics();
+
+    let first = handshaken(&server);
+    let _second = handshaken(&server);
+
+    // The third is refused in place of its `Hello` reply, in the same
+    // id-less framing, then closed.
+    let mut third = TcpStream::connect(server.addr()).unwrap();
+    send(&mut third, &Frame::new(Opcode::Hello, json!({"version": PROTOCOL_V2})), WireVersion::V1);
+    let reply = recv(&mut third, WireVersion::V1).unwrap();
+    assert_eq!(reply.opcode, Opcode::Busy);
+    assert!(reply.header["retry_after_ms"].as_u64().is_some(), "{:?}", reply.header);
+    assert!(matches!(recv(&mut third, WireVersion::V1), Err(WireError::Closed)));
+    assert_eq!(metrics.load_shed(), 1);
+    assert_eq!(metrics.connections(), 2, "the refused connection was never served");
+
+    // Once one of the two leaves, its place is free for a new client.
+    drop(first);
+    let client = RemoteStore::builder(server.addr()).pool_size(1).build().unwrap();
+    assert!(client.doc_ids().unwrap().is_empty());
+    assert_eq!(metrics.connections(), 3);
+}
+
+/// Shuts `server` down on another thread and returns how long it took,
+/// failing if it takes far longer than the poll interval it waits on.
+fn timed_shutdown(mut server: RegistryServer) -> std::time::Duration {
+    let started = std::time::Instant::now();
+    let done = std::thread::spawn(move || server.shutdown());
+    while !done.is_finished() {
+        assert!(started.elapsed() < std::time::Duration::from_secs(10), "shutdown hung");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    started.elapsed()
+}
+
+#[test]
+fn shutdown_does_not_wait_for_an_idle_connection() {
+    let dir = tempfile::tempdir().unwrap();
+    let server = server(dir.path());
+    let _idle = handshaken(&server);
+    let took = timed_shutdown(server);
+    assert!(took < std::time::Duration::from_secs(2), "shutdown took {took:?}");
+}
+
+#[test]
+fn shutdown_does_not_wait_for_a_stalled_upload() {
+    let dir = tempfile::tempdir().unwrap();
+    let server = server(dir.path());
+    let metrics = Arc::clone(server.metrics());
+    // A peer announces an upload, sends part of it and then stalls.
+    let mut stream = handshaken(&server);
+    let announce = Frame::new(Opcode::FilePut, json!({"len": 200_000u64})).with_request_id(1);
+    send(&mut stream, &announce, WireVersion::V2);
+    let chunk = Frame::with_payload(Opcode::Chunk, json!({}), Bytes::from(vec![0xAB; 1_000]))
+        .with_request_id(1);
+    send(&mut stream, &chunk, WireVersion::V2);
+    wait_for("the upload to be admitted", || metrics.inflight() >= 1.0);
+
+    let took = timed_shutdown(server);
+    assert!(took < std::time::Duration::from_secs(2), "shutdown took {took:?}");
+    assert_eq!(metrics.inflight(), 0.0, "the cut-short upload is no longer in flight");
+    // The server hung up on the stalled peer without answering it: EOF, or
+    // a reset when the close found bytes of the chunk still unread.
+    let after = recv(&mut stream, WireVersion::V2);
+    assert!(matches!(after, Err(WireError::Closed | WireError::Io(_))), "{after:?}");
 }

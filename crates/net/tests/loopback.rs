@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use mmlib_net::{RegistryServer, RemoteStore, ServerConfig, ShardConfig, WireConfig};
+use mmlib_net::{RegistryServer, RemoteStore, ServerConfig};
 use mmlib_store::{DocId, FileId, ModelStorage, StorageBackend, StoreError};
 use serde_json::json;
 
@@ -124,8 +124,7 @@ fn client_reconnects_after_connection_loss() {
         storage,
         "127.0.0.1:0",
         ServerConfig {
-            wire: WireConfig::default()
-                .with_idle_timeout(Some(std::time::Duration::from_millis(50))),
+            idle_timeout: Some(std::time::Duration::from_millis(50)),
             ..ServerConfig::default()
         },
     )
@@ -149,7 +148,7 @@ fn stress_eight_concurrent_clients_round_trip_byte_exact() {
     let server = RegistryServer::bind_with_config(
         storage,
         "127.0.0.1:0",
-        ServerConfig { shards: ShardConfig { workers: 8 }, ..ServerConfig::default() },
+        ServerConfig::default(),
     )
     .unwrap();
     let addr = server.addr();

@@ -81,7 +81,7 @@ pub const TAXONOMY: &[MetricDef] = &[
     MetricDef {
         name: "mmlib_net_connections_total",
         kind: MetricKind::Counter,
-        help: "Connections accepted and adopted by a registry I/O thread.",
+        help: "Connections the registry server admitted, each served on a thread of its own.",
     },
     MetricDef {
         name: "mmlib_net_inflight_requests",
@@ -91,7 +91,8 @@ pub const TAXONOMY: &[MetricDef] = &[
     MetricDef {
         name: "mmlib_net_load_shed_total",
         kind: MetricKind::Counter,
-        help: "Requests the registry server answered with Busy under admission control.",
+        help: "Connections the registry server refused with Busy because it already served \
+               max_connections of them.",
     },
     MetricDef {
         name: "mmlib_net_pool_connections",

@@ -384,9 +384,9 @@ pub fn links_to_rebuild(chain: &[(SavedModelId, ModelInfoDoc)]) -> Vec<bool> {
 /// [`recovery_reads`], each list in the order the recovery reads it.
 #[derive(Debug, Default)]
 pub struct RecoveryReads {
-    /// Documents: the chain's model-info documents tip first, then, with
-    /// the environment check, every link's environment document, then the
-    /// wrapper documents of the links the plan rebuilds.
+    /// Documents, each once: the chain's model-info documents tip first,
+    /// then, with the environment check, every link's environment document,
+    /// then the wrapper documents of the links the plan rebuilds.
     pub docs: Vec<Document>,
     /// The files of the links the plan rebuilds, snapshot first.
     pub files: Vec<(FileId, Vec<u8>)>,
@@ -402,7 +402,8 @@ pub struct RecoveryReads {
 ///
 /// Never an error: the set ends at the first read that fails, and after the
 /// model-info documents when the walk ends abnormally. A recovery that
-/// misses an item reads it itself and meets the failure there.
+/// misses an item reads it itself and meets the failure there. A document
+/// read more than once (a cyclic chain's) is in the set once.
 pub fn recovery_reads(
     storage: &ModelStorage,
     tip: &SavedModelId,
@@ -420,6 +421,10 @@ pub fn recovery_reads(
         // An error here is where the recovery will fail too.
         let _ = read_links(storage, &walk.links, check_env, &mut reads);
     }
+    // A cyclic chain reads the same documents until the limit: keep each
+    // once, where it was first read.
+    let mut seen = BTreeSet::new();
+    reads.docs.retain(|doc| seen.insert(doc.id.clone()));
     reads
 }
 

@@ -30,16 +30,18 @@ lap test
 #               delta_v1 update decoder (codec.rs, rle.rs) and the tensor
 #               decoder (ser.rs);
 #               a discarded StagedWrite (#[must_use])
-#   types       admission budgets given back by `Drop for Admission`; a
-#               staged write committed at most once (`commit_staged` takes
-#               it by value)
+#   types       a connection's place in the `max_connections` budget given
+#               back by `Drop for Admission`; a staged write committed at
+#               most once (`commit_staged` takes it by value)
 #   tests       opcode coverage (opcode_coverage.rs walks Opcode::ALL), the
 #               metric taxonomy (tests/metric_taxonomy.rs), the clippy
 #               owners still biting (tests/toolchain.rs); L1, one lock at a
 #               time: the one-lock check in the parking_lot shim panics on
 #               a nested lock in every debug test
-#   review      H1, no lock-held I/O: `intake` is a channel, and the three
-#               deliberate lock-held I/O sites in net say why in a comment
+#   review      H1, no lock-held I/O: the one lock left in net is the client
+#               pool's, held only while a caller takes (or waits for) a
+#               slot; every socket read and write runs on the thread that
+#               holds the connection, under no lock
 #
 # The clippy rules' scopes live in the files they guard, so pin them here:
 # the exact deny line in each listed lib.rs (and in the decoders), the
@@ -97,14 +99,19 @@ fi
 # beside the staged commit: the store views, the unstaged atomic write and
 # the wrapper writes an MPA save made before its batch (`ModelStorage` is
 # the one call surface, `commit_staged` the one rename, and the wrapper
-# builders return batch items). Fail, naming the file, if one returns.
+# builders return batch items), and so are the server's event loop, shard
+# pools, admission budgets and the client's reply demultiplexer (a
+# connection is served on one blocking thread at each end, and
+# `max_connections` is the one budget). Fail, naming the file, if one
+# returns.
 for gone in ChainPolicy with_policy SimNetwork network_time run_flow_with_transport \
     recover_flow_family FaultyBackend artifacts_of walk_wrapper_closure entry_layer_hashes \
     lineage_index UnparsableDoc DocIdMismatch finish_inflight release_pending init_lock \
     'mmlib-lin[t]' 'lint-budge[t]' 'fn lineage_record(' 'fn lineage_ancestry(' node_line \
     lineage_item OrphanLineage DanglingLineageParent rebase_record 'kinds::LINEAGE' \
     DocsView FilesView atomic_write save_loader_wrapper save_optimizer_wrapper \
-    save_train_service_wrapper; do
+    save_train_service_wrapper io_loop ShardConfig WireConfig AdmissionConfig fnv1a \
+    reader_loop route_reply per_conn_inflight SHUTDOWN_DRAIN_GRACE; do
     if hits=$(grep -rl -- "$gone" crates/*/src src examples tests); then
         echo "check.sh: deleted name '$gone' reappeared in:" $hits >&2
         exit 1
@@ -158,10 +165,10 @@ if ! MMLIB_FAULT_SEED_BASE="$FAULT_SEED_BASE" cargo test --test fault_matrix -q;
 fi
 lap "fault matrix"
 
-# Wire-protocol stress gate: 512 concurrent clients multiplexed over one
-# pipelined RemoteStore pool against the sharded v2 server, asserting zero
-# lost/misrouted responses and exact byte-ledger equality between client
-# and server counters. Release mode keeps the bounded fast run under a few
+# Wire-protocol stress gate: 512 concurrent client threads taking turns on
+# one RemoteStore pool of 8 connections, each served on its own server
+# thread, asserting zero lost/misrouted responses and exact byte-ledger
+# equality between client and server counters. Release mode keeps the bounded fast run under a few
 # seconds; plain `cargo test` runs the same test at a modest default scale.
 if ! MMLIB_STRESS_CLIENTS=512 cargo test -p mmlib-net --release --test stress -q; then
     echo "check.sh: wire-protocol stress FAILED at 512 clients" >&2
