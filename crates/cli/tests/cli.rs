@@ -410,9 +410,9 @@ fn fsck_detects_every_injected_corruption() {
     let bytes = std::fs::read(&blob_path).unwrap();
     std::fs::write(&blob_path, &bytes[..bytes.len() / 3]).unwrap();
 
-    // Corruption 2: bit-flip the environment document into invalid JSON.
-    let env = info.body["environment_doc"].as_str().unwrap();
-    let doc_path = dir.path().join("docs").join(format!("{env}.json"));
+    // Corruption 2: bit-flip the layer-hash document into invalid JSON.
+    let hashes = info.body["layer_hash_doc"].as_str().unwrap();
+    let doc_path = dir.path().join("docs").join(format!("{hashes}.json"));
     let mut doc_bytes = std::fs::read(&doc_path).unwrap();
     doc_bytes[0] ^= 0x80;
     std::fs::write(&doc_path, &doc_bytes).unwrap();

@@ -1,7 +1,8 @@
 //! Baseline approach (BA, paper §3.1): complete independent snapshots.
 //!
-//! Save: environment doc + layer-hash doc + model-info doc; architecture
-//! code and the full serialized state dict as files. Recovery loads
+//! Save ([`crate::assemble`]): the full serialized state dict and the
+//! architecture code as files, a layer-hash doc, and the model-info doc,
+//! which holds the environment. Recovery loads
 //! everything back, builds the architecture around the decoded parameters,
 //! and verifies. Unlike torchvision's `Model()` + `load_state_dict`, which
 //! the paper measures, it runs no initializer first: that init pass was
@@ -9,76 +10,14 @@
 //! now shows only in `repro fig12`'s `init` column.
 
 use mmlib_model::Model;
-use mmlib_obs::{PhaseBreakdown, PhaseClock};
+use mmlib_obs::PhaseBreakdown;
 use mmlib_tensor::ser::{state_from_bytes, state_to_bytes};
 
 use crate::error::CoreError;
-use crate::meta::{ModelInfoDoc, ModelRelation, SavedModelId};
+use crate::meta::{ModelInfoDoc, SavedModelId};
 use crate::recovery::SaveService;
 
 impl SaveService {
-    /// Saves a complete snapshot of `model` (the baseline approach).
-    ///
-    /// `base` is recorded as metadata only — the baseline "explicitly
-    /// excludes loading documents holding base model information" at
-    /// recovery. `relation` documents how this model relates to its base.
-    pub(crate) fn save_full_phased(
-        &self,
-        model: &Model,
-        base: Option<&SavedModelId>,
-        relation: ModelRelation,
-        clock: &mut PhaseClock<'_>,
-    ) -> Result<SavedModelId, CoreError> {
-        check_relation(relation, base)?;
-
-        // Full state dict file.
-        let entries = model.state_entries();
-        let bytes = clock.time("serialize", || {
-            Vec::from(state_to_bytes(
-                entries.iter().map(|(p, t, _, _)| (p.as_str(), *t)).collect::<Vec<_>>(),
-            ))
-        });
-
-        // Layer hashes: the baseline's optional recovery checksums —
-        // mmlib always stores them, as the paper's PUA interop requires a
-        // base's hashes to be loadable without recovering it.
-        let tree = clock.time("hash", || self.save_tree(model));
-
-        // The whole save is one batch commit: artifacts first, then the
-        // model-info document referencing them by intra-batch `$batch:N`
-        // placeholders. Item order is visibility order, so the old
-        // write-after-write crash semantics hold while the save pays one
-        // durability tail (one staged fdatasync per item + one directory
-        // fsync per store) instead of a tmp+fsync+rename+dir-fsync round
-        // per artifact.
-        let info = ModelInfoDoc {
-            approach: crate::meta::ApproachKind::Baseline,
-            arch: model.arch.name().to_string(),
-            relation,
-            base_model: base.map(|b| b.doc_id().as_str().to_string()),
-            environment_doc: mmlib_store::batch_ref(0),
-            code_file: Some(mmlib_store::batch_ref(1)),
-            weights_file: Some(mmlib_store::batch_ref(2)),
-            update_encoding: None,
-            update_layers: None,
-            layer_hash_doc: mmlib_store::batch_ref(3),
-            root_hash: tree.root().to_hex(),
-            train_doc: None,
-            dataset: None,
-            tags: Vec::new(),
-            rebased_from: None,
-        };
-        let batch = vec![
-            self.environment_item()?,
-            mmlib_store::BatchItem::File { bytes: model.arch.source_code().into_bytes() },
-            mmlib_store::BatchItem::File { bytes },
-            self.layer_hashes_item(&tree)?,
-            self.model_info_item(&info)?,
-        ];
-        let ids = clock.time("write", || self.storage().commit_batch(batch))?;
-        Ok(SavedModelId(crate::recovery::batch_doc_id(ids.into_iter().nth(4))?))
-    }
-
     /// Rewrites an already-saved model in place as a full snapshot.
     ///
     /// `model` must be the recovered parameters of `id` (callers recover it
@@ -155,19 +94,4 @@ impl SaveService {
         // overwrite it, which is a departure from the paper kept on purpose.
         self.timed(phases, "rebuild", || Ok(Model::from_state(arch, state_from_bytes(&bytes)?)?))
     }
-}
-
-/// Rejects relation/base combinations that cannot be recorded: an initial
-/// model has no base, a derived one needs it.
-pub(crate) fn check_relation(
-    relation: ModelRelation,
-    base: Option<&SavedModelId>,
-) -> Result<(), CoreError> {
-    if relation == ModelRelation::Initial && base.is_some() {
-        return Err(crate::report::missing_field("initial models cannot have a base"));
-    }
-    if relation != ModelRelation::Initial && base.is_none() {
-        return Err(crate::report::missing_field("derived models require a base model"));
-    }
-    Ok(())
 }

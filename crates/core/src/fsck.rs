@@ -89,7 +89,7 @@ pub enum FsckIssue {
         model: SavedModelId,
         /// The missing document.
         id: DocId,
-        /// What the document was (environment, layer hashes, wrapper, ...).
+        /// What the document was (layer hashes or base model).
         role: String,
     },
     /// A file referenced by a saved model does not exist.
@@ -312,7 +312,7 @@ impl Checker<'_> {
     /// requested.
     fn check_model(&mut self, sid: &SavedModelId, info: &ModelInfoDoc) -> Result<(), CoreError> {
         let graph = self.graph;
-        for (target, role) in info.references(&graph.others) {
+        for (target, role) in info.references() {
             match target {
                 Ref::Doc(id) => {
                     let model_doc = SavedModelId(id.clone());
@@ -343,25 +343,27 @@ impl Checker<'_> {
         Ok(())
     }
 
-    /// Re-verifies one model's Merkle tree: stored root vs recorded
+    /// Re-verifies one model's Merkle tree: its folded root vs recorded
     /// `root_hash`, and (for state-dict weights) re-parsed, re-hashed
     /// layers vs the stored leaves.
     fn verify_hashes(&mut self, sid: &SavedModelId, info: &ModelInfoDoc) -> Result<(), CoreError> {
         let tree_id = DocId::from_string(info.layer_hash_doc.clone());
-        let Some(tree_doc) = self.graph.others.get(&tree_id) else {
-            return Ok(()); // dangling reference already reported
-        };
-        let tree: MerkleTree = match serde_json::from_value(tree_doc.body.clone()) {
-            Ok(t) => t,
-            Err(e) => {
+        // A missing tree is a dangling reference, already reported; the
+        // weights blob is still read, so a damaged one is named too.
+        let tree = match self.graph.others.get(&tree_id).map(|doc| {
+            serde_json::from_value::<MerkleTree>(doc.body.clone())
+        }) {
+            Some(Ok(tree)) => Some(tree),
+            Some(Err(e)) => {
                 self.report.issues.push(FsckIssue::BadModelDoc {
                     id: sid.clone(),
                     reason: format!("undecodable layer-hash tree: {e}"),
                 });
-                return Ok(());
+                None
             }
+            None => None,
         };
-        if tree.root().to_hex() != info.root_hash {
+        if tree.as_ref().is_some_and(|tree| tree.root().to_hex() != info.root_hash) {
             self.report.issues.push(FsckIssue::RootHashMismatch { model: sid.clone() });
         }
 
@@ -410,6 +412,7 @@ impl Checker<'_> {
             // A baseline snapshot is the whole model: its layer hashes must
             // reproduce the stored leaves exactly, paths and order included.
             ApproachKind::Baseline => {
+                let Some(tree) = tree else { return Ok(()) };
                 let leaves: Vec<(&str, &Digest)> = tree.leaves().collect();
                 if leaves.len() != computed.len() {
                     self.report.issues.push(FsckIssue::HashMismatch {
@@ -434,17 +437,15 @@ impl Checker<'_> {
             // A parameter update holds only the changed layers; each must
             // hash to that layer's leaf in the derived model's tree.
             ApproachKind::ParamUpdate => {
-                for (path, digest) in &computed {
-                    match tree.leaf(path) {
-                        Some(d) if d == digest => {}
-                        Some(_) => self.report.issues.push(FsckIssue::HashMismatch {
-                            model: sid.clone(),
-                            layer: path.clone(),
-                        }),
-                        None => self.report.issues.push(FsckIssue::HashMismatch {
-                            model: sid.clone(),
-                            layer: format!("{path} (layer not in tree)"),
-                        }),
+                if let Some(tree) = &tree {
+                    for (path, digest) in &computed {
+                        let layer = match tree.leaf(path) {
+                            Some(d) if d == digest => continue,
+                            Some(_) => path.clone(),
+                            None => format!("{path} (layer not in tree)"),
+                        };
+                        let issue = FsckIssue::HashMismatch { model: sid.clone(), layer };
+                        self.report.issues.push(issue);
                     }
                 }
                 // Named here even where no recovery reads the file.
@@ -506,7 +507,7 @@ mod tests {
         let report = fsck(svc.storage(), &FsckOptions::default()).unwrap();
         assert!(report.is_clean(), "unexpected issues: {:?}", report.issues);
         assert_eq!(report.models_checked, 1);
-        assert!(report.docs_seen >= 3, "model info + environment + layer hashes");
+        assert_eq!(report.docs_seen, 2, "model info + layer hashes");
     }
 
     #[test]
@@ -592,11 +593,11 @@ mod tests {
         let orphan_file = svc.storage().put_file(b"stray bytes").unwrap();
         let orphan_doc = svc
             .storage()
-            .insert_doc(kinds::WRAPPER, serde_json::json!({"class_name": "stray"}))
+            .insert_doc(kinds::LAYER_HASHES, serde_json::json!({"paths": ["stray"]}))
             .unwrap();
-        // A dangling reference: delete the environment document.
-        let env = saved_info(&svc, &id).environment_doc;
-        svc.storage().remove_doc(&DocId::from_string(env)).unwrap();
+        // A dangling reference: delete the layer-hash document.
+        let hashes = saved_info(&svc, &id).layer_hash_doc;
+        svc.storage().remove_doc(&DocId::from_string(hashes)).unwrap();
 
         let report = fsck(svc.storage(), &FsckOptions::default()).unwrap();
         assert!(report
@@ -608,7 +609,7 @@ mod tests {
             .iter()
             .any(|i| matches!(i, FsckIssue::OrphanDoc { id, .. } if *id == orphan_doc)));
         assert!(report.issues.iter().any(
-            |i| matches!(i, FsckIssue::MissingDoc { role, .. } if role == "environment")
+            |i| matches!(i, FsckIssue::MissingDoc { role, .. } if role == "layer-hash")
         ));
 
         // Repair quarantines the orphans; the dangling reference remains

@@ -39,7 +39,8 @@ pub struct DependencyGraph {
     pub models: BTreeMap<SavedModelId, ModelInfoDoc>,
     /// Model id → ids of models directly derived from it.
     pub dependents: BTreeMap<SavedModelId, Vec<SavedModelId>>,
-    /// Every other document (environments, layer hashes, wrappers, ...).
+    /// Every other document (the layer hashes, and anything else the store
+    /// holds).
     pub others: BTreeMap<DocId, Document>,
     /// Documents that could not be read, or whose body does not decode to
     /// its kind's schema, with the error.
@@ -114,7 +115,7 @@ impl DependencyGraph {
     /// What model `id` owns: its [`ModelInfoDoc::references`] minus the
     /// base model.
     fn owned(&self, id: &SavedModelId) -> impl Iterator<Item = Ref> + '_ {
-        let refs = self.models.get(id).map(|info| info.references(&self.others));
+        let refs = self.models.get(id).map(|info| info.references());
         refs.into_iter().flatten().filter(|(_, role)| *role != BASE_MODEL).map(|(r, _)| r)
     }
 }

@@ -3,7 +3,7 @@
 //! Without it the `hash` phase is a flat ~68 ms per MobileNetV2 save under
 //! every approach: each save re-SHA-256s every parameter byte even
 //! though consecutive saves of a training run change only a few layers. The
-//! cache closes that gap without weakening any integrity property:
+//! cache closes that gap, trusting a fingerprint match (see the end):
 //!
 //! 1. Every save computes a cheap 128-bit non-cryptographic *fingerprint*
 //!    per state entry (one multiply-mix pass over the raw `f32` bits —
@@ -15,12 +15,16 @@
 //!
 //! Invalidation rules: any entry-path mismatch (different architecture,
 //! renamed entries, different entry order) drops the whole cache and takes
-//! the full-rebuild path; a failed splice does the same. The cache is only
-//! ever an *accelerator* — the tree it returns is byte-identical to
-//! `MerkleTree::from_model` (the core proptests enforce this), and
-//! recover-time verification still recomputes every digest from the
-//! recovered bytes, so a (cosmically unlikely) fingerprint collision would
-//! surface as a loud verification failure, never silent corruption.
+//! the full-rebuild path; a failed splice does the same. The tree it
+//! returns is byte-identical to `MerkleTree::from_model` (the core
+//! proptests enforce this) unless an entry changed and kept its
+//! fingerprint. A 128-bit fingerprint makes that very unlikely, not
+//! impossible, and for a parameter update it would be silent: the stale
+//! cached leaf makes the diff call the layer unchanged, so its new bytes are
+//! not stored, and the stored root is built from the same stale leaf, so
+//! the recovery, which returns the base's bytes for that layer, verifies.
+//! (A snapshot stores every byte, so there the stale root fails the
+//! recovery's verification loudly.)
 
 use std::sync::Mutex;
 

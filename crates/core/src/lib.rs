@@ -17,11 +17,13 @@
 //!   the update.
 //! * **Model provenance (MPA)** — [`provenance`]: a derived model is saved
 //!   as its *provenance* — training code/configuration (wrapped restorable
-//!   objects, [`wrapper`]), a detailed environment capture ([`mod@env`]), the
-//!   training dataset, and the base reference. Recovery replays the
-//!   training deterministically.
+//!   objects, [`wrapper`]), the training dataset, and the base reference.
+//!   Recovery replays the training deterministically.
 //!
-//! All three share one storage layout ([`meta`], re-exporting the document
+//! Every save records a detailed capture of its environment
+//! ([`EnvironmentInfo`]) in its model-info document, which a recovery
+//! checks against the current one. All three approaches share one storage
+//! layout ([`meta`], re-exporting the document
 //! schema `mmlib_store::schema` defines below both this library and the
 //! registry server) over `mmlib-store`'s document + file stores, and one
 //! [`recovery`] service: one rule for what
@@ -52,9 +54,9 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod adaptive;
+mod assemble;
 pub mod baseline;
 pub mod gc;
-pub mod env;
 pub mod error;
 pub mod fsck;
 pub mod hash_cache;
@@ -68,11 +70,10 @@ pub mod report;
 pub mod verify;
 pub mod wrapper;
 
-pub use env::EnvironmentInfo;
 pub use error::CoreError;
 pub use fsck::{FsckIssue, FsckOptions, FsckReport};
 pub use merkle::MerkleTree;
-pub use meta::{ApproachKind, LineageRecordDoc, ModelRelation, SavedModelId};
+pub use meta::{ApproachKind, EnvironmentInfo, LineageRecordDoc, ModelRelation, SavedModelId};
 pub use probe::{ProbeRecord, ProbeReport};
 pub use provenance::TrainProvenance;
 pub use recovery::{RecoverOptions, SaveService};

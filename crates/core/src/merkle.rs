@@ -20,12 +20,14 @@ use serde::{Deserialize, Serialize};
 ///
 /// Every value of this type has at least one leaf, one path per leaf, and
 /// interior levels that are the fold of the level below: [`from_leaves`]
-/// builds it that way and the `Deserialize` impl rejects a stored document
-/// that is not — so the accessors and [`diff`] may index freely.
+/// builds it that way, and a stored document holds only the leaves and
+/// their paths, which its decode folds — so the accessors and [`diff`] may
+/// index freely. A stored leaf that changed still folds; the recorded root
+/// hash is what shows it (`SaveService::load_layer_hashes`).
 ///
 /// [`from_leaves`]: MerkleTree::from_leaves
 /// [`diff`]: MerkleTree::diff
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MerkleTree {
     /// `levels[0]` = leaves (layer order), last level = `[root]`.
     levels: Vec<Vec<Digest>>,
@@ -33,21 +35,26 @@ pub struct MerkleTree {
     paths: Vec<String>,
 }
 
-/// A layer-hash document as stored, before it is checked.
-#[derive(Deserialize)]
+/// A layer-hash document as stored: the leaves and their layer paths.
+#[derive(Serialize, Deserialize)]
 struct StoredTree {
-    levels: Vec<Vec<Digest>>,
+    leaves: Vec<Digest>,
     paths: Vec<String>,
 }
 
-/// The one decode of a stored tree. The document comes from the store —
-/// over `RemoteStore`, from the peer — so it is rebuilt from its own leaves
-/// and must match level for level.
+impl Serialize for MerkleTree {
+    fn to_value(&self) -> serde::Value {
+        StoredTree { leaves: self.levels[0].clone(), paths: self.paths.clone() }.to_value()
+    }
+}
+
+/// The one decode of a stored tree: its leaves, folded.
 impl Deserialize for MerkleTree {
     fn from_value(v: &serde::Value) -> Result<MerkleTree, serde::de::Error> {
-        let StoredTree { levels, paths } = StoredTree::from_value(v)?;
-        let leaves = levels.first().filter(|l| !l.is_empty());
-        let leaves = leaves.ok_or_else(|| serde::de::Error::custom("merkle tree without leaves"))?;
+        let StoredTree { leaves, paths } = StoredTree::from_value(v)?;
+        if leaves.is_empty() {
+            return Err(serde::de::Error::custom("merkle tree without leaves"));
+        }
         if paths.len() != leaves.len() {
             return Err(serde::de::Error::custom(format!(
                 "merkle tree with {} leaves but {} layer paths",
@@ -55,11 +62,7 @@ impl Deserialize for MerkleTree {
                 paths.len()
             )));
         }
-        let tree = MerkleTree::from_leaves(paths.into_iter().zip(leaves.iter().copied()).collect());
-        if tree.levels != levels {
-            return Err(serde::de::Error::custom("merkle tree levels do not fold from its leaves"));
-        }
-        Ok(tree)
+        Ok(MerkleTree::from_leaves(paths.into_iter().zip(leaves).collect()))
     }
 }
 

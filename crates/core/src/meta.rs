@@ -1,9 +1,10 @@
 //! Document schemas for saved models.
 //!
-//! Paper §3.1: metadata lives in JSON documents organized hierarchically —
-//! a model-info document references an environment document, a layer-hash
-//! document, stored files, its base model, and (for the provenance
-//! approach) the wrapped training objects. The types themselves live in
+//! Paper §3.1: metadata lives in JSON documents that reference each other
+//! by id. A saved model is one model-info document, holding its
+//! environment and (for the provenance approach) its wrapped training
+//! objects inline, and referencing a layer-hash document, stored files and
+//! its base model. The types themselves live in
 //! [`mmlib_store::schema`], below both the library and the registry server,
 //! and are re-exported here under their long-standing paths. Whether a base
 //! is what the model is *recovered from* is
@@ -11,8 +12,8 @@
 //! *references* is [`ModelInfoDoc::references`]'s.
 
 pub use mmlib_store::schema::{
-    kinds, ApproachKind, DatasetRef, LineageRecordDoc, ModelInfoDoc, ModelRelation, Ref,
-    SavedModelId, BASE_MODEL,
+    kinds, ApproachKind, DatasetRef, EnvironmentInfo, LineageRecordDoc, ModelInfoDoc,
+    ModelRelation, Provenance, Ref, SavedModelId, Wrapper, BASE_MODEL,
 };
 
 /// Applies a relation's trainability to a model (the paper trains all

@@ -1,12 +1,15 @@
 //! Model provenance approach (MPA, paper §3.3): save *how* the model was
 //! made, not the model.
 //!
-//! A derived model is represented by (1) the training process — a
-//! [`crate::wrapper`] tree of the train service, dataloader, and stateful
+//! A derived model is represented by (1) the training process — the
+//! [`crate::wrapper`]s of the train service, dataloader, and stateful
 //! optimizer; (2) the training environment; (3) the training dataset,
 //! packed into a single container file (or an external reference when a
 //! dedicated dataset manager owns it); and (4) the base-model reference.
-//! A save is one batch commit of all of it, model-info last. Recovery
+//! All of it but the files is the model-info document's: the wrappers and
+//! the dataset reference are its [`Provenance`] record. A save is one batch
+//! commit: the container, the optimizer's state file, the layer hashes,
+//! and the model-info document last. Recovery
 //! checks the dataset digest against the stored blobs, recovers the base
 //! recursively and *replays the training* deterministically, then verifies
 //! the replayed model against the stored Merkle root.
@@ -20,16 +23,11 @@ use mmlib_train::{ImageNetTrainService, OptimizerConfig, TrainConfig, TrainServi
 
 use crate::error::CoreError;
 use crate::meta::{
-    apply_trainability, ApproachKind, DatasetRef, ModelInfoDoc, ModelRelation, SavedModelId,
+    apply_trainability, ApproachKind, DatasetRef, ModelInfoDoc, ModelRelation, Provenance,
+    SavedModelId,
 };
-use crate::recovery::SaveService;
+use crate::recovery::{push, SaveService};
 use crate::wrapper;
-
-/// Appends `item` to `batch`, returning the `$batch:N` reference to it.
-fn push(batch: &mut Vec<BatchItem>, item: BatchItem) -> String {
-    batch.push(item);
-    mmlib_store::batch_ref(batch.len() - 1)
-}
 
 /// Everything the provenance approach must capture about one training run.
 ///
@@ -85,12 +83,10 @@ impl SaveService {
             });
         }
 
-        // One batch, referents before the documents naming them by
-        // `$batch:N`: (3) the dataset container unless it is managed
-        // externally, (1) the wrapper tree of the training process, (2) the
-        // environment and the trained model's layer hashes, and (4) the
-        // model-info document tying in the base reference.
-        let mut batch = Vec::with_capacity(8);
+        // One batch, referents before the model-info document naming them
+        // by `$batch:N`: the dataset container unless it is managed
+        // externally, the optimizer's state file and the layer hashes.
+        let mut batch = Vec::with_capacity(4);
         let dataset = Dataset::new(prov.dataset_id, prov.dataset_scale);
         let (container_file, digest) = if prov.dataset_external {
             (None, dataset.content_digest())
@@ -98,42 +94,31 @@ impl SaveService {
             let (packed, digest) = clock.time("pack", || container::pack(&dataset));
             (Some(push(&mut batch, BatchItem::File { bytes: packed })), digest)
         };
-        let loader = push(&mut batch, wrapper::loader_wrapper_item(&prov.loader_config)?);
         let state =
             push(&mut batch, BatchItem::File { bytes: prov.optimizer_state_before.clone() });
-        let optimizer = push(&mut batch, wrapper::optimizer_wrapper_item(&prov.optimizer, state)?);
-        let train_doc = push(
-            &mut batch,
-            wrapper::train_service_wrapper_item(&prov.train_config, loader, optimizer)?,
-        );
-        let environment_doc = push(&mut batch, self.environment_item()?);
-        let tree = clock.time("hash", || self.save_tree(model_after_training));
-        let layer_hash_doc = push(&mut batch, self.layer_hashes_item(&tree)?);
-        let info = ModelInfoDoc {
-            approach: ApproachKind::Provenance,
-            arch: model_after_training.arch.name().to_string(),
-            relation: prov.relation,
-            base_model: Some(base.doc_id().as_str().to_string()),
-            environment_doc,
-            code_file: None,
-            weights_file: None,
-            update_encoding: None,
-            update_layers: None,
-            layer_hash_doc,
-            root_hash: tree.root().to_hex(),
-            train_doc: Some(train_doc),
-            dataset: Some(DatasetRef {
+        let provenance = Provenance {
+            train_service: wrapper::train_service_wrapper(&prov.train_config)?,
+            dataloader: wrapper::loader_wrapper(&prov.loader_config)?,
+            optimizer: wrapper::optimizer_wrapper(&prov.optimizer, state)?,
+            dataset: DatasetRef {
                 name: prov.dataset_id.short_name().to_string(),
                 scale: prov.dataset_scale,
                 container_file,
                 content_digest: digest.to_hex(),
-            }),
-            tags: Vec::new(),
-            rebased_from: None,
+            },
         };
+        let tree = clock.time("hash", || self.save_tree(model_after_training));
+        let mut info = self.describe(
+            &mut batch,
+            ApproachKind::Provenance,
+            model_after_training,
+            prov.relation,
+            Some(base),
+            &tree,
+        )?;
+        info.provenance = Some(provenance);
         batch.push(self.model_info_item(&info)?);
-        let ids = clock.time("write", || self.storage().commit_batch(batch))?;
-        Ok(SavedModelId(crate::recovery::batch_doc_id(ids.into_iter().last())?))
+        self.commit(batch, clock)
     }
 
     /// Recovers a provenance model from its already-recovered base: replays
@@ -145,15 +130,11 @@ impl SaveService {
         mut model: Model,
         phases: &mut PhaseBreakdown,
     ) -> Result<Model, CoreError> {
-        // Load provenance pieces.
-        let dataset_ref = info.dataset.as_ref().ok_or_else(|| CoreError::BadModelDocument {
+        let prov = info.provenance.as_ref().ok_or_else(|| CoreError::BadModelDocument {
             id: id.clone(),
-            reason: "provenance document lacks a dataset reference".into(),
+            reason: "provenance document lacks its provenance record".into(),
         })?;
-        let train_doc = info.train_doc.as_ref().ok_or_else(|| CoreError::BadModelDocument {
-            id: id.clone(),
-            reason: "provenance document lacks a train-service reference".into(),
-        })?;
+        let dataset_ref = &prov.dataset;
 
         let mut svc: ImageNetTrainService = self.timed(phases, "fetch", || {
             let dataset_id = DatasetId::from_short_name(&dataset_ref.name).ok_or_else(|| {
@@ -186,11 +167,7 @@ impl SaveService {
                     reason: "dataset content digest mismatch".into(),
                 });
             }
-            wrapper::reconstruct_train_service(
-                self.storage(),
-                &mmlib_store::DocId::from_string(train_doc.clone()),
-                dataset,
-            )
+            wrapper::reconstruct_train_service(self.storage(), prov, dataset)
         })?;
 
         // Replay the training (the dominant recover cost, §4.4).

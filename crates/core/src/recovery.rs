@@ -27,20 +27,16 @@ use mmlib_store::{
     BatchId, BatchItem, DocId, Document, FileId, ModelStorage, StorageBackend, StoreError,
 };
 
-use crate::env::EnvironmentInfo;
 use crate::error::{to_json_value, CoreError};
 use crate::hash_cache::HashCache;
 use crate::merkle::MerkleTree;
-use crate::meta::{kinds, ApproachKind, ModelInfoDoc, SavedModelId};
+use crate::meta::{kinds, ApproachKind, EnvironmentInfo, ModelInfoDoc, ModelRelation, SavedModelId};
 
-/// Unpacks a [`BatchId`] expected to identify a document.
-pub(crate) fn batch_doc_id(id: Option<BatchId>) -> Result<DocId, CoreError> {
-    match id {
-        Some(BatchId::Doc(d)) => Ok(d),
-        other => Err(CoreError::Store(StoreError::Malformed(format!(
-            "batch returned {other:?} where a document id was expected"
-        )))),
-    }
+/// Appends `item` to a save's `batch`, returning the `$batch:N` reference to
+/// it.
+pub(crate) fn push(batch: &mut Vec<BatchItem>, item: BatchItem) -> String {
+    batch.push(item);
+    mmlib_store::batch_ref(batch.len() - 1)
 }
 
 /// Options controlling a recovery.
@@ -152,24 +148,34 @@ impl SaveService {
 
     // ---- shared save plumbing -------------------------------------------
 
-    /// The environment document as a batch item (see
-    /// [`mmlib_store::BatchItem`]).
-    pub(crate) fn environment_item(&self) -> Result<mmlib_store::BatchItem, CoreError> {
-        Ok(mmlib_store::BatchItem::Doc {
-            kind: kinds::ENVIRONMENT.to_string(),
-            body: to_json_value("EnvironmentInfo", &self.environment)?,
-        })
-    }
-
-    /// A layer-hash (Merkle) document as a batch item.
-    pub(crate) fn layer_hashes_item(
+    /// Appends the layer-hash document of `tree` to a save's `batch` and
+    /// returns the model-info document describing the save: `model`, saved
+    /// as `approach` on `base` in this service's environment, with the root
+    /// of `tree`. The caller sets the fields its approach stores and
+    /// appends the document last ([`SaveService::model_info_item`]).
+    pub(crate) fn describe(
         &self,
+        batch: &mut Vec<BatchItem>,
+        approach: ApproachKind,
+        model: &Model,
+        relation: ModelRelation,
+        base: Option<&SavedModelId>,
         tree: &MerkleTree,
-    ) -> Result<mmlib_store::BatchItem, CoreError> {
-        Ok(mmlib_store::BatchItem::Doc {
+    ) -> Result<ModelInfoDoc, CoreError> {
+        let hashes = BatchItem::Doc {
             kind: kinds::LAYER_HASHES.to_string(),
             body: to_json_value("MerkleTree", tree)?,
-        })
+        };
+        let layer_hash_doc = push(batch, hashes);
+        Ok(ModelInfoDoc::new(
+            approach,
+            model.arch.name(),
+            relation,
+            base,
+            self.environment.clone(),
+            layer_hash_doc,
+            tree.root().to_hex(),
+        ))
     }
 
     /// The model-info document as a batch item. `info`'s referent fields
@@ -177,14 +183,28 @@ impl SaveService {
     /// same batch; keeping model-info in the batch (ordered after its
     /// referents) preserves the sequential path's crash ordering while the
     /// whole save pays a single durability tail.
-    pub(crate) fn model_info_item(
-        &self,
-        info: &ModelInfoDoc,
-    ) -> Result<mmlib_store::BatchItem, CoreError> {
-        Ok(mmlib_store::BatchItem::Doc {
+    pub(crate) fn model_info_item(&self, info: &ModelInfoDoc) -> Result<BatchItem, CoreError> {
+        Ok(BatchItem::Doc {
             kind: kinds::MODEL_INFO.to_string(),
             body: to_json_value("ModelInfoDoc", info)?,
         })
+    }
+
+    /// Commits a save's `batch`, whose last item is its model-info
+    /// document, in one `commit_batch` (the `write` phase), and returns the
+    /// saved model's id.
+    pub(crate) fn commit(
+        &self,
+        batch: Vec<BatchItem>,
+        clock: &mut PhaseClock<'_>,
+    ) -> Result<SavedModelId, CoreError> {
+        let ids = clock.time("write", || self.storage.commit_batch(batch))?;
+        match ids.into_iter().last() {
+            Some(BatchId::Doc(d)) => Ok(SavedModelId(d)),
+            other => Err(CoreError::Store(StoreError::Malformed(format!(
+                "batch returned {other:?} where a document id was expected"
+            )))),
+        }
     }
 
     /// Loads and decodes a model-info document.
@@ -200,13 +220,18 @@ impl SaveService {
         Ok(self.storage.update_doc(id.doc_id(), body)?)
     }
 
-    /// Loads and validates the stored Merkle tree of a saved model.
+    /// Loads the stored Merkle tree of a saved model, checking that its
+    /// leaves fold to the model's recorded `root_hash`: the document stores
+    /// only leaves, so a changed leaf shows only against that root.
     pub fn load_layer_hashes(&self, info: &ModelInfoDoc, id: &SavedModelId) -> Result<MerkleTree, CoreError> {
         let doc = self.storage.get_doc(&DocId::from_string(info.layer_hash_doc.clone()))?;
-        serde_json::from_value(doc.body).map_err(|e| CoreError::BadModelDocument {
-            id: id.clone(),
-            reason: format!("undecodable layer-hash doc: {e}"),
-        })
+        let bad = |reason| CoreError::BadModelDocument { id: id.clone(), reason };
+        let tree: MerkleTree = serde_json::from_value(doc.body)
+            .map_err(|e| bad(format!("undecodable layer-hash doc: {e}")))?;
+        if tree.root().to_hex() != info.root_hash {
+            return Err(bad("layer hashes do not fold to the recorded root hash".into()));
+        }
+        Ok(tree)
     }
 
     /// Decodes the architecture recorded in a model document.
@@ -224,13 +249,10 @@ impl SaveService {
 
     // ---- environment check ----------------------------------------------
 
-    /// Checks the environment document of a saved model against the current
+    /// Checks the environment a model was saved in against the current
     /// environment, mirroring the paper's recover-time "check env" step.
     pub(crate) fn check_environment(&self, info: &ModelInfoDoc) -> Result<(), CoreError> {
-        let doc = self.storage.get_doc(&DocId::from_string(info.environment_doc.clone()))?;
-        let saved: EnvironmentInfo = serde_json::from_value(doc.body)
-            .map_err(|e| CoreError::Store(e.into()))?;
-        let mismatches = saved.mismatches_against(&self.environment);
+        let mismatches = info.environment.mismatches_against(&self.environment);
         if mismatches.is_empty() {
             Ok(())
         } else {

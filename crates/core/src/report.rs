@@ -11,6 +11,7 @@ use std::time::Duration;
 use mmlib_model::Model;
 use mmlib_obs::{PhaseBreakdown, PhaseClock, Recorder, DURATION_BUCKETS};
 
+use crate::assemble::Encoding;
 use crate::error::CoreError;
 use crate::merkle::MerkleDiff;
 use crate::meta::{ApproachKind, ModelRelation, SavedModelId};
@@ -231,27 +232,25 @@ impl SaveService {
         let mut clock = PhaseClock::new(obs, SAVE_PHASE, "phase");
         let relation = req.resolved_relation();
 
-        let (id, approach, diff, encoded) = match req.kind {
-            RequestKind::Full => {
-                let id = self.save_full_phased(req.model, req.base, relation, &mut clock)?;
-                (id, ApproachKind::Baseline, None, None)
+        let encoding = match req.kind {
+            RequestKind::Full => Some(Encoding::Snapshot),
+            RequestKind::Update => Some(Encoding::StateDict),
+            RequestKind::CompressedUpdate => Some(Encoding::DeltaV1(
+                req.base_model
+                    .ok_or_else(|| missing_field("compressed updates need the base model"))?,
+            )),
+            RequestKind::Provenance => None,
+        };
+        let (id, approach, diff, encoded) = match encoding {
+            Some(encoding) => {
+                let saved = self.assemble(req.model, req.base, relation, encoding, &mut clock)?;
+                let approach = match saved.diff {
+                    Some(_) => ApproachKind::ParamUpdate,
+                    None => ApproachKind::Baseline,
+                };
+                (self.commit(saved.batch, &mut clock)?, approach, saved.diff, saved.encoded)
             }
-            RequestKind::Update => {
-                let base = req.require_base()?;
-                let (id, diff) = self.save_update_phased(req.model, base, relation, &mut clock)?;
-                (id, ApproachKind::ParamUpdate, Some(diff), None)
-            }
-            RequestKind::CompressedUpdate => {
-                let base = req.require_base()?;
-                let base_model = req
-                    .base_model
-                    .ok_or_else(|| missing_field("compressed updates need the base model"))?;
-                let (id, diff, encoded) = self.save_update_compressed_phased(
-                    req.model, base_model, base, relation, &mut clock,
-                )?;
-                (id, ApproachKind::ParamUpdate, Some(diff), Some(encoded))
-            }
-            RequestKind::Provenance => {
+            None => {
                 let base = req.require_base()?;
                 let prov = req
                     .provenance
@@ -301,7 +300,7 @@ impl SaveService {
         let mut clock = PhaseClock::new(obs, RECOVER_PHASE, "phase");
         let mut phases = PhaseBreakdown::new();
         let read_ahead = self.timed(&mut phases, "fetch", || {
-            self.storage().recovery_reads(id, opts.max_chain_depth, opts.check_env).transpose()
+            self.storage().recovery_reads(id, opts.max_chain_depth).transpose()
         })?;
         let view;
         let svc = match read_ahead {

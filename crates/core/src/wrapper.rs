@@ -12,38 +12,18 @@
 //! paper's `ImageNetTrainService` example wires together: the dataloader
 //! (stateless), the optimizer (stateful), and the train service itself.
 //!
-//! Writing a wrapper tree is not this module's job: its builders return
-//! [`BatchItem`]s that reference each other (and the optimizer's state
-//! file) by [`mmlib_store::batch_ref`], and a provenance save commits them
-//! in the one batch that also holds its model-info document.
-
-use std::collections::BTreeMap;
+//! The wrappers are stored inline, in the [`Provenance`] record of their
+//! model's model-info document, which also holds the references between
+//! them; no save has configuration-file arguments. This module builds them
+//! and restores a train service from them.
 
 use mmlib_data::loader::LoaderConfig;
 use mmlib_data::{DataLoader, Dataset};
-use mmlib_store::{BatchItem, DocId, FileId, ModelStorage};
+use mmlib_store::{FileId, ModelStorage};
 use mmlib_train::{AnyOptimizer, ImageNetTrainService, OptimizerConfig, TrainConfig};
-use serde::{Deserialize, Serialize};
 
 use crate::error::{to_json_value, CoreError};
-use crate::meta::kinds;
-
-/// A serialized wrapper object.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WrapperDoc {
-    /// Class name of the wrapped object.
-    pub class_name: String,
-    /// The defining code or the import command for library classes.
-    pub import_or_code: String,
-    /// Constructor arguments (JSON).
-    pub init_args: serde_json::Value,
-    /// Arguments sourced from configuration files (JSON).
-    pub config_args: serde_json::Value,
-    /// Named references to other wrapped objects (document ids).
-    pub ref_args: BTreeMap<String, String>,
-    /// State file for stateful objects (file id).
-    pub state_file: Option<String>,
-}
+use crate::meta::{Provenance, Wrapper};
 
 /// Wrapper class names known to the registry.
 pub mod classes {
@@ -57,113 +37,74 @@ pub mod classes {
     pub const TRAIN_SERVICE: &str = "ImageNetTrainService";
 }
 
-/// A wrapper document as a batch item.
-fn wrapper_item(doc: &WrapperDoc) -> Result<BatchItem, CoreError> {
-    Ok(BatchItem::Doc { kind: kinds::WRAPPER.into(), body: to_json_value("WrapperDoc", doc)? })
-}
-
-/// The dataloader wrapper document, as a batch item.
-pub fn loader_wrapper_item(config: &LoaderConfig) -> Result<BatchItem, CoreError> {
-    wrapper_item(&WrapperDoc {
+/// The dataloader's wrapper.
+pub fn loader_wrapper(config: &LoaderConfig) -> Result<Wrapper, CoreError> {
+    Ok(Wrapper {
         class_name: classes::DATA_LOADER.into(),
         import_or_code: "use mmlib_data::DataLoader;".into(),
         init_args: to_json_value("LoaderConfig", config)?,
-        config_args: serde_json::Value::Null,
-        ref_args: BTreeMap::new(),
         state_file: None,
     })
 }
 
-/// The optimizer wrapper document, as a batch item. `state_file` names its
-/// state file: an id, or the [`mmlib_store::batch_ref`] of an earlier
-/// item of the same batch.
-pub fn optimizer_wrapper_item(
+/// The optimizer's wrapper. `state_file` names its state file: an id, or
+/// the [`mmlib_store::batch_ref`] of an earlier item of the save's batch.
+pub fn optimizer_wrapper(
     config: &OptimizerConfig,
     state_file: String,
-) -> Result<BatchItem, CoreError> {
-    wrapper_item(&WrapperDoc {
+) -> Result<Wrapper, CoreError> {
+    Ok(Wrapper {
         class_name: config.class_name().into(),
         import_or_code: format!("use mmlib_train::{};", config.class_name()),
         init_args: to_json_value("OptimizerConfig", config)?,
-        config_args: serde_json::Value::Null,
-        ref_args: BTreeMap::new(),
         state_file: Some(state_file),
     })
 }
 
-/// The train-service wrapper document, as a batch item, referencing its
-/// dataloader and optimizer wrappers (ids or batch references).
-pub fn train_service_wrapper_item(
-    train_config: &TrainConfig,
-    loader: String,
-    optimizer: String,
-) -> Result<BatchItem, CoreError> {
-    wrapper_item(&WrapperDoc {
+/// The train service's wrapper.
+pub fn train_service_wrapper(train_config: &TrainConfig) -> Result<Wrapper, CoreError> {
+    Ok(Wrapper {
         class_name: classes::TRAIN_SERVICE.into(),
         import_or_code: "use mmlib_train::ImageNetTrainService;".into(),
         init_args: to_json_value("TrainConfig", train_config)?,
-        config_args: serde_json::Value::Null,
-        ref_args: BTreeMap::from([
-            ("dataloader".to_string(), loader),
-            ("optimizer".to_string(), optimizer),
-        ]),
         state_file: None,
     })
 }
 
-/// Loads and decodes a wrapper document.
-pub fn load_wrapper(storage: &ModelStorage, id: &DocId) -> Result<WrapperDoc, CoreError> {
-    let doc = storage.get_doc(id)?;
-    serde_json::from_value(doc.body).map_err(|e| CoreError::Store(e.into()))
+/// Checks that `wrapper` is of one of the `known` classes and decodes its
+/// constructor arguments.
+fn decode<T: serde::Deserialize>(wrapper: &Wrapper, known: &[&str]) -> Result<T, CoreError> {
+    if !known.contains(&wrapper.class_name.as_str()) {
+        return Err(CoreError::UnknownWrapperClass(wrapper.class_name.clone()));
+    }
+    serde_json::from_value(wrapper.init_args.clone()).map_err(|e| CoreError::Store(e.into()))
 }
 
-/// Re-instantiates a full train service from its wrapper document tree.
+/// Re-instantiates a full train service from a provenance record's
+/// wrappers, reading the optimizer's state file from `storage`.
 ///
-/// `dataset` is supplied by the caller because the dataset reference lives
-/// in the model-info document (the loader wrapper holds only the loader's
+/// `dataset` is supplied by the caller, who checked it against the
+/// record's dataset reference (the loader wrapper holds only the loader's
 /// own constructor arguments, mirroring the paper's Fig. 5 layout).
 pub fn reconstruct_train_service(
     storage: &ModelStorage,
-    train_service_doc: &DocId,
+    provenance: &Provenance,
     dataset: Dataset,
 ) -> Result<ImageNetTrainService, CoreError> {
-    let svc_doc = load_wrapper(storage, train_service_doc)?;
-    if svc_doc.class_name != classes::TRAIN_SERVICE {
-        return Err(CoreError::UnknownWrapperClass(svc_doc.class_name));
-    }
-    let train_config: TrainConfig = serde_json::from_value(svc_doc.init_args)
-        .map_err(|e| CoreError::Store(e.into()))?;
-
-    let loader_id = svc_doc
-        .ref_args
-        .get("dataloader")
-        .ok_or_else(|| CoreError::UnknownWrapperClass("missing dataloader ref".into()))?;
-    let loader_doc = load_wrapper(storage, &DocId::from_string(loader_id.clone()))?;
-    if loader_doc.class_name != classes::DATA_LOADER {
-        return Err(CoreError::UnknownWrapperClass(loader_doc.class_name));
-    }
-    let loader_config: LoaderConfig = serde_json::from_value(loader_doc.init_args)
-        .map_err(|e| CoreError::Store(e.into()))?;
+    let train_config: TrainConfig = decode(&provenance.train_service, &[classes::TRAIN_SERVICE])?;
+    let loader_config: LoaderConfig = decode(&provenance.dataloader, &[classes::DATA_LOADER])?;
     let loader = DataLoader::new(dataset, loader_config);
 
-    let opt_id = svc_doc
-        .ref_args
-        .get("optimizer")
-        .ok_or_else(|| CoreError::UnknownWrapperClass("missing optimizer ref".into()))?;
-    let opt_doc = load_wrapper(storage, &DocId::from_string(opt_id.clone()))?;
-    if opt_doc.class_name != classes::SGD && opt_doc.class_name != classes::ADAM {
-        return Err(CoreError::UnknownWrapperClass(opt_doc.class_name));
-    }
-    let opt_config: OptimizerConfig =
-        serde_json::from_value(opt_doc.init_args).map_err(|e| CoreError::Store(e.into()))?;
-    if opt_config.class_name() != opt_doc.class_name {
+    let opt = &provenance.optimizer;
+    let opt_config: OptimizerConfig = decode(opt, &[classes::SGD, classes::ADAM])?;
+    if opt_config.class_name() != opt.class_name {
         return Err(CoreError::UnknownWrapperClass(format!(
             "wrapper class {} does not match its init args",
-            opt_doc.class_name
+            opt.class_name
         )));
     }
     let mut optimizer: AnyOptimizer = opt_config.build();
-    if let Some(state_id) = &opt_doc.state_file {
+    if let Some(state_id) = &opt.state_file {
         let bytes = storage.get_file(&FileId::from_string(state_id.clone()))?;
         optimizer.load_state(&bytes)?;
     }
@@ -174,32 +115,31 @@ pub fn reconstruct_train_service(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::meta::DatasetRef;
     use mmlib_data::DatasetId;
-    use mmlib_store::batch_ref;
     use mmlib_train::{Sgd, SgdConfig};
 
-    /// Commits a wrapper tree as one batch: loader, state file, optimizer,
-    /// train service. Returns the ids of the loader, optimizer and train
-    /// service documents.
-    fn commit_tree(
+    /// A provenance record of the three wrappers, the optimizer's state
+    /// stored in `storage`.
+    fn record(
         storage: &ModelStorage,
         loader: &LoaderConfig,
         optimizer: &OptimizerConfig,
         state: &[u8],
         train: &TrainConfig,
-    ) -> [DocId; 3] {
-        let batch = vec![
-            loader_wrapper_item(loader).unwrap(),
-            BatchItem::File { bytes: state.to_vec() },
-            optimizer_wrapper_item(optimizer, batch_ref(1)).unwrap(),
-            train_service_wrapper_item(train, batch_ref(0), batch_ref(2)).unwrap(),
-        ];
-        let ids = storage.commit_batch(batch).unwrap();
-        let doc = |i: usize| match &ids[i] {
-            mmlib_store::BatchId::Doc(d) => d.clone(),
-            other => panic!("item {i} is not a document: {other:?}"),
-        };
-        [doc(0), doc(2), doc(3)]
+    ) -> Provenance {
+        let state_file = storage.put_file(state).unwrap().as_str().to_string();
+        Provenance {
+            train_service: train_service_wrapper(train).unwrap(),
+            dataloader: loader_wrapper(loader).unwrap(),
+            optimizer: optimizer_wrapper(optimizer, state_file).unwrap(),
+            dataset: DatasetRef {
+                name: "CF-512".into(),
+                scale: 0.0002,
+                container_file: None,
+                content_digest: String::new(),
+            },
+        }
     }
 
     #[test]
@@ -214,11 +154,12 @@ mod tests {
         let sgd = Sgd::new(sgd_config);
         let state = sgd.state_bytes();
 
-        let [_, _, svc_doc] =
-            commit_tree(&storage, &loader_config, &sgd_config.into(), &state, &train_config);
+        let prov = record(&storage, &loader_config, &sgd_config.into(), &state, &train_config);
+        let json = serde_json::to_value(&prov).unwrap();
+        let prov: Provenance = serde_json::from_value(json).unwrap();
 
         let dataset = Dataset::new(DatasetId::CocoFood512, 0.0002);
-        let svc = reconstruct_train_service(&storage, &svc_doc, dataset).unwrap();
+        let svc = reconstruct_train_service(&storage, &prov, dataset).unwrap();
         assert_eq!(svc.config(), &train_config);
         assert_eq!(svc.loader().config(), &loader_config);
         assert_eq!(svc.optimizer().config(), OptimizerConfig::Sgd(sgd_config));
@@ -230,16 +171,17 @@ mod tests {
         let storage = ModelStorage::open(dir.path()).unwrap();
         let sgd = SgdConfig::default();
         let state = Sgd::new(sgd).state_bytes();
-        let [loader_doc, _, _] = commit_tree(
+        let mut prov = record(
             &storage,
             &LoaderConfig::default(),
             &sgd.into(),
             &state,
             &TrainConfig::default(),
         );
-        let dataset = Dataset::new(DatasetId::CocoFood512, 0.0002);
         // A loader wrapper is not a train service.
-        match reconstruct_train_service(&storage, &loader_doc, dataset) {
+        prov.train_service = prov.dataloader.clone();
+        let dataset = Dataset::new(DatasetId::CocoFood512, 0.0002);
+        match reconstruct_train_service(&storage, &prov, dataset) {
             Err(CoreError::UnknownWrapperClass(_)) => {}
             Err(other) => panic!("unexpected error {other}"),
             Ok(_) => panic!("wrong class accepted"),
@@ -269,16 +211,18 @@ mod tests {
         assert!(sgd.tracked_params() > 0);
 
         let cfg = *sgd.config();
-        let [_, doc, _] = commit_tree(
+        let prov = record(
             &storage,
             &LoaderConfig::default(),
             &cfg.into(),
             &sgd.state_bytes(),
             &TrainConfig::default(),
         );
-        let loaded = load_wrapper(&storage, &doc).unwrap();
-        assert_eq!(loaded.class_name, classes::SGD);
-        let state_file = loaded.state_file.unwrap();
+        assert_eq!(prov.optimizer.class_name, classes::SGD);
+        let dataset = Dataset::new(DatasetId::CocoFood512, 0.0002);
+        let svc = reconstruct_train_service(&storage, &prov, dataset).unwrap();
+        assert_eq!(svc.optimizer().state_bytes(), sgd.state_bytes());
+        let state_file = prov.optimizer.state_file.unwrap();
         let bytes = storage.get_file(&FileId::from_string(state_file)).unwrap();
         let mut restored = Sgd::new(cfg);
         restored.load_state(&bytes).unwrap();

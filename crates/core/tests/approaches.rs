@@ -333,15 +333,10 @@ fn environment_mismatch_blocks_recovery_unless_skipped() {
     let model = Model::new_initialized(ArchId::ResNet18, 9);
     let id = svc.save(SaveRequest::full(&model)).unwrap().id;
 
-    // Tamper with the stored environment document to simulate drift.
-    let info = {
-        let doc = svc.storage().get_doc(id.doc_id()).unwrap();
-        doc.body["environment_doc"].as_str().unwrap().to_string()
-    };
-    let env_id = mmlib_store::DocId::from_string(info);
-    let mut env_doc = svc.storage().get_doc(&env_id).unwrap();
-    env_doc.body["mmlib_version"] = serde_json::json!("0.0.0-other");
-    svc.storage().update_doc(&env_id, env_doc.body).unwrap();
+    // Tamper with the stored environment to simulate drift.
+    let mut doc = svc.storage().get_doc(id.doc_id()).unwrap();
+    doc.body["environment"]["mmlib_version"] = serde_json::json!("0.0.0-other");
+    svc.storage().update_doc(id.doc_id(), doc.body).unwrap();
 
     let err = svc.recover_report(&id, RecoverOptions::default()).unwrap_err();
     assert!(matches!(err, mmlib_core::CoreError::EnvironmentMismatch { .. }));

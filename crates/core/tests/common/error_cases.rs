@@ -170,7 +170,8 @@ pub const FLIPPED_CONTAINER_BYTE: Case = Case {
         let id = s.save(SaveRequest::provenance(&model, &base, &prov)).unwrap().id;
         assert!(s.recover_report(&id, RecoverOptions::default()).is_ok(), "intact, it recovers");
 
-        let container = s.load_model_info(&id).unwrap().dataset.unwrap().container_file.unwrap();
+        let info = s.load_model_info(&id).unwrap();
+        let container = info.provenance.unwrap().dataset.container_file.unwrap();
         let path = dir.join("files").join(format!("{container}.bin"));
         let mut bytes = std::fs::read(&path).unwrap();
         let payload_len = bytes.len() - 32;

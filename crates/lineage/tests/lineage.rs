@@ -125,9 +125,9 @@ fn corrupt_layer_hash_documents_are_errors_not_panics() {
 
     type Corruption = fn(&mut serde_json::Value);
     let corruptions: [(&str, Corruption); 4] = [
-        ("empty levels", |t| t["levels"] = serde_json::json!([])),
-        ("dropped leaf", |t| drop(t["levels"][0].as_array_mut().unwrap().pop())),
-        ("truncated interior level", |t| drop(t["levels"][1].as_array_mut().unwrap().pop())),
+        ("empty leaves", |t| t["leaves"] = serde_json::json!([])),
+        ("dropped leaf", |t| drop(t["leaves"].as_array_mut().unwrap().pop())),
+        ("swapped leaves", |t| t["leaves"].as_array_mut().unwrap().swap(0, 1)),
         ("swapped path", |t| t["paths"].as_array_mut().unwrap().swap(0, 1)),
     ];
     for (what, corrupt) in corruptions {

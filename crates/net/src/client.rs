@@ -794,13 +794,10 @@ impl StorageBackend for RemoteStore {
         &self,
         tip: &SavedModelId,
         limit: usize,
-        check_env: bool,
     ) -> Option<Result<RecoveryReads, StoreError>> {
         let limit = u64::try_from(limit).unwrap_or(u64::MAX);
-        let request = Frame::new(
-            Opcode::ChainGet,
-            json!({"id": tip.doc_id().as_str(), "limit": limit, "check_env": check_env}),
-        );
+        let request =
+            Frame::new(Opcode::ChainGet, json!({"id": tip.doc_id().as_str(), "limit": limit}));
         let fetched = self.request_blob(request, None).and_then(|(reply, files)| {
             let reads =
                 decode_chain_reply(expect_ok(reply)?, files).map_err(remote)?;

@@ -138,8 +138,8 @@ pub enum Opcode {
     /// `missing_document`, a cyclic parent chain `malformed`.
     LineageAncestry = 0x33,
     /// Fetch everything a recovery of one model reads, in one exchange.
-    /// Header: `{"id": s, "limit": n, "check_env": b}`, the tip, the
-    /// recovery's chain-depth limit and whether it checks environments.
+    /// Header: `{"id": s, "limit": n}`, the tip and the recovery's
+    /// chain-depth limit.
     /// The server runs `mmlib_store::schema::recovery_reads` next to the
     /// data; the `Ok` reply carries the documents inline and announces the
     /// files: `{"docs": [{"id": s, "kind": s, "body": v}, ...], "files":
@@ -490,9 +490,6 @@ pub struct BlobAssembler {
     parts: Vec<(u64, Vec<u8>)>,
     /// The part the next byte belongs to.
     at: usize,
-    /// False counts without buffering: the chunks are consumed, but
-    /// nothing will read the bytes.
-    buffering: bool,
 }
 
 impl BlobAssembler {
@@ -513,12 +510,7 @@ impl BlobAssembler {
             )));
         };
         let parts = lens.iter().map(|&len| (len, Vec::new())).collect();
-        Ok(BlobAssembler { remaining: len, parts, at: 0, buffering: true })
-    }
-
-    /// Switches to counting without buffering.
-    pub fn count_only(&mut self) {
-        self.buffering = false;
+        Ok(BlobAssembler { remaining: len, parts, at: 0 })
     }
 
     /// Accounts one chunk payload, which may end one part and begin the
@@ -540,9 +532,7 @@ impl BlobAssembler {
             let n = usize::try_from(*left).map_or(rest.len(), |left| left.min(rest.len()));
             let (head, tail) = rest.split_at_checked(n).ok_or_else(overrun)?;
             *left = left.saturating_sub(n as u64);
-            if self.buffering {
-                bytes.extend_from_slice(head);
-            }
+            bytes.extend_from_slice(head);
             rest = tail;
         }
         Ok(())
@@ -553,8 +543,7 @@ impl BlobAssembler {
         self.remaining == 0
     }
 
-    /// The assembled bytes of a one-part transfer (empty in count-only
-    /// mode).
+    /// The assembled bytes of a one-part transfer.
     pub fn into_blob(self) -> Vec<u8> {
         self.into_parts().into_iter().next().unwrap_or_default()
     }
@@ -881,20 +870,6 @@ mod tests {
         // The announcement itself is bounded.
         assert!(BlobAssembler::new(MAX_BLOB_LEN).is_ok());
         assert!(matches!(BlobAssembler::new(MAX_BLOB_LEN + 1), Err(WireError::Protocol(_))));
-    }
-
-    #[test]
-    fn count_only_assembly_never_allocates() {
-        let mut shed = BlobAssembler::new(3 * CHUNK_SIZE as u64).unwrap();
-        shed.count_only();
-        for _ in 0..3 {
-            assert!(!shed.is_complete());
-            shed.push(&[0xAB; CHUNK_SIZE]).unwrap();
-            assert!(shed.parts.iter().all(|(_, bytes)| bytes.capacity() == 0));
-        }
-        assert!(shed.is_complete());
-        assert!(matches!(shed.push(&[1]), Err(WireError::Protocol(_))));
-        assert_eq!(shed.into_blob().capacity(), 0);
     }
 
     proptest! {

@@ -142,12 +142,7 @@ pub(super) fn respond(
             let tip = SavedModelId(doc_id()?);
             let limit = header_u64(&frame.header, "limit").map_err(bad_header)?;
             let limit = usize::try_from(limit).unwrap_or(usize::MAX).min(MAX_CHAIN_WALK);
-            let check_env = frame
-                .header
-                .get("check_env")
-                .and_then(Value::as_bool)
-                .ok_or_else(|| err_frame("bad_header", "missing boolean field `check_env`"))?;
-            let reads = schema::recovery_reads(storage, &tip, limit, check_env);
+            let reads = schema::recovery_reads(storage, &tip, limit);
             let (header, blobs) = encode_chain_reply(reads);
             return Ok(Reply { frame: ok_frame(header), blobs });
         }

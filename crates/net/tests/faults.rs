@@ -335,7 +335,7 @@ fn bad_chain_get_replies_fail_only_their_own_request() {
     let client = RemoteStore::builder(addr).pool_size(1).max_retries(0).build().unwrap();
     for tip in ["short-list", "kindless-doc"] {
         let tip = SavedModelId(DocId::from_string(tip.into()));
-        let outcome = client.recovery_reads(&tip, 8, true).unwrap();
+        let outcome = client.recovery_reads(&tip, 8).unwrap();
         assert!(matches!(outcome, Err(StoreError::Remote(_))), "{tip}: {outcome:?}");
     }
     // The connection is still healthy.

@@ -40,8 +40,8 @@ fn opcode_from_seed(seed: u64) -> Opcode {
 
 /// Hands `bytes` to every inbound decoder: the frame decoder under both
 /// framings, the receive buffer (drained until it stops yielding frames),
-/// and chunk assembly under announcements of several sizes, buffering and
-/// count-only. Each must return; none may panic.
+/// and chunk assembly under announcements of several sizes. Each must
+/// return; none may panic.
 fn feed_every_decoder(bytes: &[u8]) {
     for version in BOTH {
         let _ = try_decode_frame(bytes, version);
@@ -55,17 +55,12 @@ fn feed_every_decoder(bytes: &[u8]) {
     }
     let len = bytes.len() as u64;
     for announced in [u64::from_le_bytes(word), len, len / 2, len.saturating_mul(2)] {
-        for count_only in [false, true] {
-            let Ok(mut blob) = BlobAssembler::new(announced) else { continue };
-            if count_only {
-                blob.count_only();
-            }
-            for chunk in [bytes, bytes] {
-                let _ = blob.push(chunk);
-            }
-            let _ = blob.is_complete();
-            let _ = blob.into_blob();
+        let Ok(mut blob) = BlobAssembler::new(announced) else { continue };
+        for chunk in [bytes, bytes] {
+            let _ = blob.push(chunk);
         }
+        let _ = blob.is_complete();
+        let _ = blob.into_blob();
     }
 }
 

@@ -10,7 +10,8 @@ use std::sync::Arc;
 
 use mmlib_net::{RegistryServer, RemoteStore};
 use mmlib_store::schema::{
-    kinds, ApproachKind, LineageGraph, LineageRecordDoc, ModelInfoDoc, ModelRelation, SavedModelId,
+    kinds, ApproachKind, EnvironmentInfo, LineageGraph, LineageRecordDoc, ModelInfoDoc,
+    ModelRelation, SavedModelId,
 };
 use mmlib_store::{DocId, Document, FileId, ModelStorage, StorageBackend, StoreError};
 
@@ -39,23 +40,17 @@ impl Served {
 
     /// Saves a model-info document; `base` makes it a parameter update.
     fn model(&self, base: Option<&DocId>) -> DocId {
-        let info = ModelInfoDoc {
-            approach: base.map_or(ApproachKind::Baseline, |_| ApproachKind::ParamUpdate),
-            arch: "tinycnn".into(),
-            relation: base.map_or(ModelRelation::Initial, |_| ModelRelation::PartiallyUpdated),
-            base_model: base.map(|b| b.as_str().to_string()),
-            environment_doc: "env-1".into(),
-            code_file: None,
-            weights_file: Some("weights-1".into()),
-            update_encoding: None,
-            update_layers: None,
-            layer_hash_doc: "hashes-1".into(),
-            root_hash: "ab".repeat(32),
-            train_doc: None,
-            dataset: None,
-            tags: Vec::new(),
-            rebased_from: None,
-        };
+        let base = base.map(|b| SavedModelId(b.clone()));
+        let mut info = ModelInfoDoc::new(
+            base.as_ref().map_or(ApproachKind::Baseline, |_| ApproachKind::ParamUpdate),
+            "tinycnn",
+            base.as_ref().map_or(ModelRelation::Initial, |_| ModelRelation::PartiallyUpdated),
+            base.as_ref(),
+            EnvironmentInfo::capture(),
+            "hashes-1".into(),
+            "ab".repeat(32),
+        );
+        info.weights_file = Some("weights-1".into());
         self.local.insert_doc(kinds::MODEL_INFO, serde_json::to_value(&info).unwrap()).unwrap()
     }
 
@@ -184,7 +179,7 @@ fn one_ancestry_query_reads_each_document_once() {
         chain.push(s.model(Some(&parent)));
     }
     // Documents no lineage query needs still cost their one read.
-    s.local.insert_doc(kinds::ENVIRONMENT, serde_json::json!({"os": "linux"})).unwrap();
+    s.local.insert_doc(kinds::LAYER_HASHES, serde_json::json!({"paths": []})).unwrap();
 
     let docs = s.local.doc_ids().unwrap().len();
     counting.doc_gets.store(0, Ordering::Relaxed);

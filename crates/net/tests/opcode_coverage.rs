@@ -7,7 +7,9 @@
 //! wildcard), and so does a wire byte used twice.
 
 use mmlib_net::{Opcode, RegistryServer, RemoteStore};
-use mmlib_store::schema::{kinds, ApproachKind, ModelInfoDoc, ModelRelation, SavedModelId};
+use mmlib_store::schema::{
+    kinds, ApproachKind, EnvironmentInfo, ModelInfoDoc, ModelRelation, SavedModelId,
+};
 use mmlib_store::{DocId, ModelStorage, StorageBackend, StoreError};
 use serde_json::json;
 
@@ -29,23 +31,16 @@ fn every_request_opcode_round_trips_and_is_counted_once() {
     // Lineage: a two-node chain of saved models. The server answers only
     // for models whose model-info document it holds.
     let saved = |approach, base: Option<&DocId>| {
-        let info = ModelInfoDoc {
+        let base = base.map(|b| SavedModelId(b.clone()));
+        let info = ModelInfoDoc::new(
             approach,
-            arch: "tinycnn".into(),
-            relation: base.map_or(ModelRelation::Initial, |_| ModelRelation::PartiallyUpdated),
-            base_model: base.map(|b| b.as_str().to_string()),
-            environment_doc: "env-1".into(),
-            code_file: None,
-            weights_file: None,
-            update_encoding: None,
-            update_layers: None,
-            layer_hash_doc: "hashes-1".into(),
-            root_hash: "beef".into(),
-            train_doc: None,
-            dataset: None,
-            tags: Vec::new(),
-            rebased_from: None,
-        };
+            "tinycnn",
+            base.as_ref().map_or(ModelRelation::Initial, |_| ModelRelation::PartiallyUpdated),
+            base.as_ref(),
+            EnvironmentInfo::capture(),
+            "hashes-1".into(),
+            "beef".into(),
+        );
         client.insert_doc(kinds::MODEL_INFO, serde_json::to_value(&info).unwrap()).unwrap()
     };
     let root = saved(ApproachKind::Baseline, None);
@@ -58,7 +53,7 @@ fn every_request_opcode_round_trips_and_is_counted_once() {
     assert_eq!(ancestry[1].model, root.as_str());
     // A recovery's read-ahead: the chain's two model-info documents, tip
     // first, and no file (neither document names one).
-    let reads = client.recovery_reads(&SavedModelId(child.clone()), 8, false).unwrap().unwrap();
+    let reads = client.recovery_reads(&SavedModelId(child.clone()), 8).unwrap().unwrap();
     let read: Vec<&DocId> = reads.docs.iter().map(|doc| &doc.id).collect();
     assert_eq!(read, vec![&child, &root]);
     assert!(reads.files.is_empty());

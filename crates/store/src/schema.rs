@@ -1,12 +1,12 @@
 //! The document schema of a model store, and the lineage graph over it.
 //!
-//! Paper §3.1: metadata lives in JSON documents organized hierarchically —
-//! a model-info document references an environment document, a layer-hash
-//! document, stored files, its base model, and (for the provenance
-//! approach) the wrapped training objects. Whether that base is what the
-//! model is *recovered from* is [`ModelInfoDoc::recovery_parent`]'s call,
-//! and only its; what the model *references* is
-//! [`ModelInfoDoc::references`]'s.
+//! Paper §3.1: metadata lives in JSON documents that reference each other
+//! by id. Here a saved model is one model-info document, which holds its
+//! environment and (for the provenance approach) its wrapped training
+//! objects inline, and references a layer-hash document, stored files and
+//! its base model. Whether that base is what the model is *recovered from*
+//! is [`ModelInfoDoc::recovery_parent`]'s call, and only its; what the
+//! model *references* is [`ModelInfoDoc::references`]'s.
 //!
 //! The types live here, below both sides of the wire, so that the model
 //! library (which saves and recovers through them), the lineage queries and
@@ -87,7 +87,7 @@ pub enum ModelRelation {
     PartiallyUpdated,
 }
 
-/// Reference to a training dataset inside a provenance document.
+/// Reference to a training dataset inside a provenance record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DatasetRef {
     /// Table 1 short name (`"CF-512"` ...).
@@ -102,6 +102,151 @@ pub struct DatasetRef {
     pub content_digest: String,
 }
 
+/// A captured execution environment.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct EnvironmentInfo {
+    /// mmlib's own version (the "framework version").
+    pub mmlib_version: String,
+    /// Compiler the library was built with (stands in for the interpreter).
+    pub rustc_semver: String,
+    /// Third-party library versions linked into the substrate.
+    pub libraries: Vec<(String, String)>,
+    /// OS type (e.g. `Linux`).
+    pub os_type: String,
+    /// Kernel release (e.g. `6.18.5`).
+    pub kernel_release: String,
+    /// Machine hostname.
+    pub hostname: String,
+    /// CPU model string.
+    pub cpu_model: String,
+    /// Logical CPU count.
+    pub cpu_count: usize,
+    /// Total memory in kilobytes.
+    pub total_memory_kb: u64,
+}
+
+fn read_trimmed(path: &str) -> Option<String> {
+    std::fs::read_to_string(path).ok().map(|s| s.trim().to_string())
+}
+
+fn cpu_model() -> String {
+    if let Ok(cpuinfo) = std::fs::read_to_string("/proc/cpuinfo") {
+        for line in cpuinfo.lines() {
+            if let Some(rest) = line.strip_prefix("model name") {
+                if let Some((_, v)) = rest.split_once(':') {
+                    return v.trim().to_string();
+                }
+            }
+        }
+    }
+    "unknown".to_string()
+}
+
+fn total_memory_kb() -> u64 {
+    if let Ok(meminfo) = std::fs::read_to_string("/proc/meminfo") {
+        for line in meminfo.lines() {
+            if let Some(rest) = line.strip_prefix("MemTotal:") {
+                if let Some(kb) = rest.split_whitespace().next() {
+                    return kb.parse().unwrap_or(0);
+                }
+            }
+        }
+    }
+    0
+}
+
+impl EnvironmentInfo {
+    /// Captures the current environment by querying the OS and the build.
+    pub fn capture() -> EnvironmentInfo {
+        EnvironmentInfo {
+            mmlib_version: env!("CARGO_PKG_VERSION").to_string(),
+            rustc_semver: rustc_version_string(),
+            libraries: vec![
+                ("mmlib-tensor".into(), env!("CARGO_PKG_VERSION").into()),
+                ("mmlib-model".into(), env!("CARGO_PKG_VERSION").into()),
+                ("mmlib-train".into(), env!("CARGO_PKG_VERSION").into()),
+                ("mmlib-data".into(), env!("CARGO_PKG_VERSION").into()),
+            ],
+            os_type: read_trimmed("/proc/sys/kernel/ostype")
+                .unwrap_or_else(|| std::env::consts::OS.to_string()),
+            kernel_release: read_trimmed("/proc/sys/kernel/osrelease").unwrap_or_default(),
+            hostname: read_trimmed("/proc/sys/kernel/hostname").unwrap_or_default(),
+            cpu_model: cpu_model(),
+            cpu_count: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+            total_memory_kb: total_memory_kb(),
+        }
+    }
+
+    /// Compares a saved environment against the current one.
+    ///
+    /// Returns the list of mismatching fields, empty when the environments
+    /// are *compatible* for exact reproduction. Hostname and memory size are
+    /// reported informationally but do **not** count as mismatches: the
+    /// paper explicitly recovers models "identically ... on another
+    /// machine" of the same hardware/software configuration.
+    pub fn mismatches_against(&self, current: &EnvironmentInfo) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut check = |field: &str, a: &str, b: &str| {
+            if a != b {
+                out.push(format!("{field}: saved={a:?} current={b:?}"));
+            }
+        };
+        check("mmlib_version", &self.mmlib_version, &current.mmlib_version);
+        check("rustc_semver", &self.rustc_semver, &current.rustc_semver);
+        check("os_type", &self.os_type, &current.os_type);
+        check("kernel_release", &self.kernel_release, &current.kernel_release);
+        check("cpu_model", &self.cpu_model, &current.cpu_model);
+        for (name, ver) in &self.libraries {
+            match current.libraries.iter().find(|(n, _)| n == name) {
+                Some((_, cur)) if cur == ver => {}
+                Some((_, cur)) => out.push(format!("library {name}: saved={ver} current={cur}")),
+                None => out.push(format!("library {name}: missing in current environment")),
+            }
+        }
+        out
+    }
+}
+
+fn rustc_version_string() -> String {
+    // The toolchain that produced this binary is not introspectable at run
+    // time without shelling out; record the compile-time target instead,
+    // which is what determines kernel-level numeric behaviour.
+    format!("rustc({})", std::env::consts::ARCH)
+}
+
+/// A restorable training object (paper §3.3, Fig. 5), stored inline in its
+/// model's provenance record: its class name, the code or import command,
+/// its constructor arguments, and, for a stateful object, its state file.
+/// The paper's wrapper also has configuration-file arguments and arguments
+/// that reference other wrapped objects; every save left both empty, and
+/// the references are the record's own fields here.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Wrapper {
+    /// Class name of the wrapped object.
+    pub class_name: String,
+    /// The defining code or the import command for library classes.
+    pub import_or_code: String,
+    /// Constructor arguments (JSON).
+    pub init_args: serde_json::Value,
+    /// State file for stateful objects (file id).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub state_file: Option<String>,
+}
+
+/// How a provenance save's model was trained from its base: the wrapped
+/// train service, dataloader and optimizer, and the training dataset.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Provenance {
+    /// The train service (the training logic and its hyper-parameters).
+    pub train_service: Wrapper,
+    /// The dataloader the train service reads batches from.
+    pub dataloader: Wrapper,
+    /// The optimizer, with its state file from before the training.
+    pub optimizer: Wrapper,
+    /// The training dataset.
+    pub dataset: DatasetRef,
+}
+
 /// The body of a `model_info` document — one per saved model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModelInfoDoc {
@@ -113,8 +258,8 @@ pub struct ModelInfoDoc {
     pub relation: ModelRelation,
     /// Base model-info document id, absent for initial models.
     pub base_model: Option<String>,
-    /// Environment document id.
-    pub environment_doc: String,
+    /// The environment the model was saved in.
+    pub environment: EnvironmentInfo,
     /// Architecture-code file id (full snapshots only; derived models
     /// reference the base's code through the chain).
     pub code_file: Option<String>,
@@ -138,10 +283,9 @@ pub struct ModelInfoDoc {
     /// Merkle root over the model's layer hashes (hex) — the recovery
     /// checksum of §3.1.
     pub root_hash: String,
-    /// Train-service wrapper document id (provenance saves only).
-    pub train_doc: Option<String>,
-    /// Training dataset reference (provenance saves only).
-    pub dataset: Option<DatasetRef>,
+    /// How the model was trained (provenance saves only).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub provenance: Option<Provenance>,
     /// Free-form labels attached via `mmlib lineage tag`.
     #[serde(default, skip_serializing_if = "Vec::is_empty")]
     pub tags: Vec<String>,
@@ -153,6 +297,37 @@ pub struct ModelInfoDoc {
 }
 
 impl ModelInfoDoc {
+    /// The one constructor: a model of `approach` saved in `environment`
+    /// on `base` (if any), whose layer hashes are `layer_hash_doc` with root
+    /// `root_hash`. It names no file, update or provenance and has no tags;
+    /// each save sets the fields its approach stores.
+    pub fn new(
+        approach: ApproachKind,
+        arch: &str,
+        relation: ModelRelation,
+        base: Option<&SavedModelId>,
+        environment: EnvironmentInfo,
+        layer_hash_doc: String,
+        root_hash: String,
+    ) -> ModelInfoDoc {
+        ModelInfoDoc {
+            approach,
+            arch: arch.to_string(),
+            relation,
+            base_model: base.map(|b| b.doc_id().as_str().to_string()),
+            environment,
+            code_file: None,
+            weights_file: None,
+            update_encoding: None,
+            update_layers: None,
+            layer_hash_doc,
+            root_hash,
+            provenance: None,
+            tags: Vec::new(),
+            rebased_from: None,
+        }
+    }
+
     /// The lineage node this document describes for model `id`: its base
     /// is the parent edge, and a parameter update's `update_layers` count
     /// as its changed layers.
@@ -185,39 +360,16 @@ impl ModelInfoDoc {
     }
 
     /// Everything this model document references, each with its role — the
-    /// one ownership rule fsck, deletion and GC share: environment, layer
-    /// hashes and base model; for a provenance save the wrapper tree (the
-    /// train-service wrapper and every wrapper its `ref_args` reach,
-    /// transitively, each with its `state_file`); then architecture code,
-    /// weights and dataset container. The model owns all of it except the
-    /// [`BASE_MODEL`], a saved model of its own.
-    ///
-    /// `docs` supplies the wrapper bodies; a wrapper it lacks is still
-    /// listed, but what that wrapper references cannot be.
-    pub fn references(&self, docs: &BTreeMap<DocId, Document>) -> Vec<(Ref, &'static str)> {
+    /// one ownership rule fsck, deletion and GC share: the layer hashes and
+    /// the base model, then architecture code, weights, the dataset
+    /// container and the wrapped objects' state files. The model owns all
+    /// of it except the [`BASE_MODEL`], a saved model of its own.
+    pub fn references(&self) -> Vec<(Ref, &'static str)> {
         let doc = |id: &str, role| (Ref::Doc(DocId::from_string(id.to_string())), role);
         let file = |id: &str, role| (Ref::File(FileId::from_string(id.to_string())), role);
-        let mut out = vec![
-            doc(&self.environment_doc, ENVIRONMENT),
-            doc(&self.layer_hash_doc, LAYER_HASH),
-        ];
+        let mut out = vec![doc(&self.layer_hash_doc, LAYER_HASH)];
         if let Some(base) = &self.base_model {
             out.push(doc(base, BASE_MODEL));
-        }
-        let mut queue: Vec<&str> = self.train_doc.iter().map(String::as_str).collect();
-        let mut seen = BTreeSet::new();
-        while let Some(wid) = queue.pop() {
-            if !seen.insert(wid) {
-                continue;
-            }
-            out.push(doc(wid, WRAPPER));
-            let Some(wrapper) = docs.get(&DocId::from_string(wid.to_string())) else { continue };
-            if let Some(refs) = wrapper.body["ref_args"].as_object() {
-                queue.extend(refs.values().filter_map(|v| v.as_str()));
-            }
-            if let Some(state) = wrapper.body["state_file"].as_str() {
-                out.push(file(state, "wrapper-state"));
-            }
         }
         if let Some(f) = &self.code_file {
             out.push(file(f, "architecture-code"));
@@ -225,8 +377,15 @@ impl ModelInfoDoc {
         if let Some(f) = &self.weights_file {
             out.push(file(f, "weights"));
         }
-        if let Some(f) = self.dataset.as_ref().and_then(|d| d.container_file.as_ref()) {
-            out.push(file(f, "dataset-container"));
+        if let Some(p) = &self.provenance {
+            if let Some(f) = &p.dataset.container_file {
+                out.push(file(f, "dataset-container"));
+            }
+            for w in [&p.train_service, &p.dataloader, &p.optimizer] {
+                if let Some(f) = &w.state_file {
+                    out.push(file(f, "wrapper-state"));
+                }
+            }
         }
         out
     }
@@ -235,12 +394,8 @@ impl ModelInfoDoc {
 /// The role [`ModelInfoDoc::references`] gives a model's base: the one
 /// reference the model does not own.
 pub const BASE_MODEL: &str = "base-model";
-/// The role of a model's environment document.
-const ENVIRONMENT: &str = "environment";
 /// The role of a model's layer-hash document.
 const LAYER_HASH: &str = "layer-hash";
-/// The role of a wrapper document in a provenance save's wrapper tree.
-const WRAPPER: &str = "wrapper";
 
 /// The target of one [`ModelInfoDoc::references`] entry.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -384,32 +539,23 @@ pub fn links_to_rebuild(chain: &[(SavedModelId, ModelInfoDoc)]) -> Vec<bool> {
 /// [`recovery_reads`], each list in the order the recovery reads it.
 #[derive(Debug, Default)]
 pub struct RecoveryReads {
-    /// Documents, each once: the chain's model-info documents tip first,
-    /// then, with the environment check, every link's environment document,
-    /// then the wrapper documents of the links the plan rebuilds.
+    /// The chain's model-info documents, tip first, each once.
     pub docs: Vec<Document>,
     /// The files of the links the plan rebuilds, snapshot first.
     pub files: Vec<(FileId, Vec<u8>)>,
 }
 
 /// The one definition of what a recovery of `tip` reads, read here, next to
-/// the data: every link's model-info document ([`walk_chain`] with `limit`);
-/// with `check_env`, every link's environment document; and for each link
-/// [`links_to_rebuild`] keeps, its [`ModelInfoDoc::references`] except the
-/// base model, the layer hashes and the environment: the code, the weights,
-/// the wrapper tree with its state files, and the dataset container.
-/// Wrappers are read until the list stops growing.
+/// the data: every link's model-info document ([`walk_chain`] with `limit`),
+/// and for each link [`links_to_rebuild`] keeps, the files of its
+/// [`ModelInfoDoc::references`]: the code, the weights, the dataset
+/// container and the optimizer's state file.
 ///
 /// Never an error: the set ends at the first read that fails, and after the
 /// model-info documents when the walk ends abnormally. A recovery that
 /// misses an item reads it itself and meets the failure there. A document
 /// read more than once (a cyclic chain's) is in the set once.
-pub fn recovery_reads(
-    storage: &ModelStorage,
-    tip: &SavedModelId,
-    limit: usize,
-    check_env: bool,
-) -> RecoveryReads {
+pub fn recovery_reads(storage: &ModelStorage, tip: &SavedModelId, limit: usize) -> RecoveryReads {
     let mut reads = RecoveryReads::default();
     let read = |id: &DocId| {
         let doc = storage.get_doc(id)?;
@@ -418,57 +564,25 @@ pub fn recovery_reads(
     };
     let walk = walk_chain(read, tip, limit, |_| false);
     if matches!(walk.end, WalkEnd::Complete) {
-        // An error here is where the recovery will fail too.
-        let _ = read_links(storage, &walk.links, check_env, &mut reads);
+        let plan = links_to_rebuild(&walk.links);
+        let rebuilt = walk.links.iter().zip(plan).rev().filter(|(_, rebuild)| *rebuild);
+        let files = rebuilt.flat_map(|((_, info), _)| info.references()).filter_map(|(target, _)| {
+            match target {
+                Ref::File(id) => Some(id),
+                Ref::Doc(_) => None,
+            }
+        });
+        for id in files {
+            // A failed read is where the recovery will fail too.
+            let Ok(bytes) = storage.get_file(&id) else { break };
+            reads.files.push((id, bytes));
+        }
     }
     // A cyclic chain reads the same documents until the limit: keep each
     // once, where it was first read.
     let mut seen = BTreeSet::new();
     reads.docs.retain(|doc| seen.insert(doc.id.clone()));
     reads
-}
-
-/// The part of [`recovery_reads`] after the walk.
-fn read_links(
-    storage: &ModelStorage,
-    links: &[(SavedModelId, ModelInfoDoc)],
-    check_env: bool,
-    reads: &mut RecoveryReads,
-) -> Result<(), StoreError> {
-    if check_env {
-        for (_, info) in links {
-            reads.docs.push(storage.get_doc(&DocId::from_string(info.environment_doc.clone()))?);
-        }
-    }
-    let plan = links_to_rebuild(links);
-    for ((_, info), _) in links.iter().zip(plan).rev().filter(|(_, rebuild)| *rebuild) {
-        let mut wrappers: BTreeMap<DocId, Document> = BTreeMap::new();
-        loop {
-            let unread: Vec<DocId> = info
-                .references(&wrappers)
-                .into_iter()
-                .filter_map(|(target, role)| match target {
-                    Ref::Doc(id) if role == WRAPPER && !wrappers.contains_key(&id) => Some(id),
-                    _ => None,
-                })
-                .collect();
-            if unread.is_empty() {
-                break;
-            }
-            for id in unread {
-                let doc = storage.get_doc(&id)?;
-                reads.docs.push(doc.clone());
-                wrappers.insert(id, doc);
-            }
-        }
-        for (target, _) in info.references(&wrappers) {
-            if let Ref::File(id) = target {
-                let bytes = storage.get_file(&id)?;
-                reads.files.push((id, bytes));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// One model's lineage node as the lineage queries and the wire report it:
@@ -504,12 +618,8 @@ pub struct LineageRecordDoc {
 pub mod kinds {
     /// Model-info documents.
     pub const MODEL_INFO: &str = "model_info";
-    /// Environment captures.
-    pub const ENVIRONMENT: &str = "environment";
     /// Layer-hash (Merkle) documents.
     pub const LAYER_HASHES: &str = "layer_hashes";
-    /// Wrapper objects (train service, dataloader, optimizer).
-    pub const WRAPPER: &str = "wrapper";
 }
 
 /// One node of the lineage DAG: a saved model version and its record.
@@ -666,23 +776,18 @@ mod tests {
     }
 
     fn info_doc(approach: ApproachKind, base_model: Option<&str>) -> ModelInfoDoc {
-        ModelInfoDoc {
+        let base = base_model.map(|b| SavedModelId(DocId::from_string(b.into())));
+        let mut info = ModelInfoDoc::new(
             approach,
-            arch: "resnet152".into(),
-            relation: ModelRelation::PartiallyUpdated,
-            base_model: base_model.map(String::from),
-            environment_doc: "abc-2".into(),
-            code_file: None,
-            weights_file: Some("f-1".into()),
-            update_encoding: None,
-            update_layers: None,
-            layer_hash_doc: "abc-3".into(),
-            root_hash: "00".repeat(32),
-            train_doc: None,
-            dataset: None,
-            tags: Vec::new(),
-            rebased_from: None,
-        }
+            "resnet152",
+            ModelRelation::PartiallyUpdated,
+            base.as_ref(),
+            EnvironmentInfo::capture(),
+            "abc-3".into(),
+            "00".repeat(32),
+        );
+        info.weights_file = Some("f-1".into());
+        info
     }
 
     #[test]
@@ -747,5 +852,58 @@ mod tests {
         );
         let snapshot = info_doc(ApproachKind::Baseline, None).lineage_view(&id);
         assert_eq!((snapshot.parent, snapshot.changed_layers), (None, None));
+    }
+
+    #[test]
+    fn capture_is_populated() {
+        let env = EnvironmentInfo::capture();
+        assert!(!env.mmlib_version.is_empty());
+        assert!(!env.os_type.is_empty());
+        assert!(env.cpu_count >= 1);
+        assert_eq!(env.libraries.len(), 4);
+    }
+
+    #[test]
+    fn identical_environments_match() {
+        let env = EnvironmentInfo::capture();
+        assert!(env.mismatches_against(&env.clone()).is_empty());
+    }
+
+    #[test]
+    fn version_drift_is_detected() {
+        let saved = EnvironmentInfo::capture();
+        let mut current = saved.clone();
+        current.mmlib_version = "9.9.9".into();
+        current.libraries[0].1 = "0.0.0".into();
+        let mismatches = saved.mismatches_against(&current);
+        assert_eq!(mismatches.len(), 2);
+        assert!(mismatches[0].contains("mmlib_version"));
+    }
+
+    #[test]
+    fn hostname_difference_is_not_a_mismatch() {
+        let saved = EnvironmentInfo::capture();
+        let mut current = saved.clone();
+        current.hostname = "other-node".into();
+        current.total_memory_kb += 1;
+        assert!(saved.mismatches_against(&current).is_empty());
+    }
+
+    #[test]
+    fn missing_library_is_detected() {
+        let saved = EnvironmentInfo::capture();
+        let mut current = saved.clone();
+        current.libraries.remove(0);
+        let mismatches = saved.mismatches_against(&current);
+        assert_eq!(mismatches.len(), 1);
+        assert!(mismatches[0].contains("missing"));
+    }
+
+    #[test]
+    fn serde_round_trip() {
+        let env = EnvironmentInfo::capture();
+        let json = serde_json::to_string(&env).unwrap();
+        let back: EnvironmentInfo = serde_json::from_str(&json).unwrap();
+        assert_eq!(env, back);
     }
 }

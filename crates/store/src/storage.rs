@@ -297,7 +297,6 @@ pub trait StorageBackend: Send + Sync {
         &self,
         _tip: &SavedModelId,
         _limit: usize,
-        _check_env: bool,
     ) -> Option<Result<RecoveryReads, StoreError>> {
         None
     }
@@ -602,9 +601,8 @@ impl ModelStorage {
         &self,
         tip: &SavedModelId,
         limit: usize,
-        check_env: bool,
     ) -> Option<Result<RecoveryReads, StoreError>> {
-        self.backend.recovery_reads(tip, limit, check_env)
+        self.backend.recovery_reads(tip, limit)
     }
 
     /// Commits a batch of document/file writes, coalescing the durability

@@ -102,8 +102,13 @@ fi
 # builders return batch items), and so are the server's event loop, shard
 # pools, admission budgets and the client's reply demultiplexer (a
 # connection is served on one blocking thread at each end, and
-# `max_connections` is the one budget). Fail, naming the file, if one
-# returns.
+# `max_connections` is the one budget), and so are the documents a save
+# wrote beside its model-info document and the reads and walks only they
+# needed: the environment document, the three wrapper documents with
+# their kind, loader and the reference walk between them (a model-info
+# document holds its environment and its provenance record inline), and
+# the count-only upload mode that only the server's event loop used. Fail,
+# naming the file, if one returns.
 for gone in ChainPolicy with_policy SimNetwork network_time run_flow_with_transport \
     recover_flow_family FaultyBackend artifacts_of walk_wrapper_closure entry_layer_hashes \
     lineage_index UnparsableDoc DocIdMismatch finish_inflight release_pending init_lock \
@@ -111,7 +116,8 @@ for gone in ChainPolicy with_policy SimNetwork network_time run_flow_with_transp
     lineage_item OrphanLineage DanglingLineageParent rebase_record 'kinds::LINEAGE' \
     DocsView FilesView atomic_write save_loader_wrapper save_optimizer_wrapper \
     save_train_service_wrapper io_loop ShardConfig WireConfig AdmissionConfig fnv1a \
-    reader_loop route_reply per_conn_inflight SHUTDOWN_DRAIN_GRACE; do
+    reader_loop route_reply per_conn_inflight SHUTDOWN_DRAIN_GRACE environment_doc train_doc \
+    environment_item 'kinds::ENVIRONMENT' 'kinds::WRAPPER' load_wrapper count_only; do
     if hits=$(grep -rl -- "$gone" crates/*/src src examples tests); then
         echo "check.sh: deleted name '$gone' reappeared in:" $hits >&2
         exit 1
