@@ -394,7 +394,7 @@ fn serve_requires_a_local_store() {
 #[test]
 fn fsck_detects_every_injected_corruption() {
     let dir = tempfile::tempdir().unwrap();
-    let (initial, _) = seed_store(dir.path());
+    let (initial, update) = seed_store(dir.path());
 
     let clean = run(&args(dir.path(), &["fsck"])).unwrap();
     assert!(clean.contains("clean"), "fresh store must fsck clean: {clean}");
@@ -410,9 +410,9 @@ fn fsck_detects_every_injected_corruption() {
     let bytes = std::fs::read(&blob_path).unwrap();
     std::fs::write(&blob_path, &bytes[..bytes.len() / 3]).unwrap();
 
-    // Corruption 2: bit-flip the layer-hash document into invalid JSON.
-    let hashes = info.body["layer_hash_doc"].as_str().unwrap();
-    let doc_path = dir.path().join("docs").join(format!("{hashes}.json"));
+    // Corruption 2: bit-flip the update's model-info document into
+    // invalid JSON.
+    let doc_path = dir.path().join("docs").join(format!("{update}.json"));
     let mut doc_bytes = std::fs::read(&doc_path).unwrap();
     doc_bytes[0] ^= 0x80;
     std::fs::write(&doc_path, &doc_bytes).unwrap();

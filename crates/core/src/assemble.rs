@@ -1,16 +1,16 @@
 //! The one assembler of baseline and parameter-update saves.
 //!
 //! A snapshot (BA, paper §3.1) and a parameter update (PUA, §3.2) store the
-//! same things: a weights file, the layer hashes, and a model-info document
-//! naming them, after them in one batch; a snapshot adds the architecture
-//! code. They differ in what the weights file holds: every layer, or only
-//! the layers a Merkle diff against the base's *stored* hashes finds
-//! changed — "we can identify the changed layers by only recovering and
-//! comparing the direct base model's hash values instead of recursively
-//! recovering it fully" — either as a plain state dict or XOR-delta-encoded
-//! against the base's parameters (the storage extension of the §4.7
-//! trade-off discussion). A snapshot is the save with no base to diff
-//! against.
+//! same things: a weights file and a model-info document naming it and
+//! holding the layer hashes, after it in one batch; a snapshot adds the
+//! architecture code. They differ in what the weights file holds: every
+//! layer, or only the layers a Merkle diff against the base's *stored*
+//! hashes finds changed — "we can identify the changed layers by only
+//! recovering and comparing the direct base model's hash values instead of
+//! recursively recovering it fully" — either as a plain state dict or
+//! XOR-delta-encoded against the base's parameters (the storage extension
+//! of the §4.7 trade-off discussion). A snapshot is the save with no base
+//! to diff against.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -79,8 +79,8 @@ fn check_relation(relation: ModelRelation, base: Option<&SavedModelId>) -> Resul
 impl SaveService {
     /// Assembles the batch of a baseline or parameter-update save of
     /// `model` on `base`: the weights file as `encoding` says, the
-    /// architecture code for a snapshot, the layer hashes, and the
-    /// model-info document naming them by `$batch:N`. Item order is
+    /// architecture code for a snapshot, and the model-info document naming
+    /// them by `$batch:N` and holding the layer hashes. Item order is
     /// visibility order, so the whole save pays one durability tail.
     pub(crate) fn assemble(
         &self,
@@ -134,14 +134,14 @@ impl SaveService {
             }
         };
 
-        let mut batch = Vec::with_capacity(4);
+        let mut batch = Vec::with_capacity(3);
         let weights = push(&mut batch, BatchItem::File { bytes });
         let code = diff.is_none().then(|| {
             push(&mut batch, BatchItem::File { bytes: model.arch.source_code().into_bytes() })
         });
         let approach =
             if diff.is_some() { ApproachKind::ParamUpdate } else { ApproachKind::Baseline };
-        let mut info = self.describe(&mut batch, approach, model, relation, base, &tree)?;
+        let mut info = self.describe(approach, model, relation, base, &tree)?;
         info.code_file = code; // derived models share the base's code
         info.weights_file = Some(weights);
         info.update_encoding = encoded.as_ref().map(|_| "delta_v1".to_string());
@@ -153,8 +153,8 @@ impl SaveService {
     /// The stored layer hashes of `base`, once `model` is checked to be
     /// savable as an update of it: the same architecture, and for a delta,
     /// an in-memory base that is the stored base (or the deltas would
-    /// decode against the wrong parameters). Only the base's documents are
-    /// read — never its parameters.
+    /// decode against the wrong parameters). Only the base's model-info
+    /// document is read — never its parameters.
     fn update_base_tree(
         &self,
         model: &Model,
@@ -183,6 +183,6 @@ impl SaveService {
                 crate::verify::verify_against_root(base_model, &base_info.root_hash, base)
             })?;
         }
-        clock.time("diff", || self.load_layer_hashes(&base_info, base))
+        clock.time("diff", || Self::load_layer_hashes(&base_info, base))
     }
 }

@@ -1,8 +1,8 @@
 //! Baseline approach (BA, paper §3.1): complete independent snapshots.
 //!
 //! Save ([`crate::assemble`]): the full serialized state dict and the
-//! architecture code as files, a layer-hash doc, and the model-info doc,
-//! which holds the environment. Recovery loads
+//! architecture code as files, and the model-info doc, which holds the
+//! environment and the layer hashes. Recovery loads
 //! everything back, builds the architecture around the decoded parameters,
 //! and verifies. Unlike torchvision's `Model()` + `load_state_dict`, which
 //! the paper measures, it runs no initializer first: that init pass was
@@ -28,7 +28,7 @@ impl SaveService {
     /// becomes [`ApproachKind::Baseline`](crate::meta::ApproachKind), the
     /// base moves to `rebased_from` (so the model no longer depends on it),
     /// and a parameter update's old delta file is removed. Content identity
-    /// — the id, root hash, and layer-hash document — is untouched, so
+    /// — the id, root hash and layer hashes — is untouched, so
     /// recovery stays byte-identical while its chain depth drops to zero. Returns the file id the old weights file
     /// had, when one was replaced.
     ///

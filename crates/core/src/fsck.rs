@@ -16,13 +16,14 @@
 //!   references ([`ModelInfoDoc::references`], the rule deletion and GC
 //!   share) must exist;
 //! * **hash re-verification** — weights blobs are re-parsed and re-hashed
-//!   layer by layer against the stored Merkle tree, and the tree's root
-//!   against the recorded `root_hash`, detecting truncations and bit
-//!   flips without recovering a model, and a plain update's layers
-//!   against its `update_layers` list, which a tip recovery trusts to
-//!   skip the update. (`delta_v1`-encoded updates are checked for
-//!   readability only; decoding them requires the base chain.)
-//! * **orphan detection** — documents and blobs no saved model reaches.
+//!   layer by layer against the layer hashes in the model-info document,
+//!   and their folded root against the recorded `root_hash`, detecting
+//!   truncations and bit flips without recovering a model, and a plain
+//!   update's layers against its `update_layers` list, which a tip
+//!   recovery trusts to skip the update. (`delta_v1`-encoded updates are
+//!   checked for readability only; decoding them requires the base chain.)
+//! * **orphan detection** — blobs no saved model reaches, and documents
+//!   that are not saved models.
 //!
 //! With [`FsckOptions::repair`] on a local root, damaged and orphaned
 //! entries are moved into `root/quarantine/` — out of every scan's way but
@@ -40,15 +41,16 @@ use mmlib_tensor::Tensor;
 
 use crate::error::CoreError;
 use crate::gc::{read_store, DependencyGraph};
-use crate::merkle::{layer_hashes_from_entries, MerkleTree};
+use crate::merkle::layer_hashes_from_entries;
 use crate::meta::{ApproachKind, ModelInfoDoc, Ref, SavedModelId};
 use crate::param_update::update_layers_mismatch;
+use crate::recovery::SaveService;
 
 /// What [`fsck`] should do.
 #[derive(Debug, Clone)]
 pub struct FsckOptions {
     /// Re-parse weights blobs and re-verify their per-layer hashes against
-    /// the stored Merkle trees (slower, catches silent corruption).
+    /// the stored layer hashes (slower, catches silent corruption).
     pub verify_hashes: bool,
     /// Quarantine damaged and orphaned entries under `root/quarantine/`
     /// (local roots only; ignored for remote backends).
@@ -89,7 +91,7 @@ pub enum FsckIssue {
         model: SavedModelId,
         /// The missing document.
         id: DocId,
-        /// What the document was (layer hashes or base model).
+        /// What the document was (the base model).
         role: String,
     },
     /// A file referenced by a saved model does not exist.
@@ -119,8 +121,8 @@ pub enum FsckIssue {
         /// The offending layer path (with detail when structural).
         layer: String,
     },
-    /// The stored Merkle tree's root disagrees with the model document's
-    /// recorded `root_hash`.
+    /// The stored layer hashes do not fold to the model document's recorded
+    /// `root_hash`.
     RootHashMismatch {
         /// The inconsistent model.
         model: SavedModelId,
@@ -225,7 +227,6 @@ struct Checker<'a> {
     graph: &'a DependencyGraph,
     report: FsckReport,
     file_set: BTreeSet<FileId>,
-    reachable_docs: BTreeSet<DocId>,
     reachable_files: BTreeSet<FileId>,
 }
 
@@ -240,7 +241,6 @@ pub fn fsck(storage: &ModelStorage, opts: &FsckOptions) -> Result<FsckReport, Co
         graph: &graph,
         report: FsckReport::default(),
         file_set: storage.file_ids()?.into_iter().collect(),
-        reachable_docs: BTreeSet::new(),
         reachable_files: BTreeSet::new(),
     };
     c.report.docs_seen = graph.models.len() + graph.others.len() + graph.unreadable.len();
@@ -314,17 +314,11 @@ impl Checker<'_> {
         let graph = self.graph;
         for (target, role) in info.references() {
             match target {
-                Ref::Doc(id) => {
-                    let model_doc = SavedModelId(id.clone());
-                    if !graph.others.contains_key(&id) && !graph.models.contains_key(&model_doc) {
-                        self.report.issues.push(FsckIssue::MissingDoc {
-                            model: sid.clone(),
-                            id: id.clone(),
-                            role: role.to_string(),
-                        });
-                    }
-                    self.reachable_docs.insert(id);
+                Ref::Doc(id) if !graph.models.contains_key(&SavedModelId(id.clone())) => {
+                    let (model, role) = (sid.clone(), role.to_string());
+                    self.report.issues.push(FsckIssue::MissingDoc { model, id, role });
                 }
+                Ref::Doc(_) => {}
                 Ref::File(id) => {
                     if !self.file_set.contains(&id) {
                         self.report.issues.push(FsckIssue::MissingFile {
@@ -343,27 +337,14 @@ impl Checker<'_> {
         Ok(())
     }
 
-    /// Re-verifies one model's Merkle tree: its folded root vs recorded
-    /// `root_hash`, and (for state-dict weights) re-parsed, re-hashed
-    /// layers vs the stored leaves.
+    /// Re-verifies one model's layer hashes: their folded root vs the
+    /// recorded `root_hash`, and (for state-dict weights) re-parsed,
+    /// re-hashed layers vs the stored leaves.
     fn verify_hashes(&mut self, sid: &SavedModelId, info: &ModelInfoDoc) -> Result<(), CoreError> {
-        let tree_id = DocId::from_string(info.layer_hash_doc.clone());
-        // A missing tree is a dangling reference, already reported; the
-        // weights blob is still read, so a damaged one is named too.
-        let tree = match self.graph.others.get(&tree_id).map(|doc| {
-            serde_json::from_value::<MerkleTree>(doc.body.clone())
-        }) {
-            Some(Ok(tree)) => Some(tree),
-            Some(Err(e)) => {
-                self.report.issues.push(FsckIssue::BadModelDoc {
-                    id: sid.clone(),
-                    reason: format!("undecodable layer-hash tree: {e}"),
-                });
-                None
-            }
-            None => None,
-        };
-        if tree.as_ref().is_some_and(|tree| tree.root().to_hex() != info.root_hash) {
+        // The fold's one refusal is a root that does not match; the leaves
+        // are then not checked against the weights.
+        let tree = SaveService::load_layer_hashes(info, sid).ok();
+        if tree.is_none() {
             self.report.issues.push(FsckIssue::RootHashMismatch { model: sid.clone() });
         }
 
@@ -460,16 +441,14 @@ impl Checker<'_> {
         Ok(())
     }
 
-    /// Reports (and in repair mode quarantines) every document and blob no
-    /// saved model reaches.
+    /// Reports (and in repair mode quarantines) every blob no saved model
+    /// reaches and every document that is not a saved model.
     fn orphan_pass(&mut self) -> Result<(), CoreError> {
         let graph = self.graph;
         for (id, doc) in &graph.others {
-            if !self.reachable_docs.contains(id) {
-                self.quarantine_doc(id)?;
-                let kind = doc.kind.clone();
-                self.report.issues.push(FsckIssue::OrphanDoc { id: id.clone(), kind });
-            }
+            self.quarantine_doc(id)?;
+            let kind = doc.kind.clone();
+            self.report.issues.push(FsckIssue::OrphanDoc { id: id.clone(), kind });
         }
         let orphan_files: Vec<FileId> =
             self.file_set.difference(&self.reachable_files).cloned().collect();
@@ -484,8 +463,7 @@ impl Checker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::meta::kinds;
-    use crate::recovery::SaveService;
+    use crate::meta::BASE_MODEL;
     use crate::report::SaveRequest;
     use mmlib_model::{ArchId, Model};
 
@@ -507,7 +485,7 @@ mod tests {
         let report = fsck(svc.storage(), &FsckOptions::default()).unwrap();
         assert!(report.is_clean(), "unexpected issues: {:?}", report.issues);
         assert_eq!(report.models_checked, 1);
-        assert_eq!(report.docs_seen, 2, "model info + layer hashes");
+        assert_eq!(report.docs_seen, 1, "one model-info document per saved model");
     }
 
     #[test]
@@ -589,15 +567,14 @@ mod tests {
         let model = Model::new_initialized(ArchId::TinyCnn, 7);
         let id = svc.save(SaveRequest::full(&model)).unwrap().id;
 
-        // An orphan blob and an orphan document nothing references.
+        // An orphan blob, and a document of a kind no save writes.
         let orphan_file = svc.storage().put_file(b"stray bytes").unwrap();
-        let orphan_doc = svc
-            .storage()
-            .insert_doc(kinds::LAYER_HASHES, serde_json::json!({"paths": ["stray"]}))
-            .unwrap();
-        // A dangling reference: delete the layer-hash document.
-        let hashes = saved_info(&svc, &id).layer_hash_doc;
-        svc.storage().remove_doc(&DocId::from_string(hashes)).unwrap();
+        let orphan_doc =
+            svc.storage().insert_doc("stray", serde_json::json!({"paths": ["stray"]})).unwrap();
+        // A dangling reference: a base model the store does not hold.
+        let mut info = saved_info(&svc, &id);
+        info.base_model = Some("model-that-never-was".into());
+        svc.storage().update_doc(id.doc_id(), serde_json::to_value(&info).unwrap()).unwrap();
 
         let report = fsck(svc.storage(), &FsckOptions::default()).unwrap();
         assert!(report
@@ -609,7 +586,7 @@ mod tests {
             .iter()
             .any(|i| matches!(i, FsckIssue::OrphanDoc { id, .. } if *id == orphan_doc)));
         assert!(report.issues.iter().any(
-            |i| matches!(i, FsckIssue::MissingDoc { role, .. } if role == "layer-hash")
+            |i| matches!(i, FsckIssue::MissingDoc { role, .. } if role == BASE_MODEL)
         ));
 
         // Repair quarantines the orphans; the dangling reference remains

@@ -13,10 +13,10 @@
 //!   `mmlib_store::schema::LineageGraph::read`, which keeps one node per
 //!   model-info document and no bodies: a model's lineage is its model-info
 //!   document, so deleting the model deletes its lineage too.)
-//! * [`delete_model`] — deletes one model's documents and files, refusing
+//! * [`delete_model`] — deletes one model's document and files, refusing
 //!   while other saved models still depend on it.
 //! * [`collect_garbage`] — mark-and-sweep: given a set of *live* roots,
-//!   removes every model (and its documents/files) that no live model's
+//!   removes every model (and its files) that no live model's
 //!   recovery chain can reach.
 //!
 //! Both remove what [`ModelInfoDoc::references`] lists as owned by a garbage
@@ -25,10 +25,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use mmlib_store::{DocId, Document, ModelStorage};
+use mmlib_store::{DocId, Document, FileId, ModelStorage};
 
 use crate::error::CoreError;
-use crate::meta::{kinds, ModelInfoDoc, Ref, SavedModelId, BASE_MODEL};
+use crate::meta::{kinds, ModelInfoDoc, Ref, SavedModelId};
 use crate::recovery::SaveService;
 
 /// One read of a store, sorted by document kind, with the base/derived
@@ -39,8 +39,8 @@ pub struct DependencyGraph {
     pub models: BTreeMap<SavedModelId, ModelInfoDoc>,
     /// Model id → ids of models directly derived from it.
     pub dependents: BTreeMap<SavedModelId, Vec<SavedModelId>>,
-    /// Every other document (the layer hashes, and anything else the store
-    /// holds).
+    /// Every other document: a save writes none, so each is a stray, which
+    /// fsck reports as an orphan.
     pub others: BTreeMap<DocId, Document>,
     /// Documents that could not be read, or whose body does not decode to
     /// its kind's schema, with the error.
@@ -112,11 +112,14 @@ impl DependencyGraph {
         out
     }
 
-    /// What model `id` owns: its [`ModelInfoDoc::references`] minus the
-    /// base model.
-    fn owned(&self, id: &SavedModelId) -> impl Iterator<Item = Ref> + '_ {
+    /// What model `id` owns: the files of its [`ModelInfoDoc::references`]
+    /// (the one document it references is its base, a model of its own).
+    fn owned(&self, id: &SavedModelId) -> impl Iterator<Item = FileId> + '_ {
         let refs = self.models.get(id).map(|info| info.references());
-        refs.into_iter().flatten().filter(|(_, role)| *role != BASE_MODEL).map(|(r, _)| r)
+        refs.into_iter().flatten().filter_map(|(r, _)| match r {
+            Ref::File(f) => Some(f),
+            Ref::Doc(_) => None,
+        })
     }
 }
 
@@ -172,7 +175,7 @@ pub fn dependency_graph(svc: &SaveService) -> Result<DependencyGraph, CoreError>
 pub struct GcReport {
     /// Model ids removed.
     pub removed_models: Vec<SavedModelId>,
-    /// Documents removed (model docs + owned docs).
+    /// Documents removed (one model-info document per model).
     pub removed_docs: usize,
     /// Files removed.
     pub removed_files: usize,
@@ -207,31 +210,23 @@ pub fn delete_model(svc: &SaveService, id: &SavedModelId) -> Result<GcReport, Co
     sweep(svc, &graph, &[id], kept)
 }
 
-/// Removes the `garbage` models: each one's document and every artifact it
-/// owns that no `kept` model owns too.
+/// Removes the `garbage` models: each one's document and every file it owns
+/// that no `kept` model owns too.
 fn sweep<'a>(
     svc: &SaveService,
     graph: &DependencyGraph,
     garbage: &[&SavedModelId],
     kept: impl Iterator<Item = &'a SavedModelId>,
 ) -> Result<GcReport, CoreError> {
-    let kept: BTreeSet<Ref> = kept.flat_map(|id| graph.owned(id)).collect();
+    let kept: BTreeSet<FileId> = kept.flat_map(|id| graph.owned(id)).collect();
     let storage = svc.storage();
     let mut report = GcReport::default();
     for id in garbage {
-        for artifact in graph.owned(id).filter(|r| !kept.contains(r)) {
-            match artifact {
-                Ref::Doc(d) if storage.contains_doc(&d) => {
-                    storage.remove_doc(&d)?;
-                    report.removed_docs += 1;
-                }
-                Ref::File(f) if storage.contains_file(&f) => {
-                    report.reclaimed_bytes += storage.file_size(&f)?;
-                    storage.remove_file(&f)?;
-                    report.removed_files += 1;
-                }
-                _ => {} // missing, or shared with a garbage model swept before
-            }
+        // One already gone was missing, or shared with a model swept before.
+        for f in graph.owned(id).filter(|f| !kept.contains(f) && storage.contains_file(f)) {
+            report.reclaimed_bytes += storage.file_size(&f)?;
+            storage.remove_file(&f)?;
+            report.removed_files += 1;
         }
         storage.remove_doc(id.doc_id())?;
         report.removed_docs += 1;

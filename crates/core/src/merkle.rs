@@ -10,7 +10,6 @@
 
 use mmlib_model::Model;
 use mmlib_tensor::hash::{hash_pair, hash_tensor, Digest, Sha256};
-use serde::{Deserialize, Serialize};
 
 /// A Merkle tree over an ordered list of `(layer_path, digest)` leaves.
 ///
@@ -20,10 +19,10 @@ use serde::{Deserialize, Serialize};
 ///
 /// Every value of this type has at least one leaf, one path per leaf, and
 /// interior levels that are the fold of the level below: [`from_leaves`]
-/// builds it that way, and a stored document holds only the leaves and
-/// their paths, which its decode folds — so the accessors and [`diff`] may
-/// index freely. A stored leaf that changed still folds; the recorded root
-/// hash is what shows it (`SaveService::load_layer_hashes`).
+/// builds it that way — so the accessors and [`diff`] may index freely. A
+/// model-info document stores only the leaves and their paths
+/// (`LayerHashes`); `SaveService::load_layer_hashes` folds them back and
+/// checks the fold against the recorded root hash.
 ///
 /// [`from_leaves`]: MerkleTree::from_leaves
 /// [`diff`]: MerkleTree::diff
@@ -33,37 +32,6 @@ pub struct MerkleTree {
     levels: Vec<Vec<Digest>>,
     /// Layer paths, parallel to `levels[0]`.
     paths: Vec<String>,
-}
-
-/// A layer-hash document as stored: the leaves and their layer paths.
-#[derive(Serialize, Deserialize)]
-struct StoredTree {
-    leaves: Vec<Digest>,
-    paths: Vec<String>,
-}
-
-impl Serialize for MerkleTree {
-    fn to_value(&self) -> serde::Value {
-        StoredTree { leaves: self.levels[0].clone(), paths: self.paths.clone() }.to_value()
-    }
-}
-
-/// The one decode of a stored tree: its leaves, folded.
-impl Deserialize for MerkleTree {
-    fn from_value(v: &serde::Value) -> Result<MerkleTree, serde::de::Error> {
-        let StoredTree { leaves, paths } = StoredTree::from_value(v)?;
-        if leaves.is_empty() {
-            return Err(serde::de::Error::custom("merkle tree without leaves"));
-        }
-        if paths.len() != leaves.len() {
-            return Err(serde::de::Error::custom(format!(
-                "merkle tree with {} leaves but {} layer paths",
-                leaves.len(),
-                paths.len()
-            )));
-        }
-        Ok(MerkleTree::from_leaves(paths.into_iter().zip(leaves).collect()))
-    }
 }
 
 /// Two trees over different layer lists cannot be diffed: an architecture
@@ -320,6 +288,7 @@ impl MerkleTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmlib_store::schema::LayerHashes;
     use mmlib_tensor::hash::sha256;
 
     fn leaves(n: usize) -> Vec<(String, Digest)> {
@@ -459,10 +428,13 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
+    fn stored_leaves_fold_back_to_the_tree() {
         let t = MerkleTree::from_leaves(leaves(9));
-        let json = serde_json::to_string(&t).unwrap();
-        let back: MerkleTree = serde_json::from_str(&json).unwrap();
-        assert_eq!(t, back);
+        let stored = LayerHashes::new(t.leaves()).unwrap();
+        let json = serde_json::to_string(&stored).unwrap();
+        let back: LayerHashes = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, stored);
+        let refolded = back.leaves().map(|(p, d)| (p.to_string(), *d)).collect();
+        assert_eq!(MerkleTree::from_leaves(refolded), t);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Paper §3.1: metadata lives in JSON documents that reference each other
 //! by id. A saved model is one model-info document, holding its
-//! environment and (for the provenance approach) its wrapped training
-//! objects inline, and referencing a layer-hash document, stored files and
-//! its base model. The types themselves live in
+//! environment, its layer hashes and (for the provenance approach) its
+//! wrapped training objects inline, and referencing stored files and its
+//! base model. The types themselves live in
 //! [`mmlib_store::schema`], below both the library and the registry server,
 //! and are re-exported here under their long-standing paths. Whether a base
 //! is what the model is *recovered from* is
@@ -12,8 +12,8 @@
 //! *references* is [`ModelInfoDoc::references`]'s.
 
 pub use mmlib_store::schema::{
-    kinds, ApproachKind, DatasetRef, EnvironmentInfo, LineageRecordDoc, ModelInfoDoc,
-    ModelRelation, Provenance, Ref, SavedModelId, Wrapper, BASE_MODEL,
+    kinds, ApproachKind, DatasetRef, EnvironmentInfo, LayerHashes, LineageRecordDoc,
+    ModelInfoDoc, ModelRelation, Provenance, Ref, SavedModelId, Wrapper, BASE_MODEL,
 };
 
 /// Applies a relation's trainability to a model (the paper trains all

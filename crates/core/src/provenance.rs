@@ -8,8 +8,8 @@
 //! dedicated dataset manager owns it); and (4) the base-model reference.
 //! All of it but the files is the model-info document's: the wrappers and
 //! the dataset reference are its [`Provenance`] record. A save is one batch
-//! commit: the container, the optimizer's state file, the layer hashes,
-//! and the model-info document last. Recovery
+//! commit: the container, the optimizer's state file, and the model-info
+//! document (holding the layer hashes) last. Recovery
 //! checks the dataset digest against the stored blobs, recovers the base
 //! recursively and *replays the training* deterministically, then verifies
 //! the replayed model against the stored Merkle root.
@@ -85,8 +85,8 @@ impl SaveService {
 
         // One batch, referents before the model-info document naming them
         // by `$batch:N`: the dataset container unless it is managed
-        // externally, the optimizer's state file and the layer hashes.
-        let mut batch = Vec::with_capacity(4);
+        // externally, and the optimizer's state file.
+        let mut batch = Vec::with_capacity(3);
         let dataset = Dataset::new(prov.dataset_id, prov.dataset_scale);
         let (container_file, digest) = if prov.dataset_external {
             (None, dataset.content_digest())
@@ -109,7 +109,6 @@ impl SaveService {
         };
         let tree = clock.time("hash", || self.save_tree(model_after_training));
         let mut info = self.describe(
-            &mut batch,
             ApproachKind::Provenance,
             model_after_training,
             prov.relation,

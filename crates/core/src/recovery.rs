@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 
 use mmlib_model::{ArchId, Model};
 use mmlib_obs::{PhaseBreakdown, PhaseClock, Recorder};
-use mmlib_store::schema::{self, RecoveryReads, WalkEnd};
+use mmlib_store::schema::{self, LayerHashes, RecoveryReads, WalkEnd};
 use mmlib_store::{
     BatchId, BatchItem, DocId, Document, FileId, ModelStorage, StorageBackend, StoreError,
 };
@@ -148,32 +148,28 @@ impl SaveService {
 
     // ---- shared save plumbing -------------------------------------------
 
-    /// Appends the layer-hash document of `tree` to a save's `batch` and
-    /// returns the model-info document describing the save: `model`, saved
-    /// as `approach` on `base` in this service's environment, with the root
-    /// of `tree`. The caller sets the fields its approach stores and
-    /// appends the document last ([`SaveService::model_info_item`]).
+    /// The model-info document describing a save: `model`, saved as
+    /// `approach` on `base` in this service's environment, with the leaves
+    /// and the root of `tree`. The caller sets the fields its approach
+    /// stores and appends the document to its batch last
+    /// ([`SaveService::model_info_item`]).
     pub(crate) fn describe(
         &self,
-        batch: &mut Vec<BatchItem>,
         approach: ApproachKind,
         model: &Model,
         relation: ModelRelation,
         base: Option<&SavedModelId>,
         tree: &MerkleTree,
     ) -> Result<ModelInfoDoc, CoreError> {
-        let hashes = BatchItem::Doc {
-            kind: kinds::LAYER_HASHES.to_string(),
-            body: to_json_value("MerkleTree", tree)?,
-        };
-        let layer_hash_doc = push(batch, hashes);
+        let layer_hashes = LayerHashes::new(tree.leaves())
+            .ok_or_else(|| CoreError::Internal("a tree without leaves".into()))?;
         Ok(ModelInfoDoc::new(
             approach,
             model.arch.name(),
             relation,
             base,
             self.environment.clone(),
-            layer_hash_doc,
+            layer_hashes,
             tree.root().to_hex(),
         ))
     }
@@ -220,18 +216,19 @@ impl SaveService {
         Ok(self.storage.update_doc(id.doc_id(), body)?)
     }
 
-    /// Loads the stored Merkle tree of a saved model, checking that its
-    /// leaves fold to the model's recorded `root_hash`: the document stores
-    /// only leaves, so a changed leaf shows only against that root.
-    pub fn load_layer_hashes(&self, info: &ModelInfoDoc, id: &SavedModelId) -> Result<MerkleTree, CoreError> {
-        let doc = self.storage.get_doc(&DocId::from_string(info.layer_hash_doc.clone()))?;
-        let bad = |reason| CoreError::BadModelDocument { id: id.clone(), reason };
-        let tree: MerkleTree = serde_json::from_value(doc.body)
-            .map_err(|e| bad(format!("undecodable layer-hash doc: {e}")))?;
-        if tree.root().to_hex() != info.root_hash {
-            return Err(bad("layer hashes do not fold to the recorded root hash".into()));
+    /// The Merkle tree of saved model `id`, folded from the leaves its
+    /// model-info document `info` holds, once they are checked to fold to
+    /// its recorded `root_hash`: the document stores only leaves, so a
+    /// changed leaf shows only against that root. Reads nothing. The one
+    /// place stored leaves become a tree; no chain walk calls it.
+    pub fn load_layer_hashes(info: &ModelInfoDoc, id: &SavedModelId) -> Result<MerkleTree, CoreError> {
+        let leaves = info.layer_hashes.leaves().map(|(p, d)| (p.to_string(), *d)).collect();
+        let tree = MerkleTree::from_leaves(leaves);
+        if tree.root().to_hex() == info.root_hash {
+            return Ok(tree);
         }
-        Ok(tree)
+        let reason = "layer hashes do not fold to the recorded root hash".into();
+        Err(CoreError::BadModelDocument { id: id.clone(), reason })
     }
 
     /// Decodes the architecture recorded in a model document.

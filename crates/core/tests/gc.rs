@@ -183,7 +183,7 @@ fn gc_keeps_live_chains_and_sweeps_the_rest() {
     assert_fsck_clean(&s);
     let rec = s.recover_report(&ids[2], RecoverOptions::default()).unwrap();
     assert!(rec.model.models_equal(&model));
-    // The swept provenance model's wrapper docs are gone too.
+    // Of the four models, only the swept provenance model is gone.
     let graph = dependency_graph(&s).unwrap();
     assert_eq!(graph.models.len(), 3);
 }
@@ -195,7 +195,7 @@ fn gc_with_no_live_roots_sweeps_everything() {
     let report = collect_garbage(&s, &[]).unwrap();
     assert_eq!(report.removed_models.len(), 4);
     assert!(dependency_graph(&s).unwrap().models.is_empty());
-    // Wrapper docs and every blob, optimizer state included, went with
+    // Every document and every blob, optimizer state included, went with
     // the models that owned them.
     assert!(s.storage().doc_ids().unwrap().is_empty());
     assert!(s.storage().file_ids().unwrap().is_empty());

@@ -106,15 +106,15 @@ fn each_approach_reports_its_phases_and_pinned_save_costs() {
     let before = counts();
     let full = svc.save(SaveRequest::full(&model)).unwrap();
     assert_eq!(labels(&full.phases), BTreeSet::from(["serialize", "hash", "write"]));
-    // Weights, code, layer hashes, model-info.
-    assert_eq!(since(before), (6, 2), "BA save: (syncs, documents)");
+    // Weights, code, model-info (which holds the layer hashes).
+    assert_eq!(since(before), (5, 1), "BA save: (syncs, documents)");
 
     bump_classifier(&mut model, 1.0);
     let before = counts();
     let update = svc.save(SaveRequest::update(&model, &full.id)).unwrap();
     assert_eq!(labels(&update.phases), BTreeSet::from(["diff", "hash", "serialize", "write"]));
-    // Weights, layer hashes, model-info.
-    assert_eq!(since(before), (5, 2), "PUA save: (syncs, documents)");
+    // Weights, model-info.
+    assert_eq!(since(before), (4, 1), "PUA save: (syncs, documents)");
 
     let (prov, mut trainer) = common::train_spec(ModelRelation::PartiallyUpdated, 13);
     model.set_classifier_only_trainable();
@@ -122,11 +122,11 @@ fn each_approach_reports_its_phases_and_pinned_save_costs() {
     let before = counts();
     let replay = svc.save(SaveRequest::provenance(&model, &update.id, &prov)).unwrap();
     assert_eq!(labels(&replay.phases), BTreeSet::from(["pack", "hash", "write"]));
-    // One batch of four items: the dataset container, the optimizer's
-    // state file, layer hashes and model-info (which holds the wrappers):
-    // four staged syncs plus one per directory the batch touches (docs/,
-    // files/).
-    assert_eq!(since(before), (6, 2), "MPA save: (syncs, documents)");
+    // One batch of three items: the dataset container, the optimizer's
+    // state file and model-info (which holds the wrappers and the layer
+    // hashes): three staged syncs plus one per directory the batch touches
+    // (docs/, files/).
+    assert_eq!(since(before), (5, 1), "MPA save: (syncs, documents)");
 
     for id in [&full.id, &update.id, &replay.id] {
         let report = svc.recover_report(id, RecoverOptions::default()).unwrap();

@@ -340,9 +340,9 @@ fn flow_over_faulty_tcp_survives_and_fsck_finds_only_duplicates() {
 
 /// A provenance save and its recovery over the loopback registry.
 /// `RemoteStore` commits a batch item by item, so the save's `$batch:N`
-/// references, nested inside the wrapper documents too (the optimizer's
-/// state file, the train service's loader and optimizer, the dataset
-/// container), must resolve on the client before each document is sent.
+/// references, nested inside the model-info document's provenance record
+/// too (the optimizer's state file, the dataset container), must resolve
+/// on the client before the document is sent.
 #[test]
 fn provenance_save_and_replay_over_tcp_are_byte_identical() {
     use mmlib_core::{RecoverOptions, SaveRequest, SaveService, TrainProvenance, VerifyOutcome};

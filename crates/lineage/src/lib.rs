@@ -172,13 +172,14 @@ impl<'a> Lineage<'a> {
         Ok(LineageNode { id: id.clone(), record: info.lineage_view(id) })
     }
 
-    /// All layer digests of a saved model, from its stored Merkle tree.
+    /// All layer digests of a saved model, from the layer hashes its
+    /// model-info document holds, checked against its root hash.
     fn layer_digests(
         &self,
         id: &SavedModelId,
     ) -> Result<std::collections::BTreeMap<String, String>, CoreError> {
         let info = self.svc.load_model_info(id)?;
-        let tree = self.svc.load_layer_hashes(&info, id)?;
+        let tree = SaveService::load_layer_hashes(&info, id)?;
         Ok(tree
             .leaves()
             .map(|(path, digest)| (path.to_string(), digest.to_hex()))

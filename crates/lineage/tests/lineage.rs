@@ -109,26 +109,27 @@ fn graph_queries_tags_and_diff() {
     assert!(shows >= 2);
 }
 
-/// A layer-hash document is read back from the store — over `RemoteStore`,
-/// from the peer — so a malformed one must come back as `Err` from both
-/// entry points that decode it, never as a panic.
+/// A model's layer hashes are read back from the store — over
+/// `RemoteStore`, from the peer — inside its model-info document, so
+/// malformed ones must come back as `Err` from both entry points that read
+/// them, never as a panic.
 #[test]
-fn corrupt_layer_hash_documents_are_errors_not_panics() {
+fn corrupt_layer_hashes_are_errors_not_panics() {
     let dir = tempfile::tempdir().unwrap();
     let s = svc(dir.path());
     let (ids, mut model) = build_chain(&s, 11, 1);
     let base = &ids[1];
-    let doc_id = DocId::from_string(s.load_model_info(base).unwrap().layer_hash_doc);
+    let doc_id = base.doc_id().clone();
     let good = s.storage().get_doc(&doc_id).unwrap().body;
     bump(&mut model, 5);
     let lineage = Lineage::new(&s);
 
     type Corruption = fn(&mut serde_json::Value);
     let corruptions: [(&str, Corruption); 4] = [
-        ("empty leaves", |t| t["leaves"] = serde_json::json!([])),
-        ("dropped leaf", |t| drop(t["leaves"].as_array_mut().unwrap().pop())),
-        ("swapped leaves", |t| t["leaves"].as_array_mut().unwrap().swap(0, 1)),
-        ("swapped path", |t| t["paths"].as_array_mut().unwrap().swap(0, 1)),
+        ("empty leaves", |t| t["layer_hashes"]["leaves"] = serde_json::json!([])),
+        ("dropped leaf", |t| drop(t["layer_hashes"]["leaves"].as_array_mut().unwrap().pop())),
+        ("swapped leaves", |t| t["layer_hashes"]["leaves"].as_array_mut().unwrap().swap(0, 1)),
+        ("swapped path", |t| t["layer_hashes"]["paths"].as_array_mut().unwrap().swap(0, 1)),
     ];
     for (what, corrupt) in corruptions {
         let mut body = good.clone();
@@ -148,6 +149,25 @@ fn corrupt_layer_hash_documents_are_errors_not_panics() {
     let saved = s.save(SaveRequest::update(&model, base)).unwrap();
     assert_eq!(saved.diff.unwrap().changed.len(), 1);
     assert_eq!(lineage.diff(&ids[0], base).unwrap().changed_layers.len(), 1);
+}
+
+/// A model in the layout before a model-info document held its layer
+/// hashes (a leaves-only `layer_hashes` document beside it, named by
+/// `layer_hash_doc`) is refused by `lineage diff`, never diffed.
+#[test]
+fn diff_refuses_the_layer_hash_document_layout() {
+    let dir = tempfile::tempdir().unwrap();
+    let s = svc(dir.path());
+    let (ids, _) = build_chain(&s, 13, 1);
+    let mut body = s.storage().get_doc(ids[1].doc_id()).unwrap().body;
+    let hashes = body.as_object_mut().unwrap().remove("layer_hashes").unwrap();
+    let doc = s.storage().insert_doc("layer_hashes", hashes).unwrap();
+    body["layer_hash_doc"] = serde_json::json!(doc.as_str());
+    s.storage().update_doc(ids[1].doc_id(), body).unwrap();
+    match Lineage::new(&s).diff(&ids[0], &ids[1]) {
+        Err(CoreError::BadModelDocument { id, .. }) => assert_eq!(id, ids[1]),
+        other => panic!("expected a bad model document, got {other:?}"),
+    }
 }
 
 /// The acceptance gate: a depth-64 PUA chain recovers byte-identically

@@ -643,15 +643,6 @@ fn expect_ok(reply: Frame) -> Result<Value, StoreError> {
     }
 }
 
-/// Bytes a document occupies in the registry's store. The server persists
-/// `to_vec_pretty(&doc)`, so serializing the same document client-side gives
-/// the identical size — keeping the paper's storage-consumption metric
-/// transport-invariant (a save "costs" the same whether measured against a
-/// local directory or through the wire).
-fn doc_stored_bytes(doc: &Document) -> u64 {
-    serde_json::to_vec_pretty(doc).map(|b| b.len() as u64).unwrap_or(0)
-}
-
 /// Decodes field `key` of an `Ok` reply's header. A reply that lacks it, or
 /// whose value does not decode, is the peer's fault: [`StoreError::Remote`].
 fn reply_field<T: serde::Deserialize>(
@@ -681,7 +672,7 @@ impl StorageBackend for RemoteStore {
         let header = expect_ok(reply)?;
         let id = DocId::from_string(header_str(&header, "id").map_err(remote)?.to_string());
         let doc = Document { id: id.clone(), kind: kind.to_string(), body };
-        self.bytes_written.fetch_add(doc_stored_bytes(&doc), Ordering::Relaxed);
+        self.bytes_written.fetch_add(doc.stored_len(), Ordering::Relaxed);
         Ok(id)
     }
 
@@ -697,7 +688,7 @@ impl StorageBackend for RemoteStore {
             kind: header_str(&header, "kind").map_err(remote)?.to_string(),
             body,
         };
-        self.bytes_read.fetch_add(doc_stored_bytes(&doc), Ordering::Relaxed);
+        self.bytes_read.fetch_add(doc.stored_len(), Ordering::Relaxed);
         Ok(doc)
     }
 
@@ -714,7 +705,7 @@ impl StorageBackend for RemoteStore {
         // bytes_written storage metric.)
         if let Some(kind) = header.get("kind").and_then(Value::as_str) {
             let doc = Document { id: id.clone(), kind: kind.to_string(), body };
-            self.bytes_written.fetch_add(doc_stored_bytes(&doc), Ordering::Relaxed);
+            self.bytes_written.fetch_add(doc.stored_len(), Ordering::Relaxed);
         }
         Ok(())
     }
@@ -801,7 +792,7 @@ impl StorageBackend for RemoteStore {
         let fetched = self.request_blob(request, None).and_then(|(reply, files)| {
             let reads =
                 decode_chain_reply(expect_ok(reply)?, files).map_err(remote)?;
-            let docs: u64 = reads.docs.iter().map(doc_stored_bytes).sum();
+            let docs: u64 = reads.docs.iter().map(Document::stored_len).sum();
             self.bytes_read.fetch_add(docs, Ordering::Relaxed);
             Ok(reads)
         });

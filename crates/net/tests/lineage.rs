@@ -47,7 +47,8 @@ impl Served {
             base.as_ref().map_or(ModelRelation::Initial, |_| ModelRelation::PartiallyUpdated),
             base.as_ref(),
             EnvironmentInfo::capture(),
-            "hashes-1".into(),
+            serde_json::from_value(serde_json::json!({"leaves": ["ab".repeat(32)], "paths": ["fc"]}))
+                .unwrap(),
             "ab".repeat(32),
         );
         info.weights_file = Some("weights-1".into());
@@ -179,7 +180,7 @@ fn one_ancestry_query_reads_each_document_once() {
         chain.push(s.model(Some(&parent)));
     }
     // Documents no lineage query needs still cost their one read.
-    s.local.insert_doc(kinds::LAYER_HASHES, serde_json::json!({"paths": []})).unwrap();
+    s.local.insert_doc("stray", serde_json::json!({"paths": []})).unwrap();
 
     let docs = s.local.doc_ids().unwrap().len();
     counting.doc_gets.store(0, Ordering::Relaxed);

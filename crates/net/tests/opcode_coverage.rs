@@ -38,7 +38,7 @@ fn every_request_opcode_round_trips_and_is_counted_once() {
             base.as_ref().map_or(ModelRelation::Initial, |_| ModelRelation::PartiallyUpdated),
             base.as_ref(),
             EnvironmentInfo::capture(),
-            "hashes-1".into(),
+            serde_json::from_value(json!({"leaves": ["be".repeat(32)], "paths": ["fc"]})).unwrap(),
             "beef".into(),
         );
         client.insert_doc(kinds::MODEL_INFO, serde_json::to_value(&info).unwrap()).unwrap()

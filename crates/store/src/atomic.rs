@@ -13,8 +13,8 @@
 //!    before it is named; the tmp's other metadata is irrelevant, so the
 //!    full-`fsync` journal flush per payload is skipped),
 //! 3. `rename` it over the destination, in item order (atomic on POSIX),
-//! 4. best-effort `fsync` of each destination directory once (the renames
-//!    are durable).
+//! 4. `fsync` of each destination directory once (the renames are
+//!    durable; a failed sync fails the commit).
 //!
 //! Temporary names never match the stores' `.json`/`.bin` scans, so an
 //! interrupted write is invisible to readers; `fsck` sweeps the leftovers.
@@ -104,11 +104,13 @@ pub(crate) fn stage_write(
     Ok(StagedWrite { tmp, dest: path.to_path_buf() })
 }
 
-/// Best-effort directory fsync, making renames into `dir` durable — not
-/// every filesystem supports opening a directory for sync.
-fn sync_dir(dir: &Path) {
-    if let Ok(dir) = std::fs::File::open(dir) {
-        let _ = dir.sync_all();
+/// Directory fsync, making renames into `dir` durable. A directory that
+/// cannot be opened (not every filesystem allows it) is skipped, `Ok(false)`;
+/// a failed sync is an error, as the renames may not survive a crash.
+fn sync_dir(dir: &Path) -> std::io::Result<bool> {
+    match std::fs::File::open(dir) {
+        Ok(dir) => dir.sync_all().map(|()| true),
+        Err(_) => Ok(false),
     }
 }
 
@@ -126,7 +128,7 @@ fn sync_dir(dir: &Path) {
 /// `fsck`, exactly as after a real crash.
 ///
 /// Returns the number of directory fsyncs the commit issued (one per
-/// distinct destination directory), for the caller's sync-op accounting.
+/// destination directory it could open), for the caller's sync-op accounting.
 pub(crate) fn commit_staged(
     staged: Vec<StagedWrite>,
     injector: Option<&FaultInjector>,
@@ -150,9 +152,9 @@ pub(crate) fn commit_staged(
     let mut parents: Vec<&Path> = staged.iter().filter_map(|s| s.dest.parent()).collect();
     parents.sort_unstable();
     parents.dedup();
-    let dir_syncs = parents.len();
+    let mut dir_syncs = 0;
     for parent in parents {
-        sync_dir(parent);
+        dir_syncs += usize::from(sync_dir(parent)?);
     }
     Ok(dir_syncs)
 }
@@ -508,6 +510,13 @@ mod tests {
             assert_eq!(bytes, format!("v{i}").as_bytes());
         }
         assert_eq!(tmp_count(dir.path()), 0);
+    }
+
+    #[test]
+    fn a_directory_that_cannot_be_opened_is_skipped_and_counts_no_sync() {
+        let dir = tempfile::tempdir().unwrap();
+        assert!(sync_dir(dir.path()).unwrap());
+        assert!(!sync_dir(&dir.path().join("missing")).unwrap());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The paper (§3.1) saves model metadata as JSON documents "identified by a
 //! generated identifier" and organized hierarchically: documents reference
-//! other documents (and files) by id. The local store keeps one
-//! pretty-printed JSON file per document under `docs/`, in a
+//! other documents (and files) by id. The local store keeps one compact
+//! JSON file per document under `docs/`, in a
 //! [`StoreDir`](crate::atomic::StoreDir) like the blobs under `files/`;
 //! [`DocStore`] adds only the codec: encoding a staged document, checking
 //! the embedded id on read, and rewriting a body in place.
@@ -42,11 +42,20 @@ impl fmt::Display for DocId {
 pub struct Document {
     /// Generated identifier.
     pub id: DocId,
-    /// Collection-style tag (`"model_info"`, `"environment"`, ...).
+    /// Collection-style tag (`"model_info"`, the one kind a save writes).
     pub kind: String,
     /// Arbitrary JSON payload; references to other documents/files are
     /// stored as their id strings inside this body.
     pub body: serde_json::Value,
+}
+
+impl Document {
+    /// The bytes this document occupies in a store: its encoded length. A
+    /// remote client counts a document with it too, so the storage metric
+    /// is the same whether a save goes to a local directory or the wire.
+    pub fn stored_len(&self) -> u64 {
+        encode(self).map_or(0, |bytes| bytes.len() as u64)
+    }
 }
 
 impl DirId for DocId {
@@ -110,9 +119,10 @@ impl DocStore {
     }
 }
 
-/// The stored form of a document: pretty-printed JSON.
+/// The stored form of a document: compact JSON, so that a layer list's
+/// nesting depth adds no indentation to its size.
 fn encode(doc: &Document) -> Result<Vec<u8>, StoreError> {
-    Ok(serde_json::to_vec_pretty(doc)?)
+    Ok(serde_json::to_vec(doc)?)
 }
 
 #[cfg(test)]

@@ -2,11 +2,13 @@
 //!
 //! Paper §3.1: metadata lives in JSON documents that reference each other
 //! by id. Here a saved model is one model-info document, which holds its
-//! environment and (for the provenance approach) its wrapped training
-//! objects inline, and references a layer-hash document, stored files and
-//! its base model. Whether that base is what the model is *recovered from*
-//! is [`ModelInfoDoc::recovery_parent`]'s call, and only its; what the
-//! model *references* is [`ModelInfoDoc::references`]'s.
+//! environment, its layer hashes (the leaves of its Merkle tree, §3.2) and,
+//! for the provenance approach, its wrapped training objects inline, and
+//! references stored files and its base model. Whether that base is what
+//! the model is *recovered from* is [`ModelInfoDoc::recovery_parent`]'s
+//! call, and only its; what the model *references* is
+//! [`ModelInfoDoc::references`]'s. No decode here folds the layer hashes
+//! into a tree: the chain walks need none.
 //!
 //! The types live here, below both sides of the wire, so that the model
 //! library (which saves and recovers through them), the lineage queries and
@@ -16,10 +18,13 @@
 //! `rebased_from`). [`LineageGraph::read`] is the one builder of lineage
 //! nodes: `mmlib lineage` in-process and the server's `LineageGet` /
 //! `LineageAncestry` answer from the same graph.
+//! Bodies come from disk or a peer: no index, no unchecked arithmetic.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::arithmetic_side_effects))]
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
+use mmlib_tensor::hash::Digest;
 use serde::{Deserialize, Serialize};
 
 use crate::{DocId, Document, FileId, ModelStorage, StoreError};
@@ -247,6 +252,48 @@ pub struct Provenance {
     pub dataset: DatasetRef,
 }
 
+/// A model's layer hashes as its model-info document stores them: the
+/// leaves of its Merkle tree (one digest per layer, in layer order) and
+/// their layer paths. Every value has at least one leaf and one path per
+/// leaf: [`LayerHashes::new`] and the decode refuse anything else. Only
+/// `SaveService::load_layer_hashes` in mmlib-core folds the leaves.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+pub struct LayerHashes {
+    leaves: Vec<Digest>,
+    paths: Vec<String>,
+}
+
+impl LayerHashes {
+    /// The hashes of `layers`, `(layer_path, digest)` in layer order;
+    /// `None` for an empty list.
+    pub fn new<'a>(layers: impl Iterator<Item = (&'a str, &'a Digest)>) -> Option<LayerHashes> {
+        let (paths, leaves): (Vec<String>, Vec<Digest>) =
+            layers.map(|(p, d)| (p.to_string(), *d)).unzip();
+        (!leaves.is_empty()).then_some(LayerHashes { leaves, paths })
+    }
+
+    /// Each layer's path with its digest, in layer order.
+    pub fn leaves(&self) -> impl Iterator<Item = (&str, &Digest)> {
+        self.paths.iter().map(String::as_str).zip(&self.leaves)
+    }
+}
+
+impl Deserialize for LayerHashes {
+    fn from_value(v: &serde::Value) -> Result<LayerHashes, serde::de::Error> {
+        #[derive(Deserialize)]
+        struct Stored {
+            leaves: Vec<Digest>,
+            paths: Vec<String>,
+        }
+        let Stored { leaves, paths } = Stored::from_value(v)?;
+        if leaves.is_empty() || paths.len() != leaves.len() {
+            let (l, p) = (leaves.len(), paths.len());
+            return Err(serde::de::Error::custom(format!("layer hashes with {l} leaves, {p} paths")));
+        }
+        Ok(LayerHashes { leaves, paths })
+    }
+}
+
 /// The body of a `model_info` document — one per saved model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModelInfoDoc {
@@ -278,8 +325,9 @@ pub struct ModelInfoDoc {
     /// updates saved before the list existed.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub update_layers: Option<Vec<String>>,
-    /// Layer-hash (Merkle) document id.
-    pub layer_hash_doc: String,
+    /// The leaves of the model's Merkle tree, which a parameter update on
+    /// this model diffs against (§3.2).
+    pub layer_hashes: LayerHashes,
     /// Merkle root over the model's layer hashes (hex) — the recovery
     /// checksum of §3.1.
     pub root_hash: String,
@@ -298,7 +346,7 @@ pub struct ModelInfoDoc {
 
 impl ModelInfoDoc {
     /// The one constructor: a model of `approach` saved in `environment`
-    /// on `base` (if any), whose layer hashes are `layer_hash_doc` with root
+    /// on `base` (if any), whose layer hashes are `layer_hashes` with root
     /// `root_hash`. It names no file, update or provenance and has no tags;
     /// each save sets the fields its approach stores.
     pub fn new(
@@ -307,7 +355,7 @@ impl ModelInfoDoc {
         relation: ModelRelation,
         base: Option<&SavedModelId>,
         environment: EnvironmentInfo,
-        layer_hash_doc: String,
+        layer_hashes: LayerHashes,
         root_hash: String,
     ) -> ModelInfoDoc {
         ModelInfoDoc {
@@ -320,7 +368,7 @@ impl ModelInfoDoc {
             weights_file: None,
             update_encoding: None,
             update_layers: None,
-            layer_hash_doc,
+            layer_hashes,
             root_hash,
             provenance: None,
             tags: Vec::new(),
@@ -360,16 +408,16 @@ impl ModelInfoDoc {
     }
 
     /// Everything this model document references, each with its role — the
-    /// one ownership rule fsck, deletion and GC share: the layer hashes and
-    /// the base model, then architecture code, weights, the dataset
-    /// container and the wrapped objects' state files. The model owns all
-    /// of it except the [`BASE_MODEL`], a saved model of its own.
+    /// one ownership rule fsck, deletion and GC share: the base model, then
+    /// architecture code, weights, the dataset container and the wrapped
+    /// objects' state files. The model owns all of it except the
+    /// [`BASE_MODEL`], a saved model of its own and the only document
+    /// referenced.
     pub fn references(&self) -> Vec<(Ref, &'static str)> {
-        let doc = |id: &str, role| (Ref::Doc(DocId::from_string(id.to_string())), role);
         let file = |id: &str, role| (Ref::File(FileId::from_string(id.to_string())), role);
-        let mut out = vec![doc(&self.layer_hash_doc, LAYER_HASH)];
+        let mut out = Vec::new();
         if let Some(base) = &self.base_model {
-            out.push(doc(base, BASE_MODEL));
+            out.push((Ref::Doc(DocId::from_string(base.clone())), BASE_MODEL));
         }
         if let Some(f) = &self.code_file {
             out.push(file(f, "architecture-code"));
@@ -394,13 +442,11 @@ impl ModelInfoDoc {
 /// The role [`ModelInfoDoc::references`] gives a model's base: the one
 /// reference the model does not own.
 pub const BASE_MODEL: &str = "base-model";
-/// The role of a model's layer-hash document.
-const LAYER_HASH: &str = "layer-hash";
 
 /// The target of one [`ModelInfoDoc::references`] entry.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Ref {
-    /// A document.
+    /// A document: the base model.
     Doc(DocId),
     /// A blob.
     File(FileId),
@@ -616,10 +662,8 @@ pub struct LineageRecordDoc {
 
 /// Document kinds used by mmlib.
 pub mod kinds {
-    /// Model-info documents.
+    /// Model-info documents, the one kind a save writes.
     pub const MODEL_INFO: &str = "model_info";
-    /// Layer-hash (Merkle) documents.
-    pub const LAYER_HASHES: &str = "layer_hashes";
 }
 
 /// One node of the lineage DAG: a saved model version and its record.
@@ -783,7 +827,7 @@ mod tests {
             ModelRelation::PartiallyUpdated,
             base.as_ref(),
             EnvironmentInfo::capture(),
-            "abc-3".into(),
+            LayerHashes::new([("fc", &Digest([7; 32]))].into_iter()).unwrap(),
             "00".repeat(32),
         );
         info.weights_file = Some("f-1".into());

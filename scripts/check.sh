@@ -27,8 +27,8 @@ lap test
 #               C1 truncating casts (deny line in each lib.rs); checked
 #               indexing and arithmetic in the wire decoder (protocol.rs),
 #               the dataset container decoder (container.rs), the
-#               delta_v1 update decoder (codec.rs, rle.rs) and the tensor
-#               decoder (ser.rs);
+#               delta_v1 update decoder (codec.rs, rle.rs), the tensor
+#               decoder (ser.rs) and the document decoder (schema.rs);
 #               a discarded StagedWrite (#[must_use])
 #   types       a connection's place in the `max_connections` budget given
 #               back by `Drop for Admission`; a staged write committed at
@@ -68,7 +68,8 @@ pin P1 "$P1" $(libs core net store tensor dist obs lineage)
 pin D1 "$D1" $(libs tensor train model core lineage dist)
 pin C1 "$C1" $(libs net store)
 pin decoder "$DECODE" crates/net/src/protocol.rs crates/data/src/container.rs \
-    crates/compress/src/codec.rs crates/compress/src/rle.rs crates/tensor/src/ser.rs
+    crates/compress/src/codec.rs crates/compress/src/rle.rs crates/tensor/src/ser.rs \
+    crates/store/src/schema.rs
 for m in Cargo.toml crates/*/Cargo.toml crates/shims/*/Cargo.toml; do
     if ! grep -A1 -xF '[lints]' "$m" | grep -qxF 'workspace = true'; then
         echo "check.sh: $m lost '[lints] workspace = true' (F1 and the D1 default)" >&2
@@ -107,8 +108,11 @@ fi
 # needed: the environment document, the three wrapper documents with
 # their kind, loader and the reference walk between them (a model-info
 # document holds its environment and its provenance record inline), and
-# the count-only upload mode that only the server's event loop used. Fail,
-# naming the file, if one returns.
+# the count-only upload mode that only the server's event loop used, and so
+# is the last of those documents, the layer-hash document, with its kind and
+# the model-info field that named it (a model-info document holds its layer
+# hashes, and `SaveService::load_layer_hashes` folds them). Fail, naming the
+# file, if one returns.
 for gone in ChainPolicy with_policy SimNetwork network_time run_flow_with_transport \
     recover_flow_family FaultyBackend artifacts_of walk_wrapper_closure entry_layer_hashes \
     lineage_index UnparsableDoc DocIdMismatch finish_inflight release_pending init_lock \
@@ -117,7 +121,8 @@ for gone in ChainPolicy with_policy SimNetwork network_time run_flow_with_transp
     DocsView FilesView atomic_write save_loader_wrapper save_optimizer_wrapper \
     save_train_service_wrapper io_loop ShardConfig WireConfig AdmissionConfig fnv1a \
     reader_loop route_reply per_conn_inflight SHUTDOWN_DRAIN_GRACE environment_doc train_doc \
-    environment_item 'kinds::ENVIRONMENT' 'kinds::WRAPPER' load_wrapper count_only; do
+    environment_item 'kinds::ENVIRONMENT' 'kinds::WRAPPER' load_wrapper count_only \
+    layer_hash_doc 'kinds::LAYER_HASHES'; do
     if hits=$(grep -rl -- "$gone" crates/*/src src examples tests); then
         echo "check.sh: deleted name '$gone' reappeared in:" $hits >&2
         exit 1
