@@ -82,6 +82,25 @@ where
     .expect("layer worker panicked")
 }
 
+/// A gradient with no buffer yet: the empty tensor. A layer is built with
+/// these, so a model holds no gradient memory until something needs it
+/// ([`grad_buf`]); `zero_grad` and byte counts need no special case.
+fn no_grad() -> Tensor {
+    Tensor::zeros([0])
+}
+
+/// `grad`, first allocated zero-filled at `param`'s shape if it has no
+/// buffer yet: the one place a gradient is allocated. A layer's `backward`
+/// calls it before it accumulates, and `visit_trainable_mut` before it
+/// hands the gradient out, so every reader still sees a full-size gradient
+/// that starts at zero.
+fn grad_buf<'g>(grad: &'g mut Tensor, param: &Tensor) -> &'g mut Tensor {
+    if grad.shape() != param.shape() {
+        *grad = Tensor::zeros(param.shape().clone());
+    }
+    grad
+}
+
 /// Splits `0..n` into at most `PAR_THREADS` contiguous ranges.
 fn ranges(n: usize) -> Vec<std::ops::Range<usize>> {
     let chunk = n.div_ceil(PAR_THREADS).max(1);
@@ -154,8 +173,8 @@ impl Conv2d {
             stride,
             pad,
             groups,
-            grad_weight: Tensor::zeros(weight.shape().clone()),
-            grad_bias: bias.as_ref().map(|b| Tensor::zeros(b.shape().clone())),
+            grad_weight: no_grad(),
+            grad_bias: bias.as_ref().map(|_| no_grad()),
             weight,
             bias,
             trainable: true,
@@ -242,7 +261,7 @@ impl Conv2d {
 
         // --- weight gradient: reduction over images; parallel mode combines
         // per-image-chunk partials in completion order (non-deterministic).
-        let wlen = self.grad_weight.numel();
+        let wlen = self.weight.numel();
         let chunk_grad_into = |range: std::ops::Range<usize>, gw: &mut [f32]| {
             for ni in range {
                 let xt = transpose(&xd[ni * in_len..(ni + 1) * in_len], cin);
@@ -251,6 +270,7 @@ impl Conv2d {
         };
 
         let work = n * cout * cin_g * k * k * ho * wo;
+        let grad_weight = grad_buf(&mut self.grad_weight, &self.weight).data_mut();
         if ctx.mode == ExecMode::Parallel && n > 1 && work >= PAR_MIN_WORK {
             let rs = ranges(n);
             let partials = parallel_partials(rs.len(), |i| {
@@ -258,18 +278,18 @@ impl Conv2d {
                 chunk_grad_into(rs[i].clone(), &mut gw);
                 gw
             });
-            reduce_partials(self.grad_weight.data_mut(), partials, ctx.mode);
+            reduce_partials(grad_weight, partials, ctx.mode);
         } else {
             // Deterministic path: accumulate straight into the gradient
             // buffer — no partial allocations (page faults are expensive on
             // some hosts, and a ResNet-152 backward would otherwise allocate
             // a weight-sized scratch buffer per conv layer).
-            chunk_grad_into(0..n, self.grad_weight.data_mut());
+            chunk_grad_into(0..n, grad_weight);
         }
 
         // --- bias gradient
-        if let Some(gb) = &mut self.grad_bias {
-            let gbd = gb.data_mut();
+        if let (Some(b), Some(gb)) = (&self.bias, &mut self.grad_bias) {
+            let gbd = grad_buf(gb, b).data_mut();
             for ni in 0..n {
                 for co in 0..cout {
                     let base = ni * cout * ho * wo + co * ho * wo;
@@ -337,8 +357,10 @@ impl Conv2d {
         if !self.trainable {
             return;
         }
-        f(format!("{prefix}.weight"), &mut self.weight, &mut self.grad_weight);
+        let gw = grad_buf(&mut self.grad_weight, &self.weight);
+        f(format!("{prefix}.weight"), &mut self.weight, gw);
         if let (Some(b), Some(gb)) = (&mut self.bias, &mut self.grad_bias) {
+            let gb = grad_buf(gb, b);
             f(format!("{prefix}.bias"), b, gb);
         }
     }
@@ -348,6 +370,10 @@ impl Conv2d {
         if let Some(gb) = &mut self.grad_bias {
             gb.fill(0.0);
         }
+    }
+
+    pub(crate) fn grad_nbytes(&self) -> usize {
+        self.grad_weight.nbytes() + self.grad_bias.as_ref().map_or(0, Tensor::nbytes)
     }
 }
 
@@ -661,8 +687,8 @@ impl BatchNorm2d {
             momentum: 0.1,
             eps: 1e-5,
             trainable: true,
-            grad_weight: Tensor::zeros([channels]),
-            grad_bias: Tensor::zeros([channels]),
+            grad_weight: no_grad(),
+            grad_bias: no_grad(),
             cache: None,
         }
     }
@@ -801,10 +827,12 @@ impl BatchNorm2d {
                 dbeta[ci] += db;
             }
         }
-        for (a, v) in self.grad_weight.data_mut().iter_mut().zip(&dgamma) {
+        let gw = grad_buf(&mut self.grad_weight, &self.weight).data_mut();
+        for (a, v) in gw.iter_mut().zip(&dgamma) {
             *a += v;
         }
-        for (a, v) in self.grad_bias.data_mut().iter_mut().zip(&dbeta) {
+        let gb = grad_buf(&mut self.grad_bias, &self.bias).data_mut();
+        for (a, v) in gb.iter_mut().zip(&dbeta) {
             *a += v;
         }
 
@@ -866,13 +894,19 @@ impl BatchNorm2d {
         if !self.trainable {
             return;
         }
-        f(format!("{prefix}.weight"), &mut self.weight, &mut self.grad_weight);
-        f(format!("{prefix}.bias"), &mut self.bias, &mut self.grad_bias);
+        let gw = grad_buf(&mut self.grad_weight, &self.weight);
+        f(format!("{prefix}.weight"), &mut self.weight, gw);
+        let gb = grad_buf(&mut self.grad_bias, &self.bias);
+        f(format!("{prefix}.bias"), &mut self.bias, gb);
     }
 
     pub(crate) fn zero_grad(&mut self) {
         self.grad_weight.fill(0.0);
         self.grad_bias.fill(0.0);
+    }
+
+    pub(crate) fn grad_nbytes(&self) -> usize {
+        self.grad_weight.nbytes() + self.grad_bias.nbytes()
     }
 }
 
@@ -940,8 +974,8 @@ impl Linear {
         Linear {
             in_features,
             out_features,
-            grad_weight: Tensor::zeros([out_features, in_features]),
-            grad_bias: Tensor::zeros([out_features]),
+            grad_weight: no_grad(),
+            grad_bias: no_grad(),
             weight,
             bias,
             trainable: true,
@@ -1011,6 +1045,7 @@ impl Linear {
                 }
             }
         };
+        let grad_weight = grad_buf(&mut self.grad_weight, &self.weight).data_mut();
         if ctx.mode == ExecMode::Parallel && n > 1 && n * fout * fin >= PAR_MIN_WORK {
             let rs = ranges(n);
             let partials = parallel_partials(rs.len(), |i| {
@@ -1018,14 +1053,14 @@ impl Linear {
                 chunk_grad_into(rs[i].clone(), &mut gw);
                 gw
             });
-            reduce_partials(self.grad_weight.data_mut(), partials, ctx.mode);
+            reduce_partials(grad_weight, partials, ctx.mode);
         } else {
-            chunk_grad_into(0..n, self.grad_weight.data_mut());
+            chunk_grad_into(0..n, grad_weight);
         }
 
         // Bias grad.
         {
-            let gb = self.grad_bias.data_mut();
+            let gb = grad_buf(&mut self.grad_bias, &self.bias).data_mut();
             for ni in 0..n {
                 for o in 0..fout {
                     gb[o] += gd[ni * fout + o];
@@ -1080,13 +1115,19 @@ impl Linear {
         if !self.trainable {
             return;
         }
-        f(format!("{prefix}.weight"), &mut self.weight, &mut self.grad_weight);
-        f(format!("{prefix}.bias"), &mut self.bias, &mut self.grad_bias);
+        let gw = grad_buf(&mut self.grad_weight, &self.weight);
+        f(format!("{prefix}.weight"), &mut self.weight, gw);
+        let gb = grad_buf(&mut self.grad_bias, &self.bias);
+        f(format!("{prefix}.bias"), &mut self.bias, gb);
     }
 
     pub(crate) fn zero_grad(&mut self) {
         self.grad_weight.fill(0.0);
         self.grad_bias.fill(0.0);
+    }
+
+    pub(crate) fn grad_nbytes(&self) -> usize {
+        self.grad_weight.nbytes() + self.grad_bias.nbytes()
     }
 }
 

@@ -231,6 +231,13 @@ impl Model {
         n
     }
 
+    /// Bytes held by gradient buffers. A model is built with none: a
+    /// parameter's gradient is allocated by the first backward pass or
+    /// [`Model::visit_trainable_mut`] that needs it.
+    pub fn grad_nbytes(&self) -> u64 {
+        self.root.grad_nbytes() as u64
+    }
+
     /// Enumerates the mmlib layers (parameterized leaf modules) in order.
     pub fn layers(&self) -> Vec<LayerDesc> {
         let mut out = Vec::new();
@@ -250,7 +257,9 @@ impl Model {
         self.root.set_trainable("", &move |path| path.starts_with(prefix));
     }
 
-    /// Visits `(path, param, grad)` for trainable parameters (optimizer hook).
+    /// Visits `(path, param, grad)` for trainable parameters (optimizer
+    /// hook). Each gradient is full-size: one not yet allocated is
+    /// allocated here, zero-filled.
     pub fn visit_trainable_mut(&mut self, f: &mut dyn FnMut(String, &mut Tensor, &mut Tensor)) {
         self.root.visit_trainable_mut("", f);
     }

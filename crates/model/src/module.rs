@@ -525,6 +525,21 @@ impl Module {
         }
     }
 
+    /// Bytes held by allocated parameter gradients.
+    pub fn grad_nbytes(&self) -> usize {
+        match self {
+            Module::Conv2d(l) => l.grad_nbytes(),
+            Module::BatchNorm2d(l) => l.grad_nbytes(),
+            Module::Linear(l) => l.grad_nbytes(),
+            Module::Sequential(s) => s.children.iter().map(|(_, c)| c.grad_nbytes()).sum(),
+            Module::Residual(r) => {
+                r.body.grad_nbytes() + r.downsample.as_ref().map_or(0, |ds| ds.grad_nbytes())
+            }
+            Module::Branches(b) => b.children.iter().map(|(_, c)| c.grad_nbytes()).sum(),
+            _ => 0,
+        }
+    }
+
     /// Enumerates `(layer_path, trainable)` for every parameterized leaf
     /// layer in canonical order — mmlib's layer granularity.
     pub fn layer_paths(&self, prefix: &str, out: &mut Vec<(String, bool)>) {

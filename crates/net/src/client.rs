@@ -22,7 +22,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use mmlib_obs::Gauge;
 use mmlib_store::schema::{LineageRecordDoc, RecoveryReads, SavedModelId};
 use mmlib_store::{DocId, Document, FileId, ModelStorage, StorageBackend, StoreError};
@@ -30,9 +29,9 @@ use parking_lot::Mutex;
 use serde_json::{json, Value};
 
 use crate::protocol::{
-    chunk_frames, decode_chain_reply, encode_frame_prefix, header_str, header_u64,
+    decode_chain_reply, encode_chunk_prefix, encode_frame_prefix, header_str, header_u64,
     read_frame_counted, reply_parts, BlobAssembler, Frame, Opcode, RecvBuf, WireError, WireVersion,
-    PROTOCOL_V2,
+    CHUNK_SIZE, PROTOCOL_V2,
 };
 
 /// Gauge of currently open pooled client connections (process-wide).
@@ -230,18 +229,19 @@ impl RemoteStore {
 
     /// Like [`RemoteStore::request`], also streaming `blob` after the
     /// request frame and reading the parts of any blob announced by the
-    /// reply, each into its own buffer. The blob is a `Bytes` so retried
-    /// attempts re-slice the same buffer instead of copying it.
+    /// reply, each into its own buffer. The blob is the caller's borrowed
+    /// bytes: every attempt, retries included, frames its chunks from that
+    /// same slice, and nothing copies it.
     fn request_blob(
         &self,
         frame: Frame,
-        blob: Option<Bytes>,
+        blob: Option<&[u8]>,
     ) -> Result<(Frame, Vec<Vec<u8>>), StoreError> {
         let mut attempt = 0u32;
         loop {
             // Every attempt gets a fresh frame id, so a late reply to a
             // timed-out attempt can never be mistaken for this one's.
-            match self.try_exchange(&frame, blob.as_ref()) {
+            match self.try_exchange(&frame, blob) {
                 Ok(reply) => return Ok(reply),
                 Err(e) => {
                     let shed_hint = match e {
@@ -270,7 +270,7 @@ impl RemoteStore {
     fn try_exchange(
         &self,
         frame: &Frame,
-        blob: Option<&Bytes>,
+        blob: Option<&[u8]>,
     ) -> Result<(Frame, Vec<Vec<u8>>), WireError> {
         let mut slot = self.take_slot()?;
         let conn = match slot.conn.take() {
@@ -440,7 +440,7 @@ impl Conn {
     fn write_request(
         &mut self,
         frame: &Frame,
-        blob: Option<&Bytes>,
+        blob: Option<&[u8]>,
         wire_out: &AtomicU64,
     ) -> Result<(), WireError> {
         match write_frames(&mut self.stream, frame, blob, WireVersion::V2) {
@@ -539,29 +539,27 @@ impl Conn {
 }
 
 /// Writes one frame, and `blob` as its chunk frames, to `w`; returns the
-/// exact wire bytes written. Chunk payloads are zero-copy slices of the
-/// request's one `Bytes` buffer — no per-attempt copy.
+/// exact wire bytes written. The bytes are those of `chunk_frames(blob)`,
+/// each chunk's payload written straight from the borrowed slice.
 fn write_frames(
     w: &mut impl Write,
     frame: &Frame,
-    blob: Option<&Bytes>,
+    blob: Option<&[u8]>,
     version: WireVersion,
 ) -> Result<u64, WireError> {
-    let mut wrote = write_one(w, frame, version)?;
-    if let Some(blob) = blob {
-        for chunk in chunk_frames(frame.request_id, blob) {
-            wrote += write_one(w, &chunk, version)?;
-        }
+    let mut wrote = write_one(w, &encode_frame_prefix(frame, version)?, &frame.payload)?;
+    for chunk in blob.unwrap_or_default().chunks(CHUNK_SIZE) {
+        let prefix = encode_chunk_prefix(frame.request_id, chunk.len(), version)?;
+        wrote += write_one(w, &prefix, chunk)?;
     }
     w.flush()?;
     Ok(wrote)
 }
 
-fn write_one(w: &mut impl Write, frame: &Frame, version: WireVersion) -> Result<u64, WireError> {
-    let prefix = encode_frame_prefix(frame, version)?;
-    w.write_all(&prefix)?;
-    w.write_all(&frame.payload)?;
-    Ok((prefix.len() + frame.payload.len()) as u64)
+fn write_one(w: &mut impl Write, prefix: &[u8], payload: &[u8]) -> Result<u64, WireError> {
+    w.write_all(prefix)?;
+    w.write_all(payload)?;
+    Ok((prefix.len() + payload.len()) as u64)
 }
 
 /// The backoff hint of a `Busy` reply, in milliseconds.
@@ -725,9 +723,9 @@ impl StorageBackend for RemoteStore {
 
     fn put_file(&self, bytes: &[u8]) -> Result<FileId, StoreError> {
         let announce = Frame::new(Opcode::FilePut, json!({"len": bytes.len() as u64}));
-        // One copy at the trait boundary (the backend only lends a slice);
-        // every attempt and chunk frame below slices this same buffer.
-        let (reply, _) = self.request_blob(announce, Some(Bytes::copy_from_slice(bytes)))?;
+        // Sent from the caller's bytes: every attempt frames its chunks
+        // from this slice, so the upload is never copied.
+        let (reply, _) = self.request_blob(announce, Some(bytes))?;
         let header = expect_ok(reply)?;
         let id = header_str(&header, "id").map_err(remote)?;
         Ok(FileId::from_string(id.to_string()))

@@ -347,9 +347,31 @@ impl From<std::io::Error> for WireError {
 /// [`MAX_FRAME_LEN`] — the decoder rejects such frames, so emitting one
 /// would only waste bandwidth before a guaranteed peer error.
 pub fn encode_frame_prefix(frame: &Frame, version: WireVersion) -> Result<Bytes, WireError> {
-    let header = frame.header.to_json_string();
+    encode_prefix(frame.opcode, frame.request_id, &frame.header, frame.payload.len(), version)
+}
+
+/// The prefix of the `Chunk` frame of transfer `request_id` that carries
+/// `payload_len` bytes: the frame [`chunk_frames`] builds, for a writer
+/// that sends the payload from a borrowed slice.
+pub fn encode_chunk_prefix(
+    request_id: u64,
+    payload_len: usize,
+    version: WireVersion,
+) -> Result<Bytes, WireError> {
+    encode_prefix(Opcode::Chunk, request_id, &chunk_header(), payload_len, version)
+}
+
+/// The one frame-prefix encoder, for a payload of `payload_len` bytes.
+fn encode_prefix(
+    opcode: Opcode,
+    request_id: u64,
+    header: &Value,
+    payload_len: usize,
+    version: WireVersion,
+) -> Result<Bytes, WireError> {
+    let header = header.to_json_string();
     let prefix_len = version.min_body().saturating_add(header.len());
-    let body_len = prefix_len.saturating_add(frame.payload.len());
+    let body_len = prefix_len.saturating_add(payload_len);
     if body_len > MAX_FRAME_LEN {
         return Err(WireError::Oversized(body_len));
     }
@@ -358,9 +380,9 @@ pub fn encode_frame_prefix(frame: &Frame, version: WireVersion) -> Result<Bytes,
         u32::try_from(header.len()).map_err(|_| WireError::Oversized(header.len()))?;
     let mut out = BytesMut::with_capacity(prefix_len.saturating_add(4));
     out.put_u32_le(body_len_u32);
-    out.put_u8(frame.opcode as u8);
+    out.put_u8(opcode as u8);
     if version == WireVersion::V2 {
-        out.put_u64_le(frame.request_id);
+        out.put_u64_le(request_id);
     }
     out.put_u32_le(header_len_u32);
     out.put_slice(header.as_bytes());
@@ -471,12 +493,18 @@ pub fn chunk_frames(request_id: u64, blob: &Bytes) -> Vec<Frame> {
     while start < blob.len() {
         let end = start.saturating_add(CHUNK_SIZE).min(blob.len());
         out.push(
-            Frame::with_payload(Opcode::Chunk, serde_json::json!({}), blob.slice(start..end))
+            Frame::with_payload(Opcode::Chunk, chunk_header(), blob.slice(start..end))
                 .with_request_id(request_id),
         );
         start = end;
     }
     out
+}
+
+/// The header of every `Chunk` frame: empty, as the request id and the
+/// payload length say all there is to say.
+fn chunk_header() -> Value {
+    json!({})
 }
 
 /// Reassembles one announced blob from its `Chunk` frames, each of its

@@ -134,6 +134,42 @@ fn dropped_reply_retries_with_at_least_once_semantics() {
 }
 
 #[test]
+fn dropped_upload_reply_resends_the_same_bytes() {
+    let dir = tempfile::tempdir().unwrap();
+    // Op 0 = ping reply; op 1 (the upload's reply) drops the connection
+    // after the server stored the file, so the client sends it again.
+    let plan = FaultPlan::new(13).with(1, Fault::DropConnection);
+    let server = faulty_server(dir.path(), NetFaults::response_only(plan));
+    let client = client(&server);
+
+    let blob: Vec<u8> = (0..3 * 65536 + 7u32).map(|i| (i.wrapping_mul(97) >> 5) as u8).collect();
+    let before = client.wire_bytes_out();
+    let id = client.put_file(&blob).unwrap();
+    assert_eq!(server.metrics().requests(Opcode::FilePut), 2, "one retry");
+
+    // Both attempts sent the whole upload, framed like `chunk_frames`; the
+    // retry first opened a connection with a fresh `Hello`.
+    let v2 = WireVersion::V2;
+    let announce = wire_len(v2, Opcode::FilePut, json!({"len": blob.len() as u64}), &[]);
+    let chunks: u64 = blob
+        .chunks(mmlib_net::CHUNK_SIZE)
+        .map(|chunk| wire_len(v2, Opcode::Chunk, json!({}), chunk))
+        .sum();
+    let hello = json!({"version": mmlib_net::PROTOCOL_V2});
+    let hello = wire_len(WireVersion::V1, Opcode::Hello, hello, &[]);
+    assert_eq!(client.wire_bytes_out() - before, 2 * (announce + chunks) + hello);
+
+    // At-least-once: each attempt stored a file, and both hold the bytes.
+    let direct = ModelStorage::open(dir.path()).unwrap();
+    let ids = direct.file_ids().unwrap();
+    assert_eq!(ids.len(), 2);
+    assert!(ids.contains(&id));
+    for stored in ids {
+        assert_eq!(direct.get_file(&stored).unwrap(), blob);
+    }
+}
+
+#[test]
 fn lost_single_response_poisons_only_its_request_id() {
     let dir = tempfile::tempdir().unwrap();
     // Op 1 (the insert reply) is swallowed as if a single multiplexed

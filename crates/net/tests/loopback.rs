@@ -2,7 +2,9 @@
 
 use std::sync::Arc;
 
-use mmlib_net::{RegistryServer, RemoteStore, ServerConfig};
+use bytes::Bytes;
+use mmlib_net::protocol::{chunk_frames, encode_frame_v, WireVersion};
+use mmlib_net::{Frame, Opcode, RegistryServer, RemoteStore, ServerConfig, CHUNK_SIZE};
 use mmlib_store::{DocId, FileId, ModelStorage, StorageBackend, StoreError};
 use serde_json::json;
 
@@ -51,6 +53,34 @@ fn files_stream_chunked_and_byte_exact() {
 
     client.remove_file(&id).unwrap();
     assert!(!client.contains_file(&id));
+}
+
+/// The wire bytes of one upload of `blob`: its `FilePut` announcement and
+/// the frames `chunk_frames` cuts from it. The request id has a fixed
+/// width, so any id gives the same length.
+fn upload_wire_len(blob: &[u8]) -> u64 {
+    let announce = Frame::new(Opcode::FilePut, json!({"len": blob.len() as u64}));
+    let chunks = chunk_frames(1, &Bytes::copy_from_slice(blob));
+    std::iter::once(&announce.with_request_id(1))
+        .chain(&chunks)
+        .map(|frame| encode_frame_v(frame, WireVersion::V2).unwrap().len() as u64)
+        .sum()
+}
+
+#[test]
+fn uploads_at_chunk_boundaries_round_trip_and_frame_like_chunk_frames() {
+    let dir = tempfile::tempdir().unwrap();
+    let server = server(dir.path());
+    let client = RemoteStore::builder(server.addr()).build().unwrap();
+
+    for len in [0, 1, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1, 3 * CHUNK_SIZE + 7] {
+        let blob: Vec<u8> =
+            (0..len as u32).map(|i| (i.wrapping_mul(2654435761) >> 11) as u8).collect();
+        let before = client.wire_bytes_out();
+        let id = client.put_file(&blob).unwrap();
+        assert_eq!(client.wire_bytes_out() - before, upload_wire_len(&blob), "len {len}");
+        assert_eq!(client.get_file(&id).unwrap(), blob, "round trip of {len} bytes");
+    }
 }
 
 #[test]

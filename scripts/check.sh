@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything must build, every test must pass, clippy must be
-# silent. `cargo test -q` at the root only covers the facade package (the
-# root Cargo.toml is itself a package), so the test step is --workspace.
+# silent. `cargo build` and `cargo test` at the root only cover the facade
+# package (the root Cargo.toml is itself a package), so both steps are
+# --workspace: a root-only build would leave target/release/mmlib stale.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,7 +13,7 @@ lap() { # lap STAGE
     stage_start=$SECONDS
 }
 
-cargo build --release
+cargo build --release --workspace
 lap build
 cargo test --workspace -q
 lap test
